@@ -1,7 +1,8 @@
 """Function and vector-field algebras on the marked sphere.
 
 Products, brackets and Lie-derivative module actions are computed on the
-rational functions and expanded back into the graded basis.  The two
+divisor forms of the basis elements and expanded back into the graded
+basis; cocycles are residue sums over their local jets.  The two
 geometric cocycles live here as well:
 
     gamma(f, g) = sum of residues of f dg over the marked points,
@@ -18,11 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ._kernel import RAT0, Rat
+from ._kernel import RAT0, RAT1, Rat
 from .basis import (GradedElement, KNIndex, Section, expand_in_basis,
-                    kn_basis_element, section_from_graded)
+                    kn_basis_element, linear_combination, residue_sum,
+                    section_from_graded)
 from .errors import DomainError
-from .ratfield import INFINITY, RationalFunction, order_at, residue_at
+from .ratfield import INFINITY, RationalFunction, order_at
 
 
 @dataclass(frozen=True)
@@ -46,11 +48,11 @@ class ProjectiveConnection:
 R_ZERO = ProjectiveConnection(RationalFunction.zero())
 
 
-def _as_value(cfg, x, lam=None):
+def _as_section(cfg, x):
     if isinstance(x, GradedElement):
-        return section_from_graded(cfg, x).value, x.lam
+        return section_from_graded(cfg, x)
     if isinstance(x, Section):
-        return x.value, x.lam
+        return x
     raise DomainError("expected a graded element or section")
 
 
@@ -62,14 +64,25 @@ def _as_graded(cfg, x):
     raise DomainError("expected a graded element or section")
 
 
+def _unit_form(cfg, lam, a):
+    return kn_basis_element(cfg, KNIndex(lam, *a)).form(cfg)
+
+
+def _bracket_form(cfg, e, f):
+    """e f' - f e' for forms e, f."""
+    return linear_combination(cfg.points, ((RAT1, e * f.deriv()),
+                                           (-RAT1, f * e.deriv())))
+
+
 def _unit_product(cfg, lams, a, b):
     key = ("prod", lams, a, b) if (lams[0], a) <= (lams[1], b) \
         else ("prod", (lams[1], lams[0]), b, a)
     hit = cfg.cache.get(key)
     if hit is None:
-        fa = kn_basis_element(cfg, KNIndex(lams[0], *a)).value
-        fb = kn_basis_element(cfg, KNIndex(lams[1], *b)).value
-        hit = expand_in_basis(cfg, Section(lams[0] + lams[1], fa * fb))
+        fa = _unit_form(cfg, lams[0], a)
+        fb = _unit_form(cfg, lams[1], b)
+        hit = expand_in_basis(
+            cfg, Section.from_form(lams[0] + lams[1], fa * fb))
         cfg.cache[key] = hit
     return hit
 
@@ -82,10 +95,8 @@ def _unit_vf_bracket(cfg, a, b):
     key = ("vfbr", a, b)
     hit = cfg.cache.get(key)
     if hit is None:
-        ea = kn_basis_element(cfg, KNIndex(-1, *a)).value
-        eb = kn_basis_element(cfg, KNIndex(-1, *b)).value
-        hit = expand_in_basis(
-            cfg, Section(-1, ea * eb.deriv() - eb * ea.deriv()))
+        hit = expand_in_basis(cfg, Section.from_form(-1, _bracket_form(
+            cfg, _unit_form(cfg, -1, a), _unit_form(cfg, -1, b))))
         cfg.cache[key] = hit
     return hit
 
@@ -94,10 +105,11 @@ def _unit_lie_derivative(cfg, a, lam, b):
     key = ("lied", a, lam, b)
     hit = cfg.cache.get(key)
     if hit is None:
-        ev = kn_basis_element(cfg, KNIndex(-1, *a)).value
-        sv = kn_basis_element(cfg, KNIndex(lam, *b)).value
-        hit = expand_in_basis(
-            cfg, Section(lam, ev * sv.deriv() + Rat(lam) * ev.deriv() * sv))
+        ev = _unit_form(cfg, -1, a)
+        sv = _unit_form(cfg, lam, b)
+        hit = expand_in_basis(cfg, Section.from_form(lam, linear_combination(
+            cfg.points, ((RAT1, ev * sv.deriv()),
+                         (Rat(lam), ev.deriv() * sv)))))
         cfg.cache[key] = hit
     return hit
 
@@ -147,12 +159,8 @@ def _unit_gamma(cfg, a, b):
     key = ("gammau", a, b)
     hit = cfg.cache.get(key)
     if hit is None:
-        fa = kn_basis_element(cfg, KNIndex(0, *a)).value
-        fb = kn_basis_element(cfg, KNIndex(0, *b)).value
-        h = fa * fb.deriv()
-        hit = RAT0
-        for pt in cfg.points:
-            hit = hit + residue_at(h, pt)
+        hit = residue_sum(cfg, _unit_form(cfg, 0, a), _unit_form(cfg, 0, b),
+                          dg=1)
         cfg.cache[key] = hit
     return hit
 
@@ -170,14 +178,15 @@ def cocycle_gamma(cfg, f, g):
     return total
 
 
-def _chi_integrand(ev, fv, rv):
-    e1, f1 = ev.deriv(), fv.deriv()
-    e3 = e1.deriv().deriv()
-    f3 = f1.deriv().deriv()
-    half = Rat(1, 2)
-    out = (e3 * fv - ev * f3) * half
+def _chi_residues(cfg, e, f, rv):
+    """Residue sum over the marked points of the chi integrand
+    (1/2)(e'''f - e f''') + R (e f' - f e'), for forms e, f and R."""
+    out = (residue_sum(cfg, e, f, df=3)
+           - residue_sum(cfg, e, f, dg=3)) * Rat(1, 2)
     if not rv.is_zero():
-        out = out - rv * (e1 * fv - ev * f1)
+        br = _bracket_form(cfg, e, f)
+        if not br.is_zero():
+            out = out + residue_sum(cfg, rv, br)
     return out
 
 
@@ -189,13 +198,8 @@ def _unit_chi(cfg, a, b, R):
     key = ("chiu", a, b, R.value)
     hit = cfg.cache.get(key)
     if hit is None:
-        ea = kn_basis_element(cfg, KNIndex(-1, *a)).value
-        eb = kn_basis_element(cfg, KNIndex(-1, *b)).value
-        h = _chi_integrand(ea, eb, R.value)
-        hit = RAT0
-        for pt in cfg.points:
-            hit = hit + residue_at(h, pt)
-        hit = hit * Rat(1, 12)
+        hit = _chi_residues(cfg, _unit_form(cfg, -1, a),
+                            _unit_form(cfg, -1, b), R.value) * Rat(1, 12)
         cfg.cache[key] = hit
     return hit
 
@@ -226,14 +230,12 @@ def coboundary_compare(cfg, e, f, R, R2):
     R.validate(cfg)
     R2.validate(cfg)
     diff = cocycle_chi(cfg, e, f, R) - cocycle_chi(cfg, e, f, R2)
-    ev, _ = _as_value(cfg, e)
-    fv, _ = _as_value(cfg, f)
     delta = R.value - R2.value
-    br = ev * fv.deriv() - fv * ev.deriv()
-    total = RAT0
-    for pt in cfg.points:
-        total = total + residue_at(delta * br, pt)
-    witness = total * Rat(1, 12)
+    br = _bracket_form(cfg, _as_section(cfg, e).form(cfg),
+                       _as_section(cfg, f).form(cfg))
+    witness = RAT0
+    if not (delta.is_zero() or br.is_zero()):
+        witness = residue_sum(cfg, delta, br) * Rat(1, 12)
     return diff, witness
 
 

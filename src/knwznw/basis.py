@@ -10,25 +10,34 @@ degree n and point index p is pinned by
     ord_inf  >= -N(n + 1 - h) - 2h + 1,
 
 normalized so the expansion at P_p is xi^(n-h) (1 + O(xi)) dxi^h.  At
-genus zero the order count is tight, so the solution space is always one
-dimensional and every prescribed order is attained exactly; the solver
-still carries the order-at-infinity adjustment loop and flags it in the
-construction record should it ever fire.
+genus zero the order count is tight, so the element is the product
 
-Degrees and expansions are exact; the residue pairing of weights h and
-1 - h realizes the duality that drives basis expansion.
+    A_{n,p} = c (z - P_p)^(n-h) prod_{i != p} (z - P_i)^(n-h+1) dz^h,
+    c = prod_{i != p} (P_p - P_i)^(-(n-h+1)),
+
+which attains every prescribed order exactly, the one at infinity too.
+
+Sections are held in divisor form relative to a configuration: a
+numerator polynomial q and an exponent vector k over the marked points,
+meaning q(z) prod_i (z - P_i)^k_i.  Products add exponents, and the
+order at P_i is k_i plus the leading zeros of q's Taylor jet there.  The
+Laurent jet at P_j is xi^k_j q(P_j + xi) prod_{i != j} (P_j - P_i + xi)^k_i:
+q's Taylor jet is cached per section and point, the binomial series of
+the other factors per configuration.  Residues, hence the pairing of
+weights h and 1 - h that realizes the duality, are read off these jets;
+basis expansion peels them degree by degree and is checked by exact
+reconstruction.
 """
 
 from __future__ import annotations
 
-from math import comb
 from typing import NamedTuple
 
-from ._kernel import RAT0, RAT1, Rat
+from ._kernel import (RAT0, RAT1, Rat, poly_add, poly_deriv, poly_mul,
+                      poly_scale)
 from .errors import BasisConstructionError, DomainError
-from .exactlinalg import nullspace
 from .ratfield import (INFINITY, Poly, RationalFunction, as_rat,
-                       local_expansion, order_at, residue_at)
+                       local_expansion, order_at)
 
 
 class Config:
@@ -36,8 +45,10 @@ class Config:
     point fixed at z = infinity; genus 0.
 
     Carries a memo table for constructed basis elements and derived
-    structure constants.  Values are immutable, so concurrent lookups are
-    benign (same key always maps to the same value).
+    structure constants, and one for the local series shared by all
+    sections relative to these points.  Values are immutable, so
+    concurrent lookups are benign (same key always maps to the same
+    value).
     """
 
     genus = 0
@@ -51,6 +62,7 @@ class Config:
         self.points = pts
         self.n_points = len(pts)
         self.cache = {}
+        self.series = {}
 
     def point(self, p):
         """1-based access, matching the index convention of the basis."""
@@ -75,20 +87,299 @@ class KNIndex(NamedTuple):
     p: int
 
 
-class Section:
-    """A weight-lam differential f(z) dz^lam."""
+# ---------------------------------------------------------- local series --
 
-    __slots__ = ("lam", "value")
+def _series_mul(a, b, length):
+    """First `length` coefficients of a(xi) b(xi); b has at least that many."""
+    if len(a) == 1:
+        c = a[0]
+        return [c * x for x in b[:length]]
+    la = len(a)
+    out = []
+    for t in range(length):
+        acc = RAT0
+        for s in range(min(t + 1, la)):
+            acc = acc + a[s] * b[t - s]
+        out.append(acc)
+    return out
+
+
+def _binomial_product(cfg, i, k, length):
+    """At least `length` Taylor coefficients at P_i of
+    prod_{j != i} (z - P_j)^k_j; cached per configuration."""
+    key = (i, k[:i] + k[i + 1:])
+    got = cfg.series.get(key)
+    if got is not None and len(got) >= length:
+        return got
+    pts = cfg.points
+    a = pts[i]
+    out = [RAT1] + [RAT0] * (length - 1)
+    for j, e in enumerate(k):
+        if j == i or e == 0:
+            continue
+        # (d + xi)^e = d^e sum_t binom(e, t) (xi/d)^t
+        d = a - pts[j]
+        inv = RAT1 / d
+        ser = [d ** e]
+        for t in range(length - 1):
+            ser.append(ser[-1] * inv * Rat(e - t, t + 1))
+        out = _series_mul(out, ser, length)
+    got = tuple(out)
+    cfg.series[key] = got
+    return got
+
+
+def _function_jet(cfg, f, i, length):
+    """At least `length` Taylor coefficients at P_i of a rational function
+    regular there, from order 0 on; cached per configuration."""
+    key = ("function", f, i)
+    got = cfg.series.get(key)
+    if got is None or len(got) < length:
+        o, coeffs = local_expansion(f, cfg.points[i], length)
+        if o < 0:
+            raise DomainError("pole at marked point P_%d" % (i + 1))
+        got = tuple([RAT0] * o + coeffs)
+        cfg.series[key] = got
+    return got
+
+
+def _derived(coeffs, order, times):
+    """Coefficients of the times-th derivative of sum_t c_t xi^(order+t),
+    which starts at order - times."""
+    for _ in range(times):
+        coeffs = [c * (order + t) for t, c in enumerate(coeffs)]
+        order -= 1
+    return coeffs
+
+
+class DivisorForm:
+    """q(z) prod_i (z - P_i)^k_i over the points of one configuration.
+
+    q is a trimmed coefficient tuple, empty for the zero function.  It may
+    vanish at a marked point: the order there counts its leading zeros.
+    """
+
+    __slots__ = ("points", "q", "k", "_taylor", "_jets")
+
+    def __init__(self, points, q, k):
+        self.points = points
+        self.q = q
+        self.k = k
+        self._taylor = {}
+        self._jets = {}
+
+    @classmethod
+    def of_function(cls, points, f):
+        """The form of a rational function; DomainError when it has a pole
+        off the points."""
+        if f.is_zero():
+            return cls(points, (), (0,) * len(points))
+        den = f.den
+        k = []
+        for a in points:
+            t = den.shifted(a)
+            m = 0
+            while t[m].num == 0:
+                m += 1
+            k.append(-m)
+        if sum(k) != -den.degree():
+            for a, e in zip(points, k):
+                if e:
+                    den = den // (Poly((-a, RAT1)) ** -e)
+            if den.degree() == 1:
+                bad = -den.coeffs[0] / den.coeffs[1]
+                raise DomainError("pole at %s outside the marked points" % bad)
+            raise DomainError(
+                "poles outside the marked points (denominator factor %s)"
+                % den)
+        # den is monic, so all that is left of it is 1
+        return cls(points, f.num.coeffs, tuple(k))
+
+    def is_zero(self):
+        return not self.q
+
+    def _qjet(self, i):
+        """(z, tail): the leading zeros of q's Taylor jet at P_i and the
+        coefficients from the first nonzero one on."""
+        got = self._taylor.get(i)
+        if got is None:
+            q = self.q
+            if len(q) == 1:
+                got = (0, q)
+            else:
+                t = Poly._raw(q).shifted(self.points[i])
+                z = 0
+                while t[z].num == 0:
+                    z += 1
+                got = (z, t[z:])
+            self._taylor[i] = got
+        return got
+
+    def order(self, i):
+        """Order of the function at P_i (0-based index)."""
+        return self.k[i] + self._qjet(i)[0]
+
+    def order_infinity(self):
+        """Order of the function at infinity, without the chart factor."""
+        return 1 - len(self.q) - sum(self.k)
+
+    def jet(self, cfg, i, length):
+        """At least `length` Laurent coefficients at P_i, from order(i) on."""
+        got = self._jets.get(i)
+        if got is None or len(got) < length:
+            tail = self._qjet(i)[1]
+            got = _series_mul(tail, _binomial_product(cfg, i, self.k, length),
+                              length)
+            self._jets[i] = got
+        return got
+
+    def __mul__(self, other):
+        return DivisorForm(self.points, poly_mul(self.q, other.q),
+                           tuple(a + b for a, b in zip(self.k, other.k)))
+
+    def deriv(self):
+        """The z-derivative: with S the points of nonzero exponent,
+        f' = prod_S (z - P_i)^(k_i - 1) (q' prod_S (z - P_i)
+             + q sum_{i in S} k_i prod_{S - i} (z - P_l))."""
+        pts, k = self.points, self.k
+        live = [i for i, e in enumerate(k) if e]
+        lin = {i: (-pts[i], RAT1) for i in live}
+        out = poly_deriv(self.q)
+        for i in live:
+            out = poly_mul(out, lin[i])
+        for i in live:
+            term = poly_scale(self.q, Rat(k[i]))
+            for j in live:
+                if j != i:
+                    term = poly_mul(term, lin[j])
+            out = poly_add(out, term)
+        return DivisorForm(pts, out, tuple(e - 1 if e else 0 for e in k))
+
+    def function(self):
+        """The reduced rational function: zeros of q at points of negative
+        exponent are cancelled into the denominator."""
+        if not self.q:
+            return RationalFunction.zero()
+        num = Poly._raw(self.q)
+        den = Poly._raw((RAT1,))
+        for i, (a, e) in enumerate(zip(self.points, self.k)):
+            lin = Poly._raw((-a, RAT1))
+            if e < 0:
+                z = min(self._qjet(i)[0], -e)
+                if z:
+                    num = num // (lin ** z)
+                    e += z
+            if e > 0:
+                num = num * (lin ** e)
+            elif e < 0:
+                den = den * (lin ** -e)
+        return RationalFunction._raw(num, den)
+
+
+def linear_combination(points, terms):
+    """sum c f over (c, f) pairs of forms relative to `points`, as one form
+    whose exponents are the least of the terms'."""
+    live = [(c, f) for c, f in terms if c.num != 0 and f.q]
+    if not live:
+        return DivisorForm(points, (), (0,) * len(points))
+    kmin = tuple(min(f.k[i] for _c, f in live) for i in range(len(points)))
+    total = ()
+    for c, f in live:
+        q = poly_scale(f.q, c)
+        for a, e, e0 in zip(points, f.k, kmin):
+            for _ in range(e - e0):
+                q = poly_mul(q, (-a, RAT1))
+        total = poly_add(total, q)
+    return DivisorForm(points, total, kmin)
+
+
+def _local_jet(cfg, f, i, length, d):
+    """At least `length` coefficients of f^(d) at P_i, starting at the
+    order of f there (0 for a function) minus d."""
+    if isinstance(f, DivisorForm):
+        cs, order = f.jet(cfg, i, length), f.order(i)
+    else:
+        cs, order = _function_jet(cfg, f, i, length), 0
+    return _derived(cs[:length], order, d) if d else cs
+
+
+def residue_sum(cfg, f, g, df=0, dg=0):
+    """Sum over the marked points of the residues of f^(df) g^(dg) dz.
+
+    f and g are nonzero divisor forms relative to cfg, or rational
+    functions regular at every marked point; df and dg count
+    z-derivatives.
+    """
+    total = RAT0
+    for i in range(cfg.n_points):
+        m = -1 + df + dg
+        for h in (f, g):
+            if isinstance(h, DivisorForm):
+                m -= h.order(i)
+        if m < 0:
+            continue
+        a = _local_jet(cfg, f, i, m + 1, df)
+        b = _local_jet(cfg, g, i, m + 1, dg)
+        for t in range(m + 1):
+            total = total + a[t] * b[m - t]
+    return total
+
+
+# --------------------------------------------------------------- sections --
+
+class Section:
+    """A weight-lam differential f(z) dz^lam.
+
+    f is held as a rational function, as divisor forms relative to
+    configurations, or both; each is built from the other on demand and
+    a form is only ever used with the points it was made for.
+    """
+
+    __slots__ = ("lam", "_value", "_home", "_forms")
 
     def __init__(self, lam, value):
         self.lam = lam
-        self.value = value if isinstance(value, RationalFunction) \
+        self._value = value if isinstance(value, RationalFunction) \
             else RationalFunction(value)
+        self._home = None
+        self._forms = {}
+
+    @classmethod
+    def from_form(cls, lam, form):
+        s = cls.__new__(cls)
+        s.lam = lam
+        s._value = None
+        s._home = form
+        s._forms = {form.points: form}
+        return s
+
+    @property
+    def value(self):
+        if self._value is None:
+            self._value = self._home.function()
+        return self._value
+
+    def form(self, cfg):
+        """Divisor form relative to cfg; DomainError for a pole off its
+        marked points."""
+        got = self._forms.get(cfg.points)
+        if got is None:
+            got = DivisorForm.of_function(cfg.points, self.value)
+            self._forms[cfg.points] = got
+        return got
 
     def is_zero(self):
-        return self.value.is_zero()
+        if self._value is not None:
+            return self._value.is_zero()
+        return self._home.is_zero()
 
     def order_at(self, p):
+        home = self._home
+        if home is not None and home.q:
+            if p is INFINITY:
+                return home.order_infinity() - 2 * self.lam
+            if p in home.points:
+                return home.order(home.points.index(p))
         if p is INFINITY:
             return order_at(self.value, p) - 2 * self.lam
         return order_at(self.value, p)
@@ -174,53 +465,10 @@ class BasisRecord(NamedTuple):
     section: Section
     orders: dict          # point index (1-based) -> attained order
     order_infinity: int   # attained order at the reference point
-    adjusted: bool
-
-
-def _prescribed_orders(cfg, idx):
-    lam, n, p = idx
-    orders = {}
-    for i in range(1, cfg.n_points + 1):
-        orders[i] = n - lam if i == p else n - lam + 1
-    m_inf = -cfg.n_points * (n + 1 - lam) - 2 * lam + 1
-    return orders, m_inf
-
-
-def _section_space(cfg, point_orders, lam, m_inf):
-    """Solve for weight-lam sections with ord_{P_i} >= point_orders[i] and
-    section order at infinity >= m_inf.  Returns (numerators, den, rows)."""
-    pts = cfg.points
-    den_exp = {i: max(0, -point_orders[i]) for i in point_orders}
-    den = Poly((RAT1,))
-    for i, e in den_exp.items():
-        if e:
-            den = den * (Poly((-pts[i - 1], RAT1)) ** e)
-    deg_d = den.degree()
-    # section order at inf of q/den dz^lam is (deg den - deg q) - 2 lam
-    deg_max = deg_d - 2 * lam - m_inf
-    if deg_max < 0:
-        return [], den, []
-    ncols = deg_max + 1
-    rows = []
-    for i, a in point_orders.items():
-        k = a + den_exp[i]  # equals max(a, 0): required zero order of q at P_i
-        # first k Taylor coefficients of q at P_i must vanish
-        a_pt = pts[i - 1]
-        powers = [RAT1]
-        for _ in range(ncols):
-            powers.append(powers[-1] * a_pt)
-        for j in range(k):
-            row = [RAT0] * ncols
-            for t in range(j, ncols):
-                row[t] = Rat(comb(t, j)) * powers[t - j]
-            rows.append(row)
-    sols = nullspace(rows, ncols)
-    nums = [Poly(v) for v in sols]
-    return nums, den, rows
 
 
 def kn_basis_record(cfg, idx):
-    """Construct the basis element with full metadata; memoized per Config."""
+    """Construct the basis element with its orders; memoized per Config."""
     idx = KNIndex(*idx)
     if not 1 <= idx.p <= cfg.n_points:
         raise DomainError("point index %d out of range" % idx.p)
@@ -229,49 +477,19 @@ def kn_basis_record(cfg, idx):
     if hit is not None:
         return hit
 
-    point_orders, m_generic = _prescribed_orders(cfg, idx)
-    attempts = 2 * cfg.n_points + 4
-    nums = den = None
-    m_inf = m_generic
-    adjusted = False
-    for step in range(attempts):
-        m_inf = m_generic + step
-        nums, den, rows = _section_space(cfg, point_orders, idx.lam, m_inf)
-        if len(nums) == 1:
-            adjusted = step > 0
-            break
-        if len(nums) == 0:
-            raise BasisConstructionError(
-                "no section for %s with ord_inf >= %d" % (idx, m_inf),
-                matrix=rows)
-    else:
-        raise BasisConstructionError(
-            "no unique section for %s after %d adjustments" % (idx, attempts),
-            matrix=rows)
-
-    value = RationalFunction(nums[0], den)
-    # verify the attained orders; at genus 0 the prescription is exact
-    attained = {}
-    for i, a in point_orders.items():
-        o = order_at(value, cfg.points[i - 1])
-        if o != a:
-            raise BasisConstructionError(
-                "order %d attained instead of %d at P_%d for %s"
-                % (o, a, i, idx), matrix=rows)
-        attained[i] = o
-    o_inf = order_at(value, INFINITY) - 2 * idx.lam
-    if o_inf < m_inf:
-        raise BasisConstructionError(
-            "order %d at infinity below prescription %d for %s"
-            % (o_inf, m_inf, idx), matrix=rows)
-
-    # normalize the expansion at P_p to xi^(n-lam) (1 + O(xi))
-    _, coeffs = local_expansion(value, cfg.point(idx.p), 1)
-    lead = coeffs[0]
-    if lead != RAT1:
-        value = value * (RAT1 / lead)
-
-    rec = BasisRecord(Section(idx.lam, value), attained, o_inf, adjusted)
+    lam, n, p = idx
+    e = n - lam + 1
+    pts = cfg.points
+    home = pts[p - 1]
+    c = RAT1
+    for i, a in enumerate(pts, start=1):
+        if i != p:
+            c = c * (home - a)
+    k = tuple(e - 1 if i == p else e for i in range(1, cfg.n_points + 1))
+    form = DivisorForm(pts, (c ** -e,), k)
+    rec = BasisRecord(Section.from_form(lam, form),
+                      dict(enumerate(k, start=1)),
+                      -sum(k) - 2 * lam)
     cfg.cache[key] = rec
     return rec
 
@@ -293,64 +511,63 @@ def kn_pairing(cfg, f, g):
         raise DomainError("weight mismatch: %d + %d != 1" % (f.lam, g.lam))
     if f.is_zero() or g.is_zero():
         return RAT0
-    h = f.value * g.value
-    total = RAT0
-    for pt in cfg.points:
-        total = total + residue_at(h, pt)
-    return total
+    return residue_sum(cfg, f.form(cfg), g.form(cfg))
 
 
 def section_from_graded(cfg, ge):
     """Realize a graded element as an actual section."""
-    value = RationalFunction.zero()
-    for (n, p), c in ge.terms.items():
-        value = value + kn_basis_element(cfg, KNIndex(ge.lam, n, p)).value * c
-    return Section(ge.lam, value)
-
-
-def _check_poles(cfg, value):
-    den = value.den
-    for i, pt in enumerate(cfg.points, start=1):
-        m = den.mult_at(pt)
-        if m:
-            den = den // (Poly((-pt, RAT1)) ** m)
-    if den.degree() > 0:
-        if den.degree() == 1:
-            bad = -den.coeffs[0] / den.coeffs[1]
-            raise DomainError("pole at %s outside the marked points" % bad)
-        raise DomainError(
-            "poles outside the marked points (denominator factor %s)" % den)
+    if not ge.terms:
+        return Section(ge.lam, RationalFunction.zero())
+    return Section.from_form(ge.lam, linear_combination(cfg.points, [
+        (c, kn_basis_element(cfg, KNIndex(ge.lam, n, p)).form(cfg))
+        for (n, p), c in ge.terms.items()]))
 
 
 def expand_in_basis(cfg, s):
     """Exact expansion of a section in the basis of its weight.
 
-    Coefficients are extracted by pairing against the dual-weight basis;
-    the reconstruction is verified to reproduce the input exactly.
+    Degree by degree from the lowest, the coefficient of A_{n,p} is the
+    xi^(n-lam) coefficient at P_p of the section minus the terms found so
+    far (A_{n,p} has order n - lam there, the other A_{n,r} one more).
+    The reconstruction is verified to reproduce the input exactly.
     """
     if not isinstance(s, Section):
         raise DomainError("expected a section")
     if s.is_zero():
         return GradedElement(s.lam, {})
-    _check_poles(cfg, s.value)
+    form = s.form(cfg)
     lam = s.lam
     n_pts = cfg.n_points
-    o_min = min(order_at(s.value, pt) for pt in cfg.points)
-    o_inf = order_at(s.value, INFINITY) - 2 * lam
-    n_min = lam + o_min
+    orders = [form.order(i) for i in range(n_pts)]
+    o_inf = form.order_infinity() - 2 * lam
+    n_min = lam + min(orders)
     n_max = (n_pts * lam - 2 * lam - o_inf) // n_pts
+    top = n_max - lam
+    jets = [form.jet(cfg, i, max(0, top - orders[i] + 1))
+            for i in range(n_pts)]
     terms = {}
+    found = []  # (coefficient, basis form) in the order found
     for n in range(n_min, n_max + 1):
-        for p in range(1, n_pts + 1):
-            dual = kn_basis_element(cfg, KNIndex(1 - lam, -n, p))
-            c = kn_pairing(cfg, s, dual)
+        t = n - lam
+        new = []
+        for i in range(n_pts):
+            c = jets[i][t - orders[i]] if t >= orders[i] else RAT0
+            for c2, a in found:
+                j = t - a.k[i]
+                if j >= 0:
+                    c = c - c2 * a.jet(cfg, i, top - a.k[i] + 1)[j]
             if c.num != 0:
-                terms[(n, p)] = c
-    ge = GradedElement(lam, terms)
-    if section_from_graded(cfg, ge).value != s.value:
+                new.append(((n, i + 1), c))
+        for key, c in new:
+            terms[key] = c
+            found.append(
+                (c, kn_basis_element(cfg, KNIndex(lam, *key)).form(cfg)))
+    rest = linear_combination(cfg.points, [(RAT1, form)]
+                              + [(-c, a) for c, a in found])
+    if not rest.is_zero():
         raise BasisConstructionError(
             "expansion failed to reproduce the section (internal error)")
-    return ge
+    return GradedElement(lam, terms)
 
 
 def homogeneous_dimension(cfg, lam, n):

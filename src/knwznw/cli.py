@@ -43,6 +43,35 @@ def _parse_rat(text):
         raise ConfigError("bad rational %r: %s" % (text, exc))
 
 
+def _parse_int(value, what):
+    """An integer given as a JSON number or a decimal string."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ConfigError("bad %s %r: expected an integer" % (what, value))
+
+
+def _parse_depth(value):
+    depth = _parse_int(value, "depth")
+    if depth < 0:
+        raise ConfigError("depth bound must be >= 0")
+    return depth
+
+
+def _parse_int_list(text, what):
+    return [_parse_int(x, what) for x in text.split(",")]
+
+
+def _config_list(value, key):
+    if not isinstance(value, list):
+        raise ConfigError("config %r must be a list, got %r" % (key, value))
+    return value
+
+
 def _load_config(path):
     if path is None:
         return {}
@@ -58,7 +87,7 @@ def _config_points(data, args):
     if getattr(args, "points", None):
         pts = [s for s in args.points.split(",") if s]
     elif "points" in data:
-        pts = data["points"]
+        pts = _config_list(data["points"], "points")
     if not pts:
         raise ConfigError("no marked points given (config 'points' or --points)")
     try:
@@ -90,16 +119,18 @@ def _config_module_spec(cfg, data):
     weights = m.get("weights", data.get("weights"))
     if weights is None:
         raise ConfigError("module weights missing")
+    weights = _config_list(weights, "weights")
     level = _parse_rat(m.get("level", data.get("level", "1")))
-    depth = int(m.get("depth", data.get("depth", 4)))
+    depth = _parse_depth(m.get("depth", data.get("depth", 4)))
     width = m.get("width")
+    if width is not None:
+        width = _parse_int(width, "width")
     if kind in ("weyl",):
-        weights = tuple(int(w) for w in weights)
+        weights = tuple(_parse_int(w, "weight") for w in weights)
     else:
         weights = tuple(_parse_rat(w) for w in weights)
     try:
-        return ModuleSpec(kind, weights, level, depth,
-                          None if width is None else int(width))
+        return ModuleSpec(kind, weights, level, depth, width)
     except DomainError as exc:
         raise ConfigError(str(exc))
 
@@ -132,7 +163,7 @@ def cmd_basis(args):
         "den": _poly_json(rec.section.value.den),
         "orders": {str(i): o for i, o in rec.orders.items()}
                   | {"infinity": rec.order_infinity},
-        "adjusted": rec.adjusted,
+        "adjusted": False,
     }
     _emit(args, payload)
     return 0
@@ -260,9 +291,11 @@ def cmd_sugawara(args):
     module = induce_module(alg, cfg, spec)
     pairs = []
     for chunk in args.pairs.split(";"):
-        k, r, m, s = (int(x) for x in chunk.split(","))
-        pairs.append(((k, r), (m, s)))
-    window = [int(x) for x in args.slices.split(",")]
+        idx = _parse_int_list(chunk, "pair index")
+        if len(idx) != 4:
+            raise ConfigError("bad pair %r; expected k,r,m,s" % chunk)
+        pairs.append((tuple(idx[:2]), tuple(idx[2:])))
+    window = _parse_int_list(args.slices, "slice degree")
     entries = []
     for e in sugawara_commutator_audit(cfg, alg, module, pairs, window):
         entries.append({
@@ -284,12 +317,13 @@ def cmd_kz(args):
     weights = data.get("weights")
     if weights is None:
         raise ConfigError("weights missing")
+    weights = _config_list(weights, "weights")
     if alg.kind == "sl2":
-        weights = tuple(int(w) for w in weights)
+        weights = tuple(_parse_int(w, "weight") for w in weights)
     else:
         weights = tuple(_parse_rat(w) for w in weights)
     level = _parse_rat(data.get("level", "1"))
-    depth = int(data.get("depth", 4))
+    depth = _parse_depth(data.get("depth", 4))
     system = kz_matrices(cfg, alg, weights, level, depth)
     flat = "n/a"
     if not system.partial and cfg.n_points >= 3:

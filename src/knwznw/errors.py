@@ -14,11 +14,7 @@ class ConfigError(KNError):
 
 
 class BasisConstructionError(KNError):
-    """The order-prescription solver failed; carries the constraint matrix."""
-
-    def __init__(self, message, matrix=None):
-        super().__init__(message)
-        self.matrix = matrix
+    """A basis expansion failed to reproduce its section (internal error)."""
 
 
 class CriticalLevelError(DomainError):

@@ -1,6 +1,7 @@
 """Basis construction, duality pairing, expansion."""
 
 import random
+from math import comb
 
 import pytest
 
@@ -10,7 +11,9 @@ from knwznw.basis import (Config, GradedElement, KNIndex, Section,
                           kn_basis_element, kn_basis_record, kn_pairing,
                           section_from_graded)
 from knwznw.errors import DomainError
-from knwznw.ratfield import INFINITY, Poly, RationalFunction as RF
+from knwznw.exactlinalg import nullspace
+from knwznw.ratfield import (INFINITY, Poly, RationalFunction as RF,
+                             local_expansion, order_at)
 
 z = Poly.x()
 
@@ -42,7 +45,6 @@ def test_vector_field_e0(cfg1):
     rec = kn_basis_record(cfg1, KNIndex(-1, 0, 1))
     assert rec.section.value == RF(z)
     assert rec.orders == {1: 1} and rec.order_infinity == 1
-    assert not rec.adjusted
 
 
 def test_function_basis_two_points(cfg2):
@@ -156,7 +158,6 @@ def test_order_book(n_pts):
                     assert rec.orders[i] == want
                 assert sum(rec.orders.values()) + rec.order_infinity \
                     == -2 * lam
-                assert not rec.adjusted
 
 
 def test_normalization_leading_coefficient(cfg2):
@@ -215,3 +216,99 @@ def test_concurrent_construction_is_coherent():
     fresh = Config(["0", "1", "-1"])
     for idx, value in seen.items():
         assert kn_basis_element(fresh, idx).value == value
+
+
+# ------------------------------------------------------ solver oracle --
+# The order prescription solved as a linear system, independently of the
+# closed form the package builds: the numerator q over the denominator
+# prod (z - P_i)^max(0, -ord_i) must vanish to the prescribed orders, and
+# the order bound at infinity caps deg q.  At genus 0 the first bound
+# already gives a one-dimensional space; the loop raising it stays as in
+# a general solver.
+
+def _section_space(points, point_orders, lam, m_inf):
+    """Numerators (over den) of weight-lam sections with
+    ord_{P_i} >= point_orders[i] and section order at infinity >= m_inf."""
+    den_exp = {i: max(0, -a) for i, a in point_orders.items()}
+    den = Poly((1,))
+    for i, e in den_exp.items():
+        den = den * (Poly((-points[i - 1], 1)) ** e)
+    # section order at inf of q/den dz^lam is (deg den - deg q) - 2 lam
+    deg_max = den.degree() - 2 * lam - m_inf
+    if deg_max < 0:
+        return [], den
+    ncols = deg_max + 1
+    rows = []
+    for i, a in point_orders.items():
+        # the first a + den_exp[i] Taylor coefficients of q at P_i vanish
+        a_pt = points[i - 1]
+        for j in range(a + den_exp[i]):
+            rows.append([Rat(comb(t, j)) * a_pt ** (t - j) if t >= j
+                         else Rat(0) for t in range(ncols)])
+    return [Poly(v) for v in nullspace(rows, ncols)], den
+
+
+def _solve(points, idx):
+    """(value, orders, order at infinity) of the solver's basis element."""
+    lam, n, p = idx
+    n_pts = len(points)
+    point_orders = {i: n - lam if i == p else n - lam + 1
+                    for i in range(1, n_pts + 1)}
+    m_generic = -n_pts * (n + 1 - lam) - 2 * lam + 1
+    for step in range(2 * n_pts + 4):
+        nums, den = _section_space(points, point_orders, lam,
+                                   m_generic + step)
+        if len(nums) == 1:
+            break
+        assert nums, "no section for %s" % (idx,)
+    else:
+        raise AssertionError("no unique section for %s" % (idx,))
+    value = RF(nums[0], den)
+    _, coeffs = local_expansion(value, points[p - 1], 1)
+    value = value * (Rat(1) / coeffs[0])
+    orders = {i: order_at(value, points[i - 1]) for i in point_orders}
+    return value, orders, order_at(value, INFINITY) - 2 * lam
+
+
+@pytest.mark.parametrize("points", [["1/2"], ["0", "1"],
+                                    ["1/2", "-7/3", "5"],
+                                    ["1", "2", "3", "-1/4"]])
+def test_closed_form_matches_solver(points):
+    cfg = Config(points)
+    for lam in range(-1, 4):
+        for n in range(-5, 6):
+            for p in range(1, cfg.n_points + 1):
+                rec = kn_basis_record(cfg, KNIndex(lam, n, p))
+                value, orders, o_inf = _solve(cfg.points, (lam, n, p))
+                assert rec.section.value.num == value.num
+                assert rec.section.value.den == value.den
+                assert rec.orders == orders
+                assert rec.order_infinity == o_inf
+
+
+def test_divisor_form_is_config_relative():
+    # one Section object expanded in several configurations: each must
+    # get its own expansion, whatever forms and jets an earlier
+    # configuration left cached on the section
+    cfg_a = Config(["0", "1"])
+    cfg_b = Config(["0", "1", "-1"])
+    cfg_swapped = Config(["1", "0"])
+    s = kn_basis_element(cfg_a, KNIndex(0, -1, 1))
+    assert expand_in_basis(cfg_a, s) == GradedElement(0, {(-1, 1): Rat(1)})
+    for cfg in (cfg_b, cfg_swapped):
+        got = expand_in_basis(cfg, s)
+        fresh = Config(list(cfg.points))
+        assert got == expand_in_basis(fresh, Section(0, s.value))
+        assert section_from_graded(cfg, got).value == s.value
+    assert expand_in_basis(cfg_swapped, s) == GradedElement(
+        0, {(n, 3 - p): c for (n, p), c in expand_in_basis(
+            Config(["0", "1"]), Section(0, s.value)).terms.items()})
+    dual = kn_basis_element(cfg_b, KNIndex(1, 1, 1))
+    assert kn_pairing(cfg_b, s, dual) == kn_pairing(
+        Config(["0", "1", "-1"]), Section(0, s.value), Section(1, dual.value))
+    # an element of cfg_b with its pole at -1 has no form relative to cfg_a
+    t = kn_basis_element(cfg_b, KNIndex(0, -1, 3))
+    assert expand_in_basis(cfg_b, t) == GradedElement(0, {(-1, 3): Rat(1)})
+    with pytest.raises(DomainError,
+                       match="pole at -1 outside the marked points"):
+        expand_in_basis(cfg_a, t)

@@ -161,3 +161,44 @@ def test_json_indent(capsys):
     code, out, _ = run_cli(["--json-indent", "2", "basis", "--lambda", "0",
                             "--n", "0", "--points", "0"], capsys)
     assert code == 0 and out.startswith("{\n  ")
+
+
+def _write(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_non_integer_weight_exits_2(capsys, tmp_path):
+    cfg = _write(tmp_path, "w.json", {"points": ["0", "1"],
+                                      "weights": [1, "1/2"], "depth": 2})
+    for command in ("kz", "module"):
+        code, out, err = run_cli([command, "--config", cfg], capsys)
+        assert code == 2 and out == ""
+        assert "weight" in err and "Traceback" not in err
+
+
+def test_sugawara_malformed_pairs_and_slices_exit_2(capsys, tmp_path):
+    cfg = _write(tmp_path, "s.json", {
+        "points": ["0"], "lie_algebra": "sl2",
+        "module": {"kind": "weyl", "weights": [0], "depth": 2}})
+    for extra in (["--pairs", "1,2"], ["--slices", "a"]):
+        code, out, err = run_cli(["sugawara", "--config", cfg] + extra,
+                                 capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("config error:")
+
+
+def test_points_must_be_a_list(capsys, tmp_path):
+    cfg = _write(tmp_path, "p.json", {"points": "01"})
+    code, out, err = run_cli(["basis", "--lambda", "0", "--n", "0",
+                              "--config", cfg], capsys)
+    assert code == 2 and out == "" and "points" in err
+
+
+def test_negative_depth_exits_2_everywhere(capsys, tmp_path):
+    cfg = _write(tmp_path, "d.json", {"points": ["0", "1"],
+                                      "weights": [1, 1], "depth": -1})
+    for command in ("kz", "module"):
+        code, out, err = run_cli([command, "--config", cfg], capsys)
+        assert code == 2 and out == "" and "depth" in err
