@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._kernel import RAT0, RAT1, Rat
+from .algebras import _unit_gamma, _unit_product
 from .basis import GradedElement, Section, expand_in_basis
 from .errors import DomainError
 from .ratfield import Poly, RationalFunction, as_rat
@@ -100,18 +101,6 @@ class AffineElement:
         return "AffineElement(%s)" % (body or "0")
 
 
-def _mult_table(cfg, a, b):
-    """Expansion of A_a * A_b in the function basis; memoized."""
-    from .algebras import _unit_product
-    return tuple(_unit_product(cfg, (0, 0), a, b).items())
-
-
-def _gamma_table(cfg, a, b):
-    """gamma(A_a, A_b); memoized, antisymmetric."""
-    from .algebras import _unit_gamma
-    return _unit_gamma(cfg, a, b)
-
-
 def affine_bracket(cfg, alg, x, y):
     """Bracket in the centrally extended loop algebra; t is central."""
     loop = {}
@@ -121,7 +110,8 @@ def affine_bracket(cfg, alg, x, y):
             c = ca * cb
             tbl = alg.bracket.get((i, j))
             if tbl:
-                for (h, s), fc in _mult_table(cfg, (n, p), (m, r)):
+                prod = _unit_product(cfg, (0, 0), (n, p), (m, r))
+                for (h, s), fc in prod.terms.items():
                     for k, sc in tbl.items():
                         key = (k, h, s)
                         w = loop.get(key, RAT0) + c * sc * fc
@@ -131,7 +121,7 @@ def affine_bracket(cfg, alg, x, y):
                             loop[key] = w
             fij = alg.form[i][j]
             if fij.num != 0:
-                g = _gamma_table(cfg, (n, p), (m, r))
+                g = _unit_gamma(cfg, (n, p), (m, r))
                 if g.num != 0:
                     central = central - c * fij * g
     return AffineElement(loop, central)

@@ -114,12 +114,14 @@ def _unit_lie_derivative(cfg, a, lam, b):
     return hit
 
 
-def _bilinear(cfg, f, g, lam_out, unit_fn):
-    out = GradedElement(lam_out, {})
+def _bilinear(f, g, lam_out, unit_fn):
+    out = {}
     for a, ca in f.terms.items():
         for b, cb in g.terms.items():
-            out = out + unit_fn(a, b).scale(ca * cb)
-    return out
+            c = ca * cb
+            for k, v in unit_fn(a, b).terms.items():
+                out[k] = out.get(k, RAT0) + c * v
+    return GradedElement(lam_out, out)
 
 
 def multiply(cfg, f, g):
@@ -127,7 +129,7 @@ def multiply(cfg, f, g):
     f = _as_graded(cfg, f)
     g = _as_graded(cfg, g)
     lams = (f.lam, g.lam)
-    return _bilinear(cfg, f, g, f.lam + g.lam,
+    return _bilinear(f, g, f.lam + g.lam,
                      lambda a, b: _unit_product(cfg, lams, a, b))
 
 
@@ -137,7 +139,7 @@ def vf_bracket(cfg, e, f):
     f = _as_graded(cfg, f)
     if e.lam != -1 or f.lam != -1:
         raise DomainError("vector fields have weight -1")
-    return _bilinear(cfg, e, f, -1,
+    return _bilinear(e, f, -1,
                      lambda a, b: _unit_vf_bracket(cfg, a, b))
 
 
@@ -147,7 +149,7 @@ def lie_derivative(cfg, e, s):
     if e.lam != -1:
         raise DomainError("vector fields have weight -1")
     s = _as_graded(cfg, s)
-    return _bilinear(cfg, e, s, s.lam,
+    return _bilinear(e, s, s.lam,
                      lambda a, b: _unit_lie_derivative(cfg, a, s.lam, b))
 
 

@@ -72,14 +72,22 @@ def _config_list(value, key):
     return value
 
 
+def _config_object(value, key):
+    if not isinstance(value, dict):
+        raise ConfigError("config %r must be an object, got %r"
+                          % (key, value))
+    return value
+
+
 def _load_config(path):
     if path is None:
         return {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError("cannot read config %s: %s" % (path, exc))
+    return _config_object(data, path)
 
 
 def _config_points(data, args):
@@ -104,17 +112,25 @@ def _config_algebra(data):
         raise ConfigError(str(exc))
 
 
+def _config_poly(spec, key, default):
+    coeffs = _config_list(spec.get(key, default), "connection_R " + key)
+    return Poly([_parse_rat(c) for c in coeffs])
+
+
 def _config_connection(data):
     spec = data.get("connection_R")
-    if not spec:
+    if spec is None:
         return R_ZERO
-    num = Poly([_parse_rat(c) for c in spec.get("num", [])])
-    den = Poly([_parse_rat(c) for c in spec.get("den", ["1"])])
+    spec = _config_object(spec, "connection_R")
+    num = _config_poly(spec, "num", [])
+    den = _config_poly(spec, "den", ["1"])
+    if den.is_zero():
+        raise ConfigError("config 'connection_R den' is the zero polynomial")
     return ProjectiveConnection(RationalFunction(num, den))
 
 
 def _config_module_spec(cfg, data):
-    m = data.get("module", {})
+    m = _config_object(data.get("module", {}), "module")
     kind = m.get("kind", "weyl")
     weights = m.get("weights", data.get("weights"))
     if weights is None:

@@ -76,9 +76,7 @@ class GaugeAlgebra:
         """Scalar by which basis element i acts on a Borel highest-weight
         line of the given weight; None if i is not in the Borel's torus."""
         if i in self.cartan_indices:
-            if self.kind == "sl2":
-                return as_rat(weight)  # h acts by the weight itself
-            return as_rat(weight)
+            return as_rat(weight)  # the torus element acts by the weight
         return None
 
 
@@ -250,29 +248,6 @@ def _validate_module(alg, mod):
 def casimir_pairs(alg):
     """The invariant two-tensor as (basis index, dual vector) pairs."""
     return [(i, alg.dual_vectors[i]) for i in range(alg.dim)]
-
-
-@dataclass(frozen=True)
-class CasimirTensor:
-    """The invariant two-tensor sum_i u_i (x) u^i.
-
-    matrix(mods, p, q) realizes it on factors p and q (0-based) of the
-    tensor product of finite modules.
-    """
-
-    algebra: "GaugeAlgebra"
-
-    @property
-    def pairs(self):
-        return casimir_pairs(self.algebra)
-
-    def matrix(self, mods, p, q):
-        return omega_matrix(self.algebra, mods, p, q)
-
-
-def casimir_omega(alg):
-    """The invariant two-tensor attached to the dual bases of alg."""
-    return CasimirTensor(alg)
 
 
 def tensor_dim(mods):

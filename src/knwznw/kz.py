@@ -40,7 +40,7 @@ from .exactlinalg import commutator, is_zero_matrix
 from .finite_lie import (casimir_eigenvalue, finite_irrep, omega_matrix,
                          tensor_dim)
 from .modules import ModuleSpec, ModuleVector, induce_module
-from .ratfield import INFINITY, local_expansion, order_at
+from .ratfield import INFINITY
 from .sugawara import T_of_vectorfield, rescale_factor
 
 
@@ -57,13 +57,13 @@ def tangent_fields(cfg):
             "global_field_kernel": min(3, cfg.n_points)}
     for p in range(1, cfg.n_points + 1):
         sec = kn_basis_element(cfg, KNIndex(-1, -1, p))
-        _, coeffs = local_expansion(sec.value, cfg.point(p), 1)
-        if order_at(sec.value, cfg.point(p)) != 0 or coeffs[0] != RAT1:
+        form = sec.form(cfg)
+        if form.order(p - 1) != 0 or form.jet(cfg, p - 1, 1)[0] != RAT1:
             raise DomainError("point-moving field not normalized at P_%d" % p)
         others = {}
         for q in range(1, cfg.n_points + 1):
             if q != p:
-                o = order_at(sec.value, cfg.point(q))
+                o = form.order(q - 1)
                 if o < 1:
                     raise DomainError(
                         "e_{-1,%d} does not vanish at P_%d" % (p, q))
@@ -119,13 +119,11 @@ def classical_oracle_matrices(cfg, alg, weights):
 
 def point_mover_linear_coefficient(cfg, p, q):
     """E_p'(z_q): the xi-linear coefficient of e_{-1,p} at P_q (q != p)."""
-    sec = kn_basis_element(cfg, KNIndex(-1, -1, p))
-    _, coeffs = local_expansion(sec.value, cfg.point(q), 2)
-    o = order_at(sec.value, cfg.point(q))
-    # expansion starts at the vanishing order; linear coefficient is the
+    form = kn_basis_element(cfg, KNIndex(-1, -1, p)).form(cfg)
+    # the jet starts at the vanishing order; the linear coefficient is the
     # order-1 coefficient
-    if o == 1:
-        return coeffs[0]
+    if form.order(q - 1) == 1:
+        return form.jet(cfg, q - 1, 1)[0]
     return RAT0
 
 

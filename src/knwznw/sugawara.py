@@ -30,10 +30,9 @@ from typing import NamedTuple
 
 from ._kernel import RAT0, RAT1, Rat
 from .algebras import R_ZERO, cocycle_chi, vf_bracket
-from .basis import GradedElement, KNIndex, kn_basis_element
+from .basis import GradedElement, KNIndex, kn_basis_element, residue_sum
 from .errors import CriticalLevelError, DomainError
 from .modules import ModuleVector, _merge
-from .ratfield import residue_at
 
 
 class SugawaraIndex(NamedTuple):
@@ -57,13 +56,10 @@ def _triple_coefficient(cfg, k, r, n, p, m, s):
     key = ("sugw3", k, r, n, p, m, s)
     hit = cfg.cache.get(key)
     if hit is None:
-        w1 = kn_basis_element(cfg, KNIndex(1, -n, p)).value
-        w2 = kn_basis_element(cfg, KNIndex(1, -m, s)).value
-        e = kn_basis_element(cfg, KNIndex(-1, k, r)).value
-        h = w1 * w2 * e
-        hit = RAT0
-        for pt in cfg.points:
-            hit = hit + residue_at(h, pt)
+        w1 = kn_basis_element(cfg, KNIndex(1, -n, p)).form(cfg)
+        w2 = kn_basis_element(cfg, KNIndex(1, -m, s)).form(cfg)
+        e = kn_basis_element(cfg, KNIndex(-1, k, r)).form(cfg)
+        hit = residue_sum(cfg, w1 * w2, e)
         cfg.cache[key] = hit
     return hit
 

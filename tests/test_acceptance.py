@@ -1,301 +1,105 @@
-"""Acceptance criteria.
+"""Acceptance criteria, run from the verify registry.
 
-One test per criterion, exact (zero-tolerance) arithmetic throughout,
-each printing a PASS line with its runtime against the stated budget.
-Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
+Each criterion names the registry checks that establish it and a time
+budget; test_registry_check runs every other registry check, so each
+check runs exactly once in this file and a failure names the check and
+its detail.  Run with `pytest tests/test_acceptance.py -v -s` to see one
+PASS line per criterion.
 """
 
-import random
 import time
 
 import pytest
 
-from knwznw import Rat
-from knwznw._kernel import RAT0, RAT1
-from knwznw.affine import (AffineElement, affine_bracket, affine_decompose,
-                           block_algebra_basis, g_tuple_bracket, psi_project)
-from knwznw.algebras import (ProjectiveConnection, R_ZERO, coboundary_compare,
-                             cocycle_chi, cocycle_gamma, grading_report,
-                             triangular_decompose, vf_bracket)
-from knwznw.basis import (Config, GradedElement, KNIndex, Section,
-                          expand_in_basis, kn_basis_element, kn_pairing)
-from knwznw.finite_lie import make_algebra
-from knwznw.kz import (classical_oracle_matrices, flatness_check, kz_matrices,
-                       predicted_scalar_shift)
-from knwznw.modules import (ModuleSpec, ModuleVector,
-                            degree_zero_coinvariant_dimension, induce_module)
-from knwznw.ratfield import Poly, RationalFunction as RF
-from knwznw.sugawara import sugawara_commutator_audit
+from knwznw.verify import CHECKS
+
+FNS = {name: fn for name, _suite, fn in CHECKS}
+
+# criterion number -> (budget in seconds, registry checks)
+CRITERIA = {
+    1: (1, ("classical-virasoro",)),
+    2: (1, ("classical-affine",)),
+    3: (30, ("duality-grid",)),
+    4: (60, ("almost-grading-locality", "cocycle-vanishing")),
+    5: (30, ("cohomologous-connections",)),
+    6: (10, ("psi-homomorphism", "partition-of-unity")),
+    7: (120, ("representation-property",)),
+    8: (600, ("classical-central-charge",)),
+    9: (600, ("multipoint-centrality",)),
+    10: (900, ("kz-classical-agreement", "kz-flatness")),
+    11: (600, ("coinvariant-stabilization",)),
+}
+COVERED = [name for _budget, names in CRITERIA.values() for name in names]
+OTHERS = [name for name, _suite, _fn in CHECKS if name not in COVERED]
 
 
-def _report(number, budget, started, message):
-    elapsed = time.monotonic() - started
+def _run(name):
+    ok, detail = FNS[name]()
+    assert ok, "%s: %s" % (name, detail)
+    return detail
+
+
+def _criterion(number):
+    budget, names = CRITERIA[number]
+    t0 = time.monotonic()
+    details = [_run(name) for name in names]
+    elapsed = time.monotonic() - t0
     print("ACCEPTANCE %2d PASS (%6.2fs < %ds): %s"
-          % (number, elapsed, budget, message))
+          % (number, elapsed, budget, "; ".join(details)))
     assert elapsed < budget, "criterion %d exceeded its %ds budget" % (
         number, budget)
 
 
 def test_acceptance_01_classical_virasoro():
-    t0 = time.monotonic()
-    cfg = Config(["0"])
-    for n in range(-6, 7):
-        for m in range(-6, 7):
-            out = vf_bracket(cfg, GradedElement.unit(-1, n, 1),
-                             GradedElement.unit(-1, m, 1))
-            want = (GradedElement(-1, {(n + m, 1): Rat(m - n)})
-                    if m != n else GradedElement(-1, {}))
-            assert out == want
-            chi = cocycle_chi(cfg, GradedElement.unit(-1, n, 1),
-                              GradedElement.unit(-1, m, 1), R_ZERO)
-            assert chi == (Rat(n ** 3 - n, 12) if n + m == 0 else RAT0)
-    _report(1, 1, t0, "Virasoro bracket and (n^3-n)/12 cocycle, |n|,|m| <= 6")
+    _criterion(1)
 
 
 def test_acceptance_02_classical_affine():
-    t0 = time.monotonic()
-    cfg = Config(["0"])
-    sl2 = make_algebra("sl2")
-    for n in range(-6, 7):
-        for m in range(-6, 7):
-            for i in range(3):
-                for j in range(3):
-                    out = affine_bracket(cfg, sl2,
-                                         AffineElement.loop_term(i, n, 1),
-                                         AffineElement.loop_term(j, m, 1))
-                    loop = {(k, n + m, 1): c
-                            for k, c in sl2.bracket.get((i, j), {}).items()}
-                    central = (sl2.form[i][j] * Rat(n) if n + m == 0
-                               else RAT0)
-                    assert out == AffineElement(loop, central)
-    _report(2, 1, t0, "affine relations with central term, sl2, |n|,|m| <= 6")
+    _criterion(2)
 
 
 def test_acceptance_03_duality_grid():
-    t0 = time.monotonic()
-    for pts in (("0",), ("0", "1"), ("0", "1", "-1")):
-        cfg = Config(pts)
-        n_pts = cfg.n_points
-        for lam in (-1, 0, 1, 2):
-            for n in range(-5, 6):
-                for m in range(-5, 6):
-                    for p in range(1, n_pts + 1):
-                        for r in range(1, n_pts + 1):
-                            v = kn_pairing(
-                                cfg,
-                                kn_basis_element(cfg, KNIndex(lam, n, p)),
-                                kn_basis_element(cfg, KNIndex(1 - lam, m, r)))
-                            assert v == (RAT1 if (m == -n and p == r)
-                                         else RAT0)
-    _report(3, 30, t0,
-            "duality deltas, N in {1,2,3}, lam in {-1,0,1,2}, |n|,|m| <= 5")
+    _criterion(3)
 
 
 def test_acceptance_04_grading_and_locality():
-    t0 = time.monotonic()
-    sl2 = make_algebra("sl2")
-    for pts in (("0",), ("0", "1"), ("0", "1", "-1")):
-        cfg = Config(pts)
-        for kind in ("A", "L"):
-            rep = grading_report(cfg, kind, (-5, 5))
-            assert rep.lower_shift == 0 and rep.ok
-            assert rep.upper_shift <= 2
-        for kind in ("gamma", "chi"):
-            rep = grading_report(cfg, kind, (-5, 5))
-            assert rep.ok  # support confined to n + m <= 0
-        # vanishing on the plus and minus subalgebras
-        td = triangular_decompose(cfg, "L", (-5, 5))
-        for (n1, p1) in td.plus[:5]:
-            for (n2, p2) in td.plus[:5]:
-                assert cocycle_chi(cfg, GradedElement.unit(-1, n1, p1),
-                                   GradedElement.unit(-1, n2, p2)) == RAT0
-        for (n1, p1) in td.minus[:5]:
-            for (n2, p2) in td.minus[:5]:
-                assert cocycle_chi(cfg, GradedElement.unit(-1, n1, p1),
-                                   GradedElement.unit(-1, n2, p2)) == RAT0
-        for n1 in (1, 2, 3):
-            for n2 in (1, 2, 3):
-                for p1 in range(1, cfg.n_points + 1):
-                    for p2 in range(1, cfg.n_points + 1):
-                        assert cocycle_gamma(
-                            cfg, GradedElement.unit(0, n1, p1),
-                            GradedElement.unit(0, n2, p2)) == RAT0
-                        assert cocycle_gamma(
-                            cfg, GradedElement.unit(0, -n1, p1),
-                            GradedElement.unit(0, -n2, p2)) == RAT0
-        # twenty block-algebra pairs
-        gens = block_algebra_basis(cfg, sl2, 2)
-        pairs = 0
-        for a in gens:
-            for b in gens:
-                if pairs >= 20:
-                    break
-                assert cocycle_gamma(cfg, a.expansion, b.expansion) == RAT0
-                pairs += 1
-    _report(4, 60, t0,
-            "shifts, cocycle bands, +/- and block-pair vanishing, N <= 3")
+    _criterion(4)
 
 
 def test_acceptance_05_cohomologous_connections():
-    t0 = time.monotonic()
-    rng = random.Random(101)
-    z = Poly.x()
-    for pts in (("0",), ("0", "1")):
-        cfg = Config(pts)
-        connections = [ProjectiveConnection(RF.const(3)),
-                       ProjectiveConnection(RF(2 - z, (z - 5) * (z - 7)))]
-        for R in connections:
-            for _ in range(25):
-                e = GradedElement.unit(-1, rng.randint(-3, 3),
-                                       rng.randint(1, cfg.n_points))
-                f = GradedElement.unit(-1, rng.randint(-3, 3),
-                                       rng.randint(1, cfg.n_points))
-                d, w = coboundary_compare(cfg, e, f, R, R_ZERO)
-                assert d == w
-    _report(5, 30, t0, "coboundary witness equality, 50 pairs per N, two R")
+    _criterion(5)
 
 
 def test_acceptance_06_psi_and_unity():
-    t0 = time.monotonic()
-    sl2 = make_algebra("sl2")
-    rng = random.Random(103)
-    cfg = Config(("0", "1"))
-    for _ in range(50):
-        def rnd():
-            e = AffineElement()
-            for _j in range(3):
-                e = e + AffineElement.loop_term(
-                    rng.randrange(3), rng.randint(0, 2),
-                    rng.randint(1, 2), Rat(rng.randint(-3, 3)))
-            return e + AffineElement.center(Rat(rng.randint(-2, 2)))
-        a, b = rnd(), rnd()
-        br = affine_bracket(cfg, sl2, a, b)
-        assert affine_decompose(br)[0].is_zero()
-        assert psi_project(sl2, br, 2) == g_tuple_bracket(
-            sl2, psi_project(sl2, a, 2), psi_project(sl2, b, 2))
-    for pts in (("0",), ("0", "1"), ("0", "1", "-1")):
-        c = Config(pts)
-        ge = expand_in_basis(c, Section(0, RF.one()))
-        assert ge == GradedElement(0, {(0, p): RAT1
-                                       for p in range(1, c.n_points + 1)})
-    _report(6, 10, t0, "psi homomorphism on 50 pairs; 1 = sum_p A_{0,p}")
+    _criterion(6)
 
 
 def test_acceptance_07_module_representation():
-    t0 = time.monotonic()
-    sl2 = make_algebra("sl2")
-    ab = make_algebra("abelian1")
-    rng = random.Random(107)
-    cfg2 = Config(("0", "1"))
-    cfg1 = Config(("0",))
-    weyl = induce_module(sl2, cfg2, ModuleSpec("weyl", (1, 1), Rat(1), 4))
-    fock = induce_module(ab, cfg1, ModuleSpec("fock", (RAT0,), Rat(1), 6))
-    for module, n_pts, gdim, base_slice in ((weyl, 2, 3, -1),
-                                            (fock, 1, 1, -2)):
-        for _ in range(25):
-            def rnd():
-                e = AffineElement()
-                for _j in range(2):
-                    e = e + AffineElement.loop_term(
-                        rng.randrange(gdim), rng.randint(-1, 1),
-                        rng.randint(1, n_pts), Rat(rng.randint(-2, 2)))
-                return e
-            a, b = rnd(), rnd()
-            v = ModuleVector.monomial(rng.choice(
-                module.slice_basis(base_slice)))
-            br = affine_bracket(module.cfg, module.alg, a, b)
-            lhs = ModuleVector(module._act_affine_raw(br, v.terms))
-            r1 = ModuleVector(module._act_affine_raw(
-                a, module._act_affine_raw(b, v.terms)))
-            r2 = ModuleVector(module._act_affine_raw(
-                b, module._act_affine_raw(a, v.terms)))
-            assert lhs == r1 - r2
-    _report(7, 120, t0,
-            "act commutator identity on 50 safe triples (weyl + fock)")
-
-
-def _classical_central_charge(dim_g, level, k_dual):
-    # independent oracle for the Virasoro central charge of the
-    # rescaled operators
-    return level * dim_g / (level + k_dual)
+    _criterion(7)
 
 
 def test_acceptance_08_sugawara_central_charges():
-    t0 = time.monotonic()
-    cfg = Config(("0",))
-    sl2 = make_algebra("sl2")
-    ab = make_algebra("abelian1")
-    cases = [
-        (ab, "fock", (RAT0,), Rat(1)),
-        (sl2, "weyl", (0,), Rat(1)),
-        (sl2, "weyl", (0,), Rat(2)),
-    ]
-    for alg, kind, weights, level in cases:
-        module = induce_module(alg, cfg, ModuleSpec(kind, weights, level, 6))
-        res = sugawara_commutator_audit(cfg, alg, module,
-                                        [((2, 1), (-2, 1))], [-2, -3])
-        entry = res[0]
-        want = _classical_central_charge(alg.dim, level, alg.k_dual)
-        assert entry.is_scalar
-        assert entry.ratio == want
-    _report(8, 600, t0,
-            "central ratios 1, 1, 3/2 at depth 6 vs the classical formula")
+    _criterion(8)
 
 
 def test_acceptance_09_multipoint_centrality():
-    t0 = time.monotonic()
-    cfg = Config(("0", "1"))
-    sl2 = make_algebra("sl2")
-    module = induce_module(sl2, cfg, ModuleSpec("weyl", (1, 1), Rat(1), 4))
-    pairs = [((1, 1), (-1, 2)), ((1, 2), (-1, 1)), ((0, 1), (0, 2)),
-             ((2, 1), (-2, 1))]
-    res = sugawara_commutator_audit(cfg, sl2, module, pairs, [0, -1])
-    for entry in res:
-        assert entry.is_scalar, entry.pair
-    _report(9, 600, t0,
-            "[L*,L*] - L*_[.,.] scalar on every audited N=2 slice")
+    _criterion(9)
 
 
 def test_acceptance_10_kz_reproduction():
-    t0 = time.monotonic()
-    sl2 = make_algebra("sl2")
-    kappas = set()
-    for pts, weights in ((("0", "1"), (1, 1)),
-                         (("0", "1", "-1"), (1, 1, 1))):
-        cfg = Config(pts)
-        system = kz_matrices(cfg, sl2, weights, Rat(1), 4)
-        assert not system.partial
-        assert system.residual_zero
-        assert abs(system.kappa) == Rat(1, 3)
-        kappas.add(system.kappa)
-        oracle = classical_oracle_matrices(cfg, sl2, weights)
-        dim = len(system.matrices[0])
-        for p in range(1, cfg.n_points + 1):
-            shift = system.scalar_shifts[p - 1]
-            assert shift == predicted_scalar_shift(cfg, sl2, weights,
-                                                   Rat(1), p)
-            for i in range(dim):
-                for j in range(dim):
-                    want = system.kappa * oracle[p - 1][i][j] \
-                        + (shift if i == j else RAT0)
-                    assert system.matrices[p - 1][i][j] == want
-        if cfg.n_points == 3:
-            assert flatness_check(system).holds
-    assert len(kappas) == 1  # one global kappa across configurations
-    _report(10, 900, t0,
-            "A_p = kappa sum Omega_{pj}/(z_p-z_j) + weight shift, "
-            "|kappa| = 1/3, zero residual; flatness at N = 3")
+    _criterion(10)
 
 
 def test_acceptance_11_coinvariant_stabilization():
-    t0 = time.monotonic()
-    sl2 = make_algebra("sl2")
-    cfg = Config(("0", "1", "-1"))
-    dims = {}
-    for depth in (2, 3, 4):
-        module = induce_module(sl2, cfg,
-                               ModuleSpec("weyl", (1, 1, 1), Rat(1), depth))
-        dims[depth] = degree_zero_coinvariant_dimension(module)
-    assert dims[3] == dims[4], "dimension must stabilize at depths 3 and 4"
-    _report(11, 600, t0,
-            "degree-0 coinvariant dimension per depth: %s (stable)" % dims)
+    _criterion(11)
+
+
+def test_every_check_runs_once():
+    assert len(FNS) == len(CHECKS), "check names must be unique"
+    assert len(set(COVERED)) == len(COVERED)
+    assert set(COVERED) <= set(FNS)
+
+
+@pytest.mark.parametrize("name", OTHERS)
+def test_registry_check(name):
+    _run(name)

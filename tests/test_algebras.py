@@ -75,18 +75,6 @@ def test_bracket_against_direct_computation(cfg2):
         expand_in_basis(cfg2, Section(-1, direct))
 
 
-def test_jacobi(cfg2):
-    units = [U(-1, n, p) for n in range(-2, 3) for p in (1, 2)]
-    for a in units:
-        for b in units:
-            ab = vf_bracket(cfg2, a, b)
-            for c in units:
-                s = vf_bracket(cfg2, ab, c) \
-                    + vf_bracket(cfg2, vf_bracket(cfg2, b, c), a) \
-                    + vf_bracket(cfg2, vf_bracket(cfg2, c, a), b)
-                assert s.is_zero()
-
-
 def test_lie_derivative_monomials(cfg1):
     # e_0 = z d/dz on the raw monomial z^m dz^lam gives (m + lam) z^m dz^lam
     from knwznw.basis import Section, expand_in_basis

@@ -4,6 +4,7 @@ import io
 import json
 import sys
 
+from knwznw import verify
 from knwznw.cli import main
 
 
@@ -119,15 +120,27 @@ def test_verify_subcommand(capsys):
     assert all(c["passed"] for c in data["checks"])
 
 
-def test_verify_all_suites(capsys):
-    # the passing build, end to end, on the shipped sample configurations
-    code, out, _ = run_cli(["verify", "--suite", "all"], capsys)
-    assert code == 0
+def test_verify_failure_path_on_a_stub_registry(capsys, monkeypatch):
+    def boom():
+        raise ValueError("no such invariant")
+
+    monkeypatch.setattr(verify, "CHECKS", [
+        ("stub-pass", "basis", lambda: (True, "fine")),
+        ("stub-fail", "basis", lambda: (False, "off by one")),
+        ("stub-raise", "basis", boom),
+        ("stub-other-suite", "kz", lambda: (False, "not run")),
+    ])
+    code, out, err = run_cli(["verify", "--suite", "basis"], capsys)
+    assert code == 1
     data = json.loads(out)
-    assert data["passed"] is True
-    names = {c["name"] for c in data["checks"]}
-    assert {"duality-grid", "classical-central-charge",
-            "kz-classical-agreement"} <= names
+    assert data["passed"] is False
+    assert [(c["name"], c["passed"]) for c in data["checks"]] == [
+        ("stub-pass", True), ("stub-fail", False), ("stub-raise", False)]
+    assert data["checks"][2]["detail"] == \
+        "error: ValueError: no such invariant"
+    assert err.splitlines() == [
+        "FAIL stub-fail: off by one",
+        "FAIL stub-raise: error: ValueError: no such invariant"]
 
 
 def test_config_error_exit_code(capsys, tmp_path):
@@ -202,3 +215,21 @@ def test_negative_depth_exits_2_everywhere(capsys, tmp_path):
     for command in ("kz", "module"):
         code, out, err = run_cli([command, "--config", cfg], capsys)
         assert code == 2 and out == "" and "depth" in err
+
+
+def test_config_values_of_the_wrong_shape_exit_2(capsys, tmp_path):
+    cases = [
+        (["cocycle", "--kind", "chi", "--window=-1:1"],
+         {"points": ["0"], "connection_R": "3"}, "connection_R"),
+        (["cocycle", "--kind", "chi", "--window=-1:1"],
+         {"points": ["0"], "connection_R": {"num": "12"}}, "num"),
+        (["cocycle", "--kind", "chi", "--window=-1:1"],
+         {"points": ["0"], "connection_R": {"den": ["0"]}}, "den"),
+        (["module"], {"points": ["0"], "module": [1]}, "module"),
+        (["module"], ["0"], "object"),
+    ]
+    for argv, data, word in cases:
+        cfg = _write(tmp_path, "shape.json", data)
+        code, out, err = run_cli(argv + ["--config", cfg], capsys)
+        assert code == 2 and out == "", (data, err)
+        assert err.startswith("config error:") and word in err, (data, err)

@@ -5,9 +5,9 @@ import pytest
 from knwznw import Rat
 from knwznw.errors import DomainError
 from knwznw.exactlinalg import commutator, is_zero_matrix, mat_mul
-from knwznw.finite_lie import (casimir_eigenvalue, casimir_omega,
-                               casimir_pairs, diagonal_action, finite_irrep,
-                               make_algebra, omega_matrix, tensor_dim)
+from knwznw.finite_lie import (casimir_eigenvalue, casimir_pairs,
+                               diagonal_action, finite_irrep, make_algebra,
+                               omega_matrix, tensor_dim)
 
 
 @pytest.fixture(scope="module")
@@ -122,13 +122,3 @@ def test_omega_invariance(sl2):
 def test_tensor_dim(sl2):
     mods = [finite_irrep(sl2, w) for w in (1, 2, 0)]
     assert tensor_dim(mods) == 6
-
-
-def test_casimir_omega_object(sl2, ab):
-    om = casimir_omega(sl2)
-    v1 = finite_irrep(sl2, 1)
-    assert om.matrix([v1, v1], 0, 1) == omega_matrix(sl2, [v1, v1], 0, 1)
-    assert len(om.pairs) == 3
-    omab = casimir_omega(ab)
-    m = finite_irrep(ab, Rat(1))
-    assert omab.matrix([m, m], 0, 1) == [[Rat(1)]]
