@@ -83,6 +83,22 @@ def test_pairing_equals_minus_residue_at_infinity(cfg2):
     assert kn_pairing(cfg2, f, g) == -residue_at(h, INFINITY)
 
 
+@pytest.mark.parametrize("n_pts", [1, 2, 3])
+def test_duality_grid(n_pts):
+    cfg = Config(["0", "1", "-1"][:n_pts])
+    for lam in (-1, 0, 1, 2):
+        for n in range(-4, 5):
+            for m in range(-4, 5):
+                for p in range(1, n_pts + 1):
+                    for r in range(1, n_pts + 1):
+                        v = kn_pairing(
+                            cfg,
+                            kn_basis_element(cfg, KNIndex(lam, n, p)),
+                            kn_basis_element(cfg, KNIndex(1 - lam, m, r)))
+                        assert v == (Rat(1) if (m == -n and p == r)
+                                     else Rat(0))
+
+
 def test_expand_basis_element_roundtrip(cfg2):
     s = kn_basis_element(cfg2, KNIndex(0, 2, 1))
     ge = expand_in_basis(cfg2, s)

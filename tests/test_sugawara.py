@@ -160,3 +160,11 @@ def test_audit_window_validation(cfg1, ab):
     with pytest.raises(DomainError, match="unsafe"):
         sugawara_commutator_audit(cfg1, ab, fock,
                                   [((2, 1), (-2, 1))], [-3])
+
+
+def test_audit_multipoint(cfg2, sl2):
+    module = induce_module(sl2, cfg2, ModuleSpec("weyl", (1, 1), Rat(1), 4))
+    pairs = [((1, 1), (-1, 2)), ((0, 1), (0, 2))]
+    res = sugawara_commutator_audit(cfg2, sl2, module, pairs, [-1, -2])
+    for e in res:
+        assert e.is_scalar
