@@ -1,39 +1,15 @@
-"""Arithmetic kernel selection.
+"""Arithmetic kernel: exact rationals and dense polynomial helpers.
 
-The compiled kernel (Cython) is preferred when present; the pure-Python
-twin is the fallback.  Set KNWZNW_PURE=1 to force the pure kernel, e.g.
-for benchmarking or debugging.
+The implementation lives in ``_pure``; this package re-exports it, so
+calls between kernel functions stay inside the submodule.  ``BACKEND``
+names the implementation and is printed in ``knwznw verify`` output.
 """
 
-import os
+from ._pure import (RAT0, RAT1, Rat, poly_add, poly_deriv, poly_divmod,
+                    poly_eval, poly_gcd, poly_mul, poly_neg, poly_scale,
+                    poly_sub, poly_trim)
 
-if os.environ.get("KNWZNW_PURE", "") not in ("", "0"):
-    from . import _pure as _impl
-
-    BACKEND = "python"
-else:
-    try:
-        from . import _fast as _impl
-
-        BACKEND = "cython"
-    except ImportError:
-        from . import _pure as _impl
-
-        BACKEND = "python"
-
-Rat = _impl.Rat
-RAT0 = _impl.RAT0
-RAT1 = _impl.RAT1
-poly_trim = _impl.poly_trim
-poly_add = _impl.poly_add
-poly_neg = _impl.poly_neg
-poly_sub = _impl.poly_sub
-poly_scale = _impl.poly_scale
-poly_mul = _impl.poly_mul
-poly_divmod = _impl.poly_divmod
-poly_gcd = _impl.poly_gcd
-poly_deriv = _impl.poly_deriv
-poly_eval = _impl.poly_eval
+BACKEND = "python"
 
 __all__ = [
     "BACKEND", "Rat", "RAT0", "RAT1", "poly_trim", "poly_add", "poly_neg",

@@ -1,8 +1,7 @@
 """Pure-Python arithmetic kernel: exact rationals and dense polynomial helpers.
 
-This module and the compiled twin ``_fast.pyx`` implement the same surface;
-``knwznw._kernel`` picks one at import time.  Everything downstream goes
-through that selection, so the two must stay behaviourally identical.
+``knwznw._kernel`` re-exports this module; everything downstream imports
+from there.
 
 Polynomials are plain tuples of Rat, ascending powers, no trailing zeros
 (the zero polynomial is the empty tuple).

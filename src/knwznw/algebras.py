@@ -88,10 +88,7 @@ def _unit_product(cfg, lams, a, b):
 
 
 def _unit_vf_bracket(cfg, a, b):
-    if a == b:
-        return GradedElement(-1, {})
-    if a > b:
-        return -_unit_vf_bracket(cfg, b, a)
+    """[A_a, A_b] for vector-field indices a < b."""
     key = ("vfbr", a, b)
     hit = cfg.cache.get(key)
     if hit is None:
@@ -114,12 +111,23 @@ def _unit_lie_derivative(cfg, a, lam, b):
     return hit
 
 
-def _bilinear(f, g, lam_out, unit_fn):
+def _bilinear(f, g, lam_out, unit_fn, antisymmetric=False):
+    """Sum of ca cb unit_fn(a, b) over the terms of f and g.
+
+    For an antisymmetric unit_fn it is asked only for pairs a < b: a
+    reversed pair takes the same entry with the sign folded into its
+    coefficient, and a == b contributes nothing.
+    """
     out = {}
     for a, ca in f.terms.items():
         for b, cb in g.terms.items():
-            c = ca * cb
-            for k, v in unit_fn(a, b).terms.items():
+            if antisymmetric and a >= b:
+                if a == b:
+                    continue
+                c, unit = -(ca * cb), unit_fn(b, a)
+            else:
+                c, unit = ca * cb, unit_fn(a, b)
+            for k, v in unit.terms.items():
                 out[k] = out.get(k, RAT0) + c * v
     return GradedElement(lam_out, out)
 
@@ -139,8 +147,8 @@ def vf_bracket(cfg, e, f):
     f = _as_graded(cfg, f)
     if e.lam != -1 or f.lam != -1:
         raise DomainError("vector fields have weight -1")
-    return _bilinear(e, f, -1,
-                     lambda a, b: _unit_vf_bracket(cfg, a, b))
+    return _bilinear(e, f, -1, lambda a, b: _unit_vf_bracket(cfg, a, b),
+                     antisymmetric=True)
 
 
 def lie_derivative(cfg, e, s):

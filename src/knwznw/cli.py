@@ -27,6 +27,17 @@ from .ratfield import Poly, RationalFunction
 from .sugawara import sugawara_commutator_audit
 from .verify import run_suite
 
+# Bounds on degree and depth requests, so that none runs unbounded.  At
+# four integer marked points the largest accepted `basis`, `table`,
+# `cocycle`, `affine`, plain `module` and `kz` request takes about ten
+# seconds or less: cost grows with n - lambda for one basis element, with
+# the square of the window width and with how far negative the window
+# reaches, and exponentially with the depth for the module slices.
+MAX_BASIS_INDEX = 200    # |n| and |lambda| of `basis`
+MAX_WINDOW_WIDTH = 31    # hi - lo + 1 of a `table`/`cocycle`/`affine` window
+MAX_WINDOW_DEGREE = 20   # |lo| and |hi| of such a window
+MAX_DEPTH = 7            # truncation depth of `module`, `sugawara` and `kz`
+
 
 def _rat_str(x):
     return str(x)
@@ -55,11 +66,16 @@ def _parse_int(value, what):
     raise ConfigError("bad %s %r: expected an integer" % (what, value))
 
 
+def _bounded(value, what, lo, hi, name):
+    if not lo <= value <= hi:
+        raise ConfigError("%s %d is out of range %d..%d (%s)"
+                          % (what, value, lo, hi, name))
+    return value
+
+
 def _parse_depth(value):
     depth = _parse_int(value, "depth")
-    if depth < 0:
-        raise ConfigError("depth bound must be >= 0")
-    return depth
+    return _bounded(depth, "depth", 0, MAX_DEPTH, "MAX_DEPTH")
 
 
 def _parse_int_list(text, what):
@@ -153,10 +169,16 @@ def _config_module_spec(cfg, data):
 
 def _window(args):
     try:
-        lo, hi = args.window.split(":")
-        return int(lo), int(hi)
+        lo, hi = (int(x) for x in args.window.split(":"))
     except ValueError:
         raise ConfigError("bad window %r; expected lo:hi" % args.window)
+    for end in (lo, hi):
+        _bounded(end, "window end", -MAX_WINDOW_DEGREE, MAX_WINDOW_DEGREE,
+                 "MAX_WINDOW_DEGREE")
+    if hi - lo + 1 > MAX_WINDOW_WIDTH:
+        raise ConfigError("window width %d exceeds %d (MAX_WINDOW_WIDTH)"
+                          % (hi - lo + 1, MAX_WINDOW_WIDTH))
+    return lo, hi
 
 
 def _emit(args, payload):
@@ -170,6 +192,10 @@ def _emit(args, payload):
 def cmd_basis(args):
     data = _load_config(args.config)
     cfg = _config_points(data, args)
+    _bounded(args.n, "--n", -MAX_BASIS_INDEX, MAX_BASIS_INDEX,
+             "MAX_BASIS_INDEX")
+    _bounded(args.lam, "--lambda", -MAX_BASIS_INDEX, MAX_BASIS_INDEX,
+             "MAX_BASIS_INDEX")
     rec = kn_basis_record(cfg, KNIndex(args.lam, args.n, args.p))
     payload = {
         "lambda": args.lam,

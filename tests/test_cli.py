@@ -4,8 +4,11 @@ import io
 import json
 import sys
 
+import pytest
+
 from knwznw import verify
-from knwznw.cli import main
+from knwznw.cli import (MAX_BASIS_INDEX, MAX_DEPTH, MAX_WINDOW_DEGREE,
+                        MAX_WINDOW_WIDTH, main)
 
 
 def run_cli(argv, capsys):
@@ -233,3 +236,43 @@ def test_config_values_of_the_wrong_shape_exit_2(capsys, tmp_path):
         code, out, err = run_cli(argv + ["--config", cfg], capsys)
         assert code == 2 and out == "", (data, err)
         assert err.startswith("config error:") and word in err, (data, err)
+
+
+def _rejected(argv, capsys, bound):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == "", err
+    assert err.startswith("config error:") and bound in err, err
+
+
+@pytest.mark.parametrize("flag", ["--n", "--lambda"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_basis_index_bound(capsys, flag, sign):
+    index = {"--lambda": 0, "--n": 0, flag: sign * (MAX_BASIS_INDEX + 1)}
+    argv = ["basis", "--points", "0,1"]
+    for name, value in index.items():
+        argv += [name, str(value)]
+    _rejected(argv, capsys, "MAX_BASIS_INDEX")
+
+
+@pytest.mark.parametrize("command", ["table", "cocycle", "affine"])
+def test_window_width_bound(capsys, command):
+    lo = -(MAX_WINDOW_WIDTH // 2)
+    window = "--window=%d:%d" % (lo, lo + MAX_WINDOW_WIDTH)
+    _rejected([command, window, "--points", "0,1"], capsys,
+              "MAX_WINDOW_WIDTH")
+
+
+@pytest.mark.parametrize("command", ["table", "cocycle", "affine"])
+@pytest.mark.parametrize("window", ["%d:%d", "-%d:-%d"])
+def test_window_degree_bound(capsys, command, window):
+    end = MAX_WINDOW_DEGREE + 1
+    _rejected([command, "--window=" + window % (end, end), "--points", "0,1"],
+              capsys, "MAX_WINDOW_DEGREE")
+
+
+@pytest.mark.parametrize("command", ["module", "kz", "sugawara"])
+def test_depth_bound(capsys, tmp_path, command):
+    cfg = _write(tmp_path, "d.json", {"points": ["0", "1"],
+                                      "weights": [1, 1],
+                                      "depth": MAX_DEPTH + 1})
+    _rejected([command, "--config", cfg], capsys, "MAX_DEPTH")

@@ -1,6 +1,8 @@
 """Induced modules: slices, exact action, truncation, coinvariants."""
 
 import random
+from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -257,12 +259,30 @@ def test_reduce_budget_exhaustion_is_status(fock):
 
 
 def test_coinvariant_dimension_stabilizes(sl2):
+    # the (1,1,1) stabilisation over depths 2-4 is the registry check
+    # coinvariant-stabilization; this is a one-dimensional block space
     cfg3 = Config(["0", "1", "-1"])
-    dims = {}
-    for d in (2, 3, 4):
-        m = induce_module(sl2, cfg3, ModuleSpec("weyl", (1, 1, 1), Rat(1), d))
-        dims[d] = degree_zero_coinvariant_dimension(m)
-    assert dims[3] == dims[4]
-    # a case with a one-dimensional block space at this truncation
     m = induce_module(sl2, cfg3, ModuleSpec("weyl", (1, 1, 0), Rat(1), 3))
     assert degree_zero_coinvariant_dimension(m) == 1
+
+
+def sl2_invariant_count(weights):
+    """Multiplicity of the trivial sl2 module in the tensor product of the
+    irreducibles V_w: (# states of h-weight 0) - (# of h-weight 2)."""
+    sums = Counter(sum(hs) for hs in
+                   product(*(range(-w, w + 1, 2) for w in weights)))
+    return sums[0] - sums[2]
+
+
+CG_CASES = [((1, 1), 2), ((2, 2), 2), ((1, 1, 2), 2), ((2, 2, 2), 2),
+            ((1, 1, 1, 1), 1), ((2, 1, 1, 2), 1)]
+
+
+@pytest.mark.parametrize("weights, depth", CG_CASES, ids=[
+    "weights%s-depth%d" % ("".join(map(str, w)), d) for w, d in CG_CASES])
+def test_coinvariant_dimension_is_the_clebsch_gordan_count(sl2, weights,
+                                                          depth):
+    cfg = Config(["0", "1", "-1", "2"][:len(weights)])
+    m = induce_module(sl2, cfg, ModuleSpec("weyl", weights, Rat(1), depth))
+    assert degree_zero_coinvariant_dimension(m) == \
+        sl2_invariant_count(weights)
