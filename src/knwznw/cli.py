@@ -40,11 +40,19 @@ MAX_DEPTH = 7            # truncation depth of `module`, `sugawara` and `kz`
 
 
 def _rat_str(x):
-    return str(x)
+    """Canonical "p/q" string; a rational too long for the interpreter's
+    int-to-str conversion is a request error, not a traceback."""
+    try:
+        return str(x)
+    except ValueError:
+        raise ConfigError(
+            "a rational in the output has more than %d digits; use marked "
+            "points of smaller height or a smaller degree"
+            % sys.get_int_max_str_digits()) from None
 
 
 def _poly_json(p):
-    return [str(c) for c in p.coeffs]
+    return [_rat_str(c) for c in p.coeffs]
 
 
 def _parse_rat(text):
@@ -212,7 +220,7 @@ def cmd_basis(args):
 
 
 def _ge_json(ge):
-    return [[n, p, str(c)] for (n, p), c in ge.items()]
+    return [[n, p, _rat_str(c)] for (n, p), c in ge.items()]
 
 
 def cmd_table(args):
@@ -258,7 +266,7 @@ def cmd_cocycle(args):
                         entries.append({
                             "left": [lam, n, p],
                             "right": [lam, m, r],
-                            "result": str(v),
+                            "result": _rat_str(v),
                         })
     _emit(args, {"kind": args.kind, "entries": entries})
     return 0
@@ -283,9 +291,9 @@ def cmd_affine(args):
                             entries.append({
                                 "left": [alg.labels[i], n, p],
                                 "right": [alg.labels[j], m, r],
-                                "result": [[alg.labels[k], h, s, str(c)]
+                                "result": [[alg.labels[k], h, s, _rat_str(c)]
                                            for (k, h, s), c in out.items()],
-                                "central": str(out.central),
+                                "central": _rat_str(out.central),
                             })
     _emit(args, {"lie_algebra": alg.kind, "entries": entries})
     return 0
@@ -301,8 +309,8 @@ def cmd_module(args):
               for d in range(0, spec.depth + 1)}
     payload = {
         "kind": spec.kind,
-        "weights": [str(w) for w in spec.weights],
-        "level": str(module.level),
+        "weights": [_rat_str(w) for w in spec.weights],
+        "level": _rat_str(module.level),
         "depth": spec.depth,
         "slice_dimensions": slices,
     }
@@ -318,7 +326,7 @@ def cmd_module(args):
                 rows = [["0"] * len(basis0) for _ in basis0]
                 for col, mono in enumerate(basis0):
                     for m2, c in module._act_gen((0, p, i), mono).items():
-                        rows[index[m2]][col] = str(c)
+                        rows[index[m2]][col] = _rat_str(c)
                 mats["%s(0,%d)" % (label, p)] = rows
         payload["degree0_action"] = mats
     _emit(args, payload)
@@ -343,11 +351,11 @@ def cmd_sugawara(args):
         entries.append({
             "pair": [list(e.pair[0]), list(e.pair[1])],
             "is_scalar": e.is_scalar,
-            "scalar": str(e.scalar),
-            "chi": str(e.chi),
-            "ratio": None if e.ratio is None else str(e.ratio),
+            "scalar": _rat_str(e.scalar),
+            "chi": _rat_str(e.chi),
+            "ratio": None if e.ratio is None else _rat_str(e.ratio),
         })
-    _emit(args, {"lie_algebra": alg.kind, "level": str(module.level),
+    _emit(args, {"lie_algebra": alg.kind, "level": _rat_str(module.level),
                  "entries": entries})
     return 0
 
@@ -373,17 +381,17 @@ def cmd_kz(args):
     elif not system.partial:
         flat = "ok"
     payload = {
-        "points": [str(p) for p in cfg.points],
+        "points": [_rat_str(p) for p in cfg.points],
         "lie_algebra": alg.kind,
-        "weights": [str(w) for w in weights],
-        "level": str(level),
-        "kappa": None if system.kappa is None else str(system.kappa),
+        "weights": [_rat_str(w) for w in weights],
+        "level": _rat_str(level),
+        "kappa": None if system.kappa is None else _rat_str(system.kappa),
         "sign_convention": (None if system.sign_convention is None
                             else "%+d" % system.sign_convention),
-        "matrices": [[[str(c) for c in row] for row in m]
+        "matrices": [[[_rat_str(c) for c in row] for row in m]
                      for m in system.matrices],
         "scalar_shifts": (None if system.scalar_shifts is None else
-                          [None if s is None else str(s)
+                          [None if s is None else _rat_str(s)
                            for s in system.scalar_shifts]),
         "residual_zero": system.residual_zero,
         "partial": system.partial,

@@ -179,8 +179,8 @@ def kz_matrices(cfg, alg, weights, level, depth):
         A_p = kappa * M_p + sigma_p * Id
 
     against the Casimir oracle matrices M_p.  Residuals must vanish
-    exactly; any basis vector whose reduction exhausts its budget marks
-    the system partial.
+    exactly; any basis vector whose reduction leaves a monomial without a
+    rule (status 'budget-exhausted') marks the system partial.
     """
     level = level if isinstance(level, Rat) else Rat(level)
     kind = "fock" if alg.kind == "abelian1" else "weyl"

@@ -21,11 +21,14 @@ hit the vacuum.  Internal arithmetic never truncates; the public action
 refuses to return terms outside the depth window and reports the lost
 degrees instead.
 
-Coinvariant reduction rewrites each deepest creation entry through the
-basis expansion of the block-algebra generator with the matching leading
-pole, strictly raising the minimum degree until the representative lives
-in degree zero (or the pass budget runs out, which is a status, not an
-error).
+Coinvariant reduction rewrites the leading creation entry of a monomial
+through the basis expansion of the block-algebra generator with the
+matching leading pole; each rewrite strictly raises the total degree, so
+every monomial ends in the degree-zero slice.  The reduction is linear,
+so it is memoised per monomial as a degree-zero row, shared by every
+vector and relation that reaches it.  A leading pole deeper than the pole
+bound has no rule; such a monomial stays in its row, and the reduction
+reports that as a status, not an error.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ from typing import Optional
 from ._kernel import RAT0, RAT1, Rat
 from .affine import AffineElement, _block_expansions, affine_bracket
 from .basis import Config
-from .errors import DomainError, TruncationOverflow
+from .errors import (CoinvariantReductionError, DomainError,
+                     TruncationOverflow)
 from .finite_lie import GaugeAlgebra, finite_irrep, tensor_strides
 from .ratfield import as_rat
 
@@ -180,6 +184,7 @@ class InducedModule:
         self._act_memo = {}
         self._bracket_memo = {}
         self._slice_memo = {}
+        self._reductions = {}  # pole bound -> _Reduction
 
     # -- PBW bookkeeping -------------------------------------------------
 
@@ -388,39 +393,114 @@ class InducedModule:
             self.cfg.cache[key] = hit
         return hit
 
-    def coinvariant_reduce(self, v, pole_bound, budget=None):
+    def _reduction(self, pole_bound):
+        hit = self._reductions.get(pole_bound)
+        if hit is None:
+            hit = _Reduction(self, self._rules(pole_bound))
+            self._reductions[pole_bound] = hit
+        return hit
+
+    def coinvariant_reduce(self, v, pole_bound):
         """Representative of v modulo the block-algebra action.
 
-        Rewrites the most negative creation entries upward until every
-        monomial is free of negative-degree entries.  Returns
-        (vector, status) with status 'reduced-to-degree-0' or
-        'budget-exhausted'; exhaustion is a status, not an error.
+        Sums the memoised degree-0 rows of v's monomials (see
+        `_Reduction`).  Returns (vector, status) with status
+        'reduced-to-degree-0' or 'budget-exhausted'.  Exhaustion means a
+        monomial whose leading entry has negative degree but no rule at
+        this pole bound (its pole is deeper than pole_bound) survives in
+        the sum; it is a status, not an error, and the vector then keeps
+        such monomials beside its degree-0 part.
         """
-        rules = self._rules(pole_bound)
-        if budget is None:
-            budget = 4 * max(1, self.spec.depth)
-        terms = dict(v.terms)
-        for _ in range(budget + 1):
-            pending = [m for m in terms
-                       if m.creation and m.creation[0][0] < 0]
-            if not pending:
-                return ModuleVector(terms), "reduced-to-degree-0"
-            dmin = min(m.degree for m in pending)
-            batch = [m for m in pending if m.degree == dmin]
-            progressed = False
-            for m in batch:
-                n, p, i = m.creation[0]
-                rule = rules.get((n, p))
-                if rule is None:
-                    continue
-                c = terms.pop(m)
-                rest = PBWMonomial(m.creation[1:], m.vacuum)
-                for (n2, p2, c2) in rule:
-                    _merge(terms, self._act_gen((n2, p2, i), rest), -c * c2)
-                progressed = True
-            if not progressed:
-                return ModuleVector(terms), "budget-exhausted"
-        return ModuleVector(terms), "budget-exhausted"
+        reduction = self._reduction(pole_bound)
+        acc = {}
+        for m, c in v.terms.items():
+            _merge(acc, reduction.row(m), c)
+        stuck = any(m.creation and m.creation[0][0] < 0 for m in acc)
+        return (ModuleVector(acc),
+                "budget-exhausted" if stuck else "reduced-to-degree-0")
+
+
+_ZERO_ROW = {}  # the row of every monomial that reduces to 0; never mutated
+
+
+class _Reduction:
+    """Degree-0 rows of monomials modulo the block algebra, memoised.
+
+    A row is a dict {monomial: Rat} over the degree-0 slice, plus any
+    monomial left without a rule; the rows of monomials that reduce to
+    zero are all the shared `_ZERO_ROW`.  Rows are never mutated once
+    memoised.  `row(m)` is the representative of m: m itself when its
+    leading entry has degree >= 0 or no rule, else that entry x_(n,p,i)
+    is rewritten through the block generator
+    x (x) (z - P_p)^n = x_(n,p,i) + sum c2 x_(n2,p2,i), all n2 > n, so
+    row(m) = -sum c2 act_row(x_(n2,p2,i), rest).  `act_row(g, m)` is the
+    row of g.m; it follows the normal ordering of `InducedModule._act_gen`
+    without building the dict g.m itself.  Total degree rises strictly
+    with each rewrite, so the recursion ends.
+    """
+
+    __slots__ = ("module", "rules", "rows", "act_rows")
+
+    def __init__(self, module, rules):
+        self.module = module
+        self.rules = rules
+        self.rows = {}
+        self.act_rows = {}
+
+    def row(self, mono):
+        hit = self.rows.get(mono)
+        if hit is not None:
+            return hit
+        creation = mono.creation
+        rule = None
+        if creation and creation[0][0] < 0:
+            n, p, i = creation[0]
+            rule = self.rules.get((n, p))
+        if rule is None:
+            res = {mono: RAT1}
+        else:
+            rest = PBWMonomial(creation[1:], mono.vacuum)
+            acc = {}
+            for (n2, p2, c2) in rule:
+                r = self.act_row((n2, p2, i), rest)
+                if r:
+                    _merge(acc, r, -c2)
+            res = acc or _ZERO_ROW
+        self.rows[mono] = res
+        return res
+
+    def act_row(self, gen, mono):
+        key = (gen, mono)
+        hit = self.act_rows.get(key)
+        if hit is not None:
+            return hit
+        module = self.module
+        creation = mono.creation
+        if not creation:
+            acc = {}
+            for m2, c in module._vacuum_action(gen, mono.vacuum).items():
+                _merge(acc, self.row(m2), c)
+            res = acc or _ZERO_ROW
+        elif module._is_creation(gen) and gen <= creation[0]:
+            res = self.row(PBWMonomial((gen,) + creation, mono.vacuum))
+        else:
+            rest = PBWMonomial(creation[1:], mono.vacuum)
+            c1 = creation[0]
+            acc = {}
+            for m2, c in module._act_gen(gen, rest).items():
+                r = self.act_row(c1, m2)
+                if r:
+                    _merge(acc, r, c)
+            br = module._bracket_gens(gen, c1)
+            for (j, h, s), cb in br.loop.items():
+                r = self.act_row((h, s, j), rest)
+                if r:
+                    _merge(acc, r, cb)
+            if br.central.num != 0:
+                _merge(acc, self.row(rest), br.central * module.level)
+            res = acc or _ZERO_ROW
+        self.act_rows[key] = res
+        return res
 
 
 def induce_module(alg, cfg, spec):
@@ -428,25 +508,34 @@ def induce_module(alg, cfg, spec):
     return InducedModule(alg, cfg, spec)
 
 
-def degree_zero_coinvariant_dimension(module, pole_bound=None):
+def degree_zero_coinvariant_dimension(module):
     """Truncated conformal-block diagnostic.
 
-    Harvests every relation reduce(u . w) with u a block-algebra generator
-    of pole order j and w a basis monomial of degree d, over all pairs
-    with j + |d| <= depth, and returns the codimension of their span
-    inside the degree-zero slice.  Stops as soon as the span fills the
-    slice.  This reports the truncated coinvariant dimension only; no
+    Takes the degree-0 row of every relation u . w, with u a
+    block-algebra generator of pole order j and w a basis monomial of
+    degree d, over all pairs with j + |d| <= depth, and returns the
+    codimension of their span inside the degree-zero slice.  The row of
+    u . w is sum c * act_row(x_(n,p,i), w) over the loop terms of u, so
+    the image u . w is never built.  Stops as soon as the span fills the
+    slice.  The pole bound is the depth, so every leading entry a
+    relation reaches has a rule; a relation that still fails to reduce
+    raises CoinvariantReductionError, and one whose row holds a degree-0
+    string longer than a verma module's width bound raises
+    TruncationOverflow, because leaving either out would inflate the
+    dimension.  This reports the truncated coinvariant dimension only; no
     fusion-rule dimension is claimed.
     """
     from .affine import block_algebra_basis
 
     depth = module.spec.depth
-    k = pole_bound if pole_bound is not None else depth
-    gens = block_algebra_basis(module.cfg, module.alg, k)
+    gens = block_algebra_basis(module.cfg, module.alg, depth)
+    reduction = module._reduction(depth)
     basis0 = module.slice_basis(0)
     dim0 = len(basis0)
     index = {m: i for i, m in enumerate(basis0)}
     pivots = {}  # leading column -> reduced row
+    failed = 0
+    lost_widths = set()
 
     def insert(row):
         for c in range(dim0):
@@ -465,15 +554,33 @@ def degree_zero_coinvariant_dimension(module, pole_bound=None):
         for u in gens:
             if u.pole_order + (-d) > depth:
                 continue
-            aff = u.as_affine()
+            terms = [((n, p, i), c)
+                     for (i, n, p), c in u.as_affine().loop.items()]
             for mono in module.slice_basis(d):
-                img = module._act_affine_raw(aff, {mono: RAT1})
-                red, status = module.coinvariant_reduce(ModuleVector(img), k)
-                if status != "reduced-to-degree-0":
+                acc = {}
+                for gen, c in terms:
+                    r = reduction.act_row(gen, mono)
+                    if r:
+                        _merge(acc, r, c)
+                if not acc:
+                    continue
+                outside = [m2 for m2 in acc if m2 not in index]
+                if outside:
+                    if any(m2.degree < 0 for m2 in outside):
+                        failed += 1
+                    else:  # degree 0, but longer than the width bound
+                        lost_widths.update(len(m2.creation) for m2 in outside)
                     continue
                 row = [RAT0] * dim0
-                for m2, c in red.terms.items():
+                for m2, c in acc.items():
                     row[index[m2]] = c
                 if insert(row) and len(pivots) == dim0:
-                    return 0
+                    return 0  # a skipped relation cannot shrink a full span
+    if failed:
+        raise CoinvariantReductionError(
+            "%d relation(s) failed to reduce to degree 0 at pole bound %d; "
+            "leaving them out would inflate the coinvariant dimension"
+            % (failed, depth))
+    if lost_widths:
+        raise TruncationOverflow(lost_widths=lost_widths)
     return dim0 - len(pivots)

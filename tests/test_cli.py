@@ -276,3 +276,35 @@ def test_depth_bound(capsys, tmp_path, command):
                                       "weights": [1, 1],
                                       "depth": MAX_DEPTH + 1})
     _rejected([command, "--config", cfg], capsys, "MAX_DEPTH")
+
+
+def test_output_past_the_int_string_limit_exits_2(capsys):
+    # A_{1,1} at the points 0, P carries the factor P^-2, twice as long as
+    # P; the interpreter's limit on int-to-str conversion is left as it is
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    height = limit // 2 + 1
+    point = "1" + "0" * height
+    _rejected(["basis", "--points", "0," + point, "--lambda", "0",
+               "--n", "1", "--p", "1"], capsys, "digits")
+
+
+def test_unreduced_relations_exit_1(capsys, tmp_path, monkeypatch):
+    from knwznw.modules import InducedModule
+    rules = InducedModule._rules
+
+    def without_one_rule(self, pole_bound):
+        out = dict(rules(self, pole_bound))
+        del out[(-1, 1)]
+        return out
+
+    monkeypatch.setattr(InducedModule, "_rules", without_one_rule)
+    cfg = _write(tmp_path, "m.json", {"points": ["0", "1"],
+                                      "module": {"kind": "weyl",
+                                                 "weights": [1, 1],
+                                                 "depth": 2}})
+    code, out, err = run_cli(["module", "--coinvariants", "--config", cfg],
+                             capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "failed to reduce" in err, err

@@ -10,7 +10,8 @@ from knwznw import Rat
 from knwznw._kernel import RAT0, RAT1
 from knwznw.affine import AffineElement, affine_bracket, block_algebra_basis
 from knwznw.basis import Config
-from knwznw.errors import DomainError, TruncationOverflow
+from knwznw.errors import (CoinvariantReductionError, DomainError,
+                           TruncationOverflow)
 from knwznw.finite_lie import factor_op, make_algebra
 from knwznw.modules import (ModuleSpec, ModuleVector, PBWMonomial,
                             degree_zero_coinvariant_dimension,
@@ -253,9 +254,105 @@ def test_reduce_is_projection(weyl11, cfg2, sl2):
 
 
 def test_reduce_budget_exhaustion_is_status(fock):
+    # the leading entry has degree -3, and pole bound 2 has no rule for it
     deep = ModuleVector.monomial(fock.slice_basis(-3)[0])
-    red, status = fock.coinvariant_reduce(deep, 2, budget=0)
+    red, status = fock.coinvariant_reduce(deep, 2)
     assert status == "budget-exhausted"
+
+
+def pass_batch_reduce(module, v, pole_bound):
+    """The level-by-level reduction the memoised rows replaced, kept as an
+    oracle.  Each pass takes the lowest-degree monomials whose leading
+    entry has a rule, rewrites that entry through its rule and
+    normal-orders the result.  Unlike the loop it replaces, which stopped
+    at the first degree holding a monomial without a rule, it goes on
+    past such monomials, so that its vector can be compared then too."""
+    rules = module._rules(pole_bound)
+    terms = dict(v.terms)
+
+    def add(terms, more, scale):
+        for m, c in more.items():
+            w = terms.get(m, RAT0) + c * scale
+            if w.num == 0:
+                terms.pop(m, None)
+            else:
+                terms[m] = w
+
+    def leader(m):
+        return m.creation[0][:2] if m.creation else (0, 0)
+
+    while True:
+        pending = [m for m in terms if leader(m)[0] < 0]
+        ready = [m for m in pending if leader(m) in rules]
+        if not ready:
+            return ModuleVector(terms), ("budget-exhausted" if pending
+                                         else "reduced-to-degree-0")
+        dmin = min(m.degree for m in ready)
+        for m in [m for m in ready if m.degree == dmin]:
+            c = terms.pop(m)
+            rest = PBWMonomial(m.creation[1:], m.vacuum)
+            i = m.creation[0][2]
+            for n2, p2, c2 in rules[leader(m)]:
+                add(terms, module._act_gen((n2, p2, i), rest), -c * c2)
+
+
+def oracle_modules():
+    sl2, ab = make_algebra("sl2"), make_algebra("abelian1")
+    cfg2, cfg3 = Config(["0", "1"]), Config(["0", "1", "-1"])
+    yield induce_module(sl2, cfg2, ModuleSpec("weyl", (1, 2), Rat(1), 4))
+    yield induce_module(sl2, cfg2, ModuleSpec("weyl", (2, 2), Rat(2), 4))
+    yield induce_module(sl2, cfg3, ModuleSpec("weyl", (1, 1, 2), Rat(1), 4))
+    yield induce_module(sl2, Config(["1/2", "-7/3", "5"]),
+                        ModuleSpec("weyl", (2, 1, 1), Rat(1), 4))
+    yield induce_module(ab, cfg2, ModuleSpec("fock", (Rat(1, 2), Rat(-3)),
+                                             Rat(1), 4))
+    yield induce_module(sl2, cfg2,
+                        ModuleSpec("verma", (Rat(1), Rat(2)), Rat(1), 4, 3))
+
+
+def test_reduce_matches_the_pass_batch_oracle():
+    # At pole bound = depth every reachable leader has a rule, and at genus
+    # 0 the negative loop part lies in the block algebra, so the reduction
+    # of every monomial of negative degree is 0.  At pole bound 2 leaders
+    # at degree -3 have no rule and survive, which makes the rules'
+    # coefficients and every bracket term visible in the vectors.
+    rng = random.Random(5)
+    seen = Counter()
+    for module in oracle_modules():
+        depth = module.spec.depth
+        gens = block_algebra_basis(module.cfg, module.alg, depth)
+        images = []
+        for d in (0, -1, -2, -3):
+            slice_d = module.slice_basis(d)
+            us = [u for u in gens if u.pole_order - d <= depth]
+            for _ in range(6):
+                u, w = rng.choice(us), rng.choice(slice_d)
+                images.append(ModuleVector(module._act_affine_raw(
+                    u.as_affine(), {w: RAT1})))
+        for _ in range(8):
+            v = ModuleVector()
+            for img in rng.sample(images, 3):
+                v = v + img.scale(Rat(rng.randint(-3, 3), rng.randint(1, 3)))
+            deg = rng.choice((-1, -2, -3))
+            v = v + ModuleVector.monomial(rng.choice(module.slice_basis(deg)))
+            images.append(v)
+        for v in images:
+            got = module.coinvariant_reduce(v, depth)
+            assert got == pass_batch_reduce(module, v, depth)
+            assert got == (ModuleVector({m: c for m, c in v.terms.items()
+                                         if m.degree == 0}),
+                           "reduced-to-degree-0")
+            got = module.coinvariant_reduce(v, 2)
+            assert got == pass_batch_reduce(module, v, 2)
+            seen[got[1]] += 1
+    assert seen["budget-exhausted"] > 30
+    # a lone monomial whose leading pole is deeper than the pole bound
+    fock = induce_module(make_algebra("abelian1"), Config(["0"]),
+                         ModuleSpec("fock", (RAT0,), Rat(1), 6))
+    deep = ModuleVector.monomial(fock.slice_basis(-3)[0])
+    got = fock.coinvariant_reduce(deep, 2)
+    assert got == (deep, "budget-exhausted")
+    assert got == pass_batch_reduce(fock, deep, 2)
 
 
 def test_coinvariant_dimension_stabilizes(sl2):
@@ -264,6 +361,26 @@ def test_coinvariant_dimension_stabilizes(sl2):
     cfg3 = Config(["0", "1", "-1"])
     m = induce_module(sl2, cfg3, ModuleSpec("weyl", (1, 1, 0), Rat(1), 3))
     assert degree_zero_coinvariant_dimension(m) == 1
+
+
+def test_unreduced_relations_raise(sl2):
+    cfg = Config(["0", "1"])
+    m = induce_module(sl2, cfg, ModuleSpec("weyl", (1, 1), Rat(1), 2))
+    rules = dict(m._rules(2))
+    del rules[(-1, 1)]
+    m._rules = lambda pole_bound: rules
+    with pytest.raises(CoinvariantReductionError,
+                       match=r"^\d+ relation\(s\) failed to reduce"):
+        degree_zero_coinvariant_dimension(m)
+
+
+def test_relations_past_the_width_bound_raise(sl2):
+    # the relations of this verma module reach degree-0 strings of length 3
+    m = induce_module(sl2, Config(["0", "1"]),
+                      ModuleSpec("verma", (Rat(1), Rat(1)), Rat(1), 2, 2))
+    with pytest.raises(TruncationOverflow) as ei:
+        degree_zero_coinvariant_dimension(m)
+    assert ei.value.lost_widths == (3,)
 
 
 def sl2_invariant_count(weights):
