@@ -144,6 +144,10 @@ class ModuleVector:
         return "ModuleVector(%s)" % (body or "0")
 
 
+# the one empty result every memo here (and in sugawara) shares; never mutated
+_ZERO = {}
+
+
 def _merge(acc, terms, scale=RAT1):
     for m, c in terms.items():
         w = acc.get(m, RAT0) + c * scale
@@ -185,6 +189,7 @@ class InducedModule:
         self._bracket_memo = {}
         self._slice_memo = {}
         self._reductions = {}  # pole bound -> _Reduction
+        self._sugawara_memo = {}  # see sugawara.apply_L_raw
 
     # -- PBW bookkeeping -------------------------------------------------
 
@@ -273,13 +278,17 @@ class InducedModule:
     # -- action ----------------------------------------------------------
 
     def _bracket_gens(self, a, b):
-        """Affine bracket of two single generators, keys in (n,p,i) form."""
+        """Affine bracket of two single generators as (loop, central): the
+        loop terms as ((n, p, i), c) and the central term times the level.
+        The generator tuples are built once and shared by the memo keys."""
         key = (a, b)
         hit = self._bracket_memo.get(key)
         if hit is None:
             ea = AffineElement.loop_term(a[2], a[0], a[1])
             eb = AffineElement.loop_term(b[2], b[0], b[1])
-            hit = affine_bracket(self.cfg, self.alg, ea, eb)
+            br = affine_bracket(self.cfg, self.alg, ea, eb)
+            hit = (tuple(((h, s, j), c) for (j, h, s), c in br.loop.items()),
+                   br.central * self.level)
             self._bracket_memo[key] = hit
         return hit
 
@@ -335,12 +344,12 @@ class InducedModule:
             inner = self._act_gen(gen, rest)
             for m2, c in inner.items():
                 _merge(res, self._act_gen(c1, m2), c)
-            br = self._bracket_gens(gen, c1)
-            for (j, h, s), cb in br.loop.items():
-                _merge(res, self._act_gen((h, s, j), rest), cb)
-            if br.central.num != 0:
-                _merge(res, {rest: br.central * self.level})
-        self._act_memo[key] = res
+            loop, central = self._bracket_gens(gen, c1)
+            for gen2, cb in loop:
+                _merge(res, self._act_gen(gen2, rest), cb)
+            if central.num != 0:
+                _merge(res, {rest: central})
+        res = self._act_memo[key] = res or _ZERO
         return res
 
     def _act_affine_raw(self, a, terms):
@@ -420,15 +429,12 @@ class InducedModule:
                 "budget-exhausted" if stuck else "reduced-to-degree-0")
 
 
-_ZERO_ROW = {}  # the row of every monomial that reduces to 0; never mutated
-
-
 class _Reduction:
     """Degree-0 rows of monomials modulo the block algebra, memoised.
 
     A row is a dict {monomial: Rat} over the degree-0 slice, plus any
     monomial left without a rule; the rows of monomials that reduce to
-    zero are all the shared `_ZERO_ROW`.  Rows are never mutated once
+    zero are all the shared `_ZERO`.  Rows are never mutated once
     memoised.  `row(m)` is the representative of m: m itself when its
     leading entry has degree >= 0 or no rule, else that entry x_(n,p,i)
     is rewritten through the block generator
@@ -443,7 +449,11 @@ class _Reduction:
 
     def __init__(self, module, rules):
         self.module = module
-        self.rules = rules
+        # leading entry (n, p, i) -> the terms (x_(n2,p2,i), -c2) of its rule
+        self.rules = {(n, p, i): tuple(((n2, p2, i), -c2)
+                                       for n2, p2, c2 in rule)
+                      for (n, p), rule in rules.items()
+                      for i in range(module.alg.dim)}
         self.rows = {}
         self.act_rows = {}
 
@@ -452,20 +462,17 @@ class _Reduction:
         if hit is not None:
             return hit
         creation = mono.creation
-        rule = None
-        if creation and creation[0][0] < 0:
-            n, p, i = creation[0]
-            rule = self.rules.get((n, p))
+        rule = self.rules.get(creation[0]) if creation else None
         if rule is None:
             res = {mono: RAT1}
         else:
             rest = PBWMonomial(creation[1:], mono.vacuum)
             acc = {}
-            for (n2, p2, c2) in rule:
-                r = self.act_row((n2, p2, i), rest)
+            for gen, c in rule:
+                r = self.act_row(gen, rest)
                 if r:
-                    _merge(acc, r, -c2)
-            res = acc or _ZERO_ROW
+                    _merge(acc, r, c)
+            res = acc or _ZERO
         self.rows[mono] = res
         return res
 
@@ -480,7 +487,7 @@ class _Reduction:
             acc = {}
             for m2, c in module._vacuum_action(gen, mono.vacuum).items():
                 _merge(acc, self.row(m2), c)
-            res = acc or _ZERO_ROW
+            res = acc or _ZERO
         elif module._is_creation(gen) and gen <= creation[0]:
             res = self.row(PBWMonomial((gen,) + creation, mono.vacuum))
         else:
@@ -491,14 +498,14 @@ class _Reduction:
                 r = self.act_row(c1, m2)
                 if r:
                     _merge(acc, r, c)
-            br = module._bracket_gens(gen, c1)
-            for (j, h, s), cb in br.loop.items():
-                r = self.act_row((h, s, j), rest)
+            loop, central = module._bracket_gens(gen, c1)
+            for gen2, cb in loop:
+                r = self.act_row(gen2, rest)
                 if r:
                     _merge(acc, r, cb)
-            if br.central.num != 0:
-                _merge(acc, self.row(rest), br.central * module.level)
-            res = acc or _ZERO_ROW
+            if central.num != 0:
+                _merge(acc, self.row(rest), central)
+            res = acc or _ZERO
         self.act_rows[key] = res
         return res
 
@@ -514,16 +521,35 @@ def degree_zero_coinvariant_dimension(module):
     Takes the degree-0 row of every relation u . w, with u a
     block-algebra generator of pole order j and w a basis monomial of
     degree d, over all pairs with j + |d| <= depth, and returns the
-    codimension of their span inside the degree-zero slice.  The row of
-    u . w is sum c * act_row(x_(n,p,i), w) over the loop terms of u, so
-    the image u . w is never built.  Stops as soon as the span fills the
-    slice.  The pole bound is the depth, so every leading entry a
-    relation reaches has a rule; a relation that still fails to reduce
-    raises CoinvariantReductionError, and one whose row holds a degree-0
-    string longer than a verma module's width bound raises
-    TruncationOverflow, because leaving either out would inflate the
-    dimension.  This reports the truncated coinvariant dimension only; no
-    fusion-rule dimension is claimed.
+    codimension of their span inside the degree-zero slice (see
+    `_relation_span`).  This reports the truncated coinvariant dimension
+    only; no fusion-rule dimension is claimed.
+    """
+    return len(module.slice_basis(0)) - len(_relation_span(module))
+
+
+def _relation_span(module):
+    """Echelon rows spanning the relations of the coinvariant dimension.
+
+    Returns {leading column: row}, rows as lists over `slice_basis(0)`.
+    The row of u . w is sum c * act_row(x_(n,p,i), w) over the loop terms
+    of u, so the image u . w is never built.  Stops as soon as the span
+    fills the slice.
+
+    The relations x (x) 1 . w with w of degree d < 0 are left out: their
+    rows are identically zero.
+      - 1 A_{n,p} = A_{n,p} and gamma(1, f) = 0, so x (x) 1 commutes
+        through the creation string without changing a degree, and every
+        term of (x (x) 1) . w has degree d < 0.
+      - At genus 0 the negative loop part lies in the block algebra, so
+        at pole bound = depth every monomial of negative degree (down to
+        -depth) reduces to 0, and the row of (x (x) 1) . w is 0.
+
+    The pole bound is the depth, so every leading entry a relation reaches
+    has a rule; a relation that still fails to reduce raises
+    CoinvariantReductionError, and one whose row holds a degree-0 string
+    longer than a verma module's width bound raises TruncationOverflow,
+    because leaving either out would inflate the dimension.
     """
     from .affine import block_algebra_basis
 
@@ -554,6 +580,8 @@ def degree_zero_coinvariant_dimension(module):
         for u in gens:
             if u.pole_order + (-d) > depth:
                 continue
+            if u.pole_order == 0 and d < 0:
+                continue  # an identically zero row, see above
             terms = [((n, p, i), c)
                      for (i, n, p), c in u.as_affine().loop.items()]
             for mono in module.slice_basis(d):
@@ -575,7 +603,8 @@ def degree_zero_coinvariant_dimension(module):
                 for m2, c in acc.items():
                     row[index[m2]] = c
                 if insert(row) and len(pivots) == dim0:
-                    return 0  # a skipped relation cannot shrink a full span
+                    # a skipped relation cannot shrink a full span
+                    return pivots
     if failed:
         raise CoinvariantReductionError(
             "%d relation(s) failed to reduce to degree 0 at pole bound %d; "
@@ -583,4 +612,4 @@ def degree_zero_coinvariant_dimension(module):
             % (failed, depth))
     if lost_widths:
         raise TruncationOverflow(lost_widths=lost_widths)
-    return dim0 - len(pivots)
+    return pivots

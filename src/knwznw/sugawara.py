@@ -18,6 +18,12 @@ admissible module every application is a finite sum: for a vector of
 degree d only mode indices n in [t + d, -d] can contribute to total
 degree t, which the implementation uses as its summation bound.
 
+L(k,r) is linear, so its image of each PBW monomial is computed once per
+module and memoised (`apply_L_raw`).  One image writes u^i = sum_j D_ij u_j
+once, reads only the nonzero coefficients from a sparse table per (k, r),
+and applies each first normal-ordered operator once to the sum of its
+arguments (`_L_image`).
+
 The rescaled operators -1/(level + dual Coxeter) L(k,r) represent the
 centrally extended vector-field algebra; the audit measures the central
 scalar instead of assuming it.
@@ -32,7 +38,10 @@ from ._kernel import RAT0, RAT1, Rat
 from .algebras import R_ZERO, cocycle_chi, vf_bracket
 from .basis import GradedElement, KNIndex, kn_basis_element, residue_sum
 from .errors import CriticalLevelError, DomainError
-from .modules import ModuleVector, _merge
+from .modules import _ZERO, ModuleVector, _merge
+
+
+_HALF = Rat(1, 2)
 
 
 class SugawaraIndex(NamedTuple):
@@ -64,6 +73,40 @@ def _triple_coefficient(cfg, k, r, n, p, m, s):
     return hit
 
 
+def _table_row(cfg, key, t, n, build):
+    """Row (t, n) of the sparse table cfg.cache[key], built on demand."""
+    table = cfg.cache.get(key)
+    if table is None:
+        table = cfg.cache[key] = {}
+    hit = table.get((t, n))
+    if hit is None:
+        hit = table[(t, n)] = build()
+    return hit
+
+
+def _triple_row(cfg, k, r, t, n):
+    """The nonzero c_{(n,p),(t-n,s)} of L(k, r) as a tuple of (p, s, c)."""
+    def build():
+        pts = range(1, cfg.n_points + 1)
+        return tuple((p, s, c) for p in pts for s in pts
+                     for c in (_triple_coefficient(cfg, k, r, n, p, t - n, s),)
+                     if c.num != 0)
+    return _table_row(cfg, ("sugw3rows", k, r), t, n, build)
+
+
+def _current_terms(cfg, alg, k, r, t, n):
+    """The terms of L(k, r) at total t and mode n, as (a, b, c/2 D_ij) for
+    a = (n, p, i) and b = (t-n, s, j), where c = c_{(n,p),(t-n,s)} != 0 and
+    u^i = sum_j D_ij u_j.  One table per algebra and (k, r), so every image
+    shares these generator tuples (they key the module's action memo)."""
+    def build():
+        return tuple(((n, p, i), (t - n, s, j), c * _HALF * d)
+                     for p, s, c in _triple_row(cfg, k, r, t, n)
+                     for i, dual in enumerate(alg.dual_vectors)
+                     for j, d in enumerate(dual) if d.num != 0)
+    return _table_row(cfg, ("sugw-terms", alg.kind, k, r), t, n, build)
+
+
 def total_degree_band(cfg, k):
     """Totals n + m with possibly nonzero coefficients: [k, k + B]."""
     return (k, k if cfg.n_points == 1 else k + 1)
@@ -82,81 +125,67 @@ def sugawara_coefficients(cfg, idx, band):
     span = max(abs(t_min), abs(t_max)) + abs(k) + 2
     for t in range(t_min, t_max + 1):
         for n in range(t - span, span + 1):
-            m = t - n
-            for p in range(1, cfg.n_points + 1):
-                for s in range(1, cfg.n_points + 1):
-                    c = _triple_coefficient(cfg, k, r, n, p, m, s)
-                    if c.num != 0:
-                        entries[((n, p), (m, s))] = c
+            for p, s, c in _triple_row(cfg, k, r, t, n):
+                entries[((n, p), (t - n, s))] = c
     return TripleCoefficientTable(k, r, entries)
 
 
-def _ordered(nvec_a, nvec_b):
-    """Normal order a pair of (degree, ...) ops: positive degrees right,
-    negative degrees left; n == m == 0 keeps the written order."""
-    n = nvec_a[0]
-    m = nvec_b[0]
-    if n > 0 and m <= 0:
-        return nvec_b, nvec_a
-    if m < 0 and n >= 0:
-        return nvec_b, nvec_a
-    return nvec_a, nvec_b
+def _L_image(module, k, r, tie_swap, extra_margin, mono):
+    """L(k, r) on one monomial.
 
-
-def _act_vector_gen(module, xvec, n, p, terms):
-    """Action of (sum_j xvec[j] u_j) (x) A_{n,p} on a term dict."""
+    Each term c/2 D_ij :u_i(n,p) u_j(m,s): is normal ordered into
+    first.(second.mono); the arguments second.mono are summed per first
+    operator, and each first operator then acts once on its sum.
+    """
+    cfg = module.cfg
+    act = module._act_gen
+    t_lo, t_hi = total_degree_band(cfg, k)
+    dv = mono.degree
+    groups = {}  # first operator -> {monomial: coefficient} it acts on
+    for t in range(t_lo, t_hi + 1):
+        for n in range(t + dv - extra_margin, -dv + extra_margin + 1):
+            m = t - n
+            # positive degrees go right, negative degrees left; a
+            # degree-0/degree-0 pair keeps its written order unless swapped
+            swap = ((n > 0 and m <= 0) or (m < 0 and n >= 0)
+                    or (tie_swap and n == 0 and m == 0))
+            for a, b, c in _current_terms(cfg, module.alg, k, r, t, n):
+                first, second = (b, a) if swap else (a, b)
+                mid = act(second, mono)
+                if mid:
+                    arg = groups.get(first)
+                    if arg is None:
+                        arg = groups[first] = {}
+                    _merge(arg, mid, c)
     out = {}
-    for mono, cm in terms.items():
-        for j, c in enumerate(xvec):
-            if c.num == 0:
-                continue
-            _merge(out, module._act_gen((n, p, j), mono), c * cm)
-    return out
+    for first, arg in groups.items():
+        for m2, c2 in arg.items():
+            _merge(out, act(first, m2), c2)
+    return out or _ZERO
 
 
 def apply_L_raw(module, idx, terms, tie_swap=False, extra_margin=0):
-    """Exact L(k, r) on a term dict; no truncation window applied."""
-    cfg = module.cfg
-    alg = module.alg
-    k, r = idx
-    t_lo, t_hi = total_degree_band(cfg, k)
-    half = Rat(1, 2)
+    """Exact L(k, r) on a term dict; no truncation window applied.
+
+    L(k, r) is linear, so the image of each monomial is computed once per
+    module and memoised under ((k, r), tie_swap, extra_margin, monomial);
+    the image of terms sums the cached images scaled by the coefficients.
+    Both flags are in the key, so the tie-rule and summation-bound audits
+    compare two computations, never one cached image with itself.
+    Memoised images are never mutated.
+    """
+    k, r = kr = tuple(idx)
+    tie_swap = bool(tie_swap)
+    memo = module._sugawara_memo
     out = {}
-    unit_vecs = [[RAT1 if a == i else RAT0 for a in range(alg.dim)]
-                 for i in range(alg.dim)]
     for mono, cm in terms.items():
-        dv = mono.degree
-        base = {mono: cm}
-        for t in range(t_lo, t_hi + 1):
-            lo = t + dv - extra_margin
-            hi = -dv + extra_margin
-            for n in range(lo, hi + 1):
-                m = t - n
-                for p in range(1, cfg.n_points + 1):
-                    for s in range(1, cfg.n_points + 1):
-                        c = _triple_coefficient(cfg, k, r, n, p, m, s)
-                        if c.num == 0:
-                            continue
-                        for i in range(alg.dim):
-                            first, second = _ordered((n, p, i, "b"),
-                                                     (m, s, i, "d"))
-                            if tie_swap and n == 0 and m == 0:
-                                first, second = second, first
-                            mid = _apply_current_op(module, second, base,
-                                                    unit_vecs)
-                            if not mid:
-                                continue
-                            res = _apply_current_op(module, first, mid,
-                                                    unit_vecs)
-                            _merge(out, res, c * half)
+        key = (kr, tie_swap, extra_margin, mono)
+        img = memo.get(key)
+        if img is None:
+            img = memo[key] = _L_image(module, k, r, tie_swap, extra_margin,
+                                       mono)
+        _merge(out, img, cm)
     return out
-
-
-def _apply_current_op(module, op, terms, unit_vecs):
-    n, p, i, which = op
-    if which == "b":
-        return _act_vector_gen(module, unit_vecs[i], n, p, terms)
-    return _act_vector_gen(module, module.alg.dual_vectors[i], n, p, terms)
 
 
 def apply_L(module, idx, v, tie_swap=False, extra_margin=0):

@@ -738,14 +738,24 @@ def kz_flatness():
 
 def coinvariant_stabilization():
     sl2 = make_algebra("sl2")
-    dims = {}
-    cfg = Config(("0", "1", "-1"))
-    for d in (2, 3, 4):
-        module = induce_module(
-            sl2, cfg, ModuleSpec("weyl", (1, 1, 1), Rat(1), d))
-        dims[d] = degree_zero_coinvariant_dimension(module)
-    ok = dims[3] == dims[4]
-    return ok, "coinvariant dimension per depth: %s" % (dims,)
+    # (points, weights, the sl2 Clebsch-Gordan count of invariants in the
+    # tensor product), which depths 3 and 4 must both reach.  (1, 1, 2) at
+    # 0,1,-1 has count 1 too, but its depth-4 memo would set the peak memory
+    # of the whole suite.
+    cases = ((("0", "1", "-1"), (1, 1, 1), 0), (("0", "1"), (2, 2), 1))
+    ok = True
+    parts = []
+    for points, weights, want in cases:
+        dims = {}
+        for d in (2, 3, 4):
+            module = induce_module(sl2, Config(points),
+                                   ModuleSpec("weyl", weights, Rat(1), d))
+            dims[d] = degree_zero_coinvariant_dimension(module)
+        ok = ok and dims[3] == dims[4] == want
+        parts.append("%s at %s: %s" % (weights, ",".join(points), dims))
+    return ok, ("coinvariant dimension per depth: %s; depths 3 and 4 equal "
+                "the Clebsch-Gordan counts %s" % (
+                    "; ".join(parts), ", ".join(str(c[2]) for c in cases)))
 
 
 # ------------------------------------------------------------- registry --

@@ -1,5 +1,7 @@
 """Sugawara operators: coefficients, applications, commutator audits."""
 
+import random
+
 import pytest
 
 from knwznw import Rat
@@ -7,9 +9,11 @@ from knwznw._kernel import RAT0
 from knwznw.basis import Config, GradedElement, KNIndex, kn_basis_element
 from knwznw.errors import CriticalLevelError, DomainError
 from knwznw.finite_lie import make_algebra
-from knwznw.modules import ModuleSpec, ModuleVector, induce_module
+from knwznw import sugawara
+from knwznw.modules import ModuleSpec, ModuleVector, _merge, induce_module
 from knwznw.ratfield import residue_at
-from knwznw.sugawara import (SugawaraIndex, T_of_vectorfield, apply_L,
+from knwznw.sugawara import (SugawaraIndex, T_of_vectorfield,
+                             _triple_coefficient, apply_L, apply_L_raw,
                              rescaled_L, sugawara_coefficients,
                              sugawara_commutator_audit, total_degree_band)
 
@@ -168,3 +172,121 @@ def test_audit_multipoint(cfg2, sl2):
     res = sugawara_commutator_audit(cfg2, sl2, module, pairs, [-1, -2])
     for e in res:
         assert e.is_scalar
+
+
+def direct_apply_L(module, idx, terms, tie_swap=False, extra_margin=0):
+    """L(k, r) term by term, as before the memoised images, kept as an
+    oracle: every (coefficient, i) pair of every monomial applies its two
+    normal-ordered currents, the dual one as a combination of generators."""
+    cfg = module.cfg
+    alg = module.alg
+    k, r = idx
+    t_lo, t_hi = total_degree_band(cfg, k)
+    half = Rat(1, 2)
+    out = {}
+    unit_vecs = [[Rat(1) if a == i else RAT0 for a in range(alg.dim)]
+                 for i in range(alg.dim)]
+
+    def apply_op(op, terms):
+        n, p, i, which = op
+        xvec = unit_vecs[i] if which == "b" else alg.dual_vectors[i]
+        res = {}
+        for mono, cm in terms.items():
+            for j, c in enumerate(xvec):
+                if c.num != 0:
+                    _merge(res, module._act_gen((n, p, j), mono), c * cm)
+        return res
+
+    for mono, cm in terms.items():
+        dv = mono.degree
+        base = {mono: cm}
+        for t in range(t_lo, t_hi + 1):
+            for n in range(t + dv - extra_margin, -dv + extra_margin + 1):
+                m = t - n
+                for p in range(1, cfg.n_points + 1):
+                    for s in range(1, cfg.n_points + 1):
+                        c = _triple_coefficient(cfg, k, r, n, p, m, s)
+                        if c.num == 0:
+                            continue
+                        for i in range(alg.dim):
+                            first, second = (n, p, i, "b"), (m, s, i, "d")
+                            if (n > 0 and m <= 0) or (m < 0 and n >= 0):
+                                first, second = second, first
+                            if tie_swap and n == 0 and m == 0:
+                                first, second = second, first
+                            mid = apply_op(second, base)
+                            if mid:
+                                _merge(out, apply_op(first, mid), c * half)
+    return out
+
+
+def oracle_modules():
+    sl2, ab = make_algebra("sl2"), make_algebra("abelian1")
+    cfg2 = Config(["0", "1"])
+    yield induce_module(sl2, cfg2, ModuleSpec("weyl", (1, 1), Rat(1), 4))
+    yield induce_module(sl2, Config(["1/2", "-7/3"]),
+                        ModuleSpec("weyl", (2, 1), Rat(2), 4))
+    yield induce_module(ab, cfg2, ModuleSpec("fock", (Rat(1, 2), Rat(-3)),
+                                             Rat(1), 4))
+    yield induce_module(sl2, cfg2,
+                        ModuleSpec("verma", (Rat(1), Rat(2)), Rat(1), 3, 3))
+
+
+def test_memoised_images_match_the_direct_oracle():
+    rng = random.Random(11)
+    compared = 0
+    for module in oracle_modules():
+        vectors = []
+        for _ in range(3):
+            v = {}
+            for d in (0, -1, -2):
+                mono = rng.choice(module.slice_basis(d))
+                v[mono] = Rat(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+            vectors.append(v)
+        for v in vectors:
+            for idx in ((0, 1), (1, 2), (-1, 1), (2, 1)):
+                for tie_swap in (False, True):
+                    for margin in (0, 3):
+                        got = apply_L_raw(module, idx, v, tie_swap, margin)
+                        want = direct_apply_L(module, idx, v, tie_swap, margin)
+                        assert got == want
+                        compared += bool(want)
+    assert compared > 100
+
+
+def test_each_margin_and_tie_rule_computes_its_own_image(sl2, cfg2):
+    module = induce_module(sl2, cfg2, ModuleSpec("weyl", (1, 1), Rat(1), 3))
+    mono = module.slice_basis(-1)[0]
+    memo = module._sugawara_memo
+    apply_L_raw(module, (0, 1), {mono: Rat(1)})
+    assert len(memo) == 1
+    plain = memo[((0, 1), False, 0, mono)]
+    apply_L_raw(module, (0, 1), {mono: Rat(1)}, extra_margin=3)
+    apply_L_raw(module, (0, 1), {mono: Rat(1)}, tie_swap=True)
+    assert len(memo) == 3
+    assert memo[((0, 1), False, 3, mono)] is not plain
+    assert memo[((0, 1), True, 0, mono)] is not plain
+    # a caller may mutate what it gets back; the memo never changes
+    out = apply_L_raw(module, (0, 1), {mono: Rat(1)})
+    assert out == plain and out is not plain
+    out.clear()
+    assert memo[((0, 1), False, 0, mono)] == plain != {}
+
+
+def test_multipoint_audit_reuses_memoised_images(sl2, cfg2, monkeypatch):
+    # the multipoint-centrality module: the audit applies L to vectors whose
+    # monomials repeat across the slice basis, so the memo must hold fewer
+    # images than apply_L_raw saw input monomials
+    module = induce_module(sl2, cfg2, ModuleSpec("weyl", (1, 1), Rat(1), 4))
+    seen = []
+    real = sugawara.apply_L_raw
+
+    def counting(module, idx, terms, *args):
+        seen.append(len(terms))
+        return real(module, idx, terms, *args)
+
+    monkeypatch.setattr(sugawara, "apply_L_raw", counting)
+    pairs = [((1, 1), (-1, 2)), ((1, 2), (-1, 1)), ((0, 1), (0, 2))]
+    res = sugawara_commutator_audit(cfg2, sl2, module, pairs, [-1, -2])
+    assert all(e.is_scalar for e in res)
+    assert 2 * len(module._sugawara_memo) < sum(seen)
