@@ -110,11 +110,12 @@ def affine_bracket(cfg, alg, x, y):
             c = ca * cb
             tbl = alg.bracket.get((i, j))
             if tbl:
-                prod = _unit_product(cfg, (0, 0), (n, p), (m, r))
-                for (h, s), fc in prod.terms.items():
+                den, prod = _unit_product(cfg, (0, 0), (n, p), (m, r))
+                cd = Rat(c.num, c.den * den)
+                for (h, s), fn in prod.items():
                     for k, sc in tbl.items():
                         key = (k, h, s)
-                        w = loop.get(key, RAT0) + c * sc * fc
+                        w = loop.get(key, RAT0) + cd * sc * fn
                         if w.num == 0:
                             loop.pop(key, None)
                         else:

@@ -18,6 +18,7 @@ infinity, hence the residue sums.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 
 from ._kernel import RAT0, RAT1, Rat
 from .basis import (GradedElement, KNIndex, Section, expand_in_basis,
@@ -74,6 +75,23 @@ def _bracket_form(cfg, e, f):
                                            (-RAT1, f * e.deriv())))
 
 
+def _integer_form(terms):
+    """(D, {key: numerator}) for a dict of Rat coefficients: D is the lcm
+    of their denominators and each coefficient is numerator / D."""
+    den = 1
+    for v in terms.values():
+        if den % v.den:
+            den = lcm(den, v.den)
+    return den, {k: v.num * (den // v.den) for k, v in terms.items()}
+
+
+def _unit_entry(cfg, lam, form):
+    """A cached unit entry: the basis expansion of a form as an integer
+    form (D, numerators), in the order of the expansion's terms."""
+    return _integer_form(
+        expand_in_basis(cfg, Section.from_form(lam, form)).terms)
+
+
 def _unit_product(cfg, lams, a, b):
     key = ("prod", lams, a, b) if (lams[0], a) <= (lams[1], b) \
         else ("prod", (lams[1], lams[0]), b, a)
@@ -81,8 +99,7 @@ def _unit_product(cfg, lams, a, b):
     if hit is None:
         fa = _unit_form(cfg, lams[0], a)
         fb = _unit_form(cfg, lams[1], b)
-        hit = expand_in_basis(
-            cfg, Section.from_form(lams[0] + lams[1], fa * fb))
+        hit = _unit_entry(cfg, lams[0] + lams[1], fa * fb)
         cfg.cache[key] = hit
     return hit
 
@@ -92,8 +109,8 @@ def _unit_vf_bracket(cfg, a, b):
     key = ("vfbr", a, b)
     hit = cfg.cache.get(key)
     if hit is None:
-        hit = expand_in_basis(cfg, Section.from_form(-1, _bracket_form(
-            cfg, _unit_form(cfg, -1, a), _unit_form(cfg, -1, b))))
+        hit = _unit_entry(cfg, -1, _bracket_form(
+            cfg, _unit_form(cfg, -1, a), _unit_form(cfg, -1, b)))
         cfg.cache[key] = hit
     return hit
 
@@ -104,9 +121,9 @@ def _unit_lie_derivative(cfg, a, lam, b):
     if hit is None:
         ev = _unit_form(cfg, -1, a)
         sv = _unit_form(cfg, lam, b)
-        hit = expand_in_basis(cfg, Section.from_form(lam, linear_combination(
+        hit = _unit_entry(cfg, lam, linear_combination(
             cfg.points, ((RAT1, ev * sv.deriv()),
-                         (Rat(lam), ev.deriv() * sv)))))
+                         (Rat(lam), ev.deriv() * sv))))
         cfg.cache[key] = hit
     return hit
 
@@ -114,22 +131,37 @@ def _unit_lie_derivative(cfg, a, lam, b):
 def _bilinear(f, g, lam_out, unit_fn, antisymmetric=False):
     """Sum of ca cb unit_fn(a, b) over the terms of f and g.
 
-    For an antisymmetric unit_fn it is asked only for pairs a < b: a
-    reversed pair takes the same entry with the sign folded into its
-    coefficient, and a == b contributes nothing.
+    unit_fn returns a unit entry as an integer form (D, numerators).  The
+    sum runs in Python ints over one common denominator, and one Rat is
+    built per output key.  For an antisymmetric unit_fn it is asked only
+    for pairs a < b: a reversed pair takes the same entry with the sign
+    folded into its coefficient, and a == b contributes nothing.
     """
+    fd, fn = _integer_form(f.terms)
+    gd, gn = _integer_form(g.terms)
+    den = 1
     out = {}
-    for a, ca in f.terms.items():
-        for b, cb in g.terms.items():
+    for a, ca in fn.items():
+        for b, cb in gn.items():
             if antisymmetric and a >= b:
                 if a == b:
                     continue
-                c, unit = -(ca * cb), unit_fn(b, a)
+                c = -(ca * cb)
+                d, nums = unit_fn(b, a)
             else:
-                c, unit = ca * cb, unit_fn(a, b)
-            for k, v in unit.terms.items():
-                out[k] = out.get(k, RAT0) + c * v
-    return GradedElement(lam_out, out)
+                c = ca * cb
+                d, nums = unit_fn(a, b)
+            if den % d:
+                # widen the common denominator of out to lcm(den, d)
+                s = lcm(den, d) // den
+                for k in out:
+                    out[k] *= s
+                den *= s
+            c *= den // d
+            for k, v in nums.items():
+                out[k] = out.get(k, 0) + c * v
+    den *= fd * gd
+    return GradedElement(lam_out, {k: Rat(v, den) for k, v in out.items()})
 
 
 def multiply(cfg, f, g):

@@ -81,6 +81,10 @@ def _bounded(value, what, lo, hi, name):
     return value
 
 
+def _point_index(value, what, cfg):
+    return _bounded(value, what, 1, cfg.n_points, "marked points")
+
+
 def _parse_depth(value):
     depth = _parse_int(value, "depth")
     return _bounded(depth, "depth", 0, MAX_DEPTH, "MAX_DEPTH")
@@ -183,6 +187,8 @@ def _window(args):
     for end in (lo, hi):
         _bounded(end, "window end", -MAX_WINDOW_DEGREE, MAX_WINDOW_DEGREE,
                  "MAX_WINDOW_DEGREE")
+    if lo > hi:
+        raise ConfigError("empty window %r; need lo <= hi" % args.window)
     if hi - lo + 1 > MAX_WINDOW_WIDTH:
         raise ConfigError("window width %d exceeds %d (MAX_WINDOW_WIDTH)"
                           % (hi - lo + 1, MAX_WINDOW_WIDTH))
@@ -204,6 +210,7 @@ def cmd_basis(args):
              "MAX_BASIS_INDEX")
     _bounded(args.lam, "--lambda", -MAX_BASIS_INDEX, MAX_BASIS_INDEX,
              "MAX_BASIS_INDEX")
+    _point_index(args.p, "--p", cfg)
     rec = kn_basis_record(cfg, KNIndex(args.lam, args.n, args.p))
     payload = {
         "lambda": args.lam,
@@ -344,6 +351,8 @@ def cmd_sugawara(args):
         idx = _parse_int_list(chunk, "pair index")
         if len(idx) != 4:
             raise ConfigError("bad pair %r; expected k,r,m,s" % chunk)
+        _point_index(idx[1], "pair point index", cfg)
+        _point_index(idx[3], "pair point index", cfg)
         pairs.append((tuple(idx[:2]), tuple(idx[2:])))
     window = _parse_int_list(args.slices, "slice degree")
     entries = []

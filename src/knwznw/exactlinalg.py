@@ -5,7 +5,7 @@ elimination; sizes in this package stay small (tens of rows), so no
 fraction-free or modular tricks are needed.
 """
 
-from ._kernel import RAT0, RAT1, Rat
+from ._kernel import RAT0, RAT1
 
 
 def zeros(nrows, ncols):
@@ -19,16 +19,8 @@ def identity(n):
     return m
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, c):
-    return [[x * c for x in row] for row in a]
 
 
 def mat_mul(a, b):
@@ -48,31 +40,12 @@ def mat_mul(a, b):
     return out
 
 
-def mat_vec(a, v):
-    return [sum((c * x for c, x in zip(row, v)), RAT0) for row in a]
-
-
 def commutator(a, b):
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
 def is_zero_matrix(a):
     return all(x.num == 0 for row in a for x in row)
-
-
-def kron(a, b):
-    """Kronecker product acting on the lexicographic tensor basis."""
-    bn = len(b)
-    bm = len(b[0]) if b else 0
-    out = zeros(len(a) * bn, (len(a[0]) if a else 0) * bm)
-    for i, row in enumerate(a):
-        for j, c in enumerate(row):
-            if c.num == 0:
-                continue
-            for k in range(bn):
-                for l in range(bm):
-                    out[i * bn + k][j * bm + l] = c * b[k][l]
-    return out
 
 
 def rref(rows):
@@ -104,12 +77,6 @@ def rref(rows):
     return m[:r], pivots
 
 
-def rank(rows):
-    if not rows:
-        return 0
-    return len(rref(rows)[0])
-
-
 def nullspace(rows, ncols):
     """Basis of the solution space of rows · x = 0 (x of length ncols)."""
     if not rows:
@@ -126,19 +93,3 @@ def nullspace(rows, ncols):
             v[c] = -red[r][f]
         basis.append(v)
     return basis
-
-
-def solve(rows, rhs):
-    """One solution of rows · x = rhs, or None if inconsistent."""
-    ncols = len(rows[0]) if rows else 0
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    for row in red:
-        if all(x.num == 0 for x in row[:-1]) and row[-1].num != 0:
-            return None
-    x = [RAT0] * ncols
-    for r, c in enumerate(pivots):
-        if c == ncols:
-            return None
-        x[c] = red[r][-1]
-    return x

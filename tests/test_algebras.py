@@ -9,8 +9,11 @@ from knwznw.algebras import (ProjectiveConnection,
                              R_ZERO, coboundary_compare, cocycle_chi,
                              cocycle_gamma, grading_report, lie_derivative,
                              multiply, triangular_decompose, vf_bracket)
-from knwznw.basis import Config, GradedElement, KNIndex, kn_basis_element
+from knwznw.basis import (Config, GradedElement, KNIndex, Section,
+                          expand_in_basis, kn_basis_element,
+                          linear_combination)
 from knwznw.errors import DomainError
+from knwznw.verify import _jacobi_fault
 from knwznw.ratfield import INFINITY, Poly, RationalFunction as RF
 
 z = Poly.x()
@@ -241,3 +244,108 @@ def test_triangular_order_classification(cfg2):
     for (n, p) in td.minus:
         sec = kn_basis_element(cfg2, KNIndex(-1, n, p))
         assert sec.order_at(INFINITY) >= 2
+
+
+# ------------------------------------------------ Jacobi and _bilinear --
+
+def ordered_triple_jacobi(cfg, units):
+    """Oracle: the Jacobi check as it ran before, over every ordered
+    triple of units, each inner bracket computed afresh."""
+    for a in units:
+        for b in units:
+            ab = vf_bracket(cfg, a, b)
+            for c in units:
+                s = vf_bracket(cfg, ab, c)
+                s = s + vf_bracket(cfg, vf_bracket(cfg, b, c), a)
+                s = s + vf_bracket(cfg, vf_bracket(cfg, c, a), b)
+                if not s.is_zero():
+                    return False
+    return True
+
+
+def _vf_units(n_pts):
+    return [U(-1, n, p) for n in range(-3, 4) for p in range(1, n_pts + 1)]
+
+
+@pytest.mark.parametrize("points", [("0",), ("0", "1")])
+def test_alternating_jacobi_agrees_with_the_ordered_triple_oracle(points):
+    units = _vf_units(len(points))
+    assert ordered_triple_jacobi(Config(points), units)
+    assert _jacobi_fault(Config(points), units) is None
+
+
+def test_a_corrupted_bracket_entry_fails_both_jacobi_checks():
+    units = _vf_units(2)
+    key = ("vfbr", (-3, 1), (1, 1))
+    seen = Config(("0", "1"))
+    vf_bracket(seen, U(-1, -3, 1), U(-1, 1, 1))
+    den, nums = seen.cache[key]
+    first = next(iter(nums))
+    moved = dict(nums)
+    moved[first] += den
+    dropped = dict(nums)
+    del dropped[first]
+    for bad in (moved, dropped):
+        cfg = Config(("0", "1"))
+        cfg.cache[key] = (den, bad)
+        assert not ordered_triple_jacobi(cfg, units)
+        assert _jacobi_fault(cfg, units) == "Jacobi"
+
+
+def _ref_form(cfg, lam, a):
+    return kn_basis_element(cfg, KNIndex(lam, *a)).form(cfg)
+
+
+def ref_unit_form(cfg, kind, lam_a, a, lam_b, b):
+    """The form of a unit entry, built directly from the basis forms for
+    the given ordered pair (no symmetry folded, no cache)."""
+    fa, fb = _ref_form(cfg, lam_a, a), _ref_form(cfg, lam_b, b)
+    if kind == "prod":
+        return fa * fb
+    if kind == "vfbr":
+        return linear_combination(cfg.points, ((Rat(1), fa * fb.deriv()),
+                                               (Rat(-1), fb * fa.deriv())))
+    return linear_combination(cfg.points, ((Rat(1), fa * fb.deriv()),
+                                           (Rat(lam_b), fa.deriv() * fb)))
+
+
+def ref_bilinear(cfg, kind, f, g):
+    """Reference for algebras._bilinear: each unit entry expanded as a
+    GradedElement, then a Rat product and a Rat sum per term."""
+    lam = {"prod": f.lam + g.lam, "vfbr": -1, "lied": g.lam}[kind]
+    out = {}
+    for a, ca in f.terms.items():
+        for b, cb in g.terms.items():
+            unit = expand_in_basis(cfg, Section.from_form(
+                lam, ref_unit_form(cfg, kind, f.lam, a, g.lam, b)))
+            for k, v in unit.terms.items():
+                out[k] = out.get(k, Rat(0)) + ca * cb * v
+    return GradedElement(lam, out)
+
+
+def _random_element(rng, lam, n_pts, size=3):
+    terms = {}
+    while len(terms) < size:
+        num = rng.choice([x for x in range(-9, 10) if x])
+        terms[(rng.randint(-2, 2), rng.randint(1, n_pts))] = \
+            Rat(num, rng.randint(1, 7))
+    return GradedElement(lam, terms)
+
+
+@pytest.mark.parametrize("points", [("0", "1", "-1"), ("1/2", "-7/3", "5")])
+def test_bilinear_matches_the_rat_by_rat_reference(points):
+    cfg = Config(points)
+    rng = random.Random(47)
+    n = len(points)
+    cases = [("prod", multiply, 0, 0), ("prod", multiply, 0, 1),
+             ("prod", multiply, 1, -1), ("vfbr", vf_bracket, -1, -1)]
+    cases += [("lied", lie_derivative, -1, lam) for lam in (-1, 0, 1, 2)]
+    for kind, op, lam_f, lam_g in cases:
+        for _ in range(2):
+            f = _random_element(rng, lam_f, n)
+            g = _random_element(rng, lam_g, n)
+            assert op(cfg, f, g) == ref_bilinear(cfg, kind, f, g), (kind, f, g)
+        if lam_f == lam_g:
+            # shared terms: diagonal pairs and both orders of a pair
+            g = f.scale(Rat(-3, 5)) + _random_element(rng, lam_g, n, size=1)
+            assert op(cfg, f, g) == ref_bilinear(cfg, kind, f, g), (kind, f)

@@ -270,6 +270,27 @@ def test_window_degree_bound(capsys, command, window):
               capsys, "MAX_WINDOW_DEGREE")
 
 
+@pytest.mark.parametrize("command", ["table", "cocycle", "affine"])
+def test_reversed_window_exits_2(capsys, command):
+    _rejected([command, "--window=3:1", "--points", "0,1"], capsys,
+              "empty window")
+
+
+@pytest.mark.parametrize("p", [0, 3])
+def test_basis_point_index_bound(capsys, p):
+    _rejected(["basis", "--points", "0,1", "--lambda", "0", "--n", "0",
+               "--p", str(p)], capsys, "out of range 1..2 (marked points)")
+
+
+@pytest.mark.parametrize("pair", ["1,0,-1,1", "1,3,-1,1", "1,1,-1,0",
+                                  "1,1,-1,3"])
+def test_sugawara_pair_point_index_bound(capsys, tmp_path, pair):
+    cfg = _write(tmp_path, "s.json", {"points": ["0", "1"],
+                                      "weights": [1, 1], "depth": 2})
+    _rejected(["sugawara", "--config", cfg, "--pairs", pair], capsys,
+              "out of range 1..2 (marked points)")
+
+
 @pytest.mark.parametrize("command", ["module", "kz", "sugawara"])
 def test_depth_bound(capsys, tmp_path, command):
     cfg = _write(tmp_path, "d.json", {"points": ["0", "1"],
