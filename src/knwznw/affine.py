@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 from ._kernel import RAT0, RAT1, Rat
 from .algebras import _unit_gamma, _unit_product
-from .basis import GradedElement, Section, expand_in_basis
+from .basis import DivisorForm, GradedElement, Section, expand_in_basis
 from .errors import DomainError
-from .ratfield import Poly, RationalFunction, as_rat
+from .ratfield import as_rat
 
 
 class AffineElement:
@@ -149,7 +149,7 @@ class BlockAlgebraElement:
     g_index: int
     pole_point: int          # 1-based point index; 0 for the constant 1
     pole_order: int
-    function: RationalFunction
+    section: Section           # h, of weight 0
     expansion: GradedElement   # weight-0 expansion of h
 
     def as_affine(self):
@@ -161,15 +161,15 @@ def _block_expansions(cfg, pole_bound):
     key = ("blockexp", pole_bound)
     hit = cfg.cache.get(key)
     if hit is None:
-        out = [(0, 0, RationalFunction.one(),
-                expand_in_basis(cfg, Section(0, RationalFunction.one())))]
-        for p in range(1, cfg.n_points + 1):
-            base = RationalFunction(Poly((RAT1,)),
-                                    Poly((-cfg.point(p), RAT1)))
-            f = RationalFunction.one()
+        n_pts = cfg.n_points
+        one = Section(0, DivisorForm(cfg.points, (RAT1,), (0,) * n_pts))
+        out = [(0, 0, one, expand_in_basis(cfg, one))]
+        for p in range(1, n_pts + 1):
             for j in range(1, pole_bound + 1):
-                f = f * base
-                out.append((p, j, f, expand_in_basis(cfg, Section(0, f))))
+                # (z - P_p)^(-j)
+                k = tuple(-j if i == p else 0 for i in range(1, n_pts + 1))
+                h = Section(0, DivisorForm(cfg.points, (RAT1,), k))
+                out.append((p, j, h, expand_in_basis(cfg, h)))
         hit = tuple(out)
         cfg.cache[key] = hit
     return hit
@@ -183,8 +183,8 @@ def block_algebra_basis(cfg, alg, pole_bound):
         raise DomainError("pole bound must be >= 0")
     out = []
     for i in range(alg.dim):
-        for p, j, f, exp in _block_expansions(cfg, pole_bound):
-            out.append(BlockAlgebraElement(i, p, j, f, exp))
+        for p, j, h, exp in _block_expansions(cfg, pole_bound):
+            out.append(BlockAlgebraElement(i, p, j, h, exp))
     return out
 
 

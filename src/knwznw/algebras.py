@@ -49,20 +49,10 @@ class ProjectiveConnection:
 R_ZERO = ProjectiveConnection(RationalFunction.zero())
 
 
-def _as_section(cfg, x):
-    if isinstance(x, GradedElement):
-        return section_from_graded(cfg, x)
-    if isinstance(x, Section):
-        return x
-    raise DomainError("expected a graded element or section")
-
-
-def _as_graded(cfg, x):
-    if isinstance(x, GradedElement):
-        return x
-    if isinstance(x, Section):
-        return expand_in_basis(cfg, x)
-    raise DomainError("expected a graded element or section")
+def _as_graded(x):
+    if not isinstance(x, GradedElement):
+        raise DomainError("expected a graded element")
+    return x
 
 
 def _unit_form(cfg, lam, a):
@@ -89,7 +79,7 @@ def _unit_entry(cfg, lam, form):
     """A cached unit entry: the basis expansion of a form as an integer
     form (D, numerators), in the order of the expansion's terms."""
     return _integer_form(
-        expand_in_basis(cfg, Section.from_form(lam, form)).terms)
+        expand_in_basis(cfg, Section(lam, form)).terms)
 
 
 def _unit_product(cfg, lams, a, b):
@@ -166,8 +156,8 @@ def _bilinear(f, g, lam_out, unit_fn, antisymmetric=False):
 
 def multiply(cfg, f, g):
     """Product F^a x F^b -> F^(a+b), expanded in the basis."""
-    f = _as_graded(cfg, f)
-    g = _as_graded(cfg, g)
+    f = _as_graded(f)
+    g = _as_graded(g)
     lams = (f.lam, g.lam)
     return _bilinear(f, g, f.lam + g.lam,
                      lambda a, b: _unit_product(cfg, lams, a, b))
@@ -175,8 +165,8 @@ def multiply(cfg, f, g):
 
 def vf_bracket(cfg, e, f):
     """Lie bracket of vector fields: [e, f] = (e f' - f e') d/dz."""
-    e = _as_graded(cfg, e)
-    f = _as_graded(cfg, f)
+    e = _as_graded(e)
+    f = _as_graded(f)
     if e.lam != -1 or f.lam != -1:
         raise DomainError("vector fields have weight -1")
     return _bilinear(e, f, -1, lambda a, b: _unit_vf_bracket(cfg, a, b),
@@ -185,10 +175,10 @@ def vf_bracket(cfg, e, f):
 
 def lie_derivative(cfg, e, s):
     """Lie derivative of a weight-h element along a vector field."""
-    e = _as_graded(cfg, e)
+    e = _as_graded(e)
     if e.lam != -1:
         raise DomainError("vector fields have weight -1")
-    s = _as_graded(cfg, s)
+    s = _as_graded(s)
     return _bilinear(e, s, s.lam,
                      lambda a, b: _unit_lie_derivative(cfg, a, s.lam, b))
 
@@ -209,8 +199,8 @@ def _unit_gamma(cfg, a, b):
 
 def cocycle_gamma(cfg, f, g):
     """Function-algebra cocycle: residue sum of f dg over the marked points."""
-    f = _as_graded(cfg, f)
-    g = _as_graded(cfg, g)
+    f = _as_graded(f)
+    g = _as_graded(g)
     if f.lam != 0 or g.lam != 0:
         raise DomainError("gamma is defined on functions")
     total = RAT0
@@ -248,8 +238,8 @@ def _unit_chi(cfg, a, b, R):
 
 def cocycle_chi(cfg, e, f, R=R_ZERO):
     """Vector-field cocycle with projective connection R."""
-    e = _as_graded(cfg, e)
-    f = _as_graded(cfg, f)
+    e = _as_graded(e)
+    f = _as_graded(f)
     if e.lam != -1 or f.lam != -1:
         raise DomainError("chi is defined on vector fields")
     R.validate(cfg)
@@ -273,8 +263,8 @@ def coboundary_compare(cfg, e, f, R, R2):
     R2.validate(cfg)
     diff = cocycle_chi(cfg, e, f, R) - cocycle_chi(cfg, e, f, R2)
     delta = R.value - R2.value
-    br = _bracket_form(cfg, _as_section(cfg, e).form(cfg),
-                       _as_section(cfg, f).form(cfg))
+    br = _bracket_form(cfg, section_from_graded(cfg, e).form(cfg),
+                       section_from_graded(cfg, f).form(cfg))
     witness = RAT0
     if not (delta.is_zero() or br.is_zero()):
         witness = residue_sum(cfg, delta, br) * Rat(1, 12)
@@ -406,8 +396,7 @@ def triangular_decompose(cfg, algebra, window):
     plus, strip, minus = [], [], []
     for n in range(lo, hi + 1):
         for p in range(1, cfg.n_points + 1):
-            rec = kn_basis_element(cfg, KNIndex(lam, n, p))
-            sec = rec
+            sec = kn_basis_element(cfg, KNIndex(lam, n, p))
             o_pts = min(sec.order_at(pt) for pt in cfg.points)
             o_inf = sec.order_at(INFINITY)
             if o_pts >= need_pts:

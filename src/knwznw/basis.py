@@ -37,7 +37,7 @@ from ._kernel import (RAT0, RAT1, Rat, poly_add, poly_deriv, poly_mul,
                       poly_scale)
 from .errors import BasisConstructionError, DomainError
 from .ratfield import (INFINITY, Poly, RationalFunction, as_rat,
-                       local_expansion, order_at)
+                       local_expansion)
 
 
 class Config:
@@ -167,33 +167,6 @@ class DivisorForm:
         self.k = k
         self._taylor = {}
         self._jets = {}
-
-    @classmethod
-    def of_function(cls, points, f):
-        """The form of a rational function; DomainError when it has a pole
-        off the points."""
-        if f.is_zero():
-            return cls(points, (), (0,) * len(points))
-        den = f.den
-        k = []
-        for a in points:
-            t = den.shifted(a)
-            m = 0
-            while t[m].num == 0:
-                m += 1
-            k.append(-m)
-        if sum(k) != -den.degree():
-            for a, e in zip(points, k):
-                if e:
-                    den = den // (Poly((-a, RAT1)) ** -e)
-            if den.degree() == 1:
-                bad = -den.coeffs[0] / den.coeffs[1]
-                raise DomainError("pole at %s outside the marked points" % bad)
-            raise DomainError(
-                "poles outside the marked points (denominator factor %s)"
-                % den)
-        # den is monic, so all that is left of it is 1
-        return cls(points, f.num.coeffs, tuple(k))
 
     def is_zero(self):
         return not self.q
@@ -328,68 +301,44 @@ def residue_sum(cfg, f, g, df=0, dg=0):
 # --------------------------------------------------------------- sections --
 
 class Section:
-    """A weight-lam differential f(z) dz^lam.
+    """A weight-lam differential f(z) dz^lam, with f held as one divisor
+    form relative to the marked points it was made for."""
 
-    f is held as a rational function, as divisor forms relative to
-    configurations, or both; each is built from the other on demand and
-    a form is only ever used with the points it was made for.
-    """
+    __slots__ = ("lam", "_form")
 
-    __slots__ = ("lam", "_value", "_home", "_forms")
-
-    def __init__(self, lam, value):
+    def __init__(self, lam, form):
         self.lam = lam
-        self._value = value if isinstance(value, RationalFunction) \
-            else RationalFunction(value)
-        self._home = None
-        self._forms = {}
-
-    @classmethod
-    def from_form(cls, lam, form):
-        s = cls.__new__(cls)
-        s.lam = lam
-        s._value = None
-        s._home = form
-        s._forms = {form.points: form}
-        return s
+        self._form = form
 
     @property
     def value(self):
-        if self._value is None:
-            self._value = self._home.function()
-        return self._value
+        """f as a reduced rational function, rebuilt on each call; for
+        output only."""
+        return self._form.function()
 
     def form(self, cfg):
-        """Divisor form relative to cfg; DomainError for a pole off its
-        marked points."""
-        got = self._forms.get(cfg.points)
-        if got is None:
-            got = DivisorForm.of_function(cfg.points, self.value)
-            self._forms[cfg.points] = got
-        return got
+        """The divisor form; DomainError unless cfg has its points."""
+        form = self._form
+        if form.points is not cfg.points and form.points != cfg.points:
+            raise DomainError("section of %s used with %r"
+                              % (Config(form.points), cfg))
+        return form
 
     def is_zero(self):
-        if self._value is not None:
-            return self._value.is_zero()
-        return self._home.is_zero()
+        return self._form.is_zero()
 
     def order_at(self, p):
-        home = self._home
-        if home is not None and home.q:
-            if p is INFINITY:
-                return home.order_infinity() - 2 * self.lam
-            if p in home.points:
-                return home.order(home.points.index(p))
+        """Order at a marked point of the form, or at INFINITY with the
+        chart factor."""
+        form = self._form
+        if form.is_zero():
+            raise DomainError("order of zero undefined")
         if p is INFINITY:
-            return order_at(self.value, p) - 2 * self.lam
-        return order_at(self.value, p)
-
-    def __eq__(self, other):
-        return (isinstance(other, Section) and self.lam == other.lam
-                and self.value == other.value)
-
-    def __hash__(self):
-        return hash((self.lam, self.value))
+            return form.order_infinity() - 2 * self.lam
+        if p not in form.points:
+            raise DomainError("%s is not a marked point of %s"
+                              % (p, Config(form.points)))
+        return form.order(form.points.index(p))
 
     def __repr__(self):
         return "Section(lam=%d, %s)" % (self.lam, self.value)
@@ -405,8 +354,7 @@ class GradedElement:
 
     def __init__(self, lam, terms=()):
         self.lam = lam
-        t = dict(terms) if not isinstance(terms, dict) else dict(terms)
-        self.terms = {k: v for k, v in t.items() if v.num != 0}
+        self.terms = {k: v for k, v in dict(terms).items() if v.num != 0}
 
     @classmethod
     def unit(cls, lam, n, p):
@@ -487,7 +435,7 @@ def kn_basis_record(cfg, idx):
             c = c * (home - a)
     k = tuple(e - 1 if i == p else e for i in range(1, cfg.n_points + 1))
     form = DivisorForm(pts, (c ** -e,), k)
-    rec = BasisRecord(Section.from_form(lam, form),
+    rec = BasisRecord(Section(lam, form),
                       dict(enumerate(k, start=1)),
                       -sum(k) - 2 * lam)
     cfg.cache[key] = rec
@@ -509,16 +457,15 @@ def kn_pairing(cfg, f, g):
         raise DomainError("pairing expects sections")
     if f.lam + g.lam != 1:
         raise DomainError("weight mismatch: %d + %d != 1" % (f.lam, g.lam))
-    if f.is_zero() or g.is_zero():
+    ff, gf = f.form(cfg), g.form(cfg)
+    if ff.is_zero() or gf.is_zero():
         return RAT0
-    return residue_sum(cfg, f.form(cfg), g.form(cfg))
+    return residue_sum(cfg, ff, gf)
 
 
 def section_from_graded(cfg, ge):
     """Realize a graded element as an actual section."""
-    if not ge.terms:
-        return Section(ge.lam, RationalFunction.zero())
-    return Section.from_form(ge.lam, linear_combination(cfg.points, [
+    return Section(ge.lam, linear_combination(cfg.points, [
         (c, kn_basis_element(cfg, KNIndex(ge.lam, n, p)).form(cfg))
         for (n, p), c in ge.terms.items()]))
 
@@ -533,10 +480,10 @@ def expand_in_basis(cfg, s):
     """
     if not isinstance(s, Section):
         raise DomainError("expected a section")
-    if s.is_zero():
-        return GradedElement(s.lam, {})
     form = s.form(cfg)
     lam = s.lam
+    if form.is_zero():
+        return GradedElement(lam, {})
     n_pts = cfg.n_points
     orders = [form.order(i) for i in range(n_pts)]
     o_inf = form.order_infinity() - 2 * lam

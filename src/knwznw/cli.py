@@ -25,7 +25,6 @@ from .modules import (ModuleSpec, degree_zero_coinvariant_dimension,
                       induce_module)
 from .ratfield import Poly, RationalFunction
 from .sugawara import sugawara_commutator_audit
-from .verify import run_suite
 
 # Bounds on degree and depth requests, so that none runs unbounded.  At
 # four integer marked points the largest accepted `basis`, `table`,
@@ -212,12 +211,13 @@ def cmd_basis(args):
              "MAX_BASIS_INDEX")
     _point_index(args.p, "--p", cfg)
     rec = kn_basis_record(cfg, KNIndex(args.lam, args.n, args.p))
+    value = rec.section.value
     payload = {
         "lambda": args.lam,
         "n": args.n,
         "p": args.p,
-        "num": _poly_json(rec.section.value.num),
-        "den": _poly_json(rec.section.value.den),
+        "num": _poly_json(value.num),
+        "den": _poly_json(value.den),
         "orders": {str(i): o for i, o in rec.orders.items()}
                   | {"infinity": rec.order_infinity},
         "adjusted": False,
@@ -413,6 +413,7 @@ def cmd_kz(args):
 
 
 def cmd_verify(args):
+    from .verify import run_suite  # imported here: no other command needs it
     results = run_suite(args.suite)
     payload = {
         "suite": args.suite,

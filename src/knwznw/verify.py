@@ -21,9 +21,10 @@ from .algebras import (ProjectiveConnection, R_ZERO, cocycle_chi,
                        cocycle_gamma, coboundary_compare, grading_report,
                        lie_derivative, multiply, triangular_decompose,
                        vf_bracket)
-from .basis import (Config, GradedElement, KNIndex, Section, expand_in_basis,
-                    homogeneous_dimension, kn_basis_element, kn_basis_record,
-                    kn_pairing, section_from_graded)
+from .basis import (Config, DivisorForm, GradedElement, KNIndex, Section,
+                    expand_in_basis, homogeneous_dimension, kn_basis_element,
+                    kn_basis_record, kn_pairing, linear_combination,
+                    section_from_graded)
 from .errors import KNError
 from .finite_lie import factor_op, make_algebra
 from .kz import (classical_oracle_matrices, flatness_check, kz_matrices,
@@ -111,8 +112,10 @@ def rescaling_invariance(lams=LAMS):
             for p in (1, 2):
                 f = kn_basis_element(cfg, KNIndex(lam, n, p))
                 g = kn_basis_element(cfg, KNIndex(1 - lam, -n, p))
-                fs = Section(lam, f.value * (a1 ** n))
-                gs = Section(1 - lam, g.value * (a1 ** (-n)))
+                fs = Section(lam, linear_combination(
+                    cfg.points, [(a1 ** n, f.form(cfg))]))
+                gs = Section(1 - lam, linear_combination(
+                    cfg.points, [(a1 ** -n, g.form(cfg))]))
                 if kn_pairing(cfg, fs, gs) != RAT1:
                     return False, "pairing not scale invariant at %s" % (
                         (lam, n, p),)
@@ -461,7 +464,8 @@ def psi_homomorphism():
 def partition_of_unity():
     for n_pts in (1, 2, 3):
         cfg = sample_config(n_pts)
-        ge = expand_in_basis(cfg, Section(0, RationalFunction.one()))
+        one = DivisorForm(cfg.points, (RAT1,), (0,) * n_pts)
+        ge = expand_in_basis(cfg, Section(0, one))
         want = GradedElement(0, {(0, p): RAT1 for p in range(1, n_pts + 1)})
         if ge != want:
             return False, "1 != sum A_{0,p} at N=%d" % n_pts

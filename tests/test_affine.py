@@ -4,12 +4,13 @@ import random
 
 import pytest
 
+from conftest import section_of
 from knwznw import Rat
 from knwznw._kernel import RAT0, RAT1
 from knwznw.affine import (AffineElement, affine_bracket, affine_decompose,
                            block_algebra_basis, g_tuple_bracket, psi_project)
 from knwznw.algebras import cocycle_gamma
-from knwznw.basis import Config, GradedElement, Section, expand_in_basis
+from knwznw.basis import Config, GradedElement, expand_in_basis
 from knwznw.errors import DomainError
 from knwznw.exactlinalg import nullspace
 from knwznw.finite_lie import make_algebra
@@ -62,7 +63,7 @@ def test_bracket_against_raw_product_oracle(cfg2, sl2):
     from knwznw.basis import section_from_graded
     fv = section_from_graded(cfg2, f_ge).value
     gv = section_from_graded(cfg2, g_ge).value
-    prod = expand_in_basis(cfg2, Section(0, fv * gv))
+    prod = expand_in_basis(cfg2, section_of(cfg2, 0, fv * gv))
     out = affine_bracket(cfg2, sl2,
                          AffineElement.loop_term(E, -1, 1),
                          AffineElement.loop_term(F, 1, 2))
@@ -93,11 +94,12 @@ def test_decompose(cfg2, sl2):
     minus, zero, plus, central = affine_decompose(a)
     assert minus.is_zero() and zero.is_zero() and not plus.is_zero()
     # x ot 1 lives purely in the zero strip
-    one = expand_in_basis(cfg2, Section(0, RF.one()))
+    one = expand_in_basis(cfg2, section_of(cfg2, 0, RF.one()))
     xa = AffineElement({(E, n, p): c for (n, p), c in one.terms.items()})
     minus, zero, plus, central = affine_decompose(xa)
     assert minus.is_zero() and plus.is_zero() and zero == xa
-    vanish = expand_in_basis(cfg2, Section(0, RF(Poly((1,)), Poly.x())))
+    vanish = expand_in_basis(cfg2,
+                             section_of(cfg2, 0, RF(Poly((1,)), Poly.x())))
     xv = AffineElement({(E, n, p): c for (n, p), c in vanish.terms.items()})
     minus, zero, plus, central = affine_decompose(xv)
     assert plus.is_zero() and zero.is_zero() and minus == xv
@@ -116,8 +118,8 @@ def test_block_algebra_dimension_and_expansion(cfg2, sl2):
     assert len(nullspace(rows, 3)) == 3
     for u in gens:
         if u.pole_order:
-            assert u.function.den.mult_at(cfg2.point(u.pole_point)) \
-                == u.pole_order
+            assert u.section.order_at(cfg2.point(u.pole_point)) \
+                == -u.pole_order
 
 
 def test_block_cocycle_vanishes(cfg2, sl2):

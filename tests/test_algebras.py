@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import section_of
 from knwznw import Rat
 from knwznw.algebras import (ProjectiveConnection,
                              R_ZERO, coboundary_compare, cocycle_chi,
@@ -51,8 +52,7 @@ def test_multiply_example_degree_zero_component(cfg2):
     assert out.coefficient(0, 2) == Rat(0)
     assert min(out.support_degrees()) >= 0
     # oracle: expand the raw product (1-z) z directly
-    from knwznw.basis import Section, expand_in_basis
-    assert out == expand_in_basis(cfg2, Section(0, RF((1 - z) * z)))
+    assert out == expand_in_basis(cfg2, section_of(cfg2, 0, RF((1 - z) * z)))
 
 
 def test_virasoro_bracket(cfg1):
@@ -70,20 +70,18 @@ def test_bracket_antisymmetry(cfg2):
 
 
 def test_bracket_against_direct_computation(cfg2):
-    from knwznw.basis import Section, expand_in_basis
     e = kn_basis_element(cfg2, KNIndex(-1, 0, 1))
     f = kn_basis_element(cfg2, KNIndex(-1, 0, 2))
     direct = e.value * f.value.deriv() - f.value * e.value.deriv()
     assert vf_bracket(cfg2, U(-1, 0, 1), U(-1, 0, 2)) == \
-        expand_in_basis(cfg2, Section(-1, direct))
+        expand_in_basis(cfg2, section_of(cfg2, -1, direct))
 
 
 def test_lie_derivative_monomials(cfg1):
     # e_0 = z d/dz on the raw monomial z^m dz^lam gives (m + lam) z^m dz^lam
-    from knwznw.basis import Section, expand_in_basis
     for lam in (-1, 0, 1, 2):
         for m in range(-3, 4):
-            s = expand_in_basis(cfg1, Section(lam, RF(z) ** m))
+            s = expand_in_basis(cfg1, section_of(cfg1, lam, RF(z) ** m))
             out = lie_derivative(cfg1, U(-1, 0), s)
             assert out == s.scale(Rat(m + lam))
     # on basis elements the eigenvalue is the degree itself
@@ -136,10 +134,9 @@ def test_gamma_antisymmetric(cfg2):
 
 def test_gamma_block_vanishing(cfg2):
     # functions with poles only at marked points: 1 and (z - P)^(-j)
-    from knwznw.basis import Section, expand_in_basis
-    fs = [expand_in_basis(cfg2, Section(0, RF.one())),
-          expand_in_basis(cfg2, Section(0, RF(Poly((1,)), z))),
-          expand_in_basis(cfg2, Section(0, RF(Poly((1,)), (z - 1) ** 2)))]
+    fs = [expand_in_basis(cfg2, section_of(cfg2, 0, f))
+          for f in (RF.one(), RF(Poly((1,)), z),
+                    RF(Poly((1,)), (z - 1) ** 2))]
     for a in fs:
         for b in fs:
             assert cocycle_gamma(cfg2, a, b) == Rat(0)
@@ -316,7 +313,7 @@ def ref_bilinear(cfg, kind, f, g):
     out = {}
     for a, ca in f.terms.items():
         for b, cb in g.terms.items():
-            unit = expand_in_basis(cfg, Section.from_form(
+            unit = expand_in_basis(cfg, Section(
                 lam, ref_unit_form(cfg, kind, f.lam, a, g.lam, b)))
             for k, v in unit.terms.items():
                 out[k] = out.get(k, Rat(0)) + ca * cb * v

@@ -5,11 +5,11 @@ from math import comb
 
 import pytest
 
+from conftest import section_of
 from knwznw import Rat
-from knwznw.basis import (Config, GradedElement, KNIndex, Section,
-                          expand_in_basis, homogeneous_dimension,
-                          kn_basis_element, kn_basis_record, kn_pairing,
-                          section_from_graded)
+from knwznw.basis import (Config, GradedElement, KNIndex, expand_in_basis,
+                          homogeneous_dimension, kn_basis_element,
+                          kn_basis_record, kn_pairing, section_from_graded)
 from knwznw.errors import DomainError
 from knwznw.exactlinalg import nullspace
 from knwznw.ratfield import (INFINITY, Poly, RationalFunction as RF,
@@ -65,7 +65,7 @@ def test_pairing_delta_examples(cfg2):
     w01 = kn_basis_element(cfg2, KNIndex(1, 0, 1))
     assert kn_pairing(cfg2, a01, w01) == Rat(1)
     assert kn_pairing(cfg2, a02, w01) == Rat(0)
-    assert kn_pairing(cfg2, a01, Section(1, RF.zero())) == Rat(0)
+    assert kn_pairing(cfg2, a01, section_of(cfg2, 1, RF.zero())) == Rat(0)
 
 
 def test_pairing_weight_mismatch(cfg2):
@@ -106,24 +106,18 @@ def test_expand_basis_element_roundtrip(cfg2):
 
 
 def test_expand_constant(cfg3):
-    ge = expand_in_basis(cfg3, Section(0, RF.one()))
+    ge = expand_in_basis(cfg3, section_of(cfg3, 0, RF.one()))
     assert ge == GradedElement(0, {(0, p): Rat(1) for p in (1, 2, 3)})
 
 
 def test_expand_polynomial(cfg2):
-    s = Section(0, RF(z ** 2 * (z - 1) ** 2))
+    s = section_of(cfg2, 0, RF(z ** 2 * (z - 1) ** 2))
     ge = expand_in_basis(cfg2, s)
     assert section_from_graded(cfg2, ge).value == s.value
     # evaluation oracle at sample points away from the configuration
     back = section_from_graded(cfg2, ge).value
     for a in (Rat(2), Rat(-3), Rat(1, 2)):
         assert back(a) == s.value(a)
-
-
-def test_expand_pole_outside_errors(cfg2):
-    s = Section(0, RF(Poly((1,)), z - 7))
-    with pytest.raises(DomainError, match="7"):
-        expand_in_basis(cfg2, s)
 
 
 def test_expand_random_combinations(cfg3):
@@ -179,8 +173,8 @@ def test_rescaling_covariance(cfg2):
             for p in (1, 2):
                 f = kn_basis_element(cfg2, KNIndex(lam, n, p))
                 g = kn_basis_element(cfg2, KNIndex(1 - lam, -n, p))
-                fs = Section(lam, f.value * (a1 ** n))
-                gs = Section(1 - lam, g.value * (a1 ** (-n)))
+                fs = section_of(cfg2, lam, f.value * (a1 ** n))
+                gs = section_of(cfg2, 1 - lam, g.value * (a1 ** (-n)))
                 assert kn_pairing(cfg2, fs, gs) == Rat(1)
 
 
@@ -287,28 +281,35 @@ def test_closed_form_matches_solver(points):
 
 
 def test_divisor_form_is_config_relative():
-    # one Section object expanded in several configurations: each must
-    # get its own expansion, whatever forms and jets an earlier
-    # configuration left cached on the section
+    # a section is one form on the points it was made for: each
+    # configuration expands its own elements, and a Config with the same
+    # points is the same configuration
     cfg_a = Config(["0", "1"])
     cfg_b = Config(["0", "1", "-1"])
-    cfg_swapped = Config(["1", "0"])
     s = kn_basis_element(cfg_a, KNIndex(0, -1, 1))
     assert expand_in_basis(cfg_a, s) == GradedElement(0, {(-1, 1): Rat(1)})
-    for cfg in (cfg_b, cfg_swapped):
-        got = expand_in_basis(cfg, s)
-        fresh = Config(list(cfg.points))
-        assert got == expand_in_basis(fresh, Section(0, s.value))
-        assert section_from_graded(cfg, got).value == s.value
-    assert expand_in_basis(cfg_swapped, s) == GradedElement(
-        0, {(n, 3 - p): c for (n, p), c in expand_in_basis(
-            Config(["0", "1"]), Section(0, s.value)).terms.items()})
-    dual = kn_basis_element(cfg_b, KNIndex(1, 1, 1))
-    assert kn_pairing(cfg_b, s, dual) == kn_pairing(
-        Config(["0", "1", "-1"]), Section(0, s.value), Section(1, dual.value))
-    # an element of cfg_b with its pole at -1 has no form relative to cfg_a
+    assert expand_in_basis(Config(["0", "1"]), s) == \
+        GradedElement(0, {(-1, 1): Rat(1)})
     t = kn_basis_element(cfg_b, KNIndex(0, -1, 3))
     assert expand_in_basis(cfg_b, t) == GradedElement(0, {(-1, 3): Rat(1)})
-    with pytest.raises(DomainError,
-                       match="pole at -1 outside the marked points"):
-        expand_in_basis(cfg_a, t)
+
+
+@pytest.mark.parametrize("other", [["0", "1", "-1"], ["1", "0"]])
+@pytest.mark.parametrize("use", ["pairing", "expand", "form"])
+def test_section_used_with_another_configuration_raises(other, use):
+    cfg = Config(["0", "1"])
+    s = kn_basis_element(cfg, KNIndex(0, -1, 1))
+    wrong = Config(other)
+    with pytest.raises(DomainError, match="used with"):
+        if use == "pairing":
+            kn_pairing(wrong, s, kn_basis_element(wrong, KNIndex(1, 1, 1)))
+        elif use == "expand":
+            expand_in_basis(wrong, s)
+        else:
+            s.form(wrong)
+
+
+def test_order_at_a_point_that_is_not_marked_raises(cfg2):
+    s = kn_basis_element(cfg2, KNIndex(0, -1, 1))
+    with pytest.raises(DomainError, match="not a marked point"):
+        s.order_at(Rat(7))

@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from conftest import section_of
 from knwznw import Rat
 from knwznw._kernel import RAT0, RAT1
 from knwznw.affine import AffineElement, affine_bracket, block_algebra_basis
@@ -221,9 +222,9 @@ def test_reduce_single_mode_fock(fock):
 def test_reduce_diagonal_action(weyl11, cfg2, sl2):
     # x ot 1 = sum_p x ot A_{0,p} acts by the diagonal tensor action and
     # is already a degree-0 representative (its class is zero)
-    from knwznw.basis import Section, expand_in_basis
+    from knwznw.basis import expand_in_basis
     from knwznw.ratfield import RationalFunction as RF
-    one = expand_in_basis(cfg2, Section(0, RF.one()))
+    one = expand_in_basis(cfg2, section_of(cfg2, 0, RF.one()))
     xa = AffineElement({(E, n, p): c for (n, p), c in one.terms.items()})
     v = weyl11.vacuum_vector(3)
     img = weyl11.act(xa, v)
