@@ -325,17 +325,12 @@ def cmd_module(args):
         payload["coinvariant_dimension_degree0"] = \
             degree_zero_coinvariant_dimension(module)
     if args.action:
-        basis0 = module.slice_basis(0)
-        index = {m: i for i, m in enumerate(basis0)}
-        mats = {}
-        for p in range(1, cfg.n_points + 1):
-            for i, label in enumerate(alg.labels):
-                rows = [["0"] * len(basis0) for _ in basis0]
-                for col, mono in enumerate(basis0):
-                    for m2, c in module._act_gen((0, p, i), mono).items():
-                        rows[index[m2]][col] = _rat_str(c)
-                mats["%s(0,%d)" % (label, p)] = rows
-        payload["degree0_action"] = mats
+        payload["degree0_action"] = {
+            "%s(0,%d)" % (label, p):
+                [[_rat_str(c) for c in row]
+                 for row in module.degree_zero_action(p, i)]
+            for p in range(1, cfg.n_points + 1)
+            for i, label in enumerate(alg.labels)}
     _emit(args, payload)
     return 0
 
@@ -384,11 +379,9 @@ def cmd_kz(args):
     level = _parse_rat(data.get("level", "1"))
     depth = _parse_depth(data.get("depth", 4))
     system = kz_matrices(cfg, alg, weights, level, depth)
-    flat = "n/a"
-    if not system.partial and cfg.n_points >= 3:
-        flat = "ok" if flatness_check(system).holds else "violated"
-    elif not system.partial:
-        flat = "ok"
+    flat = "ok"
+    if cfg.n_points >= 3 and not flatness_check(system).holds:
+        flat = "violated"
     payload = {
         "points": [_rat_str(p) for p in cfg.points],
         "lie_algebra": alg.kind,

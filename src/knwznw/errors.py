@@ -21,14 +21,6 @@ class CriticalLevelError(DomainError):
     """Level c with c + dual Coxeter number = 0."""
 
 
-class CoinvariantReductionError(KNError):
-    """Relations that did not reduce to the degree-zero slice.
-
-    Raised instead of leaving them out of a coinvariant count, which
-    would inflate it.
-    """
-
-
 class TruncationOverflow(KNError):
     """An operation produced terms below the module's depth window.
 

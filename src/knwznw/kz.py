@@ -7,8 +7,10 @@ span the N-3 true moduli directions with a kernel; the raw fields are kept
 and the kernel is reported as metadata).
 
 The connection matrix in direction p is the Sugawara operator of e_{-1,p}
-on the degree-zero slice of the induced module, pushed back to degree zero
-through coinvariant reduction; the emitted system reads
+on the degree-zero slice of the induced module, read modulo the block
+algebra: at genus 0 the coinvariant representative of a vector is its
+degree-zero part (see `modules.InducedModule.coinvariant_reduce`), so
+every image reduces and no system is partial.  The emitted system reads
 
     dPhi/dz_p = -A_p Phi .
 
@@ -85,10 +87,10 @@ class KZSystem:
     level: Rat
     matrices: list                 # N matrices on the degree-zero slice
     kappa: object                  # Rat or None (degenerate fit)
-    scalar_shifts: list            # per-point Rat, or None when partial
+    scalar_shifts: list            # per-point Rat, None where not scalar
     sign_convention: object        # +1 / -1 / None
     residual_zero: bool
-    partial: bool
+    partial: bool                  # always False: every image reduces
     metadata: dict = field(default_factory=dict)
 
     @property
@@ -174,13 +176,13 @@ def kz_matrices(cfg, alg, weights, level, depth):
 
     Builds the induced module (weyl for sl2, fock for the abelian
     algebra), applies the Sugawara operator of each point-moving field to
-    the degree-zero basis, reduces each image to degree zero and fits
+    the degree-zero basis, keeps the degree-zero part of each image (its
+    coinvariant representative, `coinvariant_reduce`) and fits
 
         A_p = kappa * M_p + sigma_p * Id
 
     against the Casimir oracle matrices M_p.  Residuals must vanish
-    exactly; any basis vector whose reduction leaves a monomial without a
-    rule (status 'budget-exhausted') marks the system partial.
+    exactly.  `partial` is always False.
     """
     level = level if isinstance(level, Rat) else Rat(level)
     kind = "fock" if alg.kind == "abelian1" else "weyl"
@@ -192,71 +194,49 @@ def kz_matrices(cfg, alg, weights, level, depth):
     dim = len(basis)
     index = {m: i for i, m in enumerate(basis)}
     matrices = []
-    partial = False
     for p, l in enumerate(fields, start=1):
         mat = [[RAT0] * dim for _ in range(dim)]
         for col, mono in enumerate(basis):
             w = T_of_vectorfield(module, l, ModuleVector.monomial(mono))
-            red, status = module.coinvariant_reduce(w, depth)
-            if status != "reduced-to-degree-0":
-                partial = True
-                continue
-            for m2, c in red.terms.items():
-                row = index.get(m2)
-                if row is None:
-                    raise DomainError("reduced vector left the degree-0 slice")
-                mat[row][col] = c
+            for m2, c in module.coinvariant_reduce(w).terms.items():
+                mat[index[m2]][col] = c
         matrices.append(mat)
 
     oracle = classical_oracle_matrices(cfg, alg, weights)
     kappa = None
-    shifts = None
-    residual_zero = False
+    residual_zero = True
     sign = None
-    fit_mode = "partial"
-    if not partial:
-        den = RAT0
-        num = RAT0
-        for a, m in zip(matrices, oracle):
-            den = den + _traceless_dot(m, m)
-            num = num + _traceless_dot(a, m)
-        if den.num != 0:
-            kappa = num / den
-            fit_mode = "traceless"
-        elif any(any(c.num != 0 for row in m for c in row) for m in oracle):
-            # oracle matrices are scalar (abelian): use the structural value
-            kappa = fac
-            fit_mode = "scalar-oracle"
-        else:
-            fit_mode = "degenerate"
-        if kappa is not None:
-            shifts = []
-            residual_zero = True
-            for a, m in zip(matrices, oracle):
-                r = [[a[i][j] - kappa * m[i][j] for j in range(dim)]
-                     for i in range(dim)]
-                s = _is_scalar_matrix(r)
-                if s is None:
-                    residual_zero = False
-                    shifts.append(None)
-                else:
-                    shifts.append(s)
-            sign = 1 if kappa > 0 else -1
-        else:
-            # fully degenerate (all-zero oracle): matrices must be scalar
-            shifts = []
-            residual_zero = True
-            for a in matrices:
-                s = _is_scalar_matrix(a)
-                if s is None:
-                    residual_zero = False
-                    shifts.append(None)
-                else:
-                    shifts.append(s)
+    den = RAT0
+    num = RAT0
+    for a, m in zip(matrices, oracle):
+        den = den + _traceless_dot(m, m)
+        num = num + _traceless_dot(a, m)
+    if den.num != 0:
+        kappa = num / den
+        fit_mode = "traceless"
+    elif any(any(c.num != 0 for row in m for c in row) for m in oracle):
+        # oracle matrices are scalar (abelian): use the structural value
+        kappa = fac
+        fit_mode = "scalar-oracle"
+    else:
+        fit_mode = "degenerate"
+    if kappa is not None:
+        sign = 1 if kappa > 0 else -1
+        residuals = [[[a[i][j] - kappa * m[i][j] for j in range(dim)]
+                      for i in range(dim)]
+                     for a, m in zip(matrices, oracle)]
+    else:
+        # fully degenerate (all-zero oracle): matrices must be scalar
+        residuals = matrices
+    shifts = []
+    for r in residuals:
+        s = _is_scalar_matrix(r)
+        residual_zero = residual_zero and s is not None
+        shifts.append(s)
     meta["fit"] = fit_mode
     meta["rescale_factor"] = fac
     return KZSystem(cfg, alg.kind, tuple(weights), level, matrices, kappa,
-                    shifts, sign, residual_zero, partial, meta)
+                    shifts, sign, residual_zero, False, meta)
 
 
 @dataclass
@@ -274,8 +254,6 @@ def flatness_check(system):
     distinct indices: the algebraic identities equivalent to flatness of
     the classical system.  Exact; vacuous for N = 2.
     """
-    if system.partial:
-        raise DomainError("flatness check requires a complete system")
     cfg = system.config
     n = cfg.n_points
     if n < 3:

@@ -21,14 +21,12 @@ hit the vacuum.  Internal arithmetic never truncates; the public action
 refuses to return terms outside the depth window and reports the lost
 degrees instead.
 
-Coinvariant reduction rewrites the leading creation entry of a monomial
-through the basis expansion of the block-algebra generator with the
-matching leading pole; each rewrite strictly raises the total degree, so
-every monomial ends in the degree-zero slice.  The reduction is linear,
-so it is memoised per monomial as a degree-zero row, shared by every
-vector and relation that reaches it.  A leading pole deeper than the pole
-bound has no rule; such a monomial stays in its row, and the reduction
-reports that as a status, not an error.
+Coinvariants are taken under the block algebra B: g-valued functions
+regular at infinity with poles only at the marked points.  At genus 0
+every monomial of negative degree lies in B . M, so the representative of
+a vector is its degree-zero part, and the coinvariant dimension is the
+codimension of x (x) 1 acting on the degree-zero slice.  No rewriting is
+needed; `degree_zero_coinvariant_dimension` gives the argument.
 """
 
 from __future__ import annotations
@@ -37,10 +35,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ._kernel import RAT0, RAT1, Rat
-from .affine import AffineElement, _block_expansions, affine_bracket
+from .affine import AffineElement, affine_bracket
 from .basis import Config
-from .errors import (CoinvariantReductionError, DomainError,
-                     TruncationOverflow)
+from .errors import DomainError, TruncationOverflow
 from .finite_lie import GaugeAlgebra, finite_irrep, tensor_strides
 from .ratfield import as_rat
 
@@ -188,7 +185,6 @@ class InducedModule:
         self._act_memo = {}
         self._bracket_memo = {}
         self._slice_memo = {}
-        self._reductions = {}  # pole bound -> _Reduction
         self._sugawara_memo = {}  # see sugawara.apply_L_raw
 
     # -- PBW bookkeeping -------------------------------------------------
@@ -379,135 +375,49 @@ class InducedModule:
             raise TruncationOverflow(lost_deg, lost_width)
         return ModuleVector(out)
 
+    def degree_zero_action(self, p, i, lost=None):
+        """Matrix of x_(0,p,i) on `slice_basis(0)`: column c holds the
+        image of the c-th basis monomial.
+
+        x_(0,p,i) changes no degree, so only a verma module's width bound
+        can push an image out of the slice.  Such an image raises
+        TruncationOverflow with the lengths of its strings past the bound;
+        given a dict `lost`, its column is left zero instead, and
+        lost[c] gets those lengths.
+        """
+        basis0 = self.slice_basis(0)
+        index = {m: r for r, m in enumerate(basis0)}
+        mat = [[RAT0] * len(basis0) for _ in basis0]
+        out = {} if lost is None else lost
+        for col, mono in enumerate(basis0):
+            image = self._act_gen((0, p, i), mono)
+            widths = {len(m2.creation) for m2 in image if m2 not in index}
+            if widths:
+                out.setdefault(col, set()).update(widths)
+                continue
+            for m2, c in image.items():
+                mat[index[m2]][col] = c
+        if lost is None and out:
+            raise TruncationOverflow(lost_widths=set().union(*out.values()))
+        return mat
+
     # -- coinvariants ----------------------------------------------------
 
-    def _rules(self, pole_bound):
-        key = ("reduce-rules", pole_bound)
-        hit = self.cfg.cache.get(key)
-        if hit is None:
-            rules = {}
-            for p, j, _f, exp in _block_expansions(self.cfg, pole_bound):
-                if j == 0:
-                    continue
-                lead = exp.coefficient(-j, p)
-                if lead != RAT1:
-                    raise DomainError(
-                        "block generator expansion is not normalized")
-                rest = [(n, pp, c) for (n, pp), c in exp.items()
-                        if (n, pp) != (-j, p)]
-                if any(n <= -j for n, _pp, _c in rest):
-                    raise DomainError("block expansion has no unique leader")
-                rules[(-j, p)] = tuple(rest)
-            hit = rules
-            self.cfg.cache[key] = hit
-        return hit
+    def coinvariant_reduce(self, v):
+        """Representative of v modulo the block-algebra action: the
+        degree-0 part of v.
 
-    def _reduction(self, pole_bound):
-        hit = self._reductions.get(pole_bound)
-        if hit is None:
-            hit = _Reduction(self, self._rules(pole_bound))
-            self._reductions[pole_bound] = hit
-        return hit
-
-    def coinvariant_reduce(self, v, pole_bound):
-        """Representative of v modulo the block-algebra action.
-
-        Sums the memoised degree-0 rows of v's monomials (see
-        `_Reduction`).  Returns (vector, status) with status
-        'reduced-to-degree-0' or 'budget-exhausted'.  Exhaustion means a
-        monomial whose leading entry has negative degree but no rule at
-        this pole bound (its pole is deeper than pole_bound) survives in
-        the sum; it is a status, not an error, and the vector then keeps
-        such monomials beside its degree-0 part.
+        At genus 0 every monomial of negative degree lies in B . M.  Its
+        creation string is sorted, so it starts with an entry x_(n,p,i)
+        with n <= -1, and the monomial is x_(n,p,i) applied to the rest of
+        the string.  x_(n,p,i) is x (x) A_{n,p}, and A_{n,p} with n <= -1
+        vanishes at infinity and has poles only at the marked points, so
+        it lies in the block algebra.  The degree-0 part is unique up to
+        the relations of x (x) 1 on degree 0 (see
+        `degree_zero_coinvariant_dimension`).
         """
-        reduction = self._reduction(pole_bound)
-        acc = {}
-        for m, c in v.terms.items():
-            _merge(acc, reduction.row(m), c)
-        stuck = any(m.creation and m.creation[0][0] < 0 for m in acc)
-        return (ModuleVector(acc),
-                "budget-exhausted" if stuck else "reduced-to-degree-0")
-
-
-class _Reduction:
-    """Degree-0 rows of monomials modulo the block algebra, memoised.
-
-    A row is a dict {monomial: Rat} over the degree-0 slice, plus any
-    monomial left without a rule; the rows of monomials that reduce to
-    zero are all the shared `_ZERO`.  Rows are never mutated once
-    memoised.  `row(m)` is the representative of m: m itself when its
-    leading entry has degree >= 0 or no rule, else that entry x_(n,p,i)
-    is rewritten through the block generator
-    x (x) (z - P_p)^n = x_(n,p,i) + sum c2 x_(n2,p2,i), all n2 > n, so
-    row(m) = -sum c2 act_row(x_(n2,p2,i), rest).  `act_row(g, m)` is the
-    row of g.m; it follows the normal ordering of `InducedModule._act_gen`
-    without building the dict g.m itself.  Total degree rises strictly
-    with each rewrite, so the recursion ends.
-    """
-
-    __slots__ = ("module", "rules", "rows", "act_rows")
-
-    def __init__(self, module, rules):
-        self.module = module
-        # leading entry (n, p, i) -> the terms (x_(n2,p2,i), -c2) of its rule
-        self.rules = {(n, p, i): tuple(((n2, p2, i), -c2)
-                                       for n2, p2, c2 in rule)
-                      for (n, p), rule in rules.items()
-                      for i in range(module.alg.dim)}
-        self.rows = {}
-        self.act_rows = {}
-
-    def row(self, mono):
-        hit = self.rows.get(mono)
-        if hit is not None:
-            return hit
-        creation = mono.creation
-        rule = self.rules.get(creation[0]) if creation else None
-        if rule is None:
-            res = {mono: RAT1}
-        else:
-            rest = PBWMonomial(creation[1:], mono.vacuum)
-            acc = {}
-            for gen, c in rule:
-                r = self.act_row(gen, rest)
-                if r:
-                    _merge(acc, r, c)
-            res = acc or _ZERO
-        self.rows[mono] = res
-        return res
-
-    def act_row(self, gen, mono):
-        key = (gen, mono)
-        hit = self.act_rows.get(key)
-        if hit is not None:
-            return hit
-        module = self.module
-        creation = mono.creation
-        if not creation:
-            acc = {}
-            for m2, c in module._vacuum_action(gen, mono.vacuum).items():
-                _merge(acc, self.row(m2), c)
-            res = acc or _ZERO
-        elif module._is_creation(gen) and gen <= creation[0]:
-            res = self.row(PBWMonomial((gen,) + creation, mono.vacuum))
-        else:
-            rest = PBWMonomial(creation[1:], mono.vacuum)
-            c1 = creation[0]
-            acc = {}
-            for m2, c in module._act_gen(gen, rest).items():
-                r = self.act_row(c1, m2)
-                if r:
-                    _merge(acc, r, c)
-            loop, central = module._bracket_gens(gen, c1)
-            for gen2, cb in loop:
-                r = self.act_row(gen2, rest)
-                if r:
-                    _merge(acc, r, cb)
-            if central.num != 0:
-                _merge(acc, self.row(rest), central)
-            res = acc or _ZERO
-        self.act_rows[key] = res
-        return res
+        return ModuleVector({m: c for m, c in v.terms.items()
+                             if m.degree == 0})
 
 
 def induce_module(alg, cfg, spec):
@@ -516,51 +426,39 @@ def induce_module(alg, cfg, spec):
 
 
 def degree_zero_coinvariant_dimension(module):
-    """Truncated conformal-block diagnostic.
+    """Dimension of the coinvariants M / B . M of the block algebra B.
 
-    Takes the degree-0 row of every relation u . w, with u a
-    block-algebra generator of pole order j and w a basis monomial of
-    degree d, over all pairs with j + |d| <= depth, and returns the
-    codimension of their span inside the degree-zero slice (see
-    `_relation_span`).  This reports the truncated coinvariant dimension
-    only; no fusion-rule dimension is claimed.
+    At genus 0 this is the codimension of the relations of x (x) 1 in
+    the degree-0 slice (see `_relation_span`), exactly: nothing is
+    truncated, and the depth plays no role.  Three facts make it so.
+      - Negative-degree monomials lie in B . M (see
+        `InducedModule.coinvariant_reduce`).
+      - Any other block element has its loop part in g (x) A_-, where
+        A_- is spanned by the A_{n,p} with n <= -1: by partial fractions
+        (z - P_p)^-j is such a combination.  A_- . A_{<=0} lies in A_-
+        and gamma(A_-, A_{<=0}) = 0, so commuting the element through a
+        creation string leaves brackets in g (x) A_- with no central term,
+        and on the vacuum it creates.  It maps M into negative degrees.
+      - x (x) 1 changes no degree (1 A_{n,p} = A_{n,p}, gamma(1, f) = 0).
+    So B . M is the negative-degree part plus (x (x) 1) . M_0.  No
+    fusion-rule dimension is claimed.
     """
     return len(module.slice_basis(0)) - len(_relation_span(module))
 
 
 def _relation_span(module):
-    """Echelon rows spanning the relations of the coinvariant dimension.
+    """Echelon rows spanning the relations of x (x) 1 on the degree-0
+    slice, as {leading column: row}, rows as lists over `slice_basis(0)`.
 
-    Returns {leading column: row}, rows as lists over `slice_basis(0)`.
-    The row of u . w is sum c * act_row(x_(n,p,i), w) over the loop terms
-    of u, so the image u . w is never built.  Stops as soon as the span
-    fills the slice.
-
-    The relations x (x) 1 . w with w of degree d < 0 are left out: their
-    rows are identically zero.
-      - 1 A_{n,p} = A_{n,p} and gamma(1, f) = 0, so x (x) 1 commutes
-        through the creation string without changing a degree, and every
-        term of (x (x) 1) . w has degree d < 0.
-      - At genus 0 the negative loop part lies in the block algebra, so
-        at pole bound = depth every monomial of negative degree (down to
-        -depth) reduces to 0, and the row of (x (x) 1) . w is 0.
-
-    The pole bound is the depth, so every leading entry a relation reaches
-    has a rule; a relation that still fails to reduce raises
-    CoinvariantReductionError, and one whose row holds a degree-0 string
-    longer than a verma module's width bound raises TruncationOverflow,
-    because leaving either out would inflate the dimension.
+    x (x) 1 = sum_p x (x) A_{0,p}, so the relations of x_i (x) 1 are the
+    columns of the sum over p of `degree_zero_action(p, i)`.  Stops as soon
+    as the span fills the slice.  A relation that reaches a degree-0 string
+    longer than a verma module's width bound is left out: that cannot
+    shrink a full span, but a span that stays short raises
+    TruncationOverflow, because the dimension would then be inflated.
     """
-    from .affine import block_algebra_basis
-
-    depth = module.spec.depth
-    gens = block_algebra_basis(module.cfg, module.alg, depth)
-    reduction = module._reduction(depth)
-    basis0 = module.slice_basis(0)
-    dim0 = len(basis0)
-    index = {m: i for i, m in enumerate(basis0)}
+    dim0 = len(module.slice_basis(0))
     pivots = {}  # leading column -> reduced row
-    failed = 0
     lost_widths = set()
 
     def insert(row):
@@ -576,40 +474,17 @@ def _relation_span(module):
             row = [x - f * y for x, y in zip(row, piv)]
         return False
 
-    for d in range(0, -depth - 1, -1):
-        for u in gens:
-            if u.pole_order + (-d) > depth:
+    for i in range(module.alg.dim):
+        lost = {}
+        mats = [module.degree_zero_action(p, i, lost)
+                for p in range(1, module.cfg.n_points + 1)]
+        for col in range(dim0):
+            if col in lost:
+                lost_widths.update(lost[col])
                 continue
-            if u.pole_order == 0 and d < 0:
-                continue  # an identically zero row, see above
-            terms = [((n, p, i), c)
-                     for (i, n, p), c in u.as_affine().loop.items()]
-            for mono in module.slice_basis(d):
-                acc = {}
-                for gen, c in terms:
-                    r = reduction.act_row(gen, mono)
-                    if r:
-                        _merge(acc, r, c)
-                if not acc:
-                    continue
-                outside = [m2 for m2 in acc if m2 not in index]
-                if outside:
-                    if any(m2.degree < 0 for m2 in outside):
-                        failed += 1
-                    else:  # degree 0, but longer than the width bound
-                        lost_widths.update(len(m2.creation) for m2 in outside)
-                    continue
-                row = [RAT0] * dim0
-                for m2, c in acc.items():
-                    row[index[m2]] = c
-                if insert(row) and len(pivots) == dim0:
-                    # a skipped relation cannot shrink a full span
-                    return pivots
-    if failed:
-        raise CoinvariantReductionError(
-            "%d relation(s) failed to reduce to degree 0 at pole bound %d; "
-            "leaving them out would inflate the coinvariant dimension"
-            % (failed, depth))
+            row = [sum((m[r][col] for m in mats), RAT0) for r in range(dim0)]
+            if insert(row) and len(pivots) == dim0:
+                return pivots
     if lost_widths:
         raise TruncationOverflow(lost_widths=lost_widths)
     return pivots

@@ -461,14 +461,20 @@ def psi_homomorphism():
                   "(50 at N=2, 25 at N=3)")
 
 
+def _block_premise_configs():
+    """N = 1, 2, 3 at the sample points, and three rational points."""
+    return ([sample_config(n) for n in NRANGE]
+            + [Config(("1/2", "-7/3", "5"))])
+
+
 def partition_of_unity():
-    for n_pts in (1, 2, 3):
-        cfg = sample_config(n_pts)
+    for cfg in _block_premise_configs():
+        n_pts = cfg.n_points
         one = DivisorForm(cfg.points, (RAT1,), (0,) * n_pts)
         ge = expand_in_basis(cfg, Section(0, one))
         want = GradedElement(0, {(0, p): RAT1 for p in range(1, n_pts + 1)})
         if ge != want:
-            return False, "1 != sum A_{0,p} at N=%d" % n_pts
+            return False, "1 != sum A_{0,p} at %s" % (cfg.points,)
     return True, "partition of unity 1 = sum_p A_{0,p}"
 
 
@@ -552,40 +558,35 @@ def admissibility():
 def weyl_degree_zero():
     weyl = _weyl_n2()
     mods = weyl.factors
-    basis0 = weyl.slice_basis(0)
-    index = {m: i for i, m in enumerate(basis0)}
     for p in (1, 2):
         for i in range(3):
-            got = [[RAT0] * len(basis0) for _ in basis0]
-            for col, mono in enumerate(basis0):
-                out = weyl._act_gen((0, p, i), mono)
-                for m2, c in out.items():
-                    got[index[m2]][col] = c
             want = factor_op(mods, p - 1, mods[p - 1].matrices[i])
-            if got != [list(r) for r in want]:
+            if weyl.degree_zero_action(p, i) != [list(r) for r in want]:
                 return False, "degree-0 action mismatch"
     return True, "degree-0 slice carries the tensor-product action"
 
 
-def coinvariant_projection():
-    weyl = _weyl_n2()
-    gens = block_algebra_basis(weyl.cfg, weyl.alg, 2)
-    for u in gens:
-        for d in (0, -1):
-            for mono in weyl.slice_basis(d)[:3]:
-                img = ModuleVector(
-                    weyl._act_affine_raw(u.as_affine(), {mono: RAT1}))
-                red, status = weyl.coinvariant_reduce(img, 4)
-                if status != "reduced-to-degree-0":
-                    return False, "reduction exhausted"
-                if red.is_zero():
-                    continue
-                # re-reducing the difference of the image with its own
-                # reduction must give zero
-                again, st2 = weyl.coinvariant_reduce(img - red, 4)
-                if st2 != "reduced-to-degree-0" or not again.is_zero():
-                    return False, "reduce is not a projection"
-    return True, "reduce(u.w) - reduce(reduce(u.w)) vanishes"
+def block_algebra_negative_part(max_pole=4):
+    """The premise of the genus-0 coinvariants (`modules`): each
+    (z - P_p)^-j expands as A_{-j,p} plus terms of degree in (-j, -1], so
+    x (x) A_{n,p} with n <= -1 lies in the block algebra.  Its other half,
+    x (x) 1 = sum_p x (x) A_{0,p}, is the check partition-of-unity, at the
+    same points."""
+    for cfg in _block_premise_configs():
+        n_pts = cfg.n_points
+        for p in range(1, n_pts + 1):
+            for j in range(1, max_pole + 1):
+                k = tuple(-j if q == p else 0 for q in range(1, n_pts + 1))
+                exp = expand_in_basis(cfg, Section(0, DivisorForm(
+                    cfg.points, (RAT1,), k)))
+                rest = [n for (n, q), _c in exp.items() if (n, q) != (-j, p)]
+                if (exp.coefficient(-j, p) != RAT1
+                        or not all(-j < n <= -1 for n in rest)):
+                    return False, ("(z-P_%d)^-%d != A_{-%d,%d} + degrees in "
+                                   "(-%d,-1] at %s" % (p, j, j, p, j,
+                                                      cfg.points))
+    return True, ("(z-P_p)^-j = A_{-j,p} + degrees in (-j,-1] for j <= %d, "
+                  "at N=1,2,3 and 1/2,-7/3,5" % max_pole)
 
 
 def level_action():
@@ -769,10 +770,11 @@ def kz_flatness():
 def coinvariant_stabilization():
     sl2 = make_algebra("sl2")
     # (points, weights, the sl2 Clebsch-Gordan count of invariants in the
-    # tensor product), which depths 3 and 4 must both reach.  (1, 1, 2) at
-    # 0,1,-1 has count 1 too, but its depth-4 memo would set the peak memory
-    # of the whole suite.
-    cases = ((("0", "1", "-1"), (1, 1, 1), 0), (("0", "1"), (2, 2), 1))
+    # tensor product), which depths 3 and 4 must both reach
+    cases = ((("0", "1", "-1"), (1, 1, 1), 0), (("0", "1"), (2, 2), 1),
+             (("0", "1", "-1"), (1, 1, 2), 1),
+             (("0", "1", "-1", "2"), (1, 1, 1, 1), 2),
+             (("1/2", "-7/3", "5"), (2, 1, 1), 1))
     ok = True
     parts = []
     for points, weights, want in cases:
@@ -815,7 +817,7 @@ CHECKS = [
     ("representation-property", "module", representation_property),
     ("admissibility", "module", admissibility),
     ("weyl-degree-zero", "module", weyl_degree_zero),
-    ("coinvariant-projection", "module", coinvariant_projection),
+    ("block-algebra-negative-part", "module", block_algebra_negative_part),
     ("level", "module", level_action),
     ("classical-central-charge", "sugawara", classical_central_charge),
     ("multipoint-centrality", "sugawara", multipoint_centrality),

@@ -311,21 +311,12 @@ def test_output_past_the_int_string_limit_exits_2(capsys):
                "--n", "1", "--p", "1"], capsys, "digits")
 
 
-def test_unreduced_relations_exit_1(capsys, tmp_path, monkeypatch):
-    from knwznw.modules import InducedModule
-    rules = InducedModule._rules
-
-    def without_one_rule(self, pole_bound):
-        out = dict(rules(self, pole_bound))
-        del out[(-1, 1)]
-        return out
-
-    monkeypatch.setattr(InducedModule, "_rules", without_one_rule)
+def test_action_past_the_width_bound_exits_1(capsys, tmp_path):
+    # f(0,1) lengthens the degree-0 strings of length 3 past the width
     cfg = _write(tmp_path, "m.json", {"points": ["0", "1"],
-                                      "module": {"kind": "weyl",
-                                                 "weights": [1, 1],
-                                                 "depth": 2}})
-    code, out, err = run_cli(["module", "--coinvariants", "--config", cfg],
-                             capsys)
+                                      "module": {"kind": "verma",
+                                                 "weights": ["2", "0"],
+                                                 "depth": 2, "width": 3}})
+    code, out, err = run_cli(["module", "--action", "--config", cfg], capsys)
     assert code == 1 and out == ""
-    assert err.startswith("error: ") and "failed to reduce" in err, err
+    assert err.startswith("error: ") and "string lengths [4]" in err, err

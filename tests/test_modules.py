@@ -1,5 +1,6 @@
 """Induced modules: slices, exact action, truncation, coinvariants."""
 
+import functools
 import random
 from collections import Counter
 from itertools import product
@@ -9,13 +10,13 @@ import pytest
 from conftest import section_of
 from knwznw import Rat
 from knwznw._kernel import RAT0, RAT1
-from knwznw.affine import AffineElement, affine_bracket, block_algebra_basis
+from knwznw.affine import (AffineElement, _block_expansions, affine_bracket,
+                           block_algebra_basis)
 from knwznw.basis import Config
-from knwznw.errors import (CoinvariantReductionError, DomainError,
-                           TruncationOverflow)
+from knwznw.errors import DomainError, TruncationOverflow
 from knwznw.finite_lie import factor_op, make_algebra
 from knwznw.modules import (ModuleSpec, ModuleVector, PBWMonomial,
-                            _merge, _relation_span,
+                            _ZERO, _merge, _relation_span,
                             degree_zero_coinvariant_dimension,
                             induce_module)
 
@@ -205,18 +206,33 @@ def test_width_overflow_is_loud(sl2, cfg1):
     assert ei.value.lost_widths == (3,)
 
 
+def test_degree_zero_action_past_the_width_bound(sl2):
+    # f(0,1) lengthens the strings of length 3 past the width bound
+    m = induce_module(sl2, Config(["0", "1"]),
+                      ModuleSpec("verma", (Rat(2), RAT0), Rat(1), 2, 3))
+    with pytest.raises(TruncationOverflow) as ei:
+        m.degree_zero_action(1, F)
+    assert ei.value.lost_widths == (4,)
+    lost = {}
+    mat = m.degree_zero_action(1, F, lost)
+    basis0 = m.slice_basis(0)
+    assert sorted(lost) == [c for c, mono in enumerate(basis0)
+                            if len(mono.creation) == 3]
+    assert set().union(*lost.values()) == {4}
+    assert all(row[c].num == 0 for row in mat for c in lost)
+    m.degree_zero_action(1, E)  # e never lengthens a string: no raise
+
+
 def test_reduce_degree_zero_unchanged(weyl11):
     v = weyl11.vacuum_vector(2)
-    red, status = weyl11.coinvariant_reduce(v, 2)
-    assert status == "reduced-to-degree-0" and red == v
+    assert weyl11.coinvariant_reduce(v) == v
 
 
 def test_reduce_single_mode_fock(fock):
     # u ot (z - 0)^{-1} is itself a block generator, so u(-1,1) vac dies
     v = ModuleVector(fock._act_affine_raw(
         AffineElement.loop_term(0, -1, 1), fock.vacuum_vector().terms))
-    red, status = fock.coinvariant_reduce(v, 2)
-    assert status == "reduced-to-degree-0" and red.is_zero()
+    assert fock.coinvariant_reduce(v).is_zero()
 
 
 def test_reduce_diagonal_action(weyl11, cfg2, sl2):
@@ -228,8 +244,7 @@ def test_reduce_diagonal_action(weyl11, cfg2, sl2):
     xa = AffineElement({(E, n, p): c for (n, p), c in one.terms.items()})
     v = weyl11.vacuum_vector(3)
     img = weyl11.act(xa, v)
-    red, status = weyl11.coinvariant_reduce(img, 4)
-    assert status == "reduced-to-degree-0"
+    red = weyl11.coinvariant_reduce(img)
     assert red == img  # degree-0 representative is already reduced
     # and it matches the diagonal finite-dimensional action
     D = factor_op(weyl11.factors, 0, weyl11.factors[0].matrices[E])
@@ -249,36 +264,142 @@ def test_reduce_is_projection(weyl11, cfg2, sl2):
         for mono in weyl11.slice_basis(-1)[:4]:
             img = ModuleVector(weyl11._act_affine_raw(
                 u.as_affine(), {mono: RAT1}))
-            red, status = weyl11.coinvariant_reduce(img, 4)
-            assert status == "reduced-to-degree-0"
-            again, st2 = weyl11.coinvariant_reduce(img - red, 4)
-            assert st2 == "reduced-to-degree-0" and again.is_zero()
+            red = weyl11.coinvariant_reduce(img)
+            assert weyl11.coinvariant_reduce(img - red).is_zero()
 
 
-def test_reduce_budget_exhaustion_is_status(fock):
-    # the leading entry has degree -3, and pole bound 2 has no rule for it
-    deep = ModuleVector.monomial(fock.slice_basis(-3)[0])
-    red, status = fock.coinvariant_reduce(deep, 2)
-    assert status == "budget-exhausted"
+def reference_rules(module, pole_bound):
+    """Rewriting rules of the block algebra: each leading pole (-j, p)
+    maps to the other terms (n, p2, c) of the basis expansion of
+    (z - P_p)^-j, whose leading coefficient must be 1."""
+    rules = {}
+    for p, j, _f, exp in _block_expansions(module.cfg, pole_bound):
+        if j == 0:
+            continue
+        assert exp.coefficient(-j, p) == RAT1, "expansion not normalized"
+        rest = [(n, pp, c) for (n, pp), c in exp.items()
+                if (n, pp) != (-j, p)]
+        assert all(n > -j for n, _pp, _c in rest), "no unique leader"
+        rules[(-j, p)] = tuple(rest)
+    return rules
+
+
+class _Reduction:
+    """Degree-0 rows of monomials modulo the block algebra, memoised: the
+    block rewriting that `InducedModule.coinvariant_reduce` replaced by
+    the degree-0 part, kept as a reference that never assumes the
+    genus-0 argument.
+
+    A row is a dict {monomial: Rat} over the degree-0 slice, plus any
+    monomial left without a rule; the rows of monomials that reduce to
+    zero are all the shared `_ZERO`.  Rows are never mutated once
+    memoised.  `row(m)` is the representative of m: m itself when its
+    leading entry has degree >= 0 or no rule, else that entry x_(n,p,i)
+    is rewritten through the block generator
+    x (x) (z - P_p)^n = x_(n,p,i) + sum c2 x_(n2,p2,i), all n2 > n, so
+    row(m) = -sum c2 act_row(x_(n2,p2,i), rest).  `act_row(g, m)` is the
+    row of g.m; it follows the normal ordering of `InducedModule._act_gen`
+    without building the dict g.m itself.  Total degree rises strictly
+    with each rewrite, so the recursion ends.
+    """
+
+    __slots__ = ("module", "rules", "rows", "act_rows")
+
+    def __init__(self, module, rules):
+        self.module = module
+        # leading entry (n, p, i) -> the terms (x_(n2,p2,i), -c2) of its rule
+        self.rules = {(n, p, i): tuple(((n2, p2, i), -c2)
+                                       for n2, p2, c2 in rule)
+                      for (n, p), rule in rules.items()
+                      for i in range(module.alg.dim)}
+        self.rows = {}
+        self.act_rows = {}
+
+    def row(self, mono):
+        hit = self.rows.get(mono)
+        if hit is not None:
+            return hit
+        creation = mono.creation
+        rule = self.rules.get(creation[0]) if creation else None
+        if rule is None:
+            res = {mono: RAT1}
+        else:
+            rest = PBWMonomial(creation[1:], mono.vacuum)
+            acc = {}
+            for gen, c in rule:
+                r = self.act_row(gen, rest)
+                if r:
+                    _merge(acc, r, c)
+            res = acc or _ZERO
+        self.rows[mono] = res
+        return res
+
+    def act_row(self, gen, mono):
+        key = (gen, mono)
+        hit = self.act_rows.get(key)
+        if hit is not None:
+            return hit
+        module = self.module
+        creation = mono.creation
+        if not creation:
+            acc = {}
+            for m2, c in module._vacuum_action(gen, mono.vacuum).items():
+                _merge(acc, self.row(m2), c)
+            res = acc or _ZERO
+        elif module._is_creation(gen) and gen <= creation[0]:
+            res = self.row(PBWMonomial((gen,) + creation, mono.vacuum))
+        else:
+            rest = PBWMonomial(creation[1:], mono.vacuum)
+            c1 = creation[0]
+            acc = {}
+            for m2, c in module._act_gen(gen, rest).items():
+                r = self.act_row(c1, m2)
+                if r:
+                    _merge(acc, r, c)
+            loop, central = module._bracket_gens(gen, c1)
+            for gen2, cb in loop:
+                r = self.act_row(gen2, rest)
+                if r:
+                    _merge(acc, r, cb)
+            if central.num != 0:
+                _merge(acc, self.row(rest), central)
+            res = acc or _ZERO
+        self.act_rows[key] = res
+        return res
+
+
+@functools.lru_cache(maxsize=4)
+def reference_reduction(module, pole_bound):
+    return _Reduction(module, reference_rules(module, pole_bound))
+
+
+def reference_reduce(module, v, pole_bound):
+    """v modulo the block algebra by rewriting, as (vector, status): the
+    status is 'budget-exhausted' when a monomial whose leading pole is
+    deeper than pole_bound, and so has no rule, is left over."""
+    reduction = reference_reduction(module, pole_bound)
+    acc = {}
+    for m, c in v.terms.items():
+        _merge(acc, reduction.row(m), c)
+    stuck = any(m.creation and m.creation[0][0] < 0 for m in acc)
+    return (ModuleVector(acc),
+            "budget-exhausted" if stuck else "reduced-to-degree-0")
 
 
 def pass_batch_reduce(module, v, pole_bound):
-    """The level-by-level reduction the memoised rows replaced, kept as an
-    oracle.  Each pass takes the lowest-degree monomials whose leading
-    entry has a rule, rewrites that entry through its rule and
-    normal-orders the result.  Unlike the loop it replaces, which stopped
-    at the first degree holding a monomial without a rule, it goes on
-    past such monomials, so that its vector can be compared then too."""
-    rules = module._rules(pole_bound)
+    """The level-by-level block rewriting, kept as an oracle.  Each pass
+    takes the lowest-degree monomials whose leading entry has a rule,
+    rewrites that entry through its rule and normal-orders the result.
+    It goes on past monomials without a rule, so that its vector can be
+    compared then too.  Its rules come from the basis expansions of the
+    block generators (z - P_p)^-j directly."""
+    rules = {}
+    for p, j, _f, exp in _block_expansions(module.cfg, pole_bound):
+        if j:
+            assert exp.coefficient(-j, p) == RAT1
+            rules[(-j, p)] = [(n, pp, c) for (n, pp), c in exp.items()
+                              if (n, pp) != (-j, p)]
     terms = dict(v.terms)
-
-    def add(terms, more, scale):
-        for m, c in more.items():
-            w = terms.get(m, RAT0) + c * scale
-            if w.num == 0:
-                terms.pop(m, None)
-            else:
-                terms[m] = w
 
     def leader(m):
         return m.creation[0][:2] if m.creation else (0, 0)
@@ -295,7 +416,7 @@ def pass_batch_reduce(module, v, pole_bound):
             rest = PBWMonomial(m.creation[1:], m.vacuum)
             i = m.creation[0][2]
             for n2, p2, c2 in rules[leader(m)]:
-                add(terms, module._act_gen((n2, p2, i), rest), -c * c2)
+                _merge(terms, module._act_gen((n2, p2, i), rest), -c * c2)
 
 
 def oracle_modules():
@@ -313,11 +434,11 @@ def oracle_modules():
 
 
 def test_reduce_matches_the_pass_batch_oracle():
-    # At pole bound = depth every reachable leader has a rule, and at genus
-    # 0 the negative loop part lies in the block algebra, so the reduction
-    # of every monomial of negative degree is 0.  At pole bound 2 leaders
-    # at degree -3 have no rule and survive, which makes the rules'
-    # coefficients and every bracket term visible in the vectors.
+    # At pole bound = depth every reachable leader has a rule, and the
+    # rewriting ends in the degree-0 part, which is `coinvariant_reduce`.
+    # At pole bound 2 leaders at degree -3 have no rule and survive, which
+    # makes the rules' coefficients and every bracket term visible in the
+    # vectors of the memoised reference rewriting.
     rng = random.Random(5)
     seen = Counter()
     for module in oracle_modules():
@@ -339,12 +460,11 @@ def test_reduce_matches_the_pass_batch_oracle():
             v = v + ModuleVector.monomial(rng.choice(module.slice_basis(deg)))
             images.append(v)
         for v in images:
-            got = module.coinvariant_reduce(v, depth)
-            assert got == pass_batch_reduce(module, v, depth)
-            assert got == (ModuleVector({m: c for m, c in v.terms.items()
-                                         if m.degree == 0}),
-                           "reduced-to-degree-0")
-            got = module.coinvariant_reduce(v, 2)
+            want = pass_batch_reduce(module, v, depth)
+            assert want[1] == "reduced-to-degree-0"
+            assert module.coinvariant_reduce(v) == want[0]
+            assert reference_reduce(module, v, depth) == want
+            got = reference_reduce(module, v, 2)
             assert got == pass_batch_reduce(module, v, 2)
             seen[got[1]] += 1
     assert seen["budget-exhausted"] > 30
@@ -352,9 +472,10 @@ def test_reduce_matches_the_pass_batch_oracle():
     fock = induce_module(make_algebra("abelian1"), Config(["0"]),
                          ModuleSpec("fock", (RAT0,), Rat(1), 6))
     deep = ModuleVector.monomial(fock.slice_basis(-3)[0])
-    got = fock.coinvariant_reduce(deep, 2)
+    got = reference_reduce(fock, deep, 2)
     assert got == (deep, "budget-exhausted")
     assert got == pass_batch_reduce(fock, deep, 2)
+    assert fock.coinvariant_reduce(deep).is_zero()
 
 
 def test_coinvariant_dimension_stabilizes(sl2):
@@ -363,17 +484,6 @@ def test_coinvariant_dimension_stabilizes(sl2):
     cfg3 = Config(["0", "1", "-1"])
     m = induce_module(sl2, cfg3, ModuleSpec("weyl", (1, 1, 0), Rat(1), 3))
     assert degree_zero_coinvariant_dimension(m) == 1
-
-
-def test_unreduced_relations_raise(sl2):
-    cfg = Config(["0", "1"])
-    m = induce_module(sl2, cfg, ModuleSpec("weyl", (1, 1), Rat(1), 2))
-    rules = dict(m._rules(2))
-    del rules[(-1, 1)]
-    m._rules = lambda pole_bound: rules
-    with pytest.raises(CoinvariantReductionError,
-                       match=r"^\d+ relation\(s\) failed to reduce"):
-        degree_zero_coinvariant_dimension(m)
 
 
 def test_relations_past_the_width_bound_raise(sl2):
@@ -409,11 +519,11 @@ def test_coinvariant_dimension_is_the_clebsch_gordan_count(sl2, weights,
 
 def exhaustive_relation_span(module):
     """Echelon rows of every relation u . w with pole order + |degree| <=
-    depth, the x (x) 1 relations on negative degrees included and with no
-    stop at a full span: the loop `_relation_span` shortens, kept as an
-    oracle."""
+    depth, reduced by the reference rewriting, with no stop at a full span:
+    an oracle for the genus-0 argument that `_relation_span` keeps only
+    the relations of x (x) 1 on degree 0."""
     depth = module.spec.depth
-    reduction = module._reduction(depth)
+    reduction = reference_reduction(module, depth)
     basis0 = module.slice_basis(0)
     index = {m: i for i, m in enumerate(basis0)}
     rows = []
@@ -473,8 +583,8 @@ def span_oracle_modules():
 
 
 def test_skipped_relations_leave_the_span_unchanged():
-    # the x (x) 1 relations on negative degrees, which `_relation_span`
-    # leaves out, add nothing: same rank and same row space
+    # the relations `_relation_span` leaves out (all but those of x (x) 1
+    # on degree 0) add nothing: same rank and same row space
     dims = []
     for module in span_oracle_modules():
         want = exhaustive_relation_span(module)
@@ -486,12 +596,8 @@ def test_skipped_relations_leave_the_span_unchanged():
 
 
 def test_relation_rows_stay_few():
-    # (1,1,2) stabilises at its Clebsch-Gordan count 1 by depth 3, as
-    # coinvariant-stabilization asserts for (2,2); and a tripwire for a
-    # silent return of the identically zero relations: at depth 4 they
-    # took act_rows from 42,660 entries to 188,784
+    # (1,1,2) is at its Clebsch-Gordan count 1 at depths 3 and 4
     for depth in (3, 4):
         m = induce_module(make_algebra("sl2"), Config(["0", "1", "-1"]),
                           ModuleSpec("weyl", (1, 1, 2), Rat(1), depth))
         assert degree_zero_coinvariant_dimension(m) == 1
-    assert len(m._reductions[4].act_rows) < 60000
