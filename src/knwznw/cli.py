@@ -28,14 +28,14 @@ from .sugawara import sugawara_commutator_audit
 
 # Bounds on degree and depth requests, so that none runs unbounded.  At
 # four integer marked points the largest accepted `basis`, `table`,
-# `cocycle`, `affine`, plain `module` and `kz` request takes about ten
-# seconds or less: cost grows with n - lambda for one basis element, with
-# the square of the window width and with how far negative the window
+# `cocycle`, `affine` and plain `module` request takes about ten seconds
+# or less: cost grows with n - lambda for one basis element, with the
+# square of the window width and with how far negative the window
 # reaches, and exponentially with the depth for the module slices.
 MAX_BASIS_INDEX = 200    # |n| and |lambda| of `basis`
 MAX_WINDOW_WIDTH = 31    # hi - lo + 1 of a `table`/`cocycle`/`affine` window
 MAX_WINDOW_DEGREE = 20   # |lo| and |hi| of such a window
-MAX_DEPTH = 7            # truncation depth of `module`, `sugawara` and `kz`
+MAX_DEPTH = 7            # slices `module` lists; lowest `sugawara` slice
 
 
 def _rat_str(x):
@@ -82,11 +82,6 @@ def _bounded(value, what, lo, hi, name):
 
 def _point_index(value, what, cfg):
     return _bounded(value, what, 1, cfg.n_points, "marked points")
-
-
-def _parse_depth(value):
-    depth = _parse_int(value, "depth")
-    return _bounded(depth, "depth", 0, MAX_DEPTH, "MAX_DEPTH")
 
 
 def _parse_int_list(text, what):
@@ -164,7 +159,8 @@ def _config_module_spec(cfg, data):
         raise ConfigError("module weights missing")
     weights = _config_list(weights, "weights")
     level = _parse_rat(m.get("level", data.get("level", "1")))
-    depth = _parse_depth(m.get("depth", data.get("depth", 4)))
+    depth = _parse_int(m.get("depth", data.get("depth", 4)), "depth")
+    _bounded(depth, "depth", 0, MAX_DEPTH, "MAX_DEPTH")
     width = m.get("width")
     if width is not None:
         width = _parse_int(width, "width")
@@ -349,7 +345,8 @@ def cmd_sugawara(args):
         _point_index(idx[1], "pair point index", cfg)
         _point_index(idx[3], "pair point index", cfg)
         pairs.append((tuple(idx[:2]), tuple(idx[2:])))
-    window = _parse_int_list(args.slices, "slice degree")
+    window = [_bounded(d, "slice degree", -spec.depth, 0, "module depth")
+              for d in _parse_int_list(args.slices, "slice degree")]
     entries = []
     for e in sugawara_commutator_audit(cfg, alg, module, pairs, window):
         entries.append({
@@ -377,8 +374,7 @@ def cmd_kz(args):
     else:
         weights = tuple(_parse_rat(w) for w in weights)
     level = _parse_rat(data.get("level", "1"))
-    depth = _parse_depth(data.get("depth", 4))
-    system = kz_matrices(cfg, alg, weights, level, depth)
+    system = kz_matrices(cfg, alg, weights, level)
     flat = "ok"
     if cfg.n_points >= 3 and not flatness_check(system).holds:
         flat = "violated"

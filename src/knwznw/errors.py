@@ -22,18 +22,14 @@ class CriticalLevelError(DomainError):
 
 
 class TruncationOverflow(KNError):
-    """An operation produced terms below the module's depth window.
+    """An operation produced creation strings longer than a verma module's
+    width bound.
 
-    Never silent: carries the exact set of lost degrees (and, for width
-    truncation, lost creation-string lengths).
+    Never silent: carries the exact set of lost string lengths.  Nothing
+    is cut off by degree, so no degree is ever lost.
     """
 
-    def __init__(self, lost_degrees=(), lost_widths=()):
-        self.lost_degrees = tuple(sorted(set(lost_degrees)))
+    def __init__(self, lost_widths=()):
         self.lost_widths = tuple(sorted(set(lost_widths)))
-        parts = []
-        if self.lost_degrees:
-            parts.append("degrees %s" % (list(self.lost_degrees),))
-        if self.lost_widths:
-            parts.append("string lengths %s" % (list(self.lost_widths),))
-        super().__init__("truncation overflow: lost " + ", ".join(parts))
+        super().__init__("truncation overflow: lost string lengths %s"
+                         % (list(self.lost_widths),))

@@ -171,7 +171,7 @@ def _is_scalar_matrix(m):
     return s
 
 
-def kz_matrices(cfg, alg, weights, level, depth):
+def kz_matrices(cfg, alg, weights, level, depth=None):
     """Measure the connection matrices and fit the classical form.
 
     Builds the induced module (weyl for sl2, fock for the abelian
@@ -182,11 +182,13 @@ def kz_matrices(cfg, alg, weights, level, depth):
         A_p = kappa * M_p + sigma_p * Id
 
     against the Casimir oracle matrices M_p.  Residuals must vanish
-    exactly.  `partial` is always False.
+    exactly.  `partial` is always False.  Every image is exact, so the
+    matrices have no depth; `depth` is accepted for older callers and
+    not read.
     """
     level = level if isinstance(level, Rat) else Rat(level)
     kind = "fock" if alg.kind == "abelian1" else "weyl"
-    spec = ModuleSpec(kind, tuple(weights), level, depth)
+    spec = ModuleSpec(kind, tuple(weights), level, 0)
     module = induce_module(alg, cfg, spec)
     fields, meta = tangent_fields(cfg)
     fac = rescale_factor(alg, level)  # raises at the critical level
@@ -263,9 +265,9 @@ def flatness_check(system):
     mods = [finite_irrep(alg, w) for w in system.weights]
     om = {}
     for p in range(n):
-        for q in range(n):
-            if p != q:
-                om[(p, q)] = omega_matrix(alg, mods, p, q)
+        for q in range(p + 1, n):
+            # the Casimir tensor is symmetric, so Omega_qp = Omega_pq
+            om[(p, q)] = om[(q, p)] = omega_matrix(alg, mods, p, q)
     checked = 0
     for p in range(n):
         for q in range(n):

@@ -17,9 +17,10 @@ Vectors are exact linear combinations of PBW monomials: creation entries
 then g-basis index) applied to a vacuum basis vector.  The action of any
 algebra element is computed by exact normal ordering: generators commute
 rightward through the creation string via the affine bracket until they
-hit the vacuum.  Internal arithmetic never truncates; the public action
-refuses to return terms outside the depth window and reports the lost
-degrees instead.
+hit the vacuum.  On an admissible module every image is a finite exact
+sum, so nothing is cut off by degree; the depth only says which slices a
+caller lists.  The one truncation is a verma module's width bound, and
+terms beyond it raise TruncationOverflow with the lost string lengths.
 
 Coinvariants are taken under the block algebra B: g-valued functions
 regular at infinity with poles only at the marked points.  At genus 0
@@ -47,7 +48,8 @@ class ModuleSpec:
     kind: str                 # weyl | verma | fock
     weights: tuple
     level: Rat
-    depth: int
+    depth: int                # slices `module` lists; the lowest slice
+                              # `sugawara` may audit
     width: Optional[int] = None
 
     def __post_init__(self):
@@ -349,7 +351,7 @@ class InducedModule:
         return res
 
     def _act_affine_raw(self, a, terms):
-        """Exact action of an affine element on a term dict; no windowing."""
+        """Exact action of an affine element on a term dict; no width check."""
         out = {}
         for mono, cm in terms.items():
             if a.central.num != 0:
@@ -359,20 +361,15 @@ class InducedModule:
         return out
 
     def act(self, a, v):
-        """Module action with loud truncation: terms below the depth window
-        (or beyond the width bound) raise TruncationOverflow."""
+        """Exact module action of an affine element on a vector.  Terms
+        with creation strings beyond a verma module's width bound raise
+        TruncationOverflow with their lengths."""
         out = self._act_affine_raw(a, v.terms)
-        lost_deg = set()
-        lost_width = set()
         width = self.spec.width
-        for mono in out:
-            d = mono.degree
-            if d < -self.spec.depth:
-                lost_deg.add(d)
-            if width is not None and len(mono.creation) > width:
-                lost_width.add(len(mono.creation))
-        if lost_deg or lost_width:
-            raise TruncationOverflow(lost_deg, lost_width)
+        if width is not None:
+            lost = {len(m.creation) for m in out if len(m.creation) > width}
+            if lost:
+                raise TruncationOverflow(lost)
         return ModuleVector(out)
 
     def degree_zero_action(self, p, i, lost=None):

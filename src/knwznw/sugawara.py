@@ -165,7 +165,7 @@ def _L_image(module, k, r, tie_swap, extra_margin, mono):
 
 
 def apply_L_raw(module, idx, terms, tie_swap=False, extra_margin=0):
-    """Exact L(k, r) on a term dict; no truncation window applied.
+    """Exact L(k, r) on a term dict.
 
     L(k, r) is linear, so the image of each monomial is computed once per
     module and memoised under ((k, r), tie_swap, extra_margin, monomial);
@@ -189,15 +189,9 @@ def apply_L_raw(module, idx, terms, tie_swap=False, extra_margin=0):
 
 
 def apply_L(module, idx, v, tie_swap=False, extra_margin=0):
-    """L(k, r) on a module vector, with loud truncation at the window."""
-    out = apply_L_raw(module, SugawaraIndex(*idx), v.terms, tie_swap,
-                      extra_margin)
-    vec = ModuleVector(out)
-    lost = {m.degree for m in vec.terms if m.degree < -module.spec.depth}
-    if lost:
-        from .errors import TruncationOverflow
-        raise TruncationOverflow(lost)
-    return vec
+    """L(k, r) on a module vector: the exact image, whatever its degrees."""
+    return ModuleVector(apply_L_raw(module, SugawaraIndex(*idx), v.terms,
+                                    tie_swap, extra_margin))
 
 
 def rescale_factor(alg, level):
@@ -247,23 +241,16 @@ def sugawara_commutator_audit(cfg, alg, module, pairs, window,
 
     The difference must be a scalar multiple of the identity on every
     slice (zero when the slices do not match); the common scalar and its
-    ratio to the zero-connection cocycle are reported.  The window must
-    sit inside the depth window with margin covering the grading band of
-    the operators involved.
+    ratio to the zero-connection cocycle are reported.  Every image is
+    exact, so any slice d <= 0 may be audited, whatever the module depth;
+    a slice d > 0 is empty and raises DomainError.
     """
-    depth = module.spec.depth
-    band = 0 if cfg.n_points == 1 else 1
+    for d in window:
+        if d > 0:
+            raise DomainError("window slice %d is empty; need d <= 0" % d)
     fac = rescale_factor(alg, module.level)
     results = []
     for (k, r), (m, s) in pairs:
-        worst = min(0, k, m, k + m) - band
-        lo_needed = -depth - worst
-        for d in window:
-            if d > 0 or d < lo_needed:
-                raise DomainError(
-                    "window slice %d unsafe for pair ((%d,%d),(%d,%d)); "
-                    "need %d <= d <= 0 at depth %d"
-                    % (d, k, r, m, s, lo_needed, depth))
         bracket = vf_bracket(cfg, GradedElement.unit(-1, k, r),
                              GradedElement.unit(-1, m, s))
         per_slice = {}

@@ -55,16 +55,19 @@ def sample_config(n):
     return Config(SAMPLE_POINTS[n])
 
 
+# Every action and Sugawara image is exact, so no check reads a module's
+# depth, and every module here is built at depth 0.
+
 def _weyl_n2():
-    """sl2 Weyl module of weights (1, 1) at level 1, depth 4, at 0 and 1."""
+    """sl2 Weyl module of weights (1, 1) at level 1, at 0 and 1."""
     return induce_module(make_algebra("sl2"), sample_config(2),
-                         ModuleSpec("weyl", (1, 1), Rat(1), 4))
+                         ModuleSpec("weyl", (1, 1), Rat(1), 0))
 
 
-def _fock_n1(level=Rat(1), depth=6):
+def _fock_n1(level=Rat(1)):
     """Abelian Fock module at the single point 0."""
     return induce_module(make_algebra("abelian1"), sample_config(1),
-                         ModuleSpec("fock", (RAT0,), level, depth))
+                         ModuleSpec("fock", (RAT0,), level, 0))
 
 
 # ---------------------------------------------------------------- basis --
@@ -595,7 +598,7 @@ def level_action():
     v = ModuleVector.monomial(weyl.slice_basis(-1)[5])
     if weyl.act(t, v) != v.scale(Rat(1)):
         return False, "central element acts wrongly"
-    f2 = _fock_n1(Rat(7, 2), 3)
+    f2 = _fock_n1(Rat(7, 2))
     if f2.act(t, f2.vacuum_vector()) != f2.vacuum_vector().scale(Rat(7, 2)):
         return False, "level not respected"
     return True, "t acts as level times identity"
@@ -613,7 +616,7 @@ def classical_central_charge():
         (sl2, "weyl", (0,), Rat(2)),
     ]
     for alg, kind, weights, level in cases:
-        module = induce_module(alg, cfg, ModuleSpec(kind, weights, level, 6))
+        module = induce_module(alg, cfg, ModuleSpec(kind, weights, level, 0))
         res = sugawara_commutator_audit(
             cfg, alg, module, [((2, 1), (-2, 1))], [-2, -3])
         e = res[0]
@@ -629,8 +632,9 @@ def classical_central_charge():
 def multipoint_centrality():
     cfg = sample_config(2)
     sl2 = make_algebra("sl2")
-    module = induce_module(sl2, cfg, ModuleSpec("weyl", (1, 1), Rat(1), 4))
-    # ((2,1),(-2,1)) needs slices above -2 at depth 4, hence two audits
+    module = induce_module(sl2, cfg, ModuleSpec("weyl", (1, 1), Rat(1), 0))
+    # two audits for cost only: every slice is exact, but auditing
+    # ((2,1),(-2,1)) at slice -2 as well about doubles the check's time
     audits = (
         ([((1, 1), (-1, 2)), ((1, 2), (-1, 1)), ((0, 1), (0, 2))], [-1, -2]),
         ([((1, 1), (-1, 2)), ((1, 2), (-1, 1)), ((0, 1), (0, 2)),
@@ -685,7 +689,7 @@ def kz_tangent_fields():
     return True, "point movers normalized with zeros elsewhere"
 
 
-def kz_classical_agreement(depth=4):
+def kz_classical_agreement():
     sl2 = make_algebra("sl2")
     cases = [
         (Config(("0", "1")), (1, 1)),
@@ -693,7 +697,7 @@ def kz_classical_agreement(depth=4):
     ]
     kappas = set()
     for cfg, weights in cases:
-        system = kz_matrices(cfg, sl2, weights, Rat(1), depth)
+        system = kz_matrices(cfg, sl2, weights, Rat(1))
         if system.partial or not system.residual_zero:
             return False, "fit failed at N=%d" % cfg.n_points
         if abs(system.kappa) != Rat(1, 3):
@@ -719,8 +723,8 @@ def kz_classical_agreement(depth=4):
 def kz_translation_covariance():
     sl2 = make_algebra("sl2")
     w = (1, 1)
-    s1 = kz_matrices(Config(("0", "1")), sl2, w, Rat(1), 3)
-    s2 = kz_matrices(Config(("5", "6")), sl2, w, Rat(1), 3)
+    s1 = kz_matrices(Config(("0", "1")), sl2, w, Rat(1))
+    s2 = kz_matrices(Config(("5", "6")), sl2, w, Rat(1))
     if s1.matrices != s2.matrices:
         return False, "matrices moved under translation"
     return True, "common shift of the points leaves every A_p fixed"
@@ -730,7 +734,7 @@ def kz_abelian():
     ab = make_algebra("abelian1")
     cfg = Config(("0", "1", "3"))
     weights = (Rat(1), Rat(2), Rat(-1))
-    system = kz_matrices(cfg, ab, weights, Rat(1), 3)
+    system = kz_matrices(cfg, ab, weights, Rat(1))
     if system.partial or not system.residual_zero:
         return False, "abelian fit failed"
     for p in range(1, 4):
@@ -748,29 +752,25 @@ def kz_abelian():
 
 def kz_trivial():
     sl2 = make_algebra("sl2")
-    system = kz_matrices(Config(("0", "1")), sl2, (0, 0), Rat(1), 2)
+    system = kz_matrices(Config(("0", "1")), sl2, (0, 0), Rat(1))
     zero = all(c.num == 0 for m in system.matrices for row in m for c in row)
     return zero, "all matrices vanish for trivial weights"
 
 
 def kz_flatness():
-    sl2 = make_algebra("sl2")
-    relations = 0
-    for depth in (2, 4):
-        system = kz_matrices(Config(("0", "1", "-1")), sl2, (1, 1, 1),
-                             Rat(1), depth)
-        rep = flatness_check(system)
-        if not rep.holds:
-            return False, "braid relations fail at depth %d" % depth
-        relations += rep.checked_relations
-    return True, ("infinitesimal braid relations exact "
-                  "(%d relations, depths 2 and 4)" % relations)
+    system = kz_matrices(Config(("0", "1", "-1")), make_algebra("sl2"),
+                         (1, 1, 1), Rat(1))
+    rep = flatness_check(system)
+    if not rep.holds:
+        return False, "braid relations fail"
+    return True, ("infinitesimal braid relations exact (%d relations)"
+                  % rep.checked_relations)
 
 
-def coinvariant_stabilization():
+def coinvariant_clebsch_gordan():
     sl2 = make_algebra("sl2")
     # (points, weights, the sl2 Clebsch-Gordan count of invariants in the
-    # tensor product), which depths 3 and 4 must both reach
+    # tensor product)
     cases = ((("0", "1", "-1"), (1, 1, 1), 0), (("0", "1"), (2, 2), 1),
              (("0", "1", "-1"), (1, 1, 2), 1),
              (("0", "1", "-1", "2"), (1, 1, 1, 1), 2),
@@ -778,16 +778,13 @@ def coinvariant_stabilization():
     ok = True
     parts = []
     for points, weights, want in cases:
-        dims = {}
-        for d in (2, 3, 4):
-            module = induce_module(sl2, Config(points),
-                                   ModuleSpec("weyl", weights, Rat(1), d))
-            dims[d] = degree_zero_coinvariant_dimension(module)
-        ok = ok and dims[3] == dims[4] == want
-        parts.append("%s at %s: %s" % (weights, ",".join(points), dims))
-    return ok, ("coinvariant dimension per depth: %s; depths 3 and 4 equal "
-                "the Clebsch-Gordan counts %s" % (
-                    "; ".join(parts), ", ".join(str(c[2]) for c in cases)))
+        module = induce_module(sl2, Config(points),
+                               ModuleSpec("weyl", weights, Rat(1), 0))
+        dim = degree_zero_coinvariant_dimension(module)
+        ok = ok and dim == want
+        parts.append("%s at %s: %d (Clebsch-Gordan %d)"
+                     % (weights, ",".join(points), dim, want))
+    return ok, "coinvariant dimensions: %s" % "; ".join(parts)
 
 
 # ------------------------------------------------------------- registry --
@@ -829,7 +826,7 @@ CHECKS = [
     ("kz-abelian", "kz", kz_abelian),
     ("kz-trivial", "kz", kz_trivial),
     ("kz-flatness", "kz", kz_flatness),
-    ("coinvariant-stabilization", "kz", coinvariant_stabilization),
+    ("coinvariant-clebsch-gordan", "kz", coinvariant_clebsch_gordan),
 ]
 
 

@@ -27,7 +27,7 @@ CRITERIA = {
     8: (600, ("classical-central-charge",)),
     9: (600, ("multipoint-centrality",)),
     10: (900, ("kz-classical-agreement", "kz-flatness")),
-    11: (600, ("coinvariant-stabilization",)),
+    11: (600, ("coinvariant-clebsch-gordan",)),
 }
 COVERED = [name for _budget, names in CRITERIA.values() for name in names]
 OTHERS = [name for name, _suite, _fn in CHECKS if name not in COVERED]

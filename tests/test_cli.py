@@ -215,9 +215,24 @@ def test_points_must_be_a_list(capsys, tmp_path):
 def test_negative_depth_exits_2_everywhere(capsys, tmp_path):
     cfg = _write(tmp_path, "d.json", {"points": ["0", "1"],
                                       "weights": [1, 1], "depth": -1})
-    for command in ("kz", "module"):
+    for command in ("module", "sugawara"):
         code, out, err = run_cli([command, "--config", cfg], capsys)
         assert code == 2 and out == "" and "depth" in err
+
+
+def test_kz_reads_no_depth(capsys, tmp_path):
+    # the KZ matrices are exact Sugawara images read on degree 0; the
+    # shared config's depth is a `module`/`sugawara` key
+    outs = []
+    for depth in (0, 4, None):
+        data = {"points": ["0", "1", "-1"], "weights": [1, 1, 2]}
+        if depth is not None:
+            data["depth"] = depth
+        code, out, err = run_cli(["kz", "--config",
+                                  _write(tmp_path, "kz.json", data)], capsys)
+        assert code == 0 and err == "", err
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
 
 
 def test_config_values_of_the_wrong_shape_exit_2(capsys, tmp_path):
@@ -291,12 +306,21 @@ def test_sugawara_pair_point_index_bound(capsys, tmp_path, pair):
               "out of range 1..2 (marked points)")
 
 
-@pytest.mark.parametrize("command", ["module", "kz", "sugawara"])
+@pytest.mark.parametrize("command", ["module", "sugawara"])
 def test_depth_bound(capsys, tmp_path, command):
     cfg = _write(tmp_path, "d.json", {"points": ["0", "1"],
                                       "weights": [1, 1],
                                       "depth": MAX_DEPTH + 1})
     _rejected([command, "--config", cfg], capsys, "MAX_DEPTH")
+
+
+@pytest.mark.parametrize("slices", ["1", "0,-5"])
+def test_sugawara_slice_bound(capsys, tmp_path, slices):
+    # each audited slice lies in [-depth, 0]
+    cfg = _write(tmp_path, "s.json", {"points": ["0", "1"],
+                                      "weights": [1, 1], "depth": 4})
+    _rejected(["sugawara", "--config", cfg, "--slices", slices], capsys,
+              "out of range -4..0 (module depth)")
 
 
 def test_output_past_the_int_string_limit_exits_2(capsys):

@@ -119,6 +119,13 @@ def test_omega_invariance(sl2):
         assert is_zero_matrix(commutator(om, D))
 
 
+def test_omega_is_symmetric(sl2):
+    # the Casimir tensor is symmetric: Omega_qp = Omega_pq
+    mods = [finite_irrep(sl2, w) for w in (1, 2, 1)]
+    for p, q in ((0, 1), (0, 2), (1, 2)):
+        assert omega_matrix(sl2, mods, p, q) == omega_matrix(sl2, mods, q, p)
+
+
 def test_tensor_dim(sl2):
     mods = [finite_irrep(sl2, w) for w in (1, 2, 0)]
     assert tensor_dim(mods) == 6

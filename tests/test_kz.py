@@ -2,7 +2,7 @@
 
 import pytest
 
-from knwznw import Rat
+from knwznw import Rat, kz
 from knwznw._kernel import RAT0
 from knwznw.basis import Config
 from knwznw.errors import CriticalLevelError
@@ -82,6 +82,17 @@ def test_kz_three_point_sl2(sl2):
     assert rep.holds and not rep.vacuous and rep.checked_relations == 6
 
 
+def test_kz_matrices_read_no_depth(sl2):
+    # every Sugawara image is exact, so a depth-0 module gives the same
+    # system as a deep one
+    cfg = Config(["0", "1", "-1"])
+    s0 = kz_matrices(cfg, sl2, (1, 1, 2), Rat(1), 0)
+    s4 = kz_matrices(cfg, sl2, (1, 1, 2), Rat(1), 4)
+    assert s0.matrices == s4.matrices
+    assert (s0.kappa, s0.scalar_shifts) == (s4.kappa, s4.scalar_shifts)
+    assert s0.residual_zero
+
+
 def test_kz_trivial_weights(sl2):
     system = kz_matrices(Config(["0", "1"]), sl2, (0, 0), Rat(1), 2)
     assert all(c == RAT0 for m in system.matrices for row in m for c in row)
@@ -139,6 +150,22 @@ def test_flatness_vacuous_for_two_points(sl2):
     system = kz_matrices(Config(["0", "1"]), sl2, (1, 1), Rat(1), 2)
     rep = flatness_check(system)
     assert rep.holds and rep.vacuous
+
+
+def test_flatness_builds_each_omega_once(sl2, monkeypatch):
+    built = []
+    real = kz.omega_matrix
+
+    def counting(alg, mods, p, q):
+        built.append((p, q))
+        return real(alg, mods, p, q)
+
+    system = kz_matrices(Config(["0", "1", "-1", "2"]), sl2, (1, 1, 1, 1),
+                         Rat(1))
+    monkeypatch.setattr(kz, "omega_matrix", counting)
+    rep = flatness_check(system)
+    assert rep.holds and rep.checked_relations == 48
+    assert sorted(built) == [(p, q) for p in range(4) for q in range(p + 1, 4)]
 
 
 def test_flatness_abelian(ab):

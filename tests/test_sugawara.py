@@ -159,11 +159,15 @@ def test_audit_nonpaired_index_gives_zero_scalar(cfg1, ab):
     assert res[0].ratio is None  # chi vanishes off the diagonal
 
 
-def test_audit_window_validation(cfg1, ab):
-    fock = induce_module(ab, cfg1, ModuleSpec("fock", (RAT0,), Rat(1), 3))
-    with pytest.raises(DomainError, match="unsafe"):
-        sugawara_commutator_audit(cfg1, ab, fock,
-                                  [((2, 1), (-2, 1))], [-3])
+def test_audit_is_exact_below_the_depth(cfg1, ab):
+    # the depth bounds no computation: a depth-0 module audits every slice
+    fock = induce_module(ab, cfg1, ModuleSpec("fock", (RAT0,), Rat(1), 0))
+    res = sugawara_commutator_audit(cfg1, ab, fock, [((2, 1), (-2, 1))],
+                                    [0, -1, -2, -3, -4])
+    assert res[0].is_scalar and res[0].ratio == Rat(1)
+    assert sorted(res[0].per_slice) == [-4, -3, -2, -1, 0]
+    with pytest.raises(DomainError, match="slice 1 is empty"):
+        sugawara_commutator_audit(cfg1, ab, fock, [((2, 1), (-2, 1))], [1])
 
 
 def test_audit_multipoint(cfg2, sl2):
