@@ -24,7 +24,7 @@ from .kz import flatness_check, kz_matrices
 from .modules import (ModuleSpec, degree_zero_coinvariant_dimension,
                       induce_module)
 from .ratfield import Poly, RationalFunction
-from .sugawara import sugawara_commutator_audit
+from .sugawara import sugawara_commutator_audit, total_degree_band
 
 # Bounds on degree and depth requests, so that none runs unbounded.  At
 # four integer marked points the largest accepted `basis`, `table`,
@@ -35,7 +35,14 @@ from .sugawara import sugawara_commutator_audit
 MAX_BASIS_INDEX = 200    # |n| and |lambda| of `basis`
 MAX_WINDOW_WIDTH = 31    # hi - lo + 1 of a `table`/`cocycle`/`affine` window
 MAX_WINDOW_DEGREE = 20   # |lo| and |hi| of such a window
-MAX_DEPTH = 7            # slices `module` lists; lowest `sugawara` slice
+MAX_DEPTH = 7            # slices `module` lists; lowest `sugawara` slice;
+                         # |k| and |m| of a `sugawara` pair k,r,m,s
+# Monomials in the deepest slice a `sugawara` audit reaches: slice d plus
+# the most negative shift of a pair.  The audit's time and memory grow
+# with it: at points 0,1,-1 with weights (1,1,1), pair 2,1,-2,1 reaches
+# 8,280 monomials from slice -2 (about 3 s and 56 MB) and 30,024 from
+# slice -3 (about 40 s and 330 MB).
+MAX_AUDIT_MONOMIALS = 10000
 
 
 def _rat_str(x):
@@ -344,9 +351,22 @@ def cmd_sugawara(args):
             raise ConfigError("bad pair %r; expected k,r,m,s" % chunk)
         _point_index(idx[1], "pair point index", cfg)
         _point_index(idx[3], "pair point index", cfg)
+        for k in (idx[0], idx[2]):
+            _bounded(k, "pair degree", -MAX_DEPTH, MAX_DEPTH, "MAX_DEPTH")
         pairs.append((tuple(idx[:2]), tuple(idx[2:])))
     window = [_bounded(d, "slice degree", -spec.depth, 0, "module depth")
               for d in _parse_int_list(args.slices, "slice degree")]
+    # L(k, r) shifts degrees by totals in total_degree_band; an audit
+    # applies L(m, s) then L(k, r), so it reaches d + min(0, k) + min(0, m)
+    shift = min(sum(min(0, total_degree_band(cfg, k)[0]) for k, _r in pair)
+                for pair in pairs)
+    for d in window:
+        size = module.slice_size(d + shift)
+        if size > MAX_AUDIT_MONOMIALS:
+            raise ConfigError(
+                "slice %d reaches slice %d of %d monomials, more than %d "
+                "(MAX_AUDIT_MONOMIALS)" % (d, d + shift, size,
+                                           MAX_AUDIT_MONOMIALS))
     entries = []
     for e in sugawara_commutator_audit(cfg, alg, module, pairs, window):
         entries.append({

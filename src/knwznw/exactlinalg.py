@@ -12,31 +12,24 @@ def zeros(nrows, ncols):
     return [[RAT0] * ncols for _ in range(nrows)]
 
 
-def identity(n):
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = RAT1
-    return m
-
-
 def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_mul(a, b):
-    n, k = len(a), len(b)
+    """The product a b.  The nonzero entries of each row of b are listed
+    once, and only nonzero entries of a and of those lists enter the
+    sums."""
     m = len(b[0]) if b else 0
-    out = zeros(n, m)
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if c.num == 0:
-                continue
-            bt = b[t]
-            for j in range(m):
-                oi[j] = oi[j] + c * bt[j]
+    brows = [[(j, x) for j, x in enumerate(row) if x.num != 0] for row in b]
+    out = []
+    for ai in a:
+        oi = [RAT0] * m
+        for c, bt in zip(ai, brows):
+            if c.num != 0:
+                for j, x in bt:
+                    oi[j] = oi[j] + c * x
+        out.append(oi)
     return out
 
 

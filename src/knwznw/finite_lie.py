@@ -10,7 +10,10 @@ Coxeter number 0.
 
 Finite highest-weight modules act by exact matrices; for sl2 with
 dominant integral weight m the module has dimension m + 1 with the usual
-ladder action.
+ladder action.  Each module is built and validated once per (algebra
+kind, weight); its matrices are immutable tuples, so every caller shares
+it.  The Casimir tensor Omega_pq on a tensor product is assembled from the
+nonzero entries of the factor matrices, never by dense products.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 from ._kernel import RAT0, RAT1, Rat
 from .errors import DomainError
-from .exactlinalg import commutator, identity, is_zero_matrix, mat_mul, zeros
+from .exactlinalg import commutator, is_zero_matrix, mat_mul, zeros
 from .ratfield import as_rat
 
 SUPPORTED_KINDS = ("sl2", "abelian1")
@@ -197,22 +200,36 @@ class FiniteModule:
         return {k: v for k, v in out.items() if v.num != 0}
 
 
+_IRREPS = {}  # (algebra kind, weight) -> validated FiniteModule
+
+
 def finite_irrep(alg, weight):
-    """Irreducible highest-weight module (exact matrices).
+    """Irreducible highest-weight module (exact matrices), built and
+    validated once per (algebra kind, weight).
 
     sl2: dominant integral weight m gives the (m+1)-dimensional ladder
     module.  abelian1: any rational weight, dimension one.
     """
     if alg.kind == "abelian1":
-        w = as_rat(weight)
-        return FiniteModule(alg.kind, w, 1, (((w,),),))
-    if not isinstance(weight, int):
-        if isinstance(weight, Rat) and weight.den == 1:
-            weight = weight.num
-        else:
+        weight = as_rat(weight)
+    else:
+        if not isinstance(weight, int):
+            if isinstance(weight, Rat) and weight.den == 1:
+                weight = weight.num
+            else:
+                raise DomainError("sl2 weight must be a nonnegative integer")
+        if weight < 0:
             raise DomainError("sl2 weight must be a nonnegative integer")
-    if weight < 0:
-        raise DomainError("sl2 weight must be a nonnegative integer")
+    key = (alg.kind, weight)
+    mod = _IRREPS.get(key)
+    if mod is None:
+        mod = _IRREPS[key] = _build_irrep(alg, weight)
+    return mod
+
+
+def _build_irrep(alg, weight):
+    if alg.kind == "abelian1":
+        return FiniteModule(alg.kind, weight, 1, (((weight,),),))
     m = weight
     dim = m + 1
     E = zeros(dim, dim)
@@ -283,27 +300,44 @@ def factor_op(mods, p, matrix):
     return out
 
 
+def _entries(matrix):
+    """The nonzero entries of a matrix as (row, column, value)."""
+    return [(r, c, v) for r, row in enumerate(matrix)
+            for c, v in enumerate(row) if v.num != 0]
+
+
 def omega_matrix(alg, mods, p, q):
-    """Casimir two-tensor acting on factors p and q (0-based, p != q)."""
+    """Casimir two-tensor acting on factors p and q (0-based, p != q).
+
+    Omega_pq = sum_i x_i^(p) u^i^(q).  Its local entries on the two
+    factors are sums of products of nonzero entries of x_i on factor p,
+    of the dual vector u^i and of x_j on factor q; each local entry is
+    placed at base + rp*sp + rq*sq (column base + cp*sp + cq*sq) for every
+    index base of the other factors.  No dense factor_op products."""
     if p == q:
         raise DomainError("omega acts on two distinct factors")
     dim = tensor_dim(mods)
-    out = zeros(dim, dim)
+    strides = tensor_strides(mods)
+    sp, sq = strides[p], strides[q]
+    dp, dq = mods[p].dim, mods[q].dim
+    local = {}  # (row offset, column offset) -> entry
     for i, dual in casimir_pairs(alg):
-        m1 = factor_op(mods, p, mods[p].matrices[i])
-        dualmat = zeros(mods[q].dim, mods[q].dim)
+        xp = _entries(mods[p].matrices[i])
         for j, c in enumerate(dual):
             if c.num == 0:
                 continue
-            mj = mods[q].matrices[j]
-            for r in range(mods[q].dim):
-                for s in range(mods[q].dim):
-                    dualmat[r][s] = dualmat[r][s] + c * mj[r][s]
-        m2 = factor_op(mods, q, dualmat)
-        prod = mat_mul(m1, m2)
-        for r in range(dim):
-            for s in range(dim):
-                out[r][s] = out[r][s] + prod[r][s]
+            for rq, cq, b in _entries(mods[q].matrices[j]):
+                cb = c * b
+                for rp, cp, a in xp:
+                    key = (rp * sp + rq * sq, cp * sp + cq * sq)
+                    local[key] = local.get(key, RAT0) + a * cb
+    out = zeros(dim, dim)
+    bases = [b for b in range(dim)
+             if (b // sp) % dp == 0 and (b // sq) % dq == 0]
+    for (ro, co), v in local.items():
+        if v.num != 0:
+            for b in bases:
+                out[b + ro][b + co] = v
     return out
 
 

@@ -100,22 +100,22 @@ class KZSystem:
 
 def classical_oracle_matrices(cfg, alg, weights):
     """The matrices sum_{j != p} Omega_{pj} / (z_p - z_j), built from the
-    finite-dimensional Casimir tensor only."""
+    finite-dimensional Casimir tensor only.  The tensor is symmetric, so
+    each Omega_pq is built once per unordered pair and enters M_p and M_q
+    through its nonzero entries."""
     mods = [finite_irrep(alg, w) for w in weights]
     n = cfg.n_points
     dim = tensor_dim(mods)
-    out = []
+    out = [[[RAT0] * dim for _ in range(dim)] for _ in range(n)]
     for p in range(n):
-        m = [[RAT0] * dim for _ in range(dim)]
-        for j in range(n):
-            if j == p:
-                continue
-            om = omega_matrix(alg, mods, p, j)
-            fac = RAT1 / (cfg.points[p] - cfg.points[j])
-            for r in range(dim):
-                for s in range(dim):
-                    m[r][s] = m[r][s] + om[r][s] * fac
-        out.append(m)
+        for q in range(p + 1, n):
+            om = omega_matrix(alg, mods, p, q)
+            entries = [(r, s, v) for r, row in enumerate(om)
+                       for s, v in enumerate(row) if v.num != 0]
+            fac = RAT1 / (cfg.points[p] - cfg.points[q])
+            for m, f in ((out[p], fac), (out[q], -fac)):
+                for r, s, v in entries:
+                    m[r][s] = m[r][s] + v * f
     return out
 
 
@@ -148,16 +148,17 @@ def predicted_scalar_shift(cfg, alg, weights, level, p):
 
 
 def _traceless_dot(a, b):
+    """Frobenius product of the traceless parts of a and b:
+    sum_ij a_ij b_ij - tr(a) tr(b) / dim, over the nonzero entries."""
     dim = len(a)
-    tra = sum((a[i][i] for i in range(dim)), RAT0) / dim
-    trb = sum((b[i][i] for i in range(dim)), RAT0) / dim
     dot = RAT0
-    for i in range(dim):
-        for j in range(dim):
-            x = a[i][j] - (tra if i == j else RAT0)
-            y = b[i][j] - (trb if i == j else RAT0)
-            dot = dot + x * y
-    return dot
+    for ra, rb in zip(a, b):
+        for x, y in zip(ra, rb):
+            if x.num != 0 and y.num != 0:
+                dot = dot + x * y
+    tra = sum((a[i][i] for i in range(dim)), RAT0)
+    trb = sum((b[i][i] for i in range(dim)), RAT0)
+    return dot - tra * trb / dim
 
 
 def _is_scalar_matrix(m):
@@ -188,7 +189,7 @@ def kz_matrices(cfg, alg, weights, level, depth=None):
     """
     level = level if isinstance(level, Rat) else Rat(level)
     kind = "fock" if alg.kind == "abelian1" else "weyl"
-    spec = ModuleSpec(kind, tuple(weights), level, 0)
+    spec = ModuleSpec(kind, tuple(weights), level)
     module = induce_module(alg, cfg, spec)
     fields, meta = tangent_fields(cfg)
     fac = rescale_factor(alg, level)  # raises at the critical level

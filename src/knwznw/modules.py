@@ -22,6 +22,15 @@ sum, so nothing is cut off by degree; the depth only says which slices a
 caller lists.  The one truncation is a verma module's width bound, and
 terms beyond it raise TruncationOverflow with the lost string lengths.
 
+The action is computed in Python ints.  The memo of the normal ordering
+(`InducedModule._act_memo`) holds each result as an integer form
+(D, {monomial: int}): one denominator D > 0, coprime to the numerators,
+no zero numerator, and every zero result the one shared `_ZERO_FORM`.
+The recursion sums into one accumulator whose denominator widens to the
+lcm as needed (`_add_scaled`) and is reduced once at the end
+(`_canonical`).  Rat is built only at the boundary: `_act_gen`, `act`,
+`degree_zero_action` and the Sugawara images handed out.
+
 Coinvariants are taken under the block algebra B: g-valued functions
 regular at infinity with poles only at the marked points.  At genus 0
 every monomial of negative degree lies in B . M, so the representative of
@@ -33,6 +42,7 @@ needed; `degree_zero_coinvariant_dimension` gives the argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Optional
 
 from ._kernel import RAT0, RAT1, Rat
@@ -48,8 +58,9 @@ class ModuleSpec:
     kind: str                 # weyl | verma | fock
     weights: tuple
     level: Rat
-    depth: int                # slices `module` lists; the lowest slice
-                              # `sugawara` may audit
+    depth: int = 0            # slices `module` lists; the lowest slice
+                              # `sugawara` may audit; no computation here
+                              # reads it
     width: Optional[int] = None
 
     def __post_init__(self):
@@ -143,17 +154,65 @@ class ModuleVector:
         return "ModuleVector(%s)" % (body or "0")
 
 
-# the one empty result every memo here (and in sugawara) shares; never mutated
+# the one empty term dict every zero result shares; never mutated
 _ZERO = {}
+# the integer form of every zero result in the memos here and in sugawara
+_ZERO_FORM = (1, _ZERO)
 
 
 def _merge(acc, terms, scale=RAT1):
+    """acc += scale * terms over {monomial: Rat} dicts."""
     for m, c in terms.items():
         w = acc.get(m, RAT0) + c * scale
         if w.num == 0:
             acc.pop(m, None)
         else:
             acc[m] = w
+
+
+def _add_scaled(acc, den, terms, tden, a, b):
+    """acc/den += (a/b) * terms/tden over integer numerators; returns the
+    new denominator.  When den is no multiple of b * tden, it widens to
+    their lcm and acc's numerators with it.  Zero numerators stay until
+    `_canonical`."""
+    e = b * tden
+    if den % e:
+        w = e // gcd(den, e)
+        for m in acc:
+            acc[m] *= w
+        den *= w
+    f = a * (den // e)
+    get = acc.get
+    for m, x in terms.items():
+        acc[m] = get(m, 0) + f * x
+    return den
+
+
+def _canonical(acc, den):
+    """The integer form of acc/den: zero numerators dropped, the common
+    gcd divided out, and `_ZERO_FORM` for zero."""
+    nums = {m: x for m, x in acc.items() if x}
+    if not nums:
+        return _ZERO_FORM
+    if den > 1:
+        g = gcd(den, *nums.values())
+        if g > 1:
+            den //= g
+            nums = {m: x // g for m, x in nums.items()}
+    return den, nums
+
+
+def _form(terms):
+    """The integer form of a {monomial: Rat} dict without zero values."""
+    if not terms:
+        return _ZERO_FORM
+    den = lcm(*(c.den for c in terms.values()))
+    return den, {m: c.num * (den // c.den) for m, c in terms.items()}
+
+
+def _rats(acc, den):
+    """The {monomial: Rat} dict of acc/den, zero numerators dropped."""
+    return {m: Rat(x, den) for m, x in acc.items() if x}
 
 
 class InducedModule:
@@ -270,6 +329,25 @@ class InducedModule:
     def slice_dimension(self, d):
         return len(self.slice_basis(d))
 
+    def slice_size(self, d):
+        """Dimension of the degree-d slice, counted without building it: a
+        partition recursion over the creation keys (multisets of total
+        degree d, at most `width` entries when bounded) times vac_dim."""
+        width = self.spec.width
+        target = -d
+        lens = (target if width is None else width) + 1
+        if d > 0 or lens <= 0:
+            return 0
+        # ways[t][l]: multisets of keys of total degree -t with l entries
+        ways = [[0] * lens for _ in range(target + 1)]
+        ways[0][0] = 1
+        for n, _p, _i in self.creation_keys(min(d, -1)):
+            for t in range(-n, target + 1):
+                below, row = ways[t + n], ways[t]
+                for l in range(1, lens):
+                    row[l] += below[l - 1]
+        return sum(ways[target]) * self.vac_dim
+
     def vacuum_vector(self, vac=0):
         return ModuleVector.monomial(PBWMonomial((), vac))
 
@@ -324,41 +402,66 @@ class InducedModule:
             return {PBWMonomial((), vac): w}
         return {PBWMonomial((gen,), vac): RAT1}
 
-    def _act_gen(self, gen, mono):
-        """Exact action of one loop generator on a basis monomial."""
+    def _act_form(self, gen, mono):
+        """Exact action of one loop generator on a basis monomial, as an
+        integer form (D, {monomial: int}); memoised in `_act_memo`.
+
+        The generator commutes rightward through the creation string:
+        gen.(c1.rest) = c1.(gen.rest) + [gen, c1].rest, summed over one
+        widening denominator and reduced once."""
         key = (gen, mono)
         hit = self._act_memo.get(key)
         if hit is not None:
             return hit
         creation = mono.creation
         if not creation:
-            res = self._vacuum_action(gen, mono.vacuum)
+            res = _form(self._vacuum_action(gen, mono.vacuum))
         elif self._is_creation(gen) and gen <= creation[0]:
-            res = {PBWMonomial((gen,) + creation, mono.vacuum): RAT1}
+            res = (1, {PBWMonomial((gen,) + creation, mono.vacuum): 1})
         else:
+            act = self._act_form
+            hit = self._act_memo.get  # a hit skips the call into act
             rest = PBWMonomial(creation[1:], mono.vacuum)
             c1 = creation[0]
-            res = {}
-            inner = self._act_gen(gen, rest)
-            for m2, c in inner.items():
-                _merge(res, self._act_gen(c1, m2), c)
+            acc, den = {}, 1
+            di, inner = hit((gen, rest)) or act(gen, rest)
+            for m2, x in inner.items():
+                d2, t2 = hit((c1, m2)) or act(c1, m2)
+                if t2:
+                    den = _add_scaled(acc, den, t2, d2, x, di)
             loop, central = self._bracket_gens(gen, c1)
             for gen2, cb in loop:
-                _merge(res, self._act_gen(gen2, rest), cb)
+                d2, t2 = hit((gen2, rest)) or act(gen2, rest)
+                if t2:
+                    den = _add_scaled(acc, den, t2, d2, cb.num, cb.den)
             if central.num != 0:
-                _merge(res, {rest: central})
-        res = self._act_memo[key] = res or _ZERO
+                den = _add_scaled(acc, den, {rest: 1}, 1, central.num,
+                                  central.den)
+            res = _canonical(acc, den)
+        self._act_memo[key] = res
         return res
+
+    def _act_gen(self, gen, mono):
+        """Exact action of one loop generator on a basis monomial, as a
+        fresh {monomial: Rat} dict built from the memoised integer form
+        (`_act_form`); not memoised itself."""
+        den, nums = self._act_form(gen, mono)
+        return _rats(nums, den)
 
     def _act_affine_raw(self, a, terms):
         """Exact action of an affine element on a term dict; no width check."""
-        out = {}
+        acc, den = {}, 1
+        central = a.central * self.level
         for mono, cm in terms.items():
-            if a.central.num != 0:
-                _merge(out, {mono: a.central * self.level * cm})
+            if central.num != 0:
+                s = central * cm
+                den = _add_scaled(acc, den, {mono: 1}, 1, s.num, s.den)
             for (i, n, p), c in a.loop.items():
-                _merge(out, self._act_gen((n, p, i), mono), c * cm)
-        return out
+                d2, t2 = self._act_form((n, p, i), mono)
+                if t2:
+                    s = c * cm
+                    den = _add_scaled(acc, den, t2, d2, s.num, s.den)
+        return _rats(acc, den)
 
     def act(self, a, v):
         """Exact module action of an affine element on a vector.  Terms
@@ -387,13 +490,13 @@ class InducedModule:
         mat = [[RAT0] * len(basis0) for _ in basis0]
         out = {} if lost is None else lost
         for col, mono in enumerate(basis0):
-            image = self._act_gen((0, p, i), mono)
+            den, image = self._act_form((0, p, i), mono)
             widths = {len(m2.creation) for m2 in image if m2 not in index}
             if widths:
                 out.setdefault(col, set()).update(widths)
                 continue
-            for m2, c in image.items():
-                mat[index[m2]][col] = c
+            for m2, x in image.items():
+                mat[index[m2]][col] = Rat(x, den)
         if lost is None and out:
             raise TruncationOverflow(lost_widths=set().union(*out.values()))
         return mat

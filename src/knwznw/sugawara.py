@@ -19,10 +19,13 @@ degree d only mode indices n in [t + d, -d] can contribute to total
 degree t, which the implementation uses as its summation bound.
 
 L(k,r) is linear, so its image of each PBW monomial is computed once per
-module and memoised (`apply_L_raw`).  One image writes u^i = sum_j D_ij u_j
-once, reads only the nonzero coefficients from a sparse table per (k, r),
-and applies each first normal-ordered operator once to the sum of its
-arguments (`_L_image`).
+module and memoised (`apply_L_raw`) as an integer form (D, {monomial:
+int}), like the module's action memo: one denominator per memo entry.
+One image writes u^i = sum_j D_ij u_j once, reads only the nonzero
+coefficients from a sparse table per (k, r), applies each second
+normal-ordered operator once per distinct operator and each first
+operator once to the sum of its arguments (`_L_image`), all in Python
+ints; Rat is built only where an image leaves `apply_L_raw`.
 
 The rescaled operators -1/(level + dual Coxeter) L(k,r) represent the
 centrally extended vector-field algebra; the audit measures the central
@@ -38,7 +41,8 @@ from ._kernel import RAT0, RAT1, Rat
 from .algebras import R_ZERO, cocycle_chi, vf_bracket
 from .basis import GradedElement, KNIndex, kn_basis_element, residue_sum
 from .errors import CriticalLevelError, DomainError
-from .modules import _ZERO, ModuleVector, _merge
+from .modules import (ModuleVector, _add_scaled, _canonical, _merge,
+                      _rats)
 
 
 _HALF = Rat(1, 2)
@@ -94,17 +98,30 @@ def _triple_row(cfg, k, r, t, n):
     return _table_row(cfg, ("sugw3rows", k, r), t, n, build)
 
 
-def _current_terms(cfg, alg, k, r, t, n):
-    """The terms of L(k, r) at total t and mode n, as (a, b, c/2 D_ij) for
-    a = (n, p, i) and b = (t-n, s, j), where c = c_{(n,p),(t-n,s)} != 0 and
-    u^i = sum_j D_ij u_j.  One table per algebra and (k, r), so every image
-    shares these generator tuples (they key the module's action memo)."""
+def _current_terms(cfg, alg, k, r, swap, t, n):
+    """The terms of L(k, r) at total t and mode n, grouped by the operator
+    that acts second.  A term is c/2 D_ij :u_i(n,p) u_j(t-n,s): for
+    c = c_{(n,p),(t-n,s)} != 0 and u^i = sum_j D_ij u_j; its operators are
+    a = (n, p, i) and b = (t-n, s, j), applied as first.(second.mono) with
+    (first, second) = (a, b), or (b, a) when swap.  The row is
+    ((second, ((first, num, den), ...)), ...) with c/2 D_ij = num/den.
+    One table per algebra, (k, r) and swap, so every image shares these
+    generator tuples (they key the module's action memo)."""
     def build():
-        return tuple(((n, p, i), (t - n, s, j), c * _HALF * d)
-                     for p, s, c in _triple_row(cfg, k, r, t, n)
-                     for i, dual in enumerate(alg.dual_vectors)
-                     for j, d in enumerate(dual) if d.num != 0)
-    return _table_row(cfg, ("sugw-terms", alg.kind, k, r), t, n, build)
+        groups = {}
+        for p, s, c in _triple_row(cfg, k, r, t, n):
+            for i, dual in enumerate(alg.dual_vectors):
+                for j, d in enumerate(dual):
+                    if d.num != 0:
+                        a, b = (n, p, i), (t - n, s, j)
+                        first, second = (b, a) if swap else (a, b)
+                        v = c * _HALF * d
+                        groups.setdefault(second, []).append(
+                            (first, v.num, v.den))
+        return tuple((second, tuple(firsts))
+                     for second, firsts in groups.items())
+    return _table_row(cfg, ("sugw-terms", alg.kind, k, r, swap), t, n,
+                      build)
 
 
 def total_degree_band(cfg, k):
@@ -131,17 +148,22 @@ def sugawara_coefficients(cfg, idx, band):
 
 
 def _L_image(module, k, r, tie_swap, extra_margin, mono):
-    """L(k, r) on one monomial.
+    """L(k, r) on one monomial, as an integer form (D, {monomial: int}).
 
     Each term c/2 D_ij :u_i(n,p) u_j(m,s): is normal ordered into
-    first.(second.mono); the arguments second.mono are summed per first
-    operator, and each first operator then acts once on its sum.
+    first.(second.mono).  Each distinct second operator acts once per
+    (t, n); its image, scaled by each of its terms, is summed into the
+    argument of the first operator, and each first operator then acts once
+    on its argument.  Both phases sum integer numerators over one
+    widening denominator (`modules._add_scaled`).
     """
     cfg = module.cfg
-    act = module._act_gen
+    alg = module.alg
+    act = module._act_form
+    hit = module._act_memo.get  # a hit skips the call into act
     t_lo, t_hi = total_degree_band(cfg, k)
     dv = mono.degree
-    groups = {}  # first operator -> {monomial: coefficient} it acts on
+    groups = {}  # first operator -> [den, {monomial: int}] it acts on
     for t in range(t_lo, t_hi + 1):
         for n in range(t + dv - extra_margin, -dv + extra_margin + 1):
             m = t - n
@@ -149,43 +171,52 @@ def _L_image(module, k, r, tie_swap, extra_margin, mono):
             # degree-0/degree-0 pair keeps its written order unless swapped
             swap = ((n > 0 and m <= 0) or (m < 0 and n >= 0)
                     or (tie_swap and n == 0 and m == 0))
-            for a, b, c in _current_terms(cfg, module.alg, k, r, t, n):
-                first, second = (b, a) if swap else (a, b)
-                mid = act(second, mono)
-                if mid:
+            for second, firsts in _current_terms(cfg, alg, k, r, swap, t, n):
+                dm, mid = hit((second, mono)) or act(second, mono)
+                if not mid:
+                    continue
+                for first, num, den in firsts:
                     arg = groups.get(first)
                     if arg is None:
-                        arg = groups[first] = {}
-                    _merge(arg, mid, c)
-    out = {}
-    for first, arg in groups.items():
-        for m2, c2 in arg.items():
-            _merge(out, act(first, m2), c2)
-    return out or _ZERO
+                        arg = groups[first] = [1, {}]
+                    arg[0] = _add_scaled(arg[1], arg[0], mid, dm, num, den)
+    acc, den = {}, 1
+    for first, (aden, arg) in groups.items():
+        for m2, x in arg.items():
+            if x:
+                d2, t2 = hit((first, m2)) or act(first, m2)
+                if t2:
+                    den = _add_scaled(acc, den, t2, d2, x, aden)
+    return _canonical(acc, den)
 
 
 def apply_L_raw(module, idx, terms, tie_swap=False, extra_margin=0):
-    """Exact L(k, r) on a term dict.
+    """Exact L(k, r) on a term dict {monomial: Rat}, as a fresh
+    {monomial: Rat} dict.
 
     L(k, r) is linear, so the image of each monomial is computed once per
-    module and memoised under ((k, r), tie_swap, extra_margin, monomial);
-    the image of terms sums the cached images scaled by the coefficients.
-    Both flags are in the key, so the tie-rule and summation-bound audits
-    compare two computations, never one cached image with itself.
-    Memoised images are never mutated.
+    module and memoised under ((k, r), tie_swap, extra_margin, monomial)
+    as an integer form (D, {monomial: int}) (`_L_image`); the image of
+    terms sums the cached numerators scaled by the coefficients over one
+    denominator, and builds one Rat per output monomial.  Both flags are
+    in the key, so the tie-rule and summation-bound audits compare two
+    computations, never one cached image with itself.  Memoised images
+    are never mutated.
     """
     k, r = kr = tuple(idx)
     tie_swap = bool(tie_swap)
     memo = module._sugawara_memo
-    out = {}
+    acc, den = {}, 1
     for mono, cm in terms.items():
         key = (kr, tie_swap, extra_margin, mono)
         img = memo.get(key)
         if img is None:
             img = memo[key] = _L_image(module, k, r, tie_swap, extra_margin,
                                        mono)
-        _merge(out, img, cm)
-    return out
+        iden, nums = img
+        if nums:
+            den = _add_scaled(acc, den, nums, iden, cm.num, cm.den)
+    return _rats(acc, den)
 
 
 def apply_L(module, idx, v, tie_swap=False, extra_margin=0):

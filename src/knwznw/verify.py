@@ -61,13 +61,13 @@ def sample_config(n):
 def _weyl_n2():
     """sl2 Weyl module of weights (1, 1) at level 1, at 0 and 1."""
     return induce_module(make_algebra("sl2"), sample_config(2),
-                         ModuleSpec("weyl", (1, 1), Rat(1), 0))
+                         ModuleSpec("weyl", (1, 1), Rat(1)))
 
 
 def _fock_n1(level=Rat(1)):
     """Abelian Fock module at the single point 0."""
     return induce_module(make_algebra("abelian1"), sample_config(1),
-                         ModuleSpec("fock", (RAT0,), level, 0))
+                         ModuleSpec("fock", (RAT0,), level))
 
 
 # ---------------------------------------------------------------- basis --
@@ -616,7 +616,7 @@ def classical_central_charge():
         (sl2, "weyl", (0,), Rat(2)),
     ]
     for alg, kind, weights, level in cases:
-        module = induce_module(alg, cfg, ModuleSpec(kind, weights, level, 0))
+        module = induce_module(alg, cfg, ModuleSpec(kind, weights, level))
         res = sugawara_commutator_audit(
             cfg, alg, module, [((2, 1), (-2, 1))], [-2, -3])
         e = res[0]
@@ -632,7 +632,7 @@ def classical_central_charge():
 def multipoint_centrality():
     cfg = sample_config(2)
     sl2 = make_algebra("sl2")
-    module = induce_module(sl2, cfg, ModuleSpec("weyl", (1, 1), Rat(1), 0))
+    module = induce_module(sl2, cfg, ModuleSpec("weyl", (1, 1), Rat(1)))
     # two audits for cost only: every slice is exact, but auditing
     # ((2,1),(-2,1)) at slice -2 as well about doubles the check's time
     audits = (
@@ -779,7 +779,7 @@ def coinvariant_clebsch_gordan():
     parts = []
     for points, weights, want in cases:
         module = induce_module(sl2, Config(points),
-                               ModuleSpec("weyl", weights, Rat(1), 0))
+                               ModuleSpec("weyl", weights, Rat(1)))
         dim = degree_zero_coinvariant_dimension(module)
         ok = ok and dim == want
         parts.append("%s at %s: %d (Clebsch-Gordan %d)"

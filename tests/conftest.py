@@ -1,6 +1,8 @@
 """Helpers shared by the test modules."""
 
 from knwznw.basis import DivisorForm, Section
+from knwznw.exactlinalg import zeros
+from knwznw.finite_lie import casimir_pairs, factor_op, tensor_dim
 
 
 def section_of(cfg, lam, f):
@@ -15,3 +17,45 @@ def section_of(cfg, lam, f):
     # when the degrees agree
     assert sum(k) == -f.den.degree(), "pole off the marked points"
     return Section(lam, DivisorForm(pts, f.num.coeffs, k))
+
+
+def dense_mat_mul(a, b):
+    """The textbook triple loop over every entry of b, kept as the oracle
+    of the sparse `mat_mul`."""
+    n, k = len(a), len(b)
+    m = len(b[0]) if b else 0
+    out = zeros(n, m)
+    for i in range(n):
+        ai = a[i]
+        oi = out[i]
+        for t in range(k):
+            c = ai[t]
+            if c.num == 0:
+                continue
+            bt = b[t]
+            for j in range(m):
+                oi[j] = oi[j] + c * bt[j]
+    return out
+
+
+def dense_omega_matrix(alg, mods, p, q):
+    """Omega_pq = sum_i x_i^(p) u^i^(q) as dense products of factor_op
+    matrices, kept as the oracle of the sparse `omega_matrix`."""
+    dim = tensor_dim(mods)
+    out = zeros(dim, dim)
+    for i, dual in casimir_pairs(alg):
+        m1 = factor_op(mods, p, mods[p].matrices[i])
+        dualmat = zeros(mods[q].dim, mods[q].dim)
+        for j, c in enumerate(dual):
+            if c.num == 0:
+                continue
+            mj = mods[q].matrices[j]
+            for r in range(mods[q].dim):
+                for s in range(mods[q].dim):
+                    dualmat[r][s] = dualmat[r][s] + c * mj[r][s]
+        m2 = factor_op(mods, q, dualmat)
+        prod = dense_mat_mul(m1, m2)
+        for r in range(dim):
+            for s in range(dim):
+                out[r][s] = out[r][s] + prod[r][s]
+    return out

@@ -7,8 +7,8 @@ import sys
 import pytest
 
 from knwznw import verify
-from knwznw.cli import (MAX_BASIS_INDEX, MAX_DEPTH, MAX_WINDOW_DEGREE,
-                        MAX_WINDOW_WIDTH, main)
+from knwznw.cli import (MAX_AUDIT_MONOMIALS, MAX_BASIS_INDEX, MAX_DEPTH,
+                        MAX_WINDOW_DEGREE, MAX_WINDOW_WIDTH, main)
 
 
 def run_cli(argv, capsys):
@@ -321,6 +321,46 @@ def test_sugawara_slice_bound(capsys, tmp_path, slices):
                                       "weights": [1, 1], "depth": 4})
     _rejected(["sugawara", "--config", cfg, "--slices", slices], capsys,
               "out of range -4..0 (module depth)")
+
+
+@pytest.mark.parametrize("pair", ["8,1,-2,1", "2,1,-8,1"])
+def test_sugawara_pair_degree_bound(capsys, tmp_path, pair):
+    cfg = _write(tmp_path, "s.json", {"points": ["0", "1"],
+                                      "weights": [1, 1], "depth": 2})
+    _rejected(["sugawara", "--config", cfg, "--pairs", pair], capsys,
+              "pair degree %s is out of range -7..7 (MAX_DEPTH)"
+              % pair.split(",")[0 if pair[0] == "8" else 2])
+
+
+README_CONFIG = {"points": ["0", "1", "-1"], "lie_algebra": "sl2",
+                 "module": {"kind": "weyl", "weights": [1, 1, 1],
+                            "level": "1", "depth": 4}}
+
+
+def test_sugawara_audit_size_bound(capsys, tmp_path):
+    # pair (2,1),(-2,1) shifts slice d down to d - 2: slice -3 reaches
+    # slice -5 of 8 * 3,753 monomials, and must exit 2 without building it
+    cfg = _write(tmp_path, "s.json", README_CONFIG)
+    assert 8280 <= MAX_AUDIT_MONOMIALS < 30024
+    for slices in ("-3", "0,-3"):
+        _rejected(["sugawara", "--config", cfg, "--pairs", "2,1,-2,1",
+                   "--slices", slices], capsys,
+                  "slice -3 reaches slice -5 of 30024 monomials, more than "
+                  "%d (MAX_AUDIT_MONOMIALS)" % MAX_AUDIT_MONOMIALS)
+    # the most negative shift of any pair counts
+    _rejected(["sugawara", "--config", cfg, "--pairs", "0,1,0,2;2,1,-2,1",
+               "--slices=-3"], capsys, "(MAX_AUDIT_MONOMIALS)")
+    # two negative degrees shift twice: -1 - 1 - 2 = -4 passes, -5 not
+    code, _, err = run_cli(["sugawara", "--config", cfg,
+                            "--pairs=-1,1,-2,2", "--slices=-1"], capsys)
+    assert code == 0, err
+    _rejected(["sugawara", "--config", cfg, "--pairs=-1,1,-2,2",
+               "--slices=-2"], capsys, "reaches slice -5")
+    # README's request stays inside the bound
+    code, out, err = run_cli(["sugawara", "--config", cfg, "--pairs",
+                              "2,1,-2,1", "--slices=0,-1"], capsys)
+    assert code == 0 and err == ""
+    assert json.loads(out)["entries"][0]["ratio"] == "1"
 
 
 def test_output_past_the_int_string_limit_exits_2(capsys):

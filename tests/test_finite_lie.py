@@ -1,13 +1,18 @@
 """Gauge algebra data: structure constants, form, irreps, Casimir."""
 
+import random
+
 import pytest
 
+from conftest import dense_mat_mul, dense_omega_matrix
 from knwznw import Rat
+from knwznw._kernel import RAT0
 from knwznw.errors import DomainError
 from knwznw.exactlinalg import commutator, is_zero_matrix, mat_mul
 from knwznw.finite_lie import (casimir_eigenvalue, casimir_pairs,
                                diagonal_action, finite_irrep, make_algebra,
                                omega_matrix, tensor_dim)
+
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +129,44 @@ def test_omega_is_symmetric(sl2):
     mods = [finite_irrep(sl2, w) for w in (1, 2, 1)]
     for p, q in ((0, 1), (0, 2), (1, 2)):
         assert omega_matrix(sl2, mods, p, q) == omega_matrix(sl2, mods, q, p)
+
+
+def test_sparse_omega_matches_the_dense_oracle(sl2, ab):
+    cases = [(sl2, (1, 2, 1)), (sl2, (2, 2, 2)), (sl2, (0, 1, 2)),
+             (ab, (Rat(2), Rat(-1, 3), Rat(5))), (ab, (Rat(1, 2), RAT0))]
+    for alg, weights in cases:
+        mods = [finite_irrep(alg, w) for w in weights]
+        for p in range(len(mods)):
+            for q in range(len(mods)):
+                if p != q:
+                    assert (omega_matrix(alg, mods, p, q)
+                            == dense_omega_matrix(alg, mods, p, q))
+
+
+def test_sparse_mat_mul_matches_the_dense_oracle():
+    rng = random.Random(7)
+
+    def sparse(rows, cols, density):
+        return [[Rat(rng.randint(-9, 9), rng.randint(1, 4))
+                 if rng.random() < density else RAT0
+                 for _ in range(cols)] for _ in range(rows)]
+
+    for _ in range(60):
+        n, k, m = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 7)
+        density = rng.choice((0.0, 0.15, 0.4, 1.0))
+        a, b = sparse(n, k, density), sparse(k, m, rng.random())
+        assert mat_mul(a, b) == dense_mat_mul(a, b)
+    assert mat_mul([], []) == dense_mat_mul([], []) == []
+
+
+def test_irreps_are_built_once(sl2, ab):
+    assert finite_irrep(sl2, 2) is finite_irrep(sl2, Rat(2))
+    assert finite_irrep(ab, Rat(1, 2)) is finite_irrep(ab, "1/2")
+    assert finite_irrep(ab, 1) is finite_irrep(ab, Rat(1))
+    assert finite_irrep(sl2, 1) is not finite_irrep(sl2, 2)
+    # the matrices are immutable, so sharing one module is safe
+    assert all(isinstance(row, tuple) for m in finite_irrep(sl2, 2).matrices
+               for row in m)
 
 
 def test_tensor_dim(sl2):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import dense_omega_matrix
 from knwznw import Rat, kz
 from knwznw._kernel import RAT0
 from knwznw.basis import Config
@@ -166,6 +167,38 @@ def test_flatness_builds_each_omega_once(sl2, monkeypatch):
     rep = flatness_check(system)
     assert rep.holds and rep.checked_relations == 48
     assert sorted(built) == [(p, q) for p in range(4) for q in range(p + 1, 4)]
+
+
+def test_oracle_builds_each_omega_once(sl2, ab, monkeypatch):
+    # Omega_qp = Omega_pq, so M_p and M_q share one Omega per unordered
+    # pair; M_p still equals sum_{q != p} Omega_pq / (z_p - z_q) over the
+    # dense oracle
+    real = kz.omega_matrix
+    cases = [(Config(["0", "1", "-1", "2"]), sl2, (1, 1, 1, 1)),
+             (Config(["1/2", "-7/3", "5"]), sl2, (2, 2, 2)),
+             (Config(["0", "1", "3"]), ab, (Rat(1), Rat(2), Rat(3)))]
+    for cfg, alg, weights in cases:
+        built = []
+
+        def counting(alg, mods, p, q):
+            built.append((p, q))
+            return real(alg, mods, p, q)
+
+        monkeypatch.setattr(kz, "omega_matrix", counting)
+        got = classical_oracle_matrices(cfg, alg, weights)
+        n = cfg.n_points
+        assert len(built) == n * (n - 1) // 2 == len(set(built))
+        mods = [kz.finite_irrep(alg, w) for w in weights]
+        for p in range(n):
+            dim = len(got[p])
+            want = [[RAT0] * dim for _ in range(dim)]
+            for q in range(n):
+                if q != p:
+                    om = dense_omega_matrix(alg, mods, p, q)
+                    fac = Rat(1) / (cfg.points[p] - cfg.points[q])
+                    want = [[w + o * fac for w, o in zip(rw, ro)]
+                            for rw, ro in zip(want, om)]
+            assert got[p] == want
 
 
 def test_flatness_abelian(ab):

@@ -4,6 +4,7 @@ import functools
 import random
 from collections import Counter
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -16,9 +17,10 @@ from knwznw.basis import Config
 from knwznw.errors import DomainError, TruncationOverflow
 from knwznw.finite_lie import factor_op, make_algebra
 from knwznw.modules import (ModuleSpec, ModuleVector, PBWMonomial,
-                            _ZERO, _merge, _relation_span,
+                            _ZERO, _ZERO_FORM, _merge, _relation_span,
                             degree_zero_coinvariant_dimension,
                             induce_module)
+from knwznw.sugawara import sugawara_commutator_audit
 
 E, H, F = 0, 1, 2
 
@@ -92,6 +94,26 @@ def test_verma_slices(sl2, cfg1):
     # degree -1 strings: one negative key plus degree-0 tails
     assert all(mono.degree == -1 for mono in m.slice_basis(-1))
     assert m.slice_dimension(-1) == 3 * 3  # 3 negative keys x <=2 zero tails
+
+
+def test_slice_size_counts_the_slice(sl2, ab, cfg1, cfg2, weyl11, fock):
+    # the partition count the CLI bounds audits with, against enumeration
+    modules = [weyl11, fock,
+               induce_module(sl2, Config(["0", "1", "-1"]),
+                             ModuleSpec("weyl", (1, 1, 1), Rat(1))),
+               induce_module(ab, cfg2, ModuleSpec("fock", (Rat(1), RAT0),
+                                                  Rat(1)))]
+    for width in (0, 1, 2, 3):
+        for cfg in (cfg1, cfg2):
+            weights = (Rat(1),) * cfg.n_points
+            modules.append(induce_module(sl2, cfg, ModuleSpec(
+                "verma", weights, Rat(1), 2, width)))
+    for m in modules:
+        for d in range(1, -5, -1):
+            assert m.slice_size(d) == m.slice_dimension(d), (m.spec, d)
+    # README's module: slice -4 holds 8 * 1,035 monomials
+    assert modules[2].slice_size(-4) == 8280
+    assert modules[2].slice_size(-5) == 30024
 
 
 def test_level_action(weyl11, fock):
@@ -188,6 +210,90 @@ def test_degree_zero_matches_finite_module(weyl11):
             want = factor_op(weyl11.factors, p - 1,
                              weyl11.factors[p - 1].matrices[i])
             assert got == [list(r) for r in want]
+
+
+def rat_act_gen(module, gen, mono, memo):
+    """The action of one generator on a monomial by the normal-ordering
+    recursion summed in Rat, kept as an oracle for the integer forms of
+    `InducedModule._act_form`: gen.(c1.rest) = c1.(gen.rest) +
+    [gen, c1].rest, memoised in `memo`."""
+    key = (gen, mono)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    creation = mono.creation
+    if not creation:
+        res = module._vacuum_action(gen, mono.vacuum)
+    elif module._is_creation(gen) and gen <= creation[0]:
+        res = {PBWMonomial((gen,) + creation, mono.vacuum): RAT1}
+    else:
+        rest = PBWMonomial(creation[1:], mono.vacuum)
+        c1 = creation[0]
+        res = {}
+        for m2, c in rat_act_gen(module, gen, rest, memo).items():
+            _merge(res, rat_act_gen(module, c1, m2, memo), c)
+        loop, central = module._bracket_gens(gen, c1)
+        for gen2, cb in loop:
+            _merge(res, rat_act_gen(module, gen2, rest, memo), cb)
+        if central.num != 0:
+            _merge(res, {rest: central})
+    memo[key] = res
+    return res
+
+
+def test_integer_action_matches_the_rat_recursion(sl2, ab):
+    cfg = Config(["1/2", "-7/3", "5"])
+    modules = [
+        induce_module(sl2, cfg, ModuleSpec("weyl", (1, 1, 2), Rat(3, 2))),
+        induce_module(ab, cfg, ModuleSpec("fock", (Rat(1, 2), Rat(-7, 3),
+                                                   Rat(5)), Rat(2, 3))),
+        induce_module(sl2, Config(["1/2", "-7/3"]),
+                      ModuleSpec("verma", (Rat(1, 2), Rat(3)), Rat(-5, 4),
+                                 2, 3)),
+    ]
+    compared = widened = 0
+    for module in modules:
+        memo = {}
+        gens = [(n, p, i) for n in range(-2, 3)
+                for p in range(1, module.cfg.n_points + 1)
+                for i in range(module.alg.dim)]
+        for d in (0, -1):
+            for mono in module.slice_basis(d):
+                for gen in gens:
+                    want = rat_act_gen(module, gen, mono, memo)
+                    got = module._act_gen(gen, mono)
+                    assert got == want, (gen, mono)
+                    compared += bool(want)
+                    widened += module._act_memo[(gen, mono)][0] > 1
+    assert compared > 3000 and widened > 1000
+
+
+def assert_canonical(form):
+    den, nums = form
+    assert den > 0
+    if not nums:
+        assert form is _ZERO_FORM
+        return
+    assert all(x != 0 for x in nums.values())
+    assert gcd(den, *nums.values()) == 1
+
+
+def test_memoised_forms_are_canonical(sl2):
+    # a multipoint-centrality-sized audit, at rational points and level so
+    # that denominators other than 1 and 2 occur
+    for points, level in ((["0", "1"], Rat(1)), (["1/2", "-7/3"], Rat(3, 2))):
+        cfg = Config(points)
+        module = induce_module(sl2, cfg, ModuleSpec("weyl", (1, 1), level))
+        pairs = [((1, 1), (-1, 2)), ((1, 2), (-1, 1)), ((0, 1), (0, 2))]
+        res = sugawara_commutator_audit(cfg, sl2, module, pairs, [-1, -2])
+        assert all(e.is_scalar for e in res)
+        for memo in (module._act_memo, module._sugawara_memo):
+            assert len(memo) > 1000
+            zeros = 0
+            for form in memo.values():
+                assert_canonical(form)
+                zeros += not form[1]
+            assert zeros > 0
 
 
 def test_act_below_the_depth_is_exact(weyl11):

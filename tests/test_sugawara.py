@@ -270,11 +270,16 @@ def test_each_margin_and_tie_rule_computes_its_own_image(sl2, cfg2):
     assert len(memo) == 3
     assert memo[((0, 1), False, 3, mono)] is not plain
     assert memo[((0, 1), True, 0, mono)] is not plain
-    # a caller may mutate what it gets back; the memo never changes
+    # the memo holds the image as an integer form (D, {monomial: int});
+    # a caller gets a fresh Rat dict and may mutate it, the memo never
+    # changes
+    den, nums = plain
+    want = {m: Rat(x, den) for m, x in nums.items()}
     out = apply_L_raw(module, (0, 1), {mono: Rat(1)})
-    assert out == plain and out is not plain
+    assert out == want != {}
     out.clear()
-    assert memo[((0, 1), False, 0, mono)] == plain != {}
+    assert memo[((0, 1), False, 0, mono)] == (den, nums)
+    assert apply_L_raw(module, (0, 1), {mono: Rat(1)}) == want
 
 
 def test_multipoint_audit_reuses_memoised_images(sl2, cfg2, monkeypatch):
