@@ -31,7 +31,8 @@ from .sugawara import sugawara_commutator_audit, total_degree_band
 # `cocycle`, `affine` and plain `module` request takes about ten seconds
 # or less: cost grows with n - lambda for one basis element, with the
 # square of the window width and with how far negative the window
-# reaches, and exponentially with the depth for the module slices.
+# reaches.  `module` counts its slices (`InducedModule.slice_size`)
+# instead of building them, so its depth costs little.
 MAX_BASIS_INDEX = 200    # |n| and |lambda| of `basis`
 MAX_WINDOW_WIDTH = 31    # hi - lo + 1 of a `table`/`cocycle`/`affine` window
 MAX_WINDOW_DEGREE = 20   # |lo| and |hi| of such a window
@@ -315,7 +316,7 @@ def cmd_module(args):
     alg = _config_algebra(data)
     spec = _config_module_spec(cfg, data)
     module = induce_module(alg, cfg, spec)
-    slices = {str(-d): module.slice_dimension(-d)
+    slices = {str(-d): module.slice_size(-d)
               for d in range(0, spec.depth + 1)}
     payload = {
         "kind": spec.kind,

@@ -363,6 +363,35 @@ def test_sugawara_audit_size_bound(capsys, tmp_path):
     assert json.loads(out)["entries"][0]["ratio"] == "1"
 
 
+def colored_partitions(colors, upto):
+    """Coefficients of prod_{n >= 1} (1 - q^n)^-colors up to q^upto."""
+    coeffs = [1] + [0] * upto
+    for n in range(1, upto + 1):
+        for _ in range(colors):
+            for t in range(n, upto + 1):
+                coeffs[t] += coeffs[t - n]
+    return coeffs
+
+
+@pytest.mark.parametrize("weights,vac_dim", [((1, 1, 1), 8),
+                                             ((2, 2, 2, 2), 81)])
+def test_module_lists_slices_without_building_them(capsys, tmp_path,
+                                                   weights, vac_dim):
+    # a degree-d slice holds the multisets of creation keys (one color per
+    # point and basis element of sl2) of total degree d, per vacuum
+    # vector; at 4 points the listing reaches 12,470,760 monomials at
+    # slice -7, so it must count them, not build them
+    points = ["0", "1", "-1", "2"][:len(weights)]
+    cfg = _write(tmp_path, "m.json", {
+        "points": points, "module": {"kind": "weyl", "weights": list(weights),
+                                     "depth": MAX_DEPTH}})
+    code, out, err = run_cli(["module", "--config", cfg], capsys)
+    assert code == 0 and err == "", err
+    counts = colored_partitions(3 * len(weights), MAX_DEPTH)
+    assert json.loads(out)["slice_dimensions"] == {
+        str(-d): vac_dim * counts[d] for d in range(MAX_DEPTH + 1)}
+
+
 def test_output_past_the_int_string_limit_exits_2(capsys):
     # A_{1,1} at the points 0, P carries the factor P^-2, twice as long as
     # P; the interpreter's limit on int-to-str conversion is left as it is
