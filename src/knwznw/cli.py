@@ -42,7 +42,7 @@ MAX_DEPTH = 7            # slices `module` lists; lowest `sugawara` slice;
 # the most negative shift of a pair.  The audit's time and memory grow
 # with it: at points 0,1,-1 with weights (1,1,1), pair 2,1,-2,1 reaches
 # 8,280 monomials from slice -2 (about 3 s and 56 MB) and 30,024 from
-# slice -3 (about 40 s and 330 MB).
+# slice -3 (about 28 s and 270 MB).
 MAX_AUDIT_MONOMIALS = 10000
 
 
