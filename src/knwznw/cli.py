@@ -31,7 +31,7 @@ from .sugawara import sugawara_commutator_audit, total_degree_band
 # `cocycle`, `affine` and plain `module` request takes about ten seconds
 # or less: cost grows with n - lambda for one basis element, with the
 # square of the window width and with how far negative the window
-# reaches.  `module` counts its slices (`InducedModule.slice_size`)
+# reaches.  `module` counts its slices (`InducedModule.slice_dimension`)
 # instead of building them, so its depth costs little.
 MAX_BASIS_INDEX = 200    # |n| and |lambda| of `basis`
 MAX_WINDOW_WIDTH = 31    # hi - lo + 1 of a `table`/`cocycle`/`affine` window
@@ -316,7 +316,7 @@ def cmd_module(args):
     alg = _config_algebra(data)
     spec = _config_module_spec(cfg, data)
     module = induce_module(alg, cfg, spec)
-    slices = {str(-d): module.slice_size(-d)
+    slices = {str(-d): module.slice_dimension(-d)
               for d in range(0, spec.depth + 1)}
     payload = {
         "kind": spec.kind,
@@ -362,7 +362,7 @@ def cmd_sugawara(args):
     shift = min(sum(min(0, total_degree_band(cfg, k)[0]) for k, _r in pair)
                 for pair in pairs)
     for d in window:
-        size = module.slice_size(d + shift)
+        size = module.slice_dimension(d + shift)
         if size > MAX_AUDIT_MONOMIALS:
             raise ConfigError(
                 "slice %d reaches slice %d of %d monomials, more than %d "

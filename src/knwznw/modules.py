@@ -42,7 +42,7 @@ needed; `degree_zero_coinvariant_dimension` gives the argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from typing import Optional
 
 from ._kernel import RAT0, RAT1, Rat
@@ -327,26 +327,39 @@ class InducedModule:
         return len(keys)
 
     def slice_dimension(self, d):
-        return len(self.slice_basis(d))
+        """Dimension of the degree-d slice, counted without building it.
 
-    def slice_size(self, d):
-        """Dimension of the degree-d slice, counted without building it: a
-        partition recursion over the creation keys (multisets of total
-        degree d, at most `width` entries when bounded) times vac_dim."""
-        width = self.spec.width
-        target = -d
-        lens = (target if width is None else width) + 1
-        if d > 0 or lens <= 0:
+        A string is a multiset of negative-degree creation keys of total
+        degree d (a partition recursion by number of entries l), followed
+        by any multiset of the z degree-zero keys (verma only) that keeps
+        it within `width`: C(width - l + z, z) tails.  No string has more
+        than -d negative entries, so the count costs nothing in `width`."""
+        if d > 0:
             return 0
-        # ways[t][l]: multisets of keys of total degree -t with l entries
-        ways = [[0] * lens for _ in range(target + 1)]
+        target = -d
+        width = self.spec.width
+        lens = target if width is None else min(target, width)
+        if lens < 0:
+            return 0
+        # ways[t][l]: multisets of negative keys of total degree -t with
+        # l entries
+        ways = [[0] * (lens + 1) for _ in range(target + 1)]
         ways[0][0] = 1
+        zeros = 0
         for n, _p, _i in self.creation_keys(min(d, -1)):
+            if n == 0:
+                zeros += 1
+                continue
             for t in range(-n, target + 1):
                 below, row = ways[t + n], ways[t]
-                for l in range(1, lens):
+                for l in range(1, lens + 1):
                     row[l] += below[l - 1]
-        return sum(ways[target]) * self.vac_dim
+        if width is None:
+            strings = sum(ways[target])
+        else:
+            strings = sum(c * comb(width - l + zeros, zeros)
+                          for l, c in enumerate(ways[target]))
+        return strings * self.vac_dim
 
     def vacuum_vector(self, vac=0):
         return ModuleVector.monomial(PBWMonomial((), vac))
@@ -420,18 +433,17 @@ class InducedModule:
             res = (1, {PBWMonomial((gen,) + creation, mono.vacuum): 1})
         else:
             act = self._act_form
-            hit = self._act_memo.get  # a hit skips the call into act
             rest = PBWMonomial(creation[1:], mono.vacuum)
             c1 = creation[0]
             acc, den = {}, 1
-            di, inner = hit((gen, rest)) or act(gen, rest)
+            di, inner = act(gen, rest)
             for m2, x in inner.items():
-                d2, t2 = hit((c1, m2)) or act(c1, m2)
+                d2, t2 = act(c1, m2)
                 if t2:
                     den = _add_scaled(acc, den, t2, d2, x, di)
             loop, central = self._bracket_gens(gen, c1)
             for gen2, cb in loop:
-                d2, t2 = hit((gen2, rest)) or act(gen2, rest)
+                d2, t2 = act(gen2, rest)
                 if t2:
                     den = _add_scaled(acc, den, t2, d2, cb.num, cb.den)
             if central.num != 0:

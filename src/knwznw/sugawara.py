@@ -160,7 +160,6 @@ def _L_image(module, k, r, tie_swap, extra_margin, mono):
     cfg = module.cfg
     alg = module.alg
     act = module._act_form
-    hit = module._act_memo.get  # a hit skips the call into act
     t_lo, t_hi = total_degree_band(cfg, k)
     dv = mono.degree
     groups = {}  # first operator -> [den, {monomial: int}] it acts on
@@ -172,7 +171,7 @@ def _L_image(module, k, r, tie_swap, extra_margin, mono):
             swap = ((n > 0 and m <= 0) or (m < 0 and n >= 0)
                     or (tie_swap and n == 0 and m == 0))
             for second, firsts in _current_terms(cfg, alg, k, r, swap, t, n):
-                dm, mid = hit((second, mono)) or act(second, mono)
+                dm, mid = act(second, mono)
                 if not mid:
                     continue
                 for first, num, den in firsts:
@@ -184,7 +183,7 @@ def _L_image(module, k, r, tie_swap, extra_margin, mono):
     for first, (aden, arg) in groups.items():
         for m2, x in arg.items():
             if x:
-                d2, t2 = hit((first, m2)) or act(first, m2)
+                d2, t2 = act(first, m2)
                 if t2:
                     den = _add_scaled(acc, den, t2, d2, x, aden)
     return _canonical(acc, den)

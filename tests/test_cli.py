@@ -362,6 +362,33 @@ def test_sugawara_audit_size_bound(capsys, tmp_path):
     assert json.loads(out)["entries"][0]["ratio"] == "1"
 
 
+def test_a_huge_width_costs_nothing(capsys, tmp_path):
+    # a weyl string never holds more than -d entries, so a width of 10^9
+    # changes no listed slice and no audit, and sizing the audit must not
+    # allocate by the width; a verma module's tails are counted in closed
+    # form, and the audit bound rejects a slice that large
+    plain = _write(tmp_path, "p.json", README_CONFIG)
+    wide = dict(README_CONFIG, module=dict(README_CONFIG["module"],
+                                           width=10 ** 9))
+    wide = _write(tmp_path, "w.json", wide)
+    for argv in (["module"], ["sugawara", "--pairs", "2,1,-2,1",
+                              "--slices=0,-1"]):
+        outs = [run_cli(argv + ["--config", c], capsys)
+                for c in (plain, wide)]
+        assert outs[0][0] == 0 and outs[0] == outs[1], outs
+    verma = _write(tmp_path, "v.json", {
+        "points": ["0", "1"],
+        "module": {"kind": "verma", "weights": ["1", "1"], "depth": 2,
+                   "width": 10 ** 9}})
+    code, out, err = run_cli(["module", "--config", verma], capsys)
+    assert code == 0 and err == "", err
+    # f(0,1)^a f(0,2)^b with a + b <= 10^9
+    assert json.loads(out)["slice_dimensions"]["0"] == \
+        (10 ** 9 + 2) * (10 ** 9 + 1) // 2
+    _rejected(["sugawara", "--config", verma, "--pairs", "1,1,-1,2",
+               "--slices=0"], capsys, "(MAX_AUDIT_MONOMIALS)")
+
+
 def colored_partitions(colors, upto):
     """Coefficients of prod_{n >= 1} (1 - q^n)^-colors up to q^upto."""
     coeffs = [1] + [0] * upto

@@ -96,7 +96,7 @@ def test_verma_slices(sl2, cfg1):
     assert m.slice_dimension(-1) == 3 * 3  # 3 negative keys x <=2 zero tails
 
 
-def test_slice_size_counts_the_slice(sl2, ab, cfg1, cfg2, weyl11, fock):
+def test_slice_dimension_counts_the_slice(sl2, ab, cfg1, cfg2, weyl11, fock):
     # the partition count the CLI bounds audits with, against enumeration
     modules = [weyl11, fock,
                induce_module(sl2, Config(["0", "1", "-1"]),
@@ -110,10 +110,29 @@ def test_slice_size_counts_the_slice(sl2, ab, cfg1, cfg2, weyl11, fock):
                 "verma", weights, Rat(1), 2, width)))
     for m in modules:
         for d in range(1, -5, -1):
-            assert m.slice_size(d) == m.slice_dimension(d), (m.spec, d)
+            assert m.slice_dimension(d) == len(m.slice_basis(d)), \
+                (m.spec, d)
     # README's module: slice -4 holds 8 * 1,035 monomials
-    assert modules[2].slice_size(-4) == 8280
-    assert modules[2].slice_size(-5) == 30024
+    assert modules[2].slice_dimension(-4) == 8280
+    assert modules[2].slice_dimension(-5) == 30024
+
+
+def test_slice_dimension_does_not_grow_with_width(sl2, cfg1):
+    # no weyl or fock string holds more than -d entries, so a huge width
+    # bounds nothing; a verma string's degree-zero tails are counted in
+    # closed form, not by a table as wide as the width bound
+    cfg = Config(["0", "1", "-1"])
+    plain = induce_module(sl2, cfg, ModuleSpec("weyl", (1, 1, 1), Rat(1)))
+    wide = induce_module(sl2, cfg, ModuleSpec("weyl", (1, 1, 1), Rat(1),
+                                              0, 10 ** 9))
+    assert [wide.slice_dimension(-d) for d in range(8)] == \
+        [plain.slice_dimension(-d) for d in range(8)]
+    verma = induce_module(sl2, cfg1, ModuleSpec("verma", (Rat(1),), Rat(1),
+                                                0, 10 ** 9))
+    # degree 0: f(0,1)^j for j <= width; degree -1: three negative keys,
+    # each with a tail of at most width - 1 entries
+    assert verma.slice_dimension(0) == 10 ** 9 + 1
+    assert verma.slice_dimension(-1) == 3 * 10 ** 9
 
 
 def test_level_action(weyl11, fock):
