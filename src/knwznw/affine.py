@@ -162,13 +162,13 @@ def _block_expansions(cfg, pole_bound):
     hit = cfg.cache.get(key)
     if hit is None:
         n_pts = cfg.n_points
-        one = Section(0, DivisorForm(cfg.points, (RAT1,), (0,) * n_pts))
+        one = Section(0, DivisorForm(cfg.points, 1, (1,), (0,) * n_pts))
         out = [(0, 0, one, expand_in_basis(cfg, one))]
         for p in range(1, n_pts + 1):
             for j in range(1, pole_bound + 1):
                 # (z - P_p)^(-j)
                 k = tuple(-j if i == p else 0 for i in range(1, n_pts + 1))
-                h = Section(0, DivisorForm(cfg.points, (RAT1,), k))
+                h = Section(0, DivisorForm(cfg.points, 1, (1,), k))
                 out.append((p, j, h, expand_in_basis(cfg, h)))
         hit = tuple(out)
         cfg.cache[key] = hit

@@ -27,14 +27,26 @@ the other factors per configuration.  Residues, hence the pairing of
 weights h and 1 - h that realizes the duality, are read off these jets;
 basis expansion peels them degree by degree and is checked by exact
 reconstruction.
+
+Every polynomial and truncated series here, q and the jets included, is
+an integer form (den, nums): den > 0, coefficient t is nums[t] / den and
+gcd(den, nums) = 1.  A point P = n/d enters through the integer linear
+d z - n.  q's Taylor jet at P is a Horner step on n + d xi per
+coefficient, and (a/b + xi)^e is the binomial polynomial of
+(a + b xi)^e over b^e for e >= 0, or for e = -E < 0 the series with
+coefficient binom(e, t) b^(E+t) a^(L-1-t) over a^(E+L-1) (L terms).
+Products, derivatives, linear combinations and residue sums run in
+Python ints and divide by one gcd per result.  A Rat is built only at
+the boundary: `DivisorForm.jet`, `residue_sum`, the coefficients of a
+`GradedElement` and `DivisorForm.function`.
 """
 
 from __future__ import annotations
 
+from math import gcd, lcm
 from typing import NamedTuple
 
-from ._kernel import (RAT0, RAT1, Rat, poly_add, poly_deriv, poly_mul,
-                      poly_scale)
+from ._kernel import RAT0, RAT1, Rat
 from .errors import BasisConstructionError, DomainError
 from .ratfield import (INFINITY, Poly, RationalFunction, as_rat,
                        local_expansion)
@@ -87,6 +99,73 @@ class KNIndex(NamedTuple):
     p: int
 
 
+# ------------------------------------------------------- integer forms --
+# A polynomial or truncated series with rational coefficients is held as
+# (den, nums): den > 0 and coefficient t is nums[t] / den.
+
+def _reduced(den, nums):
+    """(den, nums) divided by their gcd, den > 0; (1, ()) for no nums."""
+    g = gcd(den, *nums)
+    if g == 1:
+        return den, nums
+    return den // g, tuple(x // g for x in nums)
+
+
+def _trimmed(nums):
+    """nums without trailing zeros, as a tuple."""
+    end = len(nums)
+    while end and not nums[end - 1]:
+        end -= 1
+    return tuple(nums[:end])
+
+
+def _poly_mul(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _linear_power(an, ad, e):
+    """Coefficients of (ad z - an)^e, e >= 0."""
+    m = [1]
+    for _ in range(e):
+        m.append(m[-1] * -an)
+    out = []
+    b = p = 1
+    for j in range(e + 1):
+        out.append(b * p * m[e - j])
+        b = b * (e - j) // (j + 1)
+        p *= ad
+    return out
+
+
+def _times_linear(p, an, ad, e):
+    """p (ad z - an)^e, one linear factor at a time."""
+    for _ in range(e):
+        out = [-an * x for x in p]
+        out.append(0)
+        for j, x in enumerate(p, 1):
+            out[j] += ad * x
+        p = out
+    return p
+
+
+def _divide_linear(p, an, ad):
+    """p / (ad z - an) for an integer polynomial p that it divides; the
+    quotient has integer coefficients (Gauss's lemma)."""
+    out = [0] * (len(p) - 1)
+    r = p[-1]
+    for j in range(len(p) - 2, -1, -1):
+        out[j] = c = r // ad
+        r = p[j] + an * c
+    return out
+
+
 # ---------------------------------------------------------- local series --
 
 def _series_mul(a, b, length):
@@ -97,48 +176,81 @@ def _series_mul(a, b, length):
     la = len(a)
     out = []
     for t in range(length):
-        acc = RAT0
+        acc = 0
         for s in range(min(t + 1, la)):
-            acc = acc + a[s] * b[t - s]
+            acc += a[s] * b[t - s]
         out.append(acc)
     return out
 
 
+def _power_series(dn, dd, e, length):
+    """(den, nums): the first `length` Taylor coefficients of
+    (dn/dd + xi)^e, dn != 0, dd > 0.
+
+    For e >= 0 this is (dn + dd xi)^e over dd^e: coefficient t is
+    binom(e, t) dd^t dn^(e - t).  For e = -E < 0 it is
+    sum_t binom(e, t) (dn/dd)^(e - t) xi^t over dn^(E + length - 1):
+    coefficient t is binom(e, t) dd^(E + t) dn^(length - 1 - t).
+    """
+    if e >= 0:
+        top, hi, den, p = min(e, length - 1), e, dd ** e, 1
+    else:
+        top, hi, den, p = length - 1, length - 1, dn ** (length - 1 - e), \
+            dd ** -e
+    pw = [dn ** (hi - top)]  # pw[j] = dn^(hi - top + j)
+    for _ in range(top):
+        pw.append(pw[-1] * dn)
+    nums = [0] * length
+    b = 1  # binom(e, t)
+    for t in range(top + 1):
+        nums[t] = b * p * pw[top - t]
+        b = b * (e - t) // (t + 1)
+        p *= dd
+    if den < 0:
+        return -den, [-x for x in nums]
+    return den, nums
+
+
 def _binomial_product(cfg, i, k, length):
-    """At least `length` Taylor coefficients at P_i of
+    """(den, nums) with at least `length` Taylor coefficients at P_i of
     prod_{j != i} (z - P_j)^k_j; cached per configuration."""
     key = (i, k[:i] + k[i + 1:])
     got = cfg.series.get(key)
-    if got is not None and len(got) >= length:
+    if got is not None and len(got[1]) >= length:
         return got
+    length = max(length, 1)
     pts = cfg.points
     a = pts[i]
-    out = [RAT1] + [RAT0] * (length - 1)
+    den, out = 1, None
     for j, e in enumerate(k):
         if j == i or e == 0:
             continue
-        # (d + xi)^e = d^e sum_t binom(e, t) (xi/d)^t
         d = a - pts[j]
-        inv = RAT1 / d
-        ser = [d ** e]
-        for t in range(length - 1):
-            ser.append(ser[-1] * inv * Rat(e - t, t + 1))
-        out = _series_mul(out, ser, length)
-    got = tuple(out)
+        sd, ser = _power_series(d.num, d.den, e, length)
+        out = ser if out is None else _series_mul(out, ser, length)
+        den *= sd
+    if out is None:
+        out = [1] + [0] * (length - 1)
+    got = _reduced(den, tuple(out))
     cfg.series[key] = got
     return got
 
 
 def _function_jet(cfg, f, i, length):
-    """At least `length` Taylor coefficients at P_i of a rational function
-    regular there, from order 0 on; cached per configuration."""
+    """(den, nums) with at least `length` Taylor coefficients at P_i of a
+    rational function regular there, from order 0 on; cached per
+    configuration."""
     key = ("function", f, i)
     got = cfg.series.get(key)
-    if got is None or len(got) < length:
+    if got is None or len(got[1]) < length:
         o, coeffs = local_expansion(f, cfg.points[i], length)
         if o < 0:
             raise DomainError("pole at marked point P_%d" % (i + 1))
-        got = tuple([RAT0] * o + coeffs)
+        den = 1
+        for c in coeffs:
+            if den % c.den:
+                den = lcm(den, c.den)
+        got = (den, (0,) * o + tuple(c.num * (den // c.den) for c in coeffs))
         cfg.series[key] = got
     return got
 
@@ -155,125 +267,183 @@ def _derived(coeffs, order, times):
 class DivisorForm:
     """q(z) prod_i (z - P_i)^k_i over the points of one configuration.
 
-    q is a trimmed coefficient tuple, empty for the zero function.  It may
-    vanish at a marked point: the order there counts its leading zeros.
+    q is the integer form (den, nums): nums is trimmed, empty for the zero
+    function, and gcd(den, nums) = 1.  q may vanish at a marked point:
+    the order there counts its leading zeros.
     """
 
-    __slots__ = ("points", "q", "k", "_taylor", "_jets")
+    __slots__ = ("points", "den", "nums", "k", "_taylor", "_jets")
 
-    def __init__(self, points, q, k):
+    def __init__(self, points, den, nums, k):
         self.points = points
-        self.q = q
+        self.den = den
+        self.nums = nums
         self.k = k
         self._taylor = {}
         self._jets = {}
 
     def is_zero(self):
-        return not self.q
+        return not self.nums
 
     def _qjet(self, i):
-        """(z, tail): the leading zeros of q's Taylor jet at P_i and the
-        coefficients from the first nonzero one on."""
+        """(z, den, tail): the leading zeros of q's Taylor jet at P_i and
+        the integer form of the coefficients from the first nonzero one
+        on."""
         got = self._taylor.get(i)
         if got is None:
-            q = self.q
-            if len(q) == 1:
-                got = (0, q)
+            nums = self.nums
+            a = self.points[i]
+            an, ad = a.num, a.den
+            p = 1
+            if len(nums) == 1 or not an:
+                acc = nums
             else:
-                t = Poly._raw(q).shifted(self.points[i])
-                z = 0
-                while t[z].num == 0:
-                    z += 1
-                got = (z, t[z:])
+                # Horner in x = an + ad xi: q(a + xi) ad^deg is
+                # sum_t nums[t] ad^(deg - t) x^t
+                acc = [nums[-1]]
+                for c in reversed(nums[:-1]):
+                    p *= ad
+                    acc = _times_linear(acc, -an, ad, 1)
+                    acc[0] += c * p
+            z = 0
+            while not acc[z]:
+                z += 1
+            if z or p != 1:
+                got = (z,) + _reduced(self.den * p, tuple(acc[z:]))
+            else:
+                got = (0, self.den, tuple(acc))
             self._taylor[i] = got
         return got
 
     def order(self, i):
         """Order of the function at P_i (0-based index)."""
+        if len(self.nums) == 1:
+            return self.k[i]
         return self.k[i] + self._qjet(i)[0]
 
     def order_infinity(self):
         """Order of the function at infinity, without the chart factor."""
-        return 1 - len(self.q) - sum(self.k)
+        return 1 - len(self.nums) - sum(self.k)
 
-    def jet(self, cfg, i, length):
-        """At least `length` Laurent coefficients at P_i, from order(i) on."""
+    def _jet(self, cfg, i, length):
+        """(den, nums) with at least `length` Laurent coefficients at P_i,
+        from order(i) on."""
         got = self._jets.get(i)
-        if got is None or len(got) < length:
-            tail = self._qjet(i)[1]
-            got = _series_mul(tail, _binomial_product(cfg, i, self.k, length),
-                              length)
+        if got is None or len(got[1]) < length:
+            _z, qd, tail = self._qjet(i)
+            bd, ser = _binomial_product(cfg, i, self.k, length)
+            got = _reduced(qd * bd, tuple(_series_mul(tail, ser, length)))
             self._jets[i] = got
         return got
 
+    def jet(self, cfg, i, length):
+        """The first `length` Laurent coefficients at P_i, from order(i)
+        on, as rationals."""
+        den, nums = self._jet(cfg, i, length)
+        return [Rat(x, den) for x in nums[:length]]
+
     def __mul__(self, other):
-        return DivisorForm(self.points, poly_mul(self.q, other.q),
+        return DivisorForm(self.points,
+                           *_reduced(self.den * other.den,
+                                     tuple(_poly_mul(self.nums, other.nums))),
                            tuple(a + b for a, b in zip(self.k, other.k)))
 
     def deriv(self):
-        """The z-derivative: with S the points of nonzero exponent,
-        f' = prod_S (z - P_i)^(k_i - 1) (q' prod_S (z - P_i)
-             + q sum_{i in S} k_i prod_{S - i} (z - P_l))."""
-        pts, k = self.points, self.k
+        """The z-derivative: with S the points of nonzero exponent and
+        (z - P_i) = l_i / d_i for l_i = d_i z - n_i, P_i = n_i / d_i,
+        f' = prod_S (z - P_i)^(k_i - 1) (q' prod_S l_i
+             + q sum_{i in S} k_i d_i prod_{S - i} l_l) / prod_S d_i."""
+        pts, k, nums = self.points, self.k, self.nums
         live = [i for i, e in enumerate(k) if e]
-        lin = {i: (-pts[i], RAT1) for i in live}
-        out = poly_deriv(self.q)
+        lin = {i: (-pts[i].num, pts[i].den) for i in live}
+        out = [t * nums[t] for t in range(1, len(nums))]
+        den = self.den
         for i in live:
-            out = poly_mul(out, lin[i])
+            out = _poly_mul(out, lin[i])
+            den *= pts[i].den
         for i in live:
-            term = poly_scale(self.q, Rat(k[i]))
+            term = [k[i] * pts[i].den * x for x in nums]
             for j in live:
                 if j != i:
-                    term = poly_mul(term, lin[j])
-            out = poly_add(out, term)
-        return DivisorForm(pts, out, tuple(e - 1 if e else 0 for e in k))
+                    term = _poly_mul(term, lin[j])
+            if len(term) > len(out):
+                out, term = term, out
+            for t, x in enumerate(term):
+                out[t] += x
+        return DivisorForm(pts, *_reduced(den, _trimmed(out)),
+                           tuple(e - 1 if e else 0 for e in k))
 
     def function(self):
         """The reduced rational function: zeros of q at points of negative
         exponent are cancelled into the denominator."""
-        if not self.q:
+        if not self.nums:
             return RationalFunction.zero()
-        num = Poly._raw(self.q)
-        den = Poly._raw((RAT1,))
+        # f = (num / nden) / (den / dden), den monic over dden
+        num, nden = list(self.nums), self.den
+        den, dden = [1], 1
         for i, (a, e) in enumerate(zip(self.points, self.k)):
-            lin = Poly._raw((-a, RAT1))
+            an, ad = a.num, a.den
             if e < 0:
+                # q / (z - a)^z = ad^z q / (ad z - an)^z
                 z = min(self._qjet(i)[0], -e)
                 if z:
-                    num = num // (lin ** z)
+                    for _ in range(z):
+                        num = _divide_linear(num, an, ad)
+                    num = [x * ad ** z for x in num]
                     e += z
             if e > 0:
-                num = num * (lin ** e)
+                num = _times_linear(num, an, ad, e)
+                nden *= ad ** e
             elif e < 0:
-                den = den * (lin ** -e)
-        return RationalFunction._raw(num, den)
+                den = _times_linear(den, an, ad, -e)
+                dden *= ad ** -e
+        return RationalFunction._raw(
+            Poly._raw(tuple(Rat(x, nden) for x in num)),
+            Poly._raw(tuple(Rat(x, dden) for x in den)))
 
 
 def linear_combination(points, terms):
     """sum c f over (c, f) pairs of forms relative to `points`, as one form
     whose exponents are the least of the terms'."""
-    live = [(c, f) for c, f in terms if c.num != 0 and f.q]
+    live = [(c, f) for c, f in terms if c.num != 0 and f.nums]
     if not live:
-        return DivisorForm(points, (), (0,) * len(points))
-    kmin = tuple(min(f.k[i] for _c, f in live) for i in range(len(points)))
-    total = ()
+        return DivisorForm(points, 1, (), (0,) * len(points))
+    n_pts = len(points)
+    kmin = tuple(min(f.k[i] for _c, f in live) for i in range(n_pts))
+    powers = {}
+    parts = []
+    den = 1
     for c, f in live:
-        q = poly_scale(f.q, c)
-        for a, e, e0 in zip(points, f.k, kmin):
-            for _ in range(e - e0):
-                q = poly_mul(q, (-a, RAT1))
-        total = poly_add(total, q)
-    return DivisorForm(points, total, kmin)
+        q = [c.num * x for x in f.nums]
+        d = c.den * f.den
+        for i in range(n_pts):
+            m = f.k[i] - kmin[i]
+            if m:
+                a = points[i]
+                pw = powers.get((i, m))
+                if pw is None:
+                    pw = powers[(i, m)] = _linear_power(a.num, a.den, m)
+                q = _poly_mul(q, pw)
+                d *= a.den ** m
+        parts.append((d, q))
+        if den % d:
+            den = lcm(den, d)
+    total = [0] * max(len(q) for _d, q in parts)
+    for d, q in parts:
+        s = den // d
+        for t, x in enumerate(q):
+            total[t] += s * x
+    return DivisorForm(points, *_reduced(den, _trimmed(total)), kmin)
 
 
 def _local_jet(cfg, f, i, length, d):
-    """At least `length` coefficients of f^(d) at P_i, starting at the
-    order of f there (0 for a function) minus d."""
+    """(den, nums) with at least `length` coefficients of f^(d) at P_i,
+    starting at the order of f there (0 for a function) minus d."""
     if isinstance(f, DivisorForm):
-        cs, order = f.jet(cfg, i, length), f.order(i)
+        (den, cs), order = f._jet(cfg, i, length), f.order(i)
     else:
-        cs, order = _function_jet(cfg, f, i, length), 0
-    return _derived(cs[:length], order, d) if d else cs
+        (den, cs), order = _function_jet(cfg, f, i, length), 0
+    return den, (_derived(cs[:length], order, d) if d else cs)
 
 
 def residue_sum(cfg, f, g, df=0, dg=0):
@@ -283,7 +453,7 @@ def residue_sum(cfg, f, g, df=0, dg=0):
     functions regular at every marked point; df and dg count
     z-derivatives.
     """
-    total = RAT0
+    num, den = 0, 1
     for i in range(cfg.n_points):
         m = -1 + df + dg
         for h in (f, g):
@@ -291,11 +461,16 @@ def residue_sum(cfg, f, g, df=0, dg=0):
                 m -= h.order(i)
         if m < 0:
             continue
-        a = _local_jet(cfg, f, i, m + 1, df)
-        b = _local_jet(cfg, g, i, m + 1, dg)
+        ad, a = _local_jet(cfg, f, i, m + 1, df)
+        bd, b = _local_jet(cfg, g, i, m + 1, dg)
+        s = 0
         for t in range(m + 1):
-            total = total + a[t] * b[m - t]
-    return total
+            s += a[t] * b[m - t]
+        if s:
+            d = ad * bd
+            num = num * d + s * den
+            den *= d
+    return Rat(num, den)
 
 
 # --------------------------------------------------------------- sections --
@@ -434,7 +609,8 @@ def kn_basis_record(cfg, idx):
         if i != p:
             c = c * (home - a)
     k = tuple(e - 1 if i == p else e for i in range(1, cfg.n_points + 1))
-    form = DivisorForm(pts, (c ** -e,), k)
+    c = c ** -e
+    form = DivisorForm(pts, c.den, (c.num,), k)
     rec = BasisRecord(Section(lam, form),
                       dict(enumerate(k, start=1)),
                       -sum(k) - 2 * lam)
@@ -490,7 +666,7 @@ def expand_in_basis(cfg, s):
     n_min = lam + min(orders)
     n_max = (n_pts * lam - 2 * lam - o_inf) // n_pts
     top = n_max - lam
-    jets = [form.jet(cfg, i, max(0, top - orders[i] + 1))
+    jets = [form._jet(cfg, i, max(0, top - orders[i] + 1))
             for i in range(n_pts)]
     terms = {}
     found = []  # (coefficient, basis form) in the order found
@@ -498,13 +674,21 @@ def expand_in_basis(cfg, s):
         t = n - lam
         new = []
         for i in range(n_pts):
-            c = jets[i][t - orders[i]] if t >= orders[i] else RAT0
+            # the coefficient num / den, peeled in ints
+            den, js = jets[i]
+            num = js[t - orders[i]] if t >= orders[i] else 0
             for c2, a in found:
                 j = t - a.k[i]
                 if j >= 0:
-                    c = c - c2 * a.jet(cfg, i, top - a.k[i] + 1)[j]
-            if c.num != 0:
-                new.append(((n, i + 1), c))
+                    ad, ajs = a._jet(cfg, i, top - a.k[i] + 1)
+                    x = ajs[j]
+                    if x:
+                        d2 = c2.den * ad
+                        g = gcd(den, d2)
+                        num = num * (d2 // g) - c2.num * x * (den // g)
+                        den = den // g * d2
+            if num:
+                new.append(((n, i + 1), Rat(num, den)))
         for key, c in new:
             terms[key] = c
             found.append(

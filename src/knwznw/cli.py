@@ -38,6 +38,13 @@ MAX_WINDOW_WIDTH = 31    # hi - lo + 1 of a `table`/`cocycle`/`affine` window
 MAX_WINDOW_DEGREE = 20   # |lo| and |hi| of such a window
 MAX_DEPTH = 7            # slices `module` lists; lowest `sugawara` slice;
                          # |k| and |m| of a `sugawara` pair k,r,m,s
+# Width of a `verma` module whose slices are built: by `module
+# --coinvariants`, `module --action` and `sugawara` (a plain `module`
+# listing only counts them).  Building the degree-0 slice takes one
+# recursion level per string entry, and the slice holds about
+# width^N / N! strings: at points 0,1 with weights (1,1) width 32 takes
+# about 5 s.
+MAX_VERMA_WIDTH = 32
 # Monomials in the deepest slice a `sugawara` audit reaches: slice d plus
 # the most negative shift of a pair.  The audit's time and memory grow
 # with it: at points 0,1,-1 with weights (1,1,1), pair 2,1,-2,1 reaches
@@ -180,6 +187,12 @@ def _config_module_spec(cfg, data):
         return ModuleSpec(kind, weights, level, depth, width)
     except DomainError as exc:
         raise ConfigError(str(exc))
+
+
+def _built_verma_width(spec):
+    if spec.kind == "verma":
+        _bounded(spec.width, "verma width", 0, MAX_VERMA_WIDTH,
+                 "MAX_VERMA_WIDTH")
 
 
 def _window(args):
@@ -325,6 +338,8 @@ def cmd_module(args):
         "depth": spec.depth,
         "slice_dimensions": slices,
     }
+    if args.coinvariants or args.action:
+        _built_verma_width(spec)
     if args.coinvariants:
         payload["coinvariant_dimension_degree0"] = \
             degree_zero_coinvariant_dimension(module)
@@ -368,6 +383,7 @@ def cmd_sugawara(args):
                 "slice %d reaches slice %d of %d monomials, more than %d "
                 "(MAX_AUDIT_MONOMIALS)" % (d, d + shift, size,
                                            MAX_AUDIT_MONOMIALS))
+    _built_verma_width(spec)
     entries = []
     for e in sugawara_commutator_audit(cfg, alg, module, pairs, window):
         entries.append({

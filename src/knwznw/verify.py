@@ -473,7 +473,7 @@ def _block_premise_configs():
 def partition_of_unity():
     for cfg in _block_premise_configs():
         n_pts = cfg.n_points
-        one = DivisorForm(cfg.points, (RAT1,), (0,) * n_pts)
+        one = DivisorForm(cfg.points, 1, (1,), (0,) * n_pts)
         ge = expand_in_basis(cfg, Section(0, one))
         want = GradedElement(0, {(0, p): RAT1 for p in range(1, n_pts + 1)})
         if ge != want:
@@ -581,7 +581,7 @@ def block_algebra_negative_part(max_pole=4):
             for j in range(1, max_pole + 1):
                 k = tuple(-j if q == p else 0 for q in range(1, n_pts + 1))
                 exp = expand_in_basis(cfg, Section(0, DivisorForm(
-                    cfg.points, (RAT1,), k)))
+                    cfg.points, 1, (1,), k)))
                 rest = [n for (n, q), _c in exp.items() if (n, q) != (-j, p)]
                 if (exp.coefficient(-j, p) != RAT1
                         or not all(-j < n <= -1 for n in rest)):

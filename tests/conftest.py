@@ -1,5 +1,7 @@
 """Helpers shared by the test modules."""
 
+from math import lcm
+
 from knwznw.basis import DivisorForm, Section
 from knwznw.exactlinalg import zeros
 from knwznw.finite_lie import casimir_pairs, factor_op, tensor_dim
@@ -11,12 +13,14 @@ def section_of(cfg, lam, f):
     at each marked point is minus its multiplicity in the denominator."""
     pts = cfg.points
     if f.is_zero():
-        return Section(lam, DivisorForm(pts, (), (0,) * len(pts)))
+        return Section(lam, DivisorForm(pts, 1, (), (0,) * len(pts)))
     k = tuple(-f.den.mult_at(a) for a in pts)
     # the denominator is monic, so it is prod (z - P_i)^(-k_i) exactly
     # when the degrees agree
     assert sum(k) == -f.den.degree(), "pole off the marked points"
-    return Section(lam, DivisorForm(pts, f.num.coeffs, k))
+    den = lcm(*(c.den for c in f.num.coeffs))
+    return Section(lam, DivisorForm(
+        pts, den, tuple(c.num * (den // c.den) for c in f.num.coeffs), k))
 
 
 def dense_mat_mul(a, b):

@@ -8,7 +8,8 @@ import pytest
 
 from knwznw import verify
 from knwznw.cli import (MAX_AUDIT_MONOMIALS, MAX_BASIS_INDEX, MAX_DEPTH,
-                        MAX_WINDOW_DEGREE, MAX_WINDOW_WIDTH, main)
+                        MAX_VERMA_WIDTH, MAX_WINDOW_DEGREE, MAX_WINDOW_WIDTH,
+                        main)
 
 
 def run_cli(argv, capsys):
@@ -387,6 +388,25 @@ def test_a_huge_width_costs_nothing(capsys, tmp_path):
         (10 ** 9 + 2) * (10 ** 9 + 1) // 2
     _rejected(["sugawara", "--config", verma, "--pairs", "1,1,-1,2",
                "--slices=0"], capsys, "(MAX_AUDIT_MONOMIALS)")
+
+
+@pytest.mark.parametrize("argv", [
+    ["module", "--coinvariants"], ["module", "--action"],
+    ["sugawara", "--pairs", "1,1,-1,1", "--slices=0"]])
+def test_verma_width_bound(capsys, tmp_path, argv):
+    # building the degree-0 slice of a width-1000 verma module at one
+    # point overflowed the interpreter's recursion limit
+    def config(width):
+        return _write(tmp_path, "v%d.json" % width, {
+            "points": ["0"], "module": {"kind": "verma", "weights": ["1"],
+                                        "width": width}})
+    _rejected(argv + ["--config", config(1000)], capsys, "MAX_VERMA_WIDTH")
+    # at the bound the request runs; `--action` then reports the strings
+    # it lost past the width (exit 1), as any verma action does
+    code, out, err = run_cli(argv + ["--config", config(MAX_VERMA_WIDTH)],
+                             capsys)
+    assert (code, err) == (0, "") or (
+        code == 1 and err.startswith("error: truncation overflow")), err
 
 
 def colored_partitions(colors, upto):
