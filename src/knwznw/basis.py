@@ -130,20 +130,6 @@ def _poly_mul(a, b):
     return out
 
 
-def _linear_power(an, ad, e):
-    """Coefficients of (ad z - an)^e, e >= 0."""
-    m = [1]
-    for _ in range(e):
-        m.append(m[-1] * -an)
-    out = []
-    b = p = 1
-    for j in range(e + 1):
-        out.append(b * p * m[e - j])
-        b = b * (e - j) // (j + 1)
-        p *= ad
-    return out
-
-
 def _times_linear(p, an, ad, e):
     """p (ad z - an)^e, one linear factor at a time."""
     for _ in range(e):
@@ -355,17 +341,16 @@ class DivisorForm:
              + q sum_{i in S} k_i d_i prod_{S - i} l_l) / prod_S d_i."""
         pts, k, nums = self.points, self.k, self.nums
         live = [i for i, e in enumerate(k) if e]
-        lin = {i: (-pts[i].num, pts[i].den) for i in live}
         out = [t * nums[t] for t in range(1, len(nums))]
         den = self.den
         for i in live:
-            out = _poly_mul(out, lin[i])
+            out = _times_linear(out, pts[i].num, pts[i].den, 1)
             den *= pts[i].den
         for i in live:
             term = [k[i] * pts[i].den * x for x in nums]
             for j in live:
                 if j != i:
-                    term = _poly_mul(term, lin[j])
+                    term = _times_linear(term, pts[j].num, pts[j].den, 1)
             if len(term) > len(out):
                 out, term = term, out
             for t, x in enumerate(term):
@@ -408,23 +393,16 @@ def linear_combination(points, terms):
     live = [(c, f) for c, f in terms if c.num != 0 and f.nums]
     if not live:
         return DivisorForm(points, 1, (), (0,) * len(points))
-    n_pts = len(points)
-    kmin = tuple(min(f.k[i] for _c, f in live) for i in range(n_pts))
-    powers = {}
+    kmin = tuple(min(f.k[i] for _c, f in live) for i in range(len(points)))
     parts = []
     den = 1
     for c, f in live:
         q = [c.num * x for x in f.nums]
         d = c.den * f.den
-        for i in range(n_pts):
-            m = f.k[i] - kmin[i]
-            if m:
-                a = points[i]
-                pw = powers.get((i, m))
-                if pw is None:
-                    pw = powers[(i, m)] = _linear_power(a.num, a.den, m)
-                q = _poly_mul(q, pw)
-                d *= a.den ** m
+        for a, e, e0 in zip(points, f.k, kmin):
+            if e > e0:
+                q = _times_linear(q, a.num, a.den, e - e0)
+                d *= a.den ** (e - e0)
         parts.append((d, q))
         if den % d:
             den = lcm(den, d)
