@@ -18,9 +18,15 @@ def section_of(cfg, lam, f):
     # the denominator is monic, so it is prod (z - P_i)^(-k_i) exactly
     # when the degrees agree
     assert sum(k) == -f.den.degree(), "pole off the marked points"
-    den = lcm(*(c.den for c in f.num.coeffs))
-    return Section(lam, DivisorForm(
-        pts, den, tuple(c.num * (den // c.den) for c in f.num.coeffs), k))
+    return Section(lam, form_of(pts, f.num.coeffs, k))
+
+
+def form_of(points, q, k):
+    """The divisor form q prod (z - P_i)^k_i for a tuple q of Rat: its
+    integer numerators over the lcm of their denominators."""
+    den = lcm(*(c.den for c in q))
+    return DivisorForm(points, den, tuple(c.num * (den // c.den) for c in q),
+                       k)
 
 
 def dense_mat_mul(a, b):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import form_of
 from knwznw import Rat
 from knwznw._kernel import (RAT0, RAT1, poly_add, poly_deriv, poly_mul,
                             poly_scale)
@@ -172,15 +173,6 @@ def canonical(den, nums, trimmed=True):
             and not (trimmed and nums and nums[-1] == 0))
 
 
-def from_rats(points, q, k):
-    """The integer form of q prod (z - P_i)^k_i."""
-    den = 1
-    for c in q:
-        den = den * c.den // gcd(den, c.den)
-    return DivisorForm(points, den, tuple(c.num * (den // c.den) for c in q),
-                       k)
-
-
 def random_points(rng, n):
     out = []
     while len(out) < n:
@@ -202,7 +194,7 @@ def random_form(rng, points):
         for _ in range(rng.randint(1, 2)):
             q = poly_mul(q, (-a, RAT1))
     k = tuple(rng.randint(-3, 3) for _ in points)
-    return from_rats(points, q, k)
+    return form_of(points, q, k)
 
 
 def cases(seed, count):
@@ -247,9 +239,8 @@ def test_local_series_match_the_rat_oracle():
                 assert form.order(i) == rat_order(form, i)
                 length = 7
                 assert form.jet(cfg, i, length) == rat_jet(form, i, length)
-                assert [Rat(x, den) for den, nums in
-                        [_binomial_product(cfg, i, form.k, length)]
-                        for x in nums[:length]] == \
+                den, nums = _binomial_product(cfg, i, form.k, length)
+                assert [Rat(x, den) for x in nums[:length]] == \
                     rat_binomial_product(cfg.points, i, form.k, length)
             assert form.order_infinity() == 1 - len(form.nums) - sum(form.k)
         for den, nums in cached_forms(cfg, (f, g)):
