@@ -1,13 +1,20 @@
-"""Pure-Python arithmetic kernel: exact rationals and dense polynomial helpers.
+"""Pure-Python arithmetic kernel: exact rationals, dense polynomial helpers
+and dict-keyed integer forms.
 
 ``knwznw._kernel`` re-exports this module; everything downstream imports
 from there.
 
 Polynomials are plain tuples of Rat, ascending powers, no trailing zeros
 (the zero polynomial is the empty tuple).
+
+An integer form (D, {key: int}) is the dict {key: int / D} over one
+denominator D > 0; every helper takes and returns D before the
+numerators.  A canonical form has no zero numerator and
+gcd(D, numerators) = 1, and every canonical zero is ``ZERO_FORM``.
 """
 
 from math import gcd as _gcd
+from math import lcm as _lcm
 
 
 def _mk(num, den):
@@ -287,4 +294,72 @@ def poly_eval(a, x):
     acc = RAT0
     for c in reversed(a):
         acc = acc * x + c
+    return acc
+
+
+# the integer form of every zero; never mutated
+ZERO_FORM = (1, {})
+
+
+def form(terms):
+    """The integer form of a {key: Rat} dict without zero values."""
+    if not terms:
+        return ZERO_FORM
+    den = 1
+    for c in terms.values():
+        if den % c.den:
+            den = _lcm(den, c.den)
+    return den, {k: c.num * (den // c.den) for k, c in terms.items()}
+
+
+def add_scaled(den, acc, tden, terms, a, b):
+    """acc/den += (a/b) * terms/tden over integer numerators, in place;
+    returns the new denominator.  When den is no multiple of b * tden, it
+    widens to their lcm and acc's numerators with it.  Zero numerators
+    stay until `canonical`."""
+    e = b * tden
+    if den % e:
+        w = e // _gcd(den, e)
+        for k in acc:
+            acc[k] *= w
+        den *= w
+    f = a * (den // e)
+    get = acc.get
+    for k, x in terms.items():
+        acc[k] = get(k, 0) + f * x
+    return den
+
+
+def canonical(den, acc):
+    """The canonical integer form of acc/den: zero numerators dropped, the
+    common gcd divided out, and `ZERO_FORM` for zero."""
+    nums = {k: x for k, x in acc.items() if x}
+    if not nums:
+        return ZERO_FORM
+    if den > 1:
+        g = _gcd(den, *nums.values())
+        if g > 1:
+            den //= g
+            nums = {k: x // g for k, x in nums.items()}
+    return den, nums
+
+
+def rats(den, nums):
+    """The {key: Rat} dict of nums/den, zero numerators dropped."""
+    return {k: Rat(x, den) for k, x in nums.items() if x}
+
+
+def merge(acc, terms, scale=None):
+    """acc += scale * terms over {key: Rat} dicts, in place, dropping the
+    sums that cancel; returns acc.  Without a scale, terms are added as
+    they are."""
+    get = acc.get
+    for k, c in terms.items():
+        if scale is not None:
+            c = c * scale
+        w = get(k, RAT0) + c
+        if w.num:
+            acc[k] = w
+        else:
+            acc.pop(k, None)
     return acc

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._kernel import RAT0, RAT1, Rat
+from ._kernel import RAT0, RAT1, Rat, merge
 from .algebras import _unit_gamma, _unit_product
 from .basis import DivisorForm, GradedElement, Section, expand_in_basis
 from .errors import DomainError
@@ -39,10 +39,6 @@ class AffineElement:
         return cls({(i, n, p): as_rat(c)})
 
     @classmethod
-    def from_vector(cls, xvec, n, p):
-        return cls({(i, n, p): c for i, c in enumerate(xvec) if c.num != 0})
-
-    @classmethod
     def center(cls, c=RAT1):
         return cls({}, as_rat(c))
 
@@ -50,14 +46,8 @@ class AffineElement:
         return not self.loop and self.central.num == 0
 
     def __add__(self, other):
-        out = dict(self.loop)
-        for k, v in other.loop.items():
-            w = out.get(k, RAT0) + v
-            if w.num == 0:
-                out.pop(k, None)
-            else:
-                out[k] = w
-        return AffineElement(out, self.central + other.central)
+        return AffineElement(merge(dict(self.loop), other.loop),
+                             self.central + other.central)
 
     def __sub__(self, other):
         return self + other.scale(Rat(-1))

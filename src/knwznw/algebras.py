@@ -18,9 +18,8 @@ infinity, hence the residue sums.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lcm
 
-from ._kernel import RAT0, RAT1, Rat
+from ._kernel import RAT0, RAT1, Rat, add_scaled, form, rats
 from .basis import (GradedElement, KNIndex, Section, expand_in_basis,
                     kn_basis_element, linear_combination, residue_sum,
                     section_from_graded)
@@ -35,7 +34,10 @@ class ProjectiveConnection:
     value: RationalFunction
 
     def validate(self, cfg):
-        if self.value.is_zero():
+        """Raise DomainError if R has a pole at a marked point or at
+        infinity; a connection that passes is remembered in cfg.cache."""
+        key = ("R-valid", self.value)
+        if self.value.is_zero() or key in cfg.cache:
             return
         for i, pt in enumerate(cfg.points, start=1):
             if order_at(self.value, pt) < 0:
@@ -44,6 +46,7 @@ class ProjectiveConnection:
         if order_at(self.value, INFINITY) < 0:
             raise DomainError(
                 "projective connection has a pole at the reference point")
+        cfg.cache[key] = True
 
 
 R_ZERO = ProjectiveConnection(RationalFunction.zero())
@@ -65,21 +68,10 @@ def _bracket_form(cfg, e, f):
                                            (-RAT1, f * e.deriv())))
 
 
-def _integer_form(terms):
-    """(D, {key: numerator}) for a dict of Rat coefficients: D is the lcm
-    of their denominators and each coefficient is numerator / D."""
-    den = 1
-    for v in terms.values():
-        if den % v.den:
-            den = lcm(den, v.den)
-    return den, {k: v.num * (den // v.den) for k, v in terms.items()}
-
-
-def _unit_entry(cfg, lam, form):
-    """A cached unit entry: the basis expansion of a form as an integer
-    form (D, numerators), in the order of the expansion's terms."""
-    return _integer_form(
-        expand_in_basis(cfg, Section(lam, form)).terms)
+def _unit_entry(cfg, lam, dform):
+    """A cached unit entry: the basis expansion of a divisor form as an
+    integer form (D, numerators), in the order of the expansion's terms."""
+    return form(expand_in_basis(cfg, Section(lam, dform)).terms)
 
 
 def _unit_product(cfg, lams, a, b):
@@ -122,36 +114,27 @@ def _bilinear(f, g, lam_out, unit_fn, antisymmetric=False):
     """Sum of ca cb unit_fn(a, b) over the terms of f and g.
 
     unit_fn returns a unit entry as an integer form (D, numerators).  The
-    sum runs in Python ints over one common denominator, and one Rat is
-    built per output key.  For an antisymmetric unit_fn it is asked only
-    for pairs a < b: a reversed pair takes the same entry with the sign
-    folded into its coefficient, and a == b contributes nothing.
+    sum runs in Python ints over one common denominator (`add_scaled`),
+    and one Rat is built per output key.  For an antisymmetric unit_fn it
+    is asked only for pairs a < b: a reversed pair takes the same entry
+    with the sign folded into its coefficient, and a == b contributes
+    nothing.
     """
-    fd, fn = _integer_form(f.terms)
-    gd, gn = _integer_form(g.terms)
-    den = 1
-    out = {}
+    fd, fn = form(f.terms)
+    gd, gn = form(g.terms)
+    den, out = 1, {}
     for a, ca in fn.items():
         for b, cb in gn.items():
             if antisymmetric and a >= b:
                 if a == b:
                     continue
-                c = -(ca * cb)
                 d, nums = unit_fn(b, a)
+                c = -(ca * cb)
             else:
-                c = ca * cb
                 d, nums = unit_fn(a, b)
-            if den % d:
-                # widen the common denominator of out to lcm(den, d)
-                s = lcm(den, d) // den
-                for k in out:
-                    out[k] *= s
-                den *= s
-            c *= den // d
-            for k, v in nums.items():
-                out[k] = out.get(k, 0) + c * v
-    den *= fd * gd
-    return GradedElement(lam_out, {k: Rat(v, den) for k, v in out.items()})
+                c = ca * cb
+            den = add_scaled(den, out, d, nums, c, 1)
+    return GradedElement(lam_out, rats(den * fd * gd, out))
 
 
 def multiply(cfg, f, g):

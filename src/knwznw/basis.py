@@ -46,7 +46,7 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import NamedTuple
 
-from ._kernel import RAT0, RAT1, Rat
+from ._kernel import RAT0, RAT1, Rat, merge
 from .errors import BasisConstructionError, DomainError
 from .ratfield import (INFINITY, Poly, RationalFunction, as_rat,
                        local_expansion)
@@ -525,14 +525,7 @@ class GradedElement:
     def __add__(self, other):
         if self.lam != other.lam:
             raise DomainError("weight mismatch in graded sum")
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            w = out.get(k, RAT0) + v
-            if w.num == 0:
-                out.pop(k, None)
-            else:
-                out[k] = w
-        return GradedElement(self.lam, out)
+        return GradedElement(self.lam, merge(dict(self.terms), other.terms))
 
     def __sub__(self, other):
         return self + (-other)

@@ -41,10 +41,13 @@ MAX_DEPTH = 7            # slices `module` lists; lowest `sugawara` slice;
 # Width of a `verma` module whose slices are built: by `module
 # --coinvariants`, `module --action` and `sugawara` (a plain `module`
 # listing only counts them).  Building the degree-0 slice takes one
-# recursion level per string entry, and the slice holds about
-# width^N / N! strings: at points 0,1 with weights (1,1) width 32 takes
-# about 5 s.
+# recursion level per string entry.
 MAX_VERMA_WIDTH = 32
+# Monomials in the degree-0 slice, C(width + N, N) strings at N points,
+# of a `verma` module that `module --coinvariants` or `--action` builds.
+# With weights 1 the largest accepted took 5-7 s (560 at 0,1,-1, 495 at
+# 0,1,-1,2, 462 at five points); 969 at 0,1,-1 took 12 s.
+MAX_VERMA_SLICE = 600
 # Monomials in the deepest slice a `sugawara` audit reaches: slice d plus
 # the most negative shift of a pair.  The audit's time and memory grow
 # with it: at points 0,1,-1 with weights (1,1,1), pair 2,1,-2,1 reaches
@@ -340,6 +343,10 @@ def cmd_module(args):
     }
     if args.coinvariants or args.action:
         _built_verma_width(spec)
+        if spec.kind == "verma" and slices["0"] > MAX_VERMA_SLICE:
+            raise ConfigError(
+                "verma degree-0 slice of %d monomials exceeds %d "
+                "(MAX_VERMA_SLICE)" % (slices["0"], MAX_VERMA_SLICE))
     if args.coinvariants:
         payload["coinvariant_dimension_degree0"] = \
             degree_zero_coinvariant_dimension(module)

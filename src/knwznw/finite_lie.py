@@ -185,20 +185,6 @@ class FiniteModule:
     dim: int
     matrices: tuple          # matrices[i] = action of basis element i
 
-    def act_vector(self, xvec, col):
-        """Action of a g-coefficient vector on a column index: returns a
-        dict new_index -> coefficient."""
-        out = {}
-        for i, c in enumerate(xvec):
-            if c.num == 0:
-                continue
-            m = self.matrices[i]
-            for r in range(self.dim):
-                v = m[r][col]
-                if v.num != 0:
-                    out[r] = out.get(r, RAT0) + c * v
-        return {k: v for k, v in out.items() if v.num != 0}
-
 
 _IRREPS = {}  # (algebra kind, weight) -> validated FiniteModule
 

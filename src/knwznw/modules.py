@@ -23,13 +23,11 @@ caller lists.  The one truncation is a verma module's width bound, and
 terms beyond it raise TruncationOverflow with the lost string lengths.
 
 The action is computed in Python ints.  The memo of the normal ordering
-(`InducedModule._act_memo`) holds each result as an integer form
-(D, {monomial: int}): one denominator D > 0, coprime to the numerators,
-no zero numerator, and every zero result the one shared `_ZERO_FORM`.
-The recursion sums into one accumulator whose denominator widens to the
-lcm as needed (`_add_scaled`) and is reduced once at the end
-(`_canonical`).  Rat is built only at the boundary: `_act_gen`, `act`,
-`degree_zero_action` and the Sugawara images handed out.
+(`InducedModule._act_memo`) holds each result as a canonical integer
+form (D, {monomial: int}) of the kernel (`knwznw._kernel`, which owns
+the format and its helpers).  Rat is built only at the boundary: `act`
+and `_act_gen` convert with `rats`, and `degree_zero_action` builds one
+Rat per matrix entry.
 
 Coinvariants are taken under the block algebra B: g-valued functions
 regular at infinity with poles only at the marked points.  At genus 0
@@ -42,10 +40,11 @@ needed; `degree_zero_coinvariant_dimension` gives the argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, gcd, lcm
+from math import comb
 from typing import Optional
 
-from ._kernel import RAT0, RAT1, Rat
+from ._kernel import (RAT0, RAT1, Rat, add_scaled, canonical, form, merge,
+                      rats)
 from .affine import AffineElement, affine_bracket
 from .basis import Config
 from .errors import DomainError, TruncationOverflow
@@ -118,14 +117,7 @@ class ModuleVector:
         return not self.terms
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            w = out.get(k, RAT0) + v
-            if w.num == 0:
-                out.pop(k, None)
-            else:
-                out[k] = w
-        return ModuleVector(out)
+        return ModuleVector(merge(dict(self.terms), other.terms))
 
     def __sub__(self, other):
         return self + other.scale(Rat(-1))
@@ -152,67 +144,6 @@ class ModuleVector:
     def __repr__(self):
         body = " + ".join("%s*%r" % (c, m) for m, c in self.items())
         return "ModuleVector(%s)" % (body or "0")
-
-
-# the one empty term dict every zero result shares; never mutated
-_ZERO = {}
-# the integer form of every zero result in the memos here and in sugawara
-_ZERO_FORM = (1, _ZERO)
-
-
-def _merge(acc, terms, scale=RAT1):
-    """acc += scale * terms over {monomial: Rat} dicts."""
-    for m, c in terms.items():
-        w = acc.get(m, RAT0) + c * scale
-        if w.num == 0:
-            acc.pop(m, None)
-        else:
-            acc[m] = w
-
-
-def _add_scaled(acc, den, terms, tden, a, b):
-    """acc/den += (a/b) * terms/tden over integer numerators; returns the
-    new denominator.  When den is no multiple of b * tden, it widens to
-    their lcm and acc's numerators with it.  Zero numerators stay until
-    `_canonical`."""
-    e = b * tden
-    if den % e:
-        w = e // gcd(den, e)
-        for m in acc:
-            acc[m] *= w
-        den *= w
-    f = a * (den // e)
-    get = acc.get
-    for m, x in terms.items():
-        acc[m] = get(m, 0) + f * x
-    return den
-
-
-def _canonical(acc, den):
-    """The integer form of acc/den: zero numerators dropped, the common
-    gcd divided out, and `_ZERO_FORM` for zero."""
-    nums = {m: x for m, x in acc.items() if x}
-    if not nums:
-        return _ZERO_FORM
-    if den > 1:
-        g = gcd(den, *nums.values())
-        if g > 1:
-            den //= g
-            nums = {m: x // g for m, x in nums.items()}
-    return den, nums
-
-
-def _form(terms):
-    """The integer form of a {monomial: Rat} dict without zero values."""
-    if not terms:
-        return _ZERO_FORM
-    den = lcm(*(c.den for c in terms.values()))
-    return den, {m: c.num * (den // c.den) for m, c in terms.items()}
-
-
-def _rats(acc, den):
-    """The {monomial: Rat} dict of acc/den, zero numerators dropped."""
-    return {m: Rat(x, den) for m, x in acc.items() if x}
 
 
 class InducedModule:
@@ -428,28 +359,28 @@ class InducedModule:
             return hit
         creation = mono.creation
         if not creation:
-            res = _form(self._vacuum_action(gen, mono.vacuum))
+            res = form(self._vacuum_action(gen, mono.vacuum))
         elif self._is_creation(gen) and gen <= creation[0]:
             res = (1, {PBWMonomial((gen,) + creation, mono.vacuum): 1})
         else:
             act = self._act_form
             rest = PBWMonomial(creation[1:], mono.vacuum)
             c1 = creation[0]
-            acc, den = {}, 1
+            den, acc = 1, {}
             di, inner = act(gen, rest)
             for m2, x in inner.items():
                 d2, t2 = act(c1, m2)
                 if t2:
-                    den = _add_scaled(acc, den, t2, d2, x, di)
+                    den = add_scaled(den, acc, d2, t2, x, di)
             loop, central = self._bracket_gens(gen, c1)
             for gen2, cb in loop:
                 d2, t2 = act(gen2, rest)
                 if t2:
-                    den = _add_scaled(acc, den, t2, d2, cb.num, cb.den)
+                    den = add_scaled(den, acc, d2, t2, cb.num, cb.den)
             if central.num != 0:
-                den = _add_scaled(acc, den, {rest: 1}, 1, central.num,
-                                  central.den)
-            res = _canonical(acc, den)
+                den = add_scaled(den, acc, 1, {rest: 1}, central.num,
+                                 central.den)
+            res = canonical(den, acc)
         self._act_memo[key] = res
         return res
 
@@ -457,23 +388,22 @@ class InducedModule:
         """Exact action of one loop generator on a basis monomial, as a
         fresh {monomial: Rat} dict built from the memoised integer form
         (`_act_form`); not memoised itself."""
-        den, nums = self._act_form(gen, mono)
-        return _rats(nums, den)
+        return rats(*self._act_form(gen, mono))
 
     def _act_affine_raw(self, a, terms):
         """Exact action of an affine element on a term dict; no width check."""
-        acc, den = {}, 1
+        den, acc = 1, {}
         central = a.central * self.level
         for mono, cm in terms.items():
             if central.num != 0:
                 s = central * cm
-                den = _add_scaled(acc, den, {mono: 1}, 1, s.num, s.den)
+                den = add_scaled(den, acc, 1, {mono: 1}, s.num, s.den)
             for (i, n, p), c in a.loop.items():
                 d2, t2 = self._act_form((n, p, i), mono)
                 if t2:
                     s = c * cm
-                    den = _add_scaled(acc, den, t2, d2, s.num, s.den)
-        return _rats(acc, den)
+                    den = add_scaled(den, acc, d2, t2, s.num, s.den)
+        return rats(den, acc)
 
     def act(self, a, v):
         """Exact module action of an affine element on a vector.  Terms

@@ -72,13 +72,6 @@ class Poly:
     def x(cls):
         return cls((RAT0, RAT1))
 
-    @classmethod
-    def from_roots(cls, roots):
-        out = (RAT1,)
-        for r in roots:
-            out = poly_mul(out, (-as_rat(r), RAT1))
-        return cls._raw(out)
-
     def is_zero(self):
         return not self.coeffs
 

@@ -20,12 +20,12 @@ degree t, which the implementation uses as its summation bound.
 
 L(k,r) is linear, so its image of each PBW monomial is computed once per
 module and memoised (`apply_L_raw`) as an integer form (D, {monomial:
-int}), like the module's action memo: one denominator per memo entry.
-One image writes u^i = sum_j D_ij u_j once, reads only the nonzero
-coefficients from a sparse table per (k, r), applies each second
-normal-ordered operator once per distinct operator and each first
-operator once to the sum of its arguments (`_L_image`), all in Python
-ints; Rat is built only where an image leaves `apply_L_raw`.
+int}) of the kernel.  One image writes u^i = sum_j D_ij u_j once, reads
+only the nonzero coefficients from a sparse table per (k, r), applies
+each second normal-ordered operator once per distinct operator and each
+first operator once to the sum of its arguments (`_L_image`).  Images
+and the commutator audit's difference are integer forms; Rat is built
+only by `apply_L` and for the audit's scalar and counterexample.
 
 The rescaled operators -1/(level + dual Coxeter) L(k,r) represent the
 centrally extended vector-field algebra; the audit measures the central
@@ -37,12 +37,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from ._kernel import RAT0, RAT1, Rat
+from ._kernel import RAT0, Rat, add_scaled, canonical, form, rats
 from .algebras import R_ZERO, cocycle_chi, vf_bracket
 from .basis import GradedElement, KNIndex, kn_basis_element, residue_sum
 from .errors import CriticalLevelError, DomainError
-from .modules import (ModuleVector, _add_scaled, _canonical, _merge,
-                      _rats)
+from .modules import ModuleVector
 
 
 _HALF = Rat(1, 2)
@@ -155,7 +154,7 @@ def _L_image(module, k, r, tie_swap, extra_margin, mono):
     (t, n); its image, scaled by each of its terms, is summed into the
     argument of the first operator, and each first operator then acts once
     on its argument.  Both phases sum integer numerators over one
-    widening denominator (`modules._add_scaled`).
+    widening denominator (`add_scaled`).
     """
     cfg = module.cfg
     alg = module.alg
@@ -178,50 +177,51 @@ def _L_image(module, k, r, tie_swap, extra_margin, mono):
                     arg = groups.get(first)
                     if arg is None:
                         arg = groups[first] = [1, {}]
-                    arg[0] = _add_scaled(arg[1], arg[0], mid, dm, num, den)
-    acc, den = {}, 1
+                    arg[0] = add_scaled(arg[0], arg[1], dm, mid, num, den)
+    den, acc = 1, {}
     for first, (aden, arg) in groups.items():
         for m2, x in arg.items():
             if x:
                 d2, t2 = act(first, m2)
                 if t2:
-                    den = _add_scaled(acc, den, t2, d2, x, aden)
-    return _canonical(acc, den)
+                    den = add_scaled(den, acc, d2, t2, x, aden)
+    return canonical(den, acc)
 
 
-def apply_L_raw(module, idx, terms, tie_swap=False, extra_margin=0):
-    """Exact L(k, r) on a term dict {monomial: Rat}, as a fresh
-    {monomial: Rat} dict.
+def apply_L_raw(module, idx, vec, tie_swap=False, extra_margin=0):
+    """Exact L(k, r) on an integer form vec = (D, {monomial: int}), as a
+    canonical integer form.
 
     L(k, r) is linear, so the image of each monomial is computed once per
     module and memoised under ((k, r), tie_swap, extra_margin, monomial)
-    as an integer form (D, {monomial: int}) (`_L_image`); the image of
-    terms sums the cached numerators scaled by the coefficients over one
-    denominator, and builds one Rat per output monomial.  Both flags are
-    in the key, so the tie-rule and summation-bound audits compare two
-    computations, never one cached image with itself.  Memoised images
-    are never mutated.
+    (`_L_image`); the image of vec sums the cached numerators scaled by
+    vec's numerators over one denominator.  Both flags are in the key, so
+    the tie-rule and summation-bound audits compare two computations,
+    never one cached image with itself.  Memoised images are never
+    mutated.
     """
     k, r = kr = tuple(idx)
     tie_swap = bool(tie_swap)
     memo = module._sugawara_memo
-    acc, den = {}, 1
+    vden, terms = vec
+    den, acc = 1, {}
     for mono, cm in terms.items():
         key = (kr, tie_swap, extra_margin, mono)
         img = memo.get(key)
         if img is None:
             img = memo[key] = _L_image(module, k, r, tie_swap, extra_margin,
                                        mono)
-        iden, nums = img
-        if nums:
-            den = _add_scaled(acc, den, nums, iden, cm.num, cm.den)
-    return _rats(acc, den)
+        if img[1]:
+            den = add_scaled(den, acc, *img, cm, 1)
+    return canonical(den * vden, acc)
 
 
 def apply_L(module, idx, v, tie_swap=False, extra_margin=0):
-    """L(k, r) on a module vector: the exact image, whatever its degrees."""
-    return ModuleVector(apply_L_raw(module, SugawaraIndex(*idx), v.terms,
-                                    tie_swap, extra_margin))
+    """L(k, r) on a module vector: the exact image, whatever its degrees.
+    The one place a Sugawara image becomes Rat."""
+    return ModuleVector(rats(*apply_L_raw(module, SugawaraIndex(*idx),
+                                          form(v.terms), tie_swap,
+                                          extra_margin)))
 
 
 def rescale_factor(alg, level):
@@ -279,10 +279,12 @@ def sugawara_commutator_audit(cfg, alg, module, pairs, window,
         if d > 0:
             raise DomainError("window slice %d is empty; need d <= 0" % d)
     fac = rescale_factor(alg, module.level)
+    f2 = fac * fac
     results = []
     for (k, r), (m, s) in pairs:
         bracket = vf_bracket(cfg, GradedElement.unit(-1, k, r),
                              GradedElement.unit(-1, m, s))
+        scaled = [(hu, fac * cb) for hu, cb in bracket.terms.items()]
         per_slice = {}
         is_scalar = True
         counterexample = None
@@ -290,25 +292,24 @@ def sugawara_commutator_audit(cfg, alg, module, pairs, window,
             basis = module.slice_basis(d)
             sigma = None
             for mono in basis:
-                base = {mono: RAT1}
+                base = (1, {mono: 1})
                 w1 = apply_L_raw(module, (m, s), base, tie_swap)
                 w1 = apply_L_raw(module, (k, r), w1, tie_swap)
                 w2 = apply_L_raw(module, (k, r), base, tie_swap)
                 w2 = apply_L_raw(module, (m, s), w2, tie_swap)
-                diff = {}
-                _merge(diff, w1, fac * fac)
-                _merge(diff, w2, -(fac * fac))
-                for (h, u), cb in bracket.terms.items():
-                    wb = apply_L_raw(module, (h, u), base, tie_swap)
-                    _merge(diff, wb, -(fac * cb))
-                got = diff.get(mono, RAT0)
+                acc = {}
+                den = add_scaled(1, acc, *w1, f2.num, f2.den)
+                den = add_scaled(den, acc, *w2, -f2.num, f2.den)
+                for hu, c in scaled:
+                    wb = apply_L_raw(module, hu, base, tie_swap)
+                    den = add_scaled(den, acc, *wb, -c.num, c.den)
+                den, diff = canonical(den, acc)
+                got = Rat(diff.get(mono, 0), den)
                 if sigma is None:
                     sigma = got
-                rest = dict(diff)
-                rest.pop(mono, None)
-                if got != sigma or any(c.num != 0 for c in rest.values()):
+                if got != sigma or any(m2 != mono for m2 in diff):
                     is_scalar = False
-                    counterexample = (d, mono, ModuleVector(diff))
+                    counterexample = (d, mono, ModuleVector(rats(den, diff)))
                     break
             per_slice[d] = sigma if sigma is not None else RAT0
             if not is_scalar:

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import section_of
-from knwznw import Rat
+from knwznw import Rat, algebras
 from knwznw.algebras import (ProjectiveConnection,
                              R_ZERO, coboundary_compare, cocycle_chi,
                              cocycle_gamma, grading_report, lie_derivative,
@@ -164,8 +164,31 @@ def test_chi_antisymmetric_and_subalgebra_vanishing(cfg2):
 
 def test_chi_connection_pole_rejected(cfg2):
     R = ProjectiveConnection(RF(Poly((1,)), z))
-    with pytest.raises(DomainError, match="pole at marked point"):
-        cocycle_chi(cfg2, U(-1, 0, 1), U(-1, 0, 2), R)
+    # a rejected connection is not remembered: every call raises
+    for _ in range(2):
+        with pytest.raises(DomainError, match="pole at marked point"):
+            cocycle_chi(cfg2, U(-1, 0, 1), U(-1, 0, 2), R)
+
+
+def test_connection_is_validated_once_per_config(monkeypatch):
+    # validation reads R's order at the N marked points and at infinity
+    # once per (Config, R), not once per unit pair of a report
+    calls = []
+    real = algebras.order_at
+
+    def counting(f, pt):
+        calls.append(pt)
+        return real(f, pt)
+
+    monkeypatch.setattr(algebras, "order_at", counting)
+    R = ProjectiveConnection(RF(3 + z, 1 + z * z))
+    for points in (["0", "1"], ["0", "1", "-1", "2"]):
+        cfg = Config(points)
+        calls.clear()
+        assert grading_report(cfg, "chi", (-2, 2), R).ok
+        assert 0 < len(calls) <= cfg.n_points + 1
+        cocycle_chi(cfg, U(-1, -1, 1), U(-1, 1, 2), R)
+        assert len(calls) <= cfg.n_points + 1
 
 
 def test_coboundary_trivial(cfg2):

@@ -8,8 +8,8 @@ import pytest
 
 from knwznw import verify
 from knwznw.cli import (MAX_AUDIT_MONOMIALS, MAX_BASIS_INDEX, MAX_DEPTH,
-                        MAX_VERMA_WIDTH, MAX_WINDOW_DEGREE, MAX_WINDOW_WIDTH,
-                        main)
+                        MAX_VERMA_SLICE, MAX_VERMA_WIDTH, MAX_WINDOW_DEGREE,
+                        MAX_WINDOW_WIDTH, main)
 
 
 def run_cli(argv, capsys):
@@ -407,6 +407,26 @@ def test_verma_width_bound(capsys, tmp_path, argv):
                              capsys)
     assert (code, err) == (0, "") or (
         code == 1 and err.startswith("error: truncation overflow")), err
+
+
+def test_verma_slice_bound(capsys, tmp_path):
+    # inside the width bound, the degree-0 slice of a verma module holds
+    # C(width + N, N) strings; it is counted before it is built
+    def config(width):
+        return _write(tmp_path, "v%d.json" % width, {
+            "points": ["0", "1", "-1"],
+            "module": {"kind": "verma", "weights": ["1", "1", "1"],
+                       "depth": 0, "width": width}})
+    for flag in ("--coinvariants", "--action"):
+        _rejected(["module", flag, "--config", config(14)], capsys,
+                  "slice of 680 monomials exceeds %d (MAX_VERMA_SLICE)"
+                  % MAX_VERMA_SLICE)
+    # 560 strings pass the bound; `--action` then reports the strings it
+    # lost past the width (exit 1), as any verma action does
+    assert 560 <= MAX_VERMA_SLICE < 680
+    code, out, err = run_cli(["module", "--action", "--config", config(13)],
+                             capsys)
+    assert code == 1 and err.startswith("error: truncation overflow"), err
 
 
 def colored_partitions(colors, upto):

@@ -2,13 +2,15 @@
 
 import operator
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from knwznw._kernel import (RAT0, RAT1, Rat, poly_add, poly_divmod, poly_gcd,
-                            poly_mul, poly_trim)
+from knwznw._kernel import (RAT0, RAT1, ZERO_FORM, Rat, add_scaled, canonical,
+                            form, merge, poly_add, poly_divmod, poly_gcd,
+                            poly_mul, poly_trim, rats)
 
 nonzero = st.integers(min_value=-200, max_value=200).filter(lambda x: x != 0)
 anyint = st.integers(min_value=-200, max_value=200)
@@ -207,6 +209,53 @@ def test_poly_gcd_agree(cs, xs, ys):
     c = to_poly(cs)
     a, b = poly_mul(c, to_poly(xs)), poly_mul(c, to_poly(ys))
     assert to_fracs(poly_gcd(a, b)) == ref_gcd(to_fracs(a), to_fracs(b))
+
+
+# dict-keyed integer forms against {key: Fraction} sums
+fdicts = st.dictionaries(st.integers(0, 4), fracs.filter(bool), max_size=4)
+H, T = Fraction(1, 2), Fraction(1, 3)
+
+
+@given(st.lists(st.tuples(fdicts, fracs.filter(bool)), min_size=1,
+                max_size=5))
+@example([({0: H}, Fraction(1)), ({0: T, 1: T}, Fraction(1))])  # widening
+@example([({0: H, 1: T}, Fraction(1)), ({0: H, 1: T}, Fraction(-1))])
+@example([({0: H, 1: Fraction(3, 2)}, Fraction(2, 3))])  # gcd reduction
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_form_helpers_match_fraction(parts):
+    want = {}
+    den, acc = 1, {}
+    summed = {}
+    for terms, scale in parts:
+        rterms = {k: rat(v) for k, v in terms.items()}
+        tden, tnums = form(rterms)
+        assert {k: Fraction(x, tden) for k, x in tnums.items()} == terms
+        den = add_scaled(den, acc, tden, tnums, scale.numerator,
+                         scale.denominator)
+        assert all(den % Fraction(v * scale).denominator == 0
+                   for v in terms.values())
+        merge(summed, rterms, rat(scale))
+        for k, v in terms.items():
+            want[k] = want.get(k, 0) + scale * v
+    want = {k: v for k, v in want.items() if v}
+    got = canonical(den, acc)
+    assert rats(*got) == summed == {k: rat(v) for k, v in want.items()}
+    if want:
+        gden, gnums = got
+        assert gden == lcm(*(v.denominator for v in want.values()))
+        assert gcd(gden, *gnums.values()) == 1 and all(gnums.values())
+    else:
+        assert got is ZERO_FORM
+    # subtracting every part again cancels to the shared zero
+    for terms, scale in parts:
+        tden, tnums = form({k: rat(v) for k, v in terms.items()})
+        den = add_scaled(den, acc, tden, tnums, -scale.numerator,
+                         scale.denominator)
+    assert canonical(den, acc) is ZERO_FORM
+    # unscaled merge is the scale-1 sum, and the shared zero is untouched
+    first = {k: rat(v) for k, v in parts[0][0].items()}
+    assert merge(dict(summed), first) == merge(dict(summed), first, RAT1)
+    assert form({}) is ZERO_FORM == (1, {})
 
 
 def test_backend_selected():

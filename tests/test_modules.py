@@ -10,14 +10,14 @@ import pytest
 
 from conftest import section_of
 from knwznw import Rat
-from knwznw._kernel import RAT0, RAT1
+from knwznw._kernel import RAT0, RAT1, ZERO_FORM, merge
 from knwznw.affine import (AffineElement, _block_expansions, affine_bracket,
                            block_algebra_basis)
 from knwznw.basis import Config
 from knwznw.errors import DomainError, TruncationOverflow
 from knwznw.finite_lie import factor_op, make_algebra
 from knwznw.modules import (ModuleSpec, ModuleVector, PBWMonomial,
-                            _ZERO, _ZERO_FORM, _merge, _relation_span,
+                            _relation_span,
                             degree_zero_coinvariant_dimension,
                             induce_module)
 from knwznw.sugawara import sugawara_commutator_audit
@@ -250,12 +250,12 @@ def rat_act_gen(module, gen, mono, memo):
         c1 = creation[0]
         res = {}
         for m2, c in rat_act_gen(module, gen, rest, memo).items():
-            _merge(res, rat_act_gen(module, c1, m2, memo), c)
+            merge(res, rat_act_gen(module, c1, m2, memo), c)
         loop, central = module._bracket_gens(gen, c1)
         for gen2, cb in loop:
-            _merge(res, rat_act_gen(module, gen2, rest, memo), cb)
+            merge(res, rat_act_gen(module, gen2, rest, memo), cb)
         if central.num != 0:
-            _merge(res, {rest: central})
+            merge(res, {rest: central})
     memo[key] = res
     return res
 
@@ -291,7 +291,7 @@ def assert_canonical(form):
     den, nums = form
     assert den > 0
     if not nums:
-        assert form is _ZERO_FORM
+        assert form is ZERO_FORM
         return
     assert all(x != 0 for x in nums.values())
     assert gcd(den, *nums.values()) == 1
@@ -401,6 +401,10 @@ def reference_rules(module, pole_bound):
     return rules
 
 
+# the one row of every monomial that reduces to zero; never mutated
+_ZERO_ROW = {}
+
+
 class _Reduction:
     """Degree-0 rows of monomials modulo the block algebra, memoised: the
     block rewriting that `InducedModule.coinvariant_reduce` replaced by
@@ -409,7 +413,7 @@ class _Reduction:
 
     A row is a dict {monomial: Rat} over the degree-0 slice, plus any
     monomial left without a rule; the rows of monomials that reduce to
-    zero are all the shared `_ZERO`.  Rows are never mutated once
+    zero are all the shared `_ZERO_ROW`.  Rows are never mutated once
     memoised.  `row(m)` is the representative of m: m itself when its
     leading entry has degree >= 0 or no rule, else that entry x_(n,p,i)
     is rewritten through the block generator
@@ -446,8 +450,8 @@ class _Reduction:
             for gen, c in rule:
                 r = self.act_row(gen, rest)
                 if r:
-                    _merge(acc, r, c)
-            res = acc or _ZERO
+                    merge(acc, r, c)
+            res = acc or _ZERO_ROW
         self.rows[mono] = res
         return res
 
@@ -461,8 +465,8 @@ class _Reduction:
         if not creation:
             acc = {}
             for m2, c in module._vacuum_action(gen, mono.vacuum).items():
-                _merge(acc, self.row(m2), c)
-            res = acc or _ZERO
+                merge(acc, self.row(m2), c)
+            res = acc or _ZERO_ROW
         elif module._is_creation(gen) and gen <= creation[0]:
             res = self.row(PBWMonomial((gen,) + creation, mono.vacuum))
         else:
@@ -472,15 +476,15 @@ class _Reduction:
             for m2, c in module._act_gen(gen, rest).items():
                 r = self.act_row(c1, m2)
                 if r:
-                    _merge(acc, r, c)
+                    merge(acc, r, c)
             loop, central = module._bracket_gens(gen, c1)
             for gen2, cb in loop:
                 r = self.act_row(gen2, rest)
                 if r:
-                    _merge(acc, r, cb)
+                    merge(acc, r, cb)
             if central.num != 0:
-                _merge(acc, self.row(rest), central)
-            res = acc or _ZERO
+                merge(acc, self.row(rest), central)
+            res = acc or _ZERO_ROW
         self.act_rows[key] = res
         return res
 
@@ -497,7 +501,7 @@ def reference_reduce(module, v, pole_bound):
     reduction = reference_reduction(module, pole_bound)
     acc = {}
     for m, c in v.terms.items():
-        _merge(acc, reduction.row(m), c)
+        merge(acc, reduction.row(m), c)
     stuck = any(m.creation and m.creation[0][0] < 0 for m in acc)
     return (ModuleVector(acc),
             "budget-exhausted" if stuck else "reduced-to-degree-0")
@@ -533,7 +537,7 @@ def pass_batch_reduce(module, v, pole_bound):
             rest = PBWMonomial(m.creation[1:], m.vacuum)
             i = m.creation[0][2]
             for n2, p2, c2 in rules[leader(m)]:
-                _merge(terms, module._act_gen((n2, p2, i), rest), -c * c2)
+                merge(terms, module._act_gen((n2, p2, i), rest), -c * c2)
 
 
 def oracle_modules():
@@ -651,7 +655,7 @@ def exhaustive_relation_span(module):
             for mono in module.slice_basis(d):
                 acc = {}
                 for (i, n, p), c in u.as_affine().loop.items():
-                    _merge(acc, reduction.act_row((n, p, i), mono), c)
+                    merge(acc, reduction.act_row((n, p, i), mono), c)
                 if any(m2 not in index for m2 in acc):
                     continue  # past a verma module's width bound
                 row = [RAT0] * len(basis0)

@@ -5,12 +5,12 @@ import random
 import pytest
 
 from knwznw import Rat
-from knwznw._kernel import RAT0
+from knwznw._kernel import RAT0, form, merge, rats
 from knwznw.basis import Config, GradedElement, KNIndex, kn_basis_element
 from knwznw.errors import CriticalLevelError, DomainError
 from knwznw.finite_lie import make_algebra
 from knwznw import sugawara
-from knwznw.modules import ModuleSpec, ModuleVector, _merge, induce_module
+from knwznw.modules import ModuleSpec, ModuleVector, induce_module
 from knwznw.ratfield import residue_at
 from knwznw.sugawara import (SugawaraIndex, T_of_vectorfield,
                              _triple_coefficient, apply_L, apply_L_raw,
@@ -198,7 +198,7 @@ def direct_apply_L(module, idx, terms, tie_swap=False, extra_margin=0):
         for mono, cm in terms.items():
             for j, c in enumerate(xvec):
                 if c.num != 0:
-                    _merge(res, module._act_gen((n, p, j), mono), c * cm)
+                    merge(res, module._act_gen((n, p, j), mono), c * cm)
         return res
 
     for mono, cm in terms.items():
@@ -220,7 +220,7 @@ def direct_apply_L(module, idx, terms, tie_swap=False, extra_margin=0):
                                 first, second = second, first
                             mid = apply_op(second, base)
                             if mid:
-                                _merge(out, apply_op(first, mid), c * half)
+                                merge(out, apply_op(first, mid), c * half)
     return out
 
 
@@ -251,9 +251,13 @@ def test_memoised_images_match_the_direct_oracle():
             for idx in ((0, 1), (1, 2), (-1, 1), (2, 1)):
                 for tie_swap in (False, True):
                     for margin in (0, 3):
-                        got = apply_L_raw(module, idx, v, tie_swap, margin)
+                        got = apply_L_raw(module, idx, form(v), tie_swap,
+                                          margin)
                         want = direct_apply_L(module, idx, v, tie_swap, margin)
-                        assert got == want
+                        # a canonical form is unique, so it is the form
+                        # of the oracle's Rat dict
+                        assert got == form(want)
+                        assert rats(*got) == want
                         compared += bool(want)
     assert compared > 100
 
@@ -262,37 +266,58 @@ def test_each_margin_and_tie_rule_computes_its_own_image(sl2, cfg2):
     module = induce_module(sl2, cfg2, ModuleSpec("weyl", (1, 1), Rat(1), 3))
     mono = module.slice_basis(-1)[0]
     memo = module._sugawara_memo
-    apply_L_raw(module, (0, 1), {mono: Rat(1)})
+    unit = (1, {mono: 1})
+    apply_L_raw(module, (0, 1), unit)
     assert len(memo) == 1
     plain = memo[((0, 1), False, 0, mono)]
-    apply_L_raw(module, (0, 1), {mono: Rat(1)}, extra_margin=3)
-    apply_L_raw(module, (0, 1), {mono: Rat(1)}, tie_swap=True)
+    apply_L_raw(module, (0, 1), unit, extra_margin=3)
+    apply_L_raw(module, (0, 1), unit, tie_swap=True)
     assert len(memo) == 3
     assert memo[((0, 1), False, 3, mono)] is not plain
     assert memo[((0, 1), True, 0, mono)] is not plain
     # the memo holds the image as an integer form (D, {monomial: int});
-    # a caller gets a fresh Rat dict and may mutate it, the memo never
+    # a caller gets a fresh nonzero form and may mutate it, the memo never
     # changes
     den, nums = plain
-    want = {m: Rat(x, den) for m, x in nums.items()}
-    out = apply_L_raw(module, (0, 1), {mono: Rat(1)})
-    assert out == want != {}
-    out.clear()
-    assert memo[((0, 1), False, 0, mono)] == (den, nums)
-    assert apply_L_raw(module, (0, 1), {mono: Rat(1)}) == want
+    want = (den, dict(nums))
+    out = apply_L_raw(module, (0, 1), unit)
+    assert out == want and want[1]
+    out[1].clear()
+    assert memo[((0, 1), False, 0, mono)] == want
+    assert apply_L_raw(module, (0, 1), unit) == want
+
+
+def test_audit_counterexample_is_the_difference_vector(sl2, cfg2,
+                                                       monkeypatch):
+    # without the bracket term the difference is f^2 [L(k,r), L(m,s)],
+    # no scalar; the audit reports it, as a Rat vector, on the first
+    # monomial where it fails
+    module = induce_module(sl2, cfg2, ModuleSpec("weyl", (1, 1), Rat(1), 4))
+    monkeypatch.setattr(sugawara, "vf_bracket",
+                        lambda cfg, e, f: GradedElement(-1))
+    (entry,) = sugawara_commutator_audit(cfg2, sl2, module,
+                                         [((1, 1), (-1, 2))], [-1])
+    assert not entry.is_scalar
+    d, mono, diff = entry.counterexample
+    v = ModuleVector.monomial(mono)
+    f = sugawara.rescale_factor(sl2, module.level)
+    want = (apply_L(module, (1, 1), apply_L(module, (-1, 2), v))
+            - apply_L(module, (-1, 2), apply_L(module, (1, 1), v)))
+    assert d == -1 and diff == want.scale(f * f) != ModuleVector()
 
 
 def test_multipoint_audit_reuses_memoised_images(sl2, cfg2, monkeypatch):
     # the multipoint-centrality module: the audit applies L to vectors whose
     # monomials repeat across the slice basis, so the memo must hold fewer
-    # images than apply_L_raw saw input monomials
+    # images than apply_L_raw saw input monomials (numerators of its
+    # input forms)
     module = induce_module(sl2, cfg2, ModuleSpec("weyl", (1, 1), Rat(1), 4))
     seen = []
     real = sugawara.apply_L_raw
 
-    def counting(module, idx, terms, *args):
-        seen.append(len(terms))
-        return real(module, idx, terms, *args)
+    def counting(module, idx, vec, *args):
+        seen.append(len(vec[1]))
+        return real(module, idx, vec, *args)
 
     monkeypatch.setattr(sugawara, "apply_L_raw", counting)
     pairs = [((1, 1), (-1, 2)), ((1, 2), (-1, 1)), ((0, 1), (0, 2))]
