@@ -48,6 +48,15 @@ MAX_VERMA_WIDTH = 32
 # With weights 1 the largest accepted took 5-7 s (560 at 0,1,-1, 495 at
 # 0,1,-1,2, 462 at five points); 969 at 0,1,-1 took 12 s.
 MAX_VERMA_SLICE = 600
+# Monomials in the degree-0 slice, the product of the dimensions w + 1 of
+# the local modules, of a `weyl` module that `module --coinvariants`,
+# `--action` or `kz` builds.  At 0,1,-1 the largest accepted, (6,6,6)
+# with 343, took 6.1 s for `--coinvariants` and 4.4 s for `kz`; (4,9,7)
+# with 400 took 8.3 s for `--coinvariants`.  `kz` costs more per monomial
+# at more points, since its flatness check takes about N^4 dense
+# commutators: 256 monomials took 8 s at four points and 243 took 28 s at
+# five.
+MAX_WEYL_SLICE = 350
 # Monomials in the deepest slice a `sugawara` audit reaches: slice d plus
 # the most negative shift of a pair.  The audit's time and memory grow
 # with it: at points 0,1,-1 with weights (1,1,1), pair 2,1,-2,1 reaches
@@ -198,6 +207,19 @@ def _built_verma_width(spec):
                  "MAX_VERMA_WIDTH")
 
 
+def _built_slice(module):
+    """Refuse a verma or weyl degree-0 slice over its bound, counted before
+    it is built."""
+    kind = module.spec.kind
+    if kind in ("verma", "weyl"):
+        bound = MAX_VERMA_SLICE if kind == "verma" else MAX_WEYL_SLICE
+        size = module.slice_dimension(0)
+        if size > bound:
+            raise ConfigError(
+                "%s degree-0 slice of %d monomials exceeds %d (MAX_%s_SLICE)"
+                % (kind, size, bound, kind.upper()))
+
+
 def _window(args):
     try:
         lo, hi = (int(x) for x in args.window.split(":"))
@@ -343,10 +365,7 @@ def cmd_module(args):
     }
     if args.coinvariants or args.action:
         _built_verma_width(spec)
-        if spec.kind == "verma" and slices["0"] > MAX_VERMA_SLICE:
-            raise ConfigError(
-                "verma degree-0 slice of %d monomials exceeds %d "
-                "(MAX_VERMA_SLICE)" % (slices["0"], MAX_VERMA_SLICE))
+        _built_slice(module)
     if args.coinvariants:
         payload["coinvariant_dimension_degree0"] = \
             degree_zero_coinvariant_dimension(module)
@@ -418,6 +437,9 @@ def cmd_kz(args):
     else:
         weights = tuple(_parse_rat(w) for w in weights)
     level = _parse_rat(data.get("level", "1"))
+    if alg.kind == "sl2":
+        _built_slice(induce_module(alg, cfg,
+                                   ModuleSpec("weyl", weights, level)))
     system = kz_matrices(cfg, alg, weights, level)
     flat = "ok"
     if cfg.n_points >= 3 and not flatness_check(system).holds:

@@ -292,8 +292,9 @@ def _entries(matrix):
             for c, v in enumerate(row) if v.num != 0]
 
 
-def omega_matrix(alg, mods, p, q):
-    """Casimir two-tensor acting on factors p and q (0-based, p != q).
+def omega_entries(alg, mods, p, q):
+    """The nonzero entries of the Casimir two-tensor on factors p and q
+    (0-based, p != q), as a list of (row, column, value).
 
     Omega_pq = sum_i x_i^(p) u^i^(q).  Its local entries on the two
     factors are sums of products of nonzero entries of x_i on factor p,
@@ -302,7 +303,6 @@ def omega_matrix(alg, mods, p, q):
     index base of the other factors.  No dense factor_op products."""
     if p == q:
         raise DomainError("omega acts on two distinct factors")
-    dim = tensor_dim(mods)
     strides = tensor_strides(mods)
     sp, sq = strides[p], strides[q]
     dp, dq = mods[p].dim, mods[q].dim
@@ -317,13 +317,18 @@ def omega_matrix(alg, mods, p, q):
                 for rp, cp, a in xp:
                     key = (rp * sp + rq * sq, cp * sp + cq * sq)
                     local[key] = local.get(key, RAT0) + a * cb
-    out = zeros(dim, dim)
-    bases = [b for b in range(dim)
+    bases = [b for b in range(tensor_dim(mods))
              if (b // sp) % dp == 0 and (b // sq) % dq == 0]
-    for (ro, co), v in local.items():
-        if v.num != 0:
-            for b in bases:
-                out[b + ro][b + co] = v
+    return [(b + ro, b + co, v) for (ro, co), v in local.items()
+            if v.num != 0 for b in bases]
+
+
+def omega_matrix(alg, mods, p, q):
+    """Omega_pq as a dense matrix, placed from `omega_entries`."""
+    dim = tensor_dim(mods)
+    out = zeros(dim, dim)
+    for r, c, v in omega_entries(alg, mods, p, q):
+        out[r][c] = v
     return out
 
 

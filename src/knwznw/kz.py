@@ -39,8 +39,8 @@ from ._kernel import RAT0, RAT1, Rat
 from .basis import Config, GradedElement, KNIndex, kn_basis_element
 from .errors import DomainError
 from .exactlinalg import commutator, is_zero_matrix
-from .finite_lie import (casimir_eigenvalue, finite_irrep, omega_matrix,
-                         tensor_dim)
+from .finite_lie import (casimir_eigenvalue, finite_irrep, omega_entries,
+                         omega_matrix, tensor_dim)
 from .modules import ModuleSpec, ModuleVector, induce_module
 from .ratfield import INFINITY
 from .sugawara import T_of_vectorfield, rescale_factor
@@ -102,16 +102,14 @@ def classical_oracle_matrices(cfg, alg, weights):
     """The matrices sum_{j != p} Omega_{pj} / (z_p - z_j), built from the
     finite-dimensional Casimir tensor only.  The tensor is symmetric, so
     each Omega_pq is built once per unordered pair and enters M_p and M_q
-    through its nonzero entries."""
+    through its nonzero entries (`omega_entries`)."""
     mods = [finite_irrep(alg, w) for w in weights]
     n = cfg.n_points
     dim = tensor_dim(mods)
     out = [[[RAT0] * dim for _ in range(dim)] for _ in range(n)]
     for p in range(n):
         for q in range(p + 1, n):
-            om = omega_matrix(alg, mods, p, q)
-            entries = [(r, s, v) for r, row in enumerate(om)
-                       for s, v in enumerate(row) if v.num != 0]
+            entries = omega_entries(alg, mods, p, q)
             fac = RAT1 / (cfg.points[p] - cfg.points[q])
             for m, f in ((out[p], fac), (out[q], -fac)):
                 for r, s, v in entries:

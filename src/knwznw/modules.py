@@ -14,7 +14,9 @@ Three induction kinds share one engine:
 
 Vectors are exact linear combinations of PBW monomials: creation entries
 (n, p, i) sorted ascending (most negative degree first, then point index,
-then g-basis index) applied to a vacuum basis vector.  The action of any
+then g-basis index) applied to a vacuum basis vector.  A `PBWMonomial`
+is the named tuple (creation, vacuum), so the memos it keys hash and
+compare it in C.  The action of any
 algebra element is computed by exact normal ordering: generators commute
 rightward through the creation string via the affine bracket until they
 hit the vacuum.  On an admissible module every image is a finite exact
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from ._kernel import (RAT0, RAT1, Rat, add_scaled, canonical, form, merge,
                       rats)
@@ -71,29 +73,16 @@ class ModuleSpec:
             raise DomainError("verma induction requires a width bound")
 
 
-class PBWMonomial:
-    """Sorted creation string applied to a vacuum basis vector."""
+class PBWMonomial(NamedTuple):
+    """Sorted creation string applied to a vacuum basis vector.  A tuple
+    (creation, vacuum), so it hashes, compares and sorts in C."""
 
-    __slots__ = ("creation", "vacuum", "_hash")
-
-    def __init__(self, creation, vacuum):
-        self.creation = tuple(creation)
-        self.vacuum = vacuum
-        self._hash = hash((self.creation, vacuum))
+    creation: tuple
+    vacuum: int
 
     @property
     def degree(self):
         return sum(k[0] for k in self.creation)
-
-    def __eq__(self, other):
-        return (self.creation == other.creation
-                and self.vacuum == other.vacuum)
-
-    def __hash__(self):
-        return self._hash
-
-    def __lt__(self, other):
-        return (self.creation, self.vacuum) < (other.creation, other.vacuum)
 
     def __repr__(self):
         ops = " ".join("x%d(%d,%d)" % (i, n, p) for (n, p, i) in self.creation)
@@ -132,8 +121,7 @@ class ModuleVector:
         return sorted({m.degree for m in self.terms})
 
     def items(self):
-        return sorted(self.terms.items(), key=lambda kv: (kv[0].creation,
-                                                          kv[0].vacuum))
+        return sorted(self.terms.items())
 
     def __eq__(self, other):
         return isinstance(other, ModuleVector) and self.terms == other.terms

@@ -20,12 +20,15 @@ degree t, which the implementation uses as its summation bound.
 
 L(k,r) is linear, so its image of each PBW monomial is computed once per
 module and memoised (`apply_L_raw`) as an integer form (D, {monomial:
-int}) of the kernel.  One image writes u^i = sum_j D_ij u_j once, reads
-only the nonzero coefficients from a sparse table per (k, r), applies
-each second normal-ordered operator once per distinct operator and each
-first operator once to the sum of its arguments (`_L_image`).  Images
-and the commutator audit's difference are integer forms; Rat is built
-only by `apply_L` and for the audit's scalar and counterexample.
+int}) of the kernel.  The terms of an image depend only on the degree of
+its monomial: one term plan per (algebra, k, r, tie rule, margin,
+degree), cached on the configuration (`_term_plan`), writes u^i =
+sum_j D_ij u_j, keeps the nonzero coefficients, merges every total and
+mode of the band and groups the terms by the operator that acts second.
+An image (`_L_image`) applies each distinct second operator once and
+each first operator once to the sum of its arguments.  Images and the
+commutator audit's difference are integer forms; Rat is built only by
+`apply_L` and for the audit's scalar and counterexample.
 
 The rescaled operators -1/(level + dual Coxeter) L(k,r) represent the
 centrally extended vector-field algebra; the audit measures the central
@@ -76,51 +79,64 @@ def _triple_coefficient(cfg, k, r, n, p, m, s):
     return hit
 
 
-def _table_row(cfg, key, t, n, build):
-    """Row (t, n) of the sparse table cfg.cache[key], built on demand."""
-    table = cfg.cache.get(key)
-    if table is None:
-        table = cfg.cache[key] = {}
-    hit = table.get((t, n))
-    if hit is None:
-        hit = table[(t, n)] = build()
-    return hit
-
-
 def _triple_row(cfg, k, r, t, n):
-    """The nonzero c_{(n,p),(t-n,s)} of L(k, r) as a tuple of (p, s, c)."""
-    def build():
+    """The nonzero c_{(n,p),(t-n,s)} of L(k, r) as a tuple of (p, s, c),
+    row (t, n) of the sparse table cfg.cache[("sugw3rows", k, r)]."""
+    table = cfg.cache.get(("sugw3rows", k, r))
+    if table is None:
+        table = cfg.cache[("sugw3rows", k, r)] = {}
+    row = table.get((t, n))
+    if row is None:
         pts = range(1, cfg.n_points + 1)
-        return tuple((p, s, c) for p in pts for s in pts
-                     for c in (_triple_coefficient(cfg, k, r, n, p, t - n, s),)
-                     if c.num != 0)
-    return _table_row(cfg, ("sugw3rows", k, r), t, n, build)
+        row = table[(t, n)] = tuple(
+            (p, s, c) for p in pts for s in pts
+            for c in (_triple_coefficient(cfg, k, r, n, p, t - n, s),)
+            if c.num != 0)
+    return row
 
 
-def _current_terms(cfg, alg, k, r, swap, t, n):
-    """The terms of L(k, r) at total t and mode n, grouped by the operator
-    that acts second.  A term is c/2 D_ij :u_i(n,p) u_j(t-n,s): for
-    c = c_{(n,p),(t-n,s)} != 0 and u^i = sum_j D_ij u_j; its operators are
-    a = (n, p, i) and b = (t-n, s, j), applied as first.(second.mono) with
-    (first, second) = (a, b), or (b, a) when swap.  The row is
-    ((second, ((first, num, den), ...)), ...) with c/2 D_ij = num/den.
-    One table per algebra, (k, r) and swap, so every image shares these
-    generator tuples (they key the module's action memo)."""
-    def build():
-        groups = {}
-        for p, s, c in _triple_row(cfg, k, r, t, n):
-            for i, dual in enumerate(alg.dual_vectors):
-                for j, d in enumerate(dual):
-                    if d.num != 0:
-                        a, b = (n, p, i), (t - n, s, j)
-                        first, second = (b, a) if swap else (a, b)
-                        v = c * _HALF * d
-                        groups.setdefault(second, []).append(
-                            (first, v.num, v.den))
-        return tuple((second, tuple(firsts))
-                     for second, firsts in groups.items())
-    return _table_row(cfg, ("sugw-terms", alg.kind, k, r, swap), t, n,
-                      build)
+def _term_plan(cfg, alg, k, r, tie_swap, extra_margin, dv):
+    """The terms of L(k, r) on a monomial of degree dv, grouped by the
+    operator that acts second.
+
+    A term is c/2 D_ij :u_i(n,p) u_j(t-n,s): for t in the band, n in
+    [t + dv - extra_margin, -dv + extra_margin], c = c_{(n,p),(t-n,s)} != 0
+    and u^i = sum_j D_ij u_j.  Its operators a = (n, p, i) and
+    b = (t-n, s, j) are applied as first.(second.mono) with (first,
+    second) = (a, b), or (b, a) when normal ordering swaps them.  The plan
+    is ((second, ((first, num, den), ...)), ...), every (t, n) merged, with
+    num/den the summed coefficient of the pair.  One plan per (algebra,
+    k, r, tie_swap, extra_margin, dv) in cfg.cache, so every monomial of
+    degree dv shares it, and its generator tuples key the module's action
+    memo."""
+    key = ("sugw-plan", alg.kind, k, r, tie_swap, extra_margin, dv)
+    plan = cfg.cache.get(key)
+    if plan is not None:
+        return plan
+    groups = {}  # second -> {first: coefficient}
+    t_lo, t_hi = total_degree_band(cfg, k)
+    for t in range(t_lo, t_hi + 1):
+        for n in range(t + dv - extra_margin, -dv + extra_margin + 1):
+            m = t - n
+            # positive degrees go right, negative degrees left; a
+            # degree-0/degree-0 pair keeps its written order unless swapped
+            swap = ((n > 0 and m <= 0) or (m < 0 and n >= 0)
+                    or (tie_swap and n == 0 and m == 0))
+            for p, s, c in _triple_row(cfg, k, r, t, n):
+                half = c * _HALF
+                for i, dual in enumerate(alg.dual_vectors):
+                    for j, d in enumerate(dual):
+                        if d.num != 0:
+                            a, b = (n, p, i), (m, s, j)
+                            first, second = (b, a) if swap else (a, b)
+                            firsts = groups.setdefault(second, {})
+                            firsts[first] = firsts.get(first, RAT0) + half * d
+    plan = cfg.cache[key] = tuple(
+        (second, terms) for second, firsts in groups.items()
+        for terms in (tuple((first, v.num, v.den)
+                            for first, v in firsts.items() if v.num != 0),)
+        if terms)
+    return plan
 
 
 def total_degree_band(cfg, k):
@@ -149,35 +165,24 @@ def sugawara_coefficients(cfg, idx, band):
 def _L_image(module, k, r, tie_swap, extra_margin, mono):
     """L(k, r) on one monomial, as an integer form (D, {monomial: int}).
 
-    Each term c/2 D_ij :u_i(n,p) u_j(m,s): is normal ordered into
-    first.(second.mono).  Each distinct second operator acts once per
-    (t, n); its image, scaled by each of its terms, is summed into the
-    argument of the first operator, and each first operator then acts once
-    on its argument.  Both phases sum integer numerators over one
-    widening denominator (`add_scaled`).
+    The term plan of mono's degree (`_term_plan`) lists each distinct
+    second operator once, so each acts once on mono; its image, scaled by
+    each of its terms, is summed into the argument of the first operator,
+    and each first operator then acts once on its argument.  Both phases
+    sum integer numerators over one widening denominator (`add_scaled`).
     """
-    cfg = module.cfg
-    alg = module.alg
     act = module._act_form
-    t_lo, t_hi = total_degree_band(cfg, k)
-    dv = mono.degree
     groups = {}  # first operator -> [den, {monomial: int}] it acts on
-    for t in range(t_lo, t_hi + 1):
-        for n in range(t + dv - extra_margin, -dv + extra_margin + 1):
-            m = t - n
-            # positive degrees go right, negative degrees left; a
-            # degree-0/degree-0 pair keeps its written order unless swapped
-            swap = ((n > 0 and m <= 0) or (m < 0 and n >= 0)
-                    or (tie_swap and n == 0 and m == 0))
-            for second, firsts in _current_terms(cfg, alg, k, r, swap, t, n):
-                dm, mid = act(second, mono)
-                if not mid:
-                    continue
-                for first, num, den in firsts:
-                    arg = groups.get(first)
-                    if arg is None:
-                        arg = groups[first] = [1, {}]
-                    arg[0] = add_scaled(arg[0], arg[1], dm, mid, num, den)
+    for second, firsts in _term_plan(module.cfg, module.alg, k, r, tie_swap,
+                                     extra_margin, mono.degree):
+        dm, mid = act(second, mono)
+        if not mid:
+            continue
+        for first, num, den in firsts:
+            arg = groups.get(first)
+            if arg is None:
+                arg = groups[first] = [1, {}]
+            arg[0] = add_scaled(arg[0], arg[1], dm, mid, num, den)
     den, acc = 1, {}
     for first, (aden, arg) in groups.items():
         for m2, x in arg.items():

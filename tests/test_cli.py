@@ -8,8 +8,8 @@ import pytest
 
 from knwznw import verify
 from knwznw.cli import (MAX_AUDIT_MONOMIALS, MAX_BASIS_INDEX, MAX_DEPTH,
-                        MAX_VERMA_SLICE, MAX_VERMA_WIDTH, MAX_WINDOW_DEGREE,
-                        MAX_WINDOW_WIDTH, main)
+                        MAX_VERMA_SLICE, MAX_VERMA_WIDTH, MAX_WEYL_SLICE,
+                        MAX_WINDOW_DEGREE, MAX_WINDOW_WIDTH, main)
 
 
 def run_cli(argv, capsys):
@@ -427,6 +427,26 @@ def test_verma_slice_bound(capsys, tmp_path):
     code, out, err = run_cli(["module", "--action", "--config", config(13)],
                              capsys)
     assert code == 1 and err.startswith("error: truncation overflow"), err
+
+
+def test_weyl_slice_bound(capsys, tmp_path):
+    # the degree-0 slice of a weyl module holds prod (w + 1) monomials; it
+    # is counted before `module --coinvariants`, `--action` or `kz` builds
+    # it: (2,8,12) holds 3 * 9 * 13 = 351, one past (6,6,6)'s 343
+    assert 343 <= MAX_WEYL_SLICE < 351
+    for weights in ((2, 8, 12), (7, 7, 7)):
+        size = (weights[0] + 1) * (weights[1] + 1) * (weights[2] + 1)
+        cfg = _write(tmp_path, "w.json", {"points": ["0", "1", "-1"],
+                                          "weights": list(weights),
+                                          "depth": 0})
+        for argv in (["module", "--coinvariants"], ["module", "--action"],
+                     ["kz"]):
+            _rejected(argv + ["--config", cfg], capsys,
+                      "weyl degree-0 slice of %d monomials exceeds %d "
+                      "(MAX_WEYL_SLICE)" % (size, MAX_WEYL_SLICE))
+    # a plain listing only counts its slices
+    code, out, _ = run_cli(["module", "--config", cfg], capsys)
+    assert code == 0 and json.loads(out)["slice_dimensions"]["0"] == 512
 
 
 def colored_partitions(colors, upto):

@@ -11,7 +11,7 @@ from knwznw.errors import DomainError
 from knwznw.exactlinalg import commutator, is_zero_matrix, mat_mul
 from knwznw.finite_lie import (casimir_eigenvalue, casimir_pairs,
                                diagonal_action, finite_irrep, make_algebra,
-                               omega_matrix, tensor_dim)
+                               omega_entries, omega_matrix, tensor_dim)
 
 
 
@@ -139,8 +139,12 @@ def test_sparse_omega_matches_the_dense_oracle(sl2, ab):
         for p in range(len(mods)):
             for q in range(len(mods)):
                 if p != q:
-                    assert (omega_matrix(alg, mods, p, q)
-                            == dense_omega_matrix(alg, mods, p, q))
+                    dense = dense_omega_matrix(alg, mods, p, q)
+                    assert omega_matrix(alg, mods, p, q) == dense
+                    # the entries are exactly the nonzero ones, each once
+                    assert sorted(omega_entries(alg, mods, p, q)) == [
+                        (r, c, v) for r, row in enumerate(dense)
+                        for c, v in enumerate(row) if v.num != 0]
 
 
 def test_sparse_mat_mul_matches_the_dense_oracle():

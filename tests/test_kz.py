@@ -173,7 +173,7 @@ def test_oracle_builds_each_omega_once(sl2, ab, monkeypatch):
     # Omega_qp = Omega_pq, so M_p and M_q share one Omega per unordered
     # pair; M_p still equals sum_{q != p} Omega_pq / (z_p - z_q) over the
     # dense oracle
-    real = kz.omega_matrix
+    real = kz.omega_entries
     cases = [(Config(["0", "1", "-1", "2"]), sl2, (1, 1, 1, 1)),
              (Config(["1/2", "-7/3", "5"]), sl2, (2, 2, 2)),
              (Config(["0", "1", "3"]), ab, (Rat(1), Rat(2), Rat(3)))]
@@ -184,7 +184,7 @@ def test_oracle_builds_each_omega_once(sl2, ab, monkeypatch):
             built.append((p, q))
             return real(alg, mods, p, q)
 
-        monkeypatch.setattr(kz, "omega_matrix", counting)
+        monkeypatch.setattr(kz, "omega_entries", counting)
         got = classical_oracle_matrices(cfg, alg, weights)
         n = cfg.n_points
         assert len(built) == n * (n - 1) // 2 == len(set(built))

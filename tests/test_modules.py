@@ -135,6 +135,26 @@ def test_slice_dimension_does_not_grow_with_width(sl2, cfg1):
     assert verma.slice_dimension(-1) == 3 * 10 ** 9
 
 
+def test_pbw_monomial_contract(weyl11):
+    # two monomials built independently are equal and hash alike; sorting
+    # follows (creation, vacuum); repr and degree read the string
+    ops = [(-2, 1, E), (-1, 2, H)]
+    a = PBWMonomial(tuple(ops), 1)
+    b = PBWMonomial((tuple(ops[:1]) + ((-1, 2, H),)), 1)
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert {a: 1}[b] == 1
+    assert (a.creation, a.vacuum) == (tuple(ops), 1)
+    assert a.degree == -3 and PBWMonomial((), 0).degree == 0
+    assert repr(a) == "[x0(-2,1) x1(-1,2)|w1]"
+    assert repr(PBWMonomial((), 0)) == "[|w0]"
+    basis = weyl11.slice_basis(-2)
+    shuffled = random.Random(3).sample(basis, len(basis))
+    assert sorted(shuffled) == sorted(
+        basis, key=lambda m: (m.creation, m.vacuum))
+    assert PBWMonomial(((-1, 1, E),), 3) < PBWMonomial(((-1, 1, H),), 0)
+    assert PBWMonomial(((-1, 1, E),), 0) < PBWMonomial(((-1, 1, E),), 1)
+
+
 def test_level_action(weyl11, fock):
     t = AffineElement.center()
     v = ModuleVector.monomial(weyl11.slice_basis(-1)[0])

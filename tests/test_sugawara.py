@@ -225,25 +225,31 @@ def direct_apply_L(module, idx, terms, tie_swap=False, extra_margin=0):
 
 
 def oracle_modules():
+    """(module, slices its random vectors are drawn from)."""
     sl2, ab = make_algebra("sl2"), make_algebra("abelian1")
     cfg2 = Config(["0", "1"])
-    yield induce_module(sl2, cfg2, ModuleSpec("weyl", (1, 1), Rat(1), 4))
+    deep = (0, -1, -2)
+    yield induce_module(sl2, cfg2, ModuleSpec("weyl", (1, 1), Rat(1), 4)), deep
     yield induce_module(sl2, Config(["1/2", "-7/3"]),
-                        ModuleSpec("weyl", (2, 1), Rat(2), 4))
+                        ModuleSpec("weyl", (2, 1), Rat(2), 4)), deep
     yield induce_module(ab, cfg2, ModuleSpec("fock", (Rat(1, 2), Rat(-3)),
-                                             Rat(1), 4))
-    yield induce_module(sl2, cfg2,
-                        ModuleSpec("verma", (Rat(1), Rat(2)), Rat(1), 3, 3))
+                                             Rat(1), 4)), deep
+    yield induce_module(sl2, cfg2, ModuleSpec("verma", (Rat(1), Rat(2)),
+                                              Rat(1), 3, 3)), deep
+    # three points, so the plans hold triple coefficients of every pair of
+    # distinct points
+    yield induce_module(sl2, Config(["1/2", "-7/3", "5"]),
+                        ModuleSpec("weyl", (1, 0, 1), Rat(3, 2), 1)), (0, -1)
 
 
 def test_memoised_images_match_the_direct_oracle():
     rng = random.Random(11)
     compared = 0
-    for module in oracle_modules():
+    for module, slices in oracle_modules():
         vectors = []
         for _ in range(3):
             v = {}
-            for d in (0, -1, -2):
+            for d in slices:
                 mono = rng.choice(module.slice_basis(d))
                 v[mono] = Rat(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
             vectors.append(v)
@@ -285,6 +291,41 @@ def test_each_margin_and_tie_rule_computes_its_own_image(sl2, cfg2):
     out[1].clear()
     assert memo[((0, 1), False, 0, mono)] == want
     assert apply_L_raw(module, (0, 1), unit) == want
+
+
+def test_plan_keys_keep_the_audits_non_vacuous(sl2):
+    # at genus 0 the tie-swapped and margin-3 images equal the plain ones,
+    # so only the plan key keeps normal-ordering-equivalence and
+    # summation-bounds from comparing one computation with itself
+    cfg = Config(["0", "1"])
+    module = induce_module(sl2, cfg, ModuleSpec("weyl", (1, 1), Rat(1), 3))
+    unit = (1, {module.slice_basis(0)[0]: 1})
+    flags = ((False, 0), (True, 0), (False, 3))
+    for tie_swap, margin in flags:
+        apply_L_raw(module, (0, 1), unit, tie_swap, margin)
+    plans = {key[4:6]: plan for key, plan in cfg.cache.items()
+             if key[:4] == ("sugw-plan", "sl2", 0, 1) and key[6] == 0}
+    assert sorted(plans) == sorted(flags)
+    plain, swapped, wide = (plans[f] for f in flags)
+
+    def terms(plan):
+        return {(second, first): (num, den)
+                for second, firsts in plan for first, num, den in firsts}
+
+    def tie(plan):
+        return [(second, first) for second, firsts in plan
+                for first, _num, _den in firsts
+                if second[0] == first[0] == 0]
+
+    # the swapped plan exchanges the roles of every degree-0 pair; c and
+    # the dual basis are symmetric, so it holds the plain terms in the
+    # order of the exchanged pairs
+    assert tie(swapped) == [(b, a) for a, b in tie(plain)] != tie(plain)
+    assert swapped != plain and terms(swapped) == terms(plain)
+    # the wider plan reaches modes the plain one does not
+    modes = [{op[0] for pair in terms(plan) for op in pair}
+             for plan in (plain, wide)]
+    assert modes[0] < modes[1] and terms(plain).items() < terms(wide).items()
 
 
 def test_audit_counterexample_is_the_difference_vector(sl2, cfg2,
