@@ -1,9 +1,23 @@
 """Function and vector-field algebras on the marked sphere.
 
-Products, brackets and Lie-derivative module actions are computed on the
-divisor forms of the basis elements and expanded back into the graded
-basis; cocycles are residue sums over their local jets.  The two
-geometric cocycles live here as well:
+At genus zero every basis element is c M_k dz^lam for a constant c and a
+monomial M_k = prod_i (z - P_i)^k_i (`basis.kn_basis_record`).  So the
+structure constants of unit pairs are short combinations of monomials:
+with K = k_a + k_b and e_j the j-th unit vector,
+
+    A_a A_b         = c_a c_b M_K,
+    M_k'            = sum_j k_j M_{k - e_j},
+    e f' - f e'     = c_e c_f sum_j (k_f,j - k_e,j) M_{K - e_j},
+    e s' + lam e' s = c_e c_s sum_j (k_s,j + lam k_e,j) M_{K - e_j},
+
+the last being the Lie derivative of a weight-lam s along e d/dz.  The
+basis expansion of each monomial M_K dz^lam is computed once per
+(lam, K), by `expand_in_basis` with its exact reconstruction check, and
+cached in cfg.cache under "mono"; a unit entry ("prod", "vfbr", "lied")
+is the sum of at most N of them as an integer form.
+Cocycles are residue sums over local jets; the connection part of chi
+uses the bracket identity with one cached residue of R M_K per (R, K)
+("Rmono").  The two geometric cocycles are
 
     gamma(f, g) = sum of residues of f dg over the marked points,
     chi_R(e, f) = (1/12) sum of residues of
@@ -19,10 +33,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ._kernel import RAT0, RAT1, Rat, add_scaled, form, rats
-from .basis import (GradedElement, KNIndex, Section, expand_in_basis,
-                    kn_basis_element, linear_combination, residue_sum,
-                    section_from_graded)
+from ._kernel import RAT0, RAT1, Rat, add_scaled, canonical, form, rats
+from .basis import (DivisorForm, GradedElement, KNIndex, Section,
+                    expand_in_basis, kn_basis_element, linear_combination,
+                    residue_sum, section_from_graded)
 from .errors import DomainError
 from .ratfield import INFINITY, RationalFunction, order_at
 
@@ -68,10 +82,45 @@ def _bracket_form(cfg, e, f):
                                            (-RAT1, f * e.deriv())))
 
 
-def _unit_entry(cfg, lam, dform):
-    """A cached unit entry: the basis expansion of a divisor form as an
-    integer form (D, numerators), in the order of the expansion's terms."""
-    return form(expand_in_basis(cfg, Section(lam, dform)).terms)
+def _monomial(cfg, lam, k):
+    """The basis expansion of M_k dz^lam as a canonical integer form;
+    cached per (lam, k)."""
+    key = ("mono", lam, k)
+    hit = cfg.cache.get(key)
+    if hit is None:
+        hit = form(expand_in_basis(cfg, Section(
+            lam, DivisorForm(cfg.points, 1, (1,), k))).terms)
+        cfg.cache[key] = hit
+    return hit
+
+
+def _unit_pair(cfg, lam_a, a, lam_b, b):
+    """(c, k_a, k_b) for A_a = c_a M_{k_a} and A_b = c_b M_{k_b}, with
+    c = c_a c_b as (num, den)."""
+    fa = _unit_form(cfg, lam_a, a)
+    fb = _unit_form(cfg, lam_b, b)
+    return (fa.nums[0] * fb.nums[0], fa.den * fb.den), fa.k, fb.k
+
+
+def _lowered(ka, kb, weights):
+    """(w_j, K - e_j) over the points j, for K = k_a + k_b: the terms of
+    sum_j w_j M_{K - e_j}."""
+    k = tuple(x + y for x, y in zip(ka, kb))
+    return [(w, k[:j] + (k[j] - 1,) + k[j + 1:])
+            for j, w in enumerate(weights)]
+
+
+def _unit_entry(cfg, lam, c, terms):
+    """The basis expansion of c sum_j w_j M_{k_j} dz^lam over (w_j, k_j)
+    in terms, as a canonical integer form summed from the cached monomial
+    expansions."""
+    cn, cd = c
+    den, acc = 1, {}
+    for w, k in terms:
+        if w:
+            d, nums = _monomial(cfg, lam, k)
+            den = add_scaled(den, acc, d, nums, cn * w, cd)
+    return canonical(den, acc)
 
 
 def _unit_product(cfg, lams, a, b):
@@ -79,11 +128,18 @@ def _unit_product(cfg, lams, a, b):
         else ("prod", (lams[1], lams[0]), b, a)
     hit = cfg.cache.get(key)
     if hit is None:
-        fa = _unit_form(cfg, lams[0], a)
-        fb = _unit_form(cfg, lams[1], b)
-        hit = _unit_entry(cfg, lams[0] + lams[1], fa * fb)
+        c, ka, kb = _unit_pair(cfg, lams[0], a, lams[1], b)
+        hit = _unit_entry(cfg, lams[0] + lams[1], c,
+                          [(1, tuple(x + y for x, y in zip(ka, kb)))])
         cfg.cache[key] = hit
     return hit
+
+
+def _bracket_terms(cfg, a, b):
+    """c and the terms of A_a A_b' - A_b A_a' = c sum_j w_j M_{K - e_j},
+    w_j = k_b,j - k_a,j, for vector-field indices a, b."""
+    c, ka, kb = _unit_pair(cfg, -1, a, -1, b)
+    return c, _lowered(ka, kb, [y - x for x, y in zip(ka, kb)])
 
 
 def _unit_vf_bracket(cfg, a, b):
@@ -91,21 +147,20 @@ def _unit_vf_bracket(cfg, a, b):
     key = ("vfbr", a, b)
     hit = cfg.cache.get(key)
     if hit is None:
-        hit = _unit_entry(cfg, -1, _bracket_form(
-            cfg, _unit_form(cfg, -1, a), _unit_form(cfg, -1, b)))
+        hit = _unit_entry(cfg, -1, *_bracket_terms(cfg, a, b))
         cfg.cache[key] = hit
     return hit
 
 
 def _unit_lie_derivative(cfg, a, lam, b):
+    """e s' + lam e' s for e = A_a and s = A_b of weight lam: c sum_j
+    (k_s,j + lam k_e,j) M_{K - e_j}."""
     key = ("lied", a, lam, b)
     hit = cfg.cache.get(key)
     if hit is None:
-        ev = _unit_form(cfg, -1, a)
-        sv = _unit_form(cfg, lam, b)
-        hit = _unit_entry(cfg, lam, linear_combination(
-            cfg.points, ((RAT1, ev * sv.deriv()),
-                         (Rat(lam), ev.deriv() * sv))))
+        c, ke, ks = _unit_pair(cfg, -1, a, lam, b)
+        hit = _unit_entry(cfg, lam, c, _lowered(
+            ke, ks, [y + lam * x for x, y in zip(ke, ks)]))
         cfg.cache[key] = hit
     return hit
 
@@ -193,16 +248,25 @@ def cocycle_gamma(cfg, f, g):
     return total
 
 
-def _chi_residues(cfg, e, f, rv):
-    """Residue sum over the marked points of the chi integrand
-    (1/2)(e'''f - e f''') + R (e f' - f e'), for forms e, f and R."""
-    out = (residue_sum(cfg, e, f, df=3)
-           - residue_sum(cfg, e, f, dg=3)) * Rat(1, 2)
-    if not rv.is_zero():
-        br = _bracket_form(cfg, e, f)
-        if not br.is_zero():
-            out = out + residue_sum(cfg, rv, br)
-    return out
+def _monomial_residue(cfg, rv, k):
+    """Residue sum over the marked points of R M_k dz; cached per (R, k)."""
+    key = ("Rmono", rv, k)
+    hit = cfg.cache.get(key)
+    if hit is None:
+        hit = residue_sum(cfg, rv, DivisorForm(cfg.points, 1, (1,), k))
+        cfg.cache[key] = hit
+    return hit
+
+
+def _chi_connection_part(cfg, a, b, rv):
+    """Residue sum of R (e f' - f e') for e = A_a, f = A_b and R = rv != 0:
+    c sum_j w_j res(R M_{K - e_j}) by the bracket identity."""
+    (cn, cd), terms = _bracket_terms(cfg, a, b)
+    out = RAT0
+    for w, k in terms:
+        if w:
+            out = out + _monomial_residue(cfg, rv, k) * w
+    return out * Rat(cn, cd)
 
 
 def _unit_chi(cfg, a, b, R):
@@ -213,8 +277,13 @@ def _unit_chi(cfg, a, b, R):
     key = ("chiu", a, b, R.value)
     hit = cfg.cache.get(key)
     if hit is None:
-        hit = _chi_residues(cfg, _unit_form(cfg, -1, a),
-                            _unit_form(cfg, -1, b), R.value) * Rat(1, 12)
+        # (1/12) residue sum of (1/2)(e'''f - e f''') + R (e f' - f e')
+        e, f = _unit_form(cfg, -1, a), _unit_form(cfg, -1, b)
+        hit = (residue_sum(cfg, e, f, df=3)
+               - residue_sum(cfg, e, f, dg=3)) * Rat(1, 2)
+        if not R.value.is_zero():
+            hit = hit + _chi_connection_part(cfg, a, b, R.value)
+        hit = hit * Rat(1, 12)
         cfg.cache[key] = hit
     return hit
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import prod
 
 from ._kernel import BACKEND, Rat
 from .affine import AffineElement, affine_bracket
@@ -57,6 +58,12 @@ MAX_VERMA_SLICE = 600
 # commutators: 256 monomials took 8 s at four points and 243 took 28 s at
 # five.
 MAX_WEYL_SLICE = 350
+# Largest sl2 weight of a local module in a `weyl` module that any command
+# induces, so that its local module alone fits in a MAX_WEYL_SLICE slice.
+# Each local irrep is built and checked with dense matrices as the module
+# is induced (about 2 s at weight 350), so both weyl bounds are checked on
+# the weights before that.
+MAX_WEYL_WEIGHT = MAX_WEYL_SLICE - 1
 # Monomials in the deepest slice a `sugawara` audit reaches: slice d plus
 # the most negative shift of a pair.  The audit's time and memory grow
 # with it: at points 0,1,-1 with weights (1,1,1), pair 2,1,-2,1 reaches
@@ -178,7 +185,9 @@ def _config_connection(data):
     return ProjectiveConnection(RationalFunction(num, den))
 
 
-def _config_module_spec(cfg, data):
+def _config_module_spec(cfg, data, alg, built=False):
+    """The module spec of a config; a weyl module is checked by
+    `_weyl_bounds` before it is induced."""
     m = _config_object(data.get("module", {}), "module")
     kind = m.get("kind", "weyl")
     weights = m.get("weights", data.get("weights"))
@@ -196,28 +205,41 @@ def _config_module_spec(cfg, data):
     else:
         weights = tuple(_parse_rat(w) for w in weights)
     try:
-        return ModuleSpec(kind, weights, level, depth, width)
+        spec = ModuleSpec(kind, weights, level, depth, width)
     except DomainError as exc:
         raise ConfigError(str(exc))
+    if kind == "weyl":
+        _weyl_bounds(cfg, alg, weights, built)
+    return spec
+
+
+def _slice_bound(kind, size):
+    """Refuse a verma or weyl degree-0 slice over its bound."""
+    bound = MAX_VERMA_SLICE if kind == "verma" else MAX_WEYL_SLICE
+    if size > bound:
+        raise ConfigError(
+            "%s degree-0 slice of %d monomials exceeds %d (MAX_%s_SLICE)"
+            % (kind, size, bound, kind.upper()))
+
+
+def _weyl_bounds(cfg, alg, weights, built):
+    """Refuse an sl2 weyl module before any local irrep is built: its
+    degree-0 slice, the product of the w + 1, if it will be built, then
+    each weight (MAX_WEYL_WEIGHT).  Weights that inducing the module
+    rejects, a negative one or not one per point, are left to it."""
+    if alg.kind != "sl2" or len(weights) != cfg.n_points \
+            or min(weights) < 0:
+        return
+    if built:
+        _slice_bound("weyl", prod(w + 1 for w in weights))
+    for w in weights:
+        _bounded(w, "weyl weight", 0, MAX_WEYL_WEIGHT, "MAX_WEYL_WEIGHT")
 
 
 def _built_verma_width(spec):
     if spec.kind == "verma":
         _bounded(spec.width, "verma width", 0, MAX_VERMA_WIDTH,
                  "MAX_VERMA_WIDTH")
-
-
-def _built_slice(module):
-    """Refuse a verma or weyl degree-0 slice over its bound, counted before
-    it is built."""
-    kind = module.spec.kind
-    if kind in ("verma", "weyl"):
-        bound = MAX_VERMA_SLICE if kind == "verma" else MAX_WEYL_SLICE
-        size = module.slice_dimension(0)
-        if size > bound:
-            raise ConfigError(
-                "%s degree-0 slice of %d monomials exceeds %d (MAX_%s_SLICE)"
-                % (kind, size, bound, kind.upper()))
 
 
 def _window(args):
@@ -352,7 +374,8 @@ def cmd_module(args):
     data = _load_config(args.config)
     cfg = _config_points(data, args)
     alg = _config_algebra(data)
-    spec = _config_module_spec(cfg, data)
+    built = args.coinvariants or args.action
+    spec = _config_module_spec(cfg, data, alg, built)
     module = induce_module(alg, cfg, spec)
     slices = {str(-d): module.slice_dimension(-d)
               for d in range(0, spec.depth + 1)}
@@ -363,9 +386,10 @@ def cmd_module(args):
         "depth": spec.depth,
         "slice_dimensions": slices,
     }
-    if args.coinvariants or args.action:
+    if built:
         _built_verma_width(spec)
-        _built_slice(module)
+        if spec.kind == "verma":
+            _slice_bound("verma", module.slice_dimension(0))
     if args.coinvariants:
         payload["coinvariant_dimension_degree0"] = \
             degree_zero_coinvariant_dimension(module)
@@ -384,7 +408,7 @@ def cmd_sugawara(args):
     data = _load_config(args.config)
     cfg = _config_points(data, args)
     alg = _config_algebra(data)
-    spec = _config_module_spec(cfg, data)
+    spec = _config_module_spec(cfg, data, alg)
     module = induce_module(alg, cfg, spec)
     pairs = []
     for chunk in args.pairs.split(";"):
@@ -437,9 +461,7 @@ def cmd_kz(args):
     else:
         weights = tuple(_parse_rat(w) for w in weights)
     level = _parse_rat(data.get("level", "1"))
-    if alg.kind == "sl2":
-        _built_slice(induce_module(alg, cfg,
-                                   ModuleSpec("weyl", weights, level)))
+    _weyl_bounds(cfg, alg, weights, True)
     system = kz_matrices(cfg, alg, weights, level)
     flat = "ok"
     if cfg.n_points >= 3 and not flatness_check(system).holds:

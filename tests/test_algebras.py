@@ -12,7 +12,7 @@ from knwznw.algebras import (ProjectiveConnection,
                              multiply, triangular_decompose, vf_bracket)
 from knwznw.basis import (Config, GradedElement, KNIndex, Section,
                           expand_in_basis, kn_basis_element,
-                          linear_combination)
+                          linear_combination, residue_sum)
 from knwznw.errors import DomainError
 from knwznw.verify import _jacobi_fault
 from knwznw.ratfield import INFINITY, Poly, RationalFunction as RF
@@ -352,7 +352,12 @@ def _random_element(rng, lam, n_pts, size=3):
     return GradedElement(lam, terms)
 
 
-@pytest.mark.parametrize("points", [("0", "1", "-1"), ("1/2", "-7/3", "5")])
+# N = 1, 2, 3 and 4 points, most with denominators > 1
+BILINEAR_POINTS = [("3/2",), ("-1/3", "5/2"), ("0", "1", "-1"),
+                   ("1/2", "-7/3", "5"), ("2/3", "-1", "1/4", "3")]
+
+
+@pytest.mark.parametrize("points", BILINEAR_POINTS)
 def test_bilinear_matches_the_rat_by_rat_reference(points):
     cfg = Config(points)
     rng = random.Random(47)
@@ -369,3 +374,25 @@ def test_bilinear_matches_the_rat_by_rat_reference(points):
             # shared terms: diagonal pairs and both orders of a pair
             g = f.scale(Rat(-3, 5)) + _random_element(rng, lam_g, n, size=1)
             assert op(cfg, f, g) == ref_bilinear(cfg, kind, f, g), (kind, f)
+        # degree lam - 1: A = c (z - P_p)^-1 with exponent 0 at every other
+        # point, where the derivative identity has no term
+        f = GradedElement(lam_f, {(lam_f - 1, 1): Rat(2, 3),
+                                  (lam_f - 1, n): Rat(-5), (1, 1): Rat(1)})
+        g = GradedElement(lam_g, {(lam_g - 1, n): Rat(7, 2),
+                                  (lam_g - 1, 1): Rat(1), (-1, n): Rat(3)})
+        assert op(cfg, f, g) == ref_bilinear(cfg, kind, f, g), (kind, f, g)
+
+
+@pytest.mark.parametrize("points", [("0", "1", "-1", "2"),
+                                    ("1/2", "-7/3", "5")])
+def test_chi_connection_part_matches_the_bracket_form_residue(points):
+    cfg = Config(points)
+    rv = RF(3 + z, 1 + z * z)
+    units = [(n, p) for n in range(-4, 3) for p in range(1, len(points) + 1)]
+    for a in units:
+        for b in units:
+            if a < b:
+                br = algebras._bracket_form(cfg, _ref_form(cfg, -1, a),
+                                            _ref_form(cfg, -1, b))
+                assert algebras._chi_connection_part(cfg, a, b, rv) == \
+                    residue_sum(cfg, rv, br), (a, b)

@@ -3,13 +3,15 @@
 import io
 import json
 import sys
+from time import perf_counter
 
 import pytest
 
 from knwznw import verify
 from knwznw.cli import (MAX_AUDIT_MONOMIALS, MAX_BASIS_INDEX, MAX_DEPTH,
                         MAX_VERMA_SLICE, MAX_VERMA_WIDTH, MAX_WEYL_SLICE,
-                        MAX_WINDOW_DEGREE, MAX_WINDOW_WIDTH, main)
+                        MAX_WEYL_WEIGHT, MAX_WINDOW_DEGREE,
+                        MAX_WINDOW_WIDTH, main)
 
 
 def run_cli(argv, capsys):
@@ -447,6 +449,27 @@ def test_weyl_slice_bound(capsys, tmp_path):
     # a plain listing only counts its slices
     code, out, _ = run_cli(["module", "--config", cfg], capsys)
     assert code == 0 and json.loads(out)["slice_dimensions"]["0"] == 512
+
+
+def test_large_weyl_weights_are_refused_before_any_irrep_is_built(
+        capsys, tmp_path):
+    # building and checking the 351-dimensional irrep of weight 350 took
+    # about 2 s before the request was refused; the bounds read only the
+    # weights
+    assert MAX_WEYL_WEIGHT + 1 == MAX_WEYL_SLICE
+    cfg = _write(tmp_path, "w.json", {"points": ["0", "1", "-1"],
+                                      "weights": [350, 1, 1], "depth": 0})
+    too_large = "weyl degree-0 slice of 1404 monomials exceeds %d " \
+        "(MAX_WEYL_SLICE)" % MAX_WEYL_SLICE
+    weight = "weyl weight 350 is out of range 0..%d (MAX_WEYL_WEIGHT)" \
+        % MAX_WEYL_WEIGHT
+    for argv, bound in ((["kz"], too_large),
+                        (["module", "--coinvariants"], too_large),
+                        (["module"], weight),
+                        (["sugawara", "--slices=0"], weight)):
+        start = perf_counter()
+        _rejected(argv + ["--config", cfg], capsys, bound)
+        assert perf_counter() - start < 0.5, argv
 
 
 def colored_partitions(colors, upto):
