@@ -15,9 +15,11 @@ basis expansion of each monomial M_K dz^lam is computed once per
 (lam, K), by `expand_in_basis` with its exact reconstruction check, and
 cached in cfg.cache under "mono"; a unit entry ("prod", "vfbr", "lied")
 is the sum of at most N of them as an integer form.
-Cocycles are residue sums over local jets; the connection part of chi
-uses the bracket identity with one cached residue of R M_K per (R, K)
-("Rmono").  The two geometric cocycles are
+Cocycles are residue sums.  A unit gamma entry f dg = c_f c_g sum_j
+k_g,j M_{K - e_j} sums at most N cached `basis.monomial_residue`s
+("mres"); the connection part of chi uses the bracket identity with one
+cached residue of R M_K per (R, K) ("Rmono"); chi's third-derivative
+part stays on local jets.  The two geometric cocycles are
 
     gamma(f, g) = sum of residues of f dg over the marked points,
     chi_R(e, f) = (1/12) sum of residues of
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 from ._kernel import RAT0, RAT1, Rat, add_scaled, canonical, form, rats
 from .basis import (DivisorForm, GradedElement, KNIndex, Section,
                     expand_in_basis, kn_basis_element, linear_combination,
-                    residue_sum, section_from_graded)
+                    monomial_residue, residue_sum, section_from_graded)
 from .errors import DomainError
 from .ratfield import INFINITY, RationalFunction, order_at
 
@@ -221,6 +223,15 @@ def lie_derivative(cfg, e, s):
                      lambda a, b: _unit_lie_derivative(cfg, a, s.lam, b))
 
 
+def _residue_combination(c, terms, residue):
+    """c sum_j w_j residue(k_j) over (w_j, k_j) in terms, c = (num, den)."""
+    out = RAT0
+    for w, k in terms:
+        if w:
+            out = out + residue(k) * w
+    return out * Rat(*c)
+
+
 def _unit_gamma(cfg, a, b):
     if a == b:
         return RAT0
@@ -229,8 +240,10 @@ def _unit_gamma(cfg, a, b):
     key = ("gammau", a, b)
     hit = cfg.cache.get(key)
     if hit is None:
-        hit = residue_sum(cfg, _unit_form(cfg, 0, a), _unit_form(cfg, 0, b),
-                          dg=1)
+        # f dg = c sum_j k_g,j M_{K - e_j}
+        c, ka, kb = _unit_pair(cfg, 0, a, 0, b)
+        hit = _residue_combination(c, _lowered(ka, kb, kb),
+                                   lambda k: monomial_residue(cfg, k))
         cfg.cache[key] = hit
     return hit
 
@@ -248,7 +261,7 @@ def cocycle_gamma(cfg, f, g):
     return total
 
 
-def _monomial_residue(cfg, rv, k):
+def _connection_residue(cfg, rv, k):
     """Residue sum over the marked points of R M_k dz; cached per (R, k)."""
     key = ("Rmono", rv, k)
     hit = cfg.cache.get(key)
@@ -261,12 +274,8 @@ def _monomial_residue(cfg, rv, k):
 def _chi_connection_part(cfg, a, b, rv):
     """Residue sum of R (e f' - f e') for e = A_a, f = A_b and R = rv != 0:
     c sum_j w_j res(R M_{K - e_j}) by the bracket identity."""
-    (cn, cd), terms = _bracket_terms(cfg, a, b)
-    out = RAT0
-    for w, k in terms:
-        if w:
-            out = out + _monomial_residue(cfg, rv, k) * w
-    return out * Rat(cn, cd)
+    return _residue_combination(*_bracket_terms(cfg, a, b),
+                                lambda k: _connection_residue(cfg, rv, k))
 
 
 def _unit_chi(cfg, a, b, R):
@@ -277,10 +286,11 @@ def _unit_chi(cfg, a, b, R):
     key = ("chiu", a, b, R.value)
     hit = cfg.cache.get(key)
     if hit is None:
-        # (1/12) residue sum of (1/2)(e'''f - e f''') + R (e f' - f e')
+        # (1/12) residue sum of (1/2)(e'''f - e f''') + R (e f' - f e');
+        # a derivative has no residue, so res(e'''f) = -res(e f''') at
+        # each point and the first part is -res(e f''')
         e, f = _unit_form(cfg, -1, a), _unit_form(cfg, -1, b)
-        hit = (residue_sum(cfg, e, f, df=3)
-               - residue_sum(cfg, e, f, dg=3)) * Rat(1, 2)
+        hit = -residue_sum(cfg, e, f, dg=3)
         if not R.value.is_zero():
             hit = hit + _chi_connection_part(cfg, a, b, R.value)
         hit = hit * Rat(1, 12)
@@ -353,25 +363,38 @@ def _pairs(cfg, window):
                     yield n, p, m, r
 
 
+def _unit_support(cfg, algebra, a, b):
+    """The sorted degrees of A_a A_b ('A') or [A_a, A_b] ('L') read off
+    the cached unit entry."""
+    if algebra == "A":
+        nums = _unit_product(cfg, (0, 0), a, b)[1]
+    elif a == b:
+        return []
+    else:
+        nums = _unit_vf_bracket(cfg, min(a, b), max(a, b))[1]
+    return sorted({n for (n, _p) in nums})
+
+
 def grading_report(cfg, algebra, window, R=R_ZERO):
-    """Measure shifts over a finite window for 'A', 'L', 'gamma' or 'chi'."""
+    """Measure shifts over a finite window for 'A', 'L', 'gamma' or 'chi'.
+
+    Every unit pair of the window is read from its cached unit entry
+    (`_unit_product`, `_unit_vf_bracket`, `_unit_gamma`, `_unit_chi`),
+    without the graded-element round trip of `multiply` and its kin; R is
+    validated once per report.
+    """
     lo, hi = window
     if lo > hi:
         raise DomainError("empty degree window")
     if algebra in ("A", "L"):
-        lam = 0 if algebra == "A" else -1
-        op = multiply if algebra == "A" else vf_bracket
         lower = None
         upper = None
         witnesses = []
         violations = []
         for n, p, m, r in _pairs(cfg, window):
-            a = GradedElement.unit(lam, n, p)
-            b = GradedElement.unit(lam, m, r)
-            out = op(cfg, a, b)
-            if out.is_zero():
+            degs = _unit_support(cfg, algebra, (n, p), (m, r))
+            if not degs:
                 continue
-            degs = out.support_degrees()
             lo_shift = degs[0] - (n + m)
             hi_shift = degs[-1] - (n + m)
             if lo_shift < 0:
@@ -386,16 +409,16 @@ def grading_report(cfg, algebra, window, R=R_ZERO):
         return AlmostGradingReport(algebra, window, lower or 0, upper or 0,
                                    witnesses, violations)
     if algebra in ("gamma", "chi"):
+        if algebra == "chi":
+            R.validate(cfg)
         lower = 0
         witnesses = []
         violations = []
         for n, p, m, r in _pairs(cfg, window):
             if algebra == "gamma":
-                v = cocycle_gamma(cfg, GradedElement.unit(0, n, p),
-                                  GradedElement.unit(0, m, r))
+                v = _unit_gamma(cfg, (n, p), (m, r))
             else:
-                v = cocycle_chi(cfg, GradedElement.unit(-1, n, p),
-                                GradedElement.unit(-1, m, r), R)
+                v = _unit_chi(cfg, (n, p), (m, r), R)
             if v.num == 0:
                 continue
             if n + m > 0:

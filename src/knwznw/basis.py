@@ -23,10 +23,12 @@ meaning q(z) prod_i (z - P_i)^k_i.  Products add exponents, and the
 order at P_i is k_i plus the leading zeros of q's Taylor jet there.  The
 Laurent jet at P_j is xi^k_j q(P_j + xi) prod_{i != j} (P_j - P_i + xi)^k_i:
 q's Taylor jet is cached per section and point, the binomial series of
-the other factors per configuration.  Residues, hence the pairing of
-weights h and 1 - h that realizes the duality, are read off these jets;
+the other factors per configuration.  Residues are read off these jets;
 basis expansion peels them degree by degree and is checked by exact
-reconstruction.
+reconstruction.  A monomial M_k (q = 1) needs no jet: the residue sum of
+M_k dz is one binomial-series coefficient per pole, cached per k
+(`monomial_residue`), and the pairing of weights h and 1 - h that
+realizes the duality takes a basis pair through it.
 
 Every polynomial and truncated series here, q and the jets included, is
 an integer form (den, nums): den > 0, coefficient t is nums[t] / den and
@@ -451,6 +453,50 @@ def residue_sum(cfg, f, g, df=0, dg=0):
     return Rat(num, den)
 
 
+def monomial_residue(cfg, k):
+    """Sum over the marked points of the residues of M_k dz, for the
+    monomial M_k = prod_i (z - P_i)^k_i; cached per k in cfg.cache.
+
+    Only a point with k_i < 0 contributes.  There the residue is the
+    coefficient t = -1 - k_i of prod_{j != i} (P_i - P_j + xi)^k_j: the
+    binomial series of all but the last factor are multiplied to t + 1
+    terms, and the last enters through one dot product.
+    """
+    key = ("mres", k)
+    hit = cfg.cache.get(key)
+    if hit is not None:
+        return hit
+    pts = cfg.points
+    num, den = 0, 1
+    for i, e in enumerate(k):
+        if e >= 0:
+            continue
+        t = -1 - e
+        a = pts[i]
+        d, acc, last = 1, None, None
+        for j, ej in enumerate(k):
+            if j == i or not ej:
+                continue
+            if last is not None:
+                acc = last if acc is None else _series_mul(acc, last, t + 1)
+            x = a - pts[j]
+            sd, last = _power_series(x.num, x.den, ej, t + 1)
+            d *= sd
+        if last is None:
+            s = 1 if t == 0 else 0
+        elif acc is None:
+            s = last[t]
+        else:
+            s = 0
+            for u in range(t + 1):
+                s += acc[u] * last[t - u]
+        if s:
+            num = num * d + s * den
+            den *= d
+    hit = cfg.cache[key] = Rat(num, den)
+    return hit
+
+
 # --------------------------------------------------------------- sections --
 
 class Section:
@@ -562,14 +608,19 @@ class BasisRecord(NamedTuple):
 
 
 def kn_basis_record(cfg, idx):
-    """Construct the basis element with its orders; memoized per Config."""
+    """Construct the basis element with its orders; memoized per Config.
+
+    idx is a KNIndex or any (lam, n, p) sequence.  The cache is read
+    first: a KNIndex and the plain tuple of its fields are equal keys, and
+    only validated indices are ever stored."""
+    hit = cfg.cache.get(("basis",
+                         idx if isinstance(idx, tuple) else tuple(idx)))
+    if hit is not None:
+        return hit
     idx = KNIndex(*idx)
     if not 1 <= idx.p <= cfg.n_points:
         raise DomainError("point index %d out of range" % idx.p)
     key = ("basis", idx)
-    hit = cfg.cache.get(key)
-    if hit is not None:
-        return hit
 
     lam, n, p = idx
     e = n - lam + 1
@@ -598,7 +649,10 @@ def kn_pairing(cfg, f, g):
     """Residue pairing of sections of weights h and 1 - h.
 
     Computed as the sum of residues of f*g over the marked points; equals
-    minus the residue at infinity by the residue theorem.
+    minus the residue at infinity by the residue theorem.  Two monomial
+    forms c_f M_{k_f} and c_g M_{k_g}, basis elements among them, pair to
+    c_f c_g times the cached `monomial_residue` of k_f + k_g; other forms
+    go through their Laurent jets (`residue_sum`).
     """
     if not isinstance(f, Section) or not isinstance(g, Section):
         raise DomainError("pairing expects sections")
@@ -607,6 +661,11 @@ def kn_pairing(cfg, f, g):
     ff, gf = f.form(cfg), g.form(cfg)
     if ff.is_zero() or gf.is_zero():
         return RAT0
+    if len(ff.nums) == 1 and len(gf.nums) == 1:
+        res = monomial_residue(cfg, tuple(a + b for a, b in zip(ff.k, gf.k)))
+        if res.num == 0:  # most pairs: skip the constant's Rat
+            return RAT0
+        return res * Rat(ff.nums[0] * gf.nums[0], ff.den * gf.den)
     return residue_sum(cfg, ff, gf)
 
 

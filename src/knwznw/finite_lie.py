@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from ._kernel import RAT0, RAT1, Rat
 from .errors import DomainError
-from .exactlinalg import commutator, is_zero_matrix, mat_mul, zeros
+from .exactlinalg import mat_mul, zeros
 from .ratfield import as_rat
 
 SUPPORTED_KINDS = ("sl2", "abelian1")
@@ -235,16 +235,31 @@ def _build_irrep(alg, weight):
 
 
 def _validate_module(alg, mod):
-    mats = [list(map(list, m)) for m in mod.matrices]
+    """Check [x_i, x_j] = sum_k c_k x_k for every bracket of the algebra
+    over the nonzero entries of the module's matrices: each relation is a
+    {(row, column): value} sum, and no dim x dim matrix is formed."""
+    rows = []  # rows[i][r] = [(column, value), ...], nonzero entries only
+    for m in mod.matrices:
+        by_row = {}
+        for r, c, v in _entries(m):
+            by_row.setdefault(r, []).append((c, v))
+        rows.append(by_row)
+
+    def add_product(acc, a, b, sign):
+        for r, arow in a.items():
+            for c, x in arow:
+                for c2, y in b.get(c, ()):
+                    acc[r, c2] = acc.get((r, c2), RAT0) + sign * x * y
+
     for (i, j), tbl in alg.bracket.items():
-        lhs = commutator(mats[i], mats[j])
-        rhs = zeros(mod.dim, mod.dim)
+        diff = {}
+        add_product(diff, rows[i], rows[j], RAT1)
+        add_product(diff, rows[j], rows[i], -RAT1)
         for k, c in tbl.items():
-            for r in range(mod.dim):
-                for s in range(mod.dim):
-                    rhs[r][s] = rhs[r][s] + c * mats[k][r][s]
-        if not is_zero_matrix([[a - b for a, b in zip(ra, rb)]
-                               for ra, rb in zip(lhs, rhs)]):
+            for r, krow in rows[k].items():
+                for s, v in krow:
+                    diff[r, s] = diff.get((r, s), RAT0) - c * v
+        if any(v.num for v in diff.values()):
             raise DomainError("module matrices violate the bracket relations")
 
 

@@ -7,7 +7,9 @@ the contour integral to exact triple-residue coefficients
 
     c_{(n,p),(m,s)} = sum_i res_{P_i}( w^{n,p} w^{m,s} e_{k,r} ),
 
-with w^{n,p} the weight-one dual basis, and
+with w^{n,p} the weight-one dual basis.  Each factor is a constant times
+a monomial M_k, so c is a constant times the cached residue sum of one
+monomial (`basis.monomial_residue`), and
 
     L(k,r) = 1/2 sum_i sum_{(n,p),(m,s)} c_{(n,p),(m,s)} :u_i(n,p) u^i(m,s): .
 
@@ -42,7 +44,8 @@ from typing import NamedTuple
 
 from ._kernel import RAT0, Rat, add_scaled, canonical, form, rats
 from .algebras import R_ZERO, cocycle_chi, vf_bracket
-from .basis import GradedElement, KNIndex, kn_basis_element, residue_sum
+from .basis import (GradedElement, KNIndex, kn_basis_element,
+                    monomial_residue)
 from .errors import CriticalLevelError, DomainError
 from .modules import ModuleVector
 
@@ -71,10 +74,13 @@ def _triple_coefficient(cfg, k, r, n, p, m, s):
     key = ("sugw3", k, r, n, p, m, s)
     hit = cfg.cache.get(key)
     if hit is None:
+        # each basis element is c M_k, so the product is c1 c2 ce M_K
         w1 = kn_basis_element(cfg, KNIndex(1, -n, p)).form(cfg)
         w2 = kn_basis_element(cfg, KNIndex(1, -m, s)).form(cfg)
         e = kn_basis_element(cfg, KNIndex(-1, k, r)).form(cfg)
-        hit = residue_sum(cfg, w1 * w2, e)
+        hit = monomial_residue(cfg, tuple(
+            x + y + z for x, y, z in zip(w1.k, w2.k, e.k))) * Rat(
+                w1.nums[0] * w2.nums[0] * e.nums[0], w1.den * w2.den * e.den)
         cfg.cache[key] = hit
     return hit
 

@@ -396,3 +396,92 @@ def test_chi_connection_part_matches_the_bracket_form_residue(points):
                                             _ref_form(cfg, -1, b))
                 assert algebras._chi_connection_part(cfg, a, b, rv) == \
                     residue_sum(cfg, rv, br), (a, b)
+
+
+def ref_grading_report(cfg, algebra, window, R=R_ZERO):
+    """The graded-element loop `grading_report` ran before it read the
+    unit entries directly, kept as its reference."""
+    lo, hi = window
+    pairs = [(n, p, m, r) for n in range(lo, hi + 1)
+             for m in range(lo, hi + 1) for p in range(1, cfg.n_points + 1)
+             for r in range(1, cfg.n_points + 1)]
+    witnesses, violations = [], []
+    if algebra in ("A", "L"):
+        lam = 0 if algebra == "A" else -1
+        op = multiply if algebra == "A" else vf_bracket
+        lower = upper = None
+        for n, p, m, r in pairs:
+            out = op(cfg, U(lam, n, p), U(lam, m, r))
+            if out.is_zero():
+                continue
+            degs = out.support_degrees()
+            lo_shift, hi_shift = degs[0] - (n + m), degs[-1] - (n + m)
+            if lo_shift < 0:
+                violations.append(((n, p), (m, r), degs))
+            if lower is None or lo_shift < lower:
+                lower = lo_shift
+            if upper is None or hi_shift > upper:
+                upper = hi_shift
+                witnesses = [(((n, p), (m, r)), degs)]
+            elif hi_shift == upper and len(witnesses) < 4:
+                witnesses.append((((n, p), (m, r)), degs))
+        return algebras.AlmostGradingReport(algebra, window, lower or 0,
+                                            upper or 0, witnesses, violations)
+    lower = 0
+    for n, p, m, r in pairs:
+        if algebra == "gamma":
+            v = cocycle_gamma(cfg, U(0, n, p), U(0, m, r))
+        else:
+            v = cocycle_chi(cfg, U(-1, n, p), U(-1, m, r), R)
+        if v.num == 0:
+            continue
+        if n + m > 0:
+            violations.append(((n, p), (m, r), v))
+        if n + m < lower:
+            lower = n + m
+            witnesses = [(((n, p), (m, r)), v)]
+        elif len(witnesses) < 4:
+            witnesses.append((((n, p), (m, r)), v))
+    return algebras.AlmostGradingReport(algebra, window, lower, 0,
+                                        witnesses, violations)
+
+
+REPORT_POINTS = [("0",), ("1/2", "-7/3"), ("0", "1", "-1"),
+                 ("2/3", "-1", "1/4", "5/2")]
+R_OFF_POINTS = ProjectiveConnection(RF(3 + z, 1 + z * z))
+
+
+@pytest.mark.parametrize("points", REPORT_POINTS)
+def test_grading_report_matches_the_graded_element_reference(points):
+    window = (-3, 2)
+    for kind, R in (("A", R_ZERO), ("L", R_ZERO), ("gamma", R_ZERO),
+                    ("chi", R_ZERO), ("chi", R_OFF_POINTS)):
+        got = grading_report(Config(points), kind, window, R)
+        want = ref_grading_report(Config(points), kind, window, R)
+        assert got == want, (points, kind)
+        assert got.band_witnesses and not got.violations
+
+
+def test_grading_report_reads_violations_off_the_unit_entries():
+    # a corrupted unit entry breaks the grading in both reports alike
+    a, b = (1, 1), (1, 2)
+    entries = {"A": (("prod", (0, 0), a, b), (1, {(0, 1): 1})),
+               "L": (("vfbr", a, b), (1, {(-1, 2): 3})),
+               "gamma": (("gammau", a, b), Rat(1)),
+               "chi": (("chiu", a, b, R_OFF_POINTS.value), Rat(-2))}
+    for kind, (key, value) in entries.items():
+        reports = []
+        for report in (grading_report, ref_grading_report):
+            cfg = Config(["0", "1"])
+            cfg.cache[key] = value
+            reports.append(report(cfg, kind, (-2, 2), R_OFF_POINTS))
+        assert reports[0] == reports[1], kind
+        assert ((1, 1), (1, 2)) == reports[0].violations[0][:2], kind
+
+
+def test_grading_report_validates_the_connection_once():
+    bad = ProjectiveConnection(RF(3 + z, z - 1))
+    with pytest.raises(DomainError, match="pole at marked point P_2"):
+        grading_report(Config(["0", "1"]), "chi", (-1, 1), bad)
+    # gamma ignores R, as the graded-element loop did
+    assert grading_report(Config(["0", "1"]), "gamma", (-1, 1), bad).ok

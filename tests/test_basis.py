@@ -47,6 +47,31 @@ def test_vector_field_e0(cfg1):
     assert rec.orders == {1: 1} and rec.order_infinity == 1
 
 
+def test_record_index_may_be_a_knindex_a_tuple_or_a_list():
+    cfg = Config(["0", "1"])
+    first = kn_basis_record(cfg, [2, -1, 2])  # a list is never a cache key
+    assert kn_basis_record(cfg, (2, -1, 2)) is first
+    assert kn_basis_record(cfg, KNIndex(2, -1, 2)) is first
+    assert kn_basis_record(cfg, [2, -1, 2]) is first
+    fresh = kn_basis_record(Config(["0", "1"]), KNIndex(2, -1, 2))
+    assert fresh.section.value == first.section.value
+    assert (fresh.orders, fresh.order_infinity) == \
+        (first.orders, first.order_infinity)
+
+
+@pytest.mark.parametrize("idx", [(0, 1, 3), [0, 1, 0], KNIndex(0, 1, -1)])
+def test_record_index_out_of_range_before_and_after_caching(idx):
+    cfg = Config(["0", "1"])
+    with pytest.raises(DomainError, match="point index"):
+        kn_basis_record(cfg, idx)
+    for p in (1, 2):
+        kn_basis_record(cfg, KNIndex(0, 1, p))
+    assert ("basis", (0, 1, 1)) in cfg.cache
+    with pytest.raises(DomainError, match="point index"):
+        kn_basis_record(cfg, idx)
+    assert ("basis", tuple(idx)) not in cfg.cache
+
+
 def test_function_basis_two_points(cfg2):
     assert kn_basis_element(cfg2, KNIndex(0, 0, 1)).value == RF(1 - z)
     assert kn_basis_element(cfg2, KNIndex(0, 0, 2)).value == RF(z)

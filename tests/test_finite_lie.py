@@ -6,10 +6,11 @@ import pytest
 
 from conftest import dense_mat_mul, dense_omega_matrix
 from knwznw import Rat
-from knwznw._kernel import RAT0
+from knwznw._kernel import RAT0, RAT1
 from knwznw.errors import DomainError
 from knwznw.exactlinalg import commutator, is_zero_matrix, mat_mul
-from knwznw.finite_lie import (casimir_eigenvalue, casimir_pairs,
+from knwznw.finite_lie import (FiniteModule, _validate_module,
+                               casimir_eigenvalue, casimir_pairs,
                                diagonal_action, finite_irrep, make_algebra,
                                omega_entries, omega_matrix, tensor_dim)
 
@@ -73,6 +74,47 @@ def test_irrep_brackets_exact(sl2):
         for r in range(mod.dim):
             for s in range(mod.dim):
                 assert hh[r][s] == H[r][s]
+
+
+def dense_bracket_relations_hold(alg, mats):
+    """[x_i, x_j] = sum_k c_k x_k over dense dim x dim matrices, the check
+    `_validate_module` made before it read the nonzero entries only."""
+    dim = len(mats[0])
+    for (i, j), tbl in alg.bracket.items():
+        lhs = commutator(mats[i], mats[j])
+        for r in range(dim):
+            for s in range(dim):
+                rhs = sum((c * mats[k][r][s] for k, c in tbl.items()), RAT0)
+                if lhs[r][s] != rhs:
+                    return False
+    return True
+
+
+def test_corrupted_irrep_matrices_are_refused(sl2):
+    rng = random.Random(349)
+    base = finite_irrep(sl2, 4)
+    _validate_module(sl2, base)
+    refused = 0
+    for _ in range(40):
+        mats = [list(map(list, m)) for m in base.matrices]
+        i, r, c = rng.randrange(3), rng.randrange(5), rng.randrange(5)
+        mats[i][r][c] = mats[i][r][c] + Rat(rng.choice((-2, 1, 3)),
+                                            rng.randint(1, 3))
+        mod = FiniteModule("sl2", base.weight, base.dim,
+                           tuple(tuple(map(tuple, m)) for m in mats))
+        assert not dense_bracket_relations_hold(sl2, mats)
+        with pytest.raises(DomainError, match="violate the bracket"):
+            _validate_module(sl2, mod)
+        refused += 1
+    assert refused == 40
+    # one entry off the ladder, and one ladder entry changed, at weight 9
+    big = finite_irrep(sl2, 9)
+    for i, r, c in ((1, 0, 3), (0, 2, 3)):
+        mats = [list(map(list, m)) for m in big.matrices]
+        mats[i][r][c] = mats[i][r][c] + RAT1
+        with pytest.raises(DomainError, match="violate the bracket"):
+            _validate_module(sl2, FiniteModule("sl2", big.weight, big.dim,
+                                               tuple(mats)))
 
 
 def test_casimir_eigenvalues(sl2, ab):

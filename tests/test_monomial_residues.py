@@ -1,0 +1,136 @@
+"""Cached monomial residues against the Laurent-jet and rational-function
+residues.
+
+`basis.monomial_residue` reads the residue sum of M_K dz, M_K =
+prod_i (z - P_i)^K_i, off one coefficient of the binomial series at each
+point.  Two independent oracles check it: `residue_sum` over the jets of
+the divisor form, and `ratfield.residue_at` of the reduced rational
+function at every marked point.  The pairing, the unit gamma entry, the
+Sugawara triple coefficient and chi's third-derivative part used to be
+residue sums of products of basis forms; those formulas are kept below
+as the oracles of their monomial or single-residue versions.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from knwznw import Rat
+from knwznw._kernel import RAT0
+from knwznw.algebras import R_ZERO, _unit_chi, _unit_gamma
+from knwznw.basis import (Config, DivisorForm, KNIndex, kn_basis_element,
+                          kn_pairing, monomial_residue, residue_sum)
+from knwznw.ratfield import residue_at
+from knwznw.sugawara import _triple_coefficient
+
+
+integers = st.builds(Rat, st.integers(-9, 9))
+rationals = st.builds(Rat, st.integers(-9, 9), st.integers(1, 7))
+
+
+def monomial(cfg, k):
+    return DivisorForm(cfg.points, 1, (1,), k)
+
+
+def one(cfg):
+    return monomial(cfg, (0,) * cfg.n_points)
+
+
+def unit_form(cfg, lam, n, p):
+    return kn_basis_element(cfg, KNIndex(lam, n, p)).form(cfg)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data(), points=st.one_of(
+    st.lists(integers, min_size=1, max_size=4, unique=True),
+    st.lists(rationals, min_size=1, max_size=4, unique=True)))
+def test_monomial_residue_matches_the_jets_and_the_function(data, points):
+    cfg = Config(points)
+    k = tuple(data.draw(st.lists(st.integers(-30, 6), min_size=len(points),
+                                 max_size=len(points))))
+    got = monomial_residue(cfg, k)
+    assert got == residue_sum(cfg, monomial(cfg, k), one(cfg))
+    f = monomial(cfg, k).function()
+    assert got == sum((residue_at(f, a) for a in cfg.points), RAT0)
+    assert cfg.cache[("mres", k)] is got
+
+
+def test_monomial_residue_covers_the_corner_cases():
+    cfg = Config(["1/2", "-7/3", "5", "3/4"])
+    for k in [(-30, -30, -30, -30), (-1, 0, 0, 0), (-2, 0, 0, 0),
+              (-30, 0, 0, 29), (-1, 2, -3, 1), (0, 0, 0, 0), (5, 3, 1, 0)]:
+        assert monomial_residue(cfg, k) == \
+            residue_sum(cfg, monomial(cfg, k), one(cfg)), k
+    # a simple pole alone has residue one, a double pole alone none
+    assert monomial_residue(Config(["3/4"]), (-1,)) == Rat(1)
+    assert monomial_residue(Config(["3/4"]), (-2,)) == RAT0
+    # 1/((z - a)(z - b)) has residues 1/(a - b) and 1/(b - a)
+    assert monomial_residue(cfg, (-1, -1, 0, 0)) == RAT0
+
+
+POINT_SETS = [("0",), ("0", "1"), ("1/2", "-7/3", "5"),
+              ("0", "1", "-1", "2"), ("2/3", "-1", "1/4", "5/2")]
+
+
+def test_pairing_matches_the_residue_of_the_product():
+    for points in POINT_SETS:
+        cfg = Config(points)
+        pts = range(1, cfg.n_points + 1)
+        for lam in (-1, 0, 2):
+            for n in range(-3, 4):
+                for m in range(-3, 4):
+                    for p in pts:
+                        for r in pts:
+                            a = kn_basis_element(cfg, KNIndex(lam, n, p))
+                            b = kn_basis_element(cfg,
+                                                 KNIndex(1 - lam, m, r))
+                            want = residue_sum(cfg, a.form(cfg), b.form(cfg))
+                            assert kn_pairing(cfg, a, b) == want
+                            assert want == (Rat(1) if (m, r) == (-n, p)
+                                            else RAT0)
+
+
+def test_unit_gamma_matches_the_residue_of_f_dg():
+    for points in POINT_SETS:
+        cfg = Config(points)
+        units = [(n, p) for n in range(-4, 4)
+                 for p in range(1, cfg.n_points + 1)]
+        for a in units:
+            for b in units:
+                want = RAT0 if a == b else residue_sum(
+                    cfg, unit_form(cfg, 0, *a), unit_form(cfg, 0, *b), dg=1)
+                assert _unit_gamma(cfg, a, b) == want, (points, a, b)
+
+
+def test_unit_chi_matches_the_two_third_derivative_residues():
+    # (1/24) res(e'''f - e f''') as two jet residue sums
+    for points in POINT_SETS:
+        cfg = Config(points)
+        units = [(n, p) for n in range(-4, 4)
+                 for p in range(1, cfg.n_points + 1)]
+        for a in units:
+            for b in units:
+                e, f = unit_form(cfg, -1, *a), unit_form(cfg, -1, *b)
+                want = RAT0 if a == b else (
+                    residue_sum(cfg, e, f, df=3)
+                    - residue_sum(cfg, e, f, dg=3)) * Rat(1, 24)
+                assert _unit_chi(cfg, a, b, R_ZERO) == want, (points, a, b)
+
+
+def test_triple_coefficient_matches_the_residue_of_the_product():
+    for points in POINT_SETS[:4]:
+        cfg = Config(points)
+        pts = range(1, cfg.n_points + 1)
+        nonzero = 0
+        for k, r in [(-2, 1), (0, 1), (2, cfg.n_points)]:
+            for n in range(-3, 3):
+                for m in range(-3, 3):
+                    for p in pts:
+                        for s in pts:
+                            w1 = unit_form(cfg, 1, -n, p)
+                            w2 = unit_form(cfg, 1, -m, s)
+                            e = unit_form(cfg, -1, k, r)
+                            want = residue_sum(cfg, w1 * w2, e)
+                            got = _triple_coefficient(cfg, k, r, n, p, m, s)
+                            assert got == want, (points, k, r, n, p, m, s)
+                            nonzero += want.num != 0
+        assert nonzero
