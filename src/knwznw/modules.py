@@ -165,7 +165,10 @@ class InducedModule:
         self._act_memo = {}
         self._bracket_memo = {}
         self._slice_memo = {}
-        self._sugawara_memo = {}  # see sugawara.apply_L_raw
+        self._sugawara_memo = {}  # see sugawara._image
+        # see sugawara._commutator_plan
+        self._commutator_plans = {}
+        self._bracket_forms = {}
 
     # -- PBW bookkeeping -------------------------------------------------
 

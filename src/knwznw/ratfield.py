@@ -213,9 +213,11 @@ P_ONE = Poly((1,))
 
 
 class RationalFunction:
-    """Reduced ratio of polynomials; denominator monic and coprime to num."""
+    """Reduced ratio of polynomials; denominator monic and coprime to num.
+    Immutable, so its hash is computed once (it keys the connection
+    caches)."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_hash")
 
     def __init__(self, num, den=P_ONE):
         if not isinstance(num, Poly):
@@ -326,7 +328,11 @@ class RationalFunction:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        try:
+            return self._hash
+        except AttributeError:
+            h = self._hash = hash((self.num, self.den))
+            return h
 
     def __str__(self):
         if self.den == P_ONE:

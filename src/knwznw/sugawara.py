@@ -21,16 +21,31 @@ degree d only mode indices n in [t + d, -d] can contribute to total
 degree t, which the implementation uses as its summation bound.
 
 L(k,r) is linear, so its image of each PBW monomial is computed once per
-module and memoised (`apply_L_raw`) as an integer form (D, {monomial:
-int}) of the kernel.  The terms of an image depend only on the degree of
-its monomial: one term plan per (algebra, k, r, tie rule, margin,
+module and memoised (`_image`, read by `apply_L_raw`) as an integer form
+(D, {monomial: int}) of the kernel.  A vacuum monomial is summed over the
+term plan of its degree: one plan per (algebra, k, r, tie rule, margin,
 degree), cached on the configuration (`_term_plan`), writes u^i =
 sum_j D_ij u_j, keeps the nonzero coefficients, merges every total and
-mode of the band and groups the terms by the operator that acts second.
-An image (`_L_image`) applies each distinct second operator once and
-each first operator once to the sum of its arguments.  Images and the
-commutator audit's difference are integer forms; Rat is built only by
-`apply_L` and for the audit's scalar and counterexample.
+mode of the band and groups the terms by the operator that acts first.
+A monomial c1.w, with c1 the first entry of its creation string, peels
+c1 (`_L_image`):
+
+    L(c1.w) = c1.L(w) + [L, c1].w,
+
+with L(w) read from the image memo.  Two facts make this exact, and no
+Sugawara commutation theorem is used.  For each term c F S of the plan
+of c1.w's degree, [F S, c1] = F [S, c1] + [F, c1] S, with the brackets
+of single generators.  And every term of that plan that the plan of w's
+degree lacks annihilates w (the summation bound above), so the plan of
+c1.w's degree applied to w is L(w).  The terms of [L, c1] are merged,
+with their cancellations, into one commutator plan per (k, r, tie rule,
+margin, degree, c1) (`_commutator_plan`).  Its central parts carry the
+level, so these plans are memoised per module, never on the
+configuration, which modules of several levels share.  An image applies
+each distinct operator that acts first once, and each operator that acts
+after it once to its summed argument.  Images and the commutator
+audit's difference are integer forms; Rat is built only by `apply_L`
+and for the audit's scalar and counterexample.
 
 The rescaled operators -1/(level + dual Coxeter) L(k,r) represent the
 centrally extended vector-field algebra; the audit measures the central
@@ -40,6 +55,7 @@ scalar instead of assuming it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 from typing import NamedTuple
 
 from ._kernel import RAT0, Rat, add_scaled, canonical, form, rats
@@ -47,7 +63,7 @@ from .algebras import R_ZERO, cocycle_chi, vf_bracket
 from .basis import (GradedElement, KNIndex, kn_basis_element,
                     monomial_residue)
 from .errors import CriticalLevelError, DomainError
-from .modules import ModuleVector
+from .modules import ModuleVector, PBWMonomial
 
 
 _HALF = Rat(1, 2)
@@ -103,7 +119,7 @@ def _triple_row(cfg, k, r, t, n):
 
 def _term_plan(cfg, alg, k, r, tie_swap, extra_margin, dv):
     """The terms of L(k, r) on a monomial of degree dv, grouped by the
-    operator that acts second.
+    operator that acts first (the right factor, `second`).
 
     A term is c/2 D_ij :u_i(n,p) u_j(t-n,s): for t in the band, n in
     [t + dv - extra_margin, -dv + extra_margin], c = c_{(n,p),(t-n,s)} != 0
@@ -168,20 +184,132 @@ def sugawara_coefficients(cfg, idx, band):
     return TripleCoefficientTable(k, r, entries)
 
 
+def _commutator_plan(module, k, r, tie_swap, extra_margin, dv, c1):
+    """The terms of [L(k, r), c1] on monomials of degree dv that start
+    with the creation entry c1, grouped by the operator that acts first
+    on the rest of the string.
+
+    Each term c F S of the term plan of degree dv gives
+    c [F S, c1] = c F [S, c1] + c [F, c1] S, with the single-generator
+    brackets of `InducedModule._bracket_gens`, read as integer forms
+    (memoised per (op, c1) in `InducedModule._bracket_forms`).  The plan
+    is ((op2, ((op1, num, den), ...)), ...), read as op1.(op2.rest); op1
+    is None for a central part, which leaves op2.rest as it is.  Every
+    pair is summed over one denominator before the plan is kept, so the
+    terms that cancel are gone, and so are the pairs whose degree alone
+    sends rest to an empty slice.  The central parts carry the level, so
+    the plans are memoised per module (`InducedModule._commutator_plans`),
+    never on the configuration."""
+    key = (k, r, tie_swap, extra_margin, dv, c1)
+    plans = module._commutator_plans
+    plan = plans.get(key)
+    if plan is not None:
+        return plan
+    brackets = module._bracket_forms
+    terms = _term_plan(module.cfg, module.alg, k, r, tie_swap, extra_margin,
+                       dv)
+    # a mode-n generator maps degree d into degrees >= d + n (almost
+    # grading), and slices above 0 are empty; rest has degree -top, so an
+    # op2 with mode above top, or an op1 above top - op2's mode, gives 0
+    top = c1[0] - dv
+    forms = {}  # op -> [op, c1] as an integer form, central part under None
+    for second, firsts in terms:
+        ops = [second]
+        if second[0] <= top:  # [F, c1] is read only after a live second
+            ops += [first for first, _n, _d in firsts]
+        for op in ops:
+            if op not in forms:
+                hit = brackets.get((op, c1))
+                if hit is None:
+                    loop, central = module._bracket_gens(op, c1)
+                    hit = dict(loop)
+                    if central.num != 0:
+                        hit[None] = central
+                    hit = brackets[(op, c1)] = form(hit)
+                forms[op] = hit
+    # one common denominator for every product of a term and a bracket
+    den = (lcm(*(d for _s, firsts in terms for _f, _n, d in firsts))
+           * lcm(*(d for d, _nums in forms.values())))
+    groups = {}  # op2 -> {op1: numerator over den}
+    for second, firsts in terms:
+        sden, snums = forms[second]
+        after = groups.setdefault(second, {}) if second[0] <= top else None
+        for first, num, tden in firsts:
+            # c [F, c1] S: the bracket of the first, after S
+            if after is not None:
+                bden, bnums = forms[first]
+                f = num * (den // (tden * bden))
+                for op1, b in bnums.items():
+                    after[op1] = after.get(op1, 0) + f * b
+            # c F [S, c1]: the first, after the bracket of S
+            f = num * (den // (tden * sden))
+            for op, b in snums.items():
+                op2, op1 = (first, None) if op is None else (op, first)
+                g = groups.get(op2)
+                if g is None:
+                    g = groups[op2] = {}
+                g[op1] = g.get(op1, 0) + f * b
+    plan = []
+    for op2, acc in groups.items():
+        if op2[0] <= top:
+            d, nums = canonical(den, {
+                op1: x for op1, x in acc.items()
+                if op1 is None or op1[0] <= top - op2[0]})
+            if nums:
+                plan.append((op2, tuple((op1, x, d)
+                                        for op1, x in nums.items())))
+    plan = plans[key] = tuple(plan)
+    return plan
+
+
+def _image(module, k, r, tie_swap, extra_margin, mono):
+    """The memoised image of one monomial (`_L_image`), keyed by
+    ((k, r), tie_swap, extra_margin, monomial) in the module's image memo;
+    never mutated."""
+    memo = module._sugawara_memo
+    key = ((k, r), tie_swap, extra_margin, mono)
+    img = memo.get(key)
+    if img is None:
+        img = memo[key] = _L_image(module, k, r, tie_swap, extra_margin, mono)
+    return img
+
+
 def _L_image(module, k, r, tie_swap, extra_margin, mono):
     """L(k, r) on one monomial, as an integer form (D, {monomial: int}).
 
-    The term plan of mono's degree (`_term_plan`) lists each distinct
-    second operator once, so each acts once on mono; its image, scaled by
-    each of its terms, is summed into the argument of the first operator,
-    and each first operator then acts once on its argument.  Both phases
-    sum integer numerators over one widening denominator (`add_scaled`).
+    A monomial c1.rest with a creation entry c1 is computed as
+    c1.L(rest) + [L(k, r), c1].rest: L(rest) is read from the image memo
+    and summed into the argument of c1, and the commutator plan of c1 at
+    mono's degree (`_commutator_plan`) acts on rest.  The terms of
+    L(k, r) that the degree of mono admits beyond those of rest's degree
+    annihilate rest (the summation bound), so c1.L(rest) is exact.  A
+    vacuum monomial is summed over the term plan of its degree
+    (`_term_plan`).
+
+    Either plan lists each distinct operator that acts first once, so
+    each acts once; its image, scaled by each of its terms, is summed
+    into the argument of the operator that acts after it, and each of
+    those then acts once on its argument (None: the argument is kept as
+    it is).  Both phases sum integer numerators over one widening
+    denominator (`add_scaled`).
     """
     act = module._act_form
-    groups = {}  # first operator -> [den, {monomial: int}] it acts on
-    for second, firsts in _term_plan(module.cfg, module.alg, k, r, tie_swap,
-                                     extra_margin, mono.degree):
-        dm, mid = act(second, mono)
+    groups = {}  # operator acting last -> [den, {monomial: int}] it acts on
+    creation = mono.creation
+    if creation:
+        c1 = creation[0]
+        base = PBWMonomial(creation[1:], mono.vacuum)
+        plan = _commutator_plan(module, k, r, tie_swap, extra_margin,
+                                mono.degree, c1)
+        rden, rnums = _image(module, k, r, tie_swap, extra_margin, base)
+        if rnums:
+            groups[c1] = [rden, dict(rnums)]
+    else:
+        base = mono
+        plan = _term_plan(module.cfg, module.alg, k, r, tie_swap,
+                          extra_margin, mono.degree)
+    for second, firsts in plan:
+        dm, mid = act(second, base)
         if not mid:
             continue
         for first, num, den in firsts:
@@ -191,6 +319,9 @@ def _L_image(module, k, r, tie_swap, extra_margin, mono):
             arg[0] = add_scaled(arg[0], arg[1], dm, mid, num, den)
     den, acc = 1, {}
     for first, (aden, arg) in groups.items():
+        if first is None:
+            den = add_scaled(den, acc, aden, arg, 1, 1)
+            continue
         for m2, x in arg.items():
             if x:
                 d2, t2 = act(first, m2)
@@ -205,23 +336,18 @@ def apply_L_raw(module, idx, vec, tie_swap=False, extra_margin=0):
 
     L(k, r) is linear, so the image of each monomial is computed once per
     module and memoised under ((k, r), tie_swap, extra_margin, monomial)
-    (`_L_image`); the image of vec sums the cached numerators scaled by
+    (`_image`); the image of vec sums the cached numerators scaled by
     vec's numerators over one denominator.  Both flags are in the key, so
     the tie-rule and summation-bound audits compare two computations,
     never one cached image with itself.  Memoised images are never
     mutated.
     """
-    k, r = kr = tuple(idx)
+    k, r = idx
     tie_swap = bool(tie_swap)
-    memo = module._sugawara_memo
     vden, terms = vec
     den, acc = 1, {}
     for mono, cm in terms.items():
-        key = (kr, tie_swap, extra_margin, mono)
-        img = memo.get(key)
-        if img is None:
-            img = memo[key] = _L_image(module, k, r, tie_swap, extra_margin,
-                                       mono)
+        img = _image(module, k, r, tie_swap, extra_margin, mono)
         if img[1]:
             den = add_scaled(den, acc, *img, cm, 1)
     return canonical(den * vden, acc)

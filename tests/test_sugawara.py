@@ -10,7 +10,8 @@ from knwznw.basis import Config, GradedElement, KNIndex, kn_basis_element
 from knwznw.errors import CriticalLevelError, DomainError
 from knwznw.finite_lie import make_algebra
 from knwznw import sugawara
-from knwznw.modules import ModuleSpec, ModuleVector, induce_module
+from knwznw.modules import (ModuleSpec, ModuleVector, PBWMonomial,
+                            induce_module)
 from knwznw.ratfield import residue_at
 from knwznw.sugawara import (SugawaraIndex, T_of_vectorfield,
                              _triple_coefficient, apply_L, apply_L_raw,
@@ -150,6 +151,20 @@ def test_audit_classical_charges(cfg1, ab, sl2):
     assert res[0].is_scalar and res[0].ratio == Rat(3, 2)
 
 
+def test_audit_of_the_readme_configuration(sl2):
+    # points 0, 1, -1, weights (1, 1, 1), level 1: the ratio of the
+    # central scalar to chi is the Sugawara central charge
+    # level dim(sl2) / (level + dual Coxeter number) = 1 * 3 / (1 + 2)
+    cfg = Config(["0", "1", "-1"])
+    level = 1
+    module = induce_module(sl2, cfg, ModuleSpec("weyl", (1, 1, 1),
+                                                Rat(level), 4))
+    (entry,) = sugawara_commutator_audit(cfg, sl2, module,
+                                         [((2, 1), (-2, 1))], [0, -1])
+    assert entry.is_scalar and sorted(entry.per_slice) == [-1, 0]
+    assert entry.ratio == Rat(level * 3, level + 2) == Rat(1)
+
+
 def test_audit_nonpaired_index_gives_zero_scalar(cfg1, ab):
     fock = induce_module(ab, cfg1, ModuleSpec("fock", (RAT0,), Rat(1), 5))
     res = sugawara_commutator_audit(cfg1, ab, fock,
@@ -229,7 +244,17 @@ def oracle_modules():
     sl2, ab = make_algebra("sl2"), make_algebra("abelian1")
     cfg2 = Config(["0", "1"])
     deep = (0, -1, -2)
-    yield induce_module(sl2, cfg2, ModuleSpec("weyl", (1, 1), Rat(1), 4)), deep
+    # a slice -3 monomial starts a creation string of three entries, so
+    # its image peels two suffixes before the vacuum
+    yield (induce_module(sl2, cfg2, ModuleSpec("weyl", (1, 1), Rat(1), 4)),
+           deep + (-3,))
+    # one configuration at two levels: the commutator plans carry the
+    # level, so a plan cached on the configuration would give the level-2
+    # module the level-1 central terms
+    shared = Config(["2", "-1/3"])
+    for level in (Rat(1), Rat(2)):
+        yield induce_module(sl2, shared,
+                            ModuleSpec("weyl", (1, 1), level, 4)), deep
     yield induce_module(sl2, Config(["1/2", "-7/3"]),
                         ModuleSpec("weyl", (2, 1), Rat(2), 4)), deep
     yield induce_module(ab, cfg2, ModuleSpec("fock", (Rat(1, 2), Rat(-3)),
@@ -271,20 +296,30 @@ def test_memoised_images_match_the_direct_oracle():
 def test_each_margin_and_tie_rule_computes_its_own_image(sl2, cfg2):
     module = induce_module(sl2, cfg2, ModuleSpec("weyl", (1, 1), Rat(1), 3))
     mono = module.slice_basis(-1)[0]
+    suffix = PBWMonomial(mono.creation[1:], mono.vacuum)
     memo = module._sugawara_memo
     unit = (1, {mono: 1})
-    apply_L_raw(module, (0, 1), unit)
-    assert len(memo) == 1
-    plain = memo[((0, 1), False, 0, mono)]
-    apply_L_raw(module, (0, 1), unit, extra_margin=3)
-    apply_L_raw(module, (0, 1), unit, tie_swap=True)
-    assert len(memo) == 3
-    assert memo[((0, 1), False, 3, mono)] is not plain
-    assert memo[((0, 1), True, 0, mono)] is not plain
+    flags = ((False, 0), (False, 3), (True, 0))
+    for tie_swap, margin in flags:
+        apply_L_raw(module, (0, 1), unit, tie_swap, margin)
+    # each image is computed from the image of its suffix, under the same
+    # flags: every (tie rule, margin) holds its own two images, and
+    # nothing else
+    images = {}
+    for tie_swap, margin in flags:
+        own = memo[((0, 1), tie_swap, margin, mono)]
+        rest = memo[((0, 1), tie_swap, margin, suffix)]
+        assert own != rest and own[1] and rest[1]
+        images[tie_swap, margin] = (own, rest)
+    assert len(memo) == 2 * len(flags)
+    plain = images[False, 0]
+    for flag in flags[1:]:
+        assert images[flag][0] is not plain[0]
+        assert images[flag][1] is not plain[1]
     # the memo holds the image as an integer form (D, {monomial: int});
     # a caller gets a fresh nonzero form and may mutate it, the memo never
     # changes
-    den, nums = plain
+    den, nums = plain[0]
     want = (den, dict(nums))
     out = apply_L_raw(module, (0, 1), unit)
     assert out == want and want[1]
