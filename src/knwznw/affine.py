@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from ._kernel import RAT0, RAT1, Rat, merge
 from .algebras import _unit_gamma, _unit_product
-from .basis import DivisorForm, GradedElement, Section, expand_in_basis
+from .basis import DivisorForm, GradedElement, Section, monomial_expansion
 from .errors import DomainError
 from .ratfield import as_rat
 
@@ -152,14 +152,15 @@ def _block_expansions(cfg, pole_bound):
     hit = cfg.cache.get(key)
     if hit is None:
         n_pts = cfg.n_points
-        one = Section(0, DivisorForm(cfg.points, 1, (1,), (0,) * n_pts))
-        out = [(0, 0, one, expand_in_basis(cfg, one))]
-        for p in range(1, n_pts + 1):
-            for j in range(1, pole_bound + 1):
-                # (z - P_p)^(-j)
-                k = tuple(-j if i == p else 0 for i in range(1, n_pts + 1))
-                h = Section(0, DivisorForm(cfg.points, 1, (1,), k))
-                out.append((p, j, h, expand_in_basis(cfg, h)))
+        out = []
+        # 1, then (z - P_p)^(-j), read at weight 0 (degree e - 1)
+        for p, j in [(0, 0)] + [(p, j) for p in range(1, n_pts + 1)
+                                for j in range(1, pole_bound + 1)]:
+            k = tuple(-j if i == p else 0 for i in range(1, n_pts + 1))
+            den, nums = monomial_expansion(cfg, k)
+            out.append((p, j, Section(0, DivisorForm(cfg.points, 1, (1,), k)),
+                        GradedElement(0, {(e - 1, q): Rat(x, den)
+                                          for (e, q), x in nums.items()})))
         hit = tuple(out)
         cfg.cache[key] = hit
     return hit

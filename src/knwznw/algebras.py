@@ -11,15 +11,18 @@ with K = k_a + k_b and e_j the j-th unit vector,
     e s' + lam e' s = c_e c_s sum_j (k_s,j + lam k_e,j) M_{K - e_j},
 
 the last being the Lie derivative of a weight-lam s along e d/dz.  The
-basis expansion of each monomial M_K dz^lam is computed once per
-(lam, K), by `expand_in_basis` with its exact reconstruction check, and
-cached in cfg.cache under "mono"; a unit entry ("prod", "vfbr", "lied")
-is the sum of at most N of them as an integer form.
+basis expansion of each monomial M_K is `basis.monomial_expansion`, a
+closed form (a split recursion down to partial fractions) computed once
+per K for every weight and cached in cfg.cache under "mexp"; a unit
+entry ("prod", "vfbr", "lied") is the sum of at most N of them as an
+integer form.  No unit entry is reconstructed at run time: the tests
+check the closed form against `expand_in_basis`.
 Cocycles are residue sums.  A unit gamma entry f dg = c_f c_g sum_j
 k_g,j M_{K - e_j} sums at most N cached `basis.monomial_residue`s
-("mres"); the connection part of chi uses the bracket identity with one
-cached residue of R M_K per (R, K) ("Rmono"); chi's third-derivative
-part stays on local jets.  The two geometric cocycles are
+("mres", read off the monomial expansions); the connection part of chi
+uses the bracket identity with one cached residue of R M_K per (R, K)
+("Rmono"); chi's third-derivative part stays on local jets.  The two
+geometric cocycles are
 
     gamma(f, g) = sum of residues of f dg over the marked points,
     chi_R(e, f) = (1/12) sum of residues of
@@ -36,8 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ._kernel import RAT0, RAT1, Rat, add_scaled, canonical, form, rats
-from .basis import (DivisorForm, GradedElement, KNIndex, Section,
-                    expand_in_basis, kn_basis_element, linear_combination,
+from .basis import (DivisorForm, GradedElement, KNIndex,
+                    kn_basis_element, linear_combination, monomial_expansion,
                     monomial_residue, residue_sum, section_from_graded)
 from .errors import DomainError
 from .ratfield import INFINITY, RationalFunction, order_at
@@ -84,18 +87,6 @@ def _bracket_form(cfg, e, f):
                                            (-RAT1, f * e.deriv())))
 
 
-def _monomial(cfg, lam, k):
-    """The basis expansion of M_k dz^lam as a canonical integer form;
-    cached per (lam, k)."""
-    key = ("mono", lam, k)
-    hit = cfg.cache.get(key)
-    if hit is None:
-        hit = form(expand_in_basis(cfg, Section(
-            lam, DivisorForm(cfg.points, 1, (1,), k))).terms)
-        cfg.cache[key] = hit
-    return hit
-
-
 def _unit_pair(cfg, lam_a, a, lam_b, b):
     """(c, k_a, k_b) for A_a = c_a M_{k_a} and A_b = c_b M_{k_b}, with
     c = c_a c_b as (num, den)."""
@@ -115,14 +106,19 @@ def _lowered(ka, kb, weights):
 def _unit_entry(cfg, lam, c, terms):
     """The basis expansion of c sum_j w_j M_{k_j} dz^lam over (w_j, k_j)
     in terms, as a canonical integer form summed from the cached monomial
-    expansions."""
+    expansions, whose key (e, p) is degree e + lam - 1 at weight lam."""
     cn, cd = c
     den, acc = 1, {}
     for w, k in terms:
         if w:
-            d, nums = _monomial(cfg, lam, k)
-            den = add_scaled(den, acc, d, nums, cn * w, cd)
-    return canonical(den, acc)
+            den = add_scaled(den, acc, *monomial_expansion(cfg, k), cn * w, cd)
+    den, acc = canonical(den, acc)
+    # the entries of one configuration share their (degree, p) key tuples
+    keys = cfg.cache.setdefault(("degree", lam), {})
+    out = {}
+    for ep, x in acc.items():
+        out[keys.get(ep) or keys.setdefault(ep, (ep[0] + lam - 1, ep[1]))] = x
+    return den, out
 
 
 def _unit_product(cfg, lams, a, b):

@@ -24,11 +24,12 @@ order at P_i is k_i plus the leading zeros of q's Taylor jet there.  The
 Laurent jet at P_j is xi^k_j q(P_j + xi) prod_{i != j} (P_j - P_i + xi)^k_i:
 q's Taylor jet is cached per section and point, the binomial series of
 the other factors per configuration.  Residues are read off these jets;
-basis expansion peels them degree by degree and is checked by exact
-reconstruction.  A monomial M_k (q = 1) needs no jet: the residue sum of
-M_k dz is one binomial-series coefficient per pole, cached per k
-(`monomial_residue`), and the pairing of weights h and 1 - h that
-realizes the duality takes a basis pair through it.
+`expand_in_basis` peels them degree by degree and is checked by exact
+reconstruction.  A monomial M_k (q = 1) needs neither: it expands in
+closed form (`monomial_expansion`), and its residue sum is the sum of the
+expansion's degree-0 coefficients (`monomial_residue`, direct at simple
+poles), through which the pairing of weights h and 1 - h that realizes
+the duality takes a basis pair.
 
 Every polynomial and truncated series here, q and the jets included, is
 an integer form (den, nums): den > 0, coefficient t is nums[t] / den and
@@ -48,7 +49,8 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import NamedTuple
 
-from ._kernel import RAT0, RAT1, Rat, merge
+from ._kernel import (RAT0, RAT1, Rat, add_scaled, canonical, form,
+                      merge)
 from .errors import BasisConstructionError, DomainError
 from .ratfield import (INFINITY, Poly, RationalFunction, as_rat,
                        local_expansion)
@@ -453,47 +455,74 @@ def residue_sum(cfg, f, g, df=0, dg=0):
     return Rat(num, den)
 
 
-def monomial_residue(cfg, k):
-    """Sum over the marked points of the residues of M_k dz, for the
-    monomial M_k = prod_i (z - P_i)^k_i; cached per k in cfg.cache.
+def monomial_expansion(cfg, k):
+    """M_k = prod_i (z - P_i)^k_i as a canonical integer form
+    (den, {(e, p): int}) over B_{e,p} = prod_{q != p} (P_p - P_q)^-e
+    M_{e 1 - e_p}, which is A_{e+lam-1,p} at every weight lam; cached per k.
 
-    Only a point with k_i < 0 contributes.  There the residue is the
-    coefficient t = -1 - k_i of prod_{j != i} (P_i - P_j + xi)^k_j: the
-    binomial series of all but the last factor are multiplied to t + 1
-    terms, and the last enters through one dot product.
+    While max k - min k >= 2, with j at a highest and i at a lowest
+    exponent, M_k = M_{k - e_j + e_i} + (P_i - P_j) M_{k - e_j}: each step
+    keeps the exponents in [min k, max k] and lowers sum k or, at equal
+    sum, N sum k^2 - (sum k)^2.  A flat k = e 1 - 1_S (S the points at
+    min k) expands by partial fractions into sum_{i in S} `_leading` B_{e,i}.
+    The work grows with the spread, not with |k|: unit entries and residues
+    pass spreads of at most 3, block expansions their pole bound.
     """
-    key = ("mres", k)
+    key = ("mexp", k)
     hit = cfg.cache.get(key)
     if hit is not None:
         return hit
     pts = cfg.points
-    num, den = 0, 1
-    for i, e in enumerate(k):
-        if e >= 0:
-            continue
-        t = -1 - e
-        a = pts[i]
-        d, acc, last = 1, None, None
-        for j, ej in enumerate(k):
-            if j == i or not ej:
-                continue
-            if last is not None:
-                acc = last if acc is None else _series_mul(acc, last, t + 1)
-            x = a - pts[j]
-            sd, last = _power_series(x.num, x.den, ej, t + 1)
-            d *= sd
-        if last is None:
-            s = 1 if t == 0 else 0
-        elif acc is None:
-            s = last[t]
+    lo, hi = min(k), max(k)
+    if hi - lo >= 2:
+        j, i = k.index(hi), k.index(lo)
+        kj = k[:j] + (hi - 1,) + k[j + 1:]
+        den, acc = monomial_expansion(cfg, kj[:i] + (lo + 1,) + kj[i + 1:])
+        acc, x = dict(acc), pts[i] - pts[j]
+        hit = canonical(add_scaled(den, acc, *monomial_expansion(cfg, kj),
+                                   x.num, x.den), acc)
+    else:
+        hit = form({(lo + 1, i + 1): _leading(pts, k, i)
+                    for i in range(len(k)) if k[i] == lo})
+    cfg.cache[key] = hit
+    return hit
+
+
+def _leading(pts, k, i):
+    """prod_{q != i} (P_i - P_q)^k_q, M_k / (z - P_i)^k_i at P_i."""
+    an, ad = pts[i].num, pts[i].den
+    num = den = 1
+    for q, (b, e) in enumerate(zip(pts, k)):
+        if e and q != i:
+            x, y = an * b.den - b.num * ad, ad * b.den
+            if e < 0:
+                x, y, e = y, x, -e
+            num, den = num * x ** e, den * y ** e
+    return Rat(num, den)
+
+
+def monomial_residue(cfg, k):
+    """Sum over the marked points of the residues of M_k dz; cached per k.
+
+    0 when M_k has no pole at a marked point or no residue at infinity;
+    the sum of `_leading` over simple poles; else the sum of the e = 0
+    coefficients of `monomial_expansion`, since B_{e,p} dz = A^1_{e,p} has
+    residue sum 1 for e = 0 and 0 otherwise (no pole at a marked point for
+    e > 0, no residue at infinity for e < 0)."""
+    lo = min(k)
+    if lo >= 0 or sum(k) < -1:
+        return RAT0
+    key = ("mres", k)
+    hit = cfg.cache.get(key)
+    if hit is None:
+        if lo == -1:
+            hit = sum((_leading(cfg.points, k, i) for i in range(len(k))
+                       if k[i] == -1), RAT0)
         else:
-            s = 0
-            for u in range(t + 1):
-                s += acc[u] * last[t - u]
-        if s:
-            num = num * d + s * den
-            den *= d
-    hit = cfg.cache[key] = Rat(num, den)
+            den, nums = monomial_expansion(cfg, k)
+            hit = Rat(sum(nums.get((0, p), 0)
+                          for p in range(1, cfg.n_points + 1)), den)
+        cfg.cache[key] = hit
     return hit
 
 
@@ -624,15 +653,9 @@ def kn_basis_record(cfg, idx):
 
     lam, n, p = idx
     e = n - lam + 1
-    pts = cfg.points
-    home = pts[p - 1]
-    c = RAT1
-    for i, a in enumerate(pts, start=1):
-        if i != p:
-            c = c * (home - a)
     k = tuple(e - 1 if i == p else e for i in range(1, cfg.n_points + 1))
-    c = c ** -e
-    form = DivisorForm(pts, c.den, (c.num,), k)
+    c = _leading(cfg.points, (-e,) * cfg.n_points, p - 1)
+    form = DivisorForm(cfg.points, c.den, (c.num,), k)
     rec = BasisRecord(Section(lam, form),
                       dict(enumerate(k, start=1)),
                       -sum(k) - 2 * lam)

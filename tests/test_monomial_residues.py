@@ -2,10 +2,11 @@
 residues.
 
 `basis.monomial_residue` reads the residue sum of M_K dz, M_K =
-prod_i (z - P_i)^K_i, off one coefficient of the binomial series at each
-point.  Two independent oracles check it: `residue_sum` over the jets of
-the divisor form, and `ratfield.residue_at` of the reduced rational
-function at every marked point.  The pairing, the unit gamma entry, the
+prod_i (z - P_i)^K_i, off the degree-0 coefficients of the closed-form
+monomial expansion.  Three independent oracles check it: `residue_sum`
+over the jets of the divisor form, `ratfield.residue_at` of the reduced
+rational function at every marked point, and the degree-0 coefficients of
+`expand_in_basis` at weight 1.  The pairing, the unit gamma entry, the
 Sugawara triple coefficient and chi's third-derivative part used to be
 residue sums of products of basis forms; those formulas are kept below
 as the oracles of their monomial or single-residue versions.
@@ -17,8 +18,9 @@ from hypothesis import strategies as st
 from knwznw import Rat
 from knwznw._kernel import RAT0
 from knwznw.algebras import R_ZERO, _unit_chi, _unit_gamma
-from knwznw.basis import (Config, DivisorForm, KNIndex, kn_basis_element,
-                          kn_pairing, monomial_residue, residue_sum)
+from knwznw.basis import (Config, DivisorForm, KNIndex, Section,
+                          expand_in_basis, kn_basis_element, kn_pairing,
+                          monomial_residue, residue_sum)
 from knwznw.ratfield import residue_at
 from knwznw.sugawara import _triple_coefficient
 
@@ -51,7 +53,10 @@ def test_monomial_residue_matches_the_jets_and_the_function(data, points):
     assert got == residue_sum(cfg, monomial(cfg, k), one(cfg))
     f = monomial(cfg, k).function()
     assert got == sum((residue_at(f, a) for a in cfg.points), RAT0)
-    assert cfg.cache[("mres", k)] is got
+    # A^1_{n,p} has residue sum 1 for n = 0 and 0 otherwise
+    exp = expand_in_basis(cfg, Section(1, monomial(cfg, k)))
+    assert got == sum((exp.coefficient(0, p)
+                       for p in range(1, cfg.n_points + 1)), RAT0)
 
 
 def test_monomial_residue_covers_the_corner_cases():
