@@ -153,14 +153,14 @@ def _block_expansions(cfg, pole_bound):
     if hit is None:
         n_pts = cfg.n_points
         out = []
-        # 1, then (z - P_p)^(-j), read at weight 0 (degree e - 1)
+        # 1, then (z - P_p)^(-j)
         for p, j in [(0, 0)] + [(p, j) for p in range(1, n_pts + 1)
                                 for j in range(1, pole_bound + 1)]:
             k = tuple(-j if i == p else 0 for i in range(1, n_pts + 1))
-            den, nums = monomial_expansion(cfg, k)
+            den, nums = monomial_expansion(cfg, k, 0)
             out.append((p, j, Section(0, DivisorForm(cfg.points, 1, (1,), k)),
-                        GradedElement(0, {(e - 1, q): Rat(x, den)
-                                          for (e, q), x in nums.items()})))
+                        GradedElement(0, {key: Rat(x, den)
+                                          for key, x in nums.items()})))
         hit = tuple(out)
         cfg.cache[key] = hit
     return hit

@@ -11,11 +11,11 @@ with K = k_a + k_b and e_j the j-th unit vector,
     e s' + lam e' s = c_e c_s sum_j (k_s,j + lam k_e,j) M_{K - e_j},
 
 the last being the Lie derivative of a weight-lam s along e d/dz.  The
-basis expansion of each monomial M_K is `basis.monomial_expansion`, a
-closed form (a split recursion down to partial fractions) computed once
-per K for every weight and cached in cfg.cache under "mexp"; a unit
-entry ("prod", "vfbr", "lied") is the sum of at most N of them as an
-integer form.  No unit entry is reconstructed at run time: the tests
+basis expansion of each monomial M_K dz^lam is
+`basis.monomial_expansion`, a closed form (a split recursion down to
+partial fractions) cached once per K for every weight under "mexp"; a
+unit entry ("prod", "vfbr", "lied") is the sum of at most N of them as
+an integer form.  No unit entry is reconstructed at run time: the tests
 check the closed form against `expand_in_basis`.
 Cocycles are residue sums.  A unit gamma entry f dg = c_f c_g sum_j
 k_g,j M_{K - e_j} sums at most N cached `basis.monomial_residue`s
@@ -106,19 +106,14 @@ def _lowered(ka, kb, weights):
 def _unit_entry(cfg, lam, c, terms):
     """The basis expansion of c sum_j w_j M_{k_j} dz^lam over (w_j, k_j)
     in terms, as a canonical integer form summed from the cached monomial
-    expansions, whose key (e, p) is degree e + lam - 1 at weight lam."""
+    expansions."""
     cn, cd = c
     den, acc = 1, {}
     for w, k in terms:
         if w:
-            den = add_scaled(den, acc, *monomial_expansion(cfg, k), cn * w, cd)
-    den, acc = canonical(den, acc)
-    # the entries of one configuration share their (degree, p) key tuples
-    keys = cfg.cache.setdefault(("degree", lam), {})
-    out = {}
-    for ep, x in acc.items():
-        out[keys.get(ep) or keys.setdefault(ep, (ep[0] + lam - 1, ep[1]))] = x
-    return den, out
+            den = add_scaled(den, acc, *monomial_expansion(cfg, k, lam),
+                             cn * w, cd)
+    return canonical(den, acc)
 
 
 def _unit_product(cfg, lams, a, b):

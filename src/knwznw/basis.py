@@ -455,10 +455,18 @@ def residue_sum(cfg, f, g, df=0, dg=0):
     return Rat(num, den)
 
 
-def monomial_expansion(cfg, k):
-    """M_k = prod_i (z - P_i)^k_i as a canonical integer form
-    (den, {(e, p): int}) over B_{e,p} = prod_{q != p} (P_p - P_q)^-e
-    M_{e 1 - e_p}, which is A_{e+lam-1,p} at every weight lam; cached per k.
+def monomial_expansion(cfg, k, lam):
+    """The basis expansion of M_k dz^lam, M_k = prod_i (z - P_i)^k_i, as a
+    canonical integer form (den, {(n, p): int}) over the A_{n,p}: the
+    weight-free `_monomial_form` of k, read at weight lam, where B_{e,p}
+    dz^lam is A_{e+lam-1,p}."""
+    den, nums = _monomial_form(cfg, k)
+    return den, {(e + lam - 1, p): x for (e, p), x in nums.items()}
+
+
+def _monomial_form(cfg, k):
+    """M_k as a canonical integer form (den, {(e, p): int}) over
+    B_{e,p} = prod_{q != p} (P_p - P_q)^-e M_{e 1 - e_p}; cached per k.
 
     While max k - min k >= 2, with j at a highest and i at a lowest
     exponent, M_k = M_{k - e_j + e_i} + (P_i - P_j) M_{k - e_j}: each step
@@ -477,9 +485,9 @@ def monomial_expansion(cfg, k):
     if hi - lo >= 2:
         j, i = k.index(hi), k.index(lo)
         kj = k[:j] + (hi - 1,) + k[j + 1:]
-        den, acc = monomial_expansion(cfg, kj[:i] + (lo + 1,) + kj[i + 1:])
+        den, acc = _monomial_form(cfg, kj[:i] + (lo + 1,) + kj[i + 1:])
         acc, x = dict(acc), pts[i] - pts[j]
-        hit = canonical(add_scaled(den, acc, *monomial_expansion(cfg, kj),
+        hit = canonical(add_scaled(den, acc, *_monomial_form(cfg, kj),
                                    x.num, x.den), acc)
     else:
         hit = form({(lo + 1, i + 1): _leading(pts, k, i)
@@ -505,10 +513,10 @@ def monomial_residue(cfg, k):
     """Sum over the marked points of the residues of M_k dz; cached per k.
 
     0 when M_k has no pole at a marked point or no residue at infinity;
-    the sum of `_leading` over simple poles; else the sum of the e = 0
-    coefficients of `monomial_expansion`, since B_{e,p} dz = A^1_{e,p} has
-    residue sum 1 for e = 0 and 0 otherwise (no pole at a marked point for
-    e > 0, no residue at infinity for e < 0)."""
+    the sum of `_leading` over simple poles; else the sum of the degree-0
+    coefficients of the expansion at weight 1, since A^1_{n,p} has residue
+    sum 1 for n = 0 and 0 otherwise (no pole at a marked point for n > 0,
+    no residue at infinity for n < 0)."""
     lo = min(k)
     if lo >= 0 or sum(k) < -1:
         return RAT0
@@ -519,7 +527,7 @@ def monomial_residue(cfg, k):
             hit = sum((_leading(cfg.points, k, i) for i in range(len(k))
                        if k[i] == -1), RAT0)
         else:
-            den, nums = monomial_expansion(cfg, k)
+            den, nums = monomial_expansion(cfg, k, 1)
             hit = Rat(sum(nums.get((0, p), 0)
                           for p in range(1, cfg.n_points + 1)), den)
         cfg.cache[key] = hit

@@ -49,17 +49,10 @@ class CheckResult:
 SAMPLE_POINTS = {1: ("0",), 2: ("0", "1"), 3: ("0", "1", "-1")}
 NRANGE = (1, 2, 3)
 LAMS = (-1, 0, 1, 2)
-_shared = None  # {n: Config} while a registry run is in progress
 
 
 def sample_config(n):
-    """The Config at SAMPLE_POINTS[n], shared by the checks of a registry
-    run (no check patches a cache entry); a fresh one outside a run."""
-    if _shared is None:
-        return Config(SAMPLE_POINTS[n])
-    if n not in _shared:
-        _shared[n] = Config(SAMPLE_POINTS[n])
-    return _shared[n]
+    return Config(SAMPLE_POINTS[n])
 
 
 # Every action and Sugawara image is exact, so no check reads a module's
@@ -614,7 +607,7 @@ def level_action():
 # ------------------------------------------------------------- sugawara --
 
 def classical_central_charge():
-    cfg = Config(SAMPLE_POINTS[1])  # unshared: keeps the memory peak down
+    cfg = sample_config(1)
     sl2 = make_algebra("sl2")
     ab = make_algebra("abelian1")
     cases = [
@@ -840,22 +833,19 @@ CHECKS = [
 def _run_registry(suite, params):
     """Run the registry checks of one suite in order; each check gets the
     params its signature names, and a param no check names is an error."""
-    global _shared
-    results, unused, _shared = [], set(params), {}
-    try:
-        for name, s, fn in CHECKS:
-            if s != suite:
-                continue
-            names = inspect.signature(fn).parameters
-            own = {k: v for k, v in params.items() if k in names}
-            unused -= set(own)
-            try:
-                ok, detail = fn(**own)
-            except Exception as exc:  # a failing check must never kill the run
-                ok, detail = False, "error: %s: %s" % (type(exc).__name__, exc)
-            results.append(CheckResult(name, bool(ok), detail))
-    finally:
-        _shared = None
+    results = []
+    unused = set(params)
+    for name, s, fn in CHECKS:
+        if s != suite:
+            continue
+        names = inspect.signature(fn).parameters
+        own = {k: v for k, v in params.items() if k in names}
+        unused -= set(own)
+        try:
+            ok, detail = fn(**own)
+        except Exception as exc:  # a failing check must never kill the run
+            ok, detail = False, "error: %s: %s" % (type(exc).__name__, exc)
+        results.append(CheckResult(name, bool(ok), detail))
     if unused:
         raise TypeError("no %s check takes %s" % (suite, sorted(unused)))
     return results

@@ -149,32 +149,6 @@ def test_verify_failure_path_on_a_stub_registry(capsys, monkeypatch):
         "FAIL stub-raise: error: ValueError: no such invariant"]
 
 
-def test_sample_configs_are_shared_only_inside_a_registry_run(monkeypatch):
-    seen = []
-
-    def record():
-        seen.append((verify.sample_config(2), verify.sample_config(2)))
-        return True, ""
-
-    monkeypatch.setattr(verify, "CHECKS", [("one", "basis", record),
-                                           ("two", "basis", record)])
-    verify.run_suite("basis")
-    verify.run_suite("basis")
-    (a, b), (c, _), (d, e), (f, _) = seen  # two checks, two suite runs
-    assert a is b is c and d is e is f and d is not a
-    assert verify.sample_config(2) is not verify.sample_config(2)
-
-
-def test_registry_results_do_not_depend_on_the_check_order(monkeypatch):
-    # the checks of a suite share their Configs, so a check that wrote into
-    # a cache another one reads would change that one's result here
-    forward = verify.run_suite("all")
-    monkeypatch.setattr(verify, "CHECKS", verify.CHECKS[::-1])
-    backward = verify.run_suite("all")
-    assert all(r.passed for r in forward)
-    assert sorted(map(repr, forward)) == sorted(map(repr, backward))
-
-
 def test_config_error_exit_code(capsys, tmp_path):
     code, _, err = run_cli(["basis", "--lambda", "0", "--n", "0"], capsys)
     assert code == 2 and "points" in err
