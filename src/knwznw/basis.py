@@ -27,9 +27,9 @@ the other factors per configuration.  Residues are read off these jets;
 `expand_in_basis` peels them degree by degree and is checked by exact
 reconstruction.  A monomial M_k (q = 1) needs neither: it expands in
 closed form (`monomial_expansion`), and its residue sum is the sum of the
-expansion's degree-0 coefficients (`monomial_residue`, direct at simple
-poles), through which the pairing of weights h and 1 - h that realizes
-the duality takes a basis pair.
+expansion's degree-0 coefficients (`monomial_residue`, direct from the
+residue at infinity or at simple poles), through which the pairing of
+weights h and 1 - h that realizes the duality takes a basis pair.
 
 Every polynomial and truncated series here, q and the jets included, is
 an integer form (den, nums): den > 0, coefficient t is nums[t] / den and
@@ -512,18 +512,25 @@ def _leading(pts, k, i):
 def monomial_residue(cfg, k):
     """Sum over the marked points of the residues of M_k dz; cached per k.
 
-    0 when M_k has no pole at a marked point or no residue at infinity;
-    the sum of `_leading` over simple poles; else the sum of the degree-0
-    coefficients of the expansion at weight 1, since A^1_{n,p} has residue
-    sum 1 for n = 0 and 0 otherwise (no pole at a marked point for n > 0,
-    no residue at infinity for n < 0)."""
-    lo = min(k)
-    if lo >= 0 or sum(k) < -1:
+    0 when M_k has no pole at a marked point.  Else the residues of M_k dz
+    over the sphere sum to 0 and M_k = z^s (1 - sum_i k_i P_i / z + ...)
+    at infinity, s = sum k: so 0 for s <= -2, 1 for s = -1 and
+    -sum_i k_i P_i for s = 0.  For s > 0, the sum of `_leading` over
+    simple poles; else the sum of the degree-0 coefficients of the
+    expansion at weight 1, since A^1_{n,p} has residue sum 1 for n = 0 and
+    0 otherwise (no pole at a marked point for n > 0, no residue at
+    infinity for n < 0)."""
+    lo, s = min(k), sum(k)
+    if lo >= 0 or s < -1:
         return RAT0
+    if s == -1:
+        return RAT1
     key = ("mres", k)
     hit = cfg.cache.get(key)
     if hit is None:
-        if lo == -1:
+        if s == 0:
+            hit = -sum((a * e for a, e in zip(cfg.points, k) if e), RAT0)
+        elif lo == -1:
             hit = sum((_leading(cfg.points, k, i) for i in range(len(k))
                        if k[i] == -1), RAT0)
         else:
