@@ -53,10 +53,9 @@ MAX_VERMA_SLICE = 600
 # the local modules, of a `weyl` module that `module --coinvariants`,
 # `--action` or `kz` builds.  At 0,1,-1 the largest accepted, (6,6,6)
 # with 343, took 6.1 s for `--coinvariants` and 4.4 s for `kz`; (4,9,7)
-# with 400 took 8.3 s for `--coinvariants`.  `kz` costs more per monomial
-# at more points, since its flatness check takes about N^4 dense
-# commutators: 256 monomials took 8 s at four points and 243 took 28 s at
-# five.
+# with 400 took 8.3 s for `--coinvariants`.  `kz` took 1.9 s for (3,3,3,4)
+# at 0,1,-1,2 (320 monomials), 1.3 s for (2,2,2,2,2) at five points (243)
+# and 2.5 s for (1,...,1) at eight points (256).
 MAX_WEYL_SLICE = 350
 # Largest sl2 weight of a local module in a `weyl` module that any command
 # induces, so that its local module alone fits in a MAX_WEYL_SLICE slice.

@@ -16,13 +16,14 @@ Vectors are exact linear combinations of PBW monomials: creation entries
 (n, p, i) sorted ascending (most negative degree first, then point index,
 then g-basis index) applied to a vacuum basis vector.  A `PBWMonomial`
 is the named tuple (creation, vacuum), so the memos it keys hash and
-compare it in C.  The action of any
-algebra element is computed by exact normal ordering: generators commute
-rightward through the creation string via the affine bracket until they
-hit the vacuum.  On an admissible module every image is a finite exact
-sum, so nothing is cut off by degree; the depth only says which slices a
-caller lists.  The one truncation is a verma module's width bound, and
-terms beyond it raise TruncationOverflow with the lost string lengths.
+compare it in C.  The action of any algebra element is computed by exact
+normal ordering: generators commute rightward through the creation
+string via the bracket of single generators
+(`InducedModule._bracket_form`) until they hit the vacuum.  On an
+admissible module every image is a finite exact sum, so nothing is cut
+off by degree; the depth only says which slices a caller lists.  The one
+truncation is a verma module's width bound, and terms beyond it raise
+TruncationOverflow with the lost string lengths.
 
 The action is computed in Python ints.  The memo of the normal ordering
 (`InducedModule._act_memo`) holds each result as a canonical integer
@@ -47,7 +48,7 @@ from typing import NamedTuple, Optional
 
 from ._kernel import (RAT0, RAT1, Rat, add_scaled, canonical, form, merge,
                       rats)
-from .affine import AffineElement, affine_bracket
+from .algebras import _unit_gamma, _unit_product
 from .basis import Config
 from .errors import DomainError, TruncationOverflow
 from .finite_lie import GaugeAlgebra, finite_irrep, tensor_strides
@@ -168,7 +169,6 @@ class InducedModule:
         self._sugawara_memo = {}  # see sugawara._image
         # see sugawara._commutator_plan
         self._commutator_plans = {}
-        self._bracket_forms = {}
 
     # -- PBW bookkeeping -------------------------------------------------
 
@@ -288,19 +288,32 @@ class InducedModule:
 
     # -- action ----------------------------------------------------------
 
-    def _bracket_gens(self, a, b):
-        """Affine bracket of two single generators as (loop, central): the
-        loop terms as ((n, p, i), c) and the central term times the level.
-        The generator tuples are built once and shared by the memo keys."""
+    def _bracket_form(self, a, b):
+        """[a, b] of two single generators a = (n, p, i), b = (m, s, j),
+        as a canonical integer form over generators; memoised in
+        `_bracket_memo`.
+
+        The loop part is sum_k f_ij^k x_k (x) A_{n,p} A_{m,s}, with the
+        unit product from the cache of the configuration, and the central
+        part -(x_i|x_j) gamma(A_{n,p}, A_{m,s}) times the level, under
+        the key None."""
         key = (a, b)
         hit = self._bracket_memo.get(key)
         if hit is None:
-            ea = AffineElement.loop_term(a[2], a[0], a[1])
-            eb = AffineElement.loop_term(b[2], b[0], b[1])
-            br = affine_bracket(self.cfg, self.alg, ea, eb)
-            hit = (tuple(((h, s, j), c) for (j, h, s), c in br.loop.items()),
-                   br.central * self.level)
-            self._bracket_memo[key] = hit
+            (n, p, i), (m, s, j) = a, b
+            terms = {}
+            tbl = self.alg.bracket.get((i, j))
+            if tbl:
+                den, prod = _unit_product(self.cfg, (0, 0), (n, p), (m, s))
+                for (h, t), x in prod.items():
+                    for k, c in tbl.items():
+                        terms[(h, t, k)] = c * Rat(x, den)
+            central = self.alg.form[i][j] * self.level
+            if central.num != 0:
+                central = central * _unit_gamma(self.cfg, (n, p), (m, s))
+            if central.num != 0:
+                terms[None] = -central
+            hit = self._bracket_memo[key] = form(terms)
         return hit
 
     def _vacuum_action(self, gen, vac):
@@ -363,14 +376,12 @@ class InducedModule:
                 d2, t2 = act(c1, m2)
                 if t2:
                     den = add_scaled(den, acc, d2, t2, x, di)
-            loop, central = self._bracket_gens(gen, c1)
-            for gen2, cb in loop:
-                d2, t2 = act(gen2, rest)
+            bden, bnums = self._bracket_form(gen, c1)
+            for gen2, x in bnums.items():
+                # None: the central part, which leaves rest as it is
+                d2, t2 = (1, {rest: 1}) if gen2 is None else act(gen2, rest)
                 if t2:
-                    den = add_scaled(den, acc, d2, t2, cb.num, cb.den)
-            if central.num != 0:
-                den = add_scaled(den, acc, 1, {rest: 1}, central.num,
-                                 central.den)
+                    den = add_scaled(den, acc, d2, t2, x, bden)
             res = canonical(den, acc)
         self._act_memo[key] = res
         return res

@@ -14,19 +14,21 @@ monomial (`basis.monomial_residue`), and
     L(k,r) = 1/2 sum_i sum_{(n,p),(m,s)} c_{(n,p),(m,s)} :u_i(n,p) u^i(m,s): .
 
 Normal ordering moves strictly positive degrees right and strictly
-negative degrees left; a degree-0/degree-0 pair keeps its written order
-(the swapped tie rule is exposed for the equivalence audit).  On an
-admissible module every application is a finite sum: for a vector of
-degree d only mode indices n in [t + d, -d] can contribute to total
-degree t, which the implementation uses as its summation bound.
+negative degrees left; a degree-0/degree-0 pair keeps its written order,
+which is immaterial: c_{(0,p),(0,s)} and the dual-basis matrix are
+symmetric (the verify check `normal-ordering-equivalence`), so the
+swapped order sums the same terms.  On an admissible module every
+application is a finite sum: for a vector of degree d only mode indices
+n in [t + d, -d] can contribute to total degree t, which the
+implementation uses as its summation bound.
 
 L(k,r) is linear, so its image of each PBW monomial is computed once per
 module and memoised (`_image`, read by `apply_L_raw`) as an integer form
 (D, {monomial: int}) of the kernel.  A vacuum monomial is summed over the
-term plan of its degree: one plan per (algebra, k, r, tie rule, margin,
-degree), cached on the configuration (`_term_plan`), writes u^i =
-sum_j D_ij u_j, keeps the nonzero coefficients, merges every total and
-mode of the band and groups the terms by the operator that acts first.
+term plan of its degree: one plan per (algebra, k, r, margin, degree),
+cached on the configuration (`_term_plan`), writes u^i = sum_j D_ij u_j,
+keeps the nonzero coefficients, merges every total and mode of the band
+and groups the terms by the operator that acts first.
 A monomial c1.w, with c1 the first entry of its creation string, peels
 c1 (`_L_image`):
 
@@ -38,10 +40,10 @@ of c1.w's degree, [F S, c1] = F [S, c1] + [F, c1] S, with the brackets
 of single generators.  And every term of that plan that the plan of w's
 degree lacks annihilates w (the summation bound above), so the plan of
 c1.w's degree applied to w is L(w).  The terms of [L, c1] are merged,
-with their cancellations, into one commutator plan per (k, r, tie rule,
-margin, degree, c1) (`_commutator_plan`).  Its central parts carry the
-level, so these plans are memoised per module, never on the
-configuration, which modules of several levels share.  An image applies
+with their cancellations, into one commutator plan per (k, r, margin,
+degree, c1) (`_commutator_plan`).  Its central parts carry the level, so
+these plans are memoised per module, never on the configuration, which
+modules of several levels share.  An image applies
 each distinct operator that acts first once, and each operator that acts
 after it once to its summed argument.  Images and the commutator
 audit's difference are integer forms; Rat is built only by `apply_L`
@@ -117,7 +119,7 @@ def _triple_row(cfg, k, r, t, n):
     return row
 
 
-def _term_plan(cfg, alg, k, r, tie_swap, extra_margin, dv):
+def _term_plan(cfg, alg, k, r, extra_margin, dv):
     """The terms of L(k, r) on a monomial of degree dv, grouped by the
     operator that acts first (the right factor, `second`).
 
@@ -128,10 +130,9 @@ def _term_plan(cfg, alg, k, r, tie_swap, extra_margin, dv):
     second) = (a, b), or (b, a) when normal ordering swaps them.  The plan
     is ((second, ((first, num, den), ...)), ...), every (t, n) merged, with
     num/den the summed coefficient of the pair.  One plan per (algebra,
-    k, r, tie_swap, extra_margin, dv) in cfg.cache, so every monomial of
-    degree dv shares it, and its generator tuples key the module's action
-    memo."""
-    key = ("sugw-plan", alg.kind, k, r, tie_swap, extra_margin, dv)
+    k, r, extra_margin, dv) in cfg.cache, so every monomial of degree dv
+    shares it, and its generator tuples key the module's action memo."""
+    key = ("sugw-plan", alg.kind, k, r, extra_margin, dv)
     plan = cfg.cache.get(key)
     if plan is not None:
         return plan
@@ -141,9 +142,8 @@ def _term_plan(cfg, alg, k, r, tie_swap, extra_margin, dv):
         for n in range(t + dv - extra_margin, -dv + extra_margin + 1):
             m = t - n
             # positive degrees go right, negative degrees left; a
-            # degree-0/degree-0 pair keeps its written order unless swapped
-            swap = ((n > 0 and m <= 0) or (m < 0 and n >= 0)
-                    or (tie_swap and n == 0 and m == 0))
+            # degree-0/degree-0 pair keeps its written order
+            swap = (n > 0 and m <= 0) or (m < 0 and n >= 0)
             for p, s, c in _triple_row(cfg, k, r, t, n):
                 half = c * _HALF
                 for i, dual in enumerate(alg.dual_vectors):
@@ -184,49 +184,39 @@ def sugawara_coefficients(cfg, idx, band):
     return TripleCoefficientTable(k, r, entries)
 
 
-def _commutator_plan(module, k, r, tie_swap, extra_margin, dv, c1):
+def _commutator_plan(module, k, r, extra_margin, dv, c1):
     """The terms of [L(k, r), c1] on monomials of degree dv that start
     with the creation entry c1, grouped by the operator that acts first
     on the rest of the string.
 
     Each term c F S of the term plan of degree dv gives
     c [F S, c1] = c F [S, c1] + c [F, c1] S, with the single-generator
-    brackets of `InducedModule._bracket_gens`, read as integer forms
-    (memoised per (op, c1) in `InducedModule._bracket_forms`).  The plan
-    is ((op2, ((op1, num, den), ...)), ...), read as op1.(op2.rest); op1
+    brackets of `InducedModule._bracket_form`, integer forms memoised
+    per (op, c1) in the module's bracket memo.  The plan is
+    ((op2, ((op1, num, den), ...)), ...), read as op1.(op2.rest); op1
     is None for a central part, which leaves op2.rest as it is.  Every
     pair is summed over one denominator before the plan is kept, so the
     terms that cancel are gone, and so are the pairs whose degree alone
     sends rest to an empty slice.  The central parts carry the level, so
     the plans are memoised per module (`InducedModule._commutator_plans`),
     never on the configuration."""
-    key = (k, r, tie_swap, extra_margin, dv, c1)
+    key = (k, r, extra_margin, dv, c1)
     plans = module._commutator_plans
     plan = plans.get(key)
     if plan is not None:
         return plan
-    brackets = module._bracket_forms
-    terms = _term_plan(module.cfg, module.alg, k, r, tie_swap, extra_margin,
-                       dv)
+    terms = _term_plan(module.cfg, module.alg, k, r, extra_margin, dv)
     # a mode-n generator maps degree d into degrees >= d + n (almost
     # grading), and slices above 0 are empty; rest has degree -top, so an
     # op2 with mode above top, or an op1 above top - op2's mode, gives 0
     top = c1[0] - dv
+    bracket = module._bracket_form
     forms = {}  # op -> [op, c1] as an integer form, central part under None
     for second, firsts in terms:
-        ops = [second]
+        forms[second] = bracket(second, c1)
         if second[0] <= top:  # [F, c1] is read only after a live second
-            ops += [first for first, _n, _d in firsts]
-        for op in ops:
-            if op not in forms:
-                hit = brackets.get((op, c1))
-                if hit is None:
-                    loop, central = module._bracket_gens(op, c1)
-                    hit = dict(loop)
-                    if central.num != 0:
-                        hit[None] = central
-                    hit = brackets[(op, c1)] = form(hit)
-                forms[op] = hit
+            for first, _n, _d in firsts:
+                forms[first] = bracket(first, c1)
     # one common denominator for every product of a term and a bracket
     den = (lcm(*(d for _s, firsts in terms for _f, _n, d in firsts))
            * lcm(*(d for d, _nums in forms.values())))
@@ -262,19 +252,19 @@ def _commutator_plan(module, k, r, tie_swap, extra_margin, dv, c1):
     return plan
 
 
-def _image(module, k, r, tie_swap, extra_margin, mono):
+def _image(module, k, r, extra_margin, mono):
     """The memoised image of one monomial (`_L_image`), keyed by
-    ((k, r), tie_swap, extra_margin, monomial) in the module's image memo;
-    never mutated."""
+    ((k, r), extra_margin, monomial) in the module's image memo; never
+    mutated."""
     memo = module._sugawara_memo
-    key = ((k, r), tie_swap, extra_margin, mono)
+    key = ((k, r), extra_margin, mono)
     img = memo.get(key)
     if img is None:
-        img = memo[key] = _L_image(module, k, r, tie_swap, extra_margin, mono)
+        img = memo[key] = _L_image(module, k, r, extra_margin, mono)
     return img
 
 
-def _L_image(module, k, r, tie_swap, extra_margin, mono):
+def _L_image(module, k, r, extra_margin, mono):
     """L(k, r) on one monomial, as an integer form (D, {monomial: int}).
 
     A monomial c1.rest with a creation entry c1 is computed as
@@ -299,15 +289,14 @@ def _L_image(module, k, r, tie_swap, extra_margin, mono):
     if creation:
         c1 = creation[0]
         base = PBWMonomial(creation[1:], mono.vacuum)
-        plan = _commutator_plan(module, k, r, tie_swap, extra_margin,
-                                mono.degree, c1)
-        rden, rnums = _image(module, k, r, tie_swap, extra_margin, base)
+        plan = _commutator_plan(module, k, r, extra_margin, mono.degree, c1)
+        rden, rnums = _image(module, k, r, extra_margin, base)
         if rnums:
             groups[c1] = [rden, dict(rnums)]
     else:
         base = mono
-        plan = _term_plan(module.cfg, module.alg, k, r, tie_swap,
-                          extra_margin, mono.degree)
+        plan = _term_plan(module.cfg, module.alg, k, r, extra_margin,
+                          mono.degree)
     for second, firsts in plan:
         dm, mid = act(second, base)
         if not mid:
@@ -330,35 +319,32 @@ def _L_image(module, k, r, tie_swap, extra_margin, mono):
     return canonical(den, acc)
 
 
-def apply_L_raw(module, idx, vec, tie_swap=False, extra_margin=0):
+def apply_L_raw(module, idx, vec, extra_margin=0):
     """Exact L(k, r) on an integer form vec = (D, {monomial: int}), as a
     canonical integer form.
 
     L(k, r) is linear, so the image of each monomial is computed once per
-    module and memoised under ((k, r), tie_swap, extra_margin, monomial)
-    (`_image`); the image of vec sums the cached numerators scaled by
-    vec's numerators over one denominator.  Both flags are in the key, so
-    the tie-rule and summation-bound audits compare two computations,
-    never one cached image with itself.  Memoised images are never
-    mutated.
+    module and memoised under ((k, r), extra_margin, monomial) (`_image`);
+    the image of vec sums the cached numerators scaled by vec's numerators
+    over one denominator.  The margin is in the key, so the
+    summation-bound audit compares two computations, never one cached
+    image with itself.  Memoised images are never mutated.
     """
     k, r = idx
-    tie_swap = bool(tie_swap)
     vden, terms = vec
     den, acc = 1, {}
     for mono, cm in terms.items():
-        img = _image(module, k, r, tie_swap, extra_margin, mono)
+        img = _image(module, k, r, extra_margin, mono)
         if img[1]:
             den = add_scaled(den, acc, *img, cm, 1)
     return canonical(den * vden, acc)
 
 
-def apply_L(module, idx, v, tie_swap=False, extra_margin=0):
+def apply_L(module, idx, v, extra_margin=0):
     """L(k, r) on a module vector: the exact image, whatever its degrees.
     The one place a Sugawara image becomes Rat."""
     return ModuleVector(rats(*apply_L_raw(module, SugawaraIndex(*idx),
-                                          form(v.terms), tie_swap,
-                                          extra_margin)))
+                                          form(v.terms), extra_margin)))
 
 
 def rescale_factor(alg, level):
@@ -369,13 +355,13 @@ def rescale_factor(alg, level):
     return Rat(-1) / den
 
 
-def rescaled_L(module, idx, v, tie_swap=False):
+def rescaled_L(module, idx, v):
     """-1/(level + dual Coxeter) times L(k, r)."""
     f = rescale_factor(module.alg, module.level)
-    return apply_L(module, idx, v, tie_swap=tie_swap).scale(f)
+    return apply_L(module, idx, v).scale(f)
 
 
-def T_of_vectorfield(module, l, v, tie_swap=False):
+def T_of_vectorfield(module, l, v):
     """Sugawara operator attached to a vector field.
 
     l is a weight-(-1) graded element; duality collapses the contour
@@ -386,8 +372,7 @@ def T_of_vectorfield(module, l, v, tie_swap=False):
     f = rescale_factor(module.alg, module.level)
     out = ModuleVector({})
     for (k, r), c in l.terms.items():
-        out = out + apply_L(module, SugawaraIndex(k, r), v,
-                            tie_swap=tie_swap).scale(f * c)
+        out = out + apply_L(module, SugawaraIndex(k, r), v).scale(f * c)
     return out
 
 
@@ -402,8 +387,7 @@ class AuditEntry:
     counterexample: object = None
 
 
-def sugawara_commutator_audit(cfg, alg, module, pairs, window,
-                              tie_swap=False):
+def sugawara_commutator_audit(cfg, alg, module, pairs, window):
     """Measure [L*_{k,r}, L*_{m,s}] - L*_{[e_{k,r}, e_{m,s}]} on the window.
 
     The difference must be a scalar multiple of the identity on every
@@ -430,15 +414,15 @@ def sugawara_commutator_audit(cfg, alg, module, pairs, window,
             sigma = None
             for mono in basis:
                 base = (1, {mono: 1})
-                w1 = apply_L_raw(module, (m, s), base, tie_swap)
-                w1 = apply_L_raw(module, (k, r), w1, tie_swap)
-                w2 = apply_L_raw(module, (k, r), base, tie_swap)
-                w2 = apply_L_raw(module, (m, s), w2, tie_swap)
+                w1 = apply_L_raw(module, (m, s), base)
+                w1 = apply_L_raw(module, (k, r), w1)
+                w2 = apply_L_raw(module, (k, r), base)
+                w2 = apply_L_raw(module, (m, s), w2)
                 acc = {}
                 den = add_scaled(1, acc, *w1, f2.num, f2.den)
                 den = add_scaled(den, acc, *w2, -f2.num, f2.den)
                 for hu, c in scaled:
-                    wb = apply_L_raw(module, hu, base, tie_swap)
+                    wb = apply_L_raw(module, hu, base)
                     den = add_scaled(den, acc, *wb, -c.num, c.den)
                 den, diff = canonical(den, acc)
                 got = Rat(diff.get(mono, 0), den)

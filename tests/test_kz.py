@@ -2,12 +2,13 @@
 
 import pytest
 
-from conftest import dense_omega_matrix
+from conftest import dense_mat_mul, dense_omega_matrix
 from knwznw import Rat, kz
 from knwznw._kernel import RAT0
 from knwznw.basis import Config
 from knwznw.errors import CriticalLevelError
-from knwznw.finite_lie import make_algebra
+from knwznw.exactlinalg import is_zero_matrix, mat_sub
+from knwznw.finite_lie import make_algebra, tensor_dim, tensor_strides
 from knwznw.kz import (classical_oracle_matrices, flatness_check, kz_matrices,
                        predicted_scalar_shift, tangent_fields)
 
@@ -153,20 +154,103 @@ def test_flatness_vacuous_for_two_points(sl2):
     assert rep.holds and rep.vacuous
 
 
-def test_flatness_builds_each_omega_once(sl2, monkeypatch):
+def mat_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def dense_commutator(a, b):
+    return mat_sub(dense_mat_mul(a, b), dense_mat_mul(b, a))
+
+
+def embed(local, mods, factors):
+    """A matrix on the factors (p, q, r) of the product of mods, in that
+    order, tensored with the identity on every other factor."""
+    strides = tensor_strides(mods)
+    dim = tensor_dim(mods)
+
+    def split(x):
+        digits = [(x // st) % m.dim for st, m in zip(strides, mods)]
+        at = 0
+        for f in factors:
+            at = at * mods[f].dim + digits[f]
+        return at, [d for f, d in enumerate(digits) if f not in factors]
+
+    parts = [split(x) for x in range(dim)]
+    return [[local[ra][ca] if rest == crest else RAT0
+             for ca, crest in parts] for ra, rest in parts]
+
+
+FLATNESS_CASES = [(("0", "1", "-1"), (1, 1, 2)), (("0", "1", "-1"), (2, 2, 2)),
+                  (("0", "1", "-1", "2"), (1, 1, 1, 1)),
+                  (("0", "1", "-1", "2"), (1, 2, 1, 0))]
+
+
+@pytest.mark.parametrize("points,weights", FLATNESS_CASES)
+def test_flatness_agrees_with_the_dense_oracle(sl2, points, weights):
+    # on the whole product, from textbook dense products: every braid
+    # relation vanishes, and so does every commutator of disjoint pairs,
+    # which holds by construction and which flatness_check does not take
+    mods = [kz.finite_irrep(sl2, w) for w in weights]
+    n = len(weights)
+    om = {(p, q): dense_omega_matrix(sl2, mods, p, q)
+          for p in range(n) for q in range(n) if p != q}
+    triples = [(p, q, r) for p in range(n) for q in range(n)
+               for r in range(n) if len({p, q, r}) == 3]
+    for p, q, r in triples:
+        assert is_zero_matrix(dense_commutator(
+            om[p, q], mat_add(om[p, r], om[q, r])))
+        for s in set(range(n)) - {p, q, r}:
+            assert is_zero_matrix(dense_commutator(om[p, q], om[r, s]))
+    system = kz_matrices(Config(points), sl2, weights, Rat(1))
+    rep = flatness_check(system)
+    assert rep.holds and not rep.vacuous and rep.counterexample is None
+    assert rep.checked_relations == len(triples) == n * (n - 1) * (n - 2)
+
+
+@pytest.mark.parametrize("points,weights",
+                         FLATNESS_CASES + [(("0", "1", "-1"), (2, 1, 1))])
+def test_a_broken_casimir_fails_on_the_relation_the_oracle_names(
+        sl2, points, weights, monkeypatch):
+    # doubling Omega_pr on every local product breaks the first relation:
+    # its local commutator, tensored with the identity, is the dense
+    # [Omega_pq, 2 Omega_pr + Omega_qr] on the whole product
+    real = kz.omega_matrix
+
+    def doubled(alg, mods, p, q):
+        m = real(alg, mods, p, q)
+        return mat_add(m, m) if (p, q) == (0, 2) else m
+
+    system = kz_matrices(Config(points), sl2, weights, Rat(1))
+    monkeypatch.setattr(kz, "omega_matrix", doubled)
+    rep = flatness_check(system)
+    assert not rep.holds and rep.checked_relations == 1
+    (p, q, r), lhs = rep.counterexample
+    # the first triple is (0, 1, 2), with p and q in order of weight
+    assert {p, q} == {0, 1} and r == 2 and weights[p] <= weights[q]
+    mods = [kz.finite_irrep(sl2, w) for w in weights]
+    pq, pr, qr = (dense_omega_matrix(sl2, mods, i, j)
+                  for i, j in ((p, q), (p, r), (q, r)))
+    want = dense_commutator(pq, mat_add(mat_add(pr, pr), qr))
+    assert not is_zero_matrix(want)
+    assert embed(lhs, mods, (p, q, r)) == want
+
+
+def test_flatness_builds_one_local_product_for_equal_weights(sl2,
+                                                            monkeypatch):
     built = []
     real = kz.omega_matrix
 
     def counting(alg, mods, p, q):
-        built.append((p, q))
+        built.append((tuple(m.weight for m in mods), p, q))
         return real(alg, mods, p, q)
 
     system = kz_matrices(Config(["0", "1", "-1", "2"]), sl2, (1, 1, 1, 1),
                          Rat(1))
     monkeypatch.setattr(kz, "omega_matrix", counting)
     rep = flatness_check(system)
-    assert rep.holds and rep.checked_relations == 48
-    assert sorted(built) == [(p, q) for p in range(4) for q in range(p + 1, 4)]
+    assert rep.holds and rep.checked_relations == 24
+    # three Omegas on one product of three factors, none on four
+    assert built == [((1, 1, 1), 0, 1), ((1, 1, 1), 0, 2), ((1, 1, 1), 1, 2)]
 
 
 def test_oracle_builds_each_omega_once(sl2, ab, monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import section_of
 from knwznw import Rat
-from knwznw._kernel import RAT0, RAT1, ZERO_FORM, merge
+from knwznw._kernel import RAT0, RAT1, ZERO_FORM, merge, rats
 from knwznw.affine import (AffineElement, _block_expansions, affine_bracket,
                            block_algebra_basis)
 from knwznw.basis import Config
@@ -251,6 +251,40 @@ def test_degree_zero_matches_finite_module(weyl11):
             assert got == [list(r) for r in want]
 
 
+def generator_bracket(module, a, b):
+    """[a, b] of two single generators (n, p, i) by the general
+    `affine_bracket`, independently of `InducedModule._bracket_form`: the
+    loop terms as ((n, p, i), c) and the central term times the level."""
+    br = affine_bracket(module.cfg, module.alg,
+                        AffineElement.loop_term(a[2], a[0], a[1]),
+                        AffineElement.loop_term(b[2], b[0], b[1]))
+    return ([((n, p, i), c) for (i, n, p), c in br.loop.items()],
+            br.central * module.level)
+
+
+def test_bracket_forms_match_the_affine_bracket(sl2, ab):
+    # the structure-constant form against the general bracket, at rational
+    # points and a fractional level, so loop and central parts both show
+    cfg = Config(["1/2", "-7/3", "5"])
+    modules = [
+        induce_module(sl2, cfg, ModuleSpec("weyl", (1, 1, 2), Rat(3, 2))),
+        induce_module(ab, cfg, ModuleSpec("fock", (Rat(1),) * 3, Rat(2, 3)))]
+    seen = Counter()
+    for module in modules:
+        gens = [(n, p, i) for n in (-2, -1, 0, 1, 2) for p in (1, 2, 3)
+                for i in range(module.alg.dim)]
+        for a, b in product(gens, repeat=2):
+            loop, central = generator_bracket(module, a, b)
+            want = dict(loop)
+            if central.num != 0:
+                want[None] = central
+            assert rats(*module._bracket_form(a, b)) == want
+            seen["loop"] += bool(loop)
+            seen["central"] += central.num != 0
+        assert len(module._bracket_memo) == len(gens) ** 2
+    assert seen["loop"] > 1000 and seen["central"] > 100
+
+
 def rat_act_gen(module, gen, mono, memo):
     """The action of one generator on a monomial by the normal-ordering
     recursion summed in Rat, kept as an oracle for the integer forms of
@@ -271,7 +305,7 @@ def rat_act_gen(module, gen, mono, memo):
         res = {}
         for m2, c in rat_act_gen(module, gen, rest, memo).items():
             merge(res, rat_act_gen(module, c1, m2, memo), c)
-        loop, central = module._bracket_gens(gen, c1)
+        loop, central = generator_bracket(module, gen, c1)
         for gen2, cb in loop:
             merge(res, rat_act_gen(module, gen2, rest, memo), cb)
         if central.num != 0:
@@ -497,7 +531,7 @@ class _Reduction:
                 r = self.act_row(c1, m2)
                 if r:
                     merge(acc, r, c)
-            loop, central = module._bracket_gens(gen, c1)
+            loop, central = generator_bracket(module, gen, c1)
             for gen2, cb in loop:
                 r = self.act_row(gen2, rest)
                 if r:

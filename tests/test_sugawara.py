@@ -1,10 +1,11 @@
 """Sugawara operators: coefficients, applications, commutator audits."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from knwznw import Rat
+from knwznw import Rat, verify
 from knwznw._kernel import RAT0, form, merge, rats
 from knwznw.basis import Config, GradedElement, KNIndex, kn_basis_element
 from knwznw.errors import CriticalLevelError, DomainError
@@ -127,13 +128,18 @@ def test_T_of_vectorfield_collapse(fock):
 
 
 def test_tie_swap_is_identity_at_genus_zero(sl2, cfg2):
+    # the engine writes no tie rule: the oracle's two orders of a
+    # degree-0 pair give its one image, at either margin
     module = induce_module(sl2, cfg2, ModuleSpec("weyl", (1, 1), Rat(1), 3))
     for d in (0, -1):
         for mono in module.slice_basis(d)[:4]:
-            v = ModuleVector.monomial(mono)
+            v = {mono: Rat(1)}
             for idx in ((0, 1), (1, 2), (-1, 1)):
-                assert apply_L(module, idx, v) == \
-                    apply_L(module, idx, v, tie_swap=True)
+                for margin in (0, 3):
+                    got = rats(*apply_L_raw(module, idx, form(v), margin))
+                    for tie_swap in (False, True):
+                        assert got == direct_apply_L(module, idx, v,
+                                                     tie_swap, margin)
 
 
 def test_audit_classical_charges(cfg1, ab, sl2):
@@ -280,10 +286,9 @@ def test_memoised_images_match_the_direct_oracle():
             vectors.append(v)
         for v in vectors:
             for idx in ((0, 1), (1, 2), (-1, 1), (2, 1)):
-                for tie_swap in (False, True):
-                    for margin in (0, 3):
-                        got = apply_L_raw(module, idx, form(v), tie_swap,
-                                          margin)
+                for margin in (0, 3):
+                    got = apply_L_raw(module, idx, form(v), margin)
+                    for tie_swap in (False, True):
                         want = direct_apply_L(module, idx, v, tie_swap, margin)
                         # a canonical form is unique, so it is the form
                         # of the oracle's Rat dict
@@ -293,29 +298,26 @@ def test_memoised_images_match_the_direct_oracle():
     assert compared > 100
 
 
-def test_each_margin_and_tie_rule_computes_its_own_image(sl2, cfg2):
+def test_each_margin_computes_its_own_image(sl2, cfg2):
     module = induce_module(sl2, cfg2, ModuleSpec("weyl", (1, 1), Rat(1), 3))
     mono = module.slice_basis(-1)[0]
     suffix = PBWMonomial(mono.creation[1:], mono.vacuum)
     memo = module._sugawara_memo
     unit = (1, {mono: 1})
-    flags = ((False, 0), (False, 3), (True, 0))
-    for tie_swap, margin in flags:
-        apply_L_raw(module, (0, 1), unit, tie_swap, margin)
-    # each image is computed from the image of its suffix, under the same
-    # flags: every (tie rule, margin) holds its own two images, and
-    # nothing else
+    margins = (0, 3)
+    for margin in margins:
+        apply_L_raw(module, (0, 1), unit, margin)
+    # each image is computed from the image of its suffix, at the same
+    # margin: every margin holds its own two images, and nothing else
     images = {}
-    for tie_swap, margin in flags:
-        own = memo[((0, 1), tie_swap, margin, mono)]
-        rest = memo[((0, 1), tie_swap, margin, suffix)]
+    for margin in margins:
+        own = memo[((0, 1), margin, mono)]
+        rest = memo[((0, 1), margin, suffix)]
         assert own != rest and own[1] and rest[1]
-        images[tie_swap, margin] = (own, rest)
-    assert len(memo) == 2 * len(flags)
-    plain = images[False, 0]
-    for flag in flags[1:]:
-        assert images[flag][0] is not plain[0]
-        assert images[flag][1] is not plain[1]
+        images[margin] = (own, rest)
+    assert len(memo) == 2 * len(margins)
+    plain = images[0]
+    assert images[3][0] is not plain[0] and images[3][1] is not plain[1]
     # the memo holds the image as an integer form (D, {monomial: int});
     # a caller gets a fresh nonzero form and may mutate it, the memo never
     # changes
@@ -324,43 +326,60 @@ def test_each_margin_and_tie_rule_computes_its_own_image(sl2, cfg2):
     out = apply_L_raw(module, (0, 1), unit)
     assert out == want and want[1]
     out[1].clear()
-    assert memo[((0, 1), False, 0, mono)] == want
+    assert memo[((0, 1), 0, mono)] == want
     assert apply_L_raw(module, (0, 1), unit) == want
 
 
 def test_plan_keys_keep_the_audits_non_vacuous(sl2):
-    # at genus 0 the tie-swapped and margin-3 images equal the plain ones,
-    # so only the plan key keeps normal-ordering-equivalence and
-    # summation-bounds from comparing one computation with itself
+    # at genus 0 the margin-3 images equal the plain ones, so only the
+    # plan key keeps summation-bounds from comparing one computation with
+    # itself
     cfg = Config(["0", "1"])
     module = induce_module(sl2, cfg, ModuleSpec("weyl", (1, 1), Rat(1), 3))
     unit = (1, {module.slice_basis(0)[0]: 1})
-    flags = ((False, 0), (True, 0), (False, 3))
-    for tie_swap, margin in flags:
-        apply_L_raw(module, (0, 1), unit, tie_swap, margin)
-    plans = {key[4:6]: plan for key, plan in cfg.cache.items()
-             if key[:4] == ("sugw-plan", "sl2", 0, 1) and key[6] == 0}
-    assert sorted(plans) == sorted(flags)
-    plain, swapped, wide = (plans[f] for f in flags)
+    margins = (0, 3)
+    for margin in margins:
+        apply_L_raw(module, (0, 1), unit, margin)
+    plans = {key[4]: plan for key, plan in cfg.cache.items()
+             if key[:4] == ("sugw-plan", "sl2", 0, 1) and key[5] == 0}
+    assert sorted(plans) == list(margins)
+    plain, wide = (plans[m] for m in margins)
 
     def terms(plan):
         return {(second, first): (num, den)
                 for second, firsts in plan for first, num, den in firsts}
 
-    def tie(plan):
-        return [(second, first) for second, firsts in plan
-                for first, _num, _den in firsts
-                if second[0] == first[0] == 0]
-
-    # the swapped plan exchanges the roles of every degree-0 pair; c and
-    # the dual basis are symmetric, so it holds the plain terms in the
-    # order of the exchanged pairs
-    assert tie(swapped) == [(b, a) for a, b in tie(plain)] != tie(plain)
-    assert swapped != plain and terms(swapped) == terms(plain)
     # the wider plan reaches modes the plain one does not
     modes = [{op[0] for pair in terms(plan) for op in pair}
              for plan in (plain, wide)]
     assert modes[0] < modes[1] and terms(plain).items() < terms(wide).items()
+
+
+def test_normal_ordering_check_reads_both_symmetries(monkeypatch):
+    # the check carries the premise of writing no tie rule: c on pairs of
+    # total degree 0 and the dual-basis matrix D are symmetric; breaking
+    # either one fails it
+    check = verify.normal_ordering_equivalence
+    assert check()[0]
+    real = verify.sugawara_coefficients
+
+    def skewed(cfg, idx, band):
+        table = real(cfg, idx, band)
+        entries = dict(table.entries)
+        # one slot order of a degree-0 pair at P_1, P_2 moves
+        key = ((0, 1), (0, 2))
+        entries[key] = entries.get(key, RAT0) + Rat(1)
+        return sugawara.TripleCoefficientTable(table.k, table.r, entries)
+
+    monkeypatch.setattr(verify, "sugawara_coefficients", skewed)
+    assert check() == (False, "tie rule changed the operator")
+    monkeypatch.setattr(verify, "sugawara_coefficients", real)
+    sl2 = make_algebra("sl2")
+    dual = [list(row) for row in sl2.dual_vectors]
+    dual[0][1] = Rat(1)
+    monkeypatch.setattr(verify, "make_algebra", lambda kind: SimpleNamespace(
+        dual_vectors=tuple(tuple(row) for row in dual)))
+    assert check() == (False, "tie rule changed the operator")
 
 
 def test_audit_counterexample_is_the_difference_vector(sl2, cfg2,
