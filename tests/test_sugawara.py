@@ -374,11 +374,10 @@ def test_normal_ordering_check_reads_both_symmetries(monkeypatch):
     monkeypatch.setattr(verify, "sugawara_coefficients", skewed)
     assert check() == (False, "tie rule changed the operator")
     monkeypatch.setattr(verify, "sugawara_coefficients", real)
-    sl2 = make_algebra("sl2")
-    dual = [list(row) for row in sl2.dual_vectors]
+    dual = [list(row) for row in make_algebra("sl2").dual_vectors]
     dual[0][1] = Rat(1)
-    monkeypatch.setattr(verify, "make_algebra", lambda kind: SimpleNamespace(
-        dual_vectors=tuple(tuple(row) for row in dual)))
+    skew = SimpleNamespace(dual_vectors=tuple(map(tuple, dual)))
+    monkeypatch.setattr(verify, "make_algebra", lambda kind: skew)
     assert check() == (False, "tie rule changed the operator")
 
 
