@@ -52,10 +52,10 @@ MAX_VERMA_SLICE = 600
 # Monomials in the degree-0 slice, the product of the dimensions w + 1 of
 # the local modules, of a `weyl` module that `module --coinvariants`,
 # `--action` or `kz` builds.  At 0,1,-1 the largest accepted, (6,6,6)
-# with 343, took 6.1 s for `--coinvariants` and 4.4 s for `kz`; (4,9,7)
-# with 400 took 8.3 s for `--coinvariants`.  `kz` took 1.9 s for (3,3,3,4)
-# at 0,1,-1,2 (320 monomials), 1.3 s for (2,2,2,2,2) at five points (243)
-# and 2.5 s for (1,...,1) at eight points (256).
+# with 343, took 6.1 s for `--coinvariants` and 0.7 s for `kz`; (4,9,7)
+# with 400 took 8.3 s for `--coinvariants`.  `kz` took 0.4 s for (3,3,3,4)
+# at 0,1,-1,2 (320 monomials), 0.3 s for (2,2,2,2,2) at five points (243)
+# and 0.7 s for (1,...,1) at eight points (256), on a 2-core x86-64 VM.
 MAX_WEYL_SLICE = 350
 # Largest sl2 weight of a local module in a `weyl` module that any command
 # induces, so that its local module alone fits in a MAX_WEYL_SLICE slice.
@@ -192,24 +192,35 @@ def _config_module_spec(cfg, data, alg, built=False):
     weights = m.get("weights", data.get("weights"))
     if weights is None:
         raise ConfigError("module weights missing")
-    weights = _config_list(weights, "weights")
+    weights = _config_weights(cfg, alg, weights, kind == "weyl")
     level = _parse_rat(m.get("level", data.get("level", "1")))
     depth = _parse_int(m.get("depth", data.get("depth", 4)), "depth")
     _bounded(depth, "depth", 0, MAX_DEPTH, "MAX_DEPTH")
     width = m.get("width")
     if width is not None:
         width = _parse_int(width, "width")
-    if kind in ("weyl",):
-        weights = tuple(_parse_int(w, "weight") for w in weights)
-    else:
-        weights = tuple(_parse_rat(w) for w in weights)
     try:
         spec = ModuleSpec(kind, weights, level, depth, width)
     except DomainError as exc:
         raise ConfigError(str(exc))
     if kind == "weyl":
-        _weyl_bounds(cfg, alg, weights, built)
+        _weyl_bounds(alg, weights, built)
     return spec
+
+
+def _config_weights(cfg, alg, weights, integral):
+    """One weight per marked point, integers if `integral` (then an sl2
+    weight must be nonnegative), else rationals; checked before any
+    module is built."""
+    weights = _config_list(weights, "weights")
+    if len(weights) != cfg.n_points:
+        raise ConfigError("need one weight per marked point")
+    if not integral:
+        return tuple(_parse_rat(w) for w in weights)
+    weights = tuple(_parse_int(w, "weight") for w in weights)
+    if alg.kind == "sl2" and min(weights) < 0:
+        raise ConfigError("sl2 weight must be a nonnegative integer")
+    return weights
 
 
 def _slice_bound(kind, size):
@@ -221,13 +232,12 @@ def _slice_bound(kind, size):
             % (kind, size, bound, kind.upper()))
 
 
-def _weyl_bounds(cfg, alg, weights, built):
+def _weyl_bounds(alg, weights, built):
     """Refuse an sl2 weyl module before any local irrep is built: its
     degree-0 slice, the product of the w + 1, if it will be built, then
-    each weight (MAX_WEYL_WEIGHT).  Weights that inducing the module
-    rejects, a negative one or not one per point, are left to it."""
-    if alg.kind != "sl2" or len(weights) != cfg.n_points \
-            or min(weights) < 0:
+    each weight (MAX_WEYL_WEIGHT).  The weights are those of
+    `_config_weights`."""
+    if alg.kind != "sl2":
         return
     if built:
         _slice_bound("weyl", prod(w + 1 for w in weights))
@@ -454,13 +464,9 @@ def cmd_kz(args):
     weights = data.get("weights")
     if weights is None:
         raise ConfigError("weights missing")
-    weights = _config_list(weights, "weights")
-    if alg.kind == "sl2":
-        weights = tuple(_parse_int(w, "weight") for w in weights)
-    else:
-        weights = tuple(_parse_rat(w) for w in weights)
+    weights = _config_weights(cfg, alg, weights, alg.kind == "sl2")
     level = _parse_rat(data.get("level", "1"))
-    _weyl_bounds(cfg, alg, weights, True)
+    _weyl_bounds(alg, weights, True)
     system = kz_matrices(cfg, alg, weights, level)
     flat = "ok"
     if cfg.n_points >= 3 and not flatness_check(system).holds:

@@ -41,9 +41,9 @@ from .errors import DomainError
 from .exactlinalg import commutator, is_zero_matrix
 from .finite_lie import (casimir_eigenvalue, finite_irrep, omega_entries,
                          omega_matrix, tensor_dim)
-from .modules import ModuleSpec, ModuleVector, induce_module
+from .modules import ModuleSpec, induce_module
 from .ratfield import INFINITY
-from .sugawara import T_of_vectorfield, rescale_factor
+from .sugawara import apply_L_raw, rescale_factor
 
 
 def tangent_fields(cfg):
@@ -98,23 +98,36 @@ class KZSystem:
         return len(self.matrices[0]) if self.matrices else 0
 
 
-def classical_oracle_matrices(cfg, alg, weights):
-    """The matrices sum_{j != p} Omega_{pj} / (z_p - z_j), built from the
+def _sparse_oracle(cfg, alg, weights):
+    """The matrices sum_{j != p} Omega_{pj} / (z_p - z_j) as
+    {(row, column): Rat} dicts of their nonzero entries, built from the
     finite-dimensional Casimir tensor only.  The tensor is symmetric, so
     each Omega_pq is built once per unordered pair and enters M_p and M_q
     through its nonzero entries (`omega_entries`)."""
     mods = [finite_irrep(alg, w) for w in weights]
     n = cfg.n_points
-    dim = tensor_dim(mods)
-    out = [[[RAT0] * dim for _ in range(dim)] for _ in range(n)]
+    out = [{} for _ in range(n)]
     for p in range(n):
         for q in range(p + 1, n):
             entries = omega_entries(alg, mods, p, q)
             fac = RAT1 / (cfg.points[p] - cfg.points[q])
             for m, f in ((out[p], fac), (out[q], -fac)):
                 for r, s, v in entries:
-                    m[r][s] = m[r][s] + v * f
-    return out
+                    m[(r, s)] = m.get((r, s), RAT0) + v * f
+    return [{rs: v for rs, v in m.items() if v.num != 0} for m in out]
+
+
+def classical_oracle_matrices(cfg, alg, weights):
+    """The Casimir oracle of `_sparse_oracle` as dense matrices."""
+    dim = tensor_dim([finite_irrep(alg, w) for w in weights])
+    return [_dense(m, dim) for m in _sparse_oracle(cfg, alg, weights)]
+
+
+def _dense(entries, dim):
+    mat = [[RAT0] * dim for _ in range(dim)]
+    for (r, s), v in entries.items():
+        mat[r][s] = v
+    return mat
 
 
 def point_mover_linear_coefficient(cfg, p, q):
@@ -145,28 +158,31 @@ def predicted_scalar_shift(cfg, alg, weights, level, p):
     return fac * total
 
 
-def _traceless_dot(a, b):
-    """Frobenius product of the traceless parts of a and b:
+def _dot(a, b, dim):
+    """Frobenius product of the traceless parts of two sparse matrices:
     sum_ij a_ij b_ij - tr(a) tr(b) / dim, over the nonzero entries."""
-    dim = len(a)
-    dot = RAT0
-    for ra, rb in zip(a, b):
-        for x, y in zip(ra, rb):
-            if x.num != 0 and y.num != 0:
-                dot = dot + x * y
-    tra = sum((a[i][i] for i in range(dim)), RAT0)
-    trb = sum((b[i][i] for i in range(dim)), RAT0)
-    return dot - tra * trb / dim
+    if len(b) < len(a):
+        a, b = b, a
+    dot = sum((x * b[rs] for rs, x in a.items() if rs in b), RAT0)
+    return dot - _trace(a, dim) * _trace(b, dim) / dim
 
 
-def _is_scalar_matrix(m):
-    dim = len(m)
-    s = m[0][0]
-    for i in range(dim):
-        for j in range(dim):
-            want = s if i == j else RAT0
-            if m[i][j] != want:
-                return None
+def _trace(m, dim):
+    return sum((m[(i, i)] for i in range(dim) if (i, i) in m), RAT0)
+
+
+def _scalar_part(a, m, kappa, dim):
+    """s when a - kappa m = s Id, else None; reads the nonzero entries
+    of the sparse matrices a and m only."""
+    def entry(rs):
+        return a.get(rs, RAT0) - kappa * m.get(rs, RAT0)
+    s = entry((0, 0))
+    if s.num != 0 and any((i, i) not in a and (i, i) not in m
+                          for i in range(dim)):
+        return None
+    for rs in a.keys() | m.keys():
+        if entry(rs) != (s if rs[0] == rs[1] else RAT0):
+            return None
     return s
 
 
@@ -174,48 +190,50 @@ def kz_matrices(cfg, alg, weights, level, depth=None):
     """Measure the connection matrices and fit the classical form.
 
     Builds the induced module (weyl for sl2, fock for the abelian
-    algebra), applies the Sugawara operator of each point-moving field to
-    the degree-zero basis, keeps the degree-zero part of each image (its
-    coinvariant representative, `coinvariant_reduce`) and fits
+    algebra) and applies the Sugawara operator of each point-moving
+    field e_{-1,p}, -1/(level + dual Coxeter) L(-1, p), to the degree-zero
+    basis as an integer form (`apply_L_raw`).  Each column keeps the
+    degree-zero part of its image, its coinvariant representative
+    (`coinvariant_reduce`), as a sparse {(row, column): Rat} matrix, and
 
         A_p = kappa * M_p + sigma_p * Id
 
-    against the Casimir oracle matrices M_p.  Residuals must vanish
-    exactly.  `partial` is always False.  Every image is exact, so the
-    matrices have no depth; `depth` is accepted for older callers and
-    not read.
+    is fitted against the sparse Casimir oracle M_p (`_sparse_oracle`):
+    the traceless dot, the scalar test and the residual read nonzero
+    entries only.  Residuals must vanish exactly.  The dense `matrices`
+    are filled once, for output.  `partial` is always False.  Every
+    image is exact, so the matrices have no depth; `depth` is accepted
+    for older callers and not read.
     """
     level = level if isinstance(level, Rat) else Rat(level)
     kind = "fock" if alg.kind == "abelian1" else "weyl"
     spec = ModuleSpec(kind, tuple(weights), level)
     module = induce_module(alg, cfg, spec)
-    fields, meta = tangent_fields(cfg)
+    meta = tangent_fields(cfg)[1]
     fac = rescale_factor(alg, level)  # raises at the critical level
     basis = module.slice_basis(0)
     dim = len(basis)
     index = {m: i for i, m in enumerate(basis)}
-    matrices = []
-    for p, l in enumerate(fields, start=1):
-        mat = [[RAT0] * dim for _ in range(dim)]
+    measured = []
+    for p in range(1, cfg.n_points + 1):
+        mat = {}
         for col, mono in enumerate(basis):
-            w = T_of_vectorfield(module, l, ModuleVector.monomial(mono))
-            for m2, c in module.coinvariant_reduce(w).terms.items():
-                mat[index[m2]][col] = c
-        matrices.append(mat)
+            den, nums = apply_L_raw(module, (-1, p), (1, {mono: 1}))
+            for m2, x in nums.items():
+                if m2 in index:  # the degree-0 part
+                    mat[(index[m2], col)] = Rat(x * fac.num, den * fac.den)
+        measured.append(mat)
 
-    oracle = classical_oracle_matrices(cfg, alg, weights)
+    oracle = _sparse_oracle(cfg, alg, weights)
     kappa = None
-    residual_zero = True
     sign = None
-    den = RAT0
-    num = RAT0
-    for a, m in zip(matrices, oracle):
-        den = den + _traceless_dot(m, m)
-        num = num + _traceless_dot(a, m)
+    den = sum((_dot(m, m, dim) for m in oracle), RAT0)
     if den.num != 0:
+        num = sum((_dot(a, m, dim)
+                   for a, m in zip(measured, oracle)), RAT0)
         kappa = num / den
         fit_mode = "traceless"
-    elif any(any(c.num != 0 for row in m for c in row) for m in oracle):
+    elif any(oracle):
         # oracle matrices are scalar (abelian): use the structural value
         kappa = fac
         fit_mode = "scalar-oracle"
@@ -223,21 +241,15 @@ def kz_matrices(cfg, alg, weights, level, depth=None):
         fit_mode = "degenerate"
     if kappa is not None:
         sign = 1 if kappa > 0 else -1
-        residuals = [[[a[i][j] - kappa * m[i][j] for j in range(dim)]
-                      for i in range(dim)]
-                     for a, m in zip(matrices, oracle)]
-    else:
-        # fully degenerate (all-zero oracle): matrices must be scalar
-        residuals = matrices
-    shifts = []
-    for r in residuals:
-        s = _is_scalar_matrix(r)
-        residual_zero = residual_zero and s is not None
-        shifts.append(s)
+    # fully degenerate (all-zero oracle): the matrices must be scalar
+    shifts = [_scalar_part(a, m, RAT0 if kappa is None else kappa, dim)
+              for a, m in zip(measured, oracle)]
+    residual_zero = all(s is not None for s in shifts)
     meta["fit"] = fit_mode
     meta["rescale_factor"] = fac
-    return KZSystem(cfg, alg.kind, tuple(weights), level, matrices, kappa,
-                    shifts, sign, residual_zero, False, meta)
+    return KZSystem(cfg, alg.kind, tuple(weights), level,
+                    [_dense(a, dim) for a in measured], kappa, shifts,
+                    sign, residual_zero, False, meta)
 
 
 @dataclass

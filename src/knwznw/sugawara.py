@@ -43,11 +43,17 @@ c1.w's degree applied to w is L(w).  The terms of [L, c1] are merged,
 with their cancellations, into one commutator plan per (k, r, margin,
 degree, c1) (`_commutator_plan`).  Its central parts carry the level, so
 these plans are memoised per module, never on the configuration, which
-modules of several levels share.  An image applies
-each distinct operator that acts first once, and each operator that acts
-after it once to its summed argument.  Images and the commutator
-audit's difference are integer forms; Rat is built only by `apply_L`
-and for the audit's scalar and counterexample.
+modules of several levels share.
+
+Both plans are (den, ((op2, ((op1, num), ...)), ...)): integer
+numerators over one denominator per plan.  An image applies each
+distinct operator that acts first once, sums the scaled results into
+the arguments of the operators that act after it over one shared
+denominator, and sums each of those, applied once to its argument, into
+one accumulator; a denominator widens only when an action's does not
+divide it.  Images and the commutator audit's difference are integer
+forms; Rat is built only by `apply_L`, by `kz.kz_matrices` for its
+entries, and for the audit's scalar and counterexample.
 
 The rescaled operators -1/(level + dual Coxeter) L(k,r) represent the
 centrally extended vector-field algebra; the audit measures the central
@@ -57,7 +63,7 @@ scalar instead of assuming it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
 from ._kernel import RAT0, Rat, add_scaled, canonical, form, rats
@@ -128,10 +134,11 @@ def _term_plan(cfg, alg, k, r, extra_margin, dv):
     and u^i = sum_j D_ij u_j.  Its operators a = (n, p, i) and
     b = (t-n, s, j) are applied as first.(second.mono) with (first,
     second) = (a, b), or (b, a) when normal ordering swaps them.  The plan
-    is ((second, ((first, num, den), ...)), ...), every (t, n) merged, with
-    num/den the summed coefficient of the pair.  One plan per (algebra,
-    k, r, extra_margin, dv) in cfg.cache, so every monomial of degree dv
-    shares it, and its generator tuples key the module's action memo."""
+    is (den, ((second, ((first, num), ...)), ...)), every (t, n) merged,
+    with num/den the summed coefficient of the pair: one denominator for
+    the whole plan.  One plan per (algebra, k, r, extra_margin, dv) in
+    cfg.cache, so every monomial of degree dv shares it, and its
+    generator tuples key the module's action memo."""
     key = ("sugw-plan", alg.kind, k, r, extra_margin, dv)
     plan = cfg.cache.get(key)
     if plan is not None:
@@ -153,11 +160,12 @@ def _term_plan(cfg, alg, k, r, extra_margin, dv):
                             first, second = (b, a) if swap else (a, b)
                             firsts = groups.setdefault(second, {})
                             firsts[first] = firsts.get(first, RAT0) + half * d
-    plan = cfg.cache[key] = tuple(
+    den = lcm(*(v.den for firsts in groups.values() for v in firsts.values()))
+    plan = cfg.cache[key] = (den, tuple(
         (second, terms) for second, firsts in groups.items()
-        for terms in (tuple((first, v.num, v.den)
+        for terms in (tuple((first, v.num * (den // v.den))
                             for first, v in firsts.items() if v.num != 0),)
-        if terms)
+        if terms))
     return plan
 
 
@@ -193,19 +201,21 @@ def _commutator_plan(module, k, r, extra_margin, dv, c1):
     c [F S, c1] = c F [S, c1] + c [F, c1] S, with the single-generator
     brackets of `InducedModule._bracket_form`, integer forms memoised
     per (op, c1) in the module's bracket memo.  The plan is
-    ((op2, ((op1, num, den), ...)), ...), read as op1.(op2.rest); op1
-    is None for a central part, which leaves op2.rest as it is.  Every
-    pair is summed over one denominator before the plan is kept, so the
-    terms that cancel are gone, and so are the pairs whose degree alone
-    sends rest to an empty slice.  The central parts carry the level, so
-    the plans are memoised per module (`InducedModule._commutator_plans`),
+    (den, ((op2, ((op1, num), ...)), ...)), read as op1.(op2.rest) with
+    coefficient num/den; op1 is None for a central part, which leaves
+    op2.rest as it is.  Its denominator is the term plan's times the lcm
+    of the brackets' denominators, with the gcd of the whole plan divided
+    out once.  Every pair is summed before the plan is kept, so the terms
+    that cancel are gone, and so are the pairs whose degree alone sends
+    rest to an empty slice.  The central parts carry the level, so the
+    plans are memoised per module (`InducedModule._commutator_plans`),
     never on the configuration."""
     key = (k, r, extra_margin, dv, c1)
     plans = module._commutator_plans
     plan = plans.get(key)
     if plan is not None:
         return plan
-    terms = _term_plan(module.cfg, module.alg, k, r, extra_margin, dv)
+    tden, terms = _term_plan(module.cfg, module.alg, k, r, extra_margin, dv)
     # a mode-n generator maps degree d into degrees >= d + n (almost
     # grading), and slices above 0 are empty; rest has degree -top, so an
     # op2 with mode above top, or an op1 above top - op2's mode, gives 0
@@ -215,40 +225,43 @@ def _commutator_plan(module, k, r, extra_margin, dv, c1):
     for second, firsts in terms:
         forms[second] = bracket(second, c1)
         if second[0] <= top:  # [F, c1] is read only after a live second
-            for first, _n, _d in firsts:
+            for first, _num in firsts:
                 forms[first] = bracket(first, c1)
-    # one common denominator for every product of a term and a bracket
-    den = (lcm(*(d for _s, firsts in terms for _f, _n, d in firsts))
-           * lcm(*(d for d, _nums in forms.values())))
-    groups = {}  # op2 -> {op1: numerator over den}
+    # every product of a term and a bracket over tden * blcm
+    blcm = lcm(*(d for d, _nums in forms.values()))
+    groups = {}  # op2 -> {op1: numerator over tden * blcm}
     for second, firsts in terms:
         sden, snums = forms[second]
+        sf = blcm // sden
         after = groups.setdefault(second, {}) if second[0] <= top else None
-        for first, num, tden in firsts:
+        for first, num in firsts:
             # c [F, c1] S: the bracket of the first, after S
             if after is not None:
                 bden, bnums = forms[first]
-                f = num * (den // (tden * bden))
+                f = num * (blcm // bden)
                 for op1, b in bnums.items():
                     after[op1] = after.get(op1, 0) + f * b
             # c F [S, c1]: the first, after the bracket of S
-            f = num * (den // (tden * sden))
+            f = num * sf
             for op, b in snums.items():
                 op2, op1 = (first, None) if op is None else (op, first)
                 g = groups.get(op2)
                 if g is None:
                     g = groups[op2] = {}
                 g[op1] = g.get(op1, 0) + f * b
-    plan = []
-    for op2, acc in groups.items():
-        if op2[0] <= top:
-            d, nums = canonical(den, {
-                op1: x for op1, x in acc.items()
-                if op1 is None or op1[0] <= top - op2[0]})
-            if nums:
-                plan.append((op2, tuple((op1, x, d)
-                                        for op1, x in nums.items())))
-    plan = plans[key] = tuple(plan)
+    plan = tuple(
+        (op2, nums) for op2, acc in groups.items() if op2[0] <= top
+        for nums in (tuple((op1, x) for op1, x in acc.items()
+                           if x and (op1 is None
+                                     or op1[0] <= top - op2[0])),)
+        if nums)
+    den = tden * blcm
+    common = gcd(den, *(x for _op2, nums in plan for _op1, x in nums))
+    if common > 1:
+        den //= common
+        plan = tuple((op2, tuple((op1, x // common) for op1, x in nums))
+                     for op2, nums in plan)
+    plan = plans[key] = (den, plan)
     return plan
 
 
@@ -280,43 +293,77 @@ def _L_image(module, k, r, extra_margin, mono):
     each acts once; its image, scaled by each of its terms, is summed
     into the argument of the operator that acts after it, and each of
     those then acts once on its argument (None: the argument is kept as
-    it is).  Both phases sum integer numerators over one widening
-    denominator (`add_scaled`).
+    it is).  Phase 1 keeps every argument over one shared denominator,
+    the plan's (and L(rest)'s), and widens all of them only when an
+    action form's denominator does not divide it; phase 2 sums every
+    image into one accumulator the same way.  Actions are read from the
+    module's action memo first.
     """
+    memo = module._act_memo
     act = module._act_form
-    groups = {}  # operator acting last -> [den, {monomial: int}] it acts on
+    groups = {}  # operator acting last -> {monomial: int} over den
     creation = mono.creation
     if creation:
         c1 = creation[0]
         base = PBWMonomial(creation[1:], mono.vacuum)
-        plan = _commutator_plan(module, k, r, extra_margin, mono.degree, c1)
+        pden, plan = _commutator_plan(module, k, r, extra_margin,
+                                      mono.degree, c1)
         rden, rnums = _image(module, k, r, extra_margin, base)
+        den = lcm(pden, rden)
         if rnums:
-            groups[c1] = [rden, dict(rnums)]
+            f = den // rden
+            groups[c1] = {m2: f * x for m2, x in rnums.items()}
     else:
         base = mono
-        plan = _term_plan(module.cfg, module.alg, k, r, extra_margin,
-                          mono.degree)
+        pden, plan = _term_plan(module.cfg, module.alg, k, r, extra_margin,
+                                mono.degree)
+        den = pden
     for second, firsts in plan:
-        dm, mid = act(second, base)
+        hit = memo.get((second, base))
+        dm, mid = act(second, base) if hit is None else hit
         if not mid:
             continue
-        for first, num, den in firsts:
+        e = pden * dm
+        if den % e:
+            w = e // gcd(den, e)
+            for arg in groups.values():
+                for m2 in arg:
+                    arg[m2] *= w
+            den *= w
+        f = den // e
+        for first, num in firsts:
             arg = groups.get(first)
             if arg is None:
-                arg = groups[first] = [1, {}]
-            arg[0] = add_scaled(arg[0], arg[1], dm, mid, num, den)
-    den, acc = 1, {}
-    for first, (aden, arg) in groups.items():
+                arg = groups[first] = {}
+            get = arg.get
+            g = f * num
+            for m2, x in mid.items():
+                arg[m2] = get(m2, 0) + g * x
+    oden, acc = den, {}
+    get = acc.get
+    for first, arg in groups.items():
         if first is None:
-            den = add_scaled(den, acc, aden, arg, 1, 1)
+            f = oden // den
+            for m2, x in arg.items():
+                acc[m2] = get(m2, 0) + f * x
             continue
         for m2, x in arg.items():
-            if x:
-                d2, t2 = act(first, m2)
-                if t2:
-                    den = add_scaled(den, acc, d2, t2, x, aden)
-    return canonical(den, acc)
+            if not x:
+                continue
+            hit = memo.get((first, m2))
+            d2, t2 = act(first, m2) if hit is None else hit
+            if not t2:
+                continue
+            e = den * d2
+            if oden % e:
+                w = e // gcd(oden, e)
+                for m3 in acc:
+                    acc[m3] *= w
+                oden *= w
+            g = x * (oden // e)
+            for m3, y in t2.items():
+                acc[m3] = get(m3, 0) + g * y
+    return canonical(oden, acc)
 
 
 def apply_L_raw(module, idx, vec, extra_margin=0):
@@ -326,17 +373,30 @@ def apply_L_raw(module, idx, vec, extra_margin=0):
     L(k, r) is linear, so the image of each monomial is computed once per
     module and memoised under ((k, r), extra_margin, monomial) (`_image`);
     the image of vec sums the cached numerators scaled by vec's numerators
-    over one denominator.  The margin is in the key, so the
-    summation-bound audit compares two computations, never one cached
-    image with itself.  Memoised images are never mutated.
+    into one accumulator, widening its denominator only when an image's
+    does not divide it.  The margin is in the key, so the summation-bound
+    audit compares two computations, never one cached image with itself.
+    Memoised images are never mutated.
     """
     k, r = idx
     vden, terms = vec
+    memo = module._sugawara_memo
     den, acc = 1, {}
+    get = acc.get
     for mono, cm in terms.items():
-        img = _image(module, k, r, extra_margin, mono)
-        if img[1]:
-            den = add_scaled(den, acc, *img, cm, 1)
+        img = memo.get(((k, r), extra_margin, mono))
+        iden, inums = _image(module, k, r, extra_margin,
+                             mono) if img is None else img
+        if not inums:
+            continue
+        if den % iden:
+            w = iden // gcd(den, iden)
+            for m2 in acc:
+                acc[m2] *= w
+            den *= w
+        f = cm * (den // iden)
+        for m2, x in inums.items():
+            acc[m2] = get(m2, 0) + f * x
     return canonical(den * vden, acc)
 
 

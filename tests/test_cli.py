@@ -197,6 +197,21 @@ def test_non_integer_weight_exits_2(capsys, tmp_path):
         assert "weight" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("weights,message", [
+    ([1], "need one weight per marked point"),
+    ([1, 1, 1], "need one weight per marked point"),
+    ([1, -1], "sl2 weight must be a nonnegative integer")])
+def test_malformed_weights_exit_2(capsys, tmp_path, weights, message):
+    # malformed input: refused while the config is read, before any
+    # module is built
+    cfg = _write(tmp_path, "w.json", {"points": ["0", "1"],
+                                      "lie_algebra": "sl2",
+                                      "weights": weights, "depth": 2})
+    for command in ("module", "sugawara", "kz"):
+        code, out, err = run_cli([command, "--config", cfg], capsys)
+        assert (code, out, err) == (2, "", "config error: %s\n" % message)
+
+
 def test_sugawara_malformed_pairs_and_slices_exit_2(capsys, tmp_path):
     cfg = _write(tmp_path, "s.json", {
         "points": ["0"], "lie_algebra": "sl2",

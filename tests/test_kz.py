@@ -1,5 +1,7 @@
 """Formal KZ system: tangent fields, matrices, classical fit, flatness."""
 
+import random
+
 import pytest
 
 from conftest import dense_mat_mul, dense_omega_matrix
@@ -11,6 +13,8 @@ from knwznw.exactlinalg import is_zero_matrix, mat_sub
 from knwznw.finite_lie import make_algebra, tensor_dim, tensor_strides
 from knwznw.kz import (classical_oracle_matrices, flatness_check, kz_matrices,
                        predicted_scalar_shift, tangent_fields)
+from knwznw.modules import ModuleSpec, induce_module
+from knwznw.sugawara import _triple_coefficient, rescale_factor
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +145,55 @@ def test_kz_weight_two(sl2):
     cfg = Config(["0", "1"])
     system = kz_matrices(cfg, sl2, (2, 1), Rat(1), 3)
     assert system.residual_zero and abs(system.kappa) == Rat(1, 3)
+
+
+def test_matrices_match_the_zero_mode_form(sl2):
+    # on the degree-0 slice only the zero modes of L(-1, p) keep the
+    # degree, so A_p = f sum_{q,s} c_{(0,q),(0,s)}/2 D_ij X_{q,i} X_{s,j},
+    # with X_{q,i} the action of x_i at P_q on degree 0, c the Sugawara
+    # triple coefficient of L(-1, p) and f = -1/(level + 2); built from
+    # the degree-0 action alone, no Sugawara image
+    rng = random.Random(21)
+    pool = ["0", "1", "-1", "2", "1/2", "-7/3", "5"]
+    compared = 0
+    for n in (2, 3, 4):
+        for _ in range(5):
+            points = rng.sample(pool, n)
+            weights = tuple(rng.randint(0, 2) for _ in range(n))
+            level = Rat(rng.randint(1, 3))
+            system = kz_matrices(Config(points), sl2, weights, level)
+            cfg = Config(points)
+            module = induce_module(sl2, cfg, ModuleSpec("weyl", weights,
+                                                        level))
+            dim = len(module.slice_basis(0))
+            x = {}  # (q, i) -> {column: [(row, entry), ...]}
+            for q in range(1, n + 1):
+                for i in range(sl2.dim):
+                    mat = module.degree_zero_action(q, i)
+                    cols = x[(q, i)] = {}
+                    for r, row in enumerate(mat):
+                        for c, e in enumerate(row):
+                            if e.num != 0:
+                                cols.setdefault(c, []).append((r, e))
+            f = rescale_factor(sl2, level)
+            for p in range(1, n + 1):
+                want = [[RAT0] * dim for _ in range(dim)]
+                for q in range(1, n + 1):
+                    for s in range(1, n + 1):
+                        c = _triple_coefficient(cfg, -1, p, 0, q, 0, s)
+                        for i, dual in enumerate(sl2.dual_vectors):
+                            for j, d in enumerate(dual):
+                                coef = f * c * d / 2
+                                if coef.num == 0:
+                                    continue
+                                left, right = x[(q, i)], x[(s, j)]
+                                for col, entries in right.items():
+                                    for k, b in entries:
+                                        for r, a in left.get(k, ()):
+                                            want[r][col] += coef * a * b
+                assert system.matrices[p - 1] == want
+                compared += any(e.num for row in want for e in row)
+    assert compared > 30
 
 
 def test_critical_level(sl2):

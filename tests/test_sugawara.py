@@ -346,8 +346,10 @@ def test_plan_keys_keep_the_audits_non_vacuous(sl2):
     plain, wide = (plans[m] for m in margins)
 
     def terms(plan):
-        return {(second, first): (num, den)
-                for second, firsts in plan for first, num, den in firsts}
+        # each plan has its own denominator, so compare the coefficients
+        den, groups = plan
+        return {(second, first): Rat(num, den)
+                for second, firsts in groups for first, num in firsts}
 
     # the wider plan reaches modes the plain one does not
     modes = [{op[0] for pair in terms(plan) for op in pair}
