@@ -34,16 +34,21 @@ c1 (`_L_image`):
 
     L(c1.w) = c1.L(w) + [L, c1].w,
 
-with L(w) read from the image memo.  Two facts make this exact, and no
+with L(w) read from the image memo.  Three facts make this exact, and no
 Sugawara commutation theorem is used.  For each term c F S of the plan
 of c1.w's degree, [F S, c1] = F [S, c1] + [F, c1] S, with the brackets
-of single generators.  And every term of that plan that the plan of w's
+of single generators.  Every term of that plan that the plan of w's
 degree lacks annihilates w (the summation bound above), so the plan of
-c1.w's degree applied to w is L(w).  The terms of [L, c1] are merged,
-with their cancellations, into one commutator plan per (k, r, margin,
-degree, c1) (`_commutator_plan`).  Its central parts carry the level, so
-these plans are memoised per module, never on the configuration, which
-modules of several levels share.
+c1.w's degree applied to w is L(w).  And the module is a
+representation, so a product a.b of two generators with a > b is
+b.a + [a, b].  The terms of [L, c1] are merged into one commutator plan
+per (k, r, margin, degree, c1) (`_commutator_plan`), each product in
+that normal order, so a pair a.b - b.a cancels to its bracket.  On
+the modules the tests and audits build every product cancels and the
+plan is linear, as the Sugawara commutation relations predict; nothing
+relies on that.  Its central parts carry the level, so these plans are
+memoised per module, never on the configuration, which modules of
+several levels share.
 
 Both plans are (den, ((op2, ((op1, num), ...)), ...)): integer
 numerators over one denominator per plan.  An image applies each
@@ -203,13 +208,15 @@ def _commutator_plan(module, k, r, extra_margin, dv, c1):
     per (op, c1) in the module's bracket memo.  The plan is
     (den, ((op2, ((op1, num), ...)), ...)), read as op1.(op2.rest) with
     coefficient num/den; op1 is None for a central part, which leaves
-    op2.rest as it is.  Its denominator is the term plan's times the lcm
-    of the brackets' denominators, with the gcd of the whole plan divided
-    out once.  Every pair is summed before the plan is kept, so the terms
-    that cancel are gone, and so are the pairs whose degree alone sends
-    rest to an empty slice.  The central parts carry the level, so the
-    plans are memoised per module (`InducedModule._commutator_plans`),
-    never on the configuration."""
+    op2.rest as it is, and op2 is None for a scalar part, num/den times
+    rest.  Every pair is summed, the pairs whose degree alone sends rest
+    to an empty slice are dropped, and each remaining product with
+    op1 > op2 is put in normal order, op1.op2 = op2.op1 + [op1, op2], so
+    that the products which cancel are gone.  The denominator is the
+    term plan's times the lcm of the brackets' denominators, with the gcd
+    of the whole plan divided out once.  The central parts carry the
+    level, so the plans are memoised per module
+    (`InducedModule._commutator_plans`), never on the configuration."""
     key = (k, r, extra_margin, dv, c1)
     plans = module._commutator_plans
     plan = plans.get(key)
@@ -231,37 +238,76 @@ def _commutator_plan(module, k, r, extra_margin, dv, c1):
     blcm = lcm(*(d for d, _nums in forms.values()))
     groups = {}  # op2 -> {op1: numerator over tden * blcm}
     for second, firsts in terms:
-        sden, snums = forms[second]
-        sf = blcm // sden
-        after = groups.setdefault(second, {}) if second[0] <= top else None
-        for first, num in firsts:
-            # c [F, c1] S: the bracket of the first, after S
-            if after is not None:
+        if second[0] <= top:
+            # c [F, c1] S: the bracket of each first, after S
+            after = groups.get(second)
+            if after is None:
+                after = groups[second] = {}
+            for first, num in firsts:
                 bden, bnums = forms[first]
                 f = num * (blcm // bden)
                 for op1, b in bnums.items():
                     after[op1] = after.get(op1, 0) + f * b
-            # c F [S, c1]: the first, after the bracket of S
-            f = num * sf
-            for op, b in snums.items():
-                op2, op1 = (first, None) if op is None else (op, first)
-                g = groups.get(op2)
+        # c F [S, c1]: each first, after the bracket of S
+        sden, snums = forms[second]
+        sf = blcm // sden
+        for op, b in snums.items():
+            f = sf * b
+            if op is None:  # the central part leaves S's argument alone
+                for first, num in firsts:
+                    g = groups.get(first)
+                    if g is None:
+                        g = groups[first] = {}
+                    g[None] = g.get(None, 0) + num * f
+            elif op[0] <= top:
+                g = groups.get(op)
                 if g is None:
-                    g = groups[op2] = {}
-                g[op1] = g.get(op1, 0) + f * b
-    plan = tuple(
-        (op2, nums) for op2, acc in groups.items() if op2[0] <= top
-        for nums in (tuple((op1, x) for op1, x in acc.items()
-                           if x and (op1 is None
-                                     or op1[0] <= top - op2[0])),)
-        if nums)
-    den = tden * blcm
+                    g = groups[op] = {}
+                for first, num in firsts:
+                    g[first] = g.get(first, 0) + num * f
+    # keep the terms that the degrees of rest admit, each pair in normal
+    # order, the higher operator acting first: a term x a.(b.rest) with
+    # a > b is x b.(a.rest) + x [a, b].rest, so a pair a.b - b.a of the
+    # merged terms cancels to its bracket.  op2 None: rest itself
+    kept = {}  # op2 -> {op1: numerator over tden * blcm * scale}
+    swaps = []  # (a, b, x) for a term x a.(b.rest) with a > b
+    for op2, acc in groups.items():
+        room = top - op2[0]
+        if room < 0:
+            continue
+        for op1, x in acc.items():
+            if x and (op1 is None or op1[0] <= room):
+                if op1 is not None and op1 > op2:
+                    swaps.append((op1, op2, x))
+                else:
+                    kept.setdefault(op2, {})[op1] = x
+    swapped = [(a, b, x, bracket(a, b)) for a, b, x in swaps]
+    scale = lcm(*(sw[3][0] for sw in swapped))
+    if scale > 1:
+        for acc in kept.values():
+            for op1 in acc:
+                acc[op1] *= scale
+    for a, b, x, (bden, bnums) in swapped:
+        if a[0] <= top:  # b.(a.rest); a.rest is 0 above top
+            acc = kept.setdefault(a, {})
+            acc[b] = acc.get(b, 0) + x * scale
+        f = x * (scale // bden)
+        for op, c in bnums.items():
+            if op is None or op[0] <= top:
+                acc = kept.setdefault(op, {})
+                acc[None] = acc.get(None, 0) + f * c
+    plan = []
+    for op2, acc in kept.items():
+        nums = [(op1, x) for op1, x in acc.items() if x]
+        if nums:
+            plan.append((op2, tuple(nums)))
+    den = tden * blcm * scale
     common = gcd(den, *(x for _op2, nums in plan for _op1, x in nums))
     if common > 1:
         den //= common
-        plan = tuple((op2, tuple((op1, x // common) for op1, x in nums))
-                     for op2, nums in plan)
-    plan = plans[key] = (den, plan)
+        plan = [(op2, tuple([(op1, x // common) for op1, x in nums]))
+                for op2, nums in plan]
+    plan = plans[key] = (den, tuple(plan))
     return plan
 
 
@@ -290,10 +336,10 @@ def _L_image(module, k, r, extra_margin, mono):
     (`_term_plan`).
 
     Either plan lists each distinct operator that acts first once, so
-    each acts once; its image, scaled by each of its terms, is summed
-    into the argument of the operator that acts after it, and each of
-    those then acts once on its argument (None: the argument is kept as
-    it is).  Phase 1 keeps every argument over one shared denominator,
+    each acts once (None: a scalar part, rest itself); its image, scaled
+    by each of its terms, is summed into the argument of the operator
+    that acts after it, and each of those then acts once on its argument
+    (None: the argument is kept as it is).  Phase 1 keeps every argument over one shared denominator,
     the plan's (and L(rest)'s), and widens all of them only when an
     action form's denominator does not divide it; phase 2 sums every
     image into one accumulator the same way.  Actions are read from the
@@ -319,8 +365,11 @@ def _L_image(module, k, r, extra_margin, mono):
                                 mono.degree)
         den = pden
     for second, firsts in plan:
-        hit = memo.get((second, base))
-        dm, mid = act(second, base) if hit is None else hit
+        if second is None:  # a scalar part of a commutator plan
+            dm, mid = 1, {base: 1}
+        else:
+            hit = memo.get((second, base))
+            dm, mid = act(second, base) if hit is None else hit
         if not mid:
             continue
         e = pden * dm
