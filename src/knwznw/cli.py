@@ -52,10 +52,10 @@ MAX_VERMA_SLICE = 600
 # Monomials in the degree-0 slice, the product of the dimensions w + 1 of
 # the local modules, of a `weyl` module that `module --coinvariants`,
 # `--action` or `kz` builds.  At 0,1,-1 the largest accepted, (6,6,6)
-# with 343, took 6.1 s for `--coinvariants` and 0.7 s for `kz`; (4,9,7)
-# with 400 took 8.3 s for `--coinvariants`.  `kz` took 0.4 s for (3,3,3,4)
-# at 0,1,-1,2 (320 monomials), 0.3 s for (2,2,2,2,2) at five points (243)
-# and 0.7 s for (1,...,1) at eight points (256), on a 2-core x86-64 VM.
+# with 343, took 6.1 s for `--coinvariants` and 0.5 s for `kz`; (4,9,7)
+# with 400 took 8.3 s for `--coinvariants`.  `kz` took 0.5 s for (3,3,3,4)
+# at 0,1,-1,2 (320 monomials), 0.25 s for (2,2,2,2,2) at five points (243)
+# and 0.75 s for (1,...,1) at eight points (256), on a 2-core x86-64 VM.
 MAX_WEYL_SLICE = 350
 # Largest sl2 weight of a local module in a `weyl` module that any command
 # induces, so that its local module alone fits in a MAX_WEYL_SLICE slice.

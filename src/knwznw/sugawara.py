@@ -339,11 +339,11 @@ def _L_image(module, k, r, extra_margin, mono):
     each acts once (None: a scalar part, rest itself); its image, scaled
     by each of its terms, is summed into the argument of the operator
     that acts after it, and each of those then acts once on its argument
-    (None: the argument is kept as it is).  Phase 1 keeps every argument over one shared denominator,
-    the plan's (and L(rest)'s), and widens all of them only when an
-    action form's denominator does not divide it; phase 2 sums every
-    image into one accumulator the same way.  Actions are read from the
-    module's action memo first.
+    (None: the argument is kept as it is).  Phase 1 keeps every argument
+    over one shared denominator, the plan's (and L(rest)'s), and widens
+    all of them only when an action form's denominator does not divide
+    it; phase 2 sums every image into one accumulator the same way.
+    Actions are read from the module's action memo first.
     """
     memo = module._act_memo
     act = module._act_form
@@ -422,30 +422,17 @@ def apply_L_raw(module, idx, vec, extra_margin=0):
     L(k, r) is linear, so the image of each monomial is computed once per
     module and memoised under ((k, r), extra_margin, monomial) (`_image`);
     the image of vec sums the cached numerators scaled by vec's numerators
-    into one accumulator, widening its denominator only when an image's
-    does not divide it.  The margin is in the key, so the summation-bound
-    audit compares two computations, never one cached image with itself.
-    Memoised images are never mutated.
+    over one denominator.  The margin is in the key, so the
+    summation-bound audit compares two computations, never one cached
+    image with itself.  Memoised images are never mutated.
     """
     k, r = idx
     vden, terms = vec
-    memo = module._sugawara_memo
     den, acc = 1, {}
-    get = acc.get
     for mono, cm in terms.items():
-        img = memo.get(((k, r), extra_margin, mono))
-        iden, inums = _image(module, k, r, extra_margin,
-                             mono) if img is None else img
-        if not inums:
-            continue
-        if den % iden:
-            w = iden // gcd(den, iden)
-            for m2 in acc:
-                acc[m2] *= w
-            den *= w
-        f = cm * (den // iden)
-        for m2, x in inums.items():
-            acc[m2] = get(m2, 0) + f * x
+        img = _image(module, k, r, extra_margin, mono)
+        if img[1]:
+            den = add_scaled(den, acc, *img, cm, 1)
     return canonical(den * vden, acc)
 
 
