@@ -52,10 +52,12 @@ MAX_VERMA_SLICE = 600
 # Monomials in the degree-0 slice, the product of the dimensions w + 1 of
 # the local modules, of a `weyl` module that `module --coinvariants`,
 # `--action` or `kz` builds.  At 0,1,-1 the largest accepted, (6,6,6)
-# with 343, took 6.1 s for `--coinvariants` and 0.5 s for `kz`; (4,9,7)
-# with 400 took 8.3 s for `--coinvariants`.  `kz` took 0.5 s for (3,3,3,4)
-# at 0,1,-1,2 (320 monomials), 0.25 s for (2,2,2,2,2) at five points (243)
-# and 0.75 s for (1,...,1) at eight points (256), on a 2-core x86-64 VM.
+# with 343, took 0.25-0.36 s for `--coinvariants`, 0.4-0.5 s for
+# `--action` and 0.4-0.6 s for `kz` (a fresh process each, start-up
+# included); (4,9,7), with 400 over the bound, reduces in 0.05 s in
+# process.  `kz` took 0.5-0.6 s for (3,3,3,4) at 0,1,-1,2 (320
+# monomials), 0.35-0.6 s for (2,2,2,2,2) at five points (243) and
+# 0.8-1.05 s for (1,...,1) at eight points (256), on a 2-core x86-64 VM.
 MAX_WEYL_SLICE = 350
 # Largest sl2 weight of a local module in a `weyl` module that any command
 # induces, so that its local module alone fits in a MAX_WEYL_SLICE slice.
@@ -81,6 +83,11 @@ def _rat_str(x):
             "a rational in the output has more than %d digits; use marked "
             "points of smaller height or a smaller degree"
             % sys.get_int_max_str_digits()) from None
+
+
+def _matrix_json(mat):
+    """A dense matrix as rows of strings; zero entries skip `_rat_str`."""
+    return [["0" if c.num == 0 else _rat_str(c) for c in row] for row in mat]
 
 
 def _poly_json(p):
@@ -405,8 +412,7 @@ def cmd_module(args):
     if args.action:
         payload["degree0_action"] = {
             "%s(0,%d)" % (label, p):
-                [[_rat_str(c) for c in row]
-                 for row in module.degree_zero_action(p, i)]
+                _matrix_json(module.degree_zero_action(p, i))
             for p in range(1, cfg.n_points + 1)
             for i, label in enumerate(alg.labels)}
     _emit(args, payload)
@@ -436,6 +442,8 @@ def cmd_sugawara(args):
     shift = min(sum(min(0, total_degree_band(cfg, k)[0]) for k, _r in pair)
                 for pair in pairs)
     for d in window:
+        if not module.slice_dimension(d):
+            raise ConfigError("slice %d of this module is empty" % d)
         size = module.slice_dimension(d + shift)
         if size > MAX_AUDIT_MONOMIALS:
             raise ConfigError(
@@ -479,8 +487,7 @@ def cmd_kz(args):
         "kappa": None if system.kappa is None else _rat_str(system.kappa),
         "sign_convention": (None if system.sign_convention is None
                             else "%+d" % system.sign_convention),
-        "matrices": [[[_rat_str(c) for c in row] for row in m]
-                     for m in system.matrices],
+        "matrices": [_matrix_json(m) for m in system.matrices],
         "scalar_shifts": (None if system.scalar_shifts is None else
                           [None if s is None else _rat_str(s)
                            for s in system.scalar_shifts]),

@@ -1,8 +1,8 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of rows of Rat.  Everything here is textbook Gaussian
-elimination; sizes in this package stay small (tens of rows), so no
-fraction-free or modular tricks are needed.
+Dense matrices as lists of rows of Rat: `zeros` and `mat_mul` validate
+the gauge algebras; `rref` and `nullspace`, textbook Gaussian
+elimination, serve the tests.  Degree-0 operators are held sparse.
 """
 
 from ._kernel import RAT0, RAT1
@@ -10,10 +10,6 @@ from ._kernel import RAT0, RAT1
 
 def zeros(nrows, ncols):
     return [[RAT0] * ncols for _ in range(nrows)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_mul(a, b):
@@ -31,14 +27,6 @@ def mat_mul(a, b):
                     oi[j] = oi[j] + c * x
         out.append(oi)
     return out
-
-
-def commutator(a, b):
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
-def is_zero_matrix(a):
-    return all(x.num == 0 for row in a for x in row)
 
 
 def rref(rows):

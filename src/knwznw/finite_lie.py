@@ -12,15 +12,17 @@ Finite highest-weight modules act by exact matrices; for sl2 with
 dominant integral weight m the module has dimension m + 1 with the usual
 ladder action.  Each module is built and validated once per (algebra
 kind, weight); its matrices are immutable tuples, so every caller shares
-it.  The Casimir tensor Omega_pq on a tensor product is assembled from the
-nonzero entries of the factor matrices, never by dense products.
+it.  Operators on a tensor product are lists of their nonzero entries
+(row, column, value): `omega_entries` builds the Casimir tensor from the
+factor matrices', and `entry_product` multiplies two such lists.  The
+dense `factor_op` and `diagonal_action` are oracles for verify and tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._kernel import RAT0, RAT1, Rat
+from ._kernel import RAT0, RAT1, Rat, merge
 from .errors import DomainError
 from .exactlinalg import mat_mul, zeros
 from .ratfield import as_rat
@@ -236,30 +238,15 @@ def _build_irrep(alg, weight):
 
 def _validate_module(alg, mod):
     """Check [x_i, x_j] = sum_k c_k x_k for every bracket of the algebra
-    over the nonzero entries of the module's matrices: each relation is a
-    {(row, column): value} sum, and no dim x dim matrix is formed."""
-    rows = []  # rows[i][r] = [(column, value), ...], nonzero entries only
-    for m in mod.matrices:
-        by_row = {}
-        for r, c, v in _entries(m):
-            by_row.setdefault(r, []).append((c, v))
-        rows.append(by_row)
-
-    def add_product(acc, a, b, sign):
-        for r, arow in a.items():
-            for c, x in arow:
-                for c2, y in b.get(c, ()):
-                    acc[r, c2] = acc.get((r, c2), RAT0) + sign * x * y
-
+    over the nonzero entries of the module's matrices (`entry_product`):
+    no dim x dim matrix is formed."""
+    ents = [_entries(m) for m in mod.matrices]
     for (i, j), tbl in alg.bracket.items():
-        diff = {}
-        add_product(diff, rows[i], rows[j], RAT1)
-        add_product(diff, rows[j], rows[i], -RAT1)
+        diff = merge(entry_product(ents[i], ents[j]),
+                     entry_product(ents[j], ents[i]), -RAT1)
         for k, c in tbl.items():
-            for r, krow in rows[k].items():
-                for s, v in krow:
-                    diff[r, s] = diff.get((r, s), RAT0) - c * v
-        if any(v.num for v in diff.values()):
+            merge(diff, {(r, s): v for r, s, v in ents[k]}, -c)
+        if diff:
             raise DomainError("module matrices violate the bracket relations")
 
 
@@ -338,13 +325,19 @@ def omega_entries(alg, mods, p, q):
             if v.num != 0 for b in bases]
 
 
-def omega_matrix(alg, mods, p, q):
-    """Omega_pq as a dense matrix, placed from `omega_entries`."""
-    dim = tensor_dim(mods)
-    out = zeros(dim, dim)
-    for r, c, v in omega_entries(alg, mods, p, q):
-        out[r][c] = v
-    return out
+def entry_product(a, b):
+    """The product a b of two matrices given by their nonzero entries
+    (row, column, value), as a {(row, column): value} dict of its nonzero
+    entries.  A position may occur more than once in a or b; its values
+    add, so a concatenation of entry lists stands for their sum."""
+    by_row = {}
+    for r, c, v in b:
+        by_row.setdefault(r, []).append((c, v))
+    out = {}
+    for r, c, u in a:
+        for c2, v in by_row.get(c, ()):
+            out[r, c2] = out.get((r, c2), RAT0) + u * v
+    return {rc: v for rc, v in out.items() if v.num}
 
 
 def casimir_eigenvalue(alg, weight):

@@ -29,18 +29,21 @@ obey the closed formula
 with C the Casimir eigenvalues of the local modules and E_p the
 coefficient function of e_{-1,p}.  The fit reports kappa, the shifts and
 the residual, which must vanish identically.
+
+The fit and `flatness_check` read operators as their nonzero entries;
+dense `Rat` matrices are built only for output (`KZSystem.matrices`,
+`classical_oracle_matrices`, a flatness counterexample).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ._kernel import RAT0, RAT1, Rat
+from ._kernel import RAT0, RAT1, Rat, merge
 from .basis import Config, GradedElement, KNIndex, kn_basis_element
 from .errors import DomainError
-from .exactlinalg import commutator, is_zero_matrix
-from .finite_lie import (casimir_eigenvalue, finite_irrep, omega_entries,
-                         omega_matrix, tensor_dim)
+from .finite_lie import (casimir_eigenvalue, entry_product, finite_irrep,
+                         omega_entries, tensor_dim)
 from .modules import ModuleSpec, induce_module
 from .ratfield import INFINITY
 from .sugawara import apply_L_raw, rescale_factor
@@ -267,8 +270,10 @@ def flatness_check(system):
     every factor but p and q, so each relation is checked on
     V_p (x) V_q (x) V_r alone, once per weight key (w_p, w_q, w_r) with
     w_p <= w_q (the relation is symmetric in p and q), and counted once
-    per ordered triple.  A counterexample is ((p, q, r), the commutator on
-    those factors).  Disjoint pairs commute by construction.  Exact;
+    per ordered triple.  The commutator is taken on the nonzero entries
+    of the three Omegas (`omega_entries`, `entry_product`).  A
+    counterexample is ((p, q, r), the commutator on those factors as a
+    dense matrix).  Disjoint pairs commute by construction.  Exact;
     vacuous for N = 2.
     """
     cfg = system.config
@@ -293,13 +298,14 @@ def flatness_check(system):
                 lhs = local.get(key)
                 if lhs is None:
                     mods = [finite_irrep(alg, w) for w in key]
-                    pq, pr, qr = (omega_matrix(alg, mods, i, j)
+                    pq, pr, qr = (omega_entries(alg, mods, i, j)
                                   for i, j in ((0, 1), (0, 2), (1, 2)))
-                    lhs = local[key] = commutator(
-                        pq, [[x + y for x, y in zip(rx, ry)]
-                             for rx, ry in zip(pr, qr)])
+                    lhs = local[key] = merge(entry_product(pq, pr + qr),
+                                             entry_product(pr + qr, pq),
+                                             -RAT1)
                 checked += 1
-                if not is_zero_matrix(lhs):
+                if lhs:
                     return FlatnessReport(False, False, checked,
-                                          ((a, b, r), lhs))
+                                          ((a, b, r),
+                                           _dense(lhs, tensor_dim(mods))))
     return FlatnessReport(True, False, checked)

@@ -29,8 +29,9 @@ The action is computed in Python ints.  The memo of the normal ordering
 (`InducedModule._act_memo`) holds each result as a canonical integer
 form (D, {monomial: int}) of the kernel (`knwznw._kernel`, which owns
 the format and its helpers).  Rat is built only at the boundary: `act`
-and `_act_gen` convert with `rats`, and `degree_zero_action` builds one
-Rat per matrix entry.
+and `_act_gen` convert with `rats`, and `degree_zero_action`, a dense
+matrix for output, builds one Rat per entry.  The coinvariant relations
+are eliminated on sparse integer rows (`_relation_span`).
 
 Coinvariants are taken under the block algebra B: g-valued functions
 regular at infinity with poles only at the marked points.  At genus 0
@@ -43,7 +44,7 @@ needed; `degree_zero_coinvariant_dimension` gives the argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, gcd
 from typing import NamedTuple, Optional
 
 from ._kernel import (RAT0, RAT1, Rat, add_scaled, canonical, form, merge,
@@ -419,30 +420,27 @@ class InducedModule:
                 raise TruncationOverflow(lost)
         return ModuleVector(out)
 
-    def degree_zero_action(self, p, i, lost=None):
-        """Matrix of x_(0,p,i) on `slice_basis(0)`: column c holds the
-        image of the c-th basis monomial.
+    def degree_zero_action(self, p, i):
+        """Dense matrix of x_(0,p,i) on `slice_basis(0)`, for output:
+        column c holds the image of the c-th basis monomial.
 
         x_(0,p,i) changes no degree, so only a verma module's width bound
-        can push an image out of the slice.  Such an image raises
-        TruncationOverflow with the lengths of its strings past the bound;
-        given a dict `lost`, its column is left zero instead, and
-        lost[c] gets those lengths.
+        can push an image out of the slice.  Such images raise
+        TruncationOverflow with the lengths of their strings past it.
         """
         basis0 = self.slice_basis(0)
         index = {m: r for r, m in enumerate(basis0)}
         mat = [[RAT0] * len(basis0) for _ in basis0]
-        out = {} if lost is None else lost
+        lost = set()
         for col, mono in enumerate(basis0):
             den, image = self._act_form((0, p, i), mono)
-            widths = {len(m2.creation) for m2 in image if m2 not in index}
-            if widths:
-                out.setdefault(col, set()).update(widths)
-                continue
             for m2, x in image.items():
-                mat[index[m2]][col] = Rat(x, den)
-        if lost is None and out:
-            raise TruncationOverflow(lost_widths=set().union(*out.values()))
+                if m2 in index:
+                    mat[index[m2]][col] = Rat(x, den)
+                else:
+                    lost.add(len(m2.creation))
+        if lost:
+            raise TruncationOverflow(lost_widths=lost)
         return mat
 
     # -- coinvariants ----------------------------------------------------
@@ -492,43 +490,48 @@ def degree_zero_coinvariant_dimension(module):
 
 def _relation_span(module):
     """Echelon rows spanning the relations of x (x) 1 on the degree-0
-    slice, as {leading column: row}, rows as lists over `slice_basis(0)`.
+    slice, as {leading column: row}, each row the {column: int} dict of
+    its nonzero entries over `slice_basis(0)`, with content gcd 1.
 
-    x (x) 1 = sum_p x (x) A_{0,p}, so the relations of x_i (x) 1 are the
-    columns of the sum over p of `degree_zero_action(p, i)`.  Stops as soon
-    as the span fills the slice.  A relation that reaches a degree-0 string
-    longer than a verma module's width bound is left out: that cannot
-    shrink a full span, but a span that stays short raises
+    x (x) 1 = sum_p x (x) A_{0,p}, so the relation of x_i (x) 1 on a basis
+    monomial is the sum over p of `_act_form((0, p, i), mono)`, without
+    its denominator.  Elimination is fraction-free, and dividing out each
+    row's content after every step keeps its integers small.  Stops as
+    soon as the span fills the slice.  A relation that reaches a degree-0
+    string longer than a verma module's width bound is left out: that
+    cannot shrink a full span, but a span that stays short raises
     TruncationOverflow, because the dimension would then be inflated.
     """
-    dim0 = len(module.slice_basis(0))
+    basis0 = module.slice_basis(0)
+    index = {m: c for c, m in enumerate(basis0)}
     pivots = {}  # leading column -> reduced row
     lost_widths = set()
-
-    def insert(row):
-        for c in range(dim0):
-            if row[c].num == 0:
-                continue
-            piv = pivots.get(c)
-            if piv is None:
-                inv = RAT1 / row[c]
-                pivots[c] = [x * inv for x in row]
-                return True
-            f = row[c]
-            row = [x - f * y for x, y in zip(row, piv)]
-        return False
-
     for i in range(module.alg.dim):
-        lost = {}
-        mats = [module.degree_zero_action(p, i, lost)
-                for p in range(1, module.cfg.n_points + 1)]
-        for col in range(dim0):
-            if col in lost:
-                lost_widths.update(lost[col])
+        for mono in basis0:
+            den, acc = 1, {}
+            for p in range(1, module.cfg.n_points + 1):
+                den = add_scaled(den, acc, *module._act_form((0, p, i), mono),
+                                 1, 1)
+            # add_scaled keeps every key it saw, zero or not
+            lost = {len(m.creation) for m in acc if m not in index}
+            if lost:
+                lost_widths |= lost
                 continue
-            row = [sum((m[r][col] for m in mats), RAT0) for r in range(dim0)]
-            if insert(row) and len(pivots) == dim0:
-                return pivots
+            row = {index[m]: x for m, x in acc.items() if x}
+            while row:
+                g = gcd(*row.values())
+                row = {c: x // g for c, x in row.items()}
+                lead = min(row)
+                piv = pivots.get(lead)
+                if piv is None:
+                    pivots[lead] = row
+                    if len(pivots) == len(basis0):
+                        return pivots
+                    break
+                a, b = piv[lead], row[lead]
+                row = {c: a * row.get(c, 0) - b * piv.get(c, 0)
+                       for c in row.keys() | piv.keys()}
+                row = {c: x for c, x in row.items() if x}
     if lost_widths:
         raise TruncationOverflow(lost_widths=lost_widths)
     return pivots

@@ -490,11 +490,12 @@ def sugawara_commutator_audit(cfg, alg, module, pairs, window):
     slice (zero when the slices do not match); the common scalar and its
     ratio to the zero-connection cocycle are reported.  Every image is
     exact, so any slice d <= 0 may be audited, whatever the module depth;
-    a slice d > 0 is empty and raises DomainError.
+    an empty slice (any d > 0) has no scalar to measure: DomainError.
     """
     for d in window:
-        if d > 0:
-            raise DomainError("window slice %d is empty; need d <= 0" % d)
+        if not module.slice_dimension(d):
+            raise DomainError("window slice %d is empty; it holds no "
+                              "monomial" % d)
     fac = rescale_factor(alg, module.level)
     f2 = fac * fac
     results = []
@@ -528,7 +529,7 @@ def sugawara_commutator_audit(cfg, alg, module, pairs, window):
                     is_scalar = False
                     counterexample = (d, mono, ModuleVector(rats(den, diff)))
                     break
-            per_slice[d] = sigma if sigma is not None else RAT0
+            per_slice[d] = sigma
             if not is_scalar:
                 break
         scalars = set(per_slice.values())

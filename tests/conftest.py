@@ -31,7 +31,7 @@ def form_of(points, q, k):
 
 def dense_mat_mul(a, b):
     """The textbook triple loop over every entry of b, kept as the oracle
-    of the sparse `mat_mul`."""
+    of the sparse `mat_mul` and `entry_product`."""
     n, k = len(a), len(b)
     m = len(b[0]) if b else 0
     out = zeros(n, m)
@@ -48,9 +48,32 @@ def dense_mat_mul(a, b):
     return out
 
 
+def mat_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def dense_commutator(a, b):
+    return mat_sub(dense_mat_mul(a, b), dense_mat_mul(b, a))
+
+
+def is_zero_matrix(a):
+    return all(x.num == 0 for row in a for x in row)
+
+
+def place(entries, dim):
+    """The dim x dim matrix of a list of nonzero entries (row, column,
+    value) or of a {(row, column): value} dict."""
+    if isinstance(entries, dict):
+        entries = [(r, c, v) for (r, c), v in entries.items()]
+    out = zeros(dim, dim)
+    for r, c, v in entries:
+        out[r][c] = v
+    return out
+
+
 def dense_omega_matrix(alg, mods, p, q):
     """Omega_pq = sum_i x_i^(p) u^i^(q) as dense products of factor_op
-    matrices, kept as the oracle of the sparse `omega_matrix`."""
+    matrices, kept as the oracle of the sparse `omega_entries`."""
     dim = tensor_dim(mods)
     out = zeros(dim, dim)
     for i, dual in casimir_pairs(alg):

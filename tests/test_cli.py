@@ -1,5 +1,6 @@
 """CLI: JSON output, determinism, exit codes."""
 
+import hashlib
 import io
 import json
 import sys
@@ -537,3 +538,72 @@ def test_action_past_the_width_bound_exits_1(capsys, tmp_path):
     code, out, err = run_cli(["module", "--action", "--config", cfg], capsys)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "string lengths [4]" in err, err
+
+
+EMPTY_SLICES = {"points": ["0", "1"],
+                "module": {"kind": "verma", "weights": ["1", "1"],
+                           "width": 0, "depth": 2}}
+
+
+@pytest.mark.parametrize("slices,empty", [("-1,-2", -1), ("0,-1", -1),
+                                          ("0,-2", -2)])
+def test_sugawara_refuses_an_empty_slice(capsys, tmp_path, slices, empty):
+    # at width 0 only the vacuum is left: slices -1 and -2 hold no
+    # monomial, so they have no scalar to measure
+    cfg = _write(tmp_path, "e.json", EMPTY_SLICES)
+    _rejected(["sugawara", "--config", cfg, "--pairs", "2,1,-2,1",
+               "--slices=" + slices], capsys,
+              "slice %d of this module is empty" % empty)
+    code, out, err = run_cli(["sugawara", "--config", cfg, "--pairs",
+                              "2,1,-2,1", "--slices=0"], capsys)
+    assert code == 0 and err == ""
+    assert json.loads(out)["entries"][0]["is_scalar"] is True
+
+
+# The sha256 of the stdout of representative commands, each taken before
+# the degree-0 operators went sparse; the JSON bytes must not change.
+GOLDEN_CONFIGS = {
+    "kz111": {"points": ["0", "1", "-1"], "weights": [1, 1, 1],
+              "level": "1"},
+    "weyl": {"points": ["0", "1", "-1"],
+             "module": {"kind": "weyl", "weights": [1, 1, 2], "level": "1",
+                        "depth": 2}},
+    "verma": {"points": ["0", "1"],
+              "module": {"kind": "verma", "weights": ["1", "1/2"],
+                         "level": "1", "width": 2, "depth": 2}},
+    "sug": {"points": ["0", "1"], "weights": [1, 1], "level": "1"},
+}
+GOLDEN = [
+    (["verify", "--suite", "all"], None,
+     "66642b94bd74caa03a945eb6fc71f2e4e40208f528a33b2c7a1d448f1805e3de"),
+    (["kz"], "kz111",
+     "5c55cb9143c85d84c6b06221da6631b898101d3d2ddbb8d08440011ac6e2cce7"),
+    (["module", "--coinvariants", "--action"], "weyl",
+     "2b46cc62874ba2a6f28a234f91abfb5882ce62ec593221fa6f357c8bbbc0fbc6"),
+    (["module", "--coinvariants"], "verma",
+     "5b399f3e60f636628d0c7853b46da1f3bfdb82aca3c1d127010ec8706227a7ef"),
+    (["sugawara"], "sug",
+     "602c3cfedeada210cc22b9deb1a33c581609dc9cb15153d1fc36341fffc414ad"),
+]
+
+
+@pytest.mark.parametrize("argv,config,digest", GOLDEN,
+                         ids=[" ".join(g[0]) + (" " + g[1] if g[1] else "")
+                              for g in GOLDEN])
+def test_stdout_matches_its_golden_digest(capsys, tmp_path, argv, config,
+                                          digest):
+    if config is not None:
+        argv = argv + ["--config", _write(tmp_path, config + ".json",
+                                          GOLDEN_CONFIGS[config])]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and err == "", err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verma_action_keeps_its_error(capsys, tmp_path):
+    # any degree-0 action of a verma module lengthens its longest strings
+    cfg = _write(tmp_path, "v.json", GOLDEN_CONFIGS["verma"])
+    code, out, err = run_cli(["module", "--coinvariants", "--action",
+                              "--config", cfg], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: truncation overflow: lost string lengths [3]\n"

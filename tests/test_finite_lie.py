@@ -4,16 +4,21 @@ import random
 
 import pytest
 
-from conftest import dense_mat_mul, dense_omega_matrix
+from conftest import (dense_commutator, dense_mat_mul, dense_omega_matrix,
+                      is_zero_matrix, place)
 from knwznw import Rat
 from knwznw._kernel import RAT0, RAT1
 from knwznw.errors import DomainError
-from knwznw.exactlinalg import commutator, is_zero_matrix, mat_mul
+from knwznw.exactlinalg import mat_mul
 from knwznw.finite_lie import (FiniteModule, _validate_module,
                                casimir_eigenvalue, casimir_pairs,
-                               diagonal_action, finite_irrep, make_algebra,
-                               omega_entries, omega_matrix, tensor_dim)
+                               diagonal_action, entry_product, finite_irrep,
+                               make_algebra, omega_entries, tensor_dim)
 
+
+def omega_placed(alg, mods, p, q):
+    """Omega_pq placed densely from its nonzero entries."""
+    return place(omega_entries(alg, mods, p, q), tensor_dim(mods))
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +75,7 @@ def test_irrep_brackets_exact(sl2):
     for lam in (0, 1, 2, 3):
         mod = finite_irrep(sl2, lam)
         E, H, F = (list(map(list, m)) for m in mod.matrices)
-        hh = commutator(E, F)
+        hh = dense_commutator(E, F)
         for r in range(mod.dim):
             for s in range(mod.dim):
                 assert hh[r][s] == H[r][s]
@@ -81,7 +86,7 @@ def dense_bracket_relations_hold(alg, mats):
     `_validate_module` made before it read the nonzero entries only."""
     dim = len(mats[0])
     for (i, j), tbl in alg.bracket.items():
-        lhs = commutator(mats[i], mats[j])
+        lhs = dense_commutator(mats[i], mats[j])
         for r in range(dim):
             for s in range(dim):
                 rhs = sum((c * mats[k][r][s] for k, c in tbl.items()), RAT0)
@@ -137,13 +142,13 @@ def test_casimir_eigenvalues(sl2, ab):
 
 def test_omega_abelian(ab):
     m = finite_irrep(ab, Rat(2))
-    om = omega_matrix(ab, [m, m], 0, 1)
+    om = omega_placed(ab, [m, m], 0, 1)
     assert om == [[Rat(4)]]
 
 
 def test_omega_eigenvalues(sl2):
     v1 = finite_irrep(sl2, 1)
-    om = omega_matrix(sl2, [v1, v1], 0, 1)
+    om = omega_placed(sl2, [v1, v1], 0, 1)
     # triplet highest vector v0 x v0 (column 0): eigenvalue 1/2
     col0 = [om[r][0] for r in range(4)]
     assert col0 == [Rat(1, 2), Rat(0), Rat(0), Rat(0)]
@@ -158,19 +163,19 @@ def test_omega_invariance(sl2):
     v1 = finite_irrep(sl2, 1)
     v2 = finite_irrep(sl2, 2)
     mods = [v1, v2]
-    om = omega_matrix(sl2, mods, 0, 1)
+    om = omega_placed(sl2, mods, 0, 1)
     for i in range(3):
         xv = [Rat(0)] * 3
         xv[i] = Rat(1)
         D = diagonal_action(sl2, mods, xv)
-        assert is_zero_matrix(commutator(om, D))
+        assert is_zero_matrix(dense_commutator(om, D))
 
 
 def test_omega_is_symmetric(sl2):
     # the Casimir tensor is symmetric: Omega_qp = Omega_pq
     mods = [finite_irrep(sl2, w) for w in (1, 2, 1)]
     for p, q in ((0, 1), (0, 2), (1, 2)):
-        assert omega_matrix(sl2, mods, p, q) == omega_matrix(sl2, mods, q, p)
+        assert omega_placed(sl2, mods, p, q) == omega_placed(sl2, mods, q, p)
 
 
 def test_sparse_omega_matches_the_dense_oracle(sl2, ab):
@@ -182,7 +187,7 @@ def test_sparse_omega_matches_the_dense_oracle(sl2, ab):
             for q in range(len(mods)):
                 if p != q:
                     dense = dense_omega_matrix(alg, mods, p, q)
-                    assert omega_matrix(alg, mods, p, q) == dense
+                    assert omega_placed(alg, mods, p, q) == dense
                     # the entries are exactly the nonzero ones, each once
                     assert sorted(omega_entries(alg, mods, p, q)) == [
                         (r, c, v) for r, row in enumerate(dense)
@@ -203,6 +208,47 @@ def test_sparse_mat_mul_matches_the_dense_oracle():
         a, b = sparse(n, k, density), sparse(k, m, rng.random())
         assert mat_mul(a, b) == dense_mat_mul(a, b)
     assert mat_mul([], []) == dense_mat_mul([], []) == []
+
+
+def test_entry_product_matches_the_dense_oracle():
+    rng = random.Random(22)
+
+    def sparse(rows, cols, density):
+        return [[Rat(rng.randint(-9, 9), rng.randint(1, 4))
+                 if rng.random() < density else RAT0
+                 for _ in range(cols)] for _ in range(rows)]
+
+    def entries(mat):
+        return [(r, c, v) for r, row in enumerate(mat)
+                for c, v in enumerate(row) if v.num != 0]
+
+    def dense(prod, rows, cols):
+        out = [[RAT0] * cols for _ in range(rows)]
+        for (r, c), v in prod.items():
+            out[r][c] = v
+        return out
+
+    cancelled = 0
+    for _ in range(80):
+        n, k, m = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 7)
+        a = sparse(n, k, rng.choice((0.0, 0.15, 0.4, 1.0)))
+        b = sparse(k, m, rng.random())
+        got = entry_product(entries(a), entries(b))
+        assert all(v.num != 0 for v in got.values())
+        assert dense(got, n, m) == dense_mat_mul(a, b)
+        # a repeated position adds: the entries of a and of -a cancel
+        neg = [(r, c, -v) for r, c, v in entries(a)]
+        assert entry_product(entries(a) + neg, entries(b)) == {}
+        # a product that cancels to zero: b's columns lie in the kernel of
+        # c = (u, -u) placed over two copies of b
+        u = sparse(n, k, 1.0)
+        c = [ru + [-x for x in ru] for ru in u]
+        bb = b + b
+        zero = entry_product(entries(c), entries(bb))
+        assert zero == {} and is_zero_matrix(dense_mat_mul(c, bb))
+        cancelled += any(v.num for row in dense_mat_mul(u, b) for v in row)
+    assert cancelled > 20
+    assert entry_product([], [(0, 0, RAT1)]) == {}
 
 
 def test_irreps_are_built_once(sl2, ab):

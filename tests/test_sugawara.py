@@ -191,6 +191,22 @@ def test_audit_is_exact_below_the_depth(cfg1, ab):
         sugawara_commutator_audit(cfg1, ab, fock, [((2, 1), (-2, 1))], [1])
 
 
+def test_audit_refuses_an_empty_slice(sl2):
+    # a width-0 verma module holds the vacuum alone: slices -1 and -2 are
+    # empty, and an empty slice is no measured scalar 0
+    cfg = Config(["0", "1"])
+    module = induce_module(sl2, cfg, ModuleSpec("verma", (Rat(1), Rat(1)),
+                                                Rat(1), 2, 0))
+    assert module.slice_dimension(-1) == module.slice_dimension(-2) == 0
+    for window in ([-1, -2], [0, -1], [0, -2]):
+        with pytest.raises(DomainError, match="slice -[12] is empty"):
+            sugawara_commutator_audit(cfg, sl2, module, [((2, 1), (-2, 1))],
+                                      window)
+    res = sugawara_commutator_audit(cfg, sl2, module, [((2, 1), (-2, 1))],
+                                    [0])
+    assert res[0].is_scalar and res[0].per_slice == {0: res[0].scalar}
+
+
 def test_audit_multipoint(cfg2, sl2):
     module = induce_module(sl2, cfg2, ModuleSpec("weyl", (1, 1), Rat(1), 4))
     pairs = [((1, 1), (-1, 2)), ((0, 1), (0, 2))]
