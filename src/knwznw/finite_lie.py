@@ -14,8 +14,9 @@ ladder action.  Each module is built and validated once per (algebra
 kind, weight); its matrices are immutable tuples, so every caller shares
 it.  Operators on a tensor product are lists of their nonzero entries
 (row, column, value): `omega_entries` builds the Casimir tensor from the
-factor matrices', and `entry_product` multiplies two such lists.  The
-dense `factor_op` and `diagonal_action` are oracles for verify and tests.
+nonzero entries of the factor matrices, and `entry_product` multiplies
+two such lists.  The dense `factor_op` and `diagonal_action` are oracles
+for verify and the tests.
 """
 
 from __future__ import annotations

@@ -60,12 +60,12 @@ def is_zero_matrix(a):
     return all(x.num == 0 for row in a for x in row)
 
 
-def place(entries, dim):
-    """The dim x dim matrix of a list of nonzero entries (row, column,
+def place(entries, nrows, ncols):
+    """The nrows x ncols matrix of a list of nonzero entries (row, column,
     value) or of a {(row, column): value} dict."""
     if isinstance(entries, dict):
         entries = [(r, c, v) for (r, c), v in entries.items()]
-    out = zeros(dim, dim)
+    out = zeros(nrows, ncols)
     for r, c, v in entries:
         out[r][c] = v
     return out

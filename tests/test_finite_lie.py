@@ -10,7 +10,7 @@ from knwznw import Rat
 from knwznw._kernel import RAT0, RAT1
 from knwznw.errors import DomainError
 from knwznw.exactlinalg import mat_mul
-from knwznw.finite_lie import (FiniteModule, _validate_module,
+from knwznw.finite_lie import (FiniteModule, _entries, _validate_module,
                                casimir_eigenvalue, casimir_pairs,
                                diagonal_action, entry_product, finite_irrep,
                                make_algebra, omega_entries, tensor_dim)
@@ -18,7 +18,8 @@ from knwznw.finite_lie import (FiniteModule, _validate_module,
 
 def omega_placed(alg, mods, p, q):
     """Omega_pq placed densely from its nonzero entries."""
-    return place(omega_entries(alg, mods, p, q), tensor_dim(mods))
+    dim = tensor_dim(mods)
+    return place(omega_entries(alg, mods, p, q), dim, dim)
 
 
 @pytest.fixture(scope="module")
@@ -218,33 +219,23 @@ def test_entry_product_matches_the_dense_oracle():
                  if rng.random() < density else RAT0
                  for _ in range(cols)] for _ in range(rows)]
 
-    def entries(mat):
-        return [(r, c, v) for r, row in enumerate(mat)
-                for c, v in enumerate(row) if v.num != 0]
-
-    def dense(prod, rows, cols):
-        out = [[RAT0] * cols for _ in range(rows)]
-        for (r, c), v in prod.items():
-            out[r][c] = v
-        return out
-
     cancelled = 0
     for _ in range(80):
         n, k, m = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 7)
         a = sparse(n, k, rng.choice((0.0, 0.15, 0.4, 1.0)))
         b = sparse(k, m, rng.random())
-        got = entry_product(entries(a), entries(b))
+        got = entry_product(_entries(a), _entries(b))
         assert all(v.num != 0 for v in got.values())
-        assert dense(got, n, m) == dense_mat_mul(a, b)
+        assert place(got, n, m) == dense_mat_mul(a, b)
         # a repeated position adds: the entries of a and of -a cancel
-        neg = [(r, c, -v) for r, c, v in entries(a)]
-        assert entry_product(entries(a) + neg, entries(b)) == {}
-        # a product that cancels to zero: b's columns lie in the kernel of
-        # c = (u, -u) placed over two copies of b
+        neg = [(r, c, -v) for r, c, v in _entries(a)]
+        assert entry_product(_entries(a) + neg, _entries(b)) == {}
+        # a product whose nonzero terms cancel: (u | -u) times b stacked
+        # over b is u b - u b = 0, with u b nonzero in most cases
         u = sparse(n, k, 1.0)
         c = [ru + [-x for x in ru] for ru in u]
         bb = b + b
-        zero = entry_product(entries(c), entries(bb))
+        zero = entry_product(_entries(c), _entries(bb))
         assert zero == {} and is_zero_matrix(dense_mat_mul(c, bb))
         cancelled += any(v.num for row in dense_mat_mul(u, b) for v in row)
     assert cancelled > 20
