@@ -48,12 +48,9 @@ def dense_mat_mul(a, b):
     return out
 
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def dense_commutator(a, b):
-    return mat_sub(dense_mat_mul(a, b), dense_mat_mul(b, a))
+    return [[x - y for x, y in zip(ra, rb)]
+            for ra, rb in zip(dense_mat_mul(a, b), dense_mat_mul(b, a))]
 
 
 def is_zero_matrix(a):
