@@ -101,15 +101,9 @@ def affine_bracket(cfg, alg, x, y):
             tbl = alg.bracket.get((i, j))
             if tbl:
                 den, prod = _unit_product(cfg, (0, 0), (n, p), (m, r))
-                cd = Rat(c.num, c.den * den)
-                for (h, s), fn in prod.items():
-                    for k, sc in tbl.items():
-                        key = (k, h, s)
-                        w = loop.get(key, RAT0) + cd * sc * fn
-                        if w.num == 0:
-                            loop.pop(key, None)
-                        else:
-                            loop[key] = w
+                merge(loop, {(k, h, s): sc * fn for (h, s), fn in prod.items()
+                             for k, sc in tbl.items()},
+                      Rat(c.num, c.den * den))
             fij = alg.form[i][j]
             if fij.num != 0:
                 g = _unit_gamma(cfg, (n, p), (m, r))

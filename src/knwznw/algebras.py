@@ -346,6 +346,7 @@ class AlmostGradingReport:
 
 
 def _pairs(cfg, window):
+    """The unit pairs (n, p, m, r) of a window, n outermost, then m, p, r."""
     lo, hi = window
     for n in range(lo, hi + 1):
         for m in range(lo, hi + 1):

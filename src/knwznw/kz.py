@@ -112,12 +112,12 @@ def _sparse_oracle(cfg, alg, weights):
     out = [{} for _ in range(n)]
     for p in range(n):
         for q in range(p + 1, n):
-            entries = omega_entries(alg, mods, p, q)
+            entries = {(r, s): v
+                       for r, s, v in omega_entries(alg, mods, p, q)}
             fac = RAT1 / (cfg.points[p] - cfg.points[q])
-            for m, f in ((out[p], fac), (out[q], -fac)):
-                for r, s, v in entries:
-                    m[(r, s)] = m.get((r, s), RAT0) + v * f
-    return [{rs: v for rs, v in m.items() if v.num != 0} for m in out]
+            merge(out[p], entries, fac)
+            merge(out[q], entries, -fac)
+    return out
 
 
 def classical_oracle_matrices(cfg, alg, weights):

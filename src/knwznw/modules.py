@@ -8,9 +8,10 @@ Three induction kinds share one engine:
          Graded slices are finite dimensional.
   verma: induced from the one-dimensional Borel module; the lowering part
          of the degree-zero subalgebra acts freely, so creation strings
-         carry degree-zero entries and a width bound is required.
-  fock:  the abelian special case of weyl (one-dimensional vacuum, any
-         rational weights).
+         carry degree-zero entries and a width bound is required; the
+         other kinds refuse one.
+  fock:  weyl over the abelian algebra, on the weyl engine: any rational
+         weight w has the one-dimensional irrep `finite_irrep(abelian1, w)`.
 
 Vectors are exact linear combinations of PBW monomials: creation entries
 (n, p, i) sorted ascending (most negative degree first, then point index,
@@ -44,7 +45,7 @@ needed; `degree_zero_coinvariant_dimension` gives the argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, gcd
+from math import comb, gcd, prod
 from typing import NamedTuple, Optional
 
 from ._kernel import (RAT0, RAT1, Rat, add_scaled, canonical, form, merge,
@@ -73,6 +74,8 @@ class ModuleSpec:
             raise DomainError("depth bound must be >= 0")
         if self.kind == "verma" and self.width is None:
             raise DomainError("verma induction requires a width bound")
+        if self.kind != "verma" and self.width is not None:
+            raise DomainError("a width bound applies to verma modules only")
 
 
 class PBWMonomial(NamedTuple):
@@ -147,23 +150,16 @@ class InducedModule:
         n = cfg.n_points
         if len(spec.weights) != n:
             raise DomainError("need one weight per marked point")
-        if spec.kind == "fock":
-            if alg.kind != "abelian1":
-                raise DomainError("fock induction requires the abelian algebra")
+        if spec.kind == "fock" and alg.kind != "abelian1":
+            raise DomainError("fock induction requires the abelian algebra")
+        if spec.kind == "verma":
             self.factors = None
             self.vac_dim = 1
-            self.weights = tuple(as_rat(w) for w in spec.weights)
-        elif spec.kind == "weyl":
+        else:  # weyl, and fock: weyl over abelian1's one-dimensional irreps
             self.factors = tuple(finite_irrep(alg, w) for w in spec.weights)
-            self.vac_dim = 1
-            for f in self.factors:
-                self.vac_dim *= f.dim
+            self.vac_dim = prod(f.dim for f in self.factors)
             self.strides = tensor_strides(self.factors)
-            self.weights = tuple(spec.weights)
-        else:  # verma
-            self.factors = None
-            self.vac_dim = 1
-            self.weights = tuple(as_rat(w) for w in spec.weights)
+        self.weights = tuple(as_rat(w) for w in spec.weights)
         self._act_memo = {}
         self._bracket_memo = {}
         self._slice_memo = {}
@@ -207,7 +203,9 @@ class InducedModule:
         return out
 
     def _strings(self, keys, target, width):
-        """Sorted creation strings with total degree == target."""
+        """Sorted creation strings of total degree target, at most `width`
+        entries long.  Degree-zero keys (verma) come last in `keys`, so
+        they extend a string only once its degree is reached."""
         out = []
 
         def rec(pos, remaining, current):
@@ -215,39 +213,19 @@ class InducedModule:
                 return
             if remaining == 0:
                 out.append(tuple(current))
-                if self.spec.kind == "verma":
-                    # extend with degree-zero entries up to the width bound
-                    for idx in range(max(pos, self._first_zero(keys)),
-                                     len(keys)):
-                        k = keys[idx]
-                        if k[0] != 0:
-                            continue
-                        if width is not None and len(current) + 1 > width:
-                            break
-                        current.append(k)
-                        rec(idx, 0, current)
-                        current.pop()
-                return
             for idx in range(pos, len(keys)):
                 k = keys[idx]
                 n = k[0]
-                if n == 0:
-                    break
                 if remaining - n > 0:
                     continue
+                if n == 0 and remaining:
+                    break
                 current.append(k)
                 rec(idx, remaining - n, current)
                 current.pop()
 
         rec(0, target, [])
         return out
-
-    @staticmethod
-    def _first_zero(keys):
-        for idx, k in enumerate(keys):
-            if k[0] == 0:
-                return idx
-        return len(keys)
 
     def slice_dimension(self, d):
         """Dimension of the degree-d slice, counted without building it.
@@ -324,12 +302,7 @@ class InducedModule:
         if n <= -1:
             return {PBWMonomial((gen,), vac): RAT1}
         # degree zero
-        if self.spec.kind == "fock":
-            w = self.weights[p - 1]
-            if w.num == 0:
-                return {}
-            return {PBWMonomial((), vac): w}
-        if self.spec.kind == "weyl":
+        if self.spec.kind != "verma":
             mod = self.factors[p - 1]
             sp = self.strides[p - 1]
             jp = (vac // sp) % mod.dim

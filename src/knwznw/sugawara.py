@@ -52,13 +52,14 @@ several levels share.
 
 Both plans are (den, ((op2, ((op1, num), ...)), ...)): integer
 numerators over one denominator per plan.  An image applies each
-distinct operator that acts first once, sums the scaled results into
-the arguments of the operators that act after it over one shared
-denominator, and sums each of those, applied once to its argument, into
-one accumulator; a denominator widens only when an action's does not
-divide it.  Images and the commutator audit's difference are integer
-forms; Rat is built only by `apply_L`, by `kz.kz_matrices` for its
-entries, and for the audit's scalar and counterexample.
+distinct operator that acts first once and sums the scaled results into
+the arguments of the operators that act after it, each argument an
+integer form of its own; it then applies each of those operators once
+to its argument and sums the results into one accumulator.  Every sum
+is the kernel's `add_scaled`.  Images and the commutator audit's
+difference are integer forms; Rat is built only by `apply_L`, by
+`kz.kz_matrices` for its entries, and for the audit's scalar and
+counterexample.
 
 The rescaled operators -1/(level + dual Coxeter) L(k,r) represent the
 centrally extended vector-field algebra; the audit measures the central
@@ -328,7 +329,7 @@ def _L_image(module, k, r, extra_margin, mono):
 
     A monomial c1.rest with a creation entry c1 is computed as
     c1.L(rest) + [L(k, r), c1].rest: L(rest) is read from the image memo
-    and summed into the argument of c1, and the commutator plan of c1 at
+    and becomes the argument of c1, and the commutator plan of c1 at
     mono's degree (`_commutator_plan`) acts on rest.  The terms of
     L(k, r) that the degree of mono admits beyond those of rest's degree
     annihilate rest (the summation bound), so c1.L(rest) is exact.  A
@@ -336,18 +337,17 @@ def _L_image(module, k, r, extra_margin, mono):
     (`_term_plan`).
 
     Either plan lists each distinct operator that acts first once, so
-    each acts once (None: a scalar part, rest itself); its image, scaled
-    by each of its terms, is summed into the argument of the operator
-    that acts after it, and each of those then acts once on its argument
-    (None: the argument is kept as it is).  Phase 1 keeps every argument
-    over one shared denominator, the plan's (and L(rest)'s), and widens
-    all of them only when an action form's denominator does not divide
-    it; phase 2 sums every image into one accumulator the same way.
-    Actions are read from the module's action memo first.
+    each acts once (None: a scalar part, rest itself).  Its image, scaled
+    by each of its terms, is summed with `add_scaled` into the argument
+    of the operator that acts after it, an integer form
+    [den, {monomial: int}] of its own; then each of those operators acts
+    once on each monomial of its argument, summed into one accumulator
+    (None: the argument is added as it is).  Actions are read from the
+    module's action memo first.
     """
     memo = module._act_memo
     act = module._act_form
-    groups = {}  # operator acting last -> {monomial: int} over den
+    args = {}  # operator acting last -> [den, {monomial: int}]
     creation = mono.creation
     if creation:
         c1 = creation[0]
@@ -355,64 +355,35 @@ def _L_image(module, k, r, extra_margin, mono):
         pden, plan = _commutator_plan(module, k, r, extra_margin,
                                       mono.degree, c1)
         rden, rnums = _image(module, k, r, extra_margin, base)
-        den = lcm(pden, rden)
         if rnums:
-            f = den // rden
-            groups[c1] = {m2: f * x for m2, x in rnums.items()}
+            args[c1] = [rden, dict(rnums)]
     else:
         base = mono
         pden, plan = _term_plan(module.cfg, module.alg, k, r, extra_margin,
                                 mono.degree)
-        den = pden
     for second, firsts in plan:
         if second is None:  # a scalar part of a commutator plan
             dm, mid = 1, {base: 1}
         else:
-            hit = memo.get((second, base))
-            dm, mid = act(second, base) if hit is None else hit
+            dm, mid = memo.get((second, base)) or act(second, base)
         if not mid:
             continue
-        e = pden * dm
-        if den % e:
-            w = e // gcd(den, e)
-            for arg in groups.values():
-                for m2 in arg:
-                    arg[m2] *= w
-            den *= w
-        f = den // e
         for first, num in firsts:
-            arg = groups.get(first)
+            arg = args.get(first)
             if arg is None:
-                arg = groups[first] = {}
-            get = arg.get
-            g = f * num
-            for m2, x in mid.items():
-                arg[m2] = get(m2, 0) + g * x
-    oden, acc = den, {}
-    get = acc.get
-    for first, arg in groups.items():
+                arg = args[first] = [1, {}]
+            arg[0] = add_scaled(arg[0], arg[1], dm, mid, num, pden)
+    den, acc = 1, {}
+    for first, (aden, arg) in args.items():
         if first is None:
-            f = oden // den
-            for m2, x in arg.items():
-                acc[m2] = get(m2, 0) + f * x
+            den = add_scaled(den, acc, aden, arg, 1, 1)
             continue
         for m2, x in arg.items():
-            if not x:
-                continue
-            hit = memo.get((first, m2))
-            d2, t2 = act(first, m2) if hit is None else hit
-            if not t2:
-                continue
-            e = den * d2
-            if oden % e:
-                w = e // gcd(oden, e)
-                for m3 in acc:
-                    acc[m3] *= w
-                oden *= w
-            g = x * (oden // e)
-            for m3, y in t2.items():
-                acc[m3] = get(m3, 0) + g * y
-    return canonical(oden, acc)
+            if x:
+                d2, t2 = memo.get((first, m2)) or act(first, m2)
+                if t2:
+                    den = add_scaled(den, acc, d2, t2, x, aden)
+    return canonical(den, acc)
 
 
 def apply_L_raw(module, idx, vec, extra_margin=0):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from ._kernel import RAT0, RAT1, Rat
 from .affine import (AffineElement, affine_bracket, affine_decompose,
                      block_algebra_basis, g_tuple_bracket, psi_project)
-from .algebras import (ProjectiveConnection, R_ZERO, cocycle_chi,
+from .algebras import (ProjectiveConnection, R_ZERO, _pairs, cocycle_chi,
                        cocycle_gamma, coboundary_compare, grading_report,
                        lie_derivative, multiply, triangular_decompose,
                        vf_bracket)
@@ -77,17 +77,13 @@ def duality_grid(nrange=NRANGE, degree=6, lams=LAMS):
     for n_pts in nrange:
         cfg = sample_config(n_pts)
         for lam in lams:
-            for n in range(-degree, degree + 1):
-                for m in range(-degree, degree + 1):
-                    for p in range(1, n_pts + 1):
-                        for r in range(1, n_pts + 1):
-                            a = kn_basis_element(cfg, KNIndex(lam, n, p))
-                            b = kn_basis_element(cfg, KNIndex(1 - lam, m, r))
-                            v = kn_pairing(cfg, a, b)
-                            want = RAT1 if (m == -n and p == r) else RAT0
-                            if v != want:
-                                return False, "failed at %s" % (
-                                    (n_pts, lam, n, m, p, r),)
+            for n, p, m, r in _pairs(cfg, (-degree, degree)):
+                a = kn_basis_element(cfg, KNIndex(lam, n, p))
+                b = kn_basis_element(cfg, KNIndex(1 - lam, m, r))
+                v = kn_pairing(cfg, a, b)
+                want = RAT1 if (m == -n and p == r) else RAT0
+                if v != want:
+                    return False, "failed at %s" % ((n_pts, lam, n, m, p, r),)
     return True, "delta relations over N=%s lam=%s |n|<=%d" % (
         list(nrange), list(lams), degree)
 
@@ -303,22 +299,16 @@ def cocycle_vanishing(window=5):
     alg = make_algebra("sl2")
     for n_pts in (1, 2, 3):
         cfg = sample_config(n_pts)
-        for n in range(1, 4):
-            for m in range(1, 4):
-                for p in range(1, n_pts + 1):
-                    for r in range(1, n_pts + 1):
-                        if cocycle_gamma(
-                                cfg, GradedElement.unit(0, n, p),
-                                GradedElement.unit(0, m, r)).num != 0:
-                            return False, "gamma on plus parts"
-                        if cocycle_chi(
-                                cfg, GradedElement.unit(-1, n, p),
-                                GradedElement.unit(-1, m, r)).num != 0:
-                            return False, "chi on plus parts"
-                        if cocycle_gamma(
-                                cfg, GradedElement.unit(0, -n, p),
-                                GradedElement.unit(0, -m, r)).num != 0:
-                            return False, "gamma on minus parts"
+        for n, p, m, r in _pairs(cfg, (1, 3)):
+            if cocycle_gamma(cfg, GradedElement.unit(0, n, p),
+                             GradedElement.unit(0, m, r)).num != 0:
+                return False, "gamma on plus parts"
+            if cocycle_chi(cfg, GradedElement.unit(-1, n, p),
+                           GradedElement.unit(-1, m, r)).num != 0:
+                return False, "chi on plus parts"
+            if cocycle_gamma(cfg, GradedElement.unit(0, -n, p),
+                             GradedElement.unit(0, -m, r)).num != 0:
+                return False, "gamma on minus parts"
         td = triangular_decompose(cfg, "L", (-window, window))
         for part, label in ((td.plus, "plus"), (td.minus, "minus")):
             for (n1, p1) in part:

@@ -1,7 +1,6 @@
 """CLI: JSON output, determinism, exit codes."""
 
 import hashlib
-import io
 import json
 import sys
 from time import perf_counter
@@ -381,20 +380,28 @@ def test_sugawara_audit_size_bound(capsys, tmp_path):
     assert json.loads(out)["entries"][0]["ratio"] == "1"
 
 
+@pytest.mark.parametrize("module", [
+    {"kind": "weyl", "weights": [1, 1], "depth": 3},
+    {"kind": "fock", "weights": ["1/2", "-1/2"], "depth": 3}])
+@pytest.mark.parametrize("width", [1, 10 ** 9])
+@pytest.mark.parametrize("argv", [
+    ["module", "--coinvariants"],
+    ["sugawara", "--pairs", "2,1,-2,1", "--slices=-1"]])
+def test_a_width_on_a_weyl_or_fock_module_exits_2(capsys, tmp_path, module,
+                                                  width, argv):
+    # a width bounds verma strings only; on a weyl module a width of 1
+    # used to cut slices -2 and -3 from 108 and 392 monomials to 24
+    lie = "sl2" if module["kind"] == "weyl" else "abelian1"
+    cfg = _write(tmp_path, "w.json", {
+        "points": ["0", "1"], "lie_algebra": lie,
+        "module": dict(module, width=width)})
+    _rejected(argv + ["--config", cfg], capsys,
+              "a width bound applies to verma modules only")
+
+
 def test_a_huge_width_costs_nothing(capsys, tmp_path):
-    # a weyl string never holds more than -d entries, so a width of 10^9
-    # changes no listed slice and no audit, and sizing the audit must not
-    # allocate by the width; a verma module's tails are counted in closed
-    # form, and the audit bound rejects a slice that large
-    plain = _write(tmp_path, "p.json", README_CONFIG)
-    wide = dict(README_CONFIG, module=dict(README_CONFIG["module"],
-                                           width=10 ** 9))
-    wide = _write(tmp_path, "w.json", wide)
-    for argv in (["module"], ["sugawara", "--pairs", "2,1,-2,1",
-                              "--slices=0,-1"]):
-        outs = [run_cli(argv + ["--config", c], capsys)
-                for c in (plain, wide)]
-        assert outs[0][0] == 0 and outs[0] == outs[1], outs
+    # a verma module's tails are counted in closed form, and the audit
+    # bound rejects a slice that large without allocating by the width
     verma = _write(tmp_path, "v.json", {
         "points": ["0", "1"],
         "module": {"kind": "verma", "weights": ["1", "1"], "depth": 2,
@@ -572,6 +579,12 @@ GOLDEN_CONFIGS = {
               "module": {"kind": "verma", "weights": ["1", "1/2"],
                          "level": "1", "width": 2, "depth": 2}},
     "sug": {"points": ["0", "1"], "weights": [1, 1], "level": "1"},
+    "chiR": {"points": ["0", "1", "-1"],
+             "connection_R": {"num": ["3", "1"], "den": ["1", "0", "1"]}},
+    "ab": {"points": ["0", "1", "-1"], "lie_algebra": "abelian1"},
+    "fock": {"points": ["0", "1", "-1"], "lie_algebra": "abelian1",
+             "module": {"kind": "fock", "weights": ["1/2", "-1/2", "0"],
+                        "level": "3/2", "depth": 3}},
 }
 GOLDEN = [
     (["verify", "--suite", "all"], None,
@@ -584,6 +597,22 @@ GOLDEN = [
      "5b399f3e60f636628d0c7853b46da1f3bfdb82aca3c1d127010ec8706227a7ef"),
     (["sugawara"], "sug",
      "602c3cfedeada210cc22b9deb1a33c581609dc9cb15153d1fc36341fffc414ad"),
+    (["table", "--algebra", "L", "--points", "0,1,-1"], None,
+     "b598df45c05eeec1bf357b4fbbc1ab92d040008da0cce571fb1654b5dc84aa56"),
+    (["table", "--algebra", "A", "--points", "0,1,-1"], None,
+     "a991188b568e45d89256f1f49ba72e2e9d2f35b88b8d1375f56e7a61dcc99e6a"),
+    (["cocycle", "--kind", "gamma", "--points", "0,1,-1"], None,
+     "b387740dd19662e92334d59875922351e8713aca1b7f435bff0aa4b690c7d86b"),
+    (["cocycle", "--kind", "chi"], "chiR",
+     "40bde8ecf1d3b46a0d32af7deca72e6a3d0a6012d6985e2ae5fa72469ebbf176"),
+    (["affine", "--points", "0,1"], None,
+     "c11e5a2cca298b3960ed2fc4c40dce0f10f803ab5420c35b891a536996858a8c"),
+    (["affine"], "ab",
+     "c52c9e1ffbae132f60fa2bf30e8292afec1eb00afcc0805056bc6dc2e592b841"),
+    (["module", "--coinvariants", "--action"], "fock",
+     "cb650236b2d9b15c22d86ba679d0b7313b8dfefbe700346055e446068bd1e4e1"),
+    (["sugawara", "--pairs", "2,1,-2,1;1,2,-1,3", "--slices=-2,-1"], "fock",
+     "308c9b8ea3f5549735ba551c61aa0e88bf5bbede09bf1284b00a43b4ee1d3ab9"),
 ]
 
 

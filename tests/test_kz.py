@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import dense_commutator, dense_omega_matrix, is_zero_matrix
 from knwznw import Rat, kz
@@ -13,7 +15,8 @@ from knwznw.finite_lie import make_algebra, tensor_dim, tensor_strides
 from knwznw.kz import (classical_oracle_matrices, flatness_check, kz_matrices,
                        predicted_scalar_shift, tangent_fields)
 from knwznw.modules import ModuleSpec, induce_module
-from knwznw.sugawara import _triple_coefficient, rescale_factor
+from knwznw.sugawara import (_triple_coefficient, apply_L_raw,
+                              rescale_factor)
 
 
 @pytest.fixture(scope="module")
@@ -338,3 +341,37 @@ def test_flatness_abelian(ab):
                          (Rat(1), Rat(2), Rat(3)), Rat(1), 2)
     rep = flatness_check(system)
     assert rep.holds
+
+
+rationals = st.builds(Rat, st.integers(-6, 6), st.integers(1, 4))
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(data=st.data(), n=st.integers(2, 3),
+       shift=rationals.filter(lambda b: b.num != 0))
+def test_translation_leaves_kz_and_sugawara_images_unchanged(sl2, data, n,
+                                                             shift):
+    # z -> z + b carries the KN basis at the points P_i to the basis at
+    # P_i + b with the same structure constants, so the connection and
+    # every Sugawara image in the PBW basis are unchanged
+    points = data.draw(st.lists(rationals, min_size=n, max_size=n,
+                                unique=True))
+    weights = tuple(data.draw(st.lists(st.integers(0, 2), min_size=n,
+                                       max_size=n)))
+    cfgs = [Config(points), Config([z + shift for z in points])]
+    systems = [kz_matrices(c, sl2, weights, Rat(1)) for c in cfgs]
+    for attr in ("matrices", "kappa", "scalar_shifts"):
+        assert getattr(systems[0], attr) == getattr(systems[1], attr), attr
+    mods = [induce_module(sl2, c, ModuleSpec("weyl", weights, Rat(1)))
+            for c in cfgs]
+    for d in (-1, -2):
+        basis = mods[0].slice_basis(d)
+        assert mods[1].slice_basis(d) == basis
+        monos = data.draw(st.lists(st.sampled_from(basis), min_size=1,
+                                   max_size=3, unique=True))
+        vec = (data.draw(st.integers(1, 6)),
+               {m: data.draw(st.integers(-5, 5).filter(bool)) for m in monos})
+        k = data.draw(st.integers(-2, 2))
+        r = data.draw(st.integers(1, n))
+        images = [apply_L_raw(m, (k, r), vec) for m in mods]
+        assert images[0] == images[1], (d, k, r)
