@@ -65,12 +65,23 @@ MAX_WEYL_SLICE = 350
 # checked on the weights before that.
 MAX_WEYL_WEIGHT = MAX_WEYL_SLICE - 1
 # Monomials in the deepest slice a `sugawara` audit reaches: slice d plus
-# the most negative shift of a pair.  The audit's time and memory grow
-# with it: at points 0,1,-1 with weights (1,1,1), pair 2,1,-2,1 reaches
-# 8,280 monomials from slice -2 (0.27-0.36 s and 28 MB max RSS for the
-# command in a fresh process) and 30,024 from slice -3 (2.0-2.3 s and
-# 73 MB), on a 2-core x86-64 VM.
-MAX_AUDIT_MONOMIALS = 10000
+# the most negative shift of a pair.  An audit applies four or five
+# Sugawara operators to each monomial of slice d, at a cost per monomial
+# that grows with the number of points and with the depth.  With pair
+# 0,1,0,2, which shifts nothing, the costliest accepted audits found are
+# verma modules of weights 1: width 2 at 0,1,-1,2,3,-2,-3,4, slice -7
+# (1,944 monomials), 8.7 s and 94 MB max RSS; width 3 at 0,1,-1,2, slice
+# -6 (5,038), 7.2 s and 93 MB.  Slice -6 of width 3 at five points (9,590)
+# took 17.0 s and 176 MB.  At 0,1,-1 with weights (1,1,1), pair 2,1,-2,1
+# from slice -3 (30,024 at slice -5) takes 2.5 s and 74 MB.  Each figure
+# is the command in a fresh process on a 2-core x86-64 VM.
+MAX_AUDIT_MONOMIALS = 6000
+# Spaces per nesting level of `--json-indent`.  Indented output puts each
+# entry on its own line, so its size grows linearly with the indent: the
+# largest output, `kz` at (1,...,1) at eight points, is 2.7 MB compact,
+# 6.9 MB at indent 2 and 19.5 MB at 8 (0.9 s, 101 MB max RSS in a fresh
+# process).
+MAX_JSON_INDENT = 8
 
 
 def _rat_str(x):
@@ -594,6 +605,9 @@ def main(argv=None):
     if not hasattr(args, "json_indent"):
         args.json_indent = -1
     try:
+        if args.json_indent > MAX_JSON_INDENT:
+            raise ConfigError("--json-indent %d exceeds %d (MAX_JSON_INDENT)"
+                              % (args.json_indent, MAX_JSON_INDENT))
         return args.fn(args)
     except ConfigError as exc:
         sys.stderr.write("config error: %s\n" % exc)

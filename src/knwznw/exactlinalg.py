@@ -1,8 +1,9 @@
 """Exact linear algebra over the rationals.
 
-Dense matrices as lists of rows of Rat: `zeros` and `mat_mul` validate
-the gauge algebras; `rref` and `nullspace`, textbook Gaussian
-elimination, serve the tests.  Degree-0 operators are held sparse.
+Dense matrices as lists of rows of Rat: `zeros` builds the dense
+oracles and output grids; `rref` and `nullspace`, textbook Gaussian
+elimination, serve the tests.  Operators inside the program are held as
+their nonzero entries.
 """
 
 from ._kernel import RAT0, RAT1
@@ -10,23 +11,6 @@ from ._kernel import RAT0, RAT1
 
 def zeros(nrows, ncols):
     return [[RAT0] * ncols for _ in range(nrows)]
-
-
-def mat_mul(a, b):
-    """The product a b.  The nonzero entries of each row of b are listed
-    once, and only nonzero entries of a and of those lists enter the
-    sums."""
-    m = len(b[0]) if b else 0
-    brows = [[(j, x) for j, x in enumerate(row) if x.num != 0] for row in b]
-    out = []
-    for ai in a:
-        oi = [RAT0] * m
-        for c, bt in zip(ai, brows):
-            if c.num != 0:
-                for j, x in bt:
-                    oi[j] = oi[j] + c * x
-        out.append(oi)
-    return out
 
 
 def rref(rows):

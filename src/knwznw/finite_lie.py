@@ -8,15 +8,16 @@ trace form of the defining representation, so (e|f) = 1 and (h|h) = 2 and
 the dual Coxeter number is 2; the abelian algebra has (u|u) = 1 and dual
 Coxeter number 0.
 
-Finite highest-weight modules act by exact matrices; for sl2 with
-dominant integral weight m the module has dimension m + 1 with the usual
-ladder action.  Each module is built and validated once per (algebra
-kind, weight); its matrices are immutable tuples, so every caller shares
-it.  Operators on a tensor product are lists of their nonzero entries
-(row, column, value): `omega_entries` builds the Casimir tensor from the
-nonzero entries of the factor matrices, and `entry_product` multiplies
-two such lists.  The dense `factor_op` and `diagonal_action` are oracles
-for verify and the tests.
+Every operator here is a tuple (or list) of its nonzero entries
+(row, column, value): the adjoint action `GaugeAlgebra.ad`, the action
+of each basis element on a finite highest-weight module, and operators
+on a tensor product.  For sl2 with dominant integral weight m the module
+has dimension m + 1 and its entries are the ladder formulas.  Each module
+is built and validated once per (algebra kind, weight); its entries are
+immutable tuples, so every caller shares it.  `omega_entries` builds the
+Casimir tensor from the entries of the factors, and `entry_product`
+multiplies two entry lists.  The dense `factor_op` and
+`diagonal_action` are oracles for verify and the tests.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 from ._kernel import RAT0, RAT1, Rat, merge
 from .errors import DomainError
-from .exactlinalg import mat_mul, zeros
+from .exactlinalg import zeros
 from .ratfield import as_rat
 
 SUPPORTED_KINDS = ("sl2", "abelian1")
@@ -71,12 +72,9 @@ class GaugeAlgebra:
         return out
 
     def ad(self, i):
-        """Matrix of ad(x_i) on the basis."""
-        m = zeros(self.dim, self.dim)
-        for j in range(self.dim):
-            for k, c in self.bracket.get((i, j), {}).items():
-                m[k][j] = c
-        return m
+        """Nonzero entries (row, column, value) of ad(x_i) on the basis."""
+        return [(k, j, c) for j in range(self.dim)
+                for k, c in self.bracket.get((i, j), {}).items()]
 
     def weight_action(self, weight, i):
         """Scalar by which basis element i acts on a Borel highest-weight
@@ -142,28 +140,14 @@ def _validate(alg):
             want = RAT1 if i == j else RAT0
             if v != want:
                 raise DomainError("dual basis mismatch for %s" % alg.kind)
-    # adjoint Casimir eigenvalue = 2 k_dual
-    cas = zeros(d, d)
-    for i in range(d):
-        m1 = alg.ad(i)
-        m2 = zeros(d, d)
-        for j, c in enumerate(alg.dual_vectors[i]):
-            if c.num == 0:
-                continue
-            adj = alg.ad(j)
-            for r in range(d):
-                for s in range(d):
-                    m2[r][s] = m2[r][s] + c * adj[r][s]
-        prod = mat_mul(m1, m2)
-        for r in range(d):
-            for s in range(d):
-                cas[r][s] = cas[r][s] + prod[r][s]
-    expect = alg.k_dual * 2
-    for r in range(d):
-        for s in range(d):
-            want = expect if r == s else RAT0
-            if cas[r][s] != want:
-                raise DomainError("adjoint Casimir is not 2k for %s" % alg.kind)
+    # adjoint Casimir sum_ij D_ij ad(x_i) ad(x_j) = 2 k_dual
+    cas = {}
+    for i, dual in casimir_pairs(alg):
+        for j, c in enumerate(dual):
+            if c.num:
+                merge(cas, entry_product(alg.ad(i), alg.ad(j)), c)
+    if cas != {(r, r): alg.k_dual * 2 for r in range(d) if alg.k_dual.num}:
+        raise DomainError("adjoint Casimir is not 2k for %s" % alg.kind)
     return alg
 
 
@@ -181,20 +165,20 @@ def make_algebra(kind):
 
 @dataclass(frozen=True)
 class FiniteModule:
-    """Finite-dimensional module with exact action matrices per basis label."""
+    """Finite-dimensional module: exact nonzero action entries per label."""
 
     algebra_kind: str
     weight: Rat
     dim: int
-    matrices: tuple          # matrices[i] = action of basis element i
+    entries: tuple           # entries[i] = action of basis element i
 
 
 _IRREPS = {}  # (algebra kind, weight) -> validated FiniteModule
 
 
 def finite_irrep(alg, weight):
-    """Irreducible highest-weight module (exact matrices), built and
-    validated once per (algebra kind, weight).
+    """Irreducible highest-weight module, built and validated once per
+    (algebra kind, weight).
 
     sl2: dominant integral weight m gives the (m+1)-dimensional ladder
     module.  abelian1: any rational weight, dimension one.
@@ -218,37 +202,29 @@ def finite_irrep(alg, weight):
 
 def _build_irrep(alg, weight):
     if alg.kind == "abelian1":
-        return FiniteModule(alg.kind, weight, 1, (((weight,),),))
+        return FiniteModule(alg.kind, weight, 1,
+                            (((0, 0, weight),) if weight.num else (),))
     m = weight
-    dim = m + 1
-    E = zeros(dim, dim)
-    H = zeros(dim, dim)
-    F = zeros(dim, dim)
-    for j in range(dim):
-        H[j][j] = Rat(m - 2 * j)
-        if j + 1 < dim:
-            F[j + 1][j] = RAT1
-        if j > 0:
-            E[j - 1][j] = Rat(j * (m - j + 1))
-    mod = FiniteModule(alg.kind, Rat(m), dim,
-                       (tuple(map(tuple, E)), tuple(map(tuple, H)),
-                        tuple(map(tuple, F))))
+    E = tuple((j - 1, j, Rat(j * (m - j + 1))) for j in range(1, m + 1))
+    H = tuple((j, j, Rat(m - 2 * j)) for j in range(m + 1) if m != 2 * j)
+    F = tuple((j + 1, j, RAT1) for j in range(m))
+    mod = FiniteModule(alg.kind, Rat(m), m + 1, (E, H, F))
     _validate_module(alg, mod)
     return mod
 
 
 def _validate_module(alg, mod):
     """Check [x_i, x_j] = sum_k c_k x_k for every bracket of the algebra
-    over the nonzero entries of the module's matrices (`entry_product`):
-    no dim x dim matrix is formed."""
-    ents = [_entries(m) for m in mod.matrices]
+    on the module's entries (`entry_product`): no dim x dim matrix is
+    formed."""
+    ents = mod.entries
     for (i, j), tbl in alg.bracket.items():
         diff = merge(entry_product(ents[i], ents[j]),
                      entry_product(ents[j], ents[i]), -RAT1)
         for k, c in tbl.items():
             merge(diff, {(r, s): v for r, s, v in ents[k]}, -c)
         if diff:
-            raise DomainError("module matrices violate the bracket relations")
+            raise DomainError("module entries violate the bracket relations")
 
 
 def casimir_pairs(alg):
@@ -272,27 +248,19 @@ def tensor_strides(mods):
     return strides
 
 
-def factor_op(mods, p, matrix):
-    """Matrix acting on factor p (0-based) of the tensor product."""
+def factor_op(mods, p, entries):
+    """Dense matrix acting on factor p (0-based) of the tensor product by
+    the operator with these entries (row, column, value); a repeated
+    position adds."""
     dim = tensor_dim(mods)
-    strides = tensor_strides(mods)
-    out = zeros(dim, dim)
+    sp = tensor_strides(mods)[p]
     dp = mods[p].dim
-    sp = strides[p]
-    for col in range(dim):
-        jp = (col // sp) % dp
-        base = col - jp * sp
-        for r in range(dp):
-            v = matrix[r][jp]
-            if v.num != 0:
-                out[base + r * sp][col] = v
+    out = zeros(dim, dim)
+    for base in range(dim):
+        if (base // sp) % dp == 0:
+            for r, c, v in entries:
+                out[base + r * sp][base + c * sp] += v
     return out
-
-
-def _entries(matrix):
-    """The nonzero entries of a matrix as (row, column, value)."""
-    return [(r, c, v) for r, row in enumerate(matrix)
-            for c, v in enumerate(row) if v.num != 0]
 
 
 def omega_entries(alg, mods, p, q):
@@ -300,8 +268,8 @@ def omega_entries(alg, mods, p, q):
     (0-based, p != q), as a list of (row, column, value).
 
     Omega_pq = sum_i x_i^(p) u^i^(q).  Its local entries on the two
-    factors are sums of products of nonzero entries of x_i on factor p,
-    of the dual vector u^i and of x_j on factor q; each local entry is
+    factors are sums of products of the entries of x_i on factor p, of
+    the dual vector u^i and of x_j on factor q; each local entry is
     placed at base + rp*sp + rq*sq (column base + cp*sp + cq*sq) for every
     index base of the other factors.  No dense factor_op products."""
     if p == q:
@@ -311,11 +279,11 @@ def omega_entries(alg, mods, p, q):
     dp, dq = mods[p].dim, mods[q].dim
     local = {}  # (row offset, column offset) -> entry
     for i, dual in casimir_pairs(alg):
-        xp = _entries(mods[p].matrices[i])
+        xp = mods[p].entries[i]
         for j, c in enumerate(dual):
             if c.num == 0:
                 continue
-            for rq, cq, b in _entries(mods[q].matrices[j]):
+            for rq, cq, b in mods[q].entries[j]:
                 cb = c * b
                 for rp, cp, a in xp:
                     key = (rp * sp + rq * sq, cp * sp + cq * sq)
@@ -354,17 +322,10 @@ def diagonal_action(alg, mods, xvec):
     """Matrix of x acting diagonally (Leibniz) on the tensor product."""
     dim = tensor_dim(mods)
     out = zeros(dim, dim)
-    for p in range(len(mods)):
-        xm = zeros(mods[p].dim, mods[p].dim)
-        for i, c in enumerate(xvec):
-            if c.num == 0:
-                continue
-            mi = mods[p].matrices[i]
-            for r in range(mods[p].dim):
-                for s in range(mods[p].dim):
-                    xm[r][s] = xm[r][s] + c * mi[r][s]
-        fp = factor_op(mods, p, xm)
+    for p, mod in enumerate(mods):
+        fp = factor_op(mods, p, [(r, s, c * v) for i, c in enumerate(xvec)
+                                 for r, s, v in mod.entries[i]])
         for r in range(dim):
             for s in range(dim):
-                out[r][s] = out[r][s] + fp[r][s]
+                out[r][s] += fp[r][s]
     return out

@@ -307,13 +307,8 @@ class InducedModule:
             sp = self.strides[p - 1]
             jp = (vac // sp) % mod.dim
             base = vac - jp * sp
-            out = {}
-            m = mod.matrices[i]
-            for r in range(mod.dim):
-                c = m[r][jp]
-                if c.num != 0:
-                    out[PBWMonomial((), base + r * sp)] = c
-            return out
+            return {PBWMonomial((), base + r * sp): c
+                    for r, s, c in mod.entries[i] if s == jp}
         # verma
         if i in self.alg.plus_indices:
             return {}

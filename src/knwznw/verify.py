@@ -554,8 +554,8 @@ def weyl_degree_zero():
     mods = weyl.factors
     for p in (1, 2):
         for i in range(3):
-            want = factor_op(mods, p - 1, mods[p - 1].matrices[i])
-            if weyl.degree_zero_action(p, i) != [list(r) for r in want]:
+            want = factor_op(mods, p - 1, mods[p - 1].entries[i])
+            if weyl.degree_zero_action(p, i) != want:
                 return False, "degree-0 action mismatch"
     return True, "degree-0 slice carries the tensor-product action"
 

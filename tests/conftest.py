@@ -31,7 +31,7 @@ def form_of(points, q, k):
 
 def dense_mat_mul(a, b):
     """The textbook triple loop over every entry of b, kept as the oracle
-    of the sparse `mat_mul` and `entry_product`."""
+    of the sparse `entry_product`."""
     n, k = len(a), len(b)
     m = len(b[0]) if b else 0
     out = zeros(n, m)
@@ -68,22 +68,22 @@ def place(entries, nrows, ncols):
     return out
 
 
+def entries_of(matrix):
+    """The nonzero entries (row, column, value) of a dense matrix, in row
+    order: the inverse of `place`."""
+    return [(r, c, v) for r, row in enumerate(matrix)
+            for c, v in enumerate(row) if v.num != 0]
+
+
 def dense_omega_matrix(alg, mods, p, q):
     """Omega_pq = sum_i x_i^(p) u^i^(q) as dense products of factor_op
     matrices, kept as the oracle of the sparse `omega_entries`."""
     dim = tensor_dim(mods)
     out = zeros(dim, dim)
     for i, dual in casimir_pairs(alg):
-        m1 = factor_op(mods, p, mods[p].matrices[i])
-        dualmat = zeros(mods[q].dim, mods[q].dim)
-        for j, c in enumerate(dual):
-            if c.num == 0:
-                continue
-            mj = mods[q].matrices[j]
-            for r in range(mods[q].dim):
-                for s in range(mods[q].dim):
-                    dualmat[r][s] = dualmat[r][s] + c * mj[r][s]
-        m2 = factor_op(mods, q, dualmat)
+        m1 = factor_op(mods, p, mods[p].entries[i])
+        m2 = factor_op(mods, q, [(r, s, c * v) for j, c in enumerate(dual)
+                                 for r, s, v in mods[q].entries[j]])
         prod = dense_mat_mul(m1, m2)
         for r in range(dim):
             for s in range(dim):

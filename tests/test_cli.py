@@ -7,10 +7,10 @@ from time import perf_counter
 
 import pytest
 
-from knwznw import verify
+from knwznw import cli, verify
 from knwznw.cli import (MAX_AUDIT_MONOMIALS, MAX_BASIS_INDEX, MAX_DEPTH,
-                        MAX_VERMA_SLICE, MAX_VERMA_WIDTH, MAX_WEYL_SLICE,
-                        MAX_WEYL_WEIGHT, MAX_WINDOW_DEGREE,
+                        MAX_JSON_INDENT, MAX_VERMA_SLICE, MAX_VERMA_WIDTH,
+                        MAX_WEYL_SLICE, MAX_WEYL_WEIGHT, MAX_WINDOW_DEGREE,
                         MAX_WINDOW_WIDTH, main)
 
 
@@ -180,6 +180,19 @@ def test_json_indent(capsys):
     code, out, _ = run_cli(["--json-indent", "2", "basis", "--lambda", "0",
                             "--n", "0", "--points", "0"], capsys)
     assert code == 0 and out.startswith("{\n  ")
+
+
+@pytest.mark.parametrize("first", [True, False])
+def test_json_indent_bound(capsys, first):
+    # the output grows with the indent, so a huge one would exhaust memory
+    flag = ["--json-indent", str(MAX_JSON_INDENT + 1)]
+    argv = ["basis", "--lambda", "0", "--n", "1", "--points", "0,1"]
+    _rejected(flag + argv if first else argv + flag, capsys,
+              "--json-indent %d exceeds %d (MAX_JSON_INDENT)"
+              % (MAX_JSON_INDENT + 1, MAX_JSON_INDENT))
+    code, out, _ = run_cli(argv + ["--json-indent", str(MAX_JSON_INDENT)],
+                           capsys)
+    assert code == 0 and out.startswith("{\n" + " " * MAX_JSON_INDENT + '"')
 
 
 def _write(tmp_path, name, data):
@@ -354,28 +367,34 @@ README_CONFIG = {"points": ["0", "1", "-1"], "lie_algebra": "sl2",
                             "level": "1", "depth": 4}}
 
 
-def test_sugawara_audit_size_bound(capsys, tmp_path):
-    # pair (2,1),(-2,1) shifts slice d down to d - 2: slice -3 reaches
-    # slice -5 of 8 * 3,753 monomials, and must exit 2 without building it
+def test_sugawara_audit_size_bound(capsys, tmp_path, monkeypatch):
+    # pair (2,1),(-2,1) shifts slice d down to d - 2: slice -2 reaches
+    # slice -4 of 8 * 1,035 monomials, and must exit 2 without building it
     cfg = _write(tmp_path, "s.json", README_CONFIG)
-    assert 8280 <= MAX_AUDIT_MONOMIALS < 30024
-    for slices in ("-3", "0,-3"):
+    assert 2040 <= MAX_AUDIT_MONOMIALS < 8280
+    for slices in ("-2", "0,-2"):
         _rejected(["sugawara", "--config", cfg, "--pairs", "2,1,-2,1",
                    "--slices", slices], capsys,
-                  "slice -3 reaches slice -5 of 30024 monomials, more than "
+                  "slice -2 reaches slice -4 of 8280 monomials, more than "
                   "%d (MAX_AUDIT_MONOMIALS)" % MAX_AUDIT_MONOMIALS)
     # the most negative shift of any pair counts
     _rejected(["sugawara", "--config", cfg, "--pairs", "0,1,0,2;2,1,-2,1",
-               "--slices=-3"], capsys, "(MAX_AUDIT_MONOMIALS)")
-    # two negative degrees shift twice: -1 - 1 - 2 = -4 passes, -5 not
+               "--slices=-2"], capsys, "(MAX_AUDIT_MONOMIALS)")
+    # two negative degrees shift twice: -1 - 1 - 1 = -3 passes, -4 not
     code, _, err = run_cli(["sugawara", "--config", cfg,
-                            "--pairs=-1,1,-2,2", "--slices=-1"], capsys)
+                            "--pairs=-1,1,-1,2", "--slices=-1"], capsys)
     assert code == 0, err
-    _rejected(["sugawara", "--config", cfg, "--pairs=-1,1,-2,2",
-               "--slices=-2"], capsys, "reaches slice -5")
-    # README's request stays inside the bound
-    code, out, err = run_cli(["sugawara", "--config", cfg, "--pairs",
-                              "2,1,-2,1", "--slices=0,-1"], capsys)
+    _rejected(["sugawara", "--config", cfg, "--pairs=-1,1,-1,2",
+               "--slices=-2"], capsys, "reaches slice -4")
+    # README's request reaches slice -3 (2,040 monomials): it runs at a
+    # bound of 2,040 and is refused at 2,039
+    readme = ["sugawara", "--config", cfg, "--pairs", "2,1,-2,1",
+              "--slices=0,-1"]
+    monkeypatch.setattr(cli, "MAX_AUDIT_MONOMIALS", 2039)
+    _rejected(readme, capsys, "slice -1 reaches slice -3 of 2040 monomials, "
+              "more than 2039 (MAX_AUDIT_MONOMIALS)")
+    monkeypatch.setattr(cli, "MAX_AUDIT_MONOMIALS", 2040)
+    code, out, err = run_cli(readme, capsys)
     assert code == 0 and err == ""
     assert json.loads(out)["entries"][0]["ratio"] == "1"
 

@@ -1,19 +1,25 @@
 """Gauge algebra data: structure constants, form, irreps, Casimir."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from conftest import (dense_commutator, dense_mat_mul, dense_omega_matrix,
-                      is_zero_matrix, place)
+                      entries_of, is_zero_matrix, place)
 from knwznw import Rat
 from knwznw._kernel import RAT0, RAT1
 from knwznw.errors import DomainError
-from knwznw.exactlinalg import mat_mul
-from knwznw.finite_lie import (FiniteModule, _entries, _validate_module,
-                               casimir_eigenvalue, casimir_pairs,
-                               diagonal_action, entry_product, finite_irrep,
-                               make_algebra, omega_entries, tensor_dim)
+from knwznw.finite_lie import (FiniteModule, _abelian1, _sl2, _validate,
+                               _validate_module, casimir_eigenvalue,
+                               casimir_pairs, diagonal_action, entry_product,
+                               finite_irrep, make_algebra, omega_entries,
+                               tensor_dim)
+
+
+def dense_matrices(mod):
+    """The action of each basis element on mod as a dense matrix."""
+    return [place(e, mod.dim, mod.dim) for e in mod.entries]
 
 
 def omega_placed(alg, mods, p, q):
@@ -39,16 +45,38 @@ def test_kinds(sl2, ab):
         make_algebra("e8")
 
 
+def test_a_corrupted_algebra_is_refused():
+    E, H = 0, 1
+    sl2 = _sl2()
+    bracket = dict(sl2.bracket)
+    bracket[(H, E)] = {E: Rat(-2)}  # [h, e] = -2e, but still [e, h] = -2e
+    form = ((RAT0, RAT0, RAT1), (RAT0, Rat(3), RAT0), (RAT1, RAT0, RAT0))
+    dual = (sl2.dual_vectors[0], (RAT0, RAT1, RAT0), sl2.dual_vectors[2])
+    cases = [
+        (replace(sl2, bracket=bracket), "Jacobi identity fails for sl2"),
+        (replace(sl2, form=form), "form not invariant for sl2"),
+        (replace(sl2, dual_vectors=dual), "dual basis mismatch for sl2"),
+        (replace(sl2, k_dual=Rat(3)), "adjoint Casimir is not 2k for sl2"),
+        # ad(u) = 0 on the abelian algebra: its Casimir is 0, not 2
+        (replace(_abelian1(), k_dual=RAT1),
+         "adjoint Casimir is not 2k for abelian1"),
+    ]
+    for alg, message in cases:
+        with pytest.raises(DomainError, match=message):
+            _validate(alg)
+    assert _validate(sl2) is sl2 and _validate(_abelian1()).k_dual == RAT0
+
+
 def test_form_normalization(sl2):
     E, H, F = 0, 1, 2
     assert sl2.form[E][F] == Rat(1)
     assert sl2.form[H][H] == Rat(2)
     assert sl2.form[E][E] == Rat(0)
     # trace-form oracle on the defining 2x2 matrices
-    v1 = finite_irrep(sl2, 1)
+    v1 = dense_matrices(finite_irrep(sl2, 1))
     for i in range(3):
         for j in range(3):
-            tr = sum((mat_mul(v1.matrices[i], v1.matrices[j])[k][k]
+            tr = sum((dense_mat_mul(v1[i], v1[j])[k][k]
                       for k in range(2)), Rat(0))
             assert tr == sl2.form[i][j]
 
@@ -75,7 +103,7 @@ def test_irrep_dimensions(sl2):
 def test_irrep_brackets_exact(sl2):
     for lam in (0, 1, 2, 3):
         mod = finite_irrep(sl2, lam)
-        E, H, F = (list(map(list, m)) for m in mod.matrices)
+        E, H, F = dense_matrices(mod)
         hh = dense_commutator(E, F)
         for r in range(mod.dim):
             for s in range(mod.dim):
@@ -102,12 +130,12 @@ def test_corrupted_irrep_matrices_are_refused(sl2):
     _validate_module(sl2, base)
     refused = 0
     for _ in range(40):
-        mats = [list(map(list, m)) for m in base.matrices]
+        mats = dense_matrices(base)
         i, r, c = rng.randrange(3), rng.randrange(5), rng.randrange(5)
         mats[i][r][c] = mats[i][r][c] + Rat(rng.choice((-2, 1, 3)),
                                             rng.randint(1, 3))
         mod = FiniteModule("sl2", base.weight, base.dim,
-                           tuple(tuple(map(tuple, m)) for m in mats))
+                           tuple(tuple(entries_of(m)) for m in mats))
         assert not dense_bracket_relations_hold(sl2, mats)
         with pytest.raises(DomainError, match="violate the bracket"):
             _validate_module(sl2, mod)
@@ -116,11 +144,12 @@ def test_corrupted_irrep_matrices_are_refused(sl2):
     # one entry off the ladder, and one ladder entry changed, at weight 9
     big = finite_irrep(sl2, 9)
     for i, r, c in ((1, 0, 3), (0, 2, 3)):
-        mats = [list(map(list, m)) for m in big.matrices]
+        mats = dense_matrices(big)
         mats[i][r][c] = mats[i][r][c] + RAT1
+        ents = tuple(tuple(entries_of(m)) for m in mats)
         with pytest.raises(DomainError, match="violate the bracket"):
             _validate_module(sl2, FiniteModule("sl2", big.weight, big.dim,
-                                               tuple(mats)))
+                                               ents))
 
 
 def test_casimir_eigenvalues(sl2, ab):
@@ -130,10 +159,10 @@ def test_casimir_eigenvalues(sl2, ab):
     assert casimir_eigenvalue(ab, Rat(3)) == Rat(9)
     for lam in (1, 2, 3):
         mod = finite_irrep(sl2, lam)
-        E, H, F = (list(map(list, m)) for m in mod.matrices)
-        cas = mat_mul(E, F)
-        fe = mat_mul(F, E)
-        hh = mat_mul(H, H)
+        E, H, F = dense_matrices(mod)
+        cas = dense_mat_mul(E, F)
+        fe = dense_mat_mul(F, E)
+        hh = dense_mat_mul(H, H)
         for r in range(mod.dim):
             for s in range(mod.dim):
                 v = cas[r][s] + fe[r][s] + hh[r][s] * Rat(1, 2)
@@ -195,22 +224,6 @@ def test_sparse_omega_matches_the_dense_oracle(sl2, ab):
                         for c, v in enumerate(row) if v.num != 0]
 
 
-def test_sparse_mat_mul_matches_the_dense_oracle():
-    rng = random.Random(7)
-
-    def sparse(rows, cols, density):
-        return [[Rat(rng.randint(-9, 9), rng.randint(1, 4))
-                 if rng.random() < density else RAT0
-                 for _ in range(cols)] for _ in range(rows)]
-
-    for _ in range(60):
-        n, k, m = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 7)
-        density = rng.choice((0.0, 0.15, 0.4, 1.0))
-        a, b = sparse(n, k, density), sparse(k, m, rng.random())
-        assert mat_mul(a, b) == dense_mat_mul(a, b)
-    assert mat_mul([], []) == dense_mat_mul([], []) == []
-
-
 def test_entry_product_matches_the_dense_oracle():
     rng = random.Random(22)
 
@@ -224,18 +237,18 @@ def test_entry_product_matches_the_dense_oracle():
         n, k, m = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 7)
         a = sparse(n, k, rng.choice((0.0, 0.15, 0.4, 1.0)))
         b = sparse(k, m, rng.random())
-        got = entry_product(_entries(a), _entries(b))
+        got = entry_product(entries_of(a), entries_of(b))
         assert all(v.num != 0 for v in got.values())
         assert place(got, n, m) == dense_mat_mul(a, b)
         # a repeated position adds: the entries of a and of -a cancel
-        neg = [(r, c, -v) for r, c, v in _entries(a)]
-        assert entry_product(_entries(a) + neg, _entries(b)) == {}
+        neg = [(r, c, -v) for r, c, v in entries_of(a)]
+        assert entry_product(entries_of(a) + neg, entries_of(b)) == {}
         # a product whose nonzero terms cancel: (u | -u) times b stacked
         # over b is u b - u b = 0, with u b nonzero in most cases
         u = sparse(n, k, 1.0)
         c = [ru + [-x for x in ru] for ru in u]
         bb = b + b
-        zero = entry_product(_entries(c), _entries(bb))
+        zero = entry_product(entries_of(c), entries_of(bb))
         assert zero == {} and is_zero_matrix(dense_mat_mul(c, bb))
         cancelled += any(v.num for row in dense_mat_mul(u, b) for v in row)
     assert cancelled > 20
@@ -247,9 +260,15 @@ def test_irreps_are_built_once(sl2, ab):
     assert finite_irrep(ab, Rat(1, 2)) is finite_irrep(ab, "1/2")
     assert finite_irrep(ab, 1) is finite_irrep(ab, Rat(1))
     assert finite_irrep(sl2, 1) is not finite_irrep(sl2, 2)
-    # the matrices are immutable, so sharing one module is safe
-    assert all(isinstance(row, tuple) for m in finite_irrep(sl2, 2).matrices
-               for row in m)
+    # the entries are immutable, so sharing one module is safe
+    assert all(isinstance(e, tuple) for e in finite_irrep(sl2, 2).entries)
+    # and each is nonzero, at most once per position
+    for mod in (finite_irrep(sl2, 4), finite_irrep(ab, 2),
+                finite_irrep(ab, 0)):
+        for ents in mod.entries:
+            assert all(v.num != 0 for _r, _c, v in ents)
+            assert len({(r, c) for r, c, _v in ents}) == len(ents)
+    assert finite_irrep(ab, 0).entries == ((),)
 
 
 def test_tensor_dim(sl2):

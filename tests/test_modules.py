@@ -249,7 +249,7 @@ def test_degree_zero_matches_finite_module(weyl11):
                 for m2, c in weyl11._act_gen((0, p, i), mono).items():
                     got[index[m2]][col] = c
             want = factor_op(weyl11.factors, p - 1,
-                             weyl11.factors[p - 1].matrices[i])
+                             weyl11.factors[p - 1].entries[i])
             assert got == [list(r) for r in want]
 
 
@@ -423,8 +423,8 @@ def test_reduce_diagonal_action(weyl11, cfg2, sl2):
     red = weyl11.coinvariant_reduce(img)
     assert red == img  # degree-0 representative is already reduced
     # and it matches the diagonal finite-dimensional action
-    D = factor_op(weyl11.factors, 0, weyl11.factors[0].matrices[E])
-    D2 = factor_op(weyl11.factors, 1, weyl11.factors[1].matrices[E])
+    D = factor_op(weyl11.factors, 0, weyl11.factors[0].entries[E])
+    D2 = factor_op(weyl11.factors, 1, weyl11.factors[1].entries[E])
     want = {}
     for m2, c in img.terms.items():
         want[m2.vacuum] = c
