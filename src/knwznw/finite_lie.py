@@ -16,8 +16,8 @@ has dimension m + 1 and its entries are the ladder formulas.  Each module
 is built and validated once per (algebra kind, weight); its entries are
 immutable tuples, so every caller shares it.  `omega_entries` builds the
 Casimir tensor from the entries of the factors, and `entry_product`
-multiplies two entry lists.  The dense `factor_op` and
-`diagonal_action` are oracles for verify and the tests.
+multiplies two entry lists.  The dense `factor_op` is an oracle for
+verify and the tests.
 """
 
 from __future__ import annotations
@@ -316,16 +316,3 @@ def casimir_eigenvalue(alg, weight):
         return w * w
     m = weight if isinstance(weight, int) else as_rat(weight).num
     return Rat(m * (m + 2), 2)
-
-
-def diagonal_action(alg, mods, xvec):
-    """Matrix of x acting diagonally (Leibniz) on the tensor product."""
-    dim = tensor_dim(mods)
-    out = zeros(dim, dim)
-    for p, mod in enumerate(mods):
-        fp = factor_op(mods, p, [(r, s, c * v) for i, c in enumerate(xvec)
-                                 for r, s, v in mod.entries[i]])
-        for r in range(dim):
-            for s in range(dim):
-                out[r][s] += fp[r][s]
-    return out

@@ -205,8 +205,9 @@ def kz_matrices(cfg, alg, weights, level, depth=None):
     the traceless dot, the scalar test and the residual read nonzero
     entries only.  Residuals must vanish exactly.  The dense `matrices`
     are filled once, for output.  `partial` is always False.  Every
-    image is exact, so the matrices have no depth; `depth` is accepted
-    for older callers and not read.
+    image is exact, so the matrices have no depth; `depth` is not read,
+    and is accepted because the benchmark's block workload
+    (`perfbench/workloads.py`) passes it by position.
     """
     level = level if isinstance(level, Rat) else Rat(level)
     kind = "fock" if alg.kind == "abelian1" else "weyl"

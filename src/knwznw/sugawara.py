@@ -25,8 +25,8 @@ implementation uses as its summation bound.
 L(k,r) is linear, so its image of each PBW monomial is computed once per
 module and memoised (`_image`, read by `apply_L_raw`) as an integer form
 (D, {monomial: int}) of the kernel.  A vacuum monomial is summed over the
-term plan of its degree: one plan per (algebra, k, r, margin, degree),
-cached on the configuration (`_term_plan`), writes u^i = sum_j D_ij u_j,
+term plan of its degree: one plan per (algebra, k, r, degree), cached
+on the configuration (`_term_plan`), writes u^i = sum_j D_ij u_j,
 keeps the nonzero coefficients, merges every total and mode of the band
 and groups the terms by the operator that acts first.
 A monomial c1.w, with c1 the first entry of its creation string, peels
@@ -42,8 +42,8 @@ degree lacks annihilates w (the summation bound above), so the plan of
 c1.w's degree applied to w is L(w).  And the module is a
 representation, so a product a.b of two generators with a > b is
 b.a + [a, b].  The terms of [L, c1] are merged into one commutator plan
-per (k, r, margin, degree, c1) (`_commutator_plan`), each product in
-that normal order, so a pair a.b - b.a cancels to its bracket.  On
+per (k, r, degree, c1) (`_commutator_plan`), each product in that
+normal order, so a pair a.b - b.a cancels to its bracket.  On
 the modules the tests and audits build every product cancels and the
 plan is linear, as the Sugawara commutation relations predict; nothing
 relies on that.  Its central parts carry the level, so these plans are
@@ -51,12 +51,12 @@ memoised per module, never on the configuration, which modules of
 several levels share.
 
 Both plans are (den, ((op2, ((op1, num), ...)), ...)): integer
-numerators over one denominator per plan.  An image applies each
-distinct operator that acts first once and sums the scaled results into
-the arguments of the operators that act after it, each argument an
-integer form of its own; it then applies each of those operators once
-to its argument and sums the results into one accumulator.  Every sum
-is the kernel's `add_scaled`.  Images and the commutator audit's
+numerators over one denominator per plan.  One helper applies either
+plan (`_apply_plan`): it applies each distinct operator that acts first
+once and sums the scaled results into the arguments of the operators
+that act after it, each argument an integer form of its own; it then
+applies each of those operators once to its argument and sums the
+results into one accumulator.  Every sum is the kernel's `add_scaled`.  Images and the commutator audit's
 difference are integer forms; Rat is built only by `apply_L`, by
 `kz.kz_matrices` for its entries, and for the audit's scalar and
 counterexample.
@@ -131,28 +131,30 @@ def _triple_row(cfg, k, r, t, n):
     return row
 
 
-def _term_plan(cfg, alg, k, r, extra_margin, dv):
+def _term_plan(cfg, alg, k, r, dv):
     """The terms of L(k, r) on a monomial of degree dv, grouped by the
     operator that acts first (the right factor, `second`).
 
     A term is c/2 D_ij :u_i(n,p) u_j(t-n,s): for t in the band, n in
-    [t + dv - extra_margin, -dv + extra_margin], c = c_{(n,p),(t-n,s)} != 0
+    [t + dv, -dv] (the summation bound), c = c_{(n,p),(t-n,s)} != 0
     and u^i = sum_j D_ij u_j.  Its operators a = (n, p, i) and
     b = (t-n, s, j) are applied as first.(second.mono) with (first,
     second) = (a, b), or (b, a) when normal ordering swaps them.  The plan
     is (den, ((second, ((first, num), ...)), ...)), every (t, n) merged,
     with num/den the summed coefficient of the pair: one denominator for
-    the whole plan.  One plan per (algebra, k, r, extra_margin, dv) in
-    cfg.cache, so every monomial of degree dv shares it, and its
-    generator tuples key the module's action memo."""
-    key = ("sugw-plan", alg.kind, k, r, extra_margin, dv)
+    the whole plan.  One plan per (algebra, k, r, dv) in cfg.cache, so
+    every monomial of degree dv shares it, and its generator tuples key
+    the module's action memo.  The plan of a lower degree holds every
+    term of this one and more modes past the bound; the verify check
+    `summation-bounds` applies such a plan directly (`_apply_plan`)."""
+    key = ("sugw-plan", alg.kind, k, r, dv)
     plan = cfg.cache.get(key)
     if plan is not None:
         return plan
     groups = {}  # second -> {first: coefficient}
     t_lo, t_hi = total_degree_band(cfg, k)
     for t in range(t_lo, t_hi + 1):
-        for n in range(t + dv - extra_margin, -dv + extra_margin + 1):
+        for n in range(t + dv, -dv + 1):
             m = t - n
             # positive degrees go right, negative degrees left; a
             # degree-0/degree-0 pair keeps its written order
@@ -198,7 +200,7 @@ def sugawara_coefficients(cfg, idx, band):
     return TripleCoefficientTable(k, r, entries)
 
 
-def _commutator_plan(module, k, r, extra_margin, dv, c1):
+def _commutator_plan(module, k, r, dv, c1):
     """The terms of [L(k, r), c1] on monomials of degree dv that start
     with the creation entry c1, grouped by the operator that acts first
     on the rest of the string.
@@ -218,12 +220,12 @@ def _commutator_plan(module, k, r, extra_margin, dv, c1):
     of the whole plan divided out once.  The central parts carry the
     level, so the plans are memoised per module
     (`InducedModule._commutator_plans`), never on the configuration."""
-    key = (k, r, extra_margin, dv, c1)
+    key = (k, r, dv, c1)
     plans = module._commutator_plans
     plan = plans.get(key)
     if plan is not None:
         return plan
-    tden, terms = _term_plan(module.cfg, module.alg, k, r, extra_margin, dv)
+    tden, terms = _term_plan(module.cfg, module.alg, k, r, dv)
     # a mode-n generator maps degree d into degrees >= d + n (almost
     # grading), and slices above 0 are empty; rest has degree -top, so an
     # op2 with mode above top, or an op1 above top - op2's mode, gives 0
@@ -312,19 +314,18 @@ def _commutator_plan(module, k, r, extra_margin, dv, c1):
     return plan
 
 
-def _image(module, k, r, extra_margin, mono):
+def _image(module, k, r, mono):
     """The memoised image of one monomial (`_L_image`), keyed by
-    ((k, r), extra_margin, monomial) in the module's image memo; never
-    mutated."""
+    ((k, r), monomial) in the module's image memo; never mutated."""
     memo = module._sugawara_memo
-    key = ((k, r), extra_margin, mono)
+    key = ((k, r), mono)
     img = memo.get(key)
     if img is None:
-        img = memo[key] = _L_image(module, k, r, extra_margin, mono)
+        img = memo[key] = _L_image(module, k, r, mono)
     return img
 
 
-def _L_image(module, k, r, extra_margin, mono):
+def _L_image(module, k, r, mono):
     """L(k, r) on one monomial, as an integer form (D, {monomial: int}).
 
     A monomial c1.rest with a creation entry c1 is computed as
@@ -335,33 +336,35 @@ def _L_image(module, k, r, extra_margin, mono):
     annihilate rest (the summation bound), so c1.L(rest) is exact.  A
     vacuum monomial is summed over the term plan of its degree
     (`_term_plan`).
+    """
+    creation = mono.creation
+    if not creation:
+        return _apply_plan(module, _term_plan(module.cfg, module.alg, k, r,
+                                              mono.degree), mono, {})
+    c1 = creation[0]
+    rest = PBWMonomial(creation[1:], mono.vacuum)
+    rden, rnums = _image(module, k, r, rest)
+    return _apply_plan(module, _commutator_plan(module, k, r, mono.degree, c1),
+                       rest, {c1: [rden, dict(rnums)]} if rnums else {})
 
-    Either plan lists each distinct operator that acts first once, so
-    each acts once (None: a scalar part, rest itself).  Its image, scaled
-    by each of its terms, is summed with `add_scaled` into the argument
-    of the operator that acts after it, an integer form
-    [den, {monomial: int}] of its own; then each of those operators acts
-    once on each monomial of its argument, summed into one accumulator
-    (None: the argument is added as it is).  Actions are read from the
-    module's action memo first.
+
+def _apply_plan(module, plan, base, args):
+    """A plan (den, ((second, ((first, num), ...)), ...)) applied to the
+    monomial base, plus each operator of args applied to its argument,
+    as a canonical integer form.
+
+    args maps an operator that acts last to its argument, an integer form
+    [den, {monomial: int}] that this call may mutate.  Each second acts
+    once on base (None: a scalar part, base itself); its image, scaled by
+    each of its terms, is summed with `add_scaled` into the argument of
+    first.  Then each first acts once on each monomial of its argument,
+    summed into one accumulator (None: the argument is added as it is).
+    Actions are read from the module's action memo first.
     """
     memo = module._act_memo
     act = module._act_form
-    args = {}  # operator acting last -> [den, {monomial: int}]
-    creation = mono.creation
-    if creation:
-        c1 = creation[0]
-        base = PBWMonomial(creation[1:], mono.vacuum)
-        pden, plan = _commutator_plan(module, k, r, extra_margin,
-                                      mono.degree, c1)
-        rden, rnums = _image(module, k, r, extra_margin, base)
-        if rnums:
-            args[c1] = [rden, dict(rnums)]
-    else:
-        base = mono
-        pden, plan = _term_plan(module.cfg, module.alg, k, r, extra_margin,
-                                mono.degree)
-    for second, firsts in plan:
+    pden, terms = plan
+    for second, firsts in terms:
         if second is None:  # a scalar part of a commutator plan
             dm, mid = 1, {base: 1}
         else:
@@ -386,32 +389,29 @@ def _L_image(module, k, r, extra_margin, mono):
     return canonical(den, acc)
 
 
-def apply_L_raw(module, idx, vec, extra_margin=0):
+def apply_L_raw(module, idx, vec):
     """Exact L(k, r) on an integer form vec = (D, {monomial: int}), as a
     canonical integer form.
 
     L(k, r) is linear, so the image of each monomial is computed once per
-    module and memoised under ((k, r), extra_margin, monomial) (`_image`);
-    the image of vec sums the cached numerators scaled by vec's numerators
-    over one denominator.  The margin is in the key, so the
-    summation-bound audit compares two computations, never one cached
-    image with itself.  Memoised images are never mutated.
+    module and memoised under ((k, r), monomial) (`_image`); the image of
+    vec sums the cached numerators scaled by vec's numerators over one
+    denominator.  Memoised images are never mutated.
     """
     k, r = idx
     vden, terms = vec
     den, acc = 1, {}
     for mono, cm in terms.items():
-        img = _image(module, k, r, extra_margin, mono)
+        img = _image(module, k, r, mono)
         if img[1]:
             den = add_scaled(den, acc, *img, cm, 1)
     return canonical(den * vden, acc)
 
 
-def apply_L(module, idx, v, extra_margin=0):
+def apply_L(module, idx, v):
     """L(k, r) on a module vector: the exact image, whatever its degrees.
     The one place a Sugawara image becomes Rat."""
-    return ModuleVector(rats(*apply_L_raw(module, SugawaraIndex(*idx),
-                                          form(v.terms), extra_margin)))
+    return ModuleVector(rats(*apply_L_raw(module, idx, form(v.terms))))
 
 
 def rescale_factor(alg, level):
@@ -461,8 +461,10 @@ def sugawara_commutator_audit(cfg, alg, module, pairs, window):
     slice (zero when the slices do not match); the common scalar and its
     ratio to the zero-connection cocycle are reported.  Every image is
     exact, so any slice d <= 0 may be audited, whatever the module depth;
-    an empty slice (any d > 0) has no scalar to measure: DomainError.
+    an empty slice (any d > 0) has no scalar to measure: DomainError.  A
+    repeated slice is audited once.
     """
+    window = list(dict.fromkeys(window))
     for d in window:
         if not module.slice_dimension(d):
             raise DomainError("window slice %d is empty; it holds no "

@@ -32,8 +32,8 @@ from .kz import (classical_oracle_matrices, flatness_check, kz_matrices,
 from .modules import (ModuleSpec, ModuleVector, degree_zero_coinvariant_dimension,
                       induce_module)
 from .ratfield import INFINITY, Poly, RationalFunction
-from .sugawara import (apply_L, sugawara_coefficients,
-                       sugawara_commutator_audit)
+from .sugawara import (_apply_plan, _term_plan, apply_L_raw,
+                       sugawara_coefficients, sugawara_commutator_audit)
 
 
 @dataclass
@@ -641,14 +641,17 @@ def multipoint_centrality():
 
 
 def summation_bounds():
+    # the engine's image, peeled through the commutator plans and the
+    # image memo, against the term plan of degree d - 3 applied to the
+    # monomial directly: modes n in [t + d - 3, -d + 3], three past the
+    # summation bound on each side
     fock = _fock_n1()
     for d in (0, -2, -3):
         for mono in fock.slice_basis(d)[:4]:
-            v = ModuleVector.monomial(mono)
             for k in (-1, 0, 2):
-                a = apply_L(fock, (k, 1), v)
-                b = apply_L(fock, (k, 1), v, extra_margin=3)
-                if a != b:
+                plan = _term_plan(fock.cfg, fock.alg, k, 1, d - 3)
+                if (apply_L_raw(fock, (k, 1), (1, {mono: 1}))
+                        != _apply_plan(fock, plan, mono, {})):
                     return False, "summation bound unstable"
     return True, "enlarging mode bounds by 3 changes nothing"
 

@@ -89,3 +89,17 @@ def dense_omega_matrix(alg, mods, p, q):
             for s in range(dim):
                 out[r][s] = out[r][s] + prod[r][s]
     return out
+
+
+def diagonal_action(mods, xvec):
+    """The matrix of x = sum_i xvec_i x_i acting diagonally (Leibniz) on
+    the tensor product of mods, a sum of dense factor_op matrices."""
+    dim = tensor_dim(mods)
+    out = zeros(dim, dim)
+    for p, mod in enumerate(mods):
+        fp = factor_op(mods, p, [(r, s, c * v) for i, c in enumerate(xvec)
+                                 for r, s, v in mod.entries[i]])
+        for r in range(dim):
+            for s in range(dim):
+                out[r][s] += fp[r][s]
+    return out

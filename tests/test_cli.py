@@ -7,7 +7,7 @@ from time import perf_counter
 
 import pytest
 
-from knwznw import cli, verify
+from knwznw import cli, sugawara, verify
 from knwznw.cli import (MAX_AUDIT_MONOMIALS, MAX_BASIS_INDEX, MAX_DEPTH,
                         MAX_JSON_INDENT, MAX_VERMA_SLICE, MAX_VERMA_WIDTH,
                         MAX_WEYL_SLICE, MAX_WEYL_WEIGHT, MAX_WINDOW_DEGREE,
@@ -96,6 +96,31 @@ def test_sugawara_subcommand(capsys, tmp_path):
     assert entry["is_scalar"] is True
     assert entry["ratio"] == "1"
     assert entry["chi"] == "1/2"
+
+
+def test_sugawara_repeated_slice_is_audited_once(capsys, tmp_path,
+                                                 monkeypatch):
+    # entries do not list slices, so a repeated slice prints the same
+    # bytes; it must not cost a second pass of Sugawara images either
+    cfgfile = _write(tmp_path, "s.json", {
+        "points": ["0", "1"], "lie_algebra": "sl2",
+        "module": {"kind": "weyl", "weights": [1, 1], "depth": 3}})
+    real = sugawara.apply_L_raw
+    runs = []
+    for slices in ("-2", "-2,-2,-2", "-2,0", "-2,0,-2,0"):
+        calls = []
+
+        def counting(module, idx, vec):
+            calls.append(idx)
+            return real(module, idx, vec)
+
+        monkeypatch.setattr(sugawara, "apply_L_raw", counting)
+        code, out, _ = run_cli(["sugawara", "--config", cfgfile, "--pairs",
+                                "1,1,-1,2", "--slices=" + slices], capsys)
+        assert code == 0
+        runs.append((out, len(calls)))
+    assert runs[0][1] > 0 and runs[1] == runs[0]
+    assert runs[2][1] > runs[0][1] and runs[3] == runs[2]
 
 
 def test_kz_subcommand(capsys, tmp_path):

@@ -6,15 +6,14 @@ from dataclasses import replace
 import pytest
 
 from conftest import (dense_commutator, dense_mat_mul, dense_omega_matrix,
-                      entries_of, is_zero_matrix, place)
+                      diagonal_action, entries_of, is_zero_matrix, place)
 from knwznw import Rat
 from knwznw._kernel import RAT0, RAT1
 from knwznw.errors import DomainError
 from knwznw.finite_lie import (FiniteModule, _abelian1, _sl2, _validate,
                                _validate_module, casimir_eigenvalue,
-                               casimir_pairs, diagonal_action, entry_product,
-                               finite_irrep, make_algebra, omega_entries,
-                               tensor_dim)
+                               casimir_pairs, entry_product, finite_irrep,
+                               make_algebra, omega_entries, tensor_dim)
 
 
 def dense_matrices(mod):
@@ -197,7 +196,7 @@ def test_omega_invariance(sl2):
     for i in range(3):
         xv = [Rat(0)] * 3
         xv[i] = Rat(1)
-        D = diagonal_action(sl2, mods, xv)
+        D = diagonal_action(mods, xv)
         assert is_zero_matrix(dense_commutator(om, D))
 
 

@@ -96,12 +96,14 @@ def test_fock_vacuum_weight(ab, cfg1):
 
 
 def test_summation_bound_stability(fock):
+    # the oracle sums three modes past the bound on each side; the extra
+    # terms annihilate the vector, so the engine's image is unchanged
     for d in (0, -2, -4):
         for mono in fock.slice_basis(d)[:3]:
             v = ModuleVector.monomial(mono)
             for k in (-2, -1, 0, 1, 2):
-                assert apply_L(fock, (k, 1), v) == \
-                    apply_L(fock, (k, 1), v, extra_margin=3)
+                assert apply_L(fock, (k, 1), v) == ModuleVector(
+                    direct_apply_L(fock, (k, 1), v.terms, extra_margin=3))
 
 
 def test_rescale_factor(fock, sl2, cfg1, ab):
@@ -129,14 +131,14 @@ def test_T_of_vectorfield_collapse(fock):
 
 def test_tie_swap_is_identity_at_genus_zero(sl2, cfg2):
     # the engine writes no tie rule: the oracle's two orders of a
-    # degree-0 pair give its one image, at either margin
+    # degree-0 pair give its one image, at either oracle margin
     module = induce_module(sl2, cfg2, ModuleSpec("weyl", (1, 1), Rat(1), 3))
     for d in (0, -1):
         for mono in module.slice_basis(d)[:4]:
             v = {mono: Rat(1)}
             for idx in ((0, 1), (1, 2), (-1, 1)):
+                got = rats(*apply_L_raw(module, idx, form(v)))
                 for margin in (0, 3):
-                    got = rats(*apply_L_raw(module, idx, form(v), margin))
                     for tie_swap in (False, True):
                         assert got == direct_apply_L(module, idx, v,
                                                      tie_swap, margin)
@@ -302,8 +304,8 @@ def test_memoised_images_match_the_direct_oracle():
             vectors.append(v)
         for v in vectors:
             for idx in ((0, 1), (1, 2), (-1, 1), (2, 1)):
+                got = apply_L_raw(module, idx, form(v))
                 for margin in (0, 3):
-                    got = apply_L_raw(module, idx, form(v), margin)
                     for tie_swap in (False, True):
                         want = direct_apply_L(module, idx, v, tie_swap, margin)
                         # a canonical form is unique, so it is the form
@@ -312,65 +314,6 @@ def test_memoised_images_match_the_direct_oracle():
                         assert rats(*got) == want
                         compared += bool(want)
     assert compared > 100
-
-
-def test_each_margin_computes_its_own_image(sl2, cfg2):
-    module = induce_module(sl2, cfg2, ModuleSpec("weyl", (1, 1), Rat(1), 3))
-    mono = module.slice_basis(-1)[0]
-    suffix = PBWMonomial(mono.creation[1:], mono.vacuum)
-    memo = module._sugawara_memo
-    unit = (1, {mono: 1})
-    margins = (0, 3)
-    for margin in margins:
-        apply_L_raw(module, (0, 1), unit, margin)
-    # each image is computed from the image of its suffix, at the same
-    # margin: every margin holds its own two images, and nothing else
-    images = {}
-    for margin in margins:
-        own = memo[((0, 1), margin, mono)]
-        rest = memo[((0, 1), margin, suffix)]
-        assert own != rest and own[1] and rest[1]
-        images[margin] = (own, rest)
-    assert len(memo) == 2 * len(margins)
-    plain = images[0]
-    assert images[3][0] is not plain[0] and images[3][1] is not plain[1]
-    # the memo holds the image as an integer form (D, {monomial: int});
-    # a caller gets a fresh nonzero form and may mutate it, the memo never
-    # changes
-    den, nums = plain[0]
-    want = (den, dict(nums))
-    out = apply_L_raw(module, (0, 1), unit)
-    assert out == want and want[1]
-    out[1].clear()
-    assert memo[((0, 1), 0, mono)] == want
-    assert apply_L_raw(module, (0, 1), unit) == want
-
-
-def test_plan_keys_keep_the_audits_non_vacuous(sl2):
-    # at genus 0 the margin-3 images equal the plain ones, so only the
-    # plan key keeps summation-bounds from comparing one computation with
-    # itself
-    cfg = Config(["0", "1"])
-    module = induce_module(sl2, cfg, ModuleSpec("weyl", (1, 1), Rat(1), 3))
-    unit = (1, {module.slice_basis(0)[0]: 1})
-    margins = (0, 3)
-    for margin in margins:
-        apply_L_raw(module, (0, 1), unit, margin)
-    plans = {key[4]: plan for key, plan in cfg.cache.items()
-             if key[:4] == ("sugw-plan", "sl2", 0, 1) and key[5] == 0}
-    assert sorted(plans) == list(margins)
-    plain, wide = (plans[m] for m in margins)
-
-    def terms(plan):
-        # each plan has its own denominator, so compare the coefficients
-        den, groups = plan
-        return {(second, first): Rat(num, den)
-                for second, firsts in groups for first, num in firsts}
-
-    # the wider plan reaches modes the plain one does not
-    modes = [{op[0] for pair in terms(plan) for op in pair}
-             for plan in (plain, wide)]
-    assert modes[0] < modes[1] and terms(plain).items() < terms(wide).items()
 
 
 def test_normal_ordering_check_reads_both_symmetries(monkeypatch):
@@ -427,12 +370,48 @@ def test_multipoint_audit_reuses_memoised_images(sl2, cfg2, monkeypatch):
     seen = []
     real = sugawara.apply_L_raw
 
-    def counting(module, idx, vec, *args):
+    def counting(module, idx, vec):
         seen.append(len(vec[1]))
-        return real(module, idx, vec, *args)
+        return real(module, idx, vec)
 
     monkeypatch.setattr(sugawara, "apply_L_raw", counting)
     pairs = [((1, 1), (-1, 2)), ((1, 2), (-1, 1)), ((0, 1), (0, 2))]
     res = sugawara_commutator_audit(cfg2, sl2, module, pairs, [-1, -2])
     assert all(e.is_scalar for e in res)
-    assert 2 * len(module._sugawara_memo) < sum(seen)
+    memo = module._sugawara_memo
+    assert 2 * len(memo) < sum(seen)
+    # each image is computed from the image of its suffix, both memoised
+    # under ((k, r), monomial)
+    mono = module.slice_basis(-1)[0]
+    suffix = PBWMonomial(mono.creation[1:], mono.vacuum)
+    own, rest = memo[((0, 1), mono)], memo[((0, 1), suffix)]
+    assert own != rest and own[1] and rest[1]
+    # the memo holds the image as an integer form (D, {monomial: int});
+    # a caller gets a fresh nonzero form and may mutate it, the memo never
+    # changes
+    want = (own[0], dict(own[1]))
+    unit = (1, {mono: 1})
+    out = real(module, (0, 1), unit)
+    assert out == want
+    out[1].clear()
+    assert memo[((0, 1), mono)] == want
+    assert real(module, (0, 1), unit) == want
+
+
+def test_summation_bounds_fails_on_a_narrowed_window(monkeypatch):
+    # the engine's term plans lose the boundary modes of their window:
+    # every term with a mode -dv, that is n = -dv or n = t + dv; the
+    # check's direct plans of degree d - 3 keep theirs, so the images part
+    assert verify.summation_bounds()[0]
+    real = sugawara._term_plan
+
+    def narrowed(cfg, alg, k, r, dv):
+        den, terms = real(cfg, alg, k, r, dv)
+        kept = ((second, tuple((first, num) for first, num in firsts
+                               if -dv not in (first[0], second[0])))
+                for second, firsts in terms)
+        return den, tuple((second, firsts) for second, firsts in kept
+                          if firsts)
+
+    monkeypatch.setattr(sugawara, "_term_plan", narrowed)
+    assert verify.summation_bounds() == (False, "summation bound unstable")
