@@ -24,7 +24,7 @@ from .kz import flatness_check, kz_matrices
 from .modules import (ModuleSpec, degree_zero_coinvariant_dimension,
                       induce_module)
 from .ratfield import Poly, RationalFunction
-from .sugawara import sugawara_commutator_audit, total_degree_band
+from .sugawara import sugawara_commutator_audit
 
 # Bounds on degree and depth requests, so that none runs unbounded.  At
 # four integer marked points the largest accepted `basis`, `table`,
@@ -43,43 +43,30 @@ MAX_DEPTH = 7            # slices `module` lists; lowest `sugawara` slice;
 # listing only counts them).  Building the degree-0 slice takes one
 # recursion level per string entry.
 MAX_VERMA_WIDTH = 32
-# Monomials in the degree-0 slice, C(width + N, N) strings at N points,
-# of a `verma` module that `module --coinvariants` or `--action` builds.
-# With weights 1 the largest accepted took 5-7 s (560 at 0,1,-1, 495 at
-# 0,1,-1,2, 462 at five points); 969 at 0,1,-1 took 12 s.
-MAX_VERMA_SLICE = 600
-# Monomials in the degree-0 slice, the product of the dimensions w + 1 of
-# the local modules, of a `weyl` module that `module --coinvariants`,
-# `--action` or `kz` builds.  At 0,1,-1 the largest accepted, (6,6,6)
-# with 343, took 0.25-0.36 s for `--coinvariants`, 0.4-0.5 s for
-# `--action` and 0.4-0.6 s for `kz` (a fresh process each, start-up
-# included); (4,9,7), with 400 over the bound, reduces in 0.05 s in
-# process.  `kz` took 0.5-0.6 s for (3,3,3,4) at 0,1,-1,2 (320
-# monomials), 0.35-0.6 s for (2,2,2,2,2) at five points (243) and
-# 0.8-1.05 s for (1,...,1) at eight points (256), on a 2-core x86-64 VM.
-MAX_WEYL_SLICE = 350
 # Largest sl2 weight of a local module in a `weyl` module that any command
-# induces, so that its local module alone fits in a MAX_WEYL_SLICE slice.
-# Each local irrep is built and checked on its nonzero entries as the
-# module is induced (0.04 s at weight 349), and both weyl bounds are
-# checked on the weights before that.
-MAX_WEYL_WEIGHT = MAX_WEYL_SLICE - 1
-# Monomials in the deepest slice a `sugawara` audit reaches: slice d plus
-# the most negative shift of a pair.  An audit applies four or five
-# Sugawara operators to each monomial of slice d, at a cost per monomial
-# that grows with the number of points and with the depth.  With pair
-# 0,1,0,2, which shifts nothing, the costliest accepted audits found are
-# verma modules of weights 1: width 2 at 0,1,-1,2,3,-2,-3,4, slice -7
-# (1,944 monomials), 8.7 s and 94 MB max RSS; width 3 at 0,1,-1,2, slice
-# -6 (5,038), 7.2 s and 93 MB.  Slice -6 of width 3 at five points (9,590)
-# took 17.0 s and 176 MB.  At 0,1,-1 with weights (1,1,1), pair 2,1,-2,1
-# from slice -3 (30,024 at slice -5) takes 2.5 s and 74 MB.  Each figure
-# is the command in a fresh process on a 2-core x86-64 VM.
-MAX_AUDIT_MONOMIALS = 6000
+# induces, checked on the weights before any local irrep is built.  Each
+# irrep is built and checked on its nonzero entries as the module is
+# induced, about 0.025 s at weight 400: a plain `module` listing with the
+# weights 393-400 at eight points takes 0.33 s in a fresh process.
+MAX_WEYL_WEIGHT = 400
+# Work of a request that builds slices, as `_check_work` estimates it
+# before any slice is built, in units of one dense output entry (about
+# 0.2 us and 20 bytes).  The costliest accepted requests found take 8 s
+# or 280 MB max RSS; a fresh process each, on a 2-core x86-64 VM, at
+# 0,1,-1 unless N points are named (CHANGES.md has the whole table):
+#   request                                      estimate     s    MB
+#   sugawara 0,1,0,2 slice -6, verma w2, N = 8  14,411,520   8.0    81
+#   module --coinvariants (3,3,3,3,2,2), N = 6  13,851,648   7.2    37
+#   sugawara 0,1,0,2 slice -4, weyl (1,1,1)     14,904,000   2.9    66
+#   kz (48,48) at 0,1                           13,450,402   2.9   277
+#   module --action (10,10,10): refused         15,944,049   3.5   319
+#   sugawara 0,1,0,2 slice -6, weyl (1,1) at 0,1: refused
+#                                               16,746,240   7.2    95
+MAX_WORK = 15_000_000
 # Spaces per nesting level of `--json-indent`.  Indented output puts each
 # entry on its own line, so its size grows linearly with the indent: the
 # largest output, `kz` at (1,...,1) at eight points, is 2.7 MB compact,
-# 6.9 MB at indent 2 and 19.5 MB at 8 (0.9 s, 101 MB max RSS in a fresh
+# 6.9 MB at indent 2 and 19.5 MB at 8 (0.9 s, 95 MB max RSS in a fresh
 # process).
 MAX_JSON_INDENT = 8
 
@@ -202,9 +189,7 @@ def _config_connection(data):
     return ProjectiveConnection(RationalFunction(num, den))
 
 
-def _config_module_spec(cfg, data, alg, built=False):
-    """The module spec of a config; a weyl module is checked by
-    `_weyl_bounds` before it is induced."""
+def _config_module_spec(cfg, data, alg):
     m = _config_object(data.get("module", {}), "module")
     kind = m.get("kind", "weyl")
     weights = m.get("weights", data.get("weights"))
@@ -218,49 +203,59 @@ def _config_module_spec(cfg, data, alg, built=False):
     if width is not None:
         width = _parse_int(width, "width")
     try:
-        spec = ModuleSpec(kind, weights, level, depth, width)
+        return ModuleSpec(kind, weights, level, depth, width)
     except DomainError as exc:
         raise ConfigError(str(exc))
-    if kind == "weyl":
-        _weyl_bounds(alg, weights, built)
-    return spec
 
 
 def _config_weights(cfg, alg, weights, integral):
     """One weight per marked point, integers if `integral` (then an sl2
-    weight must be nonnegative), else rationals; checked before any
-    module is built."""
+    weight lies in 0..MAX_WEYL_WEIGHT), else rationals; checked before
+    any module is built."""
     weights = _config_list(weights, "weights")
     if len(weights) != cfg.n_points:
         raise ConfigError("need one weight per marked point")
     if not integral:
         return tuple(_parse_rat(w) for w in weights)
     weights = tuple(_parse_int(w, "weight") for w in weights)
-    if alg.kind == "sl2" and min(weights) < 0:
-        raise ConfigError("sl2 weight must be a nonnegative integer")
+    if alg.kind == "sl2":
+        if min(weights) < 0:
+            raise ConfigError("sl2 weight must be a nonnegative integer")
+        for w in weights:
+            _bounded(w, "weyl weight", 0, MAX_WEYL_WEIGHT, "MAX_WEYL_WEIGHT")
     return weights
 
 
-def _slice_bound(kind, size):
-    """Refuse a verma or weyl degree-0 slice over its bound."""
-    bound = MAX_VERMA_SLICE if kind == "verma" else MAX_WEYL_SLICE
-    if size > bound:
-        raise ConfigError(
-            "%s degree-0 slice of %d monomials exceeds %d (MAX_%s_SLICE)"
-            % (kind, size, bound, kind.upper()))
-
-
-def _weyl_bounds(alg, weights, built):
-    """Refuse an sl2 weyl module before any local irrep is built: its
-    degree-0 slice, the product of the w + 1, if it will be built, then
-    each weight (MAX_WEYL_WEIGHT).  The weights are those of
-    `_config_weights`."""
-    if alg.kind != "sl2":
-        return
-    if built:
-        _slice_bound("weyl", prod(w + 1 for w in weights))
-    for w in weights:
-        _bounded(w, "weyl weight", 0, MAX_WEYL_WEIGHT, "MAX_WEYL_WEIGHT")
+def _check_work(cfg, alg, dim0, matrices=0, images=False, module=None,
+                coinvariants=False, pairs=(), window=()):
+    """Refuse a request whose work estimate exceeds MAX_WORK.  It reads
+    counts only: dim0, the monomials of the degree-0 slice, and for an
+    audit the slice dimensions of `module`.  At N points it sums
+      - `matrices` dense outputs of dim0^2 entries (`module --action`,
+        `kz`), and 400 for each of the N * dim0 Sugawara `images` of `kz`;
+      - for `module --coinvariants`, alg.dim * N relation rows per
+        monomial, 64 each plus 2 per monomial of its sl2 weight space in a
+        weyl module (dim0 over the sum of the weights plus one), against
+        which it is reduced;
+      - for each `sugawara` pair k,r,m,s and distinct slice d, 120 per
+        monomial of slice d times N, times |d| + 1 plus a verma module's
+        width (the longest string), times 1 + |min(0, k)| + |min(0, m)|
+        (the deeper slices the images reach)."""
+    n = cfg.n_points
+    work = matrices * dim0 * dim0 + images * 400 * n * dim0
+    if coinvariants:
+        spec = module.spec
+        fill = (dim0 // (sum(spec.weights) + 1)
+                if spec.kind == "weyl" and alg.kind == "sl2" else 0)
+        work += alg.dim * n * dim0 * (64 + 2 * fill)
+    for d in dict.fromkeys(window):
+        per_pair = (120 * module.slice_dimension(d) * n
+                    * (1 - d + (module.spec.width or 0)))
+        work += sum(per_pair * (1 - min(0, k) - min(0, m))
+                    for (k, _r), (m, _s) in pairs)
+    if work > MAX_WORK:
+        raise ConfigError("work estimate %d exceeds %d (MAX_WORK)"
+                          % (work, MAX_WORK))
 
 
 def _built_verma_width(spec):
@@ -391,8 +386,7 @@ def cmd_module(args):
     data = _load_config(args.config)
     cfg = _config_points(data, args)
     alg = _config_algebra(data)
-    built = args.coinvariants or args.action
-    spec = _config_module_spec(cfg, data, alg, built)
+    spec = _config_module_spec(cfg, data, alg)
     module = induce_module(alg, cfg, spec)
     slices = {str(-d): module.slice_dimension(-d)
               for d in range(0, spec.depth + 1)}
@@ -403,10 +397,11 @@ def cmd_module(args):
         "depth": spec.depth,
         "slice_dimensions": slices,
     }
-    if built:
+    if args.coinvariants or args.action:
         _built_verma_width(spec)
-        if spec.kind == "verma":
-            _slice_bound("verma", module.slice_dimension(0))
+        _check_work(cfg, alg, module.slice_dimension(0),
+                    args.action * cfg.n_points * alg.dim, module=module,
+                    coinvariants=args.coinvariants)
     if args.coinvariants:
         payload["coinvariant_dimension_degree0"] = \
             degree_zero_coinvariant_dimension(module)
@@ -438,20 +433,11 @@ def cmd_sugawara(args):
         pairs.append((tuple(idx[:2]), tuple(idx[2:])))
     window = [_bounded(d, "slice degree", -spec.depth, 0, "module depth")
               for d in _parse_int_list(args.slices, "slice degree")]
-    # L(k, r) shifts degrees by totals in total_degree_band; an audit
-    # applies L(m, s) then L(k, r), so it reaches d + min(0, k) + min(0, m)
-    shift = min(sum(min(0, total_degree_band(cfg, k)[0]) for k, _r in pair)
-                for pair in pairs)
     for d in window:
         if not module.slice_dimension(d):
             raise ConfigError("slice %d of this module is empty" % d)
-        size = module.slice_dimension(d + shift)
-        if size > MAX_AUDIT_MONOMIALS:
-            raise ConfigError(
-                "slice %d reaches slice %d of %d monomials, more than %d "
-                "(MAX_AUDIT_MONOMIALS)" % (d, d + shift, size,
-                                           MAX_AUDIT_MONOMIALS))
     _built_verma_width(spec)
+    _check_work(cfg, alg, 0, module=module, pairs=pairs, window=window)
     entries = []
     for e in sugawara_commutator_audit(cfg, alg, module, pairs, window):
         entries.append({
@@ -475,7 +461,8 @@ def cmd_kz(args):
         raise ConfigError("weights missing")
     weights = _config_weights(cfg, alg, weights, alg.kind == "sl2")
     level = _parse_rat(data.get("level", "1"))
-    _weyl_bounds(alg, weights, True)
+    _check_work(cfg, alg, prod(w + 1 for w in weights)
+                if alg.kind == "sl2" else 1, cfg.n_points, images=True)
     system = kz_matrices(cfg, alg, weights, level)
     flat = "ok"
     if cfg.n_points >= 3 and not flatness_check(system).holds:
@@ -488,7 +475,9 @@ def cmd_kz(args):
         "kappa": None if system.kappa is None else _rat_str(system.kappa),
         "sign_convention": (None if system.sign_convention is None
                             else "%+d" % system.sign_convention),
-        "matrices": [_matrix_json(m) for m in system.matrices],
+        # each dense matrix is dropped once printed, not held beside all
+        "matrices": [_matrix_json(system.matrices.pop(0))
+                     for _ in range(len(system.matrices))],
         "scalar_shifts": (None if system.scalar_shifts is None else
                           [None if s is None else _rat_str(s)
                            for s in system.scalar_shifts]),

@@ -1,17 +1,27 @@
 """CLI: JSON output, determinism, exit codes."""
 
 import hashlib
+import io
 import json
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from time import perf_counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from knwznw import cli, sugawara, verify
-from knwznw.cli import (MAX_AUDIT_MONOMIALS, MAX_BASIS_INDEX, MAX_DEPTH,
-                        MAX_JSON_INDENT, MAX_VERMA_SLICE, MAX_VERMA_WIDTH,
-                        MAX_WEYL_SLICE, MAX_WEYL_WEIGHT, MAX_WINDOW_DEGREE,
-                        MAX_WINDOW_WIDTH, main)
+from knwznw import cli, finite_lie, sugawara, verify
+from knwznw._kernel import Rat
+from knwznw.basis import Config
+from knwznw.cli import (MAX_BASIS_INDEX, MAX_DEPTH, MAX_JSON_INDENT,
+                        MAX_VERMA_WIDTH, MAX_WEYL_WEIGHT, MAX_WINDOW_DEGREE,
+                        MAX_WINDOW_WIDTH, MAX_WORK, main)
+from knwznw.errors import ConfigError
+from knwznw.finite_lie import make_algebra
+from knwznw.modules import InducedModule, ModuleSpec, induce_module
 
 
 def run_cli(argv, capsys):
@@ -392,36 +402,51 @@ README_CONFIG = {"points": ["0", "1", "-1"], "lie_algebra": "sl2",
                             "level": "1", "depth": 4}}
 
 
-def test_sugawara_audit_size_bound(capsys, tmp_path, monkeypatch):
-    # pair (2,1),(-2,1) shifts slice d down to d - 2: slice -2 reaches
-    # slice -4 of 8 * 1,035 monomials, and must exit 2 without building it
+# slices 0, -1, -2, -3 and -4 of README's module hold 8, 72, 432, 2,040
+# and 8,280 monomials
+README_SLICES = {0: 8, -1: 72, -2: 432, -3: 2040, -4: 8280}
+
+
+def audit_work(pairs, slices):
+    """The audit estimate of README's module at its three points: per pair
+    (k, m) and distinct slice d, 120 per monomial times N = 3, |d| + 1 and
+    1 + |min(0, k)| + |min(0, m)|."""
+    return sum(120 * README_SLICES[d] * 3 * (1 - d)
+               * (1 - min(0, k) - min(0, m))
+               for d in dict.fromkeys(slices) for k, m in pairs)
+
+
+def test_sugawara_work_bound(capsys, tmp_path, monkeypatch):
     cfg = _write(tmp_path, "s.json", README_CONFIG)
-    assert 2040 <= MAX_AUDIT_MONOMIALS < 8280
-    for slices in ("-2", "0,-2"):
-        _rejected(["sugawara", "--config", cfg, "--pairs", "2,1,-2,1",
-                   "--slices", slices], capsys,
-                  "slice -2 reaches slice -4 of 8280 monomials, more than "
-                  "%d (MAX_AUDIT_MONOMIALS)" % MAX_AUDIT_MONOMIALS)
-    # the most negative shift of any pair counts
-    _rejected(["sugawara", "--config", cfg, "--pairs", "0,1,0,2;2,1,-2,1",
-               "--slices=-2"], capsys, "(MAX_AUDIT_MONOMIALS)")
-    # two negative degrees shift twice: -1 - 1 - 1 = -3 passes, -4 not
-    code, _, err = run_cli(["sugawara", "--config", cfg,
-                            "--pairs=-1,1,-1,2", "--slices=-1"], capsys)
-    assert code == 0, err
-    _rejected(["sugawara", "--config", cfg, "--pairs=-1,1,-1,2",
-               "--slices=-2"], capsys, "reaches slice -4")
-    # README's request reaches slice -3 (2,040 monomials): it runs at a
-    # bound of 2,040 and is refused at 2,039
+    # README's request runs at exactly its estimate, and is refused one below
     readme = ["sugawara", "--config", cfg, "--pairs", "2,1,-2,1",
               "--slices=0,-1"]
-    monkeypatch.setattr(cli, "MAX_AUDIT_MONOMIALS", 2039)
-    _rejected(readme, capsys, "slice -1 reaches slice -3 of 2040 monomials, "
-              "more than 2039 (MAX_AUDIT_MONOMIALS)")
-    monkeypatch.setattr(cli, "MAX_AUDIT_MONOMIALS", 2040)
+    work = audit_work([(2, -2)], [0, -1])
+    assert work == 164160
+    monkeypatch.setattr(cli, "MAX_WORK", work - 1)
+    _rejected(readme, capsys, "work estimate 164160 exceeds 164159 "
+              "(MAX_WORK)")
+    monkeypatch.setattr(cli, "MAX_WORK", work)
     code, out, err = run_cli(readme, capsys)
     assert code == 0 and err == ""
     assert json.loads(out)["entries"][0]["ratio"] == "1"
+    # a repeated slice counts once; every pair counts, a repeated one again,
+    # and each negative degree of a pair once more
+    for pairs, slices, degrees in (
+            ("2,1,-2,1", "0,-1,-1,0", [(2, -2)]),
+            ("2,1,-2,1;2,1,-2,1", "0,-1", [(2, -2)] * 2),
+            ("0,1,0,2;-1,1,-1,2", "-1", [(0, 0), (-1, -1)]),
+            ("1,1,-1,2", "0,-2", [(1, -1)]),
+            ("0,1,0,2", "-4", [(0, 0)])):
+        monkeypatch.setattr(cli, "MAX_WORK", 0)
+        slice_list = [int(d) for d in slices.split(",")]
+        _rejected(["sugawara", "--config", cfg, "--pairs", pairs,
+                   "--slices=" + slices], capsys,
+                  "work estimate %d exceeds 0 (MAX_WORK)"
+                  % audit_work(degrees, slice_list))
+    monkeypatch.setattr(cli, "MAX_WORK", work)
+    code, out, err = run_cli(readme[:-1] + ["--slices=0,-1,-1,0"], capsys)
+    assert code == 0 and err == ""
 
 
 @pytest.mark.parametrize("module", [
@@ -444,8 +469,8 @@ def test_a_width_on_a_weyl_or_fock_module_exits_2(capsys, tmp_path, module,
 
 
 def test_a_huge_width_costs_nothing(capsys, tmp_path):
-    # a verma module's tails are counted in closed form, and the audit
-    # bound rejects a slice that large without allocating by the width
+    # a verma module's tails are counted in closed form, so the work
+    # estimate of an audit on it costs nothing in the width either
     verma = _write(tmp_path, "v.json", {
         "points": ["0", "1"],
         "module": {"kind": "verma", "weights": ["1", "1"], "depth": 2,
@@ -455,8 +480,18 @@ def test_a_huge_width_costs_nothing(capsys, tmp_path):
     # f(0,1)^a f(0,2)^b with a + b <= 10^9
     assert json.loads(out)["slice_dimensions"]["0"] == \
         (10 ** 9 + 2) * (10 ** 9 + 1) // 2
+    module = induce_module(make_algebra("sl2"), Config([Rat(0), Rat(1)]),
+                           ModuleSpec("verma", (Rat(1), Rat(1)), Rat(1), 2,
+                                      10 ** 9))
+    start = perf_counter()
+    with pytest.raises(ConfigError, match=r"exceeds %d \(MAX_WORK\)"
+                       % MAX_WORK):
+        cli._check_work(module.cfg, module.alg, 0, module=module,
+                        pairs=[((1, 1), (-1, 2))], window=[0])
+    assert perf_counter() - start < 0.5
+    # the CLI refuses to build its slices at all
     _rejected(["sugawara", "--config", verma, "--pairs", "1,1,-1,2",
-               "--slices=0"], capsys, "(MAX_AUDIT_MONOMIALS)")
+               "--slices=0"], capsys, "(MAX_VERMA_WIDTH)")
 
 
 @pytest.mark.parametrize("argv", [
@@ -478,65 +513,191 @@ def test_verma_width_bound(capsys, tmp_path, argv):
         code == 1 and err.startswith("error: truncation overflow")), err
 
 
-def test_verma_slice_bound(capsys, tmp_path):
+def test_verma_work_bound(capsys, tmp_path, monkeypatch):
     # inside the width bound, the degree-0 slice of a verma module holds
-    # C(width + N, N) strings; it is counted before it is built
-    def config(width):
-        return _write(tmp_path, "v%d.json" % width, {
-            "points": ["0", "1", "-1"],
-            "module": {"kind": "verma", "weights": ["1", "1", "1"],
-                       "depth": 0, "width": width}})
-    for flag in ("--coinvariants", "--action"):
-        _rejected(["module", flag, "--config", config(14)], capsys,
-                  "slice of 680 monomials exceeds %d (MAX_VERMA_SLICE)"
-                  % MAX_VERMA_SLICE)
-    # 560 strings pass the bound; `--action` then reports the strings it
-    # lost past the width (exit 1), as any verma action does
-    assert 560 <= MAX_VERMA_SLICE < 680
-    code, out, err = run_cli(["module", "--action", "--config", config(13)],
+    # C(width + N, N) strings, 680 at width 14 and three points; the
+    # estimate counts them before the slice is built: alg.dim * N = 9
+    # relation rows of 64 per string for `--coinvariants`, and 9 dense
+    # 680 x 680 matrices for `--action`
+    cfg = _write(tmp_path, "v.json", {
+        "points": ["0", "1", "-1"],
+        "module": {"kind": "verma", "weights": ["1", "1", "1"],
+                   "depth": 0, "width": 14}})
+    coinvariants, action = 9 * 680 * 64, 9 * 680 ** 2
+    monkeypatch.setattr(cli, "MAX_WORK", 0)
+    for flags, work in ((["--coinvariants"], coinvariants),
+                        (["--action"], action),
+                        (["--coinvariants", "--action"],
+                         coinvariants + action)):
+        _rejected(["module", "--config", cfg] + flags, capsys,
+                  "work estimate %d exceeds 0 (MAX_WORK)" % work)
+    # each runs at its estimate; `--action` then reports the strings it lost
+    # past the width (exit 1), as any verma action does
+    monkeypatch.setattr(cli, "MAX_WORK", coinvariants)
+    code, out, err = run_cli(["module", "--coinvariants", "--config", cfg],
                              capsys)
+    assert code == 0 and err == ""
+    monkeypatch.setattr(cli, "MAX_WORK", action)
+    code, out, err = run_cli(["module", "--action", "--config", cfg], capsys)
     assert code == 1 and err.startswith("error: truncation overflow"), err
 
 
-def test_weyl_slice_bound(capsys, tmp_path):
-    # the degree-0 slice of a weyl module holds prod (w + 1) monomials; it
-    # is counted before `module --coinvariants`, `--action` or `kz` builds
-    # it: (2,8,12) holds 3 * 9 * 13 = 351, one past (6,6,6)'s 343
-    assert 343 <= MAX_WEYL_SLICE < 351
-    for weights in ((2, 8, 12), (7, 7, 7)):
-        size = (weights[0] + 1) * (weights[1] + 1) * (weights[2] + 1)
-        cfg = _write(tmp_path, "w.json", {"points": ["0", "1", "-1"],
-                                          "weights": list(weights),
-                                          "depth": 0})
-        for argv in (["module", "--coinvariants"], ["module", "--action"],
-                     ["kz"]):
-            _rejected(argv + ["--config", cfg], capsys,
-                      "weyl degree-0 slice of %d monomials exceeds %d "
-                      "(MAX_WEYL_SLICE)" % (size, MAX_WEYL_SLICE))
+def test_weyl_work_bound(capsys, tmp_path, monkeypatch):
+    # the degree-0 slice of a weyl module holds prod (w + 1) monomials,
+    # counted from the weights: 400 for (4,9,7).  `--coinvariants` counts
+    # 9 rows per monomial of 64 plus 2 per monomial of its weight space
+    # (400 // 21); `--action` 9 dense 400 x 400 matrices; `kz` 3 of them and
+    # 400 per Sugawara image, 3 * 400 of them
+    cfg = _write(tmp_path, "w.json", {"points": ["0", "1", "-1"],
+                                      "weights": [4, 9, 7], "depth": 0})
+    monkeypatch.setattr(cli, "MAX_WORK", 0)
+    for argv, work in ((["module", "--coinvariants"], 9 * 400 * (64 + 38)),
+                       (["module", "--action"], 9 * 400 ** 2),
+                       (["kz"], 3 * 400 ** 2 + 400 * 3 * 400)):
+        _rejected(argv + ["--config", cfg], capsys,
+                  "work estimate %d exceeds 0 (MAX_WORK)" % work)
     # a plain listing only counts its slices
     code, out, _ = run_cli(["module", "--config", cfg], capsys)
-    assert code == 0 and json.loads(out)["slice_dimensions"]["0"] == 512
+    assert code == 0 and json.loads(out)["slice_dimensions"]["0"] == 400
 
 
 def test_large_weyl_weights_are_refused_before_any_irrep_is_built(
         capsys, tmp_path):
     # building and checking the 351-dimensional irrep of weight 350 took
-    # about 2 s before the request was refused; the bounds read only the
-    # weights
-    assert MAX_WEYL_WEIGHT + 1 == MAX_WEYL_SLICE
+    # about 2 s before the request was refused; the weight bound reads
+    # only the weights
+    weight = MAX_WEYL_WEIGHT + 1
     cfg = _write(tmp_path, "w.json", {"points": ["0", "1", "-1"],
-                                      "weights": [350, 1, 1], "depth": 0})
-    too_large = "weyl degree-0 slice of 1404 monomials exceeds %d " \
-        "(MAX_WEYL_SLICE)" % MAX_WEYL_SLICE
-    weight = "weyl weight 350 is out of range 0..%d (MAX_WEYL_WEIGHT)" \
-        % MAX_WEYL_WEIGHT
-    for argv, bound in ((["kz"], too_large),
-                        (["module", "--coinvariants"], too_large),
-                        (["module"], weight),
-                        (["sugawara", "--slices=0"], weight)):
+                                      "weights": [weight, 1, 1], "depth": 0})
+    for argv in (["kz"], ["module", "--coinvariants"], ["module"],
+                 ["sugawara", "--slices=0"]):
         start = perf_counter()
-        _rejected(argv + ["--config", cfg], capsys, bound)
+        _rejected(argv + ["--config", cfg], capsys,
+                  "weyl weight %d is out of range 0..%d (MAX_WEYL_WEIGHT)"
+                  % (weight, MAX_WEYL_WEIGHT))
         assert perf_counter() - start < 0.5, argv
+        assert ("sl2", weight) not in finite_lie._IRREPS
+
+
+class _Reached(Exception):
+    """Raised in place of the work a request would do once accepted."""
+
+
+def _reach(*args):
+    raise _Reached
+
+
+def test_requests_are_decided_by_the_estimate_alone(capsys, tmp_path,
+                                                     monkeypatch):
+    # each accepted request reaches its computation, stubbed out here, and
+    # a refused one exits 2 before it; no slice is built either way
+    for name in ("degree_zero_coinvariant_dimension", "kz_matrices",
+                 "sugawara_commutator_audit"):
+        monkeypatch.setattr(cli, name, _reach)
+    monkeypatch.setattr(InducedModule, "slice_basis", _reach)
+    weights = _write(tmp_path, "w.json", {"points": ["0", "1", "-1"],
+                                          "weights": [4, 9, 7], "depth": 0})
+    readme = _write(tmp_path, "s.json", README_CONFIG)
+    # 0.25 s and 0.45 s unbounded, in fresh processes
+    for argv in (["module", "--coinvariants", "--config", weights],
+                 ["kz", "--config", weights],
+                 # 8,280 monomials, 3.3 s
+                 ["sugawara", "--config", readme, "--pairs", "0,1,0,2",
+                  "--slices=-4"]):
+        with pytest.raises(_Reached):
+            main(argv)
+    # (10,10,10) prints 9 dense 1,331 x 1,331 matrices: 3.3 s, 319 MB
+    big = _write(tmp_path, "b.json", {"points": ["0", "1", "-1"],
+                                      "weights": [10, 10, 10]})
+    _rejected(["module", "--action", "--config", big], capsys, "(MAX_WORK)")
+    # every pair k,r,m,s with k, m in -3..4 at three points: 576 pairs, 39 s
+    ops = ["%d,%d" % (k, r) for k in range(-3, 5) for r in (1, 2, 3)]
+    pairs = ";".join(a + "," + b for a in ops for b in ops)
+    assert len(pairs.split(";")) == 576
+    start = perf_counter()
+    _rejected(["sugawara", "--config", readme, "--pairs=" + pairs,
+               "--slices=-3"], capsys, "(MAX_WORK)")
+    assert perf_counter() - start < 0.5
+
+
+JUNK = st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=3),
+                 st.integers(-10 ** 30, 10 ** 30),
+                 st.lists(st.integers(-1, 2), max_size=2),
+                 st.dictionaries(st.text(max_size=1), st.integers(),
+                                 max_size=1))
+WEIGHT = st.one_of(st.integers(-2, 3), st.floats(-3, 3), st.booleans(),
+                   st.sampled_from([MAX_WEYL_WEIGHT, MAX_WEYL_WEIGHT + 1,
+                                    10 ** 9, 2 ** 70, "1/2", "-1/3", "1/0",
+                                    "2", "x"]), JUNK)
+PAIR = st.tuples(st.integers(-3, 3), st.integers(0, 4), st.integers(-3, 3),
+                 st.integers(0, 4))
+
+
+@st.composite
+def cli_requests(draw):
+    """argv and config of a `module`, `kz` or `sugawara` request, mostly
+    well formed; one value in five of each kind is drawn from the junk."""
+    def rarely(bad, good):
+        junk = draw(st.sampled_from([False, False, False, False, True]))
+        return draw(bad if junk else good)
+
+    n = draw(st.integers(1, 4))
+    lie = rarely(st.just("x"), st.sampled_from(["sl2", "sl2", "abelian1"]))
+    kind = rarely(st.just("x"), st.sampled_from(
+        ["weyl", "fock"] if lie == "abelian1" else ["weyl", "weyl", "verma"]))
+    good = (st.integers(0, 3) if kind == "weyl" else
+            st.sampled_from(["1", "1/2", "-1", "0"]))
+    weights = rarely(st.one_of(st.lists(WEIGHT, min_size=n, max_size=n),
+                               st.lists(WEIGHT, max_size=5), JUNK),
+                     st.lists(good, min_size=n, max_size=n))
+    module = {"kind": kind, "weights": weights}
+    if kind == "verma":
+        module["width"] = rarely(st.one_of(st.just(10 ** 9), JUNK),
+                                 st.integers(0, 4))
+    for key, values in (
+            ("width", st.one_of(st.integers(-2, 40), JUNK)),
+            ("depth", st.one_of(st.integers(-1, 9), JUNK)),
+            ("level", st.one_of(st.sampled_from(["-2", "0", "3/2", "1/0",
+                                                 "x"]), JUNK))):
+        if draw(st.sampled_from([False, False, False, False, True])):
+            module[key] = draw(values)
+    data = {"points": ["0", "1", "-1", "2"][:n], "lie_algebra": lie,
+            "weights": weights, "module": rarely(JUNK, st.just(module))}
+    argv = draw(st.sampled_from([["module"], ["module", "--coinvariants"],
+                                 ["module", "--action"], ["kz"],
+                                 ["sugawara"], ["sugawara"]]))
+    if argv == ["sugawara"]:
+        pairs = rarely(st.text("0123456789,-;x", max_size=8),
+                       st.lists(PAIR, min_size=1, max_size=3).map(
+                           lambda ps: ";".join(",".join(map(str, p))
+                                               for p in ps)))
+        slices = rarely(st.text("0123456789,-x", max_size=4),
+                        st.lists(st.integers(-4, 1), min_size=1,
+                                 max_size=3).map(
+                            lambda ds: ",".join(map(str, ds))))
+        argv = argv + ["--pairs=" + pairs, "--slices=" + slices]
+    return argv, data
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(request=cli_requests())
+def test_malformed_or_costly_requests_exit_cleanly(request):
+    # with the work bound lowered, every request accepted is tiny: each
+    # exits 0, 1 or 2 with a message, within a second
+    argv, data = request
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "MAX_WORK", 20000)
+        path = Path(tmp) / "c.json"
+        path.write_text(json.dumps(data))
+        out, err = io.StringIO(), io.StringIO()
+        start = perf_counter()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv + ["--config", str(path)])
+        assert perf_counter() - start < 1.0, (argv, data)
+    assert code in (0, 1, 2), (argv, data, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (err.getvalue() == ""), err.getvalue()
 
 
 def colored_partitions(colors, upto):

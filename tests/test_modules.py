@@ -17,7 +17,6 @@ from knwznw._kernel import RAT0, RAT1, ZERO_FORM, merge, rats
 from knwznw.affine import (AffineElement, _block_expansions, affine_bracket,
                            block_algebra_basis)
 from knwznw.basis import Config
-from knwznw.cli import MAX_WEYL_SLICE
 from knwznw.errors import DomainError, TruncationOverflow
 from knwznw.finite_lie import factor_op, make_algebra
 from knwznw.modules import (ModuleSpec, ModuleVector, PBWMonomial,
@@ -695,12 +694,13 @@ rationals = st.builds(Rat, st.integers(-9, 9), st.integers(1, 5))
 def test_coinvariant_dimension_is_the_clebsch_gordan_count_at_random(
         data, n):
     # from classical representation theory, outside the code path: random
-    # rational points and sl2 weights, degree-0 slices up to the CLI bound
+    # rational points and sl2 weights, degree-0 slices of at most 350
+    # monomials
     points = data.draw(st.lists(rationals, min_size=n, max_size=n,
                                 unique=True))
     size, weights = 1, []
     for _ in points:
-        w = data.draw(st.integers(0, min(12, MAX_WEYL_SLICE // size - 1)))
+        w = data.draw(st.integers(0, min(12, 350 // size - 1)))
         weights.append(w)
         size *= w + 1
     m = induce_module(make_algebra("sl2"), Config(points),
