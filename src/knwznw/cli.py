@@ -26,48 +26,37 @@ from .modules import (ModuleSpec, degree_zero_coinvariant_dimension,
 from .ratfield import Poly, RationalFunction
 from .sugawara import sugawara_commutator_audit
 
-# Bounds on degree and depth requests, so that none runs unbounded.  At
-# four integer marked points the largest accepted `basis`, `table`,
-# `cocycle`, `affine` and plain `module` request takes about ten seconds
-# or less: cost grows with n - lambda for one basis element, with the
-# square of the window width and with how far negative the window
-# reaches.  `module` counts its slices (`InducedModule.slice_dimension`)
-# instead of building them, so its depth costs little.
+# Bounds on degree and depth requests, so that none runs unbounded: at
+# four integer points the largest accepted `basis`, `table`, `cocycle`,
+# `affine` and plain `module` request takes ten seconds or less (cost
+# grows with n - lambda, the square of the window width and how far
+# negative the window reaches).  `module` counts its slices, unbuilt.
 MAX_BASIS_INDEX = 200    # |n| and |lambda| of `basis`
 MAX_WINDOW_WIDTH = 31    # hi - lo + 1 of a `table`/`cocycle`/`affine` window
 MAX_WINDOW_DEGREE = 20   # |lo| and |hi| of such a window
 MAX_DEPTH = 7            # slices `module` lists; lowest `sugawara` slice;
                          # |k| and |m| of a `sugawara` pair k,r,m,s
-# Width of a `verma` module whose slices are built: by `module
-# --coinvariants`, `module --action` and `sugawara` (a plain `module`
-# listing only counts them).  Building the degree-0 slice takes one
-# recursion level per string entry.
+# Width of a `verma` module whose slices are built (`module --coinvariants`
+# or `--action`, `sugawara`): its degree-0 slice takes one recursion level
+# per string entry.
 MAX_VERMA_WIDTH = 32
-# Largest sl2 weight of a local module in a `weyl` module that any command
-# induces, checked on the weights before any local irrep is built.  Each
-# irrep is built and checked on its nonzero entries as the module is
-# induced, about 0.025 s at weight 400: a plain `module` listing with the
-# weights 393-400 at eight points takes 0.33 s in a fresh process.
+# Largest sl2 weight of a local module in a `weyl` module, checked before
+# any local irrep is built (about 0.025 s at weight 400: a plain `module`
+# listing with weights 393-400 at eight points takes 0.33 s).
 MAX_WEYL_WEIGHT = 400
-# Work of a request that builds slices, as `_check_work` estimates it
-# before any slice is built, in units of one dense output entry (about
-# 0.2 us and 20 bytes).  The costliest accepted requests found take 8 s
-# or 280 MB max RSS; a fresh process each, on a 2-core x86-64 VM, at
-# 0,1,-1 unless N points are named (CHANGES.md has the whole table):
-#   request                                      estimate     s    MB
-#   sugawara 0,1,0,2 slice -6, verma w2, N = 8  14,411,520   8.0    81
-#   module --coinvariants (3,3,3,3,2,2), N = 6  13,851,648   7.2    37
-#   sugawara 0,1,0,2 slice -4, weyl (1,1,1)     14,904,000   2.9    66
-#   kz (48,48) at 0,1                           13,450,402   2.9   277
-#   module --action (10,10,10): refused         15,944,049   3.5   319
-#   sugawara 0,1,0,2 slice -6, weyl (1,1) at 0,1: refused
-#                                               16,746,240   7.2    95
+# Work of a request that builds slices, estimated before any slice is
+# built, in dense output entries (about 0.2-0.5 us each).  Fresh processes
+# on a 2-core x86-64 VM; README's module is weyl (1,1,1) at 0,1,-1:
+#   request                                       estimate     s    MB
+#   sugawara 0,1,0,2 slice -6, verma w2, N = 8  12,329,856   6.7    81
+#   sugawara -7,1,-7,2 slice 0, README's module 10,557,844   3.1   115
+#   kz (48,48), N = 2                           13,450,402   2.7   278
+#   refused: module --action (10,10,10), N = 3  15,944,049   2.2   319
+#   refused: sugawara -7,1,0,2 slice -2, README 23,085,648   5.6   201
 MAX_WORK = 15_000_000
-# Spaces per nesting level of `--json-indent`.  Indented output puts each
-# entry on its own line, so its size grows linearly with the indent: the
-# largest output, `kz` at (1,...,1) at eight points, is 2.7 MB compact,
-# 6.9 MB at indent 2 and 19.5 MB at 8 (0.9 s, 95 MB max RSS in a fresh
-# process).
+# Spaces per nesting level of `--json-indent`; output grows linearly with
+# it: `kz` at (1,...,1) at eight points writes 2.7 MB compact, 19.5 MB at
+# 8 (0.9 s, 95 MB max RSS in a fresh process).
 MAX_JSON_INDENT = 8
 
 
@@ -226,36 +215,53 @@ def _config_weights(cfg, alg, weights, integral):
     return weights
 
 
-def _check_work(cfg, alg, dim0, matrices=0, images=False, module=None,
-                coinvariants=False, pairs=(), window=()):
-    """Refuse a request whose work estimate exceeds MAX_WORK.  It reads
-    counts only: dim0, the monomials of the degree-0 slice, and for an
-    audit the slice dimensions of `module`.  At N points it sums
-      - `matrices` dense outputs of dim0^2 entries (`module --action`,
-        `kz`), and 400 for each of the N * dim0 Sugawara `images` of `kz`;
-      - for `module --coinvariants`, alg.dim * N relation rows per
-        monomial, 64 each plus 2 per monomial of its sl2 weight space in a
-        weyl module (dim0 over the sum of the weights plus one), against
-        which it is reduced;
-      - for each `sugawara` pair k,r,m,s and distinct slice d, 120 per
-        monomial of slice d times N, times |d| + 1 plus a verma module's
-        width (the longest string), times 1 + |min(0, k)| + |min(0, m)|
-        (the deeper slices the images reach)."""
-    n = cfg.n_points
-    work = matrices * dim0 * dim0 + images * 400 * n * dim0
-    if coinvariants:
-        spec = module.spec
-        fill = (dim0 // (sum(spec.weights) + 1)
-                if spec.kind == "weyl" and alg.kind == "sl2" else 0)
-        work += alg.dim * n * dim0 * (64 + 2 * fill)
-    for d in dict.fromkeys(window):
-        per_pair = (120 * module.slice_dimension(d) * n
-                    * (1 - d + (module.spec.width or 0)))
-        work += sum(per_pair * (1 - min(0, k) - min(0, m))
-                    for (k, _r), (m, _s) in pairs)
+def _within_work(work):
+    """Refuse a request whose work estimate exceeds MAX_WORK."""
     if work > MAX_WORK:
         raise ConfigError("work estimate %d exceeds %d (MAX_WORK)"
                           % (work, MAX_WORK))
+
+
+# Work estimates of the commands that build slices, in MAX_WORK's units,
+# from counts only: dim0 degree-0 monomials, a module's slice dimensions.
+
+def _kz_work(n, dim0):
+    """N dense dim0^2 outputs, and 400 for each of N * dim0 images."""
+    return n * dim0 * (dim0 + 400)
+
+
+def _coinvariant_work(module, dim0):
+    """dim g * N relation rows per monomial, 64 each plus 2 per monomial of
+    its sl2 weight space in a weyl module (dim0 // (sum of weights + 1))."""
+    spec, alg = module.spec, module.alg
+    fill = (dim0 // (sum(spec.weights) + 1)
+            if spec.kind == "weyl" and alg.kind == "sl2" else 0)
+    return alg.dim * module.cfg.n_points * dim0 * (64 + 2 * fill)
+
+
+def _audit_work(module, pairs, window):
+    """For each pair k,r,m,s (a repeated pair counts again) and distinct
+    slice d, the monomials of slice d times, over 200,
+      F(k, d) F(m, d + k) + F(m, d) F(k, d + m) + 10 N F(k + m, d):
+    L(k) reaches about F(k, d) monomials from each monomial of slice d
+    and L(m) costs about F(m, d + k) on each, so two negative degrees
+    multiply; the pair's bracket adds about N operators of degree k + m.
+    F(k, e) is 50 on an empty slice e > 0, else (1 - e)(N + 4) times 7
+    for k > 0 and 10 for k <= 0, plus N dim g (200|k| - 160) for k < 0."""
+    n = module.cfg.n_points
+
+    def cost(k, e):
+        if e > 0:
+            return 50
+        if k > 0:
+            return 7 * (1 - e) * (n + 4)
+        return (10 * (1 - e) * (n + 4)
+                + n * module.alg.dim * max(0, -200 * k - 160))
+
+    return sum(module.slice_dimension(d)
+               * sum(cost(k, d) * cost(m, d + k) + cost(m, d) * cost(k, d + m)
+                     + 10 * n * cost(k + m, d) for (k, _r), (m, _s) in pairs)
+               // 200 for d in dict.fromkeys(window))
 
 
 def _built_verma_width(spec):
@@ -399,9 +405,10 @@ def cmd_module(args):
     }
     if args.coinvariants or args.action:
         _built_verma_width(spec)
-        _check_work(cfg, alg, module.slice_dimension(0),
-                    args.action * cfg.n_points * alg.dim, module=module,
-                    coinvariants=args.coinvariants)
+        dim0 = module.slice_dimension(0)
+        # `--action` prints 3N dense matrices of dim0^2 entries for sl2
+        _within_work(args.coinvariants * _coinvariant_work(module, dim0)
+                     + args.action * cfg.n_points * alg.dim * dim0 ** 2)
     if args.coinvariants:
         payload["coinvariant_dimension_degree0"] = \
             degree_zero_coinvariant_dimension(module)
@@ -437,7 +444,7 @@ def cmd_sugawara(args):
         if not module.slice_dimension(d):
             raise ConfigError("slice %d of this module is empty" % d)
     _built_verma_width(spec)
-    _check_work(cfg, alg, 0, module=module, pairs=pairs, window=window)
+    _within_work(_audit_work(module, pairs, window))
     entries = []
     for e in sugawara_commutator_audit(cfg, alg, module, pairs, window):
         entries.append({
@@ -461,12 +468,15 @@ def cmd_kz(args):
         raise ConfigError("weights missing")
     weights = _config_weights(cfg, alg, weights, alg.kind == "sl2")
     level = _parse_rat(data.get("level", "1"))
-    _check_work(cfg, alg, prod(w + 1 for w in weights)
-                if alg.kind == "sl2" else 1, cfg.n_points, images=True)
+    _within_work(_kz_work(cfg.n_points, prod(w + 1 for w in weights)
+                          if alg.kind == "sl2" else 1))
     system = kz_matrices(cfg, alg, weights, level)
     flat = "ok"
     if cfg.n_points >= 3 and not flatness_check(system).holds:
         flat = "violated"
+    # the system releases its dense matrices, each dropped once converted
+    dense, system.matrices = system.matrices[::-1], None
+    matrices = [_matrix_json(dense.pop()) for _ in range(len(dense))]
     payload = {
         "points": [_rat_str(p) for p in cfg.points],
         "lie_algebra": alg.kind,
@@ -475,9 +485,7 @@ def cmd_kz(args):
         "kappa": None if system.kappa is None else _rat_str(system.kappa),
         "sign_convention": (None if system.sign_convention is None
                             else "%+d" % system.sign_convention),
-        # each dense matrix is dropped once printed, not held beside all
-        "matrices": [_matrix_json(system.matrices.pop(0))
-                     for _ in range(len(system.matrices))],
+        "matrices": matrices,
         "scalar_shifts": (None if system.scalar_shifts is None else
                           [None if s is None else _rat_str(s)
                            for s in system.scalar_shifts]),

@@ -19,7 +19,6 @@ from knwznw.basis import Config
 from knwznw.cli import (MAX_BASIS_INDEX, MAX_DEPTH, MAX_JSON_INDENT,
                         MAX_VERMA_WIDTH, MAX_WEYL_WEIGHT, MAX_WINDOW_DEGREE,
                         MAX_WINDOW_WIDTH, MAX_WORK, main)
-from knwznw.errors import ConfigError
 from knwznw.finite_lie import make_algebra
 from knwznw.modules import InducedModule, ModuleSpec, induce_module
 
@@ -408,12 +407,21 @@ README_SLICES = {0: 8, -1: 72, -2: 432, -3: 2040, -4: 8280}
 
 
 def audit_work(pairs, slices):
-    """The audit estimate of README's module at its three points: per pair
-    (k, m) and distinct slice d, 120 per monomial times N = 3, |d| + 1 and
-    1 + |min(0, k)| + |min(0, m)|."""
-    return sum(120 * README_SLICES[d] * 3 * (1 - d)
-               * (1 - min(0, k) - min(0, m))
-               for d in dict.fromkeys(slices) for k, m in pairs)
+    """The audit estimate of README's module: three points, sl2.  Per
+    pair (k, m) and distinct slice d, the monomials of slice d times
+    F(k, d) F(m, d + k) + F(m, d) F(k, d + m) + 30 F(k + m, d), over
+    200; F(k, e) is 50 on an empty slice, 49(1 - e) for k > 0, and
+    70(1 - e) + 9 max(0, 200|k| - 160) for k <= 0."""
+    def cost(k, e):
+        if e > 0:
+            return 50
+        if k > 0:
+            return 49 * (1 - e)
+        return 70 * (1 - e) + 9 * max(0, -200 * k - 160)
+    return sum(README_SLICES[d]
+               * sum(cost(k, d) * cost(m, d + k) + cost(m, d) * cost(k, d + m)
+                     + 30 * cost(k + m, d) for k, m in pairs) // 200
+               for d in dict.fromkeys(slices))
 
 
 def test_sugawara_work_bound(capsys, tmp_path, monkeypatch):
@@ -422,25 +430,29 @@ def test_sugawara_work_bound(capsys, tmp_path, monkeypatch):
     readme = ["sugawara", "--config", cfg, "--pairs", "2,1,-2,1",
               "--slices=0,-1"]
     work = audit_work([(2, -2)], [0, -1])
-    assert work == 164160
+    assert work == 178858
     monkeypatch.setattr(cli, "MAX_WORK", work - 1)
-    _rejected(readme, capsys, "work estimate 164160 exceeds 164159 "
+    _rejected(readme, capsys, "work estimate 178858 exceeds 178857 "
               "(MAX_WORK)")
     monkeypatch.setattr(cli, "MAX_WORK", work)
     code, out, err = run_cli(readme, capsys)
     assert code == 0 and err == ""
     assert json.loads(out)["entries"][0]["ratio"] == "1"
-    # a repeated slice counts once; every pair counts, a repeated one again,
-    # and each negative degree of a pair once more
+    # a repeated slice counts once; every pair counts, a repeated one
+    # again, and two negative degrees multiply: pair -7,1,-7,2 on slice -2
+    # applies L(-7) to every image of L(-7), in slice -9, and is refused
+    assert audit_work([(-7, -7)], [-2]) == 584097480
     for pairs, slices, degrees in (
             ("2,1,-2,1", "0,-1,-1,0", [(2, -2)]),
             ("2,1,-2,1;2,1,-2,1", "0,-1", [(2, -2)] * 2),
             ("0,1,0,2;-1,1,-1,2", "-1", [(0, 0), (-1, -1)]),
             ("1,1,-1,2", "0,-2", [(1, -1)]),
-            ("0,1,0,2", "-4", [(0, 0)])):
+            ("0,1,0,2", "-4", [(0, 0)]),
+            ("-7,1,-7,2", "-2", [(-7, -7)]),
+            ("3,1,3,2;-3,1,7,2", "-4", [(3, 3), (-3, 7)])):
         monkeypatch.setattr(cli, "MAX_WORK", 0)
         slice_list = [int(d) for d in slices.split(",")]
-        _rejected(["sugawara", "--config", cfg, "--pairs", pairs,
+        _rejected(["sugawara", "--config", cfg, "--pairs=" + pairs,
                    "--slices=" + slices], capsys,
                   "work estimate %d exceeds 0 (MAX_WORK)"
                   % audit_work(degrees, slice_list))
@@ -484,10 +496,7 @@ def test_a_huge_width_costs_nothing(capsys, tmp_path):
                            ModuleSpec("verma", (Rat(1), Rat(1)), Rat(1), 2,
                                       10 ** 9))
     start = perf_counter()
-    with pytest.raises(ConfigError, match=r"exceeds %d \(MAX_WORK\)"
-                       % MAX_WORK):
-        cli._check_work(module.cfg, module.alg, 0, module=module,
-                        pairs=[((1, 1), (-1, 2))], window=[0])
+    assert cli._audit_work(module, [((1, 1), (-1, 2))], [0]) > MAX_WORK
     assert perf_counter() - start < 0.5
     # the CLI refuses to build its slices at all
     _rejected(["sugawara", "--config", verma, "--pairs", "1,1,-1,2",
@@ -603,9 +612,18 @@ def test_requests_are_decided_by_the_estimate_alone(capsys, tmp_path,
                  ["kz", "--config", weights],
                  # 8,280 monomials, 3.3 s
                  ["sugawara", "--config", readme, "--pairs", "0,1,0,2",
-                  "--slices=-4"]):
+                  "--slices=-4"],
+                 # 8 monomials, 3.6 s
+                 ["sugawara", "--config", readme, "--pairs=-7,1,-7,2",
+                  "--slices=0"]):
         with pytest.raises(_Reached):
             main(argv)
+    # two negative degrees multiply the cost: 31 s, and over a minute
+    for pair in ("-3,1,-3,2", "-7,1,-7,2"):
+        start = perf_counter()
+        _rejected(["sugawara", "--config", readme, "--pairs=" + pair,
+                   "--slices=-2"], capsys, "(MAX_WORK)")
+        assert perf_counter() - start < 0.5
     # (10,10,10) prints 9 dense 1,331 x 1,331 matrices: 3.3 s, 319 MB
     big = _write(tmp_path, "b.json", {"points": ["0", "1", "-1"],
                                       "weights": [10, 10, 10]})
@@ -629,7 +647,7 @@ WEIGHT = st.one_of(st.integers(-2, 3), st.floats(-3, 3), st.booleans(),
                    st.sampled_from([MAX_WEYL_WEIGHT, MAX_WEYL_WEIGHT + 1,
                                     10 ** 9, 2 ** 70, "1/2", "-1/3", "1/0",
                                     "2", "x"]), JUNK)
-PAIR = st.tuples(st.integers(-3, 3), st.integers(0, 4), st.integers(-3, 3),
+PAIR = st.tuples(st.integers(-7, 7), st.integers(0, 4), st.integers(-7, 7),
                  st.integers(0, 4))
 
 
