@@ -14,7 +14,7 @@ homomorphism onto N copies of the gauge algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._kernel import RAT0, RAT1, Rat, merge
 from .algebras import _unit_gamma, _unit_product
@@ -126,8 +126,7 @@ def affine_decompose(a):
             a.central)
 
 
-@dataclass(frozen=True)
-class BlockAlgebraElement:
+class BlockAlgebraElement(NamedTuple):
     """x (x) h with h regular at infinity and poles only at marked points."""
 
     g_index: int

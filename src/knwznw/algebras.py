@@ -36,7 +36,7 @@ infinity, hence the residue sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ._kernel import RAT0, RAT1, Rat, add_scaled, canonical, form, rats
 from .basis import (DivisorForm, GradedElement, KNIndex,
@@ -46,8 +46,7 @@ from .errors import DomainError
 from .ratfield import INFINITY, RationalFunction, order_at
 
 
-@dataclass(frozen=True)
-class ProjectiveConnection:
+class ProjectiveConnection(NamedTuple):
     """Global representative of a projective connection in the z-chart."""
 
     value: RationalFunction
@@ -324,8 +323,7 @@ def coboundary_compare(cfg, e, f, R, R2):
     return diff, witness
 
 
-@dataclass
-class AlmostGradingReport:
+class AlmostGradingReport(NamedTuple):
     """Empirical grading data over a degree window.
 
     For products/brackets: nonzero output degrees of homogeneous inputs
@@ -337,8 +335,8 @@ class AlmostGradingReport:
     window: tuple
     lower_shift: int
     upper_shift: int
-    band_witnesses: list = field(default_factory=list)
-    violations: list = field(default_factory=list)
+    band_witnesses: list
+    violations: list
 
     @property
     def ok(self):
@@ -425,8 +423,7 @@ def grading_report(cfg, algebra, window, R=R_ZERO):
     raise DomainError("unknown algebra %r" % algebra)
 
 
-@dataclass
-class TriangularDecomposition:
+class TriangularDecomposition(NamedTuple):
     """Plus/strip/minus split of a degree window of A or L.
 
     plus: elements vanishing to the required order at every marked point;

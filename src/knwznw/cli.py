@@ -18,7 +18,7 @@ from .affine import AffineElement, affine_bracket
 from .algebras import (ProjectiveConnection, R_ZERO, _pairs, cocycle_chi,
                        cocycle_gamma, multiply, vf_bracket)
 from .basis import Config, GradedElement, KNIndex, kn_basis_record
-from .errors import ConfigError, DomainError, KNError
+from .errors import ConfigError, DomainError, KNError, TruncationOverflow
 from .finite_lie import make_algebra
 from .kz import flatness_check, kz_matrices
 from .modules import (ModuleSpec, degree_zero_coinvariant_dimension,
@@ -409,6 +409,9 @@ def cmd_module(args):
         # `--action` prints 3N dense matrices of dim0^2 entries for sl2
         _within_work(args.coinvariants * _coinvariant_work(module, dim0)
                      + args.action * cfg.n_points * alg.dim * dim0 ** 2)
+        if args.action and spec.kind == "verma" and alg.minus_indices:
+            # f(0,p) lengthens the longest strings past the width bound
+            raise TruncationOverflow(lost_widths=(spec.width + 1,))
     if args.coinvariants:
         payload["coinvariant_dimension_degree0"] = \
             degree_zero_coinvariant_dimension(module)

@@ -22,7 +22,7 @@ verify and the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._kernel import RAT0, RAT1, Rat, merge
 from .errors import DomainError
@@ -32,8 +32,7 @@ from .ratfield import as_rat
 SUPPORTED_KINDS = ("sl2", "abelian1")
 
 
-@dataclass(frozen=True)
-class GaugeAlgebra:
+class GaugeAlgebra(NamedTuple):
     kind: str
     labels: tuple           # basis labels, fixed order
     bracket: dict           # (i, j) -> {k: coefficient} for [x_i, x_j]
@@ -163,8 +162,7 @@ def make_algebra(kind):
     return _CACHE[kind]
 
 
-@dataclass(frozen=True)
-class FiniteModule:
+class FiniteModule(NamedTuple):
     """Finite-dimensional module: exact nonzero action entries per label."""
 
     algebra_kind: str

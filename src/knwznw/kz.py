@@ -37,10 +37,10 @@ dense `Rat` matrices are built only for output (`KZSystem.matrices`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ._kernel import RAT0, RAT1, Rat, merge
-from .basis import Config, GradedElement, KNIndex, kn_basis_element
+from .basis import GradedElement, KNIndex, kn_basis_element
 from .errors import DomainError
 from .finite_lie import (casimir_eigenvalue, entry_product, finite_irrep,
                          omega_entries, tensor_dim)
@@ -82,19 +82,25 @@ def tangent_fields(cfg):
     return fields, meta
 
 
-@dataclass
 class KZSystem:
-    config: Config
-    algebra_kind: str
-    weights: tuple
-    level: Rat
-    matrices: list                 # N matrices on the degree-zero slice
-    kappa: object                  # Rat or None (degenerate fit)
-    scalar_shifts: list            # per-point Rat, None where not scalar
-    sign_convention: object        # +1 / -1 / None
-    residual_zero: bool
-    partial: bool                  # always False: every image reduces
-    metadata: dict = field(default_factory=dict)
+    """Fitted KZ data: kappa None for a degenerate fit, scalar_shifts None
+    where not scalar, sign_convention +1, -1 or None, partial always False.
+    A plain object, so a caller may drop `matrices` once it is used."""
+
+    def __init__(self, config, algebra_kind, weights, level, matrices,
+                 kappa, scalar_shifts, sign_convention, residual_zero,
+                 partial, metadata):
+        self.config = config
+        self.algebra_kind = algebra_kind
+        self.weights = weights
+        self.level = level
+        self.matrices = matrices
+        self.kappa = kappa
+        self.scalar_shifts = scalar_shifts
+        self.sign_convention = sign_convention
+        self.residual_zero = residual_zero
+        self.partial = partial
+        self.metadata = metadata
 
     @property
     def dimension(self):
@@ -256,8 +262,7 @@ def kz_matrices(cfg, alg, weights, level, depth=None):
                     sign, residual_zero, False, meta)
 
 
-@dataclass
-class FlatnessReport:
+class FlatnessReport(NamedTuple):
     holds: bool
     vacuous: bool
     checked_relations: int

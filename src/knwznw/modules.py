@@ -44,7 +44,6 @@ needed; `degree_zero_coinvariant_dimension` gives the argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, gcd, prod
 from typing import NamedTuple, Optional
 
@@ -57,8 +56,7 @@ from .finite_lie import GaugeAlgebra, finite_irrep, tensor_strides
 from .ratfield import as_rat
 
 
-@dataclass(frozen=True)
-class ModuleSpec:
+class _ModuleSpecFields(NamedTuple):
     kind: str                 # weyl | verma | fock
     weights: tuple
     level: Rat
@@ -67,15 +65,20 @@ class ModuleSpec:
                               # reads it
     width: Optional[int] = None
 
-    def __post_init__(self):
-        if self.kind not in ("weyl", "verma", "fock"):
-            raise DomainError("unknown module kind %r" % self.kind)
-        if self.depth < 0:
+
+class ModuleSpec(_ModuleSpecFields):
+    __slots__ = ()
+
+    def __new__(cls, kind, weights, level, depth=0, width=None):
+        if kind not in ("weyl", "verma", "fock"):
+            raise DomainError("unknown module kind %r" % kind)
+        if depth < 0:
             raise DomainError("depth bound must be >= 0")
-        if self.kind == "verma" and self.width is None:
+        if kind == "verma" and width is None:
             raise DomainError("verma induction requires a width bound")
-        if self.kind != "verma" and self.width is not None:
+        if kind != "verma" and width is not None:
             raise DomainError("a width bound applies to verma modules only")
+        return super().__new__(cls, kind, weights, level, depth, width)
 
 
 class PBWMonomial(NamedTuple):

@@ -68,7 +68,6 @@ scalar instead of assuming it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -88,8 +87,7 @@ class SugawaraIndex(NamedTuple):
     r: int
 
 
-@dataclass
-class TripleCoefficientTable:
+class TripleCoefficientTable(NamedTuple):
     """Residue-pairing coefficients for one operator index (k, r)."""
 
     k: int
@@ -443,15 +441,14 @@ def T_of_vectorfield(module, l, v):
     return out
 
 
-@dataclass
-class AuditEntry:
+class AuditEntry(NamedTuple):
     pair: tuple               # ((k, r), (m, s))
     is_scalar: bool
     scalar: Rat               # the measured central scalar (0 if none)
     chi: Rat                  # chi_0(e_{k,r}, e_{m,s})
     ratio: object             # scalar / chi, or None when chi == 0
-    per_slice: dict = field(default_factory=dict)
-    counterexample: object = None
+    per_slice: dict
+    counterexample: object
 
 
 def sugawara_commutator_audit(cfg, alg, module, pairs, window):

@@ -10,9 +10,8 @@ deterministic (fixed seeds) so a passing run is reproducible bit for bit.
 
 from __future__ import annotations
 
-import inspect
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._kernel import RAT0, RAT1, Rat
 from .affine import (AffineElement, affine_bracket, affine_decompose,
@@ -36,8 +35,7 @@ from .sugawara import (_apply_plan, _term_plan, apply_L_raw,
                        sugawara_coefficients, sugawara_commutator_audit)
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -831,7 +829,7 @@ def _run_registry(suite, params):
     for name, s, fn in CHECKS:
         if s != suite:
             continue
-        names = inspect.signature(fn).parameters
+        names = fn.__code__.co_varnames[:fn.__code__.co_argcount]
         own = {k: v for k, v in params.items() if k in names}
         unused -= set(own)
         try:

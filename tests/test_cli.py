@@ -1,6 +1,7 @@
 """CLI: JSON output, determinism, exit codes."""
 
 import hashlib
+import inspect
 import io
 import json
 import sys
@@ -19,6 +20,7 @@ from knwznw.basis import Config
 from knwznw.cli import (MAX_BASIS_INDEX, MAX_DEPTH, MAX_JSON_INDENT,
                         MAX_VERMA_WIDTH, MAX_WEYL_WEIGHT, MAX_WINDOW_DEGREE,
                         MAX_WINDOW_WIDTH, MAX_WORK, main)
+from knwznw.errors import TruncationOverflow
 from knwznw.finite_lie import make_algebra
 from knwznw.modules import InducedModule, ModuleSpec, induce_module
 
@@ -181,6 +183,43 @@ def test_verify_failure_path_on_a_stub_registry(capsys, monkeypatch):
     assert err.splitlines() == [
         "FAIL stub-fail: off by one",
         "FAIL stub-raise: error: ValueError: no such invariant"]
+
+
+def test_registry_passes_each_param_to_the_checks_that_name_it(monkeypatch):
+    seen = []
+
+    def windowed(window=5):
+        seen.append(("windowed", window))
+        return True, ""
+
+    def pointed(n_points=2):
+        window = n_points  # a local variable is no parameter
+        seen.append(("pointed", window))
+        return True, ""
+
+    monkeypatch.setattr(verify, "CHECKS", [
+        ("windowed", "algebra", windowed),
+        ("pointed", "algebra", pointed),
+        ("bare", "algebra", lambda: (True, "")),
+        ("kz-windowed", "kz", windowed),
+    ])
+    results = verify.suite_algebra(window=3)
+    assert [(r.name, r.passed) for r in results] == [
+        ("windowed", True), ("pointed", True), ("bare", True)]
+    assert seen == [("windowed", 3), ("pointed", 2)]
+    # a param that no check of the suite names is refused after the run
+    with pytest.raises(TypeError, match=r"no algebra check takes \['widow'\]"):
+        verify.suite_algebra(widow=3)
+    with pytest.raises(TypeError, match="no kz check takes"):
+        verify.suite_kz(n_points=3)
+
+
+def test_registry_param_names_are_the_check_signatures():
+    # every check takes plain parameters, so its code object names them
+    for name, _suite, fn in verify.CHECKS:
+        code = fn.__code__
+        assert code.co_varnames[:code.co_argcount] == \
+            tuple(inspect.signature(fn).parameters), name
 
 
 def test_config_error_exit_code(capsys, tmp_path):
@@ -520,6 +559,45 @@ def test_verma_width_bound(capsys, tmp_path, argv):
                              capsys)
     assert (code, err) == (0, "") or (
         code == 1 and err.startswith("error: truncation overflow")), err
+
+
+@pytest.mark.parametrize("points, width", [(1, 0), (2, 3), (3, 2)])
+def test_verma_action_is_refused_before_any_slice_is_built(
+        capsys, tmp_path, monkeypatch, points, width):
+    # f(0,p) lengthens the strings of length width, so a verma module's
+    # degree-0 action always loses width + 1; the CLI says so without
+    # building a matrix, with the bytes the computation itself raises
+    pts = ["0", "1", "-1"][:points]
+    module = induce_module(make_algebra("sl2"), Config(pts),
+                           ModuleSpec("verma", (Rat(1),) * points, Rat(1),
+                                      0, width))
+    with pytest.raises(TruncationOverflow) as ei:
+        for p in range(1, points + 1):
+            for i in range(3):
+                module.degree_zero_action(p, i)
+    assert ei.value.lost_widths == (width + 1,)
+    cfg = _write(tmp_path, "v.json", {
+        "points": pts, "module": {"kind": "verma", "depth": 0,
+                                  "weights": ["1"] * points, "width": width}})
+    monkeypatch.setattr(InducedModule, "slice_basis", _reach)
+    for flags in (["--action"], ["--coinvariants", "--action"]):
+        code, out, err = run_cli(["module", "--config", cfg] + flags, capsys)
+        assert (code, out, err) == (1, "", "error: %s\n" % ei.value)
+    # over the work bound the request still exits 2 first
+    monkeypatch.setattr(cli, "MAX_WORK", 0)
+    _rejected(["module", "--action", "--config", cfg], capsys, "(MAX_WORK)")
+
+
+def test_abelian_verma_action_is_printed(capsys, tmp_path):
+    # abelian1 has no lowering element: its verma degree-0 slice is the
+    # vacuum alone, and the action is a scalar per point
+    cfg = _write(tmp_path, "v.json", {
+        "points": ["0", "1"], "lie_algebra": "abelian1",
+        "module": {"kind": "verma", "weights": ["1", "2"], "width": 2}})
+    code, out, err = run_cli(["module", "--action", "--config", cfg], capsys)
+    assert code == 0 and err == ""
+    assert json.loads(out)["degree0_action"] == {"u(0,1)": [["1"]],
+                                                 "u(0,2)": [["2"]]}
 
 
 def test_verma_work_bound(capsys, tmp_path, monkeypatch):

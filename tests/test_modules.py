@@ -73,6 +73,29 @@ def test_spec_validation(ab, cfg1):
                 ModuleSpec(kind, weights, Rat(1), 2, width)
 
 
+@pytest.mark.parametrize("args, message", [
+    (("coherent", (1,), Rat(1)), "unknown module kind 'coherent'"),
+    (("weyl", (1,), Rat(1), -1), "depth bound must be >= 0"),
+    (("verma", (Rat(1),), Rat(1), 3), "verma induction requires a width"),
+    (("fock", (RAT0,), Rat(1), 2, 3), "a width bound applies to verma"),
+])
+def test_spec_is_checked_when_constructed(args, message):
+    # the spec refuses itself, with no induce_module call
+    with pytest.raises(DomainError, match=message):
+        ModuleSpec(*args)
+
+
+def test_spec_is_immutable():
+    spec = ModuleSpec("verma", (Rat(1),), Rat(1), 2, width=3)
+    assert spec == ModuleSpec("verma", (Rat(1),), Rat(1), depth=2, width=3)
+    for field in ("kind", "weights", "level", "depth", "width"):
+        with pytest.raises(AttributeError):
+            setattr(spec, field, None)
+    with pytest.raises(AttributeError):
+        spec.extra = 1  # no instance dict to hold it
+    assert (spec.depth, spec.width) == (2, 3)
+
+
 def test_slice_dimensions_weyl(sl2, cfg1):
     m = induce_module(sl2, cfg1, ModuleSpec("weyl", (1,), Rat(1), 4))
     assert m.slice_dimension(0) == 2
