@@ -18,21 +18,31 @@ from typing import NamedTuple
 
 from ._kernel import RAT0, RAT1, Rat, merge
 from .algebras import _unit_gamma, _unit_product
-from .basis import DivisorForm, GradedElement, Section, monomial_expansion
+from .basis import (Combination, DivisorForm, GradedElement, Section,
+                    monomial_expansion)
 from .errors import DomainError
 from .ratfield import as_rat
 
 
-class AffineElement:
+class AffineElement(Combination):
     """Loop part as a map (g-basis index, degree n, point index p) -> Rat,
-    plus a central coefficient."""
+    plus the coefficient of the central element t, held under the key
+    None of the terms; `items` and `degrees` show the loop part only."""
 
-    __slots__ = ("loop", "central")
+    __slots__ = ()
 
     def __init__(self, loop=(), central=RAT0):
-        src = dict(loop) if not isinstance(loop, dict) else loop
-        self.loop = {k: v for k, v in src.items() if v.num != 0}
-        self.central = central
+        if central.num != 0:
+            loop = {**dict(loop), None: central}
+        super().__init__(loop)
+
+    @property
+    def loop(self):
+        return {k: v for k, v in self.terms.items() if k is not None}
+
+    @property
+    def central(self):
+        return self.terms.get(None, RAT0)
 
     @classmethod
     def loop_term(cls, i, n, p, c=RAT1):
@@ -41,26 +51,6 @@ class AffineElement:
     @classmethod
     def center(cls, c=RAT1):
         return cls({}, as_rat(c))
-
-    def is_zero(self):
-        return not self.loop and self.central.num == 0
-
-    def __add__(self, other):
-        return AffineElement(merge(dict(self.loop), other.loop),
-                             self.central + other.central)
-
-    def __sub__(self, other):
-        return self + other.scale(Rat(-1))
-
-    def __neg__(self):
-        return self.scale(Rat(-1))
-
-    def scale(self, c):
-        c = as_rat(c)
-        if c.num == 0:
-            return AffineElement({}, RAT0)
-        return AffineElement({k: v * c for k, v in self.loop.items()},
-                             self.central * c)
 
     def degrees(self):
         return sorted({n for (_i, n, _p) in self.loop})
@@ -76,13 +66,6 @@ class AffineElement:
             vec[i] = c
         return out
 
-    def __eq__(self, other):
-        return (isinstance(other, AffineElement) and self.loop == other.loop
-                and self.central == other.central)
-
-    def __hash__(self):
-        return hash((frozenset(self.loop.items()), self.central))
-
     def __repr__(self):
         body = " + ".join("%s*x%d(%d,%d)" % (c, i, n, p)
                           for (i, n, p), c in self.items())
@@ -95,8 +78,9 @@ def affine_bracket(cfg, alg, x, y):
     """Bracket in the centrally extended loop algebra; t is central."""
     loop = {}
     central = RAT0
+    y_loop = y.loop.items()
     for (i, n, p), ca in x.loop.items():
-        for (j, m, r), cb in y.loop.items():
+        for (j, m, r), cb in y_loop:
             c = ca * cb
             tbl = alg.bracket.get((i, j))
             if tbl:

@@ -587,24 +587,72 @@ class Section:
         return "Section(lam=%d, %s)" % (self.lam, self.value)
 
 
-class GradedElement:
-    """Finite linear combination of basis elements of one weight.
+class Combination:
+    """Finite exact linear combination {key: Rat}; zero coefficients are
+    never stored.  The arithmetic of `GradedElement`, `AffineElement` and
+    `ModuleVector`: a subclass says how to build one of its own kind
+    (`_like`) and what besides the terms tells two apart (`_tag`)."""
 
-    terms maps (n, p) -> coefficient; zero coefficients are never stored.
-    """
+    __slots__ = ("terms",)
 
-    __slots__ = ("lam", "terms")
+    def __init__(self, terms=()):
+        src = terms if isinstance(terms, dict) else dict(terms)
+        self.terms = {k: v for k, v in src.items() if v.num != 0}
+
+    def _like(self, terms):
+        return type(self)(terms)
+
+    def _tag(self):
+        return None
+
+    def is_zero(self):
+        return not self.terms
+
+    def __add__(self, other):
+        return self._like(merge(dict(self.terms), other.terms))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._like({k: -v for k, v in self.terms.items()})
+
+    def scale(self, c):
+        c = as_rat(c)
+        if c.num == 0:
+            return self._like({})
+        return self._like({k: v * c for k, v in self.terms.items()})
+
+    def items(self):
+        return sorted(self.terms.items())
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self._tag() == other._tag()
+                and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash((self._tag(), frozenset(self.terms.items())))
+
+
+class GradedElement(Combination):
+    """Finite linear combination of basis elements of one weight lam;
+    terms maps (n, p) -> coefficient."""
+
+    __slots__ = ("lam",)
 
     def __init__(self, lam, terms=()):
         self.lam = lam
-        self.terms = {k: v for k, v in dict(terms).items() if v.num != 0}
+        super().__init__(terms)
+
+    def _like(self, terms):
+        return GradedElement(self.lam, terms)
+
+    def _tag(self):
+        return self.lam
 
     @classmethod
     def unit(cls, lam, n, p):
         return cls(lam, {(n, p): RAT1})
-
-    def is_zero(self):
-        return not self.terms
 
     def support_degrees(self):
         return sorted({n for (n, _p) in self.terms})
@@ -615,29 +663,7 @@ class GradedElement:
     def __add__(self, other):
         if self.lam != other.lam:
             raise DomainError("weight mismatch in graded sum")
-        return GradedElement(self.lam, merge(dict(self.terms), other.terms))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return GradedElement(self.lam, {k: -v for k, v in self.terms.items()})
-
-    def scale(self, c):
-        c = as_rat(c)
-        if c.num == 0:
-            return GradedElement(self.lam, {})
-        return GradedElement(self.lam, {k: v * c for k, v in self.terms.items()})
-
-    def items(self):
-        return sorted(self.terms.items())
-
-    def __eq__(self, other):
-        return (isinstance(other, GradedElement) and self.lam == other.lam
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.lam, frozenset(self.terms.items())))
+        return super().__add__(other)
 
     def __repr__(self):
         body = " + ".join("%s*f[%d,%d]" % (v, n, p)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from math import prod
 
@@ -495,8 +496,8 @@ def cmd_kz(args):
         "residual_zero": system.residual_zero,
         "partial": system.partial,
         "flatness": flat,
-        "moduli_directions": system.metadata.get("moduli_directions"),
-        "global_field_kernel": system.metadata.get("global_field_kernel"),
+        "moduli_directions": max(0, cfg.n_points - 3),
+        "global_field_kernel": min(3, cfg.n_points),
     }
     _emit(args, payload)
     return 0
@@ -608,12 +609,19 @@ def main(argv=None):
         if args.json_indent > MAX_JSON_INDENT:
             raise ConfigError("--json-indent %d exceeds %d (MAX_JSON_INDENT)"
                               % (args.json_indent, MAX_JSON_INDENT))
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except ConfigError as exc:
         sys.stderr.write("config error: %s\n" % exc)
         return 2
     except KNError as exc:
         sys.stderr.write("error: %s\n" % exc)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout (say `| head`); point it at devnull so
+        # that the interpreter's last flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

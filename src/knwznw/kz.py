@@ -89,7 +89,7 @@ class KZSystem:
 
     def __init__(self, config, algebra_kind, weights, level, matrices,
                  kappa, scalar_shifts, sign_convention, residual_zero,
-                 partial, metadata):
+                 partial):
         self.config = config
         self.algebra_kind = algebra_kind
         self.weights = weights
@@ -100,11 +100,6 @@ class KZSystem:
         self.sign_convention = sign_convention
         self.residual_zero = residual_zero
         self.partial = partial
-        self.metadata = metadata
-
-    @property
-    def dimension(self):
-        return len(self.matrices[0]) if self.matrices else 0
 
 
 def _sparse_oracle(cfg, alg, weights):
@@ -219,7 +214,6 @@ def kz_matrices(cfg, alg, weights, level, depth=None):
     kind = "fock" if alg.kind == "abelian1" else "weyl"
     spec = ModuleSpec(kind, tuple(weights), level)
     module = induce_module(alg, cfg, spec)
-    meta = tangent_fields(cfg)[1]
     fac = rescale_factor(alg, level)  # raises at the critical level
     basis = module.slice_basis(0)
     dim = len(basis)
@@ -242,24 +236,18 @@ def kz_matrices(cfg, alg, weights, level, depth=None):
         num = sum((_dot(a, m, dim)
                    for a, m in zip(measured, oracle)), RAT0)
         kappa = num / den
-        fit_mode = "traceless"
     elif any(oracle):
         # oracle matrices are scalar (abelian): use the structural value
         kappa = fac
-        fit_mode = "scalar-oracle"
-    else:
-        fit_mode = "degenerate"
     if kappa is not None:
         sign = 1 if kappa > 0 else -1
     # fully degenerate (all-zero oracle): the matrices must be scalar
     shifts = [_scalar_part(a, m, RAT0 if kappa is None else kappa, dim)
               for a, m in zip(measured, oracle)]
     residual_zero = all(s is not None for s in shifts)
-    meta["fit"] = fit_mode
-    meta["rescale_factor"] = fac
     return KZSystem(cfg, alg.kind, tuple(weights), level,
                     [_dense(a, dim) for a in measured], kappa, shifts,
-                    sign, residual_zero, False, meta)
+                    sign, residual_zero, False)
 
 
 class FlatnessReport(NamedTuple):

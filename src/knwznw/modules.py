@@ -47,10 +47,9 @@ from __future__ import annotations
 from math import comb, gcd, prod
 from typing import NamedTuple, Optional
 
-from ._kernel import (RAT0, RAT1, Rat, add_scaled, canonical, form, merge,
-                      rats)
+from ._kernel import RAT0, RAT1, Rat, add_scaled, canonical, form, rats
 from .algebras import _unit_gamma, _unit_product
-from .basis import Config
+from .basis import Combination, Config
 from .errors import DomainError, TruncationOverflow
 from .finite_lie import GaugeAlgebra, finite_irrep, tensor_strides
 from .ratfield import as_rat
@@ -97,45 +96,17 @@ class PBWMonomial(NamedTuple):
         return "[%s|w%d]" % (ops, self.vacuum)
 
 
-class ModuleVector:
+class ModuleVector(Combination):
     """Finitely supported exact combination of PBW monomials."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=()):
-        src = dict(terms) if not isinstance(terms, dict) else terms
-        self.terms = {k: v for k, v in src.items() if v.num != 0}
+    __slots__ = ()
 
     @classmethod
     def monomial(cls, mono, c=RAT1):
         return cls({mono: c})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        return ModuleVector(merge(dict(self.terms), other.terms))
-
-    def __sub__(self, other):
-        return self + other.scale(Rat(-1))
-
-    def scale(self, c):
-        c = as_rat(c)
-        if c.num == 0:
-            return ModuleVector({})
-        return ModuleVector({k: v * c for k, v in self.terms.items()})
-
     def degrees(self):
         return sorted({m.degree for m in self.terms})
-
-    def items(self):
-        return sorted(self.terms.items())
-
-    def __eq__(self, other):
-        return isinstance(other, ModuleVector) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
         body = " + ".join("%s*%r" % (c, m) for m, c in self.items())
@@ -367,12 +338,13 @@ class InducedModule:
     def _act_affine_raw(self, a, terms):
         """Exact action of an affine element on a term dict; no width check."""
         den, acc = 1, {}
+        loop = a.loop.items()
         central = a.central * self.level
         for mono, cm in terms.items():
             if central.num != 0:
                 s = central * cm
                 den = add_scaled(den, acc, 1, {mono: 1}, s.num, s.den)
-            for (i, n, p), c in a.loop.items():
+            for (i, n, p), c in loop:
                 d2, t2 = self._act_form((n, p, i), mono)
                 if t2:
                     s = c * cm

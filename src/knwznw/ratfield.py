@@ -84,12 +84,6 @@ class Poly:
             return RAT0
         return self.coeffs[-1]
 
-    def monic(self):
-        if not self.coeffs or self.coeffs[-1] == RAT1:
-            return self
-        inv = RAT1 / self.coeffs[-1]
-        return Poly._raw(poly_scale(self.coeffs, inv))
-
     def __add__(self, other):
         return Poly._raw(poly_add(self.coeffs, self._co(other)))
 
@@ -349,10 +343,6 @@ class RationalFunction:
             return RationalFunction(other if isinstance(other, Poly)
                                     else Poly.const(other))
         raise TypeError("expected a rational function, got %r" % (other,))
-
-
-RF_ZERO = RationalFunction.zero()
-RF_ONE = RationalFunction.one()
 
 
 def order_at(f, p):

@@ -357,16 +357,15 @@ def _apply_plan(module, plan, base, args):
     each of its terms, is summed with `add_scaled` into the argument of
     first.  Then each first acts once on each monomial of its argument,
     summed into one accumulator (None: the argument is added as it is).
-    Actions are read from the module's action memo first.
+    Actions come from `_act_form`, which owns the module's action memo.
     """
-    memo = module._act_memo
     act = module._act_form
     pden, terms = plan
     for second, firsts in terms:
         if second is None:  # a scalar part of a commutator plan
             dm, mid = 1, {base: 1}
         else:
-            dm, mid = memo.get((second, base)) or act(second, base)
+            dm, mid = act(second, base)
         if not mid:
             continue
         for first, num in firsts:
@@ -381,7 +380,7 @@ def _apply_plan(module, plan, base, args):
             continue
         for m2, x in arg.items():
             if x:
-                d2, t2 = memo.get((first, m2)) or act(first, m2)
+                d2, t2 = act(first, m2)
                 if t2:
                     den = add_scaled(den, acc, d2, t2, x, aden)
     return canonical(den, acc)

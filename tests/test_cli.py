@@ -4,6 +4,8 @@ import hashlib
 import inspect
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -914,6 +916,12 @@ GOLDEN = [
      "cb650236b2d9b15c22d86ba679d0b7313b8dfefbe700346055e446068bd1e4e1"),
     (["sugawara", "--pairs", "2,1,-2,1;1,2,-1,3", "--slices=-2,-1"], "fock",
      "308c9b8ea3f5549735ba551c61aa0e88bf5bbede09bf1284b00a43b4ee1d3ab9"),
+    (["basis", "--lambda", "2", "--n", "-3", "--p", "2",
+      "--points", "1/2,-7/3,5"], None,
+     "1d0e491898bc2dc348eed8d639d04e93349d5459de4a92b66b6f01d8c6f9365b"),
+    (["basis", "--lambda", "-1", "--n", "4", "--p", "1",
+      "--points", "0,1,-1"], None,
+     "601c2bdee3621e6117282704128ba436d639122e1be3b71f331f967a51786285"),
 ]
 
 
@@ -937,3 +945,21 @@ def test_verma_action_keeps_its_error(capsys, tmp_path):
                               "--config", cfg], capsys)
     assert (code, out) == (1, "")
     assert err == "error: truncation overflow: lost string lengths [3]\n"
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_a_closed_pipe_exits_1_without_a_traceback(unbuffered):
+    # about 146 kB of output, more than a pipe buffer holds; the reader
+    # closes its end after the first bytes, as `| head -c 10` does
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "knwznw.cli", "table", "--algebra", "L",
+         "--window=-5:5", "--points", "0,1,-1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(10) == b'{"algebra"'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
