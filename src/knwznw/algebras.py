@@ -17,6 +17,13 @@ partial fractions) cached once per K for every weight under "mexp"; a
 unit entry ("prod", "vfbr", "lied") is the sum of at most N of them as
 an integer form.  No unit entry is reconstructed at run time: the tests
 check the closed form against `expand_in_basis`.
+Products, brackets and Lie derivatives of combinations share one
+integer-form core, `_bilinear_raw`: it sums the scaled unit entries over
+one common denominator and returns (den, {(n, p): int}).  Rat is built
+only at the public boundary (`multiply`, `vf_bracket`,
+`lie_derivative`), one per output key; `vf_bracket_raw` exposes the core
+for vector fields, on integer forms in and a canonical integer form out,
+for callers that only add brackets and test the sum for zero.
 Cocycles are residue sums.  A unit gamma entry f dg = c_f c_g sum_j
 k_g,j M_{K - e_j} sums at most N cached `basis.monomial_residue`s
 ("mres", read off the monomial expansions); the connection part of chi
@@ -157,18 +164,18 @@ def _unit_lie_derivative(cfg, a, lam, b):
     return hit
 
 
-def _bilinear(f, g, lam_out, unit_fn, antisymmetric=False):
-    """Sum of ca cb unit_fn(a, b) over the terms of f and g.
+def _bilinear_raw(f, g, unit_fn, antisymmetric=False):
+    """Sum of ca cb unit_fn(a, b) over the terms of integer forms f and g,
+    as an integer form (den, {(n, p): int}) that may hold zero numerators.
 
     unit_fn returns a unit entry as an integer form (D, numerators).  The
-    sum runs in Python ints over one common denominator (`add_scaled`),
-    and one Rat is built per output key.  For an antisymmetric unit_fn it
-    is asked only for pairs a < b: a reversed pair takes the same entry
-    with the sign folded into its coefficient, and a == b contributes
-    nothing.
+    sum runs in Python ints over one common denominator (`add_scaled`).
+    For an antisymmetric unit_fn it is asked only for pairs a < b: a
+    reversed pair takes the same entry with the sign folded into its
+    coefficient, and a == b contributes nothing.
     """
-    fd, fn = form(f.terms)
-    gd, gn = form(g.terms)
+    fd, fn = f
+    gd, gn = g
     den, out = 1, {}
     for a, ca in fn.items():
         for b, cb in gn.items():
@@ -181,7 +188,14 @@ def _bilinear(f, g, lam_out, unit_fn, antisymmetric=False):
                 d, nums = unit_fn(a, b)
                 c = ca * cb
             den = add_scaled(den, out, d, nums, c, 1)
-    return GradedElement(lam_out, rats(den * fd * gd, out))
+    return den * fd * gd, out
+
+
+def _bilinear(f, g, lam_out, unit_fn, antisymmetric=False):
+    """`_bilinear_raw` on graded elements; one Rat is built per output
+    key."""
+    return GradedElement(lam_out, rats(*_bilinear_raw(
+        form(f.terms), form(g.terms), unit_fn, antisymmetric)))
 
 
 def multiply(cfg, f, g):
@@ -201,6 +215,14 @@ def vf_bracket(cfg, e, f):
         raise DomainError("vector fields have weight -1")
     return _bilinear(e, f, -1, lambda a, b: _unit_vf_bracket(cfg, a, b),
                      antisymmetric=True)
+
+
+def vf_bracket_raw(cfg, e, f):
+    """[e, f] on integer forms e, f = (den, {(n, p): int}) of weight -1
+    elements, as a canonical integer form: the bracket of `vf_bracket`
+    without its Rat boundary."""
+    return canonical(*_bilinear_raw(
+        e, f, lambda a, b: _unit_vf_bracket(cfg, a, b), antisymmetric=True))
 
 
 def lie_derivative(cfg, e, s):

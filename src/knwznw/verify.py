@@ -6,6 +6,9 @@ suites, the CLI `verify` subcommand and the acceptance tests all run
 checks from this one registry.  A check's keyword arguments are its
 parameters; their defaults are the ranges the suites run.  Sampling is
 deterministic (fixed seeds) so a passing run is reproducible bit for bit.
+The checks sample their points through `verify_samples.sample_config`,
+which shares one Config per point set while a suite runs.  The kz suite's
+checks live in `verify_kz`.
 """
 
 from __future__ import annotations
@@ -13,26 +16,27 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from ._kernel import RAT0, RAT1, Rat
+from ._kernel import RAT0, RAT1, Rat, add_scaled, form
 from .affine import (AffineElement, affine_bracket, affine_decompose,
                      block_algebra_basis, g_tuple_bracket, psi_project)
 from .algebras import (ProjectiveConnection, R_ZERO, _pairs, cocycle_chi,
                        cocycle_gamma, coboundary_compare, grading_report,
                        lie_derivative, multiply, triangular_decompose,
-                       vf_bracket)
-from .basis import (Config, DivisorForm, GradedElement, KNIndex, Section,
+                       vf_bracket, vf_bracket_raw)
+from .basis import (DivisorForm, GradedElement, KNIndex, Section,
                     expand_in_basis, homogeneous_dimension, kn_basis_element,
                     kn_basis_record, kn_pairing, linear_combination,
                     section_from_graded)
 from .errors import KNError
 from .finite_lie import factor_op, make_algebra
-from .kz import (classical_oracle_matrices, flatness_check, kz_matrices,
-                 predicted_scalar_shift, tangent_fields)
-from .modules import (ModuleSpec, ModuleVector, degree_zero_coinvariant_dimension,
-                      induce_module)
+from .modules import ModuleSpec, ModuleVector, induce_module
 from .ratfield import INFINITY, Poly, RationalFunction
 from .sugawara import (_apply_plan, _term_plan, apply_L_raw,
                        sugawara_coefficients, sugawara_commutator_audit)
+from .verify_kz import (coinvariant_clebsch_gordan, kz_abelian,
+                        kz_classical_agreement, kz_flatness, kz_tangent_fields,
+                        kz_translation_covariance, kz_trivial)
+from .verify_samples import LAMS, NRANGE, sample_config, shared_configs
 
 
 class CheckResult(NamedTuple):
@@ -43,15 +47,6 @@ class CheckResult(NamedTuple):
     def as_dict(self):
         return {"name": self.name, "passed": self.passed,
                 "detail": self.detail}
-
-
-SAMPLE_POINTS = {1: ("0",), 2: ("0", "1"), 3: ("0", "1", "-1")}
-NRANGE = (1, 2, 3)
-LAMS = (-1, 0, 1, 2)
-
-
-def sample_config(n):
-    return Config(SAMPLE_POINTS[n])
 
 
 # Every action and Sugawara image is exact, so no check reads a module's
@@ -169,35 +164,45 @@ def classical_virasoro():
     return True, "[e_n,e_m]=(m-n)e_{n+m}; chi_0=(n^3-n)/12 delta"
 
 
+def _vanishes(*forms):
+    """True if the integer forms sum to zero."""
+    den, acc = 1, {}
+    for d, nums in forms:
+        den = add_scaled(den, acc, d, nums, 1, 1)
+    return not any(acc.values())
+
+
 def _jacobi_fault(cfg, units):
     """None if the bracket is antisymmetric and satisfies Jacobi on units,
     else the name of the identity that fails.
 
-    The bracket of every ordered pair of units is computed once and
-    [a,b] + [b,a] = 0 is asserted on all of them.  With antisymmetry and
-    bilinearity, J(a,b,c) = [[a,b],c] + [[b,c],a] + [[c,a],b] is
-    alternating: it changes sign under a swap and vanishes when an entry
-    repeats.  So J is evaluated once per triple i < j < k, with the inner
-    brackets read from the pair table.  On the outer brackets, whose
-    arguments leave the table, antisymmetry holds by construction:
-    `_bilinear` keeps one entry per unordered pair of units, and the table
-    check is what catches a wrong sign in that fold.
+    The bracket of every ordered pair of units is computed once, as a
+    canonical integer form (`vf_bracket_raw`), and [a,b] + [b,a] = 0 is
+    asserted on all of them.  With antisymmetry and bilinearity,
+    J(a,b,c) = [[a,b],c] + [[b,c],a] + [[c,a],b] is alternating: it
+    changes sign under a swap and vanishes when an entry repeats.  So J is
+    evaluated once per triple i < j < k, with the inner brackets read from
+    the pair table and the three outer ones summed over one denominator.
+    On the outer brackets, whose arguments leave the table, antisymmetry
+    holds by construction: `_bilinear_raw` keeps one entry per unordered
+    pair of units, and the table check is what catches a wrong sign in
+    that fold.
     """
+    forms = [form(u.terms) for u in units]
     br = {}
-    for i, a in enumerate(units):
-        for j, b in enumerate(units):
-            br[i, j] = vf_bracket(cfg, a, b)
+    for i, a in enumerate(forms):
+        for j, b in enumerate(forms):
+            br[i, j] = vf_bracket_raw(cfg, a, b)
     for (i, j), ab in br.items():
-        if i <= j and not (ab + br[j, i]).is_zero():
+        if i <= j and not _vanishes(ab, br[j, i]):
             return "antisymmetry"
-    n = len(units)
+    n = len(forms)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                s = vf_bracket(cfg, br[i, j], units[k])
-                s = s + vf_bracket(cfg, br[j, k], units[i])
-                s = s + vf_bracket(cfg, br[k, i], units[j])
-                if not s.is_zero():
+                if not _vanishes(vf_bracket_raw(cfg, br[i, j], forms[k]),
+                                 vf_bracket_raw(cfg, br[j, k], forms[i]),
+                                 vf_bracket_raw(cfg, br[k, i], forms[j])):
                     return "Jacobi"
     return None
 
@@ -456,7 +461,7 @@ def psi_homomorphism():
 def _block_premise_configs():
     """N = 1, 2, 3 at the sample points, and three rational points."""
     return ([sample_config(n) for n in NRANGE]
-            + [Config(("1/2", "-7/3", "5"))])
+            + [sample_config(("1/2", "-7/3", "5"))])
 
 
 def partition_of_unity():
@@ -670,114 +675,6 @@ def normal_ordering_equivalence():
                   "(the degree-0 pair cocycle vanishes at genus 0)")
 
 
-# ------------------------------------------------------------------- kz --
-
-def kz_tangent_fields():
-    for n_pts in (1, 2, 3):
-        fields, _meta = tangent_fields(sample_config(n_pts))
-        if len(fields) != n_pts:
-            return False, "wrong field count"
-    return True, "point movers normalized with zeros elsewhere"
-
-
-def kz_classical_agreement():
-    sl2 = make_algebra("sl2")
-    cases = [
-        (Config(("0", "1")), (1, 1)),
-        (Config(("0", "1", "-1")), (1, 1, 1)),
-    ]
-    kappas = set()
-    for cfg, weights in cases:
-        system = kz_matrices(cfg, sl2, weights, Rat(1))
-        if system.partial or not system.residual_zero:
-            return False, "fit failed at N=%d" % cfg.n_points
-        if abs(system.kappa) != Rat(1, 3):
-            return False, "|kappa| != 1/3"
-        kappas.add(system.kappa)
-        oracle = classical_oracle_matrices(cfg, sl2, weights)
-        for p in range(1, cfg.n_points + 1):
-            shift = predicted_scalar_shift(cfg, sl2, weights, Rat(1), p)
-            if system.scalar_shifts[p - 1] != shift:
-                return False, "scalar shift mismatch at p=%d" % p
-            for i, row in enumerate(oracle[p - 1]):
-                for j, om in enumerate(row):
-                    want = system.kappa * om + (shift if i == j else RAT0)
-                    if system.matrices[p - 1][i][j] != want:
-                        return False, "A_%d[%d][%d] != kappa Omega + shift" % (
-                            p, i, j)
-    if len(kappas) != 1:
-        return False, "kappa not global"
-    return True, ("A_p = kappa sum Omega/(z_p-z_j) + shift entry by entry, "
-                  "one kappa, |kappa| = 1/3, zero residual")
-
-
-def kz_translation_covariance():
-    sl2 = make_algebra("sl2")
-    w = (1, 1)
-    s1 = kz_matrices(Config(("0", "1")), sl2, w, Rat(1))
-    s2 = kz_matrices(Config(("5", "6")), sl2, w, Rat(1))
-    if s1.matrices != s2.matrices:
-        return False, "matrices moved under translation"
-    return True, "common shift of the points leaves every A_p fixed"
-
-
-def kz_abelian():
-    ab = make_algebra("abelian1")
-    cfg = Config(("0", "1", "3"))
-    weights = (Rat(1), Rat(2), Rat(-1))
-    system = kz_matrices(cfg, ab, weights, Rat(1))
-    if system.partial or not system.residual_zero:
-        return False, "abelian fit failed"
-    for p in range(1, 4):
-        total = RAT0
-        zp = cfg.points[p - 1]
-        for j in range(1, 4):
-            if j != p:
-                total = total + (weights[p - 1] * weights[j - 1]
-                                 / (zp - cfg.points[j - 1]))
-        want = system.kappa * total + system.scalar_shifts[p - 1]
-        if system.matrices[p - 1][0][0] != want:
-            return False, "abelian matrix mismatch"
-    return True, "abelian system matches kappa sum l_p l_j/(z_p-z_j)+shift"
-
-
-def kz_trivial():
-    sl2 = make_algebra("sl2")
-    system = kz_matrices(Config(("0", "1")), sl2, (0, 0), Rat(1))
-    zero = all(c.num == 0 for m in system.matrices for row in m for c in row)
-    return zero, "all matrices vanish for trivial weights"
-
-
-def kz_flatness():
-    system = kz_matrices(Config(("0", "1", "-1")), make_algebra("sl2"),
-                         (1, 1, 1), Rat(1))
-    rep = flatness_check(system)
-    if not rep.holds:
-        return False, "braid relations fail"
-    return True, ("infinitesimal braid relations exact (%d relations)"
-                  % rep.checked_relations)
-
-
-def coinvariant_clebsch_gordan():
-    sl2 = make_algebra("sl2")
-    # (points, weights, the sl2 Clebsch-Gordan count of invariants in the
-    # tensor product)
-    cases = ((("0", "1", "-1"), (1, 1, 1), 0), (("0", "1"), (2, 2), 1),
-             (("0", "1", "-1"), (1, 1, 2), 1),
-             (("0", "1", "-1", "2"), (1, 1, 1, 1), 2),
-             (("1/2", "-7/3", "5"), (2, 1, 1), 1))
-    ok = True
-    parts = []
-    for points, weights, want in cases:
-        module = induce_module(sl2, Config(points),
-                               ModuleSpec("weyl", weights, Rat(1)))
-        dim = degree_zero_coinvariant_dimension(module)
-        ok = ok and dim == want
-        parts.append("%s at %s: %d (Clebsch-Gordan %d)"
-                     % (weights, ",".join(points), dim, want))
-    return ok, "coinvariant dimensions: %s" % "; ".join(parts)
-
-
 # ------------------------------------------------------------- registry --
 
 CHECKS = [
@@ -822,21 +719,24 @@ CHECKS = [
 
 
 def _run_registry(suite, params):
-    """Run the registry checks of one suite in order; each check gets the
-    params its signature names, and a param no check names is an error."""
+    """Run the registry checks of one suite in order, on one shared Config
+    per point set; each check gets the params its signature names, and a
+    param no check names is an error."""
     results = []
     unused = set(params)
-    for name, s, fn in CHECKS:
-        if s != suite:
-            continue
-        names = fn.__code__.co_varnames[:fn.__code__.co_argcount]
-        own = {k: v for k, v in params.items() if k in names}
-        unused -= set(own)
-        try:
-            ok, detail = fn(**own)
-        except Exception as exc:  # a failing check must never kill the run
-            ok, detail = False, "error: %s: %s" % (type(exc).__name__, exc)
-        results.append(CheckResult(name, bool(ok), detail))
+    with shared_configs():
+        for name, s, fn in CHECKS:
+            if s != suite:
+                continue
+            names = fn.__code__.co_varnames[:fn.__code__.co_argcount]
+            own = {k: v for k, v in params.items() if k in names}
+            unused -= set(own)
+            try:
+                ok, detail = fn(**own)
+            except Exception as exc:  # a failing check must not kill the run
+                ok, detail = False, "error: %s: %s" % (type(exc).__name__,
+                                                       exc)
+            results.append(CheckResult(name, bool(ok), detail))
     if unused:
         raise TypeError("no %s check takes %s" % (suite, sorted(unused)))
     return results

@@ -2,16 +2,22 @@
 
 Each criterion names the registry checks that establish it and a time
 budget; test_registry_check runs every other registry check, so each
-check runs exactly once in this file and a failure names the check and
-its detail.  Run with `pytest tests/test_acceptance.py -v -s` to see one
-PASS line per criterion.
+check runs exactly once alone in this file and a failure names the check
+and its detail.  Alone, a check builds fresh configurations; each run is
+also compared with what the same check returned inside
+`run_suite("all")`, where a suite shares one Config per point set, so
+sharing is shown to change no verdict and no detail.  Run with
+`pytest tests/test_acceptance.py -v -s` to see one PASS line per
+criterion.
 """
 
 import time
 
 import pytest
 
-from knwznw.verify import CHECKS
+from knwznw import verify_samples
+from knwznw.verify import CHECKS, run_suite
+from knwznw.verify_samples import sample_config, shared_configs
 
 FNS = {name: fn for name, _suite, fn in CHECKS}
 
@@ -31,11 +37,23 @@ CRITERIA = {
 }
 COVERED = [name for _budget, names in CRITERIA.values() for name in names]
 OTHERS = [name for name, _suite, _fn in CHECKS if name not in COVERED]
+SHARED = {}  # name -> (passed, detail) inside run_suite("all")
+
+
+@pytest.fixture(scope="module", autouse=True)
+def shared_run():
+    """Run every suite once, on shared configs, before the checks run
+    alone (and outside their time budgets)."""
+    results = run_suite("all")
+    assert [r.name for r in results] == [name for name, _s, _f in CHECKS]
+    SHARED.update((r.name, (r.passed, r.detail)) for r in results)
 
 
 def _run(name):
     ok, detail = FNS[name]()
     assert ok, "%s: %s" % (name, detail)
+    assert (bool(ok), detail) == SHARED[name], (
+        "%s returns another result on the configs its suite shares" % name)
     return detail
 
 
@@ -103,3 +121,26 @@ def test_every_check_runs_once():
 @pytest.mark.parametrize("name", OTHERS)
 def test_registry_check(name):
     _run(name)
+
+
+def test_a_suite_shares_one_config_per_point_set(monkeypatch):
+    # alone, every request builds a fresh Config; inside a share, one
+    # Config serves each point set, asked for by N or by its points, and
+    # none outlives the share
+    assert sample_config(2) is not sample_config(2)
+    with shared_configs():
+        cfg = sample_config(2)
+        assert sample_config(("0", "1")) is cfg
+        assert sample_config(3) is not cfg
+    assert sample_config(2) is not cfg
+    made = []
+    real = verify_samples.Config
+
+    def counting(points):
+        made.append(points)
+        return real(points)
+
+    monkeypatch.setattr(verify_samples, "Config", counting)
+    assert all(r.passed for r in run_suite("kz"))
+    # the kz checks sample seven point sets, each built once
+    assert len(made) == len(set(made)) == 7

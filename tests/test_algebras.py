@@ -1,15 +1,20 @@
 """Function/vector-field algebra structure, cocycles, decompositions."""
 
 import random
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import section_of
 from knwznw import Rat, algebras
+from knwznw._kernel import form, rats
 from knwznw.algebras import (ProjectiveConnection,
                              R_ZERO, coboundary_compare, cocycle_chi,
                              cocycle_gamma, grading_report, lie_derivative,
-                             multiply, triangular_decompose, vf_bracket)
+                             multiply, triangular_decompose, vf_bracket,
+                             vf_bracket_raw)
 from knwznw.basis import (Config, GradedElement, KNIndex, Section,
                           expand_in_basis, kn_basis_element,
                           linear_combination, residue_sum)
@@ -310,6 +315,31 @@ def test_a_corrupted_bracket_entry_fails_both_jacobi_checks():
         cfg.cache[key] = (den, bad)
         assert not ordered_triple_jacobi(cfg, units)
         assert _jacobi_fault(cfg, units) == "Jacobi"
+
+
+rationals = st.builds(Rat, st.integers(-9, 9), st.integers(1, 5))
+
+
+@st.composite
+def vector_fields(draw, n_pts):
+    """A weight -1 combination of two to four units, degrees in -4..4."""
+    keys = st.tuples(st.integers(-4, 4), st.integers(1, n_pts))
+    return GradedElement(-1, draw(st.dictionaries(keys, rationals,
+                                                  min_size=2, max_size=4)))
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(data=st.data(),
+       points=st.lists(rationals, min_size=1, max_size=4, unique=True))
+def test_raw_bracket_is_the_rat_bracket_on_integer_forms(data, points):
+    # vf_bracket_raw is the core of vf_bracket without its Rat boundary:
+    # read back through rats it is the Rat bracket, and it is canonical
+    cfg = Config(points)
+    e = data.draw(vector_fields(cfg.n_points))
+    f = data.draw(vector_fields(cfg.n_points))
+    den, nums = vf_bracket_raw(cfg, form(e.terms), form(f.terms))
+    assert den > 0 and all(nums.values()) and gcd(den, *nums.values()) == 1
+    assert rats(den, nums) == vf_bracket(cfg, e, f).terms
 
 
 def _ref_form(cfg, lam, a):

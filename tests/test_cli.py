@@ -798,6 +798,67 @@ def test_malformed_or_costly_requests_exit_cleanly(request):
     assert (code == 0) == (err.getvalue() == ""), err.getvalue()
 
 
+BAD_INT = st.one_of(st.integers(-10 ** 30, 10 ** 30).filter(
+    lambda x: abs(x) > MAX_BASIS_INDEX), st.text("0123456789-+.xe ",
+                                                 max_size=4))
+
+
+@st.composite
+def argv_requests(draw, command):
+    """argv of a `verify`, `table`, `cocycle` or `basis` request, mostly
+    well formed and small; one value in five of each kind is junk."""
+    def rarely(bad, good):
+        junk = draw(st.sampled_from([False, False, False, False, True]))
+        return str(draw(bad if junk else good))
+
+    points = rarely(st.one_of(
+        st.text("0123456789,-/x.", max_size=8),
+        st.sampled_from(["0,0", "1/0", "inf", "nan", ",", "0,1,1/1"])),
+        st.lists(st.sampled_from(["0", "1", "-1", "2", "1/2", "-7/3"]),
+                 min_size=1, max_size=3, unique=True).map(",".join))
+    window = rarely(st.one_of(
+        st.text("0123456789:-x ", max_size=6),
+        st.tuples(st.integers(-10 ** 6, 10 ** 6),
+                  st.integers(-10 ** 6, 10 ** 6)).map("%d:%d".__mod__)),
+        st.tuples(st.integers(-3, 1), st.integers(0, 3)).map("%d:%d".__mod__))
+    if command == "verify":
+        argv = ["verify", "--suite=" + draw(st.text(max_size=6))]
+    elif command == "basis":
+        argv = ["basis", "--points=" + points,
+                "--lambda=" + rarely(BAD_INT, st.integers(-4, 4)),
+                "--n=" + rarely(BAD_INT, st.integers(-4, 4))]
+        if draw(st.booleans()):
+            argv.append("--p=" + rarely(BAD_INT, st.integers(0, 4)))
+    else:
+        kind = (("--algebra", "A", "L") if command == "table"
+                else ("--kind", "gamma", "chi"))
+        argv = [command, "--points=" + points, "--window=" + window,
+                kind[0] + "=" + rarely(st.text(max_size=3),
+                                       st.sampled_from(kind[1:]))]
+    if draw(st.booleans()):
+        argv.append("--json-indent=" + rarely(
+            st.one_of(BAD_INT, st.integers(MAX_JSON_INDENT + 1, 10 ** 9)),
+            st.integers(-2, MAX_JSON_INDENT)))
+    return argv
+
+
+@pytest.mark.parametrize("command", ["verify", "table", "cocycle", "basis"])
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(data=st.data())
+def test_junk_argv_exits_cleanly(command, data):
+    # junk suites, windows, points, lambdas and indents: each request
+    # exits 0, 1 or 2 with a message and no traceback, within a second
+    argv = data.draw(argv_requests(command))
+    out, err = io.StringIO(), io.StringIO()
+    start = perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert perf_counter() - start < 1.0, argv
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (err.getvalue() == ""), (argv, err.getvalue())
+
+
 def colored_partitions(colors, upto):
     """Coefficients of prod_{n >= 1} (1 - q^n)^-colors up to q^upto."""
     coeffs = [1] + [0] * upto
