@@ -19,11 +19,12 @@ an integer form.  No unit entry is reconstructed at run time: the tests
 check the closed form against `expand_in_basis`.
 Products, brackets and Lie derivatives of combinations share one
 integer-form core, `_bilinear_raw`: it sums the scaled unit entries over
-one common denominator and returns (den, {(n, p): int}).  Rat is built
-only at the public boundary (`multiply`, `vf_bracket`,
-`lie_derivative`), one per output key; `vf_bracket_raw` exposes the core
-for vector fields, on integer forms in and a canonical integer form out,
-for callers that only add brackets and test the sum for zero.
+one common denominator, into a caller's accumulator or a fresh one, and
+returns (den, {(n, p): int}).  Rat is built only at the public boundary
+(`multiply`, `vf_bracket`, `lie_derivative`), one per output key;
+`vf_bracket_sum` exposes the core for vector fields, on integer forms in
+and one canonical integer form of a sum of brackets out, for callers
+that only add brackets and test the sum for zero.
 Cocycles are residue sums.  A unit gamma entry f dg = c_f c_g sum_j
 k_g,j M_{K - e_j} sums at most N cached `basis.monomial_residue`s
 ("mres", read off the monomial expansions); the connection part of chi
@@ -164,19 +165,22 @@ def _unit_lie_derivative(cfg, a, lam, b):
     return hit
 
 
-def _bilinear_raw(f, g, unit_fn, antisymmetric=False):
+def _bilinear_raw(f, g, unit_fn, antisymmetric=False, into=None):
     """Sum of ca cb unit_fn(a, b) over the terms of integer forms f and g,
     as an integer form (den, {(n, p): int}) that may hold zero numerators.
 
     unit_fn returns a unit entry as an integer form (D, numerators).  The
-    sum runs in Python ints over one common denominator (`add_scaled`).
+    sum runs in Python ints over one common denominator (`add_scaled`),
+    added into the caller's accumulator into = (den, out) when one is
+    given (out is extended in place) and into a fresh one otherwise.
     For an antisymmetric unit_fn it is asked only for pairs a < b: a
     reversed pair takes the same entry with the sign folded into its
     coefficient, and a == b contributes nothing.
     """
     fd, fn = f
     gd, gn = g
-    den, out = 1, {}
+    den, out = into or (1, {})
+    e = fd * gd
     for a, ca in fn.items():
         for b, cb in gn.items():
             if antisymmetric and a >= b:
@@ -187,8 +191,8 @@ def _bilinear_raw(f, g, unit_fn, antisymmetric=False):
             else:
                 d, nums = unit_fn(a, b)
                 c = ca * cb
-            den = add_scaled(den, out, d, nums, c, 1)
-    return den * fd * gd, out
+            den = add_scaled(den, out, d, nums, c, e)
+    return den, out
 
 
 def _bilinear(f, g, lam_out, unit_fn, antisymmetric=False):
@@ -217,12 +221,17 @@ def vf_bracket(cfg, e, f):
                      antisymmetric=True)
 
 
-def vf_bracket_raw(cfg, e, f):
-    """[e, f] on integer forms e, f = (den, {(n, p): int}) of weight -1
-    elements, as a canonical integer form: the bracket of `vf_bracket`
-    without its Rat boundary."""
-    return canonical(*_bilinear_raw(
-        e, f, lambda a, b: _unit_vf_bracket(cfg, a, b), antisymmetric=True))
+def vf_bracket_sum(cfg, pairs):
+    """The sum of [e, f] over the pairs (e, f) of integer forms
+    (den, {(n, p): int}) of weight -1 elements, as a canonical integer
+    form: every bracket is added into one accumulator, and `canonical`
+    runs once.  One pair gives the bracket of `vf_bracket` without its
+    Rat boundary."""
+    unit = lambda a, b: _unit_vf_bracket(cfg, a, b)
+    acc = (1, {})
+    for e, f in pairs:
+        acc = _bilinear_raw(e, f, unit, True, acc)
+    return canonical(*acc)
 
 
 def lie_derivative(cfg, e, s):

@@ -56,10 +56,15 @@ plan (`_apply_plan`): it applies each distinct operator that acts first
 once and sums the scaled results into the arguments of the operators
 that act after it, each argument an integer form of its own; it then
 applies each of those operators once to its argument and sums the
-results into one accumulator.  Every sum is the kernel's `add_scaled`.  Images and the commutator audit's
-difference are integer forms; Rat is built only by `apply_L`, by
-`kz.kz_matrices` for its entries, and for the audit's scalar and
-counterexample.
+results into one accumulator.  Every sum is the kernel's `add_scaled`.
+Images are integer forms.  `apply_L_raw` hands a caller a fresh one, or
+adds a scaled image into the caller's accumulator.  The commutator audit
+takes the second way: for each monomial w it sums
+f^2 L(k,r)(L(m,s) w) - f^2 L(m,s)(L(k,r) w) - sum_u c_u L(u) w into one
+integer accumulator, the nested terms as L(k,r) of the memoised image
+L(m,s) w read in place, and takes `canonical` once; no image is
+mutated.  Rat is built only by `apply_L`, by `kz.kz_matrices` for its
+entries, and for the audit's scalar and counterexample.
 
 The rescaled operators -1/(level + dual Coxeter) L(k,r) represent the
 centrally extended vector-field algebra; the audit measures the central
@@ -386,23 +391,27 @@ def _apply_plan(module, plan, base, args):
     return canonical(den, acc)
 
 
-def apply_L_raw(module, idx, vec):
+def apply_L_raw(module, idx, vec, into=None, a=1, b=1):
     """Exact L(k, r) on an integer form vec = (D, {monomial: int}), as a
-    canonical integer form.
+    fresh canonical integer form; or, given a caller's accumulator
+    into = (den, acc), a/b L(k, r) vec added into it (acc is extended in
+    place and may hold zero numerators), returning the new (den, acc).
 
     L(k, r) is linear, so the image of each monomial is computed once per
     module and memoised under ((k, r), monomial) (`_image`); the image of
     vec sums the cached numerators scaled by vec's numerators over one
-    denominator.  Memoised images are never mutated.
+    denominator.  Neither vec nor a memoised image is mutated, so vec may
+    be a memoised image itself.
     """
     k, r = idx
     vden, terms = vec
-    den, acc = 1, {}
+    den, acc = into or (1, {})
+    e = b * vden
     for mono, cm in terms.items():
         img = _image(module, k, r, mono)
         if img[1]:
-            den = add_scaled(den, acc, *img, cm, 1)
-    return canonical(den * vden, acc)
+            den = add_scaled(den, acc, *img, a * cm, e)
+    return (den, acc) if into else canonical(den, acc)
 
 
 def apply_L(module, idx, v):
@@ -479,18 +488,19 @@ def sugawara_commutator_audit(cfg, alg, module, pairs, window):
             basis = module.slice_basis(d)
             sigma = None
             for mono in basis:
+                # f2 L_kr(L_ms mono) - f2 L_ms(L_kr mono) - sum c L_hu mono,
+                # summed into one accumulator; the inner images are read
+                # from the memo in place
+                acc = (1, {})
+                for outer, inner, fnum in (((k, r), (m, s), f2.num),
+                                           ((m, s), (k, r), -f2.num)):
+                    acc = apply_L_raw(module, outer,
+                                      _image(module, *inner, mono), acc,
+                                      fnum, f2.den)
                 base = (1, {mono: 1})
-                w1 = apply_L_raw(module, (m, s), base)
-                w1 = apply_L_raw(module, (k, r), w1)
-                w2 = apply_L_raw(module, (k, r), base)
-                w2 = apply_L_raw(module, (m, s), w2)
-                acc = {}
-                den = add_scaled(1, acc, *w1, f2.num, f2.den)
-                den = add_scaled(den, acc, *w2, -f2.num, f2.den)
                 for hu, c in scaled:
-                    wb = apply_L_raw(module, hu, base)
-                    den = add_scaled(den, acc, *wb, -c.num, c.den)
-                den, diff = canonical(den, acc)
+                    acc = apply_L_raw(module, hu, base, acc, -c.num, c.den)
+                den, diff = canonical(*acc)
                 got = Rat(diff.get(mono, 0), den)
                 if sigma is None:
                     sigma = got

@@ -22,7 +22,7 @@ from .affine import (AffineElement, affine_bracket, affine_decompose,
 from .algebras import (ProjectiveConnection, R_ZERO, _pairs, cocycle_chi,
                        cocycle_gamma, coboundary_compare, grading_report,
                        lie_derivative, multiply, triangular_decompose,
-                       vf_bracket, vf_bracket_raw)
+                       vf_bracket, vf_bracket_sum)
 from .basis import (DivisorForm, GradedElement, KNIndex, Section,
                     expand_in_basis, homogeneous_dimension, kn_basis_element,
                     kn_basis_record, kn_pairing, linear_combination,
@@ -177,12 +177,13 @@ def _jacobi_fault(cfg, units):
     else the name of the identity that fails.
 
     The bracket of every ordered pair of units is computed once, as a
-    canonical integer form (`vf_bracket_raw`), and [a,b] + [b,a] = 0 is
-    asserted on all of them.  With antisymmetry and bilinearity,
+    canonical integer form (`vf_bracket_sum` of the one pair), and
+    [a,b] + [b,a] = 0 is asserted on all of them.  With antisymmetry and bilinearity,
     J(a,b,c) = [[a,b],c] + [[b,c],a] + [[c,a],b] is alternating: it
     changes sign under a swap and vanishes when an entry repeats.  So J is
     evaluated once per triple i < j < k, with the inner brackets read from
-    the pair table and the three outer ones summed over one denominator.
+    the pair table and the three outer ones summed into one integer
+    accumulator (`vf_bracket_sum`), whose canonical form must be empty.
     On the outer brackets, whose arguments leave the table, antisymmetry
     holds by construction: `_bilinear_raw` keeps one entry per unordered
     pair of units, and the table check is what catches a wrong sign in
@@ -192,7 +193,7 @@ def _jacobi_fault(cfg, units):
     br = {}
     for i, a in enumerate(forms):
         for j, b in enumerate(forms):
-            br[i, j] = vf_bracket_raw(cfg, a, b)
+            br[i, j] = vf_bracket_sum(cfg, ((a, b),))
     for (i, j), ab in br.items():
         if i <= j and not _vanishes(ab, br[j, i]):
             return "antisymmetry"
@@ -200,9 +201,9 @@ def _jacobi_fault(cfg, units):
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                if not _vanishes(vf_bracket_raw(cfg, br[i, j], forms[k]),
-                                 vf_bracket_raw(cfg, br[j, k], forms[i]),
-                                 vf_bracket_raw(cfg, br[k, i], forms[j])):
+                if vf_bracket_sum(cfg, ((br[i, j], forms[k]),
+                                        (br[j, k], forms[i]),
+                                        (br[k, i], forms[j])))[1]:
                     return "Jacobi"
     return None
 

@@ -2,7 +2,10 @@
 genus-0 coinvariants, each against an oracle from outside the code path.
 
 They are listed in the registry `verify.CHECKS` under the suite "kz", and
-sample their points through `verify_samples.sample_config`.
+sample their points through `verify_samples.sample_config`.  A check whose
+verdict would not change if it were handed another point set reads its
+points back (`_elsewhere`), so that a wrong share of configurations fails
+it.
 """
 
 from __future__ import annotations
@@ -13,7 +16,13 @@ from .kz import (classical_oracle_matrices, flatness_check, kz_matrices,
                  predicted_scalar_shift, tangent_fields)
 from .modules import (ModuleSpec, degree_zero_coinvariant_dimension,
                       induce_module)
+from .ratfield import as_rat
 from .verify_samples import sample_config
+
+
+def _elsewhere(cfg, points):
+    """True if cfg is not at the points that were asked for."""
+    return cfg.points != tuple(as_rat(p) for p in points)
 
 
 def kz_tangent_fields():
@@ -60,6 +69,8 @@ def kz_translation_covariance():
     w = (1, 1)
     s1 = kz_matrices(sample_config(("0", "1")), sl2, w, Rat(1))
     s2 = kz_matrices(sample_config(("5", "6")), sl2, w, Rat(1))
+    if _elsewhere(s1.config, ("0", "1")) or _elsewhere(s2.config, ("5", "6")):
+        return False, "a system sits at other points"
     if s1.matrices != s2.matrices:
         return False, "matrices moved under translation"
     return True, "common shift of the points leaves every A_p fixed"
@@ -70,6 +81,8 @@ def kz_abelian():
     cfg = sample_config(("0", "1", "3"))
     weights = (Rat(1), Rat(2), Rat(-1))
     system = kz_matrices(cfg, ab, weights, Rat(1))
+    if _elsewhere(system.config, ("0", "1", "3")):
+        return False, "the system sits at other points"
     if system.partial or not system.residual_zero:
         return False, "abelian fit failed"
     for p in range(1, 4):
@@ -116,7 +129,7 @@ def coinvariant_clebsch_gordan():
         module = induce_module(sl2, sample_config(points),
                                ModuleSpec("weyl", weights, Rat(1)))
         dim = degree_zero_coinvariant_dimension(module)
-        ok = ok and dim == want
+        ok = ok and dim == want and not _elsewhere(module.cfg, points)
         parts.append("%s at %s: %d (Clebsch-Gordan %d)"
                      % (weights, ",".join(points), dim, want))
     return ok, "coinvariant dimensions: %s" % "; ".join(parts)

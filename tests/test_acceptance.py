@@ -144,3 +144,28 @@ def test_a_suite_shares_one_config_per_point_set(monkeypatch):
     assert all(r.passed for r in run_suite("kz"))
     # the kz checks sample seven point sets, each built once
     assert len(made) == len(set(made)) == 7
+
+
+class _ShareByN(dict):
+    """A wrong share: one Config per number of points, not per point set."""
+
+    def get(self, points):
+        return super().get(len(points))
+
+    def __setitem__(self, points, cfg):
+        super().__setitem__(len(points), cfg)
+
+
+@pytest.mark.parametrize("name", ("translation-covariance", "kz-abelian",
+                                  "coinvariant-clebsch-gordan"))
+def test_a_kz_check_fails_on_a_share_keyed_by_n(name, monkeypatch):
+    # after the sample points of N = 1..3 entered the share, as they do
+    # in a suite, a share keyed by N hands each of these checks a Config
+    # at other points than it asked for; each reads its points back
+    share = _ShareByN()
+    monkeypatch.setattr(verify_samples, "_SHARES", [share])
+    for n in (1, 2, 3):
+        sample_config(n)
+    assert sample_config(("5", "6")) is sample_config(2)
+    passed, _detail = FNS[name]()
+    assert not passed

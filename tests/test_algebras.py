@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from conftest import section_of
 from knwznw import Rat, algebras
-from knwznw._kernel import form, rats
+from knwznw._kernel import ZERO_FORM, form, merge, rats
 from knwznw.algebras import (ProjectiveConnection,
                              R_ZERO, coboundary_compare, cocycle_chi,
                              cocycle_gamma, grading_report, lie_derivative,
                              multiply, triangular_decompose, vf_bracket,
-                             vf_bracket_raw)
+                             vf_bracket_sum)
 from knwznw.basis import (Config, GradedElement, KNIndex, Section,
                           expand_in_basis, kn_basis_element,
                           linear_combination, residue_sum)
@@ -332,14 +332,35 @@ def vector_fields(draw, n_pts):
 @given(data=st.data(),
        points=st.lists(rationals, min_size=1, max_size=4, unique=True))
 def test_raw_bracket_is_the_rat_bracket_on_integer_forms(data, points):
-    # vf_bracket_raw is the core of vf_bracket without its Rat boundary:
-    # read back through rats it is the Rat bracket, and it is canonical
+    # vf_bracket_sum of one pair is the core of vf_bracket without its Rat
+    # boundary: read back through rats it is the Rat bracket, canonical
     cfg = Config(points)
     e = data.draw(vector_fields(cfg.n_points))
     f = data.draw(vector_fields(cfg.n_points))
-    den, nums = vf_bracket_raw(cfg, form(e.terms), form(f.terms))
+    den, nums = vf_bracket_sum(cfg, ((form(e.terms), form(f.terms)),))
     assert den > 0 and all(nums.values()) and gcd(den, *nums.values()) == 1
     assert rats(den, nums) == vf_bracket(cfg, e, f).terms
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(data=st.data(),
+       points=st.lists(rationals, min_size=1, max_size=4, unique=True))
+def test_bracket_sum_is_the_sum_of_the_rat_brackets(data, points):
+    # vf_bracket_sum adds every bracket into one accumulator: read back
+    # through rats it is the sum of the Rat brackets, in canonical form,
+    # and a pair followed by its reverse cancels to the zero form
+    cfg = Config(points)
+    fields = vector_fields(cfg.n_points)
+    pairs = data.draw(st.lists(st.tuples(fields, fields), min_size=1,
+                               max_size=3))
+    want = {}
+    for e, f in pairs:
+        merge(want, vf_bracket(cfg, e, f).terms)
+    forms = [(form(e.terms), form(f.terms)) for e, f in pairs]
+    got = vf_bracket_sum(cfg, forms)
+    assert got == form(want) and rats(*got) == want
+    e, f = forms[0]
+    assert vf_bracket_sum(cfg, ((e, f), (f, e))) == ZERO_FORM
 
 
 def _ref_form(cfg, lam, a):

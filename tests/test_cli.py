@@ -114,20 +114,21 @@ def test_sugawara_subcommand(capsys, tmp_path):
 def test_sugawara_repeated_slice_is_audited_once(capsys, tmp_path,
                                                  monkeypatch):
     # entries do not list slices, so a repeated slice prints the same
-    # bytes; it must not cost a second pass of Sugawara images either
+    # bytes; it must not cost a second pass of Sugawara images either,
+    # counted as reads of the image memo
     cfgfile = _write(tmp_path, "s.json", {
         "points": ["0", "1"], "lie_algebra": "sl2",
         "module": {"kind": "weyl", "weights": [1, 1], "depth": 3}})
-    real = sugawara.apply_L_raw
+    real = sugawara._image
     runs = []
     for slices in ("-2", "-2,-2,-2", "-2,0", "-2,0,-2,0"):
         calls = []
 
-        def counting(module, idx, vec):
-            calls.append(idx)
-            return real(module, idx, vec)
+        def counting(module, k, r, mono):
+            calls.append((k, r))
+            return real(module, k, r, mono)
 
-        monkeypatch.setattr(sugawara, "apply_L_raw", counting)
+        monkeypatch.setattr(sugawara, "_image", counting)
         code, out, _ = run_cli(["sugawara", "--config", cfgfile, "--pairs",
                                 "1,1,-1,2", "--slices=" + slices], capsys)
         assert code == 0

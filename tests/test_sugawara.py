@@ -4,8 +4,11 @@ import random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from knwznw import Rat, verify
+from knwznw.algebras import vf_bracket
 from knwznw._kernel import RAT0, form, merge, rats
 from knwznw.basis import Config, GradedElement, KNIndex, kn_basis_element
 from knwznw.errors import CriticalLevelError, DomainError
@@ -362,24 +365,24 @@ def test_audit_counterexample_is_the_difference_vector(sl2, cfg2,
 
 
 def test_multipoint_audit_reuses_memoised_images(sl2, cfg2, monkeypatch):
-    # the multipoint-centrality module: the audit applies L to vectors whose
-    # monomials repeat across the slice basis, so the memo must hold fewer
-    # images than apply_L_raw saw input monomials (numerators of its
-    # input forms)
+    # the multipoint-centrality module: the audit reads the images of
+    # monomials that repeat across the slice basis, so the memo must hold
+    # fewer images than the audit and the images it builds read monomials
+    # (`_image` calls)
     module = induce_module(sl2, cfg2, ModuleSpec("weyl", (1, 1), Rat(1), 4))
     seen = []
-    real = sugawara.apply_L_raw
+    image = sugawara._image
 
-    def counting(module, idx, vec):
-        seen.append(len(vec[1]))
-        return real(module, idx, vec)
+    def counting(module, k, r, mono):
+        seen.append(mono)
+        return image(module, k, r, mono)
 
-    monkeypatch.setattr(sugawara, "apply_L_raw", counting)
+    monkeypatch.setattr(sugawara, "_image", counting)
     pairs = [((1, 1), (-1, 2)), ((1, 2), (-1, 1)), ((0, 1), (0, 2))]
     res = sugawara_commutator_audit(cfg2, sl2, module, pairs, [-1, -2])
     assert all(e.is_scalar for e in res)
     memo = module._sugawara_memo
-    assert 2 * len(memo) < sum(seen)
+    assert 2 * len(memo) < len(seen)
     # each image is computed from the image of its suffix, both memoised
     # under ((k, r), monomial)
     mono = module.slice_basis(-1)[0]
@@ -391,11 +394,30 @@ def test_multipoint_audit_reuses_memoised_images(sl2, cfg2, monkeypatch):
     # changes
     want = (own[0], dict(own[1]))
     unit = (1, {mono: 1})
-    out = real(module, (0, 1), unit)
+    out = apply_L_raw(module, (0, 1), unit)
     assert out == want
     out[1].clear()
     assert memo[((0, 1), mono)] == want
-    assert real(module, (0, 1), unit) == want
+    assert apply_L_raw(module, (0, 1), unit) == want
+
+
+def test_apply_L_raw_adds_into_a_callers_accumulator(sl2, cfg2):
+    # given into = (den, acc), apply_L_raw adds a/b L(k, r) vec into it:
+    # the sum reads back as acc/den plus a/b times the fresh image, and
+    # neither vec nor the memo changes
+    module = induce_module(sl2, cfg2, ModuleSpec("weyl", (1, 1), Rat(1), 3))
+    m1, m2 = module.slice_basis(-1)[:2]
+    vec = (3, {m1: 2, m2: -5})
+    fresh = apply_L_raw(module, (0, 1), vec)
+    assert fresh[1]
+    memo = {key: (den, dict(nums))
+            for key, (den, nums) in module._sugawara_memo.items()}
+    want = {m1: Rat(1, 7)}
+    merge(want, rats(*fresh), Rat(-4, 9))
+    into = (7, {m1: 1})
+    got = apply_L_raw(module, (0, 1), vec, into, -4, 9)
+    assert got[1] is into[1] and rats(*got) == want
+    assert vec == (3, {m1: 2, m2: -5}) and module._sugawara_memo == memo
 
 
 def test_summation_bounds_fails_on_a_narrowed_window(monkeypatch):
@@ -415,3 +437,90 @@ def test_summation_bounds_fails_on_a_narrowed_window(monkeypatch):
 
     monkeypatch.setattr(sugawara, "_term_plan", narrowed)
     assert verify.summation_bounds() == (False, "summation bound unstable")
+
+
+def composed_audit(cfg, alg, module, pair, window):
+    """(is_scalar, per_slice, counterexample) of the audit of one pair,
+    from outside its fused sum: the public `apply_L` composed on Rat
+    module vectors, one difference vector per monomial."""
+    (k, r), (m, s) = pair
+    f = sugawara.rescale_factor(alg, module.level)
+    bracket = vf_bracket(cfg, GradedElement.unit(-1, k, r),
+                         GradedElement.unit(-1, m, s))
+    per_slice = {}
+    for d in dict.fromkeys(window):
+        sigma = None
+        for mono in module.slice_basis(d):
+            v = ModuleVector.monomial(mono)
+            diff = (apply_L(module, (k, r), apply_L(module, (m, s), v))
+                    - apply_L(module, (m, s), apply_L(module, (k, r), v))
+                    ).scale(f * f)
+            for hu, c in bracket.terms.items():
+                diff = diff - apply_L(module, hu, v).scale(f * c)
+            got = diff.terms.get(mono, RAT0)
+            if sigma is None:
+                sigma = got
+            if got != sigma or set(diff.terms) - {mono}:
+                per_slice[d] = sigma
+                return False, per_slice, (d, mono, diff)
+        per_slice[d] = sigma
+    return len(set(per_slice.values())) == 1, per_slice, None
+
+
+rationals = st.builds(Rat, st.integers(-9, 9), st.integers(1, 5))
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(points=st.lists(rationals, min_size=2, max_size=3, unique=True),
+       data=st.data())
+def test_audit_matches_the_composed_rat_path(points, data):
+    cfg = Config(points)
+    n = cfg.n_points
+    sl2 = make_algebra("sl2")
+    weights = tuple(data.draw(st.lists(st.integers(0, 2), min_size=n,
+                                       max_size=n)))
+    module = induce_module(sl2, cfg, ModuleSpec("weyl", weights, Rat(1)))
+    window = data.draw(st.sampled_from(((-1,), (-2,), (-1, -2), (-2, -1))))
+    # the oracle composes Rat vectors, so its slices stay small
+    assume(sum(module.slice_dimension(d) for d in window) <= 150)
+    index = st.tuples(st.integers(-2, 2), st.integers(1, n))
+    pair = (data.draw(index), data.draw(index))
+    (entry,) = sugawara_commutator_audit(cfg, sl2, module, [pair], window)
+    assert (entry.is_scalar, entry.per_slice, entry.counterexample) == \
+        composed_audit(cfg, sl2, module, pair, window)
+
+
+def test_a_wrong_memo_image_makes_the_audit_non_scalar(sl2, cfg2):
+    # one numerator of one memoised image L_hu(mono), hu a term of the
+    # bracket [e_{1,1}, e_{-1,2}], moves by a whole unit: the audit sums
+    # the memo in place, so it reports that image's error
+    pair = ((1, 1), (-1, 2))
+    module = induce_module(sl2, cfg2, ModuleSpec("weyl", (1, 1), Rat(1), 4))
+    (entry,) = sugawara_commutator_audit(cfg2, sl2, module, [pair], [-1])
+    assert entry.is_scalar
+    memo = module._sugawara_memo
+    bracket = vf_bracket(cfg2, GradedElement.unit(-1, 1, 1),
+                         GradedElement.unit(-1, -1, 2))
+    key = next((hu, mono) for hu in bracket.terms
+               for mono in module.slice_basis(-1) if memo[hu, mono][1])
+    den, nums = memo[key]
+    wrong = dict(nums)
+    wrong[next(iter(wrong))] += den
+    memo[key] = (den, wrong)
+    (entry,) = sugawara_commutator_audit(cfg2, sl2, module, [pair], [-1])
+    assert not entry.is_scalar and entry.counterexample is not None
+
+
+def test_audits_leave_every_memoised_image_unchanged(sl2, cfg2):
+    # the audit reads the memo's images in place; a second audit with
+    # other pairs, which reads the first one's images again, changes none
+    module = induce_module(sl2, cfg2, ModuleSpec("weyl", (1, 1), Rat(1), 4))
+    sugawara_commutator_audit(cfg2, sl2, module, [((1, 1), (-1, 2))],
+                              [-1, -2])
+    memo = module._sugawara_memo
+    before = {key: (den, dict(nums)) for key, (den, nums) in memo.items()}
+    res = sugawara_commutator_audit(
+        cfg2, sl2, module, [((-1, 2), (1, 1)), ((1, 1), (0, 2))], [-2, -1])
+    assert all(e.is_scalar for e in res)
+    assert len(memo) > len(before)
+    assert all(memo[key] == img for key, img in before.items())
