@@ -138,8 +138,7 @@ class InducedModule:
         self._bracket_memo = {}
         self._slice_memo = {}
         self._sugawara_memo = {}  # see sugawara._image
-        # see sugawara._commutator_plan
-        self._commutator_plans = {}
+        self._relation_plans = {}  # see sugawara._relation_plan
 
     # -- PBW bookkeeping -------------------------------------------------
 

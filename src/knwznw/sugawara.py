@@ -29,34 +29,30 @@ term plan of its degree: one plan per (algebra, k, r, degree), cached
 on the configuration (`_term_plan`), writes u^i = sum_j D_ij u_j,
 keeps the nonzero coefficients, merges every total and mode of the band
 and groups the terms by the operator that acts first.
-A monomial c1.w, with c1 the first entry of its creation string, peels
-c1 (`_L_image`):
+A monomial c1.w, with c1 = (n, p, i) the first entry of its creation
+string, follows from the image of w by the current relation of the
+global Sugawara construction (Schlichenmaier and Sheinman, Russian Math.
+Surveys 54 (1999)), [L(e), x(A)] = -(level + h^v) x(e.A) (`_L_image`):
 
-    L(c1.w) = c1.L(w) + [L, c1].w,
+    L(c1.w) = c1.L(w) - (level + h^v) x_i(e_{k,r}.A_{n,p}).w,
 
-with L(w) read from the image memo.  Three facts make this exact, and no
-Sugawara commutation theorem is used.  For each term c F S of the plan
-of c1.w's degree, [F S, c1] = F [S, c1] + [F, c1] S, with the brackets
-of single generators.  Every term of that plan that the plan of w's
-degree lacks annihilates w (the summation bound above), so the plan of
-c1.w's degree applied to w is L(w).  And the module is a
-representation, so a product a.b of two generators with a > b is
-b.a + [a, b].  The terms of [L, c1] are merged into one commutator plan
-per (k, r, degree, c1) (`_commutator_plan`), each product in that
-normal order, so a pair a.b - b.a cancels to its bracket.  On
-the modules the tests and audits build every product cancels and the
-plan is linear, as the Sugawara commutation relations predict; nothing
-relies on that.  Its central parts carry the level, so these plans are
-memoised per module, never on the configuration, which modules of
-several levels share.
+with L(w) read from the image memo.  The relation's terms, over the
+cached Lie-derivative entry e_{k,r}.A_{n,p}, are a plan of one operator
+each, memoised per module and (k, r, c1, degree) (`_relation_plan`):
+their scalar carries the level.  The term plan applied directly stays
+the definition of L, and the oracle the relation is checked against:
+the verify check `summation-bounds` compares the engine's images with
+the wider plan of degree d - 3 applied to each monomial, on a module
+with h^v != 0.
 
-Both plans are (den, ((op2, ((op1, num), ...)), ...)): integer
-numerators over one denominator per plan.  One helper applies either
-plan (`_apply_plan`): it applies each distinct operator that acts first
-once and sums the scaled results into the arguments of the operators
-that act after it, each argument an integer form of its own; it then
-applies each of those operators once to its argument and sums the
-results into one accumulator.  Every sum is the kernel's `add_scaled`.
+A plan is (den, ((second, ((first, num), ...)), ...)), read as
+first.(second.mono) with coefficient num/den; the relation's terms are a
+plan of one operator each, first None.  One helper applies either
+(`_apply_plan`): it applies each distinct operator that acts first once
+and sums the scaled results into the arguments of the operators that
+act after it, each argument an integer form of its own; it then applies
+each of those operators once to its argument and sums the results into
+one accumulator.  Every sum is the kernel's `add_scaled`.
 Images are integer forms.  `apply_L_raw` hands a caller a fresh one, or
 adds a scaled image into the caller's accumulator.  The commutator audit
 takes the second way: for each monomial w it sums
@@ -73,11 +69,12 @@ scalar instead of assuming it.
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import lcm
 from typing import NamedTuple
 
 from ._kernel import RAT0, Rat, add_scaled, canonical, form, rats
-from .algebras import R_ZERO, cocycle_chi, vf_bracket
+from .algebras import (R_ZERO, _unit_lie_derivative, cocycle_chi,
+                       vf_bracket)
 from .basis import (GradedElement, KNIndex, kn_basis_element,
                     monomial_residue)
 from .errors import CriticalLevelError, DomainError
@@ -203,120 +200,6 @@ def sugawara_coefficients(cfg, idx, band):
     return TripleCoefficientTable(k, r, entries)
 
 
-def _commutator_plan(module, k, r, dv, c1):
-    """The terms of [L(k, r), c1] on monomials of degree dv that start
-    with the creation entry c1, grouped by the operator that acts first
-    on the rest of the string.
-
-    Each term c F S of the term plan of degree dv gives
-    c [F S, c1] = c F [S, c1] + c [F, c1] S, with the single-generator
-    brackets of `InducedModule._bracket_form`, integer forms memoised
-    per (op, c1) in the module's bracket memo.  The plan is
-    (den, ((op2, ((op1, num), ...)), ...)), read as op1.(op2.rest) with
-    coefficient num/den; op1 is None for a central part, which leaves
-    op2.rest as it is, and op2 is None for a scalar part, num/den times
-    rest.  Every pair is summed, the pairs whose degree alone sends rest
-    to an empty slice are dropped, and each remaining product with
-    op1 > op2 is put in normal order, op1.op2 = op2.op1 + [op1, op2], so
-    that the products which cancel are gone.  The denominator is the
-    term plan's times the lcm of the brackets' denominators, with the gcd
-    of the whole plan divided out once.  The central parts carry the
-    level, so the plans are memoised per module
-    (`InducedModule._commutator_plans`), never on the configuration."""
-    key = (k, r, dv, c1)
-    plans = module._commutator_plans
-    plan = plans.get(key)
-    if plan is not None:
-        return plan
-    tden, terms = _term_plan(module.cfg, module.alg, k, r, dv)
-    # a mode-n generator maps degree d into degrees >= d + n (almost
-    # grading), and slices above 0 are empty; rest has degree -top, so an
-    # op2 with mode above top, or an op1 above top - op2's mode, gives 0
-    top = c1[0] - dv
-    bracket = module._bracket_form
-    forms = {}  # op -> [op, c1] as an integer form, central part under None
-    for second, firsts in terms:
-        forms[second] = bracket(second, c1)
-        if second[0] <= top:  # [F, c1] is read only after a live second
-            for first, _num in firsts:
-                forms[first] = bracket(first, c1)
-    # every product of a term and a bracket over tden * blcm
-    blcm = lcm(*(d for d, _nums in forms.values()))
-    groups = {}  # op2 -> {op1: numerator over tden * blcm}
-    for second, firsts in terms:
-        if second[0] <= top:
-            # c [F, c1] S: the bracket of each first, after S
-            after = groups.get(second)
-            if after is None:
-                after = groups[second] = {}
-            for first, num in firsts:
-                bden, bnums = forms[first]
-                f = num * (blcm // bden)
-                for op1, b in bnums.items():
-                    after[op1] = after.get(op1, 0) + f * b
-        # c F [S, c1]: each first, after the bracket of S
-        sden, snums = forms[second]
-        sf = blcm // sden
-        for op, b in snums.items():
-            f = sf * b
-            if op is None:  # the central part leaves S's argument alone
-                for first, num in firsts:
-                    g = groups.get(first)
-                    if g is None:
-                        g = groups[first] = {}
-                    g[None] = g.get(None, 0) + num * f
-            elif op[0] <= top:
-                g = groups.get(op)
-                if g is None:
-                    g = groups[op] = {}
-                for first, num in firsts:
-                    g[first] = g.get(first, 0) + num * f
-    # keep the terms that the degrees of rest admit, each pair in normal
-    # order, the higher operator acting first: a term x a.(b.rest) with
-    # a > b is x b.(a.rest) + x [a, b].rest, so a pair a.b - b.a of the
-    # merged terms cancels to its bracket.  op2 None: rest itself
-    kept = {}  # op2 -> {op1: numerator over tden * blcm * scale}
-    swaps = []  # (a, b, x) for a term x a.(b.rest) with a > b
-    for op2, acc in groups.items():
-        room = top - op2[0]
-        if room < 0:
-            continue
-        for op1, x in acc.items():
-            if x and (op1 is None or op1[0] <= room):
-                if op1 is not None and op1 > op2:
-                    swaps.append((op1, op2, x))
-                else:
-                    kept.setdefault(op2, {})[op1] = x
-    swapped = [(a, b, x, bracket(a, b)) for a, b, x in swaps]
-    scale = lcm(*(sw[3][0] for sw in swapped))
-    if scale > 1:
-        for acc in kept.values():
-            for op1 in acc:
-                acc[op1] *= scale
-    for a, b, x, (bden, bnums) in swapped:
-        if a[0] <= top:  # b.(a.rest); a.rest is 0 above top
-            acc = kept.setdefault(a, {})
-            acc[b] = acc.get(b, 0) + x * scale
-        f = x * (scale // bden)
-        for op, c in bnums.items():
-            if op is None or op[0] <= top:
-                acc = kept.setdefault(op, {})
-                acc[None] = acc.get(None, 0) + f * c
-    plan = []
-    for op2, acc in kept.items():
-        nums = [(op1, x) for op1, x in acc.items() if x]
-        if nums:
-            plan.append((op2, tuple(nums)))
-    den = tden * blcm * scale
-    common = gcd(den, *(x for _op2, nums in plan for _op1, x in nums))
-    if common > 1:
-        den //= common
-        plan = [(op2, tuple([(op1, x // common) for op1, x in nums]))
-                for op2, nums in plan]
-    plan = plans[key] = (den, tuple(plan))
-    return plan
-
-
 def _image(module, k, r, mono):
     """The memoised image of one monomial (`_L_image`), keyed by
     ((k, r), monomial) in the module's image memo; never mutated."""
@@ -328,27 +211,47 @@ def _image(module, k, r, mono):
     return img
 
 
+def _relation_scalar(module):
+    """-(level + h^v), the scalar of [L(e), x(A)] = -(level + h^v) x(e.A)."""
+    return -(module.level + module.alg.k_dual)
+
+
+def _relation_plan(module, k, r, c1, top):
+    """[L(k, r), c1] on monomials w of degree -top, c1 = (n, p, i), as a
+    plan of one operator each: -(level + h^v) l_{m,q} x_i(m, q), first
+    None, over e_{k,r}.A_{n,p} = sum l_{m,q} A_{m,q}, the cached weight-0
+    unit entry of the Lie derivative.  A term with m > top sends w past
+    slice 0 and is dropped; at the critical level there is none.  The
+    scalar carries the level, so the plans are memoised per module
+    (`InducedModule._relation_plans`), never on the configuration."""
+    key = (k, r, c1, top)
+    plan = module._relation_plans.get(key)
+    if plan is None:
+        s = _relation_scalar(module)
+        lden, lnums = _unit_lie_derivative(module.cfg, (k, r), 0, c1[:2])
+        plan = module._relation_plans[key] = (lden * s.den, tuple(
+            ((m, q, c1[2]), ((None, s.num * x),))
+            for (m, q), x in lnums.items() if m <= top) if s.num else ())
+    return plan
+
+
 def _L_image(module, k, r, mono):
     """L(k, r) on one monomial, as an integer form (D, {monomial: int}).
 
-    A monomial c1.rest with a creation entry c1 is computed as
-    c1.L(rest) + [L(k, r), c1].rest: L(rest) is read from the image memo
-    and becomes the argument of c1, and the commutator plan of c1 at
-    mono's degree (`_commutator_plan`) acts on rest.  The terms of
-    L(k, r) that the degree of mono admits beyond those of rest's degree
-    annihilate rest (the summation bound), so c1.L(rest) is exact.  A
-    vacuum monomial is summed over the term plan of its degree
-    (`_term_plan`).
+    A vacuum monomial is summed over the term plan of its degree
+    (`_term_plan`).  A monomial c1.w with a creation entry c1 follows from
+    the current relation: L(c1.w) = c1.L(w) + [L(k, r), c1].w, with L(w)
+    read from the image memo and [L(k, r), c1] = -(level + h^v)
+    x_i(e_{k,r}.A_{n,p}) for c1 = (n, p, i) (`_relation_plan`).
     """
     creation = mono.creation
     if not creation:
         return _apply_plan(module, _term_plan(module.cfg, module.alg, k, r,
                                               mono.degree), mono, {})
-    c1 = creation[0]
-    rest = PBWMonomial(creation[1:], mono.vacuum)
-    rden, rnums = _image(module, k, r, rest)
-    return _apply_plan(module, _commutator_plan(module, k, r, mono.degree, c1),
-                       rest, {c1: [rden, dict(rnums)]} if rnums else {})
+    c1, w = creation[0], PBWMonomial(creation[1:], mono.vacuum)
+    wden, wnums = _image(module, k, r, w)
+    return _apply_plan(module, _relation_plan(module, k, r, c1, -w.degree), w,
+                       {c1: [wden, dict(wnums)]} if wnums else {})
 
 
 def _apply_plan(module, plan, base, args):
@@ -358,19 +261,16 @@ def _apply_plan(module, plan, base, args):
 
     args maps an operator that acts last to its argument, an integer form
     [den, {monomial: int}] that this call may mutate.  Each second acts
-    once on base (None: a scalar part, base itself); its image, scaled by
-    each of its terms, is summed with `add_scaled` into the argument of
-    first.  Then each first acts once on each monomial of its argument,
-    summed into one accumulator (None: the argument is added as it is).
+    once on base; its image, scaled by each of its terms, is summed with
+    `add_scaled` into the argument of first.  Then each first acts once
+    on each monomial of its argument, summed into one accumulator (None:
+    the argument is added as it is).
     Actions come from `_act_form`, which owns the module's action memo.
     """
     act = module._act_form
     pden, terms = plan
     for second, firsts in terms:
-        if second is None:  # a scalar part of a commutator plan
-            dm, mid = 1, {base: 1}
-        else:
-            dm, mid = act(second, base)
+        dm, mid = act(second, base)
         if not mid:
             continue
         for first, num in firsts:

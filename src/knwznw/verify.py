@@ -645,18 +645,20 @@ def multipoint_centrality():
 
 
 def summation_bounds():
-    # the engine's image, peeled through the commutator plans and the
-    # image memo, against the term plan of degree d - 3 applied to the
-    # monomial directly: modes n in [t + d - 3, -d + 3], three past the
-    # summation bound on each side
-    fock = _fock_n1()
-    for d in (0, -2, -3):
-        for mono in fock.slice_basis(d)[:4]:
-            for k in (-1, 0, 2):
-                plan = _term_plan(fock.cfg, fock.alg, k, 1, d - 3)
-                if (apply_L_raw(fock, (k, 1), (1, {mono: 1}))
-                        != _apply_plan(fock, plan, mono, {})):
-                    return False, "summation bound unstable"
+    # the engine's image, computed from the current relation and the image
+    # memo, against the term plan of degree d - 3 applied to the monomial
+    # directly: modes n in [t + d - 3, -d + 3], three past the summation
+    # bound on each side.  The weyl module has h^v != 0 and a nonzero
+    # mode-0 action, so the relation's terms and the vacuum plans' edges
+    # both reach its images
+    for module in (_fock_n1(), _weyl_n2()):
+        for d in (0, -2, -3):
+            for mono in module.slice_basis(d)[:4]:
+                for k in (-1, 0, 2):
+                    plan = _term_plan(module.cfg, module.alg, k, 1, d - 3)
+                    if (apply_L_raw(module, (k, 1), (1, {mono: 1}))
+                            != _apply_plan(module, plan, mono, {})):
+                        return False, "summation bound unstable"
     return True, "enlarging mode bounds by 3 changes nothing"
 
 

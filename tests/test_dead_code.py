@@ -1,10 +1,13 @@
-"""Every top-level private function or class under `src/knwznw` is used.
+"""Every top-level private function or class under `src/knwznw` is used,
+and every private attribute it stores is read.
 
 Each file is parsed with `ast`.  A top-level `def` or `class` whose name
 starts with one underscore (`_name`, not `__name__`) counts as used when
 some file under `src/knwznw` reads the name (as a name, as an attribute
 or in a `from ... import`) outside the definition's own body, so a
-recursive call alone does not keep it.
+recursive call alone does not keep it.  A private attribute stored on
+`self` or `cls` (`self._x = ...`, `cls._x += ...`) counts as read when
+some file loads an attribute of that name, on any object.
 """
 
 import ast
@@ -46,6 +49,24 @@ def unused_private_definitions(root):
     return unused
 
 
+def write_only_private_attributes(root):
+    stored, loaded = {}, set()
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+            elif (isinstance(node.value, ast.Name)
+                    and node.value.id in ("self", "cls")
+                    and node.attr.startswith("_")
+                    and not node.attr.startswith("__")):
+                stored.setdefault(node.attr, "%s:%d %s" % (
+                    path.relative_to(root), node.lineno, node.attr))
+    return sorted(where for attr, where in stored.items()
+                  if attr not in loaded)
+
+
 def test_every_private_definition_is_used():
     assert unused_private_definitions(SRC) == []
 
@@ -58,3 +79,23 @@ def test_an_unused_private_definition_is_found(tmp_path):
         "def public():\n    return _called()\n")
     (tmp_path / "b.py").write_text("from a import _Imported\n")
     assert unused_private_definitions(tmp_path) == ["a.py:1 _dead"]
+
+
+def test_every_stored_private_attribute_is_read():
+    assert write_only_private_attributes(SRC) == []
+
+
+def test_a_write_only_private_attribute_is_found(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class A:\n"
+        "    def __init__(self):\n"
+        "        self._memo = {}\n"
+        "        self._plans = {}\n"
+        "        self._count = 0\n"
+        "        self.__private = 1\n\n"
+        "    def bump(self):\n"
+        "        self._count += 1\n")
+    (tmp_path / "b.py").write_text(
+        "def read(a):\n    return a._memo.get(1)\n")
+    assert write_only_private_attributes(tmp_path) == [
+        "a.py:4 _plans", "a.py:5 _count"]

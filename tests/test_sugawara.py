@@ -275,9 +275,10 @@ def oracle_modules():
     # its image peels two suffixes before the vacuum
     yield (induce_module(sl2, cfg2, ModuleSpec("weyl", (1, 1), Rat(1), 4)),
            deep + (-3,))
-    # one configuration at two levels: the commutator plans carry the
-    # level, so a plan cached on the configuration would give the level-2
-    # module the level-1 central terms
+    # one configuration at two levels: each image carries its module's
+    # level through the current relation, so images or relation plans
+    # shared across the configuration would give the level-2 module
+    # level-1 terms
     shared = Config(["2", "-1/3"])
     for level in (Rat(1), Rat(2)):
         yield induce_module(sl2, shared,
@@ -292,6 +293,15 @@ def oracle_modules():
     # distinct points
     yield induce_module(sl2, Config(["1/2", "-7/3", "5"]),
                         ModuleSpec("weyl", (1, 0, 1), Rat(3, 2), 1)), (0, -1)
+    # the critical levels level + h^v = 0: the relation adds no term, so L
+    # commutes with every creation current, here checked against the
+    # directly applied term plan
+    yield induce_module(sl2, cfg2, ModuleSpec("weyl", (1, 2), Rat(-2), 4)), \
+        deep
+    yield induce_module(sl2, Config(["1/2", "-7/3", "5"]),
+                        ModuleSpec("weyl", (1, 1, 0), Rat(-2), 1)), (0, -1)
+    yield induce_module(ab, cfg2, ModuleSpec("fock", (Rat(2), Rat(-1, 3)),
+                                             RAT0, 4)), deep
 
 
 def test_memoised_images_match_the_direct_oracle():
@@ -317,6 +327,33 @@ def test_memoised_images_match_the_direct_oracle():
                         assert rats(*got) == want
                         compared += bool(want)
     assert compared > 100
+
+
+rationals = st.builds(Rat, st.integers(-9, 9), st.integers(1, 5))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(n=st.sampled_from((2, 3, 1, 4)),
+       level=st.sampled_from((Rat(-2), Rat(-1), Rat(1, 3), Rat(1), Rat(2),
+                              Rat(5, 2), Rat(3), Rat(-3, 2))),
+       data=st.data())
+def test_images_match_the_wider_term_plan(n, level, data):
+    # the engine's image of one monomial against the term plan of degree
+    # d - 3 applied to it directly, at levels -2..3, the critical level -2
+    # of sl2 among them
+    cfg = Config(data.draw(st.lists(rationals, min_size=n, max_size=n,
+                                    unique=True)))
+    sl2 = make_algebra("sl2")
+    weights = tuple(data.draw(st.lists(st.integers(0, 2), min_size=n,
+                                       max_size=n)))
+    module = induce_module(sl2, cfg, ModuleSpec("weyl", weights, level))
+    d = data.draw(st.sampled_from((-2, -1, 0)))
+    mono = data.draw(st.sampled_from(module.slice_basis(d)))
+    k = data.draw(st.sampled_from((-2, -1, 0, 1, 2)))
+    r = data.draw(st.integers(1, n))
+    plan = sugawara._term_plan(cfg, sl2, k, r, d - 3)
+    assert apply_L_raw(module, (k, r), (1, {mono: 1})) == \
+        sugawara._apply_plan(module, plan, mono, {})
 
 
 def test_normal_ordering_check_reads_both_symmetries(monkeypatch):
@@ -439,6 +476,20 @@ def test_summation_bounds_fails_on_a_narrowed_window(monkeypatch):
     assert verify.summation_bounds() == (False, "summation bound unstable")
 
 
+@pytest.mark.parametrize("scalar", [
+    lambda module: -module.level,
+    lambda module: module.level + module.alg.k_dual,
+], ids=["without-h-dual", "sign-flipped"])
+def test_summation_bounds_fails_on_a_wrong_relation(monkeypatch, scalar):
+    # the engine's images of non-vacuum monomials come from the current
+    # relation; the check's weyl module has h^v = 2, so a relation that
+    # drops h^v or flips its sign parts its images from the term plan
+    # applied directly
+    assert verify.summation_bounds()[0]
+    monkeypatch.setattr(sugawara, "_relation_scalar", scalar)
+    assert verify.summation_bounds() == (False, "summation bound unstable")
+
+
 def composed_audit(cfg, alg, module, pair, window):
     """(is_scalar, per_slice, counterexample) of the audit of one pair,
     from outside its fused sum: the public `apply_L` composed on Rat
@@ -465,9 +516,6 @@ def composed_audit(cfg, alg, module, pair, window):
                 return False, per_slice, (d, mono, diff)
         per_slice[d] = sigma
     return len(set(per_slice.values())) == 1, per_slice, None
-
-
-rationals = st.builds(Rat, st.integers(-9, 9), st.integers(1, 5))
 
 
 @settings(derandomize=True, max_examples=12, deadline=None)
