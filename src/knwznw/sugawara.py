@@ -24,11 +24,12 @@ implementation uses as its summation bound.
 
 L(k,r) is linear, so its image of each PBW monomial is computed once per
 module and memoised (`_image`, read by `apply_L_raw`) as an integer form
-(D, {monomial: int}) of the kernel.  A vacuum monomial is summed over the
-term plan of its degree: one plan per (algebra, k, r, degree), cached
-on the configuration (`_term_plan`), writes u^i = sum_j D_ij u_j,
-keeps the nonzero coefficients, merges every total and mode of the band
-and groups the terms by the operator that acts first.
+(D, {monomial: int}) of the kernel.  A vacuum monomial has degree 0 and
+is summed over the term plan of degree 0: one plan per (algebra, k, r,
+degree), cached on the configuration (`_term_plan`), writes
+u^i = sum_j D_ij u_j, keeps the nonzero coefficients, merges every total
+and mode of the band and groups the terms by the operator that acts
+first.
 A monomial c1.w, with c1 = (n, p, i) the first entry of its creation
 string, follows from the image of w by the current relation of the
 global Sugawara construction (Schlichenmaier and Sheinman, Russian Math.
@@ -38,8 +39,11 @@ Surveys 54 (1999)), [L(e), x(A)] = -(level + h^v) x(e.A) (`_L_image`):
 
 with L(w) read from the image memo.  The relation's terms, over the
 cached Lie-derivative entry e_{k,r}.A_{n,p}, are a plan of one operator
-each, memoised per module and (k, r, c1, degree) (`_relation_plan`):
-their scalar carries the level.  The term plan applied directly stays
+each, memoised per module and (k, r, c1, degree of w) (`_relation_plan`):
+their scalar carries the level.  The degree of w is that of c1.w minus
+n, carried down the recursion; only an image whose caller gives no
+degree sums a creation string, once, and the audit gives the degree of
+its slice.  The term plan applied directly stays
 the definition of L, and the oracle the relation is checked against:
 the verify check `summation-bounds` compares the engine's images with
 the wider plan of degree d - 3 applied to each monomial, on a module
@@ -58,9 +62,10 @@ adds a scaled image into the caller's accumulator.  The commutator audit
 takes the second way: for each monomial w it sums
 f^2 L(k,r)(L(m,s) w) - f^2 L(m,s)(L(k,r) w) - sum_u c_u L(u) w into one
 integer accumulator, the nested terms as L(k,r) of the memoised image
-L(m,s) w read in place, and takes `canonical` once; no image is
-mutated.  Rat is built only by `apply_L`, by `kz.kz_matrices` for its
-entries, and for the audit's scalar and counterexample.
+L(m,s) w read in place, the last ones as memoised images of w, and takes
+`canonical` once; no image is mutated.  Rat is built only by `apply_L`,
+by `kz.kz_matrices` for its entries, and for the audit's scalar and
+counterexample.
 
 The rescaled operators -1/(level + dual Coxeter) L(k,r) represent the
 centrally extended vector-field algebra; the audit measures the central
@@ -200,14 +205,16 @@ def sugawara_coefficients(cfg, idx, band):
     return TripleCoefficientTable(k, r, entries)
 
 
-def _image(module, k, r, mono):
+def _image(module, k, r, mono, degree=None):
     """The memoised image of one monomial (`_L_image`), keyed by
-    ((k, r), monomial) in the module's image memo; never mutated."""
+    ((k, r), monomial) in the module's image memo; never mutated.  A
+    caller that knows the monomial's degree passes it, and `_L_image`
+    then sums no creation string."""
     memo = module._sugawara_memo
     key = ((k, r), mono)
     img = memo.get(key)
     if img is None:
-        img = memo[key] = _L_image(module, k, r, mono)
+        img = memo[key] = _L_image(module, k, r, mono, degree)
     return img
 
 
@@ -235,22 +242,27 @@ def _relation_plan(module, k, r, c1, top):
     return plan
 
 
-def _L_image(module, k, r, mono):
+def _L_image(module, k, r, mono, degree):
     """L(k, r) on one monomial, as an integer form (D, {monomial: int}).
 
-    A vacuum monomial is summed over the term plan of its degree
-    (`_term_plan`).  A monomial c1.w with a creation entry c1 follows from
-    the current relation: L(c1.w) = c1.L(w) + [L(k, r), c1].w, with L(w)
-    read from the image memo and [L(k, r), c1] = -(level + h^v)
-    x_i(e_{k,r}.A_{n,p}) for c1 = (n, p, i) (`_relation_plan`).
+    A vacuum monomial has degree 0 and is summed over the term plan of
+    degree 0 (`_term_plan`).  A monomial c1.w with a creation entry c1
+    follows from the current relation: L(c1.w) = c1.L(w) + [L(k, r),
+    c1].w, with L(w) read from the image memo and [L(k, r), c1] =
+    -(level + h^v) x_i(e_{k,r}.A_{n,p}) for c1 = (n, p, i)
+    (`_relation_plan`).  The relation reads the degree of w: given the
+    degree of c1.w it is that minus n, carried down to w's own image, and
+    only when no caller gave a degree is w's string summed
+    (`PBWMonomial.degree`).
     """
     creation = mono.creation
     if not creation:
         return _apply_plan(module, _term_plan(module.cfg, module.alg, k, r,
-                                              mono.degree), mono, {})
+                                              0), mono, {})
     c1, w = creation[0], PBWMonomial(creation[1:], mono.vacuum)
-    wden, wnums = _image(module, k, r, w)
-    return _apply_plan(module, _relation_plan(module, k, r, c1, -w.degree), w,
+    dw = w.degree if degree is None else degree - c1[0]
+    wden, wnums = _image(module, k, r, w, dw)
+    return _apply_plan(module, _relation_plan(module, k, r, c1, -dw), w,
                        {c1: [wden, dict(wnums)]} if wnums else {})
 
 
@@ -395,12 +407,14 @@ def sugawara_commutator_audit(cfg, alg, module, pairs, window):
                 for outer, inner, fnum in (((k, r), (m, s), f2.num),
                                            ((m, s), (k, r), -f2.num)):
                     acc = apply_L_raw(module, outer,
-                                      _image(module, *inner, mono), acc,
+                                      _image(module, *inner, mono, d), acc,
                                       fnum, f2.den)
-                base = (1, {mono: 1})
+                den, acc = acc
                 for hu, c in scaled:
-                    acc = apply_L_raw(module, hu, base, acc, -c.num, c.den)
-                den, diff = canonical(*acc)
+                    hden, hnums = _image(module, *hu, mono, d)
+                    if hnums:
+                        den = add_scaled(den, acc, hden, hnums, -c.num, c.den)
+                den, diff = canonical(den, acc)
                 got = Rat(diff.get(mono, 0), den)
                 if sigma is None:
                     sigma = got

@@ -14,20 +14,23 @@ checks live in `verify_kz`.
 from __future__ import annotations
 
 import random
+from itertools import combinations
+from math import lcm
 from typing import NamedTuple
 
-from ._kernel import RAT0, RAT1, Rat, add_scaled, form
+from ._kernel import RAT0, RAT1, ZERO_FORM, Rat, add_scaled, form
 from .affine import (AffineElement, affine_bracket, affine_decompose,
                      block_algebra_basis, g_tuple_bracket, psi_project)
-from .algebras import (ProjectiveConnection, R_ZERO, _pairs, cocycle_chi,
-                       cocycle_gamma, coboundary_compare, grading_report,
+from .algebras import (ProjectiveConnection, R_ZERO, _pairs,
+                       _unit_vf_bracket, cocycle_chi, cocycle_gamma,
+                       coboundary_compare, grading_report,
                        lie_derivative, multiply, triangular_decompose,
                        vf_bracket, vf_bracket_sum)
 from .basis import (DivisorForm, GradedElement, KNIndex, Section,
                     expand_in_basis, homogeneous_dimension, kn_basis_element,
                     kn_basis_record, kn_pairing, linear_combination,
                     section_from_graded)
-from .errors import KNError
+from .errors import DomainError, KNError
 from .finite_lie import factor_op, make_algebra
 from .modules import ModuleSpec, ModuleVector, induce_module
 from .ratfield import INFINITY, Poly, RationalFunction
@@ -172,39 +175,87 @@ def _vanishes(*forms):
     return not any(acc.values())
 
 
+def _pack(nums, slot, w):
+    """The numerators {key: v} as one int, sum(v << (w * slot[key])): each
+    value in the w-bit slot of its column.  Packing is linear, and a sum
+    of packed rows is the packed sum of the rows."""
+    return sum(v << (w * slot[key]) for key, v in nums.items())
+
+
 def _jacobi_fault(cfg, units):
-    """None if the bracket is antisymmetric and satisfies Jacobi on units,
-    else the name of the identity that fails.
+    """None if the bracket is antisymmetric and satisfies Jacobi on the
+    single-term units, else the name of the identity that fails.
 
     The bracket of every ordered pair of units is computed once, as a
     canonical integer form (`vf_bracket_sum` of the one pair), and
-    [a,b] + [b,a] = 0 is asserted on all of them.  With antisymmetry and bilinearity,
-    J(a,b,c) = [[a,b],c] + [[b,c],a] + [[c,a],b] is alternating: it
-    changes sign under a swap and vanishes when an entry repeats.  So J is
-    evaluated once per triple i < j < k, with the inner brackets read from
-    the pair table and the three outer ones summed into one integer
-    accumulator (`vf_bracket_sum`), whose canonical form must be empty.
-    On the outer brackets, whose arguments leave the table, antisymmetry
-    holds by construction: `_bilinear_raw` keeps one entry per unordered
-    pair of units, and the table check is what catches a wrong sign in
-    that fold.
+    [a,b] + [b,a] = 0 is asserted on all of them; this table is what
+    catches a wrong sign in `_bilinear_raw`'s fold.  With antisymmetry and
+    bilinearity, J(a,b,c) = [[a,b],c] + [[b,c],a] + [[c,a],b] is
+    alternating: it changes sign under a swap and vanishes when an entry
+    repeats.  So J is evaluated once per triple i < j < k, with the inner
+    brackets read from the table.
+
+    An outer bracket [sum_x b_x A_x, u_c] is sum_x b_x [A_x, u_c].  For
+    u_c = f A_y the row [A_x, u_c] is f times the unit entry
+    `_unit_vf_bracket` of x and y, its sign folded in place (-entry(y, x)
+    for x > y, nothing for x = y), and it is built only for the (x, c)
+    that some triple reads.  The rows are scaled to one denominator D and
+    the table's numerators to one denominator B, so each column s of
+    B D J is an integer J_s; one column index `slot` numbers the keys.
+    Each row is packed once into one int (`_pack`), and each triple's
+    B D J is summed from the packed rows as one Python int,
+    sum_s J_s 2^(w s), tested against 0.
+
+    The slot width w makes that zero test exact.  Every |J_s| is at most
+    3 max l1(b) max|row entry| < 2^(w-1) (the unit factor is in the row).
+    If J is not zero, let s be its lowest nonzero column: the higher
+    columns are multiples of 2^(w(s+1)), so modulo 2^(w(s+1)) the packed
+    int is J_s 2^(w s), which is not 0 as 0 < |J_s| < 2^w.  So the packed
+    int is 0 exactly when J is.
     """
     forms = [form(u.terms) for u in units]
-    br = {}
-    for i, a in enumerate(forms):
-        for j, b in enumerate(forms):
-            br[i, j] = vf_bracket_sum(cfg, ((a, b),))
+    if any(len(nums) != 1 for _, nums in forms):
+        raise DomainError("Jacobi units must be single-term elements")
+    br = {(i, j): vf_bracket_sum(cfg, ((a, b),))
+          for i, a in enumerate(forms) for j, b in enumerate(forms)}
     for (i, j), ab in br.items():
         if i <= j and not _vanishes(ab, br[j, i]):
             return "antisymmetry"
-    n = len(forms)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if vf_bracket_sum(cfg, ((br[i, j], forms[k]),
-                                        (br[j, k], forms[i]),
-                                        (br[k, i], forms[j])))[1]:
-                    return "Jacobi"
+    bd = lcm(*(d for d, _ in br.values()))
+    inner = {ij: [(x, v * (bd // d)) for x, v in nums.items()]
+             for ij, (d, nums) in br.items()}
+    # a triple reads the bracket of each of its pairs with its third unit,
+    # so term x is read with every unit outside some pair whose bracket
+    # holds it
+    skips = {}
+    for ij, terms in inner.items():
+        for x, _ in terms:
+            skips[x] = skips.get(x, {*ij}) & {*ij}
+    rows = {}  # (c, x): [A_x, u_c] as (den, unit entry, signed factor)
+    for c, (d, nums) in enumerate(forms):
+        ((y, f),) = nums.items()
+        for x, skip in skips.items():
+            if c not in skip:
+                ed, entry = ZERO_FORM if x == y else _unit_vf_bracket(
+                    cfg, *sorted((x, y)))
+                rows[c, x] = (d * ed, entry, f if x < y else -f)
+    rd = lcm(*(d for d, _, _ in rows.values()))
+    slot = {key: s for s, key in enumerate(sorted(
+        {key for _, nums, _ in rows.values() for key in nums}))}
+    top = max((abs(f * v) * (rd // d) for d, nums, f in rows.values()
+               for v in nums.values()), default=0)
+    l1 = max((sum(abs(v) for _, v in terms) for terms in inner.values()),
+             default=0)
+    w = (3 * l1 * top).bit_length() + 1
+    packed = {cx: _pack(nums, slot, w) * f * (rd // d)
+              for cx, (d, nums, f) in rows.items()}
+    for i, j, k in combinations(range(len(forms)), 3):
+        s = 0
+        for terms, c in ((inner[i, j], k), (inner[j, k], i), (inner[k, i], j)):
+            for x, v in terms:
+                s += v * packed[c, x]
+        if s:
+            return "Jacobi"
     return None
 
 

@@ -1,5 +1,6 @@
 """Function/vector-field algebra structure, cocycles, decompositions."""
 
+import itertools
 import random
 from math import gcd
 
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import section_of
-from knwznw import Rat, algebras
-from knwznw._kernel import ZERO_FORM, form, merge, rats
+from knwznw import Rat, algebras, verify
+from knwznw._kernel import ZERO_FORM, add_scaled, form, merge, rats
 from knwznw.algebras import (ProjectiveConnection,
                              R_ZERO, coboundary_compare, cocycle_chi,
                              cocycle_gamma, grading_report, lie_derivative,
@@ -315,6 +316,107 @@ def test_a_corrupted_bracket_entry_fails_both_jacobi_checks():
         cfg.cache[key] = (den, bad)
         assert not ordered_triple_jacobi(cfg, units)
         assert _jacobi_fault(cfg, units) == "Jacobi"
+
+
+@pytest.mark.parametrize("points", [("0", "1", "-1"), ("1/2", "-7/3", "5")])
+def test_packed_jacobi_holds_at_three_points(points):
+    # rows and inner brackets of several denominators, scaled to one each
+    assert _jacobi_fault(Config(points), _vf_units(3)) is None
+
+
+def test_packed_rows_build_only_the_entries_the_triples_read():
+    # the rows are built where a triple reads them: the same unit entries
+    # as summing each triple's outer brackets through vf_bracket_sum
+    units = _vf_units(3)
+    packed, summed = Config(("0", "1", "-1")), Config(("0", "1", "-1"))
+    assert _jacobi_fault(packed, units) is None
+    forms = [form(u.terms) for u in units]
+    br = {(i, j): vf_bracket_sum(summed, ((a, b),))
+          for i, a in enumerate(forms) for j, b in enumerate(forms)}
+    for i, j, k in itertools.combinations(range(len(forms)), 3):
+        vf_bracket_sum(summed, ((br[i, j], forms[k]), (br[j, k], forms[i]),
+                                (br[k, i], forms[j])))
+    assert set(packed.cache) == set(summed.cache)
+
+
+@pytest.mark.parametrize("points", [("0", "1", "-1"), ("1/2", "-7/3", "5")])
+@pytest.mark.parametrize("fault", ["moved", "dropped", "moved far"])
+def test_a_corrupted_entry_fails_the_packed_jacobi_check(points, fault):
+    # the packed triple sums read the planted entry both as an inner
+    # bracket and in their rows; a numerator moved by 10^40 den also
+    # widens the slots
+    units = _vf_units(3)
+    key = ("vfbr", (-3, 1), (1, 1))
+    seen = Config(points)
+    vf_bracket(seen, U(-1, -3, 1), U(-1, 1, 1))
+    den, nums = seen.cache[key]
+    first = next(iter(nums))
+    bad = dict(nums)
+    if fault == "dropped":
+        del bad[first]
+    else:
+        bad[first] += den * (10 ** 40 if fault == "moved far" else 1)
+    cfg = Config(points)
+    cfg.cache[key] = (den, bad)
+    assert _jacobi_fault(cfg, units) == "Jacobi"
+
+
+@pytest.mark.parametrize("w", [2, 9, 52])
+def test_a_single_nonzero_slot_packs_to_a_nonzero_int(w):
+    # rows at the width bound that cancel in every column but one: the
+    # packed sum is that column's value in its slot, never 0
+    top = 2 ** (w - 1) - 1
+    cols = "abcde"
+    slot = {key: s for s, key in enumerate(cols)}
+    for key in (cols[0], cols[-1]):
+        for v in (top, -top):
+            row = {c: top if s % 2 else -top for s, c in enumerate(cols)}
+            row[key] = v
+            back = {c: -x for c, x in row.items() if c != key}
+            packed = verify._pack(row, slot, w) + verify._pack(back, slot, w)
+            assert packed != 0
+            assert packed == verify._pack({key: v}, slot, w)
+
+
+def test_packing_is_zero_exactly_on_the_zero_vector():
+    # every vector of three 3-bit slots with entries in (-4, 4)
+    slot = {0: 0, 1: 1, 2: 2}
+    for vals in itertools.product(range(-3, 4), repeat=3):
+        assert (verify._pack(dict(enumerate(vals)), slot, 3) == 0) == (
+            not any(vals))
+
+
+def test_a_multi_term_unit_is_refused():
+    units = [U(-1, 0), GradedElement(-1, {(1, 1): Rat(1), (2, 1): Rat(2)})]
+    with pytest.raises(DomainError):
+        _jacobi_fault(Config(("0",)), units)
+
+
+def _bilinear_raw_unsigned(f, g, unit_fn, antisymmetric=False, into=None):
+    """`algebras._bilinear_raw` with the minus sign of a reversed pair
+    dropped."""
+    fd, fn = f
+    gd, gn = g
+    den, out = into or (1, {})
+    e = fd * gd
+    for a, ca in fn.items():
+        for b, cb in gn.items():
+            if antisymmetric and a >= b:
+                if a == b:
+                    continue
+                d, nums = unit_fn(b, a)
+            else:
+                d, nums = unit_fn(a, b)
+            den = add_scaled(den, out, d, nums, ca * cb, e)
+    return den, out
+
+
+def test_a_fold_without_its_sign_fails_the_pair_table(monkeypatch):
+    # the outer brackets of the triple sums fold their own signs; the pair
+    # table, read through _bilinear_raw, is what sees a wrong fold
+    monkeypatch.setattr(algebras, "_bilinear_raw", _bilinear_raw_unsigned)
+    assert _jacobi_fault(Config(("0", "1")), _vf_units(2)) == "antisymmetry"
+    assert verify.vector_field_jacobi()[0] is False
 
 
 rationals = st.builds(Rat, st.integers(-9, 9), st.integers(1, 5))

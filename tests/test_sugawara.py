@@ -410,9 +410,9 @@ def test_multipoint_audit_reuses_memoised_images(sl2, cfg2, monkeypatch):
     seen = []
     image = sugawara._image
 
-    def counting(module, k, r, mono):
+    def counting(module, k, r, mono, degree=None):
         seen.append(mono)
-        return image(module, k, r, mono)
+        return image(module, k, r, mono, degree)
 
     monkeypatch.setattr(sugawara, "_image", counting)
     pairs = [((1, 1), (-1, 2)), ((1, 2), (-1, 1)), ((0, 1), (0, 2))]
@@ -436,6 +436,33 @@ def test_multipoint_audit_reuses_memoised_images(sl2, cfg2, monkeypatch):
     out[1].clear()
     assert memo[((0, 1), mono)] == want
     assert apply_L_raw(module, (0, 1), unit) == want
+
+
+def test_a_carried_degree_gives_the_image_of_the_summed_one(sl2, cfg2,
+                                                           monkeypatch):
+    # given a monomial's degree, _L_image carries it down the current
+    # relation in place of summing creation strings; both ways give one
+    # image
+    spec = ModuleSpec("weyl", (1, 1), Rat(1), 3)
+    carried = induce_module(sl2, cfg2, spec)
+    summed = induce_module(sl2, cfg2, spec)
+    for d in (0, -1, -2, -3):
+        for mono in carried.slice_basis(d):
+            for k, r in ((1, 1), (-1, 2), (0, 1)):
+                assert (sugawara._image(carried, k, r, mono, d)
+                        == sugawara._image(summed, k, r, mono))
+    # the relation plans are keyed by the degree of w, so a carried degree
+    # off in either direction shows here
+    assert carried._relation_plans.keys() == summed._relation_plans.keys()
+    # an audit passes its slice's degree: only the images of monomials
+    # read from another image sum a string, once each
+    calls = []
+    degree = PBWMonomial.degree
+    monkeypatch.setattr(PBWMonomial, "degree", property(
+        lambda mono: calls.append(mono) or degree.fget(mono)))
+    module = induce_module(sl2, cfg2, spec)
+    sugawara_commutator_audit(cfg2, sl2, module, [((2, 1), (1, 2))], [-3])
+    assert 10 * len(calls) < len(module._sugawara_memo)
 
 
 def test_apply_L_raw_adds_into_a_callers_accumulator(sl2, cfg2):
