@@ -158,12 +158,6 @@ class Rat:
             return self.den == 1 and self.num == other
         return NotImplemented
 
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        if r is NotImplemented:
-            return r
-        return not r
-
     def __lt__(self, other):
         if isinstance(other, Rat):
             return self.num * other.den < other.num * self.den

@@ -7,16 +7,16 @@ with K = k_a + k_b and e_j the j-th unit vector,
 
     A_a A_b         = c_a c_b M_K,
     M_k'            = sum_j k_j M_{k - e_j},
-    e f' - f e'     = c_e c_f sum_j (k_f,j - k_e,j) M_{K - e_j},
     e s' + lam e' s = c_e c_s sum_j (k_s,j + lam k_e,j) M_{K - e_j},
 
-the last being the Lie derivative of a weight-lam s along e d/dz.  The
-basis expansion of each monomial M_K dz^lam is
-`basis.monomial_expansion`, a closed form (a split recursion down to
-partial fractions) cached once per K for every weight under "mexp"; a
-unit entry ("prod", "vfbr", "lied") is the sum of at most N of them as
-an integer form.  No unit entry is reconstructed at run time: the tests
-check the closed form against `expand_in_basis`.
+the last being the Lie derivative of a weight-lam s along e d/dz; at
+lam = -1 it is the bracket e s' - s e' of vector fields.  The basis
+expansion of each monomial M_K dz^lam is `basis.monomial_expansion`, a
+closed form (a split recursion down to partial fractions) cached once
+per K for every weight under "mexp"; a unit entry ("prod", or "lied",
+which at lam = -1 holds the brackets) is the sum of at most N of them
+as an integer form.  No unit entry is reconstructed at run time: the
+tests check the closed form against `expand_in_basis`.
 Products, brackets and Lie derivatives of combinations share one
 integer-form core, `_bilinear_raw`: it sums the scaled unit entries over
 one common denominator, into a caller's accumulator or a fresh one, and
@@ -135,32 +135,21 @@ def _unit_product(cfg, lams, a, b):
     return hit
 
 
-def _bracket_terms(cfg, a, b):
-    """c and the terms of A_a A_b' - A_b A_a' = c sum_j w_j M_{K - e_j},
-    w_j = k_b,j - k_a,j, for vector-field indices a, b."""
-    c, ka, kb = _unit_pair(cfg, -1, a, -1, b)
-    return c, _lowered(ka, kb, [y - x for x, y in zip(ka, kb)])
-
-
-def _unit_vf_bracket(cfg, a, b):
-    """[A_a, A_b] for vector-field indices a < b."""
-    key = ("vfbr", a, b)
-    hit = cfg.cache.get(key)
-    if hit is None:
-        hit = _unit_entry(cfg, -1, *_bracket_terms(cfg, a, b))
-        cfg.cache[key] = hit
-    return hit
+def _lie_terms(cfg, a, lam, b):
+    """c and the terms of e s' + lam e' s = c sum_j (k_s,j + lam k_e,j)
+    M_{K - e_j} for e = A_a and s = A_b of weight lam; at lam = -1 it is
+    the bracket e s' - s e' of two vector fields."""
+    c, ke, ks = _unit_pair(cfg, -1, a, lam, b)
+    return c, _lowered(ke, ks, [y + lam * x for x, y in zip(ke, ks)])
 
 
 def _unit_lie_derivative(cfg, a, lam, b):
-    """e s' + lam e' s for e = A_a and s = A_b of weight lam: c sum_j
-    (k_s,j + lam k_e,j) M_{K - e_j}."""
+    """The Lie derivative of A_b of weight lam along A_a; at lam = -1 the
+    bracket [A_a, A_b], which is asked for with a < b."""
     key = ("lied", a, lam, b)
     hit = cfg.cache.get(key)
     if hit is None:
-        c, ke, ks = _unit_pair(cfg, -1, a, lam, b)
-        hit = _unit_entry(cfg, lam, c, _lowered(
-            ke, ks, [y + lam * x for x, y in zip(ke, ks)]))
+        hit = _unit_entry(cfg, lam, *_lie_terms(cfg, a, lam, b))
         cfg.cache[key] = hit
     return hit
 
@@ -217,7 +206,8 @@ def vf_bracket(cfg, e, f):
     f = _as_graded(f)
     if e.lam != -1 or f.lam != -1:
         raise DomainError("vector fields have weight -1")
-    return _bilinear(e, f, -1, lambda a, b: _unit_vf_bracket(cfg, a, b),
+    return _bilinear(e, f, -1,
+                     lambda a, b: _unit_lie_derivative(cfg, a, -1, b),
                      antisymmetric=True)
 
 
@@ -227,7 +217,7 @@ def vf_bracket_sum(cfg, pairs):
     form: every bracket is added into one accumulator, and `canonical`
     runs once.  One pair gives the bracket of `vf_bracket` without its
     Rat boundary."""
-    unit = lambda a, b: _unit_vf_bracket(cfg, a, b)
+    unit = lambda a, b: _unit_lie_derivative(cfg, a, -1, b)
     acc = (1, {})
     for e, f in pairs:
         acc = _bilinear_raw(e, f, unit, True, acc)
@@ -295,7 +285,7 @@ def _connection_residue(cfg, rv, k):
 def _chi_connection_part(cfg, a, b, rv):
     """Residue sum of R (e f' - f e') for e = A_a, f = A_b and R = rv != 0:
     c sum_j w_j res(R M_{K - e_j}) by the bracket identity."""
-    return _residue_combination(*_bracket_terms(cfg, a, b),
+    return _residue_combination(*_lie_terms(cfg, a, -1, b),
                                 lambda k: _connection_residue(cfg, rv, k))
 
 
@@ -392,7 +382,7 @@ def _unit_support(cfg, algebra, a, b):
     elif a == b:
         return []
     else:
-        nums = _unit_vf_bracket(cfg, min(a, b), max(a, b))[1]
+        nums = _unit_lie_derivative(cfg, min(a, b), -1, max(a, b))[1]
     return sorted({n for (n, _p) in nums})
 
 
@@ -400,9 +390,9 @@ def grading_report(cfg, algebra, window, R=R_ZERO):
     """Measure shifts over a finite window for 'A', 'L', 'gamma' or 'chi'.
 
     Every unit pair of the window is read from its cached unit entry
-    (`_unit_product`, `_unit_vf_bracket`, `_unit_gamma`, `_unit_chi`),
-    without the graded-element round trip of `multiply` and its kin; R is
-    validated once per report.
+    (`_unit_product`, `_unit_lie_derivative` at weight -1 for 'L',
+    `_unit_gamma`, `_unit_chi`), without the graded-element round trip of
+    `multiply` and its kin; R is validated once per report.
     """
     lo, hi = window
     if lo > hi:

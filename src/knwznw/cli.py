@@ -509,7 +509,7 @@ def cmd_verify(args):
     payload = {
         "suite": args.suite,
         "backend": BACKEND,
-        "checks": [r.as_dict() for r in results],
+        "checks": [r._asdict() for r in results],
         "passed": all(r.passed for r in results),
     }
     _emit(args, payload)

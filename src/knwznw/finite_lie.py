@@ -22,6 +22,7 @@ verify and the tests.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from ._kernel import RAT0, RAT1, Rat, merge
@@ -74,13 +75,6 @@ class GaugeAlgebra(NamedTuple):
         """Nonzero entries (row, column, value) of ad(x_i) on the basis."""
         return [(k, j, c) for j in range(self.dim)
                 for k, c in self.bracket.get((i, j), {}).items()]
-
-    def weight_action(self, weight, i):
-        """Scalar by which basis element i acts on a Borel highest-weight
-        line of the given weight; None if i is not in the Borel's torus."""
-        if i in self.cartan_indices:
-            return as_rat(weight)  # the torus element acts by the weight
-        return None
 
 
 def _sl2():
@@ -141,7 +135,7 @@ def _validate(alg):
                 raise DomainError("dual basis mismatch for %s" % alg.kind)
     # adjoint Casimir sum_ij D_ij ad(x_i) ad(x_j) = 2 k_dual
     cas = {}
-    for i, dual in casimir_pairs(alg):
+    for i, dual in enumerate(alg.dual_vectors):
         for j, c in enumerate(dual):
             if c.num:
                 merge(cas, entry_product(alg.ad(i), alg.ad(j)), c)
@@ -225,18 +219,6 @@ def _validate_module(alg, mod):
             raise DomainError("module entries violate the bracket relations")
 
 
-def casimir_pairs(alg):
-    """The invariant two-tensor as (basis index, dual vector) pairs."""
-    return [(i, alg.dual_vectors[i]) for i in range(alg.dim)]
-
-
-def tensor_dim(mods):
-    d = 1
-    for m in mods:
-        d *= m.dim
-    return d
-
-
 def tensor_strides(mods):
     """Lexicographic strides: index = sum_j idx_j * stride_j."""
     n = len(mods)
@@ -250,7 +232,7 @@ def factor_op(mods, p, entries):
     """Dense matrix acting on factor p (0-based) of the tensor product by
     the operator with these entries (row, column, value); a repeated
     position adds."""
-    dim = tensor_dim(mods)
+    dim = math.prod(m.dim for m in mods)
     sp = tensor_strides(mods)[p]
     dp = mods[p].dim
     out = zeros(dim, dim)
@@ -276,7 +258,7 @@ def omega_entries(alg, mods, p, q):
     sp, sq = strides[p], strides[q]
     dp, dq = mods[p].dim, mods[q].dim
     local = {}  # (row offset, column offset) -> entry
-    for i, dual in casimir_pairs(alg):
+    for i, dual in enumerate(alg.dual_vectors):
         xp = mods[p].entries[i]
         for j, c in enumerate(dual):
             if c.num == 0:
@@ -286,7 +268,7 @@ def omega_entries(alg, mods, p, q):
                 for rp, cp, a in xp:
                     key = (rp * sp + rq * sq, cp * sp + cq * sq)
                     local[key] = local.get(key, RAT0) + a * cb
-    bases = [b for b in range(tensor_dim(mods))
+    bases = [b for b in range(math.prod(m.dim for m in mods))
              if (b // sp) % dp == 0 and (b // sq) % dq == 0]
     return [(b + ro, b + co, v) for (ro, co), v in local.items()
             if v.num != 0 for b in bases]

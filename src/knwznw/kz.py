@@ -37,13 +37,14 @@ dense `Rat` matrices are built only for output (`KZSystem.matrices`,
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from ._kernel import RAT0, RAT1, Rat, merge
 from .basis import GradedElement, KNIndex, kn_basis_element
 from .errors import DomainError
 from .finite_lie import (casimir_eigenvalue, entry_product, finite_irrep,
-                         omega_entries, tensor_dim)
+                         make_algebra, omega_entries)
 from .modules import ModuleSpec, induce_module
 from .ratfield import INFINITY
 from .sugawara import apply_L_raw, rescale_factor
@@ -123,7 +124,7 @@ def _sparse_oracle(cfg, alg, weights):
 
 def classical_oracle_matrices(cfg, alg, weights):
     """The Casimir oracle of `_sparse_oracle` as dense matrices."""
-    dim = tensor_dim([finite_irrep(alg, w) for w in weights])
+    dim = math.prod(finite_irrep(alg, w).dim for w in weights)
     return [_dense(m, dim) for m in _sparse_oracle(cfg, alg, weights)]
 
 
@@ -274,7 +275,6 @@ def flatness_check(system):
     n = cfg.n_points
     if n < 3:
         return FlatnessReport(True, True, 0)
-    from .finite_lie import make_algebra
     alg = make_algebra(system.algebra_kind)
     ws = system.weights
     local = {}  # weight key -> the commutator on the three factors
@@ -299,7 +299,7 @@ def flatness_check(system):
                                              -RAT1)
                 checked += 1
                 if lhs:
+                    dim = math.prod(m.dim for m in mods)
                     return FlatnessReport(False, False, checked,
-                                          ((a, b, r),
-                                           _dense(lhs, tensor_dim(mods))))
+                                          ((a, b, r), _dense(lhs, dim)))
     return FlatnessReport(True, False, checked)

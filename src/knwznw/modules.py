@@ -286,7 +286,7 @@ class InducedModule:
         if i in self.alg.plus_indices:
             return {}
         if i in self.alg.cartan_indices:
-            w = self.alg.weight_action(self.weights[p - 1], i)
+            w = self.weights[p - 1]  # the torus acts by the weight
             if w.num == 0:
                 return {}
             return {PBWMonomial((), vac): w}

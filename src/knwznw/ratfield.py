@@ -36,10 +36,6 @@ class _Infinity:
 INFINITY = _Infinity()
 
 
-def is_infinity(p):
-    return p is INFINITY
-
-
 def as_rat(x):
     if isinstance(x, Rat):
         return x
@@ -353,7 +349,7 @@ def order_at(f, p):
     """
     if f.is_zero():
         raise DomainError("order of zero undefined")
-    if is_infinity(p):
+    if p is INFINITY:
         return f.den.degree() - f.num.degree()
     a = as_rat(p)
     return f.num.mult_at(a) - f.den.mult_at(a)
@@ -396,7 +392,7 @@ def local_expansion(f, p, terms):
         raise DomainError("need at least one term")
     if f.is_zero():
         raise DomainError("expansion of zero undefined")
-    if is_infinity(p):
+    if p is INFINITY:
         dn, dd = f.num.degree(), f.den.degree()
         num_w = tuple(reversed(f.num.coeffs))
         den_w = tuple(reversed(f.den.coeffs))
@@ -417,7 +413,7 @@ def residue_at(f, p):
     """
     if f.is_zero():
         return RAT0
-    if is_infinity(p):
+    if p is INFINITY:
         o = order_at(f, p)
         # need the coefficient of w^1 in f(1/w)
         if o > 1:

@@ -22,7 +22,7 @@ from ._kernel import RAT0, RAT1, ZERO_FORM, Rat, add_scaled, form
 from .affine import (AffineElement, affine_bracket, affine_decompose,
                      block_algebra_basis, g_tuple_bracket, psi_project)
 from .algebras import (ProjectiveConnection, R_ZERO, _pairs,
-                       _unit_vf_bracket, cocycle_chi, cocycle_gamma,
+                       _unit_lie_derivative, cocycle_chi, cocycle_gamma,
                        coboundary_compare, grading_report,
                        lie_derivative, multiply, triangular_decompose,
                        vf_bracket, vf_bracket_sum)
@@ -46,10 +46,6 @@ class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
-
-    def as_dict(self):
-        return {"name": self.name, "passed": self.passed,
-                "detail": self.detail}
 
 
 # Every action and Sugawara image is exact, so no check reads a module's
@@ -196,14 +192,14 @@ def _jacobi_fault(cfg, units):
     brackets read from the table.
 
     An outer bracket [sum_x b_x A_x, u_c] is sum_x b_x [A_x, u_c].  For
-    u_c = f A_y the row [A_x, u_c] is f times the unit entry
-    `_unit_vf_bracket` of x and y, its sign folded in place (-entry(y, x)
-    for x > y, nothing for x = y), and it is built only for the (x, c)
-    that some triple reads.  The rows are scaled to one denominator D and
-    the table's numerators to one denominator B, so each column s of
-    B D J is an integer J_s; one column index `slot` numbers the keys.
-    Each row is packed once into one int (`_pack`), and each triple's
-    B D J is summed from the packed rows as one Python int,
+    u_c = f A_y the row [A_x, u_c] is f times the unit entry of x and y
+    (`_unit_lie_derivative` at weight -1), its sign folded in place
+    (-entry(y, x) for x > y, nothing for x = y), and it is built only for
+    the (x, c) that some triple reads.  The rows are scaled to one
+    denominator D and the table's numerators to one denominator B, so each
+    column s of B D J is an integer J_s; one column index `slot` numbers
+    the keys.  Each row is packed once into one int (`_pack`), and each
+    triple's B D J is summed from the packed rows as one Python int,
     sum_s J_s 2^(w s), tested against 0.
 
     The slot width w makes that zero test exact.  Every |J_s| is at most
@@ -236,8 +232,8 @@ def _jacobi_fault(cfg, units):
         ((y, f),) = nums.items()
         for x, skip in skips.items():
             if c not in skip:
-                ed, entry = ZERO_FORM if x == y else _unit_vf_bracket(
-                    cfg, *sorted((x, y)))
+                ed, entry = ZERO_FORM if x == y else _unit_lie_derivative(
+                    cfg, min(x, y), -1, max(x, y))
                 rows[c, x] = (d * ed, entry, f if x < y else -f)
     rd = lcm(*(d for d, _, _ in rows.values()))
     slot = {key: s for s, key in enumerate(sorted(

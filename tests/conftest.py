@@ -1,10 +1,11 @@
 """Helpers shared by the test modules."""
 
+import math
 from math import lcm
 
 from knwznw.basis import DivisorForm, Section
 from knwznw.exactlinalg import zeros
-from knwznw.finite_lie import casimir_pairs, factor_op, tensor_dim
+from knwznw.finite_lie import factor_op
 
 
 def section_of(cfg, lam, f):
@@ -78,9 +79,9 @@ def entries_of(matrix):
 def dense_omega_matrix(alg, mods, p, q):
     """Omega_pq = sum_i x_i^(p) u^i^(q) as dense products of factor_op
     matrices, kept as the oracle of the sparse `omega_entries`."""
-    dim = tensor_dim(mods)
+    dim = math.prod(m.dim for m in mods)
     out = zeros(dim, dim)
-    for i, dual in casimir_pairs(alg):
+    for i, dual in enumerate(alg.dual_vectors):
         m1 = factor_op(mods, p, mods[p].entries[i])
         m2 = factor_op(mods, q, [(r, s, c * v) for j, c in enumerate(dual)
                                  for r, s, v in mods[q].entries[j]])
@@ -94,7 +95,7 @@ def dense_omega_matrix(alg, mods, p, q):
 def diagonal_action(mods, xvec):
     """The matrix of x = sum_i xvec_i x_i acting diagonally (Leibniz) on
     the tensor product of mods, a sum of dense factor_op matrices."""
-    dim = tensor_dim(mods)
+    dim = math.prod(m.dim for m in mods)
     out = zeros(dim, dim)
     for p, mod in enumerate(mods):
         fp = factor_op(mods, p, [(r, s, c * v) for i, c in enumerate(xvec)

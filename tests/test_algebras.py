@@ -302,7 +302,7 @@ def test_alternating_jacobi_agrees_with_the_ordered_triple_oracle(points):
 
 def test_a_corrupted_bracket_entry_fails_both_jacobi_checks():
     units = _vf_units(2)
-    key = ("vfbr", (-3, 1), (1, 1))
+    key = ("lied", (-3, 1), -1, (1, 1))
     seen = Config(("0", "1"))
     vf_bracket(seen, U(-1, -3, 1), U(-1, 1, 1))
     den, nums = seen.cache[key]
@@ -316,6 +316,41 @@ def test_a_corrupted_bracket_entry_fails_both_jacobi_checks():
         cfg.cache[key] = (den, bad)
         assert not ordered_triple_jacobi(cfg, units)
         assert _jacobi_fault(cfg, units) == "Jacobi"
+
+
+@pytest.mark.parametrize("points", [("0", "1"), ("1/2", "-7/3", "5")])
+def test_the_bracket_is_cached_as_the_weight_minus_one_lie_derivative(
+        points):
+    # one unit entry serves [A_a, A_b] and the Lie derivative of A_b along
+    # A_a at weight -1
+    cfg = Config(points)
+    a, b = (-2, 1), (1, 2)
+    e, f = U(-1, *a), U(-1, *b)
+    br = vf_bracket(cfg, e, f)
+    assert ("lied", a, -1, b) in cfg.cache
+    assert not [key for key in cfg.cache if key[0] == "vfbr"]
+    size = len(cfg.cache)
+    assert lie_derivative(cfg, e, f) == br
+    assert len(cfg.cache) == size
+
+
+def _faulty_lie_terms(cfg, a, lam, b):
+    """`algebras._lie_terms` with the weights k_s,j - lam k_e,j at
+    lam = -1: the entry of e s' + s e' in place of the bracket."""
+    c, ke, ks = algebras._unit_pair(cfg, -1, a, lam, b)
+    w = 1 if lam == -1 else lam
+    return c, algebras._lowered(ke, ks, [y + w * x for x, y in zip(ke, ks)])
+
+
+@pytest.mark.parametrize("check", [verify.lie_module,
+                                   verify.cocycle_identities,
+                                   verify.classical_virasoro,
+                                   verify.vector_field_jacobi])
+def test_a_wrong_bracket_entry_fails_the_checks_that_read_it(monkeypatch,
+                                                             check):
+    assert check()[0] is True
+    monkeypatch.setattr(algebras, "_lie_terms", _faulty_lie_terms)
+    assert check()[0] is False
 
 
 @pytest.mark.parametrize("points", [("0", "1", "-1"), ("1/2", "-7/3", "5")])
@@ -346,7 +381,7 @@ def test_a_corrupted_entry_fails_the_packed_jacobi_check(points, fault):
     # bracket and in their rows; a numerator moved by 10^40 den also
     # widens the slots
     units = _vf_units(3)
-    key = ("vfbr", (-3, 1), (1, 1))
+    key = ("lied", (-3, 1), -1, (1, 1))
     seen = Config(points)
     vf_bracket(seen, U(-1, -3, 1), U(-1, 1, 1))
     den, nums = seen.cache[key]
@@ -619,7 +654,7 @@ def test_grading_report_reads_violations_off_the_unit_entries():
     # a corrupted unit entry breaks the grading in both reports alike
     a, b = (1, 1), (1, 2)
     entries = {"A": (("prod", (0, 0), a, b), (1, {(0, 1): 1})),
-               "L": (("vfbr", a, b), (1, {(-1, 2): 3})),
+               "L": (("lied", a, -1, b), (1, {(-1, 2): 3})),
                "gamma": (("gammau", a, b), Rat(1)),
                "chi": (("chiu", a, b, R_OFF_POINTS.value), Rat(-2))}
     for kind, (key, value) in entries.items():

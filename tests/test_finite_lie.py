@@ -1,5 +1,6 @@
 """Gauge algebra data: structure constants, form, irreps, Casimir."""
 
+import math
 import random
 
 import pytest
@@ -11,8 +12,8 @@ from knwznw._kernel import RAT0, RAT1
 from knwznw.errors import DomainError
 from knwznw.finite_lie import (FiniteModule, _abelian1, _sl2, _validate,
                                _validate_module, casimir_eigenvalue,
-                               casimir_pairs, entry_product, finite_irrep,
-                               make_algebra, omega_entries, tensor_dim)
+                               entry_product, finite_irrep, make_algebra,
+                               omega_entries)
 
 
 def dense_matrices(mod):
@@ -22,7 +23,7 @@ def dense_matrices(mod):
 
 def omega_placed(alg, mods, p, q):
     """Omega_pq placed densely from its nonzero entries."""
-    dim = tensor_dim(mods)
+    dim = math.prod(m.dim for m in mods)
     return place(omega_entries(alg, mods, p, q), dim, dim)
 
 
@@ -84,7 +85,7 @@ def test_dual_basis_completeness(sl2):
              for i in range(3)]
     for x in basis:
         back = [Rat(0)] * 3
-        for i, dual in casimir_pairs(sl2):
+        for i, dual in enumerate(sl2.dual_vectors):
             c = sl2.form_vectors(x, dual)
             back[i] = back[i] + c
         assert back == x
@@ -267,8 +268,3 @@ def test_irreps_are_built_once(sl2, ab):
             assert all(v.num != 0 for _r, _c, v in ents)
             assert len({(r, c) for r, c, _v in ents}) == len(ents)
     assert finite_irrep(ab, 0).entries == ((),)
-
-
-def test_tensor_dim(sl2):
-    mods = [finite_irrep(sl2, w) for w in (1, 2, 0)]
-    assert tensor_dim(mods) == 6

@@ -1,5 +1,6 @@
 """Formal KZ system: tangent fields, matrices, classical fit, flatness."""
 
+import math
 import random
 
 import pytest
@@ -11,7 +12,7 @@ from knwznw import Rat, kz
 from knwznw._kernel import RAT0
 from knwznw.basis import Config
 from knwznw.errors import CriticalLevelError
-from knwznw.finite_lie import make_algebra, tensor_dim, tensor_strides
+from knwznw.finite_lie import make_algebra, tensor_strides
 from knwznw.kz import (classical_oracle_matrices, flatness_check, kz_matrices,
                        predicted_scalar_shift, tangent_fields)
 from knwznw.modules import ModuleSpec, induce_module
@@ -217,7 +218,7 @@ def embed(local, mods, factors):
     """A matrix on the factors (p, q, r) of the product of mods, in that
     order, tensored with the identity on every other factor."""
     strides = tensor_strides(mods)
-    dim = tensor_dim(mods)
+    dim = math.prod(m.dim for m in mods)
 
     def split(x):
         digits = [(x // st) % m.dim for st, m in zip(strides, mods)]
