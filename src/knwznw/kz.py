@@ -30,8 +30,9 @@ with C the Casimir eigenvalues of the local modules and E_p the
 coefficient function of e_{-1,p}.  The fit reports kappa, the shifts and
 the residual, which must vanish identically.
 
-The fit and `flatness_check` read operators as their nonzero entries;
-dense `Rat` matrices are built only for output (`KZSystem.matrices`,
+The fit reads operators as integer forms of their nonzero entries, and
+`flatness_check` as their nonzero entries; `Rat` is built only for
+kappa, the shifts and the output (`KZSystem.matrices`,
 `classical_oracle_matrices`, a flatness counterexample).
 """
 
@@ -40,14 +41,16 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from ._kernel import RAT0, RAT1, Rat, merge
+from ._kernel import (RAT0, RAT1, Rat, add_scaled, canonical, form, merge,
+                      rats)
 from .basis import GradedElement, KNIndex, kn_basis_element
 from .errors import DomainError
 from .finite_lie import (casimir_eigenvalue, entry_product, finite_irrep,
                          make_algebra, omega_entries)
 from .modules import ModuleSpec, induce_module
 from .ratfield import INFINITY
-from .sugawara import apply_L_raw, rescale_factor
+from .sugawara import (_apply_plan, _term_plan, rescale_factor,
+                       total_degree_band)
 
 
 def tangent_fields(cfg):
@@ -104,28 +107,29 @@ class KZSystem:
 
 
 def _sparse_oracle(cfg, alg, weights):
-    """The matrices sum_{j != p} Omega_{pj} / (z_p - z_j) as
-    {(row, column): Rat} dicts of their nonzero entries, built from the
-    finite-dimensional Casimir tensor only.  The tensor is symmetric, so
-    each Omega_pq is built once per unordered pair and enters M_p and M_q
-    through its nonzero entries (`omega_entries`)."""
+    """The matrices sum_{j != p} Omega_{pj} / (z_p - z_j) as canonical
+    integer forms (D, {(row, column): int}) of their nonzero entries,
+    built from the finite-dimensional Casimir tensor only.  The tensor is
+    symmetric, so each Omega_pq is built once per unordered pair and
+    enters M_p and M_q through its nonzero entries (`omega_entries`)."""
     mods = [finite_irrep(alg, w) for w in weights]
     n = cfg.n_points
-    out = [{} for _ in range(n)]
+    dens, accs = [1] * n, [{} for _ in range(n)]
     for p in range(n):
         for q in range(p + 1, n):
-            entries = {(r, s): v
-                       for r, s, v in omega_entries(alg, mods, p, q)}
+            eden, entries = form({(r, s): v for r, s, v
+                                  in omega_entries(alg, mods, p, q)})
             fac = RAT1 / (cfg.points[p] - cfg.points[q])
-            merge(out[p], entries, fac)
-            merge(out[q], entries, -fac)
-    return out
+            for i, a in ((p, fac.num), (q, -fac.num)):
+                dens[i] = add_scaled(dens[i], accs[i], eden, entries, a,
+                                     fac.den)
+    return [canonical(den, acc) for den, acc in zip(dens, accs)]
 
 
 def classical_oracle_matrices(cfg, alg, weights):
-    """The Casimir oracle of `_sparse_oracle` as dense matrices."""
+    """The Casimir oracle of `_sparse_oracle` as dense Rat matrices."""
     dim = math.prod(finite_irrep(alg, w).dim for w in weights)
-    return [_dense(m, dim) for m in _sparse_oracle(cfg, alg, weights)]
+    return [_dense(rats(*m), dim) for m in _sparse_oracle(cfg, alg, weights)]
 
 
 def _dense(entries, dim):
@@ -164,52 +168,60 @@ def predicted_scalar_shift(cfg, alg, weights, level, p):
 
 
 def _dot(a, b, dim):
-    """Frobenius product of the traceless parts of two sparse matrices:
-    sum_ij a_ij b_ij - tr(a) tr(b) / dim, over the nonzero entries."""
-    if len(b) < len(a):
-        a, b = b, a
-    dot = sum((x * b[rs] for rs, x in a.items() if rs in b), RAT0)
-    return dot - _trace(a, dim) * _trace(b, dim) / dim
+    """Frobenius product of the traceless parts of two integer forms
+    a = (D_a, {(row, column): int}) and b, (dim sum a_ij b_ij - tr a tr b)
+    / (dim D_a D_b), summed in ints over the nonzero entries."""
+    (da, ea), (db, eb) = a, b
+    if len(eb) < len(ea):
+        ea, eb = eb, ea
+    dot = sum(x * eb[rs] for rs, x in ea.items() if rs in eb)
+    return Rat(dim * dot - _trace(ea, dim) * _trace(eb, dim), dim * da * db)
 
 
-def _trace(m, dim):
-    return sum((m[(i, i)] for i in range(dim) if (i, i) in m), RAT0)
+def _trace(entries, dim):
+    return sum(entries.get((i, i), 0) for i in range(dim))
 
 
 def _scalar_part(a, m, kappa, dim):
-    """s when a - kappa m = s Id, else None; reads the nonzero entries
-    of the sparse matrices a and m only."""
+    """s when a - kappa m = s Id, else None, for integer forms (D_a, A)
+    and (D_m, M) and kappa = k_n/k_d: entry rs is e_rs/(D_a k_d D_m), and
+    the ints e_rs = A_rs k_d D_m - k_n M_rs D_a are compared."""
+    (da, ea), (dm, em) = a, m
+    fa, fm = kappa.den * dm, kappa.num * da
+
     def entry(rs):
-        return a.get(rs, RAT0) - kappa * m.get(rs, RAT0)
+        return ea.get(rs, 0) * fa - em.get(rs, 0) * fm
     s = entry((0, 0))
-    if s.num != 0 and any((i, i) not in a and (i, i) not in m
-                          for i in range(dim)):
+    if s and any((i, i) not in ea and (i, i) not in em for i in range(dim)):
         return None
-    for rs in a.keys() | m.keys():
-        if entry(rs) != (s if rs[0] == rs[1] else RAT0):
+    for rs in ea.keys() | em.keys():
+        if entry(rs) != (s if rs[0] == rs[1] else 0):
             return None
-    return s
+    return Rat(s, da * fa)
 
 
 def kz_matrices(cfg, alg, weights, level, depth=None):
     """Measure the connection matrices and fit the classical form.
 
     Builds the induced module (weyl for sl2, fock for the abelian
-    algebra) and applies the Sugawara operator of each point-moving
-    field e_{-1,p}, -1/(level + dual Coxeter) L(-1, p), to the degree-zero
-    basis as an integer form (`apply_L_raw`).  Each column keeps the
-    degree-zero part of its image, its coinvariant representative
-    (`coinvariant_reduce`), as a sparse {(row, column): Rat} matrix, and
+    algebra) and reads the Sugawara operator of each point-moving field
+    e_{-1,p}, -1/(level + dual Coxeter) L(-1, p), on the degree-zero
+    basis, the vacuum monomials.  A term of total t moves the degree by
+    t, so the degree-zero part of an image, its coinvariant representative
+    (`coinvariant_reduce`), is the term plan of the band [0, 0] applied
+    to the monomial (`_term_plan`, `_apply_plan`); for N = 1 the band is
+    [-1, -1] and the block is empty.  Each A_p is one integer form
+    (D, {(row, column): int}), and
 
         A_p = kappa * M_p + sigma_p * Id
 
     is fitted against the sparse Casimir oracle M_p (`_sparse_oracle`):
-    the traceless dot, the scalar test and the residual read nonzero
-    entries only.  Residuals must vanish exactly.  The dense `matrices`
-    are filled once, for output.  `partial` is always False.  Every
-    image is exact, so the matrices have no depth; `depth` is not read,
-    and is accepted because the benchmark's block workload
-    (`perfbench/workloads.py`) passes it by position.
+    the traceless dot and the scalar test sum and compare ints over the
+    nonzero entries.  Residuals must vanish exactly.  The dense `Rat`
+    `matrices` are filled once, for output.  `partial` is always False.
+    The matrices have no depth; `depth` is not read, and is accepted
+    because the benchmark's block workload (`perfbench/workloads.py`)
+    passes it by position.
     """
     level = level if isinstance(level, Rat) else Rat(level)
     kind = "fock" if alg.kind == "abelian1" else "weyl"
@@ -218,16 +230,19 @@ def kz_matrices(cfg, alg, weights, level, depth=None):
     fac = rescale_factor(alg, level)  # raises at the critical level
     basis = module.slice_basis(0)
     dim = len(basis)
-    index = {m: i for i, m in enumerate(basis)}
+    t_lo, t_hi = total_degree_band(cfg, -1)
+    band = (max(t_lo, 0), min(t_hi, 0))  # total 0 alone, if in the band
     measured = []
     for p in range(1, cfg.n_points + 1):
-        mat = {}
+        plan = _term_plan(cfg, alg, -1, p, 0, band)
+        den, mat = 1, {}
         for col, mono in enumerate(basis):
-            den, nums = apply_L_raw(module, (-1, p), (1, {mono: 1}))
-            for m2, x in nums.items():
-                if m2 in index:  # the degree-0 part
-                    mat[(index[m2], col)] = Rat(x * fac.num, den * fac.den)
-        measured.append(mat)
+            cden, nums = _apply_plan(module, plan, mono)
+            if nums:  # a vacuum monomial's row is its vacuum index
+                den = add_scaled(den, mat, cden, {
+                    (m2.vacuum, col): x for m2, x in nums.items()},
+                    fac.num, fac.den)
+        measured.append((den, mat))
 
     oracle = _sparse_oracle(cfg, alg, weights)
     kappa = None
@@ -237,7 +252,7 @@ def kz_matrices(cfg, alg, weights, level, depth=None):
         num = sum((_dot(a, m, dim)
                    for a, m in zip(measured, oracle)), RAT0)
         kappa = num / den
-    elif any(oracle):
+    elif any(entries for _, entries in oracle):
         # oracle matrices are scalar (abelian): use the structural value
         kappa = fac
     if kappa is not None:
@@ -247,7 +262,7 @@ def kz_matrices(cfg, alg, weights, level, depth=None):
               for a, m in zip(measured, oracle)]
     residual_zero = all(s is not None for s in shifts)
     return KZSystem(cfg, alg.kind, tuple(weights), level,
-                    [_dense(a, dim) for a in measured], kappa, shifts,
+                    [_dense(rats(*a), dim) for a in measured], kappa, shifts,
                     sign, residual_zero, False)
 
 

@@ -26,10 +26,11 @@ L(k,r) is linear, so its image of each PBW monomial is computed once per
 module and memoised (`_image`, read by `apply_L_raw`) as an integer form
 (D, {monomial: int}) of the kernel.  A vacuum monomial has degree 0 and
 is summed over the term plan of degree 0: one plan per (algebra, k, r,
-degree), cached on the configuration (`_term_plan`), writes
-u^i = sum_j D_ij u_j, keeps the nonzero coefficients, merges every total
-and mode of the band and groups the terms by the operator that acts
-first.
+degree, band of totals), cached on the configuration (`_term_plan`),
+writes u^i = sum_j D_ij u_j, keeps the nonzero coefficients, merges every
+total and mode of the band and groups the terms by the operator that
+acts first.  The plan of the band [0, 0] gives the degree-0 block of a
+vacuum monomial's image alone, which `kz.kz_matrices` reads.
 A monomial c1.w, with c1 = (n, p, i) the first entry of its creation
 string, follows from the image of w by the current relation of the
 global Sugawara construction (Schlichenmaier and Sheinman, Russian Math.
@@ -37,35 +38,34 @@ Surveys 54 (1999)), [L(e), x(A)] = -(level + h^v) x(e.A) (`_L_image`):
 
     L(c1.w) = c1.L(w) - (level + h^v) x_i(e_{k,r}.A_{n,p}).w,
 
-with L(w) read from the image memo.  The relation's terms, over the
-cached Lie-derivative entry e_{k,r}.A_{n,p}, are a plan of one operator
-each, memoised per module and (k, r, c1, degree of w) (`_relation_plan`):
-their scalar carries the level.  The degree of w is that of c1.w minus
-n, carried down the recursion; only an image whose caller gives no
-degree sums a creation string, once, and the audit gives the degree of
-its slice.  The term plan applied directly stays
-the definition of L, and the oracle the relation is checked against:
-the verify check `summation-bounds` compares the engine's images with
-the wider plan of degree d - 3 applied to each monomial, on a module
-with h^v != 0.
+with L(w) read from the image memo.  A monomial of L(w) whose string is
+empty or starts at or after c1 takes c1 in front by one integer write;
+c1 acts on the others (`_act_form`).  The relation's terms, over the
+cached Lie-derivative entry e_{k,r}.A_{n,p}, are memoised per module
+and (k, r, c1, degree of w) (`_relation_plan`): their scalar carries the
+level.  The degree of w is that of c1.w minus n, carried down the
+recursion; only an image whose caller gives no degree sums a creation
+string, once, and the audit gives the degree of its slice.  The term
+plan applied directly stays the definition of L, and the oracle the
+relation is checked against: the verify check `summation-bounds`
+compares the engine's images with the wider plan of degree d - 3
+applied to each monomial, on a module with h^v != 0.
 
 A plan is (den, ((second, ((first, num), ...)), ...)), read as
-first.(second.mono) with coefficient num/den; the relation's terms are a
-plan of one operator each, first None.  One helper applies either
-(`_apply_plan`): it applies each distinct operator that acts first once
-and sums the scaled results into the arguments of the operators that
-act after it, each argument an integer form of its own; it then applies
-each of those operators once to its argument and sums the results into
-one accumulator.  Every sum is the kernel's `add_scaled`.
+first.(second.mono) with coefficient num/den.  `_apply_plan` applies
+each distinct operator that acts first once and sums the scaled results
+into the arguments of the operators that act after it, each argument an
+integer form of its own; it then applies each of those operators once to
+its argument and sums the results into one accumulator.  Every sum is
+the kernel's `add_scaled`.
 Images are integer forms.  `apply_L_raw` hands a caller a fresh one, or
 adds a scaled image into the caller's accumulator.  The commutator audit
 takes the second way: for each monomial w it sums
 f^2 L(k,r)(L(m,s) w) - f^2 L(m,s)(L(k,r) w) - sum_u c_u L(u) w into one
 integer accumulator, the nested terms as L(k,r) of the memoised image
 L(m,s) w read in place, the last ones as memoised images of w, and takes
-`canonical` once; no image is mutated.  Rat is built only by `apply_L`,
-by `kz.kz_matrices` for its entries, and for the audit's scalar and
-counterexample.
+`canonical` once; no image is mutated.  Rat is built only by `apply_L`
+and for the audit's scalar and counterexample.
 
 The rescaled operators -1/(level + dual Coxeter) L(k,r) represent the
 centrally extended vector-field algebra; the audit measures the central
@@ -136,9 +136,9 @@ def _triple_row(cfg, k, r, t, n):
     return row
 
 
-def _term_plan(cfg, alg, k, r, dv):
-    """The terms of L(k, r) on a monomial of degree dv, grouped by the
-    operator that acts first (the right factor, `second`).
+def _term_plan(cfg, alg, k, r, dv, band):
+    """The terms of L(k, r) with totals in band = (t_lo, t_hi) on a
+    monomial of degree dv, grouped by the operator that acts first.
 
     A term is c/2 D_ij :u_i(n,p) u_j(t-n,s): for t in the band, n in
     [t + dv, -dv] (the summation bound), c = c_{(n,p),(t-n,s)} != 0
@@ -147,17 +147,19 @@ def _term_plan(cfg, alg, k, r, dv):
     second) = (a, b), or (b, a) when normal ordering swaps them.  The plan
     is (den, ((second, ((first, num), ...)), ...)), every (t, n) merged,
     with num/den the summed coefficient of the pair: one denominator for
-    the whole plan.  One plan per (algebra, k, r, dv) in cfg.cache, so
-    every monomial of degree dv shares it, and its generator tuples key
-    the module's action memo.  The plan of a lower degree holds every
-    term of this one and more modes past the bound; the verify check
+    the whole plan.  One plan per (algebra, k, r, dv, band) in cfg.cache,
+    so every monomial of degree dv shares it, and its generator tuples
+    key the module's action memo.  A term of total t moves the degree by
+    t: L(k, r) reads the structural band (`total_degree_band`), and a
+    narrower one gives a block of its image.  The plan of a lower degree
+    holds every term of this one and more modes past the bound; the check
     `summation-bounds` applies such a plan directly (`_apply_plan`)."""
-    key = ("sugw-plan", alg.kind, k, r, dv)
+    key = ("sugw-plan", alg.kind, k, r, dv, band)
     plan = cfg.cache.get(key)
     if plan is not None:
         return plan
     groups = {}  # second -> {first: coefficient}
-    t_lo, t_hi = total_degree_band(cfg, k)
+    t_lo, t_hi = band
     for t in range(t_lo, t_hi + 1):
         for n in range(t + dv, -dv + 1):
             m = t - n
@@ -224,12 +226,12 @@ def _relation_scalar(module):
 
 
 def _relation_plan(module, k, r, c1, top):
-    """[L(k, r), c1] on monomials w of degree -top, c1 = (n, p, i), as a
-    plan of one operator each: -(level + h^v) l_{m,q} x_i(m, q), first
-    None, over e_{k,r}.A_{n,p} = sum l_{m,q} A_{m,q}, the cached weight-0
-    unit entry of the Lie derivative.  A term with m > top sends w past
-    slice 0 and is dropped; at the critical level there is none.  The
-    scalar carries the level, so the plans are memoised per module
+    """[L(k, r), c1] on monomials w of degree -top, c1 = (n, p, i), as
+    (den, (((m, q, i), num), ...)), the terms -(level + h^v) l_{m,q}
+    x_i(m, q) over e_{k,r}.A_{n,p} = sum l_{m,q} A_{m,q}, the cached
+    weight-0 unit entry of the Lie derivative.  A term with m > top sends
+    w past slice 0 and is dropped; at the critical level there is none.
+    The scalar carries the level, so the plans are memoised per module
     (`InducedModule._relation_plans`), never on the configuration."""
     key = (k, r, c1, top)
     plan = module._relation_plans.get(key)
@@ -237,7 +239,7 @@ def _relation_plan(module, k, r, c1, top):
         s = _relation_scalar(module)
         lden, lnums = _unit_lie_derivative(module.cfg, (k, r), 0, c1[:2])
         plan = module._relation_plans[key] = (lden * s.den, tuple(
-            ((m, q, c1[2]), ((None, s.num * x),))
+            ((m, q, c1[2]), s.num * x)
             for (m, q), x in lnums.items() if m <= top) if s.num else ())
     return plan
 
@@ -245,42 +247,55 @@ def _relation_plan(module, k, r, c1, top):
 def _L_image(module, k, r, mono, degree):
     """L(k, r) on one monomial, as an integer form (D, {monomial: int}).
 
-    A vacuum monomial has degree 0 and is summed over the term plan of
-    degree 0 (`_term_plan`).  A monomial c1.w with a creation entry c1
-    follows from the current relation: L(c1.w) = c1.L(w) + [L(k, r),
-    c1].w, with L(w) read from the image memo and [L(k, r), c1] =
-    -(level + h^v) x_i(e_{k,r}.A_{n,p}) for c1 = (n, p, i)
-    (`_relation_plan`).  The relation reads the degree of w: given the
-    degree of c1.w it is that minus n, carried down to w's own image, and
-    only when no caller gave a degree is w's string summed
-    (`PBWMonomial.degree`).
+    A vacuum monomial is summed over the term plan of degree 0
+    (`_term_plan`).  A monomial c1.w follows from the current relation
+    L(c1.w) = c1.L(w) + [L(k, r), c1].w (`_relation_plan`), with L(w)
+    read from the image memo.  A monomial of L(w) whose string is empty
+    or starts at or after c1 takes c1 in front by one write, its
+    numerator scaled to the current denominator; c1 acts on the others
+    (`_act_form`).  The degree of w is that of c1.w minus n when a caller
+    gave it; else w's string is summed (`PBWMonomial.degree`).
     """
     creation = mono.creation
     if not creation:
-        return _apply_plan(module, _term_plan(module.cfg, module.alg, k, r,
-                                              0), mono, {})
+        return _apply_plan(module, _term_plan(
+            module.cfg, module.alg, k, r, 0,
+            total_degree_band(module.cfg, k)), mono)
+    act = module._act_form
     c1, w = creation[0], PBWMonomial(creation[1:], mono.vacuum)
     dw = w.degree if degree is None else degree - c1[0]
     wden, wnums = _image(module, k, r, w, dw)
-    return _apply_plan(module, _relation_plan(module, k, r, c1, -dw), w,
-                       {c1: [wden, dict(wnums)]} if wnums else {})
+    den, acc = wden, {}
+    for m2, x in wnums.items():
+        string = m2.creation
+        if not string or c1 <= string[0]:
+            m3 = PBWMonomial((c1,) + string, m2.vacuum)
+            acc[m3] = acc.get(m3, 0) + x * (den // wden)
+        else:
+            d2, t2 = act(c1, m2)
+            if t2:
+                den = add_scaled(den, acc, d2, t2, x, wden)
+    rden, rterms = _relation_plan(module, k, r, c1, -dw)
+    for gen, num in rterms:
+        d2, t2 = act(gen, w)
+        if t2:
+            den = add_scaled(den, acc, d2, t2, num, rden)
+    return canonical(den, acc)
 
 
-def _apply_plan(module, plan, base, args):
+def _apply_plan(module, plan, base):
     """A plan (den, ((second, ((first, num), ...)), ...)) applied to the
-    monomial base, plus each operator of args applied to its argument,
-    as a canonical integer form.
+    monomial base, as a canonical integer form.
 
-    args maps an operator that acts last to its argument, an integer form
-    [den, {monomial: int}] that this call may mutate.  Each second acts
-    once on base; its image, scaled by each of its terms, is summed with
-    `add_scaled` into the argument of first.  Then each first acts once
-    on each monomial of its argument, summed into one accumulator (None:
-    the argument is added as it is).
-    Actions come from `_act_form`, which owns the module's action memo.
+    Each second acts once on base; its image, scaled by each of its
+    terms, is summed with `add_scaled` into an integer form of its own
+    for each first.  Then each first acts once on each monomial of its
+    form, summed into one accumulator.  Actions come from `_act_form`,
+    which owns the module's action memo.
     """
     act = module._act_form
     pden, terms = plan
+    args = {}  # first -> [den, {monomial: int}]
     for second, firsts in terms:
         dm, mid = act(second, base)
         if not mid:
@@ -292,9 +307,6 @@ def _apply_plan(module, plan, base, args):
             arg[0] = add_scaled(arg[0], arg[1], dm, mid, num, pden)
     den, acc = 1, {}
     for first, (aden, arg) in args.items():
-        if first is None:
-            den = add_scaled(den, acc, aden, arg, 1, 1)
-            continue
         for m2, x in arg.items():
             if x:
                 d2, t2 = act(first, m2)

@@ -2,14 +2,15 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dense_commutator, dense_omega_matrix, is_zero_matrix
-from knwznw import Rat, kz
-from knwznw._kernel import RAT0
+from knwznw import Rat, kz, sugawara
+from knwznw._kernel import RAT0, canonical
 from knwznw.basis import Config
 from knwznw.errors import CriticalLevelError
 from knwznw.finite_lie import make_algebra, tensor_strides
@@ -376,3 +377,164 @@ def test_translation_leaves_kz_and_sugawara_images_unchanged(sl2, data, n,
         r = data.draw(st.integers(1, n))
         images = [apply_L_raw(m, (k, r), vec) for m in mods]
         assert images[0] == images[1], (d, k, r)
+
+
+def test_the_zero_total_plan_is_the_degree_zero_block():
+    # a term of L(-1, p) of total t moves the degree by t, so on a vacuum
+    # monomial the plan of the band [0, 0] gives the degree-0 part of the
+    # full image and nothing else; for N = 1 the structural band is
+    # [-1, -1] and the block is empty
+    rng = random.Random(34)
+    pool = ["0", "1", "-1", "2", "1/2", "-7/3", "5", "3/4"]
+    sl2 = make_algebra("sl2")
+    compared = nonzero = 0
+    for n in (1, 2, 3, 4):
+        for _ in range(4 if n < 4 else 2):
+            cfg = Config(rng.sample(pool, n))
+            weights = tuple(rng.randint(0, 2) for _ in range(n))
+            level = Rat(rng.choice((-3, 1, 2, 3)))
+            module = induce_module(sl2, cfg, ModuleSpec("weyl", weights,
+                                                        level))
+            basis = module.slice_basis(0)
+            for p in range(1, n + 1):
+                plan = sugawara._term_plan(cfg, sl2, -1, p, 0, (0, 0))
+                for mono in basis:
+                    den, full = apply_L_raw(module, (-1, p), (1, {mono: 1}))
+                    want = canonical(den, {m: x for m, x in full.items()
+                                           if m.degree == 0})
+                    got = sugawara._apply_plan(module, plan, mono)
+                    assert got == want
+                    assert all(m.degree == 0 for m in got[1])
+                    compared += 1
+                    nonzero += bool(got[1])
+                    if n == 1:
+                        assert got == (1, {})
+            if n == 1:
+                assert sugawara.total_degree_band(cfg, -1) == (-1, -1)
+                system = kz_matrices(cfg, sl2, weights, level)
+                assert not any(c.num for m in system.matrices
+                               for row in m for c in row)
+    assert compared > 250 and nonzero > 100
+
+
+def test_kz_matrices_build_no_full_image(sl2, ab, monkeypatch):
+    # the KZ matrices read the degree-0 block from the zero-total plan
+    # alone: with the Sugawara image memo's builder made to raise, every
+    # system still comes out, and the same as with it
+    cases = [(Config(["0", "1", "-1"]), sl2, (1, 1, 2), Rat(1)),
+             (Config(["1/2", "-7/3"]), ab, (Rat(1), Rat(-2, 3)), Rat(1)),
+             (Config(["0"]), sl2, (2,), Rat(1))]
+    want = [kz_matrices(*case) for case in cases]
+
+    def refuse(*args):
+        raise AssertionError("a full Sugawara image was built")
+
+    monkeypatch.setattr(sugawara, "_image", refuse)
+    for case, w in zip(cases, want):
+        got = kz_matrices(*case)
+        assert (got.matrices, got.kappa, got.scalar_shifts) == \
+            (w.matrices, w.kappa, w.scalar_shifts)
+
+
+def fraction_dot(a, b, dim):
+    """The traceless Frobenius product as the fit once summed it, over
+    {(row, column): Fraction} dicts."""
+    dot = sum((x * b[rs] for rs, x in a.items() if rs in b), Fraction(0))
+    ta = sum(a.get((i, i), 0) for i in range(dim))
+    tb = sum(b.get((i, i), 0) for i in range(dim))
+    return dot - Fraction(ta) * tb / dim
+
+
+def fraction_scalar_part(a, m, kappa, dim):
+    """s when a - kappa m = s Id, else None, over Fraction dicts."""
+    def entry(rs):
+        return a.get(rs, 0) - kappa * m.get(rs, 0)
+    s = entry((0, 0))
+    if s and any((i, i) not in a and (i, i) not in m for i in range(dim)):
+        return None
+    for rs in a.keys() | m.keys():
+        if entry(rs) != (s if rs[0] == rs[1] else 0):
+            return None
+    return s
+
+
+def fractions_of(mat):
+    den, nums = mat
+    return {rs: Fraction(x, den) for rs, x in nums.items()}
+
+
+def integer_form_of(fracs):
+    """An integer form of a Fraction dict, over a denominator that need
+    not be the least one."""
+    den = math.lcm(*(f.denominator for f in fracs.values())) * 2
+    return den, {rs: int(f * den) for rs, f in fracs.items() if f}
+
+
+def test_integer_fit_matches_the_rational_formulas():
+    # _dot and _scalar_part on integer forms against the Fraction
+    # restatement of the formulas they replace, on seeded sparse matrices
+    # a = kappa m + s Id: exact, with an off-diagonal residual, with a
+    # diagonal entry missing from both at s != 0, and both zero
+    rng = random.Random(3434)
+    paths = dict.fromkeys(("scalar", "off-diagonal", "missing-diagonal",
+                           "zero"), 0)
+    for case in list(paths) * 50:
+        dim = rng.randint(2, 5)
+        m = {(rng.randrange(dim), rng.randrange(dim)):
+             Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+             for _ in range(rng.randint(0, 2 * dim))}
+        kappa = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        s = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+        a = {rs: kappa * v for rs, v in m.items()}
+        for i in range(dim):
+            a[(i, i)] = a.get((i, i), 0) + s
+        want = s
+        if case == "off-diagonal":
+            a[(0, dim - 1)] = a.get((0, dim - 1), 0) + 1
+            want = None
+        elif case == "missing-diagonal":
+            i = rng.randrange(1, dim)
+            a.pop((i, i))
+            m.pop((i, i), None)
+            want = None
+        elif case == "zero":
+            a, m, want = {}, {}, 0
+        a = {rs: v for rs, v in a.items() if v}
+        m = {rs: v for rs, v in m.items() if v}
+        ia, im = integer_form_of(a), integer_form_of(m)
+        assert fractions_of(ia) == a and fractions_of(im) == m
+        for x, y in ((ia, im), (ia, ia), (im, im)):
+            got = kz._dot(x, y, dim)
+            assert Fraction(got.num, got.den) == fraction_dot(
+                fractions_of(x), fractions_of(y), dim)
+        assert fraction_scalar_part(a, m, kappa, dim) == want
+        got = kz._scalar_part(ia, im, Rat(kappa.numerator,
+                                          kappa.denominator), dim)
+        assert (got if want is None else Fraction(got.num, got.den)) == want
+        paths[case] += 1
+    assert set(paths.values()) == {50}
+
+
+def test_the_integer_fit_on_scalar_and_empty_oracles(sl2, ab):
+    # the abelian oracle is scalar, its traceless part zero: kappa is the
+    # rescale factor; with trivial weights every oracle matrix is empty,
+    # kappa stays None and each shift is the scalar part of a zero matrix
+    cfg = Config(["0", "2", "5"])
+    weights = (Rat(1), Rat(1, 2), Rat(-2))
+    oracle = kz._sparse_oracle(cfg, ab, weights)
+    assert all(entries for _, entries in oracle)
+    assert all(kz._dot(m, m, 1) == RAT0 for m in oracle)
+    system = kz_matrices(cfg, ab, weights, Rat(3, 2))
+    assert system.kappa == rescale_factor(ab, Rat(3, 2))
+    for p, (shift, mat) in enumerate(zip(system.scalar_shifts,
+                                         system.matrices)):
+        m = fractions_of(oracle[p])
+        a = {(0, 0): Fraction(mat[0][0].num, mat[0][0].den)}
+        kappa = Fraction(system.kappa.num, system.kappa.den)
+        assert Fraction(shift.num, shift.den) == \
+            fraction_scalar_part(a, m, kappa, 1)
+    trivial = kz_matrices(Config(["0", "1"]), sl2, (0, 0), Rat(1))
+    assert kz._sparse_oracle(Config(["0", "1"]), sl2, (0, 0)) == \
+        [(1, {}), (1, {})]
+    assert trivial.kappa is None and trivial.sign_convention is None
+    assert trivial.scalar_shifts == [RAT0, RAT0] and trivial.residual_zero

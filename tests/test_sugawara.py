@@ -351,9 +351,10 @@ def test_images_match_the_wider_term_plan(n, level, data):
     mono = data.draw(st.sampled_from(module.slice_basis(d)))
     k = data.draw(st.sampled_from((-2, -1, 0, 1, 2)))
     r = data.draw(st.integers(1, n))
-    plan = sugawara._term_plan(cfg, sl2, k, r, d - 3)
+    plan = sugawara._term_plan(cfg, sl2, k, r, d - 3,
+                               total_degree_band(cfg, k))
     assert apply_L_raw(module, (k, r), (1, {mono: 1})) == \
-        sugawara._apply_plan(module, plan, mono, {})
+        sugawara._apply_plan(module, plan, mono)
 
 
 def test_normal_ordering_check_reads_both_symmetries(monkeypatch):
@@ -491,8 +492,8 @@ def test_summation_bounds_fails_on_a_narrowed_window(monkeypatch):
     assert verify.summation_bounds()[0]
     real = sugawara._term_plan
 
-    def narrowed(cfg, alg, k, r, dv):
-        den, terms = real(cfg, alg, k, r, dv)
+    def narrowed(cfg, alg, k, r, dv, band):
+        den, terms = real(cfg, alg, k, r, dv, band)
         kept = ((second, tuple((first, num) for first, num in firsts
                                if -dv not in (first[0], second[0])))
                 for second, firsts in terms)
@@ -599,3 +600,52 @@ def test_audits_leave_every_memoised_image_unchanged(sl2, cfg2):
     assert all(e.is_scalar for e in res)
     assert len(memo) > len(before)
     assert all(memo[key] == img for key, img in before.items())
+
+
+@pytest.mark.parametrize("kind,points,weights,width", [
+    ("verma", ("0", "1"), (Rat(1), Rat(1, 2)), 2),
+    ("weyl", ("1/2", "-7/3", "5"), (1, 1, 2), None),
+], ids=["verma-width-2", "weyl-112"])
+def test_peeled_images_match_the_wider_term_plan(kind, points, weights,
+                                                 width):
+    # an image c1.L(w) + [L, c1].w writes each monomial of L(w) whose
+    # string is empty or starts at or after c1 with c1 in front, and acts
+    # with c1 on the others; both kinds occur, and every image the engine
+    # builds on slices 0..-3 equals the term plan of degree d - 3 applied
+    # directly (the verma strings hold degree-0 keys)
+    cfg = Config(list(points))
+    sl2 = make_algebra("sl2")
+    module = induce_module(sl2, cfg, ModuleSpec(kind, weights, Rat(1),
+                                                width=width))
+    acted = set()
+    real = module._act_form
+
+    def recording(gen, mono):
+        acted.add((gen, mono))
+        return real(gen, mono)
+
+    module._act_form = recording
+    rng = random.Random(34)
+    ops = [(k, r) for k in (-2, 0, 1) for r in range(1, cfg.n_points + 1)]
+    for d in (0, -1, -2, -3):
+        basis = module.slice_basis(d)
+        for mono in rng.sample(basis, min(len(basis), 12)):
+            for k, r in ops:
+                sugawara._image(module, k, r, mono, d)
+    del module._act_form
+    written = peeled = 0
+    for ((k, r), mono), img in module._sugawara_memo.items():
+        d = mono.degree
+        plan = sugawara._term_plan(cfg, sl2, k, r, d - 3,
+                                   total_degree_band(cfg, k))
+        assert img == sugawara._apply_plan(module, plan, mono)
+        if not mono.creation:
+            continue
+        c1 = mono.creation[0]
+        w = PBWMonomial(mono.creation[1:], mono.vacuum)
+        for m2 in module._sugawara_memo[((k, r), w)][1]:
+            if not m2.creation or c1 <= m2.creation[0]:
+                written += (c1, m2) not in acted
+            else:
+                peeled += (c1, m2) in acted
+    assert written > 100 and peeled > 100
