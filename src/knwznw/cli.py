@@ -227,7 +227,9 @@ def _within_work(work):
 # from counts only: dim0 degree-0 monomials, a module's slice dimensions.
 
 def _kz_work(n, dim0):
-    """N dense dim0^2 outputs, and 400 for each of N * dim0 images."""
+    """N dense dim0^2 outputs, and 400 for each of N * dim0 columns: the
+    degree-0 actions on a column, its N(N+1)/2 Casimir products and
+    their sums into the N matrices."""
     return n * dim0 * (dim0 + 400)
 
 

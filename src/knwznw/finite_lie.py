@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from ._kernel import RAT0, RAT1, Rat, merge
+from ._kernel import RAT0, RAT1, Rat, merge, rats
 from .errors import DomainError
 from .exactlinalg import zeros
 from .ratfield import as_rat
@@ -278,15 +278,22 @@ def entry_product(a, b):
     """The product a b of two matrices given by their nonzero entries
     (row, column, value), as a {(row, column): value} dict of its nonzero
     entries.  A position may occur more than once in a or b; its values
-    add, so a concatenation of entry lists stands for their sum."""
+    add, so a concatenation of entry lists stands for their sum.  Each
+    operand is scaled to one denominator and the products are summed as
+    ints; Rat is built once per entry of the result."""
+    if not a or not b:
+        return {}
+    da = math.lcm(*(v.den for _, _, v in a))
+    db = math.lcm(*(v.den for _, _, v in b))
     by_row = {}
     for r, c, v in b:
-        by_row.setdefault(r, []).append((c, v))
+        by_row.setdefault(r, []).append((c, v.num * (db // v.den)))
     out = {}
     for r, c, u in a:
+        u = u.num * (da // u.den)
         for c2, v in by_row.get(c, ()):
-            out[r, c2] = out.get((r, c2), RAT0) + u * v
-    return {rc: v for rc, v in out.items() if v.num}
+            out[r, c2] = out.get((r, c2), 0) + u * v
+    return rats(da * db, out)
 
 
 def casimir_eigenvalue(alg, weight):

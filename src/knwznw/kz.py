@@ -30,6 +30,8 @@ with C the Casimir eigenvalues of the local modules and E_p the
 coefficient function of e_{-1,p}.  The fit reports kappa, the shifts and
 the residual, which must vanish identically.
 
+Only zero modes keep the degree, so the N directions share the Casimir
+products O_qs = sum_ij D_ij X_{q,i} X_{s,j} of the degree-0 actions.
 The fit reads operators as integer forms of their nonzero entries, and
 `flatness_check` as their nonzero entries; `Rat` is built only for
 kappa, the shifts and the output (`KZSystem.matrices`,
@@ -49,8 +51,7 @@ from .finite_lie import (casimir_eigenvalue, entry_product, finite_irrep,
                          make_algebra, omega_entries)
 from .modules import ModuleSpec, induce_module
 from .ratfield import INFINITY
-from .sugawara import (_apply_plan, _term_plan, rescale_factor,
-                       total_degree_band)
+from .sugawara import _triple_row, rescale_factor
 
 
 def tangent_fields(cfg):
@@ -200,57 +201,69 @@ def _scalar_part(a, m, kappa, dim):
     return Rat(s, da * fa)
 
 
+def _casimir_pair(module, basis, q, s):
+    """O_qs on the vacuum monomials as an integer form (D, {(row,
+    column): int}), row a vacuum index: x_(0,s,j) acts, then x_(0,q,i)."""
+    act = module._act_form
+    den, acc = 1, {}
+    for i, dual in enumerate(module.alg.dual_vectors):
+        for j, d in enumerate(dual):
+            for col, mono in enumerate(basis if d.num else ()):
+                dm, mid = act((0, s, j), mono)
+                for m2, x in mid.items():
+                    d2, t2 = act((0, q, i), m2)
+                    den = add_scaled(den, acc, d2, {
+                        (m3.vacuum, col): y for m3, y in t2.items()},
+                        x * d.num, dm * d.den)
+    return den, acc
+
+
 def kz_matrices(cfg, alg, weights, level, depth=None):
     """Measure the connection matrices and fit the classical form.
 
     Builds the induced module (weyl for sl2, fock for the abelian
-    algebra) and reads the Sugawara operator of each point-moving field
-    e_{-1,p}, -1/(level + dual Coxeter) L(-1, p), on the degree-zero
-    basis, the vacuum monomials.  A term of total t moves the degree by
-    t, so the degree-zero part of an image, its coinvariant representative
-    (`coinvariant_reduce`), is the term plan of the band [0, 0] applied
-    to the monomial (`_term_plan`, `_apply_plan`); for N = 1 the band is
-    [-1, -1] and the block is empty.  Each A_p is one integer form
-    (D, {(row, column): int}), and
-
-        A_p = kappa * M_p + sigma_p * Id
-
-    is fitted against the sparse Casimir oracle M_p (`_sparse_oracle`):
-    the traceless dot and the scalar test sum and compare ints over the
-    nonzero entries.  Residuals must vanish exactly.  The dense `Rat`
-    `matrices` are filled once, for output.  `partial` is always False.
-    The matrices have no depth; `depth` is not read, and is accepted
-    because the benchmark's block workload (`perfbench/workloads.py`)
-    passes it by position.
+    algebra) and reads -1/(level + dual Coxeter) L(-1, p) on its vacuum
+    monomials.  A term of total t moves the degree by t, so the
+    degree-zero part of an image, its coinvariant representative
+    (`coinvariant_reduce`), sums the zero-mode terms: row (0, 0) of the
+    triple table (`_triple_row`), empty for N = 1.  O_sq = O_qs, as
+    actions on different factors commute and D is symmetric, so each is
+    built once, for q <= s (`_casimir_pair`), and enters A_p with
+    c^p_qs + c^p_sq.  Each A_p, an integer form (D, {(row, column):
+    int}), is fitted as A_p = kappa M_p + sigma_p Id against the sparse
+    Casimir oracle M_p (`_sparse_oracle`): the traceless dot and the
+    scalar test sum and compare ints over the nonzero entries.  Residuals
+    must vanish exactly.  The dense `Rat` `matrices` are filled once, for
+    output.  `partial` is always False.  The matrices have no depth;
+    `depth` is not read, and is accepted because the benchmark's block
+    workload (`perfbench/workloads.py`) passes it by position.
     """
     level = level if isinstance(level, Rat) else Rat(level)
     kind = "fock" if alg.kind == "abelian1" else "weyl"
-    spec = ModuleSpec(kind, tuple(weights), level)
-    module = induce_module(alg, cfg, spec)
+    module = induce_module(alg, cfg, ModuleSpec(kind, tuple(weights), level))
     fac = rescale_factor(alg, level)  # raises at the critical level
     basis = module.slice_basis(0)
     dim = len(basis)
-    t_lo, t_hi = total_degree_band(cfg, -1)
-    band = (max(t_lo, 0), min(t_hi, 0))  # total 0 alone, if in the band
+    half = fac * Rat(1, 2)
+    pairs = {}  # (q, s) with q <= s -> O_qs, built on first read
     measured = []
     for p in range(1, cfg.n_points + 1):
-        plan = _term_plan(cfg, alg, -1, p, 0, band)
+        coefs = {}  # O_sq = O_qs, so c_sq adds to c_qs
+        for q, s, c in _triple_row(cfg, -1, p, 0, 0):
+            qs = (min(q, s), max(q, s))
+            coefs[qs] = coefs.get(qs, RAT0) + c * half
         den, mat = 1, {}
-        for col, mono in enumerate(basis):
-            cden, nums = _apply_plan(module, plan, mono)
-            if nums:  # a vacuum monomial's row is its vacuum index
-                den = add_scaled(den, mat, cden, {
-                    (m2.vacuum, col): x for m2, x in nums.items()},
-                    fac.num, fac.den)
+        for qs, c in coefs.items():
+            if qs not in pairs:
+                pairs[qs] = _casimir_pair(module, basis, *qs)
+            den = add_scaled(den, mat, *pairs[qs], c.num, c.den)
         measured.append((den, mat))
 
     oracle = _sparse_oracle(cfg, alg, weights)
-    kappa = None
-    sign = None
+    kappa = sign = None
     den = sum((_dot(m, m, dim) for m in oracle), RAT0)
     if den.num != 0:
-        num = sum((_dot(a, m, dim)
-                   for a, m in zip(measured, oracle)), RAT0)
+        num = sum((_dot(a, m, dim) for a, m in zip(measured, oracle)), RAT0)
         kappa = num / den
     elif any(entries for _, entries in oracle):
         # oracle matrices are scalar (abelian): use the structural value

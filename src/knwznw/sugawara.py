@@ -25,16 +25,13 @@ implementation uses as its summation bound.
 L(k,r) is linear, so its image of each PBW monomial is computed once per
 module and memoised (`_image`, read by `apply_L_raw`) as an integer form
 (D, {monomial: int}) of the kernel.  A vacuum monomial has degree 0 and
-is summed over the term plan of degree 0: one plan per (algebra, k, r,
-degree, band of totals), cached on the configuration (`_term_plan`),
-writes u^i = sum_j D_ij u_j, keeps the nonzero coefficients, merges every
-total and mode of the band and groups the terms by the operator that
-acts first.  The plan of the band [0, 0] gives the degree-0 block of a
-vacuum monomial's image alone, which `kz.kz_matrices` reads.
-A monomial c1.w, with c1 = (n, p, i) the first entry of its creation
-string, follows from the image of w by the current relation of the
-global Sugawara construction (Schlichenmaier and Sheinman, Russian Math.
-Surveys 54 (1999)), [L(e), x(A)] = -(level + h^v) x(e.A) (`_L_image`):
+is summed over the term plan of degree 0 (`_term_plan`), which writes
+u^i = sum_j D_ij u_j and groups the terms by the operator that acts
+first.  A monomial c1.w, with c1 = (n, p, i) the first entry of its
+creation string, follows from the image of w by the current relation of
+the global Sugawara construction (Schlichenmaier and Sheinman, Russian
+Math. Surveys 54 (1999)), [L(e), x(A)] = -(level + h^v) x(e.A)
+(`_L_image`):
 
     L(c1.w) = c1.L(w) - (level + h^v) x_i(e_{k,r}.A_{n,p}).w,
 
@@ -51,21 +48,12 @@ relation is checked against: the verify check `summation-bounds`
 compares the engine's images with the wider plan of degree d - 3
 applied to each monomial, on a module with h^v != 0.
 
-A plan is (den, ((second, ((first, num), ...)), ...)), read as
-first.(second.mono) with coefficient num/den.  `_apply_plan` applies
-each distinct operator that acts first once and sums the scaled results
-into the arguments of the operators that act after it, each argument an
-integer form of its own; it then applies each of those operators once to
-its argument and sums the results into one accumulator.  Every sum is
-the kernel's `add_scaled`.
-Images are integer forms.  `apply_L_raw` hands a caller a fresh one, or
-adds a scaled image into the caller's accumulator.  The commutator audit
-takes the second way: for each monomial w it sums
-f^2 L(k,r)(L(m,s) w) - f^2 L(m,s)(L(k,r) w) - sum_u c_u L(u) w into one
-integer accumulator, the nested terms as L(k,r) of the memoised image
-L(m,s) w read in place, the last ones as memoised images of w, and takes
-`canonical` once; no image is mutated.  Rat is built only by `apply_L`
-and for the audit's scalar and counterexample.
+Images are integer forms, summed with the kernel's `add_scaled`.
+`apply_L_raw` hands a caller a fresh one, or adds a scaled image into
+the caller's accumulator: the commutator audit sums each identity on a
+monomial into one accumulator, reading memoised images in place, and
+takes `canonical` once.  Rat is built only by `apply_L` and for the
+audit's scalar and counterexample.
 
 The rescaled operators -1/(level + dual Coxeter) L(k,r) represent the
 centrally extended vector-field algebra; the audit measures the central
@@ -136,30 +124,29 @@ def _triple_row(cfg, k, r, t, n):
     return row
 
 
-def _term_plan(cfg, alg, k, r, dv, band):
-    """The terms of L(k, r) with totals in band = (t_lo, t_hi) on a
-    monomial of degree dv, grouped by the operator that acts first.
+def _term_plan(cfg, alg, k, r, dv):
+    """The terms of L(k, r) on a monomial of degree dv, grouped by the
+    operator that acts first.
 
-    A term is c/2 D_ij :u_i(n,p) u_j(t-n,s): for t in the band, n in
-    [t + dv, -dv] (the summation bound), c = c_{(n,p),(t-n,s)} != 0
-    and u^i = sum_j D_ij u_j.  Its operators a = (n, p, i) and
-    b = (t-n, s, j) are applied as first.(second.mono) with (first,
-    second) = (a, b), or (b, a) when normal ordering swaps them.  The plan
-    is (den, ((second, ((first, num), ...)), ...)), every (t, n) merged,
-    with num/den the summed coefficient of the pair: one denominator for
-    the whole plan.  One plan per (algebra, k, r, dv, band) in cfg.cache,
-    so every monomial of degree dv shares it, and its generator tuples
-    key the module's action memo.  A term of total t moves the degree by
-    t: L(k, r) reads the structural band (`total_degree_band`), and a
-    narrower one gives a block of its image.  The plan of a lower degree
-    holds every term of this one and more modes past the bound; the check
-    `summation-bounds` applies such a plan directly (`_apply_plan`)."""
-    key = ("sugw-plan", alg.kind, k, r, dv, band)
+    A term is c/2 D_ij :u_i(n,p) u_j(t-n,s): for t in the structural
+    band (`total_degree_band`), n in [t + dv, -dv] (the summation
+    bound), c = c_{(n,p),(t-n,s)} != 0 and u^i = sum_j D_ij u_j.  Its
+    operators a = (n, p, i) and b = (t-n, s, j) are applied as
+    first.(second.mono) with (first, second) = (a, b), or (b, a) when
+    normal ordering swaps them.  The plan is (den, ((second, ((first,
+    num), ...)), ...)), every (t, n) merged, with num/den the summed
+    coefficient of the pair: one denominator for the whole plan.  One
+    plan per (algebra, k, r, dv) in cfg.cache, so every monomial of
+    degree dv shares it, and its generator tuples key the module's action
+    memo.  The plan of a lower degree holds every term of this one and
+    more modes past the bound; the check `summation-bounds` applies such
+    a plan directly (`_apply_plan`)."""
+    key = ("sugw-plan", alg.kind, k, r, dv)
     plan = cfg.cache.get(key)
     if plan is not None:
         return plan
     groups = {}  # second -> {first: coefficient}
-    t_lo, t_hi = band
+    t_lo, t_hi = total_degree_band(cfg, k)
     for t in range(t_lo, t_hi + 1):
         for n in range(t + dv, -dv + 1):
             m = t - n
@@ -258,9 +245,8 @@ def _L_image(module, k, r, mono, degree):
     """
     creation = mono.creation
     if not creation:
-        return _apply_plan(module, _term_plan(
-            module.cfg, module.alg, k, r, 0,
-            total_degree_band(module.cfg, k)), mono)
+        return _apply_plan(module, _term_plan(module.cfg, module.alg, k, r,
+                                              0), mono)
     act = module._act_form
     c1, w = creation[0], PBWMonomial(creation[1:], mono.vacuum)
     dw = w.degree if degree is None else degree - c1[0]

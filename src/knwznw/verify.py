@@ -35,8 +35,7 @@ from .finite_lie import factor_op, make_algebra
 from .modules import ModuleSpec, ModuleVector, induce_module
 from .ratfield import INFINITY, Poly, RationalFunction
 from .sugawara import (_apply_plan, _term_plan, apply_L_raw,
-                       sugawara_coefficients, sugawara_commutator_audit,
-                       total_degree_band)
+                       sugawara_coefficients, sugawara_commutator_audit)
 from .verify_kz import (coinvariant_clebsch_gordan, kz_abelian,
                         kz_classical_agreement, kz_flatness, kz_tangent_fields,
                         kz_translation_covariance, kz_trivial)
@@ -703,8 +702,7 @@ def summation_bounds():
         for d in (0, -2, -3):
             for mono in module.slice_basis(d)[:4]:
                 for k in (-1, 0, 2):
-                    plan = _term_plan(module.cfg, module.alg, k, 1, d - 3,
-                                      total_degree_band(module.cfg, k))
+                    plan = _term_plan(module.cfg, module.alg, k, 1, d - 3)
                     if (apply_L_raw(module, (k, 1), (1, {mono: 1}))
                             != _apply_plan(module, plan, mono)):
                         return False, "summation bound unstable"

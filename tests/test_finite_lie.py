@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -252,6 +253,36 @@ def test_entry_product_matches_the_dense_oracle():
         cancelled += any(v.num for row in dense_mat_mul(u, b) for v in row)
     assert cancelled > 20
     assert entry_product([], [(0, 0, RAT1)]) == {}
+
+
+def test_entry_product_matches_a_fraction_reference():
+    # the integer sums against a Fraction restatement of the product, on
+    # seeded entry lists drawn with replacement from a small grid, so
+    # positions repeat and add, with denominators up to 60 on each side
+    rng = random.Random(35)
+
+    def entries(rows, cols):
+        return [(rng.randrange(rows), rng.randrange(cols),
+                 Rat(rng.randint(-12, 12), rng.randint(1, 60)))
+                for _ in range(rng.randint(0, 2 * rows * cols))]
+
+    repeated = 0
+    for _ in range(300):
+        n, k, m = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        a, b = entries(n, k), entries(k, m)
+        want = {}
+        for r, c, u in a:
+            for r2, c2, v in b:
+                if r2 == c:
+                    want[r, c2] = want.get((r, c2), 0) + (
+                        Fraction(u.num, u.den) * Fraction(v.num, v.den))
+        got = entry_product(a, b)
+        assert {rc: Fraction(v.num, v.den) for rc, v in got.items()} == {
+            rc: v for rc, v in want.items() if v}
+        assert all(v.num and math.gcd(v.num, v.den) == 1 and v.den > 0
+                   for v in got.values())
+        repeated += len({(r, c) for r, c, _ in a}) < len(a)
+    assert repeated > 150
 
 
 def test_irreps_are_built_once(sl2, ab):

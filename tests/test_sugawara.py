@@ -351,8 +351,7 @@ def test_images_match_the_wider_term_plan(n, level, data):
     mono = data.draw(st.sampled_from(module.slice_basis(d)))
     k = data.draw(st.sampled_from((-2, -1, 0, 1, 2)))
     r = data.draw(st.integers(1, n))
-    plan = sugawara._term_plan(cfg, sl2, k, r, d - 3,
-                               total_degree_band(cfg, k))
+    plan = sugawara._term_plan(cfg, sl2, k, r, d - 3)
     assert apply_L_raw(module, (k, r), (1, {mono: 1})) == \
         sugawara._apply_plan(module, plan, mono)
 
@@ -492,8 +491,8 @@ def test_summation_bounds_fails_on_a_narrowed_window(monkeypatch):
     assert verify.summation_bounds()[0]
     real = sugawara._term_plan
 
-    def narrowed(cfg, alg, k, r, dv, band):
-        den, terms = real(cfg, alg, k, r, dv, band)
+    def narrowed(cfg, alg, k, r, dv):
+        den, terms = real(cfg, alg, k, r, dv)
         kept = ((second, tuple((first, num) for first, num in firsts
                                if -dv not in (first[0], second[0])))
                 for second, firsts in terms)
@@ -636,8 +635,7 @@ def test_peeled_images_match_the_wider_term_plan(kind, points, weights,
     written = peeled = 0
     for ((k, r), mono), img in module._sugawara_memo.items():
         d = mono.degree
-        plan = sugawara._term_plan(cfg, sl2, k, r, d - 3,
-                                   total_degree_band(cfg, k))
+        plan = sugawara._term_plan(cfg, sl2, k, r, d - 3)
         assert img == sugawara._apply_plan(module, plan, mono)
         if not mono.creation:
             continue
