@@ -49,7 +49,7 @@ from .basis import GradedElement, KNIndex, kn_basis_element
 from .errors import DomainError
 from .finite_lie import (casimir_eigenvalue, entry_product, finite_irrep,
                          make_algebra, omega_entries)
-from .modules import ModuleSpec, induce_module
+from .modules import ModuleSpec, induce_module, mode_digit
 from .ratfield import INFINITY
 from .sugawara import _triple_row, rescale_factor
 
@@ -203,17 +203,19 @@ def _scalar_part(a, m, kappa, dim):
 
 def _casimir_pair(module, basis, q, s):
     """O_qs on the vacuum monomials as an integer form (D, {(row,
-    column): int}), row a vacuum index: x_(0,s,j) acts, then x_(0,q,i)."""
-    act = module._act_form
+    column): int}), row a degree-0 code: x_(0,s,j) acts, then x_(0,q,i)."""
+    act, cfg, alg = module._act_form, module.cfg, module.alg
     den, acc = 1, {}
-    for i, dual in enumerate(module.alg.dual_vectors):
+    for i, dual in enumerate(alg.dual_vectors):
+        a = mode_digit(cfg, alg, (0, q, i))
         for j, d in enumerate(dual):
+            b = mode_digit(cfg, alg, (0, s, j))
             for col, mono in enumerate(basis if d.num else ()):
-                dm, mid = act((0, s, j), mono)
+                dm, mid = act(b, mono)
                 for m2, x in mid.items():
-                    d2, t2 = act((0, q, i), m2)
+                    d2, t2 = act(a, m2)
                     den = add_scaled(den, acc, d2, {
-                        (m3.vacuum, col): y for m3, y in t2.items()},
+                        (m3, col): y for m3, y in t2.items()},
                         x * d.num, dm * d.den)
     return den, acc
 
@@ -242,7 +244,7 @@ def kz_matrices(cfg, alg, weights, level, depth=None):
     kind = "fock" if alg.kind == "abelian1" else "weyl"
     module = induce_module(alg, cfg, ModuleSpec(kind, tuple(weights), level))
     fac = rescale_factor(alg, level)  # raises at the critical level
-    basis = module.slice_basis(0)
+    basis = module._slice_codes(0)
     dim = len(basis)
     half = fac * Rat(1, 2)
     pairs = {}  # (q, s) with q <= s -> O_qs, built on first read

@@ -15,24 +15,27 @@ Three induction kinds share one engine:
 
 Vectors are exact linear combinations of PBW monomials: creation entries
 (n, p, i) sorted ascending (most negative degree first, then point index,
-then g-basis index) applied to a vacuum basis vector.  A `PBWMonomial`
-is the named tuple (creation, vacuum), so the memos it keys hash and
-compare it in C.  The action of any algebra element is computed by exact
-normal ordering: generators commute rightward through the creation
-string via the bracket of single generators
+then g-basis index) applied to a vacuum basis vector, the named tuple
+`PBWMonomial` (creation, vacuum).  The action of any algebra element is
+computed by exact normal ordering: generators commute rightward through
+the creation string via the bracket of single generators
 (`InducedModule._bracket_form`) until they hit the vacuum.  On an
 admissible module every image is a finite exact sum, so nothing is cut
 off by degree; the depth only says which slices a caller lists.  The one
 truncation is a verma module's width bound, and terms beyond it raise
 TruncationOverflow with the lost string lengths.
 
-The action is computed in Python ints.  The memo of the normal ordering
-(`InducedModule._act_memo`) holds each result as a canonical integer
-form (D, {monomial: int}) of the kernel (`knwznw._kernel`, which owns
-the format and its helpers).  Rat is built only at the boundary: `act`
-and `_act_gen` convert with `rats`, and `degree_zero_action`, a dense
-matrix for output, builds one Rat per entry.  The coinvariant relations
-are eliminated on sparse integer rows (`_relation_span`).
+Inside the engine, generator (n, p, i) is the digit ((n + B) N + p - 1)
+dim g + i + 1, ordered as the tuples are (`mode_digit`; |n| > B =
+MODE_BOUND raises DomainError), and a monomial is an int code: the
+vacuum index in the low `_vbits` bits, then one `_dbits`-wide digit per
+creation entry, the first lowest (a degree-0 weyl code is its vacuum
+index).  `slice_basis`, `act`, `_act_gen`, `_act_affine_raw` and
+Sugawara's `apply_L` and audit counterexample convert to and from
+`PBWMonomial` (`encode`, `decode_form`).  The action memo (`_act_memo`,
+keyed code << _dbits | digit) holds canonical integer forms
+(D, {code: int}) of the kernel; Rat is built at the boundary and by
+`degree_zero_action`.
 
 Coinvariants are taken under the block algebra B: g-valued functions
 regular at infinity with poles only at the marked points.  At genus 0
@@ -44,10 +47,11 @@ needed; `degree_zero_coinvariant_dimension` gives the argument.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from math import comb, gcd, prod
 from typing import NamedTuple, Optional
 
-from ._kernel import RAT0, RAT1, Rat, add_scaled, canonical, form, rats
+from ._kernel import RAT0, RAT1, Rat, add_scaled, canonical, form
 from .algebras import _unit_gamma, _unit_product
 from .basis import Combination, Config
 from .errors import DomainError, TruncationOverflow
@@ -80,9 +84,19 @@ class ModuleSpec(_ModuleSpecFields):
         return super().__new__(cls, kind, weights, level, depth, width)
 
 
+MODE_BOUND = 127  # the largest |n| of a generator (n, p, i) with a digit
+
+
+def mode_digit(cfg, alg, gen):
+    n, p, i = gen
+    if not -MODE_BOUND <= n <= MODE_BOUND:
+        raise DomainError("generator %r is past the codec's bound |n| <= "
+                          "%d (MODE_BOUND)" % (gen, MODE_BOUND))
+    return ((n + MODE_BOUND) * cfg.n_points + p - 1) * alg.dim + i + 1
+
+
 class PBWMonomial(NamedTuple):
-    """Sorted creation string applied to a vacuum basis vector.  A tuple
-    (creation, vacuum), so it hashes, compares and sorts in C."""
+    """Sorted creation string applied to a vacuum basis vector."""
 
     creation: tuple
     vacuum: int
@@ -134,10 +148,18 @@ class InducedModule:
             self.vac_dim = prod(f.dim for f in self.factors)
             self.strides = tensor_strides(self.factors)
         self.weights = tuple(as_rat(w) for w in spec.weights)
+        self._vbits = (self.vac_dim - 1).bit_length()  # the codec
+        self._vmask = (1 << self._vbits) - 1
+        self._dbits = ((2 * MODE_BOUND + 1) * n * alg.dim).bit_length()
+        self._dmask = (1 << self._dbits) - 1
+        self._dim = alg.dim
+        self._zero = MODE_BOUND * n * alg.dim + 1  # the digit of (0, 1, 0)
+        self._lowering = frozenset(  # degree-0 creators, verma only
+            mode_digit(cfg, alg, k) for k in self.creation_keys(0))
         self._act_memo = {}
         self._bracket_memo = {}
         self._slice_memo = {}
-        self._sugawara_memo = {}  # see sugawara._image
+        self._sugawara_memo = defaultdict(dict)  # see sugawara._image
         self._relation_plans = {}  # see sugawara._relation_plan
 
     # -- PBW bookkeeping -------------------------------------------------
@@ -155,50 +177,78 @@ class InducedModule:
                     keys.append((0, p, i))
         return keys
 
-    def _is_creation(self, key):
-        n, _p, i = key
-        if n <= -1:
-            return True
-        return (n == 0 and self.spec.kind == "verma"
-                and i in self.alg.minus_indices)
+    def generator(self, digit):
+        q, i = divmod(digit - 1, self._dim)
+        n, p = divmod(q, self.cfg.n_points)
+        return (n - MODE_BOUND, p + 1, i)
+
+    def encode(self, mono):
+        code = mono.vacuum
+        for gen in reversed(mono.creation):
+            code = self._prepend(mode_digit(self.cfg, self.alg, gen), code)
+        return code
+
+    def decode(self, code):
+        gens, string = [], code >> self._vbits
+        while string:
+            gens.append(self.generator(string & self._dmask))
+            string >>= self._dbits
+        return PBWMonomial(tuple(gens), code & self._vmask)
+
+    def decode_form(self, den, nums):  # {PBWMonomial: Rat}
+        return {self.decode(c): Rat(x, den) for c, x in nums.items() if x}
+
+    def code_degree(self, code):  # the sum of its digits' modes
+        deg, string = 0, code >> self._vbits
+        row = self._dim * self.cfg.n_points  # digits per mode
+        while string:
+            deg += ((string & self._dmask) - self._zero) // row
+            string >>= self._dbits
+        return deg
+
+    def _peel(self, code):
+        """(c1, w) for code c1.w; c1 = 0 on a vacuum monomial."""
+        string = code >> self._vbits
+        return (string & self._dmask,
+                string >> self._dbits << self._vbits | code & self._vmask)
+
+    def _prepend(self, digit, code):  # digit at most code's first
+        return ((code >> self._vbits << self._dbits | digit) << self._vbits
+                | code & self._vmask)
 
     def slice_basis(self, d):
         """Exact basis of the degree-d slice (d <= 0), as monomials."""
-        if d > 0:
-            return []
-        hit = self._slice_memo.get(d)
+        return [self.decode(c) for c in self._slice_codes(d)]
+
+    def _slice_codes(self, d):
+        """The codes of `slice_basis(d)`, memoised: sorted strings of total
+        degree d, at most `width` long.  Degree-zero keys (verma) come last
+        in `keys`, so they extend a string only once d is reached."""
+        hit = self._slice_memo.get(d) if d <= 0 else []
         if hit is not None:
             return hit
         keys = self.creation_keys(d if d < 0 else -1)
-        strings = self._strings(keys, d, self.spec.width)
-        out = [PBWMonomial(s, v) for s in strings for v in range(self.vac_dim)]
-        self._slice_memo[d] = out
-        return out
+        digits = [mode_digit(self.cfg, self.alg, k) for k in keys]
+        width, db, out = self.spec.width, self._dbits, []
 
-    def _strings(self, keys, target, width):
-        """Sorted creation strings of total degree target, at most `width`
-        entries long.  Degree-zero keys (verma) come last in `keys`, so
-        they extend a string only once its degree is reached."""
-        out = []
-
-        def rec(pos, remaining, current):
-            if width is not None and len(current) > width:
+        def rec(pos, remaining, length, string):
+            if width is not None and length > width:
                 return
             if remaining == 0:
-                out.append(tuple(current))
+                out.append(string)
             for idx in range(pos, len(keys)):
-                k = keys[idx]
-                n = k[0]
+                n = keys[idx][0]
                 if remaining - n > 0:
                     continue
                 if n == 0 and remaining:
                     break
-                current.append(k)
-                rec(idx, remaining - n, current)
-                current.pop()
+                rec(idx, remaining - n, length + 1,
+                    string | digits[idx] << db * length)
 
-        rec(0, target, [])
-        return out
+        rec(0, d, 0, 0)
+        hit = self._slice_memo[d] = [s << self._vbits | v for s in out
+                                     for v in range(self.vac_dim)]
+        return hit
 
     def slice_dimension(self, d):
         """Dimension of the degree-d slice, counted without building it.
@@ -241,25 +291,26 @@ class InducedModule:
     # -- action ----------------------------------------------------------
 
     def _bracket_form(self, a, b):
-        """[a, b] of two single generators a = (n, p, i), b = (m, s, j),
-        as a canonical integer form over generators; memoised in
+        """[a, b] of two single generators, digits a of (n, p, i) and b of
+        (m, s, j), as a canonical integer form over digits; memoised in
         `_bracket_memo`.
 
         The loop part is sum_k f_ij^k x_k (x) A_{n,p} A_{m,s}, with the
         unit product from the cache of the configuration, and the central
         part -(x_i|x_j) gamma(A_{n,p}, A_{m,s}) times the level, under
         the key None."""
-        key = (a, b)
+        key = a << self._dbits | b
         hit = self._bracket_memo.get(key)
         if hit is None:
-            (n, p, i), (m, s, j) = a, b
+            (n, p, i), (m, s, j) = self.generator(a), self.generator(b)
             terms = {}
             tbl = self.alg.bracket.get((i, j))
             if tbl:
                 den, prod = _unit_product(self.cfg, (0, 0), (n, p), (m, s))
                 for (h, t), x in prod.items():
                     for k, c in tbl.items():
-                        terms[(h, t, k)] = c * Rat(x, den)
+                        terms[mode_digit(self.cfg, self.alg, (h, t, k))] = \
+                            c * Rat(x, den)
             central = self.alg.form[i][j] * self.level
             if central.num != 0:
                 central = central * _unit_gamma(self.cfg, (n, p), (m, s))
@@ -269,49 +320,39 @@ class InducedModule:
         return hit
 
     def _vacuum_action(self, gen, vac):
-        n, p, i = gen
-        if n >= 1:
+        if gen < self._zero or gen in self._lowering:  # a creator
+            return {gen << self._vbits | vac: RAT1}
+        p, i = divmod(gen - self._zero, self._dim)  # x_i at P_(p+1)
+        if p >= self.cfg.n_points:  # a positive mode
             return {}
-        if n <= -1:
-            return {PBWMonomial((gen,), vac): RAT1}
-        # degree zero
-        if self.spec.kind != "verma":
-            mod = self.factors[p - 1]
-            sp = self.strides[p - 1]
+        if self.spec.kind != "verma":  # degree zero, on the irreps
+            mod, sp = self.factors[p], self.strides[p]
             jp = (vac // sp) % mod.dim
             base = vac - jp * sp
-            return {PBWMonomial((), base + r * sp): c
-                    for r, s, c in mod.entries[i] if s == jp}
-        # verma
-        if i in self.alg.plus_indices:
-            return {}
-        if i in self.alg.cartan_indices:
-            w = self.weights[p - 1]  # the torus acts by the weight
-            if w.num == 0:
-                return {}
-            return {PBWMonomial((), vac): w}
-        return {PBWMonomial((gen,), vac): RAT1}
+            return {base + r * sp: c for r, s, c in mod.entries[i] if s == jp}
+        w = self.weights[p]  # a verma torus acts by the weight, e by 0
+        if i in self.alg.cartan_indices and w.num != 0:
+            return {vac: w}
+        return {}
 
-    def _act_form(self, gen, mono):
-        """Exact action of one loop generator on a basis monomial, as an
-        integer form (D, {monomial: int}); memoised in `_act_memo`.
+    def _act_form(self, gen, code):
+        """Exact action of a generator digit on a monomial code, as an
+        integer form (D, {code: int}); memoised in `_act_memo`.
 
         The generator commutes rightward through the creation string:
         gen.(c1.rest) = c1.(gen.rest) + [gen, c1].rest, summed over one
         widening denominator and reduced once."""
-        key = (gen, mono)
+        key = code << self._dbits | gen
         hit = self._act_memo.get(key)
         if hit is not None:
             return hit
-        creation = mono.creation
-        if not creation:
-            res = form(self._vacuum_action(gen, mono.vacuum))
-        elif self._is_creation(gen) and gen <= creation[0]:
-            res = (1, {PBWMonomial((gen,) + creation, mono.vacuum): 1})
+        c1, rest = self._peel(code)
+        if not c1:
+            res = form(self._vacuum_action(gen, code))
+        elif gen <= c1 and (gen < self._zero or gen in self._lowering):
+            res = (1, {self._prepend(gen, code): 1})
         else:
             act = self._act_form
-            rest = PBWMonomial(creation[1:], mono.vacuum)
-            c1 = creation[0]
             den, acc = 1, {}
             di, inner = act(gen, rest)
             for m2, x in inner.items():
@@ -329,26 +370,27 @@ class InducedModule:
         return res
 
     def _act_gen(self, gen, mono):
-        """Exact action of one loop generator on a basis monomial, as a
-        fresh {monomial: Rat} dict built from the memoised integer form
-        (`_act_form`); not memoised itself."""
-        return rats(*self._act_form(gen, mono))
+        """x_(n,p,i) on a monomial, a fresh {monomial: Rat} dict."""
+        return self.decode_form(*self._act_form(
+            mode_digit(self.cfg, self.alg, gen), self.encode(mono)))
 
     def _act_affine_raw(self, a, terms):
         """Exact action of an affine element on a term dict; no width check."""
         den, acc = 1, {}
-        loop = a.loop.items()
+        loop = [(mode_digit(self.cfg, self.alg, (n, p, i)), c)
+                for (i, n, p), c in a.loop.items()]
         central = a.central * self.level
         for mono, cm in terms.items():
+            code = self.encode(mono)
             if central.num != 0:
                 s = central * cm
-                den = add_scaled(den, acc, 1, {mono: 1}, s.num, s.den)
-            for (i, n, p), c in loop:
-                d2, t2 = self._act_form((n, p, i), mono)
+                den = add_scaled(den, acc, 1, {code: 1}, s.num, s.den)
+            for gen, c in loop:
+                d2, t2 = self._act_form(gen, code)
                 if t2:
                     s = c * cm
                     den = add_scaled(den, acc, d2, t2, s.num, s.den)
-        return rats(den, acc)
+        return self.decode_form(den, acc)
 
     def act(self, a, v):
         """Exact module action of an affine element on a vector.  Terms
@@ -370,17 +412,18 @@ class InducedModule:
         can push an image out of the slice.  Such images raise
         TruncationOverflow with the lengths of their strings past it.
         """
-        basis0 = self.slice_basis(0)
+        basis0 = self._slice_codes(0)
         index = {m: r for r, m in enumerate(basis0)}
+        gen = mode_digit(self.cfg, self.alg, (0, p, i))
         mat = [[RAT0] * len(basis0) for _ in basis0]
         lost = set()
-        for col, mono in enumerate(basis0):
-            den, image = self._act_form((0, p, i), mono)
+        for col, code in enumerate(basis0):
+            den, image = self._act_form(gen, code)
             for m2, x in image.items():
                 if m2 in index:
                     mat[index[m2]][col] = Rat(x, den)
                 else:
-                    lost.add(len(m2.creation))
+                    lost.add(len(self.decode(m2).creation))
         if lost:
             raise TruncationOverflow(lost_widths=lost)
         return mat
@@ -436,26 +479,28 @@ def _relation_span(module):
     its nonzero entries over `slice_basis(0)`, with content gcd 1.
 
     x (x) 1 = sum_p x (x) A_{0,p}, so the relation of x_i (x) 1 on a basis
-    monomial is the sum over p of `_act_form((0, p, i), mono)`, without
-    its denominator.  Elimination is fraction-free, and dividing out each
+    monomial is the sum over p of the action forms of x_(0,p,i), without
+    their denominator.  Elimination is fraction-free, and dividing out each
     row's content after every step keeps its integers small.  Stops as
     soon as the span fills the slice.  A relation that reaches a degree-0
     string longer than a verma module's width bound is left out: that
     cannot shrink a full span, but a span that stays short raises
     TruncationOverflow, because the dimension would then be inflated.
     """
-    basis0 = module.slice_basis(0)
+    basis0 = module._slice_codes(0)
     index = {m: c for c, m in enumerate(basis0)}
     pivots = {}  # leading column -> reduced row
     lost_widths = set()
     for i in range(module.alg.dim):
+        gens = [mode_digit(module.cfg, module.alg, (0, p, i))
+                for p in range(1, module.cfg.n_points + 1)]
         for mono in basis0:
             den, acc = 1, {}
-            for p in range(1, module.cfg.n_points + 1):
-                den = add_scaled(den, acc, *module._act_form((0, p, i), mono),
-                                 1, 1)
+            for gen in gens:
+                den = add_scaled(den, acc, *module._act_form(gen, mono), 1, 1)
             # add_scaled keeps every key it saw, zero or not
-            lost = {len(m.creation) for m in acc if m not in index}
+            lost = {len(module.decode(m).creation) for m in acc
+                    if m not in index}
             if lost:
                 lost_widths |= lost
                 continue

@@ -24,14 +24,14 @@ implementation uses as its summation bound.
 
 L(k,r) is linear, so its image of each PBW monomial is computed once per
 module and memoised (`_image`, read by `apply_L_raw`) as an integer form
-(D, {monomial: int}) of the kernel.  A vacuum monomial has degree 0 and
-is summed over the term plan of degree 0 (`_term_plan`), which writes
-u^i = sum_j D_ij u_j and groups the terms by the operator that acts
-first.  A monomial c1.w, with c1 = (n, p, i) the first entry of its
-creation string, follows from the image of w by the current relation of
-the global Sugawara construction (Schlichenmaier and Sheinman, Russian
-Math. Surveys 54 (1999)), [L(e), x(A)] = -(level + h^v) x(e.A)
-(`_L_image`):
+(D, {code: int}) over monomial codes (`modules`; plans hold digits).  A
+vacuum monomial has degree 0 and is summed over the term plan of degree
+0 (`_term_plan`), which writes u^i = sum_j D_ij u_j and groups the terms
+by the operator that acts first.  A monomial c1.w, with c1 = (n, p, i)
+the first entry of its creation string, follows from the image of w by
+the current relation of the global Sugawara construction (Schlichenmaier
+and Sheinman, Russian Math. Surveys 54 (1999)), [L(e), x(A)] =
+-(level + h^v) x(e.A) (`_L_image`):
 
     L(c1.w) = c1.L(w) - (level + h^v) x_i(e_{k,r}.A_{n,p}).w,
 
@@ -41,8 +41,8 @@ c1 acts on the others (`_act_form`).  The relation's terms, over the
 cached Lie-derivative entry e_{k,r}.A_{n,p}, are memoised per module
 and (k, r, c1, degree of w) (`_relation_plan`): their scalar carries the
 level.  The degree of w is that of c1.w minus n, carried down the
-recursion; only an image whose caller gives no degree sums a creation
-string, once, and the audit gives the degree of its slice.  The term
+recursion; only an image whose caller gives no degree reads it off the
+code's digits, and the audit gives the degree of its slice.  The term
 plan applied directly stays the definition of L, and the oracle the
 relation is checked against: the verify check `summation-bounds`
 compares the engine's images with the wider plan of degree d - 3
@@ -52,8 +52,8 @@ Images are integer forms, summed with the kernel's `add_scaled`.
 `apply_L_raw` hands a caller a fresh one, or adds a scaled image into
 the caller's accumulator: the commutator audit sums each identity on a
 monomial into one accumulator, reading memoised images in place, and
-takes `canonical` once.  Rat is built only by `apply_L` and for the
-audit's scalar and counterexample.
+takes `canonical` once.  Rat and `PBWMonomial` are built only by
+`apply_L` and for the audit's scalar and counterexample.
 
 The rescaled operators -1/(level + dual Coxeter) L(k,r) represent the
 centrally extended vector-field algebra; the audit measures the central
@@ -65,13 +65,13 @@ from __future__ import annotations
 from math import lcm
 from typing import NamedTuple
 
-from ._kernel import RAT0, Rat, add_scaled, canonical, form, rats
+from ._kernel import RAT0, Rat, add_scaled, canonical, form
 from .algebras import (R_ZERO, _unit_lie_derivative, cocycle_chi,
                        vf_bracket)
 from .basis import (GradedElement, KNIndex, kn_basis_element,
                     monomial_residue)
 from .errors import CriticalLevelError, DomainError
-from .modules import ModuleVector, PBWMonomial
+from .modules import ModuleVector, mode_digit
 
 
 _HALF = Rat(1, 2)
@@ -131,16 +131,16 @@ def _term_plan(cfg, alg, k, r, dv):
     A term is c/2 D_ij :u_i(n,p) u_j(t-n,s): for t in the structural
     band (`total_degree_band`), n in [t + dv, -dv] (the summation
     bound), c = c_{(n,p),(t-n,s)} != 0 and u^i = sum_j D_ij u_j.  Its
-    operators a = (n, p, i) and b = (t-n, s, j) are applied as
-    first.(second.mono) with (first, second) = (a, b), or (b, a) when
+    operators a = (n, p, i) and b = (t-n, s, j), as digits, are applied
+    as first.(second.mono) with (first, second) = (a, b), or (b, a) when
     normal ordering swaps them.  The plan is (den, ((second, ((first,
     num), ...)), ...)), every (t, n) merged, with num/den the summed
     coefficient of the pair: one denominator for the whole plan.  One
     plan per (algebra, k, r, dv) in cfg.cache, so every monomial of
-    degree dv shares it, and its generator tuples key the module's action
-    memo.  The plan of a lower degree holds every term of this one and
-    more modes past the bound; the check `summation-bounds` applies such
-    a plan directly (`_apply_plan`)."""
+    degree dv shares it, and its digits key the module's action memo.
+    The plan of a lower degree holds every term of this one and more
+    modes past the bound; the check `summation-bounds` applies such a
+    plan directly (`_apply_plan`)."""
     key = ("sugw-plan", alg.kind, k, r, dv)
     plan = cfg.cache.get(key)
     if plan is not None:
@@ -158,7 +158,8 @@ def _term_plan(cfg, alg, k, r, dv):
                 for i, dual in enumerate(alg.dual_vectors):
                     for j, d in enumerate(dual):
                         if d.num != 0:
-                            a, b = (n, p, i), (m, s, j)
+                            a = mode_digit(cfg, alg, (n, p, i))
+                            b = mode_digit(cfg, alg, (m, s, j))
                             first, second = (b, a) if swap else (a, b)
                             firsts = groups.setdefault(second, {})
                             firsts[first] = firsts.get(first, RAT0) + half * d
@@ -194,16 +195,14 @@ def sugawara_coefficients(cfg, idx, band):
     return TripleCoefficientTable(k, r, entries)
 
 
-def _image(module, k, r, mono, degree=None):
-    """The memoised image of one monomial (`_L_image`), keyed by
-    ((k, r), monomial) in the module's image memo; never mutated.  A
-    caller that knows the monomial's degree passes it, and `_L_image`
-    then sums no creation string."""
-    memo = module._sugawara_memo
-    key = ((k, r), mono)
-    img = memo.get(key)
+def _image(module, k, r, code, degree=None):
+    """The memoised image of one monomial code (`_L_image`), in the image
+    memo `_sugawara_memo[(k, r)]`; never mutated.  A caller that knows
+    the monomial's degree passes it."""
+    images = module._sugawara_memo[(k, r)]
+    img = images.get(code)
     if img is None:
-        img = memo[key] = _L_image(module, k, r, mono, degree)
+        img = images[code] = _L_image(module, k, r, code, degree)
     return img
 
 
@@ -214,48 +213,50 @@ def _relation_scalar(module):
 
 def _relation_plan(module, k, r, c1, top):
     """[L(k, r), c1] on monomials w of degree -top, c1 = (n, p, i), as
-    (den, (((m, q, i), num), ...)), the terms -(level + h^v) l_{m,q}
-    x_i(m, q) over e_{k,r}.A_{n,p} = sum l_{m,q} A_{m,q}, the cached
-    weight-0 unit entry of the Lie derivative.  A term with m > top sends
-    w past slice 0 and is dropped; at the critical level there is none.
-    The scalar carries the level, so the plans are memoised per module
-    (`InducedModule._relation_plans`), never on the configuration."""
+    (den, (((m, q, i), num), ...)) over digits, the terms -(level + h^v)
+    l_{m,q} x_i(m, q) over e_{k,r}.A_{n,p} = sum l_{m,q} A_{m,q}, the
+    cached weight-0 unit entry of the Lie derivative.  A term with m > top
+    sends w past slice 0 and is dropped; at the critical level there is
+    none.  The scalar carries the level, so the plans are memoised per
+    module (`InducedModule._relation_plans`), never on the configuration."""
     key = (k, r, c1, top)
     plan = module._relation_plans.get(key)
     if plan is None:
-        s = _relation_scalar(module)
-        lden, lnums = _unit_lie_derivative(module.cfg, (k, r), 0, c1[:2])
+        s, (n, p, i) = _relation_scalar(module), module.generator(c1)
+        lden, lnums = _unit_lie_derivative(module.cfg, (k, r), 0, (n, p))
         plan = module._relation_plans[key] = (lden * s.den, tuple(
-            ((m, q, c1[2]), s.num * x)
+            (mode_digit(module.cfg, module.alg, (m, q, i)), s.num * x)
             for (m, q), x in lnums.items() if m <= top) if s.num else ())
     return plan
 
 
-def _L_image(module, k, r, mono, degree):
-    """L(k, r) on one monomial, as an integer form (D, {monomial: int}).
+def _L_image(module, k, r, code, degree):
+    """L(k, r) on one monomial code, as an integer form (D, {code: int}).
 
     A vacuum monomial is summed over the term plan of degree 0
     (`_term_plan`).  A monomial c1.w follows from the current relation
     L(c1.w) = c1.L(w) + [L(k, r), c1].w (`_relation_plan`), with L(w)
     read from the image memo.  A monomial of L(w) whose string is empty
-    or starts at or after c1 takes c1 in front by one write, its
-    numerator scaled to the current denominator; c1 acts on the others
-    (`_act_form`).  The degree of w is that of c1.w minus n when a caller
-    gave it; else w's string is summed (`PBWMonomial.degree`).
+    or starts at or after c1 takes c1 in front by one write (the shifts of
+    `_prepend`), its numerator scaled to the current denominator; c1 acts
+    on the others (`_act_form`).  The degree of w is that of c1.w minus n
+    when a caller gave it; else it is read off w's digits.
     """
-    creation = mono.creation
-    if not creation:
+    c1, w = module._peel(code)
+    if not c1:
         return _apply_plan(module, _term_plan(module.cfg, module.alg, k, r,
-                                              0), mono)
+                                              0), code)
     act = module._act_form
-    c1, w = creation[0], PBWMonomial(creation[1:], mono.vacuum)
-    dw = w.degree if degree is None else degree - c1[0]
+    dw = (module.code_degree(w) if degree is None
+          else degree - module.generator(c1)[0])
     wden, wnums = _image(module, k, r, w, dw)
+    vb, vmask, dmask = module._vbits, module._vmask, module._dmask
+    shift, head = module._dbits + vb, c1 << vb
     den, acc = wden, {}
     for m2, x in wnums.items():
-        string = m2.creation
-        if not string or c1 <= string[0]:
-            m3 = PBWMonomial((c1,) + string, m2.vacuum)
+        first = m2 >> vb & dmask
+        if not first or c1 <= first:
+            m3 = m2 >> vb << shift | head | m2 & vmask
             acc[m3] = acc.get(m3, 0) + x * (den // wden)
         else:
             d2, t2 = act(c1, m2)
@@ -271,7 +272,7 @@ def _L_image(module, k, r, mono, degree):
 
 def _apply_plan(module, plan, base):
     """A plan (den, ((second, ((first, num), ...)), ...)) applied to the
-    monomial base, as a canonical integer form.
+    monomial code base, as a canonical integer form.
 
     Each second acts once on base; its image, scaled by each of its
     terms, is summed with `add_scaled` into an integer form of its own
@@ -281,7 +282,7 @@ def _apply_plan(module, plan, base):
     """
     act = module._act_form
     pden, terms = plan
-    args = {}  # first -> [den, {monomial: int}]
+    args = {}  # first -> [den, {code: int}]
     for second, firsts in terms:
         dm, mid = act(second, base)
         if not mid:
@@ -302,23 +303,23 @@ def _apply_plan(module, plan, base):
 
 
 def apply_L_raw(module, idx, vec, into=None, a=1, b=1):
-    """Exact L(k, r) on an integer form vec = (D, {monomial: int}), as a
-    fresh canonical integer form; or, given a caller's accumulator
+    """Exact L(k, r) on an integer form vec = (D, {code: int}), as a fresh
+    canonical integer form; or, given a caller's accumulator
     into = (den, acc), a/b L(k, r) vec added into it (acc is extended in
     place and may hold zero numerators), returning the new (den, acc).
 
     L(k, r) is linear, so the image of each monomial is computed once per
-    module and memoised under ((k, r), monomial) (`_image`); the image of
-    vec sums the cached numerators scaled by vec's numerators over one
-    denominator.  Neither vec nor a memoised image is mutated, so vec may
-    be a memoised image itself.
+    module and memoised (`_image`); the image of vec sums the cached
+    numerators scaled by vec's numerators over one denominator.  Neither
+    vec nor a memoised image is mutated, so vec may be a memoised image
+    itself.
     """
     k, r = idx
     vden, terms = vec
     den, acc = into or (1, {})
     e = b * vden
-    for mono, cm in terms.items():
-        img = _image(module, k, r, mono)
+    for code, cm in terms.items():
+        img = _image(module, k, r, code)
         if img[1]:
             den = add_scaled(den, acc, *img, a * cm, e)
     return (den, acc) if into else canonical(den, acc)
@@ -327,7 +328,8 @@ def apply_L_raw(module, idx, vec, into=None, a=1, b=1):
 def apply_L(module, idx, v):
     """L(k, r) on a module vector: the exact image, whatever its degrees.
     The one place a Sugawara image becomes Rat."""
-    return ModuleVector(rats(*apply_L_raw(module, idx, form(v.terms))))
+    vec = form({module.encode(m): c for m, c in v.terms.items()})
+    return ModuleVector(module.decode_form(*apply_L_raw(module, idx, vec)))
 
 
 def rescale_factor(alg, level):
@@ -395,7 +397,7 @@ def sugawara_commutator_audit(cfg, alg, module, pairs, window):
         is_scalar = True
         counterexample = None
         for d in window:
-            basis = module.slice_basis(d)
+            basis = module._slice_codes(d)
             sigma = None
             for mono in basis:
                 # f2 L_kr(L_ms mono) - f2 L_ms(L_kr mono) - sum c L_hu mono,
@@ -418,7 +420,8 @@ def sugawara_commutator_audit(cfg, alg, module, pairs, window):
                     sigma = got
                 if got != sigma or any(m2 != mono for m2 in diff):
                     is_scalar = False
-                    counterexample = (d, mono, ModuleVector(rats(den, diff)))
+                    counterexample = (d, module.decode(mono), ModuleVector(
+                        module.decode_form(den, diff)))
                     break
             per_slice[d] = sigma
             if not is_scalar:

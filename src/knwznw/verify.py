@@ -700,7 +700,7 @@ def summation_bounds():
     # both reach its images
     for module in (_fock_n1(), _weyl_n2()):
         for d in (0, -2, -3):
-            for mono in module.slice_basis(d)[:4]:
+            for mono in module._slice_codes(d)[:4]:
                 for k in (-1, 0, 2):
                     plan = _term_plan(module.cfg, module.alg, k, 1, d - 3)
                     if (apply_L_raw(module, (k, 1), (1, {mono: 1}))

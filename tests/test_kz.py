@@ -371,8 +371,10 @@ def test_translation_leaves_kz_and_sugawara_images_unchanged(sl2, data, n,
         assert mods[1].slice_basis(d) == basis
         monos = data.draw(st.lists(st.sampled_from(basis), min_size=1,
                                    max_size=3, unique=True))
+        # the two modules share their codec: one code names one monomial
         vec = (data.draw(st.integers(1, 6)),
-               {m: data.draw(st.integers(-5, 5).filter(bool)) for m in monos})
+               {mods[0].encode(m): data.draw(st.integers(-5, 5).filter(bool))
+                for m in monos})
         k = data.draw(st.integers(-2, 2))
         r = data.draw(st.integers(1, n))
         images = [apply_L_raw(m, (k, r), vec) for m in mods]
@@ -388,10 +390,11 @@ def full_image_block(module, p, f):
     index = {m: r for r, m in enumerate(basis)}
     mat = [[RAT0] * len(basis) for _ in basis]
     for col, mono in enumerate(basis):
-        den, image = apply_L_raw(module, (-1, p), (1, {mono: 1}))
-        for m, x in image.items():
+        image = module.decode_form(*apply_L_raw(
+            module, (-1, p), (1, {module.encode(mono): 1})))
+        for m, c in image.items():
             if m.degree == 0:
-                mat[index[m]][col] = f * Rat(x, den)
+                mat[index[m]][col] = f * c
     return mat
 
 

@@ -8,21 +8,21 @@ from math import gcd
 from time import perf_counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import section_of
-from knwznw import Rat
+from knwznw import Rat, verify
 from knwznw._kernel import RAT0, RAT1, ZERO_FORM, merge, rats
 from knwznw.affine import (AffineElement, _block_expansions, affine_bracket,
                            block_algebra_basis)
 from knwznw.basis import Config
 from knwznw.errors import DomainError, TruncationOverflow
 from knwznw.finite_lie import factor_op, make_algebra
-from knwznw.modules import (ModuleSpec, ModuleVector, PBWMonomial,
-                            _relation_span,
+from knwznw.modules import (MODE_BOUND, InducedModule, ModuleSpec,
+                            ModuleVector, PBWMonomial, _relation_span,
                             degree_zero_coinvariant_dimension,
-                            induce_module)
+                            induce_module, mode_digit)
 from knwznw.sugawara import sugawara_commutator_audit
 
 E, H, F = 0, 1, 2
@@ -261,6 +261,89 @@ def test_admissibility(weyl11):
                         assert not weyl11._act_gen((n, p, i), mono)
 
 
+def test_a_nonzero_annihilator_fails_admissibility(monkeypatch):
+    # x_(1,2,f) acts on every vacuum monomial as the identity in place of
+    # zero: a positive mode above slice 0 no longer annihilates it
+    assert verify.admissibility()[0]
+    real = InducedModule._vacuum_action
+
+    def wrong(self, gen, vac):
+        if self.generator(gen) == (1, 2, F):
+            return {vac: RAT1}
+        return real(self, gen, vac)
+
+    monkeypatch.setattr(InducedModule, "_vacuum_action", wrong)
+    assert verify.admissibility() == (False, "not admissible at (0, 1, 2, 2)")
+
+
+def test_a_wrong_vacuum_action_entry_fails_weyl_degree_zero(monkeypatch):
+    # one entry of the degree-0 action on the vacuum codes, h(0,1) on
+    # vacuum 0 (the weight, 1), moves by one
+    assert verify.weyl_degree_zero()[0]
+    real = InducedModule._vacuum_action
+    moved = []
+
+    def wrong(self, gen, vac):
+        out = real(self, gen, vac)
+        if self.generator(gen) == (0, 1, H) and vac == 0:
+            assert out == {0: RAT1}
+            moved.append(vac)
+            return {0: Rat(2)}
+        return out
+
+    monkeypatch.setattr(InducedModule, "_vacuum_action", wrong)
+    assert verify.weyl_degree_zero() == (False, "degree-0 action mismatch")
+    assert moved == [0]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(("weyl", "fock", "verma")),
+       n=st.integers(1, 4), d=st.integers(-4, 0))
+def test_the_codec_round_trips_and_keeps_the_tuple_order(sl2, ab, data,
+                                                         kind, n, d):
+    # every slice monomial survives encode and decode; digits order the
+    # generators as tuples do; peel, prepend and the degree read off a
+    # code are the tuple operations; a mode past the bound is refused
+    cfg = Config([str(x) for x in range(n)])
+    alg = ab if kind == "fock" else sl2
+    width = data.draw(st.integers(0, 3)) if kind == "verma" else None
+    weights = tuple(data.draw(st.integers(0, 1)) if kind == "weyl"
+                    else Rat(data.draw(st.integers(-3, 3))) for _ in range(n))
+    module = induce_module(alg, cfg, ModuleSpec(kind, weights, Rat(1),
+                                                width=width))
+    assume(module.slice_dimension(d) <= 1500)
+    basis, codes = module.slice_basis(d), module._slice_codes(d)
+    assert len(basis) == len(set(codes)) == module.slice_dimension(d)
+    assert [module.encode(m) for m in basis] == codes
+    assert [module.decode(c) for c in codes] == basis
+    gens = [(m, p, i) for m in (-MODE_BOUND, -2, -1, 0, 1, MODE_BOUND)
+            for p in range(1, n + 1) for i in range(alg.dim)]
+    digits = [mode_digit(cfg, alg, g) for g in gens]
+    assert digits == sorted(digits) and len(set(digits)) == len(gens)
+    assert [module.generator(x) for x in digits] == gens
+    keys = module.creation_keys(-2)
+    for mono, code in zip(basis[:20], codes):
+        c1, w = module._peel(code)
+        assert module.code_degree(code) == mono.degree
+        if mono.creation:
+            assert module.generator(c1) == mono.creation[0]
+            assert module.decode(w) == PBWMonomial(mono.creation[1:],
+                                                   mono.vacuum)
+            assert module._prepend(c1, w) == code
+        else:
+            assert (c1, w) == (0, code)
+        for gen in keys:
+            if not mono.creation or gen <= mono.creation[0]:
+                got = module._prepend(mode_digit(cfg, alg, gen), code)
+                assert module.decode(got) == PBWMonomial(
+                    (gen,) + mono.creation, mono.vacuum)
+    for bad in ((MODE_BOUND + 1, 1, 0), (-MODE_BOUND - 1, n, 0)):
+        with pytest.raises(DomainError, match=r"\|n\| <= 127 \(MODE_BOUND"):
+            mode_digit(cfg, alg, bad)
+        with pytest.raises(DomainError, match="MODE_BOUND"):
+            module.encode(PBWMonomial((bad,), 0))
+
+
 def test_degree_zero_matches_finite_module(weyl11):
     basis0 = weyl11.slice_basis(0)
     index = {m: i for i, m in enumerate(basis0)}
@@ -302,11 +385,34 @@ def test_bracket_forms_match_the_affine_bracket(sl2, ab):
             want = dict(loop)
             if central.num != 0:
                 want[None] = central
-            assert rats(*module._bracket_form(a, b)) == want
+            got = rats(*module._bracket_form(digit(module, a),
+                                             digit(module, b)))
+            # None keys the central part
+            assert {g if g is None else module.generator(g): c
+                    for g, c in got.items()} == want
             seen["loop"] += bool(loop)
             seen["central"] += central.num != 0
         assert len(module._bracket_memo) == len(gens) ** 2
     assert seen["loop"] > 1000 and seen["central"] > 100
+
+
+def digit(module, gen):
+    return mode_digit(module.cfg, module.alg, gen)
+
+
+def vacuum_action(module, gen, vac):
+    """`InducedModule._vacuum_action` of a generator (n, p, i) through the
+    codec, as {monomial: Rat}."""
+    return {module.decode(c): v for c, v
+            in module._vacuum_action(digit(module, gen), vac).items()}
+
+
+def is_creation(module, gen):
+    """Whether gen = (n, p, i) creates: n <= -1, or a degree-0 lowering
+    generator of a verma module."""
+    n, _p, i = gen
+    return n <= -1 or (n == 0 and module.spec.kind == "verma"
+                       and i in module.alg.minus_indices)
 
 
 def rat_act_gen(module, gen, mono, memo):
@@ -320,8 +426,8 @@ def rat_act_gen(module, gen, mono, memo):
         return hit
     creation = mono.creation
     if not creation:
-        res = module._vacuum_action(gen, mono.vacuum)
-    elif module._is_creation(gen) and gen <= creation[0]:
+        res = vacuum_action(module, gen, mono.vacuum)
+    elif is_creation(module, gen) and gen <= creation[0]:
         res = {PBWMonomial((gen,) + creation, mono.vacuum): RAT1}
     else:
         rest = PBWMonomial(creation[1:], mono.vacuum)
@@ -361,7 +467,9 @@ def test_integer_action_matches_the_rat_recursion(sl2, ab):
                     got = module._act_gen(gen, mono)
                     assert got == want, (gen, mono)
                     compared += bool(want)
-                    widened += module._act_memo[(gen, mono)][0] > 1
+                    key = module.encode(mono) << module._dbits | digit(
+                        module, gen)
+                    widened += module._act_memo[key][0] > 1
     assert compared > 3000 and widened > 1000
 
 
@@ -384,10 +492,12 @@ def test_memoised_forms_are_canonical(sl2):
         pairs = [((1, 1), (-1, 2)), ((1, 2), (-1, 1)), ((0, 1), (0, 2))]
         res = sugawara_commutator_audit(cfg, sl2, module, pairs, [-1, -2])
         assert all(e.is_scalar for e in res)
-        for memo in (module._act_memo, module._sugawara_memo):
-            assert len(memo) > 1000
+        images = [img for memo in module._sugawara_memo.values()
+                  for img in memo.values()]
+        for forms in (list(module._act_memo.values()), images):
+            assert len(forms) > 1000
             zeros = 0
-            for form in memo.values():
+            for form in forms:
                 assert_canonical(form)
                 zeros += not form[1]
             assert zeros > 0
@@ -535,10 +645,10 @@ class _Reduction:
         creation = mono.creation
         if not creation:
             acc = {}
-            for m2, c in module._vacuum_action(gen, mono.vacuum).items():
+            for m2, c in vacuum_action(module, gen, mono.vacuum).items():
                 merge(acc, self.row(m2), c)
             res = acc or _ZERO_ROW
-        elif module._is_creation(gen) and gen <= creation[0]:
+        elif is_creation(module, gen) and gen <= creation[0]:
             res = self.row(PBWMonomial((gen,) + creation, mono.vacuum))
         else:
             rest = PBWMonomial(creation[1:], mono.vacuum)
@@ -760,10 +870,11 @@ def exhaustive_relation_span(module):
     index = {m: i for i, m in enumerate(basis0)}
     rows = []
     for d in range(0, -depth - 1, -1):
+        monos = module.slice_basis(d)  # decoded once per slice
         for u in block_algebra_basis(module.cfg, module.alg, depth):
             if u.pole_order - d > depth:
                 continue
-            for mono in module.slice_basis(d):
+            for mono in monos:
                 acc = {}
                 for (i, n, p), c in u.as_affine().loop.items():
                     merge(acc, reduction.act_row((n, p, i), mono), c)

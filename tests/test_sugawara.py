@@ -14,13 +14,19 @@ from knwznw.basis import Config, GradedElement, KNIndex, kn_basis_element
 from knwznw.errors import CriticalLevelError, DomainError
 from knwznw.finite_lie import make_algebra
 from knwznw import sugawara
-from knwznw.modules import (ModuleSpec, ModuleVector, PBWMonomial,
-                            induce_module)
+from knwznw.modules import (InducedModule, ModuleSpec, ModuleVector,
+                            PBWMonomial, induce_module, mode_digit)
 from knwznw.ratfield import residue_at
 from knwznw.sugawara import (SugawaraIndex, T_of_vectorfield,
                              _triple_coefficient, apply_L, apply_L_raw,
                              rescaled_L, sugawara_coefficients,
                              sugawara_commutator_audit, total_degree_band)
+
+
+def code_form(module, terms):
+    """The integer form over the module's codes of a {monomial: Rat}
+    dict."""
+    return form({module.encode(m): c for m, c in terms.items()})
 
 
 @pytest.fixture(scope="module")
@@ -140,7 +146,8 @@ def test_tie_swap_is_identity_at_genus_zero(sl2, cfg2):
         for mono in module.slice_basis(d)[:4]:
             v = {mono: Rat(1)}
             for idx in ((0, 1), (1, 2), (-1, 1)):
-                got = rats(*apply_L_raw(module, idx, form(v)))
+                got = module.decode_form(*apply_L_raw(
+                    module, idx, code_form(module, v)))
                 for margin in (0, 3):
                     for tie_swap in (False, True):
                         assert got == direct_apply_L(module, idx, v,
@@ -317,14 +324,14 @@ def test_memoised_images_match_the_direct_oracle():
             vectors.append(v)
         for v in vectors:
             for idx in ((0, 1), (1, 2), (-1, 1), (2, 1)):
-                got = apply_L_raw(module, idx, form(v))
+                got = apply_L_raw(module, idx, code_form(module, v))
                 for margin in (0, 3):
                     for tie_swap in (False, True):
                         want = direct_apply_L(module, idx, v, tie_swap, margin)
                         # a canonical form is unique, so it is the form
                         # of the oracle's Rat dict
-                        assert got == form(want)
-                        assert rats(*got) == want
+                        assert got == code_form(module, want)
+                        assert module.decode_form(*got) == want
                         compared += bool(want)
     assert compared > 100
 
@@ -352,8 +359,9 @@ def test_images_match_the_wider_term_plan(n, level, data):
     k = data.draw(st.sampled_from((-2, -1, 0, 1, 2)))
     r = data.draw(st.integers(1, n))
     plan = sugawara._term_plan(cfg, sl2, k, r, d - 3)
-    assert apply_L_raw(module, (k, r), (1, {mono: 1})) == \
-        sugawara._apply_plan(module, plan, mono)
+    code = module.encode(mono)
+    assert apply_L_raw(module, (k, r), (1, {code: 1})) == \
+        sugawara._apply_plan(module, plan, code)
 
 
 def test_normal_ordering_check_reads_both_symmetries(monkeypatch):
@@ -419,22 +427,23 @@ def test_multipoint_audit_reuses_memoised_images(sl2, cfg2, monkeypatch):
     res = sugawara_commutator_audit(cfg2, sl2, module, pairs, [-1, -2])
     assert all(e.is_scalar for e in res)
     memo = module._sugawara_memo
-    assert 2 * len(memo) < len(seen)
+    assert 2 * sum(map(len, memo.values())) < len(seen)
     # each image is computed from the image of its suffix, both memoised
-    # under ((k, r), monomial)
+    # under (k, r) and the monomial's code
     mono = module.slice_basis(-1)[0]
     suffix = PBWMonomial(mono.creation[1:], mono.vacuum)
-    own, rest = memo[((0, 1), mono)], memo[((0, 1), suffix)]
+    code, images = module.encode(mono), memo[(0, 1)]
+    own, rest = images[code], images[module.encode(suffix)]
     assert own != rest and own[1] and rest[1]
-    # the memo holds the image as an integer form (D, {monomial: int});
-    # a caller gets a fresh nonzero form and may mutate it, the memo never
+    # the memo holds the image as an integer form (D, {code: int}); a
+    # caller gets a fresh nonzero form and may mutate it, the memo never
     # changes
     want = (own[0], dict(own[1]))
-    unit = (1, {mono: 1})
+    unit = (1, {code: 1})
     out = apply_L_raw(module, (0, 1), unit)
     assert out == want
     out[1].clear()
-    assert memo[((0, 1), mono)] == want
+    assert images[code] == want
     assert apply_L_raw(module, (0, 1), unit) == want
 
 
@@ -447,22 +456,36 @@ def test_a_carried_degree_gives_the_image_of_the_summed_one(sl2, cfg2,
     carried = induce_module(sl2, cfg2, spec)
     summed = induce_module(sl2, cfg2, spec)
     for d in (0, -1, -2, -3):
-        for mono in carried.slice_basis(d):
+        for code in carried._slice_codes(d):
             for k, r in ((1, 1), (-1, 2), (0, 1)):
-                assert (sugawara._image(carried, k, r, mono, d)
-                        == sugawara._image(summed, k, r, mono))
+                assert (sugawara._image(carried, k, r, code, d)
+                        == sugawara._image(summed, k, r, code))
     # the relation plans are keyed by the degree of w, so a carried degree
     # off in either direction shows here
     assert carried._relation_plans.keys() == summed._relation_plans.keys()
     # an audit passes its slice's degree: only the images of monomials
-    # read from another image sum a string, once each
+    # read from another image sum the modes of their digits, once each
+    calls = []
+    degree = InducedModule.code_degree
+    monkeypatch.setattr(InducedModule, "code_degree",
+                        lambda self, code: calls.append(code)
+                        or degree(self, code))
+    module = induce_module(sl2, cfg2, spec)
+    sugawara_commutator_audit(cfg2, sl2, module, [((2, 1), (1, 2))], [-3])
+    assert 10 * len(calls) < sum(map(len, module._sugawara_memo.values()))
+
+
+def test_an_audit_sums_no_creation_string(sl2, cfg2, monkeypatch):
+    # the engine reads every degree off codes, so the audit of weyl (1,1)
+    # at 0,1 with pair (1,1),(-1,2) on slice -3 reads no monomial's degree
     calls = []
     degree = PBWMonomial.degree
     monkeypatch.setattr(PBWMonomial, "degree", property(
         lambda mono: calls.append(mono) or degree.fget(mono)))
-    module = induce_module(sl2, cfg2, spec)
-    sugawara_commutator_audit(cfg2, sl2, module, [((2, 1), (1, 2))], [-3])
-    assert 10 * len(calls) < len(module._sugawara_memo)
+    module = induce_module(sl2, cfg2, ModuleSpec("weyl", (1, 1), Rat(1), 3))
+    (entry,) = sugawara_commutator_audit(cfg2, sl2, module,
+                                         [((1, 1), (-1, 2))], [-3])
+    assert entry.is_scalar and len(calls) == 0
 
 
 def test_apply_L_raw_adds_into_a_callers_accumulator(sl2, cfg2):
@@ -470,12 +493,13 @@ def test_apply_L_raw_adds_into_a_callers_accumulator(sl2, cfg2):
     # the sum reads back as acc/den plus a/b times the fresh image, and
     # neither vec nor the memo changes
     module = induce_module(sl2, cfg2, ModuleSpec("weyl", (1, 1), Rat(1), 3))
-    m1, m2 = module.slice_basis(-1)[:2]
+    m1, m2 = module._slice_codes(-1)[:2]
     vec = (3, {m1: 2, m2: -5})
     fresh = apply_L_raw(module, (0, 1), vec)
     assert fresh[1]
-    memo = {key: (den, dict(nums))
-            for key, (den, nums) in module._sugawara_memo.items()}
+    memo = {op: {code: (den, dict(nums))
+                 for code, (den, nums) in images.items()}
+            for op, images in module._sugawara_memo.items()}
     want = {m1: Rat(1, 7)}
     merge(want, rats(*fresh), Rat(-4, 9))
     into = (7, {m1: 1})
@@ -492,9 +516,12 @@ def test_summation_bounds_fails_on_a_narrowed_window(monkeypatch):
     real = sugawara._term_plan
 
     def narrowed(cfg, alg, k, r, dv):
+        # the digits of the generators of mode -dv
+        edge = {mode_digit(cfg, alg, (-dv, p, i))
+                for p in range(1, cfg.n_points + 1) for i in range(alg.dim)}
         den, terms = real(cfg, alg, k, r, dv)
         kept = ((second, tuple((first, num) for first, num in firsts
-                               if -dv not in (first[0], second[0])))
+                               if not {first, second} & edge))
                 for second, firsts in terms)
         return den, tuple((second, firsts) for second, firsts in kept
                           if firsts)
@@ -576,12 +603,12 @@ def test_a_wrong_memo_image_makes_the_audit_non_scalar(sl2, cfg2):
     memo = module._sugawara_memo
     bracket = vf_bracket(cfg2, GradedElement.unit(-1, 1, 1),
                          GradedElement.unit(-1, -1, 2))
-    key = next((hu, mono) for hu in bracket.terms
-               for mono in module.slice_basis(-1) if memo[hu, mono][1])
-    den, nums = memo[key]
+    hu, code = next((hu, code) for hu in bracket.terms
+                    for code in module._slice_codes(-1) if memo[hu][code][1])
+    den, nums = memo[hu][code]
     wrong = dict(nums)
     wrong[next(iter(wrong))] += den
-    memo[key] = (den, wrong)
+    memo[hu][code] = (den, wrong)
     (entry,) = sugawara_commutator_audit(cfg2, sl2, module, [pair], [-1])
     assert not entry.is_scalar and entry.counterexample is not None
 
@@ -593,12 +620,13 @@ def test_audits_leave_every_memoised_image_unchanged(sl2, cfg2):
     sugawara_commutator_audit(cfg2, sl2, module, [((1, 1), (-1, 2))],
                               [-1, -2])
     memo = module._sugawara_memo
-    before = {key: (den, dict(nums)) for key, (den, nums) in memo.items()}
+    before = {(op, code): (den, dict(nums)) for op, images in memo.items()
+              for code, (den, nums) in images.items()}
     res = sugawara_commutator_audit(
         cfg2, sl2, module, [((-1, 2), (1, 1)), ((1, 1), (0, 2))], [-2, -1])
     assert all(e.is_scalar for e in res)
-    assert len(memo) > len(before)
-    assert all(memo[key] == img for key, img in before.items())
+    assert sum(map(len, memo.values())) > len(before)
+    assert all(memo[op][code] == img for (op, code), img in before.items())
 
 
 @pytest.mark.parametrize("kind,points,weights,width", [
@@ -627,23 +655,27 @@ def test_peeled_images_match_the_wider_term_plan(kind, points, weights,
     rng = random.Random(34)
     ops = [(k, r) for k in (-2, 0, 1) for r in range(1, cfg.n_points + 1)]
     for d in (0, -1, -2, -3):
-        basis = module.slice_basis(d)
-        for mono in rng.sample(basis, min(len(basis), 12)):
+        basis = module._slice_codes(d)
+        for code in rng.sample(basis, min(len(basis), 12)):
             for k, r in ops:
-                sugawara._image(module, k, r, mono, d)
+                sugawara._image(module, k, r, code, d)
     del module._act_form
     written = peeled = 0
-    for ((k, r), mono), img in module._sugawara_memo.items():
-        d = mono.degree
-        plan = sugawara._term_plan(cfg, sl2, k, r, d - 3)
-        assert img == sugawara._apply_plan(module, plan, mono)
-        if not mono.creation:
-            continue
-        c1 = mono.creation[0]
-        w = PBWMonomial(mono.creation[1:], mono.vacuum)
-        for m2 in module._sugawara_memo[((k, r), w)][1]:
-            if not m2.creation or c1 <= m2.creation[0]:
-                written += (c1, m2) not in acted
-            else:
-                peeled += (c1, m2) in acted
+    for (k, r), images in module._sugawara_memo.items():
+        for code, img in images.items():
+            mono = module.decode(code)
+            plan = sugawara._term_plan(cfg, sl2, k, r, mono.degree - 3)
+            assert img == sugawara._apply_plan(module, plan, code)
+            if not mono.creation:
+                continue
+            c1 = mono.creation[0]
+            w = PBWMonomial(mono.creation[1:], mono.vacuum)
+            # acted holds (digit, code) pairs
+            digit = mode_digit(cfg, sl2, c1)
+            for m2 in images[module.encode(w)][1]:
+                string = module.decode(m2).creation
+                if not string or c1 <= string[0]:
+                    written += (digit, m2) not in acted
+                else:
+                    peeled += (digit, m2) in acted
     assert written > 100 and peeled > 100
