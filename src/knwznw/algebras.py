@@ -1,7 +1,8 @@
 """Function and vector-field algebras on the marked sphere.
 
 At genus zero every basis element is c M_k dz^lam for a constant c and a
-monomial M_k = prod_i (z - P_i)^k_i (`basis.kn_basis_record`).  So the
+monomial M_k = prod_i (z - P_i)^k_i, read off its cached basis record
+(`basis.kn_basis_record`, with no `Section.form` point check).  So the
 structure constants of unit pairs are short combinations of monomials:
 with K = k_a + k_b and e_j the j-th unit vector,
 
@@ -14,9 +15,9 @@ lam = -1 it is the bracket e s' - s e' of vector fields.  The basis
 expansion of each monomial M_K dz^lam is `basis.monomial_expansion`, a
 closed form (a split recursion down to partial fractions) cached once
 per K for every weight under "mexp"; a unit entry ("prod", or "lied",
-which at lam = -1 holds the brackets) is the sum of at most N of them
-as an integer form.  No unit entry is reconstructed at run time: the
-tests check the closed form against `expand_in_basis`.
+which at lam = -1 holds the brackets) sums at most N weight-free forms
+read at weight lam once.  No unit entry is reconstructed at run time:
+the tests check the closed form against `expand_in_basis`.
 Products, brackets and Lie derivatives of combinations share one
 integer-form core, `_bilinear_raw`: it sums the scaled unit entries over
 one common denominator, into a caller's accumulator or a fresh one, and
@@ -29,7 +30,8 @@ Cocycles are residue sums.  A unit gamma entry f dg = c_f c_g sum_j
 k_g,j M_{K - e_j} sums at most N cached `basis.monomial_residue`s
 ("mres", read off the monomial expansions); the connection part of chi
 uses the bracket identity with one cached residue of R M_K per (R, K)
-("Rmono"); chi's third-derivative part stays on local jets.  The two
+("Rmono").  Both sums run in Python ints into one Rat.  Chi's
+third-derivative part stays on local jets.  The two
 geometric cocycles are
 
     gamma(f, g) = sum of residues of f dg over the marked points,
@@ -44,11 +46,12 @@ infinity, hence the residue sums.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import NamedTuple
 
 from ._kernel import RAT0, RAT1, Rat, add_scaled, canonical, form, rats
-from .basis import (DivisorForm, GradedElement, KNIndex,
-                    kn_basis_element, linear_combination, monomial_expansion,
+from .basis import (DivisorForm, GradedElement, _monomial_form, at_weight,
+                    kn_basis_element, kn_basis_record, linear_combination,
                     monomial_residue, residue_sum, section_from_graded)
 from .errors import DomainError
 from .ratfield import INFINITY, RationalFunction, order_at
@@ -85,7 +88,7 @@ def _as_graded(x):
 
 
 def _unit_form(cfg, lam, a):
-    return kn_basis_element(cfg, KNIndex(lam, *a)).form(cfg)
+    return kn_basis_record(cfg, (lam, *a)).section._form
 
 
 def _bracket_form(cfg, e, f):
@@ -112,15 +115,14 @@ def _lowered(ka, kb, weights):
 
 def _unit_entry(cfg, lam, c, terms):
     """The basis expansion of c sum_j w_j M_{k_j} dz^lam over (w_j, k_j)
-    in terms, as a canonical integer form summed from the cached monomial
-    expansions."""
+    in terms, as a canonical integer form: the weight-free monomial forms
+    summed, then read `at_weight` lam once."""
     cn, cd = c
     den, acc = 1, {}
     for w, k in terms:
         if w:
-            den = add_scaled(den, acc, *monomial_expansion(cfg, k, lam),
-                             cn * w, cd)
-    return canonical(den, acc)
+            den = add_scaled(den, acc, *_monomial_form(cfg, k), cn * w, cd)
+    return at_weight(canonical(den, acc), lam)
 
 
 def _unit_product(cfg, lams, a, b):
@@ -234,13 +236,17 @@ def lie_derivative(cfg, e, s):
                      lambda a, b: _unit_lie_derivative(cfg, a, s.lam, b))
 
 
-def _residue_combination(c, terms, residue):
-    """c sum_j w_j residue(k_j) over (w_j, k_j) in terms, c = (num, den)."""
-    out = RAT0
+def _residue_combination(cfg, c, terms, residue, *args):
+    """c sum_j w_j residue(cfg, k_j, *args) over (w_j, k_j) in terms,
+    c = (num, den), summed in ints over one denominator into one Rat."""
+    num, den = 0, 1
     for w, k in terms:
         if w:
-            out = out + residue(k) * w
-    return out * Rat(*c)
+            r = residue(cfg, k, *args)
+            if r.num:  # num/den + w r over lcm(den, r.den)
+                g = r.den // gcd(den, r.den)
+                num, den = num * g + w * r.num * (den * g // r.den), den * g
+    return Rat(num * c[0], den * c[1])
 
 
 def _unit_gamma(cfg, a, b):
@@ -253,8 +259,8 @@ def _unit_gamma(cfg, a, b):
     if hit is None:
         # f dg = c sum_j k_g,j M_{K - e_j}
         c, ka, kb = _unit_pair(cfg, 0, a, 0, b)
-        hit = _residue_combination(c, _lowered(ka, kb, kb),
-                                   lambda k: monomial_residue(cfg, k))
+        hit = _residue_combination(cfg, c, _lowered(ka, kb, kb),
+                                   monomial_residue)
         cfg.cache[key] = hit
     return hit
 
@@ -272,7 +278,7 @@ def cocycle_gamma(cfg, f, g):
     return total
 
 
-def _connection_residue(cfg, rv, k):
+def _connection_residue(cfg, k, rv):
     """Residue sum over the marked points of R M_k dz; cached per (R, k)."""
     key = ("Rmono", rv, k)
     hit = cfg.cache.get(key)
@@ -285,8 +291,8 @@ def _connection_residue(cfg, rv, k):
 def _chi_connection_part(cfg, a, b, rv):
     """Residue sum of R (e f' - f e') for e = A_a, f = A_b and R = rv != 0:
     c sum_j w_j res(R M_{K - e_j}) by the bracket identity."""
-    return _residue_combination(*_lie_terms(cfg, a, -1, b),
-                                lambda k: _connection_residue(cfg, rv, k))
+    return _residue_combination(cfg, *_lie_terms(cfg, a, -1, b),
+                                _connection_residue, rv)
 
 
 def _unit_chi(cfg, a, b, R):
@@ -481,7 +487,7 @@ def triangular_decompose(cfg, algebra, window):
     plus, strip, minus = [], [], []
     for n in range(lo, hi + 1):
         for p in range(1, cfg.n_points + 1):
-            sec = kn_basis_element(cfg, KNIndex(lam, n, p))
+            sec = kn_basis_element(cfg, (lam, n, p))
             o_pts = min(sec.order_at(pt) for pt in cfg.points)
             o_inf = sec.order_at(INFINITY)
             if o_pts >= need_pts:

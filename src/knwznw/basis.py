@@ -29,7 +29,10 @@ reconstruction.  A monomial M_k (q = 1) needs neither: it expands in
 closed form (`monomial_expansion`), and its residue sum is the sum of the
 expansion's degree-0 coefficients (`monomial_residue`, direct from the
 residue at infinity or at simple poles), through which the pairing of
-weights h and 1 - h that realizes the duality takes a basis pair.
+weights h and 1 - h that realizes the duality takes a basis pair.  The
+pairing, `section_from_graded`, `expand_in_basis` and the unit entries in
+`algebras` take a basis element's form straight off its cached record,
+with no `Section.form` point check on a record made for the same Config.
 
 Every polynomial and truncated series here, q and the jets included, is
 an integer form (den, nums): den > 0, coefficient t is nums[t] / den and
@@ -47,6 +50,7 @@ the boundary: `DivisorForm.jet`, `residue_sum`, the coefficients of a
 from __future__ import annotations
 
 from math import gcd, lcm
+from operator import add
 from typing import NamedTuple
 
 from ._kernel import (RAT0, RAT1, Rat, add_scaled, canonical, form,
@@ -458,9 +462,14 @@ def residue_sum(cfg, f, g, df=0, dg=0):
 def monomial_expansion(cfg, k, lam):
     """The basis expansion of M_k dz^lam, M_k = prod_i (z - P_i)^k_i, as a
     canonical integer form (den, {(n, p): int}) over the A_{n,p}: the
-    weight-free `_monomial_form` of k, read at weight lam, where B_{e,p}
-    dz^lam is A_{e+lam-1,p}."""
-    den, nums = _monomial_form(cfg, k)
+    weight-free `_monomial_form` of k, read `at_weight` lam."""
+    return at_weight(_monomial_form(cfg, k), lam)
+
+
+def at_weight(mform, lam):
+    """A weight-free form (den, {(e, p): int}) over the B_{e,p} as one over
+    the A_{n,p} at weight lam, where B_{e,p} dz^lam is A_{e+lam-1,p}."""
+    den, nums = mform
     return den, {(e + lam - 1, p): x for (e, p), x in nums.items()}
 
 
@@ -534,7 +543,7 @@ def monomial_residue(cfg, k):
             hit = sum((_leading(cfg.points, k, i) for i in range(len(k))
                        if k[i] == -1), RAT0)
         else:
-            den, nums = monomial_expansion(cfg, k, 1)
+            den, nums = _monomial_form(cfg, k)  # B_{e,p} dz is A_{e,p}
             hit = Rat(sum(nums.get((0, p), 0)
                           for p in range(1, cfg.n_points + 1)), den)
         cfg.cache[key] = hit
@@ -715,18 +724,21 @@ def kn_pairing(cfg, f, g):
     Computed as the sum of residues of f*g over the marked points; equals
     minus the residue at infinity by the residue theorem.  Two monomial
     forms c_f M_{k_f} and c_g M_{k_g}, basis elements among them, pair to
-    c_f c_g times the cached `monomial_residue` of k_f + k_g; other forms
-    go through their Laurent jets (`residue_sum`).
+    c_f c_g times the cached `monomial_residue` of K = k_f + k_g; other
+    forms go through their Laurent jets (`residue_sum`).  A form not made
+    for cfg goes to `Section.form`.
     """
     if not isinstance(f, Section) or not isinstance(g, Section):
         raise DomainError("pairing expects sections")
     if f.lam + g.lam != 1:
         raise DomainError("weight mismatch: %d + %d != 1" % (f.lam, g.lam))
-    ff, gf = f.form(cfg), g.form(cfg)
-    if ff.is_zero() or gf.is_zero():
+    ff, gf = f._form, g._form
+    if ff.points is not cfg.points or gf.points is not cfg.points:
+        ff, gf = f.form(cfg), g.form(cfg)
+    if not ff.nums or not gf.nums:
         return RAT0
     if len(ff.nums) == 1 and len(gf.nums) == 1:
-        res = monomial_residue(cfg, tuple(a + b for a, b in zip(ff.k, gf.k)))
+        res = monomial_residue(cfg, tuple(map(add, ff.k, gf.k)))
         if res.num == 0:  # most pairs: skip the constant's Rat
             return RAT0
         return res * Rat(ff.nums[0] * gf.nums[0], ff.den * gf.den)
@@ -736,7 +748,7 @@ def kn_pairing(cfg, f, g):
 def section_from_graded(cfg, ge):
     """Realize a graded element as an actual section."""
     return Section(ge.lam, linear_combination(cfg.points, [
-        (c, kn_basis_element(cfg, KNIndex(ge.lam, n, p)).form(cfg))
+        (c, kn_basis_record(cfg, (ge.lam, n, p)).section._form)
         for (n, p), c in ge.terms.items()]))
 
 
@@ -786,7 +798,7 @@ def expand_in_basis(cfg, s):
         for key, c in new:
             terms[key] = c
             found.append(
-                (c, kn_basis_element(cfg, KNIndex(lam, *key)).form(cfg)))
+                (c, kn_basis_record(cfg, (lam, *key)).section._form))
     rest = linear_combination(cfg.points, [(RAT1, form)]
                               + [(-c, a) for c, a in found])
     if not rest.is_zero():

@@ -68,8 +68,7 @@ from typing import NamedTuple
 from ._kernel import RAT0, Rat, add_scaled, canonical, form
 from .algebras import (R_ZERO, _unit_lie_derivative, cocycle_chi,
                        vf_bracket)
-from .basis import (GradedElement, KNIndex, kn_basis_element,
-                    monomial_residue)
+from .basis import GradedElement, kn_basis_record, monomial_residue
 from .errors import CriticalLevelError, DomainError
 from .modules import ModuleVector, mode_digit
 
@@ -98,9 +97,9 @@ def _triple_coefficient(cfg, k, r, n, p, m, s):
     hit = cfg.cache.get(key)
     if hit is None:
         # each basis element is c M_k, so the product is c1 c2 ce M_K
-        w1 = kn_basis_element(cfg, KNIndex(1, -n, p)).form(cfg)
-        w2 = kn_basis_element(cfg, KNIndex(1, -m, s)).form(cfg)
-        e = kn_basis_element(cfg, KNIndex(-1, k, r)).form(cfg)
+        w1 = kn_basis_record(cfg, (1, -n, p)).section._form
+        w2 = kn_basis_record(cfg, (1, -m, s)).section._form
+        e = kn_basis_record(cfg, (-1, k, r)).section._form
         hit = monomial_residue(cfg, tuple(
             x + y + z for x, y, z in zip(w1.k, w2.k, e.k))) * Rat(
                 w1.nums[0] * w2.nums[0] * e.nums[0], w1.den * w2.den * e.den)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -17,7 +18,7 @@ from knwznw.algebras import (ProjectiveConnection,
                              multiply, triangular_decompose, vf_bracket,
                              vf_bracket_sum)
 from knwznw.basis import (Config, GradedElement, KNIndex, Section,
-                          expand_in_basis, kn_basis_element,
+                          expand_in_basis, kn_basis_element, kn_pairing,
                           linear_combination, residue_sum)
 from knwznw.errors import DomainError
 from knwznw.verify import _jacobi_fault
@@ -673,3 +674,96 @@ def test_grading_report_validates_the_connection_once():
         grading_report(Config(["0", "1"]), "chi", (-1, 1), bad)
     # gamma ignores R, as the graded-element loop did
     assert grading_report(Config(["0", "1"]), "gamma", (-1, 1), bad).ok
+
+
+def _product_pairing(cfg, lam, x, y, w):
+    """The pairing of A^0_x A^lam_y, a monomial section but not a basis
+    element, with A^(1-lam)_w."""
+    fx = kn_basis_element(cfg, KNIndex(0, *x)).form(cfg)
+    fy = kn_basis_element(cfg, KNIndex(lam, *y)).form(cfg)
+    return kn_pairing(cfg, Section(lam, fx * fy),
+                      kn_basis_element(cfg, KNIndex(1 - lam, *w)))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data(),
+       points=st.lists(rationals, min_size=2, max_size=4, unique=True))
+def test_permuting_the_points_relabels_every_table(data, points):
+    # the basis, pairing, unit entries and cocycles know a marked point only
+    # by its coordinate: listing the points in another order relabels the
+    # point indices and changes nothing else
+    perm = data.draw(st.permutations(range(len(points))))
+    cfg = Config(points)
+    moved = Config([points[i] for i in perm])
+    to_cfg = lambda a: (a[0], perm[a[1] - 1] + 1)
+    relabel = lambda f: (f[0], {to_cfg(k): x for k, x in f[1].items()})
+    units = [(n, p) for n in range(-2, 3) for p in range(1, len(points) + 1)]
+    for a, b in data.draw(st.lists(st.tuples(st.sampled_from(units),
+                                             st.sampled_from(units)),
+                                   min_size=3, max_size=3)):
+        for lam in (0, 2):
+            for w in units:
+                assert _product_pairing(moved, lam, a, b, w) == \
+                    _product_pairing(cfg, lam, to_cfg(a), to_cfg(b),
+                                     to_cfg(w)), (a, b, w, lam)
+        assert relabel(algebras._unit_product(moved, (0, 1), a, b)) == \
+            algebras._unit_product(cfg, (0, 1), to_cfg(a), to_cfg(b))
+        for lam in (-1, 0, 2):
+            assert relabel(algebras._unit_lie_derivative(moved, a, lam, b)) \
+                == algebras._unit_lie_derivative(cfg, to_cfg(a), lam,
+                                                 to_cfg(b))
+        for lam, cocycle in ((0, cocycle_gamma), (-1, cocycle_chi)):
+            assert cocycle(moved, U(lam, *a), U(lam, *b)) == \
+                cocycle(cfg, U(lam, *to_cfg(a)), U(lam, *to_cfg(b)))
+
+
+def _fraction(x):
+    return Fraction(x.num, x.den)
+
+
+def _ref_residue_combination(c, terms, residue):
+    """The Rat loop of the residue combinations restated in Fractions:
+    c sum_j w_j residue(k_j) over (w_j, k_j) in terms."""
+    out = Fraction(0)
+    for w, k in terms:
+        out += _fraction(residue(k)) * w
+    return out * Fraction(*c)
+
+
+def _random_points(rng, n_pts):
+    points = set()
+    while len(points) < n_pts:
+        points.add(Rat(rng.randint(-9, 9), rng.randint(1, 4)))
+    return sorted(points)
+
+
+@pytest.mark.parametrize("seed", [3701, 3702, 3703, 3704])
+def test_integer_residue_sums_match_the_fraction_loop(seed):
+    rng = random.Random(seed)
+    cfg = Config(_random_points(rng, rng.randint(1, 4)))
+    rv = RF(3 + z, 1 + z * z)
+    R = ProjectiveConnection(rv)
+    units = [(n, p) for n in range(-3, 3) for p in range(1, cfg.n_points + 1)]
+    for _ in range(12):
+        a, b = rng.sample(units, 2)
+        c, ka, kb = algebras._unit_pair(cfg, 0, a, 0, b)
+        want = _ref_residue_combination(
+            c, algebras._lowered(ka, kb, kb),
+            lambda k: algebras.monomial_residue(cfg, k))
+        assert _fraction(algebras._unit_gamma(cfg, a, b)) == want, (a, b)
+        want = _ref_residue_combination(
+            *algebras._lie_terms(cfg, a, -1, b),
+            lambda k: algebras._connection_residue(cfg, k, rv))
+        assert _fraction(algebras._chi_connection_part(cfg, a, b, rv)) == \
+            want, (a, b)
+    for _ in range(3):
+        f, g = (_random_element(rng, 0, cfg.n_points, 4) for _ in "fg")
+        e, h = (_random_element(rng, -1, cfg.n_points, 4) for _ in "eh")
+        want = sum((_fraction(algebras._unit_gamma(cfg, x, y) * cx * cy)
+                    for x, cx in f.terms.items()
+                    for y, cy in g.terms.items()), Fraction(0))
+        assert _fraction(cocycle_gamma(cfg, f, g)) == want
+        want = sum((_fraction(algebras._unit_chi(cfg, x, y, R) * cx * cy)
+                    for x, cx in e.terms.items()
+                    for y, cy in h.terms.items()), Fraction(0))
+        assert _fraction(cocycle_chi(cfg, e, h, R)) == want

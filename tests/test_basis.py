@@ -72,6 +72,32 @@ def test_record_index_out_of_range_before_and_after_caching(idx):
     assert ("basis", tuple(idx)) not in cfg.cache
 
 
+def test_the_pairing_checks_a_section_it_did_not_make():
+    cfg = Config(["0", "1"])
+    f = kn_basis_element(cfg, KNIndex(0, -1, 1))
+    g = kn_basis_element(cfg, KNIndex(1, 1, 1))
+    # the same points in another Config: not the same tuple, still equal
+    assert kn_pairing(Config(["0", "1"]), f, g) == Rat(1)
+    wrong = Config(["0", "1", "-1"])
+    for x, y in ((f, kn_basis_element(wrong, KNIndex(1, 1, 1))),
+                 (kn_basis_element(wrong, KNIndex(0, -1, 1)), g)):
+        with pytest.raises(DomainError, match="used with"):
+            kn_pairing(wrong, x, y)
+        with pytest.raises(DomainError, match="used with"):
+            kn_pairing(cfg, x, y)
+
+
+def test_zero_sections_pair_to_zero():
+    cfg = Config(["0", "1"])
+    zero = section_of(cfg, 0, RF.zero())
+    g = kn_basis_element(cfg, KNIndex(1, 1, 1))
+    assert kn_pairing(cfg, zero, g) == Rat(0)
+    assert kn_pairing(cfg, section_of(cfg, 1, RF.zero()),
+                      kn_basis_element(cfg, KNIndex(0, -1, 1))) == Rat(0)
+    # a zero form made for an equal Config takes the checked path
+    assert kn_pairing(Config(["0", "1"]), zero, g) == Rat(0)
+
+
 def test_function_basis_two_points(cfg2):
     assert kn_basis_element(cfg2, KNIndex(0, 0, 1)).value == RF(1 - z)
     assert kn_basis_element(cfg2, KNIndex(0, 0, 2)).value == RF(z)
