@@ -31,7 +31,8 @@ k_g,j M_{K - e_j} sums at most N cached `basis.monomial_residue`s
 ("mres", read off the monomial expansions); the connection part of chi
 uses the bracket identity with one cached residue of R M_K per (R, K)
 ("Rmono").  Both sums run in Python ints into one Rat.  Chi's
-third-derivative part stays on local jets.  The two
+third-derivative part stays on local jets, except where its degree at
+infinity settles it as 0 (`_unit_chi`).  The two
 geometric cocycles are
 
     gamma(f, g) = sum of residues of f dg over the marked points,
@@ -305,9 +306,14 @@ def _unit_chi(cfg, a, b, R):
     if hit is None:
         # (1/12) residue sum of (1/2)(e'''f - e f''') + R (e f' - f e');
         # a derivative has no residue, so res(e'''f) = -res(e f''') at
-        # each point and the first part is -res(e f''')
+        # each point and the first part is -res(e f'''), which is 0 when
+        # e f''' has degree sum k_e + sum k_f - 3 < -1 (no residue at
+        # infinity, so none in all at the marked points)
         e, f = _unit_form(cfg, -1, a), _unit_form(cfg, -1, b)
-        hit = -residue_sum(cfg, e, f, dg=3)
+        if sum(e.k) + sum(f.k) < 2:
+            hit = RAT0
+        else:
+            hit = -residue_sum(cfg, e, f, dg=3)
         if not R.value.is_zero():
             hit = hit + _chi_connection_part(cfg, a, b, R.value)
         hit = hit * Rat(1, 12)
@@ -341,7 +347,10 @@ def coboundary_compare(cfg, e, f, R, R2):
     R.validate(cfg)
     R2.validate(cfg)
     diff = cocycle_chi(cfg, e, f, R) - cocycle_chi(cfg, e, f, R2)
-    delta = R.value - R2.value
+    key = ("Rdiff", R.value, R2.value)
+    delta = cfg.cache.get(key)
+    if delta is None:
+        delta = cfg.cache[key] = R.value - R2.value
     br = _bracket_form(cfg, section_from_graded(cfg, e).form(cfg),
                        section_from_graded(cfg, f).form(cfg))
     witness = RAT0

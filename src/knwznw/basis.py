@@ -727,6 +727,13 @@ def kn_pairing(cfg, f, g):
     c_f c_g times the cached `monomial_residue` of K = k_f + k_g; other
     forms go through their Laurent jets (`residue_sum`).  A form not made
     for cfg goes to `Section.form`.
+
+    Most monomial pairs are 0 by degree alone, and are settled before K is
+    built.  sum K = sum k_f + sum k_g, and min K is at least
+    min k_f + min k_g; so sum k_f + sum k_g < -1 (M_K dz has no residue
+    at infinity, and so none in all at the marked points) or
+    min k_f + min k_g at least 0 (M_K has no pole at a marked point) are
+    `monomial_residue`'s two zero tests on K.
     """
     if not isinstance(f, Section) or not isinstance(g, Section):
         raise DomainError("pairing expects sections")
@@ -738,7 +745,10 @@ def kn_pairing(cfg, f, g):
     if not ff.nums or not gf.nums:
         return RAT0
     if len(ff.nums) == 1 and len(gf.nums) == 1:
-        res = monomial_residue(cfg, tuple(map(add, ff.k, gf.k)))
+        kf, kg = ff.k, gf.k
+        if sum(kf) + sum(kg) < -1 or min(kf) + min(kg) >= 0:
+            return RAT0
+        res = monomial_residue(cfg, tuple(map(add, kf, kg)))
         if res.num == 0:  # most pairs: skip the constant's Rat
             return RAT0
         return res * Rat(ff.nums[0] * gf.nums[0], ff.den * gf.den)

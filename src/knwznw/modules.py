@@ -374,23 +374,29 @@ class InducedModule:
         return self.decode_form(*self._act_form(
             mode_digit(self.cfg, self.alg, gen), self.encode(mono)))
 
-    def _act_affine_raw(self, a, terms):
-        """Exact action of an affine element on a term dict; no width check."""
+    def _act_affine_form(self, a, vden, vnums):
+        """Exact action of an affine element on the integer form
+        (vden, {code: int}) of a vector, as a fresh integer form that may
+        hold zero numerators; no width check."""
         den, acc = 1, {}
         loop = [(mode_digit(self.cfg, self.alg, (n, p, i)), c)
                 for (i, n, p), c in a.loop.items()]
         central = a.central * self.level
-        for mono, cm in terms.items():
-            code = self.encode(mono)
+        for code, x in vnums.items():
             if central.num != 0:
-                s = central * cm
-                den = add_scaled(den, acc, 1, {code: 1}, s.num, s.den)
+                den = add_scaled(den, acc, 1, {code: 1}, central.num * x,
+                                 central.den * vden)
             for gen, c in loop:
                 d2, t2 = self._act_form(gen, code)
                 if t2:
-                    s = c * cm
-                    den = add_scaled(den, acc, d2, t2, s.num, s.den)
-        return self.decode_form(den, acc)
+                    den = add_scaled(den, acc, d2, t2, c.num * x,
+                                     c.den * vden)
+        return den, acc
+
+    def _act_affine_raw(self, a, terms):
+        """Exact action of an affine element on a term dict; no width check."""
+        return self.decode_form(*self._act_affine_form(
+            a, *form({self.encode(m): c for m, c in terms.items()})))
 
     def act(self, a, v):
         """Exact module action of an affine element on a vector.  Terms
@@ -480,8 +486,14 @@ def _relation_span(module):
 
     x (x) 1 = sum_p x (x) A_{0,p}, so the relation of x_i (x) 1 on a basis
     monomial is the sum over p of the action forms of x_(0,p,i), without
-    their denominator.  Elimination is fraction-free, and dividing out each
-    row's content after every step keeps its integers small.  Stops as
+    their denominator.  The rows come in weight order: those of the
+    Cartan elements first, then the lowering and then the raising ones,
+    and each pivots on its last column.  A Cartan row is diagonal in the
+    weight basis, so it pivots every monomial of nonzero total weight as
+    a single entry, and the rows after it stay short (in basis order the
+    pivots fill in: sl2 weights (14,14,14) took about eight times as
+    long).  Elimination is fraction-free, and dividing out each row's
+    content after every step keeps its integers small.  Stops as
     soon as the span fills the slice.  A relation that reaches a degree-0
     string longer than a verma module's width bound is left out: that
     cannot shrink a full span, but a span that stays short raises
@@ -491,8 +503,9 @@ def _relation_span(module):
     index = {m: c for c, m in enumerate(basis0)}
     pivots = {}  # leading column -> reduced row
     lost_widths = set()
-    for i in range(module.alg.dim):
-        gens = [mode_digit(module.cfg, module.alg, (0, p, i))
+    alg = module.alg
+    for i in alg.cartan_indices + alg.minus_indices + alg.plus_indices:
+        gens = [mode_digit(module.cfg, alg, (0, p, i))
                 for p in range(1, module.cfg.n_points + 1)]
         for mono in basis0:
             den, acc = 1, {}
@@ -508,7 +521,7 @@ def _relation_span(module):
             while row:
                 g = gcd(*row.values())
                 row = {c: x // g for c, x in row.items()}
-                lead = min(row)
+                lead = max(row)
                 piv = pivots.get(lead)
                 if piv is None:
                     pivots[lead] = row

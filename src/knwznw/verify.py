@@ -18,7 +18,8 @@ from itertools import combinations
 from math import lcm
 from typing import NamedTuple
 
-from ._kernel import RAT0, RAT1, ZERO_FORM, Rat, add_scaled, form
+from ._kernel import (RAT0, RAT1, ZERO_FORM, Rat, add_scaled, canonical,
+                      form)
 from .affine import (AffineElement, affine_bracket, affine_decompose,
                      block_algebra_basis, g_tuple_bracket, psi_project)
 from .algebras import (ProjectiveConnection, R_ZERO, _pairs,
@@ -32,7 +33,7 @@ from .basis import (DivisorForm, GradedElement, KNIndex, Section,
                     section_from_graded)
 from .errors import DomainError, KNError
 from .finite_lie import factor_op, make_algebra
-from .modules import ModuleSpec, ModuleVector, induce_module
+from .modules import ModuleSpec, ModuleVector, induce_module, mode_digit
 from .ratfield import INFINITY, Poly, RationalFunction
 from .sugawara import (_apply_plan, _term_plan, apply_L_raw,
                        sugawara_coefficients, sugawara_commutator_audit)
@@ -68,11 +69,13 @@ def _fock_n1(level=Rat(1)):
 def duality_grid(nrange=NRANGE, degree=6, lams=LAMS):
     for n_pts in nrange:
         cfg = sample_config(n_pts)
+        units = [(n, p) for n in range(-degree, degree + 1)
+                 for p in range(1, n_pts + 1)]
         for lam in lams:
+            a, b = ({u: kn_basis_element(cfg, (w, *u)) for u in units}
+                    for w in (lam, 1 - lam))
             for n, p, m, r in _pairs(cfg, (-degree, degree)):
-                a = kn_basis_element(cfg, KNIndex(lam, n, p))
-                b = kn_basis_element(cfg, KNIndex(1 - lam, m, r))
-                v = kn_pairing(cfg, a, b)
+                v = kn_pairing(cfg, a[n, p], b[m, r])
                 want = RAT1 if (m == -n and p == r) else RAT0
                 if v != want:
                     return False, "failed at %s" % ((n_pts, lam, n, m, p, r),)
@@ -441,13 +444,13 @@ def triangular_strips():
 def classical_affine():
     sl2 = make_algebra("sl2")
     cfg = sample_config(1)
+    term = {(i, n): AffineElement.loop_term(i, n, 1)
+            for i in range(sl2.dim) for n in range(-6, 7)}
     for n in range(-6, 7):
         for m in range(-6, 7):
             for i in range(sl2.dim):
                 for j in range(sl2.dim):
-                    a = AffineElement.loop_term(i, n, 1)
-                    b = AffineElement.loop_term(j, m, 1)
-                    out = affine_bracket(cfg, sl2, a, b)
+                    out = affine_bracket(cfg, sl2, term[i, n], term[j, m])
                     loop = {(k, n + m, 1): c
                             for k, c in sl2.bracket.get((i, j), {}).items()}
                     central = (sl2.form[i][j] * Rat(n) if n + m == 0
@@ -570,33 +573,29 @@ def representation_property():
                         rng.randint(1, n_pts), Rat(rng.randint(-2, 2)))
                 return e
             a, b = rnd(), rnd()
-            mono = rng.choice(module.slice_basis(base_slice))
-            v = ModuleVector.monomial(mono)
-            br = affine_bracket(module.cfg, module.alg, a, b)
-            lhs = ModuleVector(module._act_affine_raw(br, v.terms))
-            ab_v = ModuleVector(module._act_affine_raw(b, v.terms))
-            ab_v = ModuleVector(module._act_affine_raw(a, ab_v.terms))
-            ba_v = ModuleVector(module._act_affine_raw(a, v.terms))
-            ba_v = ModuleVector(module._act_affine_raw(b, ba_v.terms))
-            if lhs != ab_v - ba_v:
-                return False, "representation property fails"
+            mono = rng.choice(module._slice_codes(base_slice))
+            act, v = module._act_affine_form, (1, {mono: 1})
+            # [a,b] v + b a v = a b v, on integer forms over codes
+            den, acc = act(affine_bracket(module.cfg, module.alg, a, b), *v)
+            den = add_scaled(den, acc, *act(b, *act(a, *v)), 1, 1)
+            if canonical(den, acc) != canonical(*act(a, *act(b, *v))):
+                return False, "representation property fails on %r" % (
+                    module.decode(mono),)
     return True, ("act([a,b]) = [act a, act b] on 75 random triples "
                   "(Fock also on slice -2)")
 
 
 def admissibility():
     for module in (_weyl_n2(), _fock_n1()):
-        gdim = module.alg.dim
+        cfg, alg = module.cfg, module.alg
         for d in (0, -1, -2):
-            for mono in module.slice_basis(d):
-                n0 = -d + 1
-                for n in range(n0, n0 + 4):
-                    for i in range(gdim):
-                        for p in range(1, module.cfg.n_points + 1):
-                            out = module._act_gen((n, p, i), mono)
-                            if out:
-                                return False, "not admissible at %s" % (
-                                    (d, n, p, i),)
+            gens = {(n, p, i): mode_digit(cfg, alg, (n, p, i))
+                    for n in range(1 - d, 5 - d) for i in range(alg.dim)
+                    for p in range(1, cfg.n_points + 1)}
+            for code in module._slice_codes(d):
+                for gen, digit in gens.items():
+                    if any(module._act_form(digit, code)[1].values()):
+                        return False, "not admissible at %s" % ((d, *gen),)
     return True, "positive modes annihilate above the slice degree"
 
 

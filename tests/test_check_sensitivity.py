@@ -1,62 +1,108 @@
-"""Registry checks on the pairing and unit-entry paths can fail.
+"""Registry checks can fail under a planted fault.
 
-A fault is one line of a function's source rewritten (`mutant`) and bound
-in place of the function in every module that holds it.  Each check runs
-alone, on fresh configurations: it passes first and returns False under
-its fault, with the detail naming where it failed.
+A fault is one line of a function's or method's source rewritten
+(`mutant`) and bound in place of it, in every module that holds the
+function, or on its class.  Each check runs alone, on fresh
+configurations: it passes first and returns False under its fault, with
+the detail naming where it failed.
 """
 
 import inspect
+import sys
+import textwrap
 
 import pytest
 
 import knwznw
-from knwznw import algebras, basis, verify
+from knwznw import affine, algebras, basis, modules, verify
 
 
-def mutant(module, name, old, new):
-    """module.name recompiled from its source with the single occurrence of
-    old replaced by new; it runs in module's namespace."""
-    src = inspect.getsource(getattr(module, name))
+def mutant(owner, name, old, new):
+    """owner.name (a module's function or a class's method) recompiled
+    from its source with the single occurrence of old replaced by new; it
+    runs in its module's namespace."""
+    fn = getattr(owner, name)
+    src = textwrap.dedent(inspect.getsource(fn))
     assert src.count(old) == 1, (name, old)
     out = {}
-    exec(compile(src.replace(old, new), module.__file__, "exec"),
-         module.__dict__, out)
+    exec(compile(src.replace(old, new), inspect.getsourcefile(fn), "exec"),
+         sys.modules[fn.__module__].__dict__, out)
     return out[name]
 
 
-# check -> (module, function, line rewritten, its fault, detail under it)
+# fault -> (check, owner, function, line rewritten, its fault, detail
+# under it)
 FAULTS = {
     # a monomial residue read as 0 at sum K = -1 drops the residue at
     # infinity, which is what a dual pair at one point pairs through
-    "duality-grid": (basis, "monomial_residue", "s < -1", "s < 0",
-                     "failed at (1,"),
+    "duality-grid": ("duality-grid", basis, "monomial_residue", "s < -1",
+                     "s < 0", "failed at (1,"),
+    # the pairing's degree bound one too wide: a dual pair whose exponent
+    # minima sum to -1 (a simple pole of M_K) is settled as 0
+    "duality-grid-pairing-bound": (
+        "duality-grid", basis, "kn_pairing", "min(kf) + min(kg) >= 0",
+        "min(kf) + min(kg) >= -1", "failed at (1,"),
     # the pairing drops g's constant's denominator: basis constants at 0, 1
     # are +-1, the rescaled ones (5/3)^n are not
-    "rescaling-invariance": (basis, "kn_pairing", "ff.den * gf.den",
-                             "ff.den", "not scale invariant"),
+    "rescaling-invariance": ("rescaling-invariance", basis, "kn_pairing",
+                             "ff.den * gf.den", "ff.den",
+                             "not scale invariant"),
     # a monomial form read at the wrong weight shifts every product down
-    "almost-grading-locality": (basis, "at_weight", "e + lam - 1",
-                                "e + lam - 2", "lower shift violated"),
+    "almost-grading-locality": ("almost-grading-locality", basis,
+                                "at_weight", "e + lam - 1", "e + lam - 2",
+                                "lower shift violated"),
     # a gamma (or chi connection) sum that drops its last term
-    "cocycle-vanishing": (algebras, "_residue_combination",
-                          "for w, k in terms:", "for w, k in terms[:-1]:",
-                          "gamma on block pair"),
+    "cocycle-vanishing": ("cocycle-vanishing", algebras,
+                          "_residue_combination", "for w, k in terms:",
+                          "for w, k in terms[:-1]:", "gamma on block pair"),
+    # chi's degree bound one too wide: at N = 1 the pairs with n + m = 0
+    # have sum k_e + sum k_f = 2 and lose their (n^3 - n)/12
+    "classical-virasoro-chi-bound": (
+        "classical-virasoro", algebras, "_unit_chi", "< 2", "< 3",
+        "cocycle at ("),
+    # a residue sum that widens its denominator without scaling its
+    # numerator: the unit gammas at the integer sample points never widen
+    # it, chi's connection part with R = (2 - z)/((z - 5)(z - 7)) does
+    "cohomologous-connections": (
+        "cohomologous-connections", algebras, "_residue_combination",
+        "num * g + w", "num + w", "coboundary mismatch"),
+    # the central term of the loop bracket with its sign flipped
+    "classical-affine": ("classical-affine", affine, "affine_bracket",
+                         "central = central - c", "central = central + c",
+                         "affine relation at"),
+    # the loop part of the bracket one degree too high
+    "affine-grading": ("affine-grading", affine, "affine_bracket",
+                       "(0, 0), (n, p), (m, r)", "(0, 0), (n, p), (m + 1, r)",
+                       "loop support outside band"),
+    # the central part of [x_a, x_b] acting as twice the level inside
+    # the creation string, but once on the element itself
+    "representation-property": (
+        "representation-property", modules.InducedModule, "_act_form",
+        "(1, {rest: 1}) if gen2 is None", "(1, {rest: 2}) if gen2 is None",
+        "representation property fails on ["),
+    # a monomial form read one weight too high shifts every product up:
+    # two functions of degree -1 multiply into degree 0, which has a pole
+    # at infinity
+    "subalgebra-closure": ("subalgebra-closure", basis, "at_weight",
+                           "e + lam - 1", "e + lam", "minus part not closed"),
 }
 
 CHECKS = {name: fn for name, _suite, fn in verify.CHECKS}
 
 
-@pytest.mark.parametrize("check", sorted(FAULTS))
-def test_a_planted_fault_fails_the_check(check, monkeypatch):
-    module, name, old, new, detail = FAULTS[check]
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_a_planted_fault_fails_the_check(fault, monkeypatch):
+    check, owner, name, old, new, detail = FAULTS[fault]
     run = CHECKS[check]
     assert run()[0] is True
-    orig = getattr(module, name)
-    fault = mutant(module, name, old, new)
-    for ns in (knwznw, basis, algebras, verify):
-        if getattr(ns, name, None) is orig:
-            monkeypatch.setattr(ns, name, fault)
+    bad = mutant(owner, name, old, new)
+    if inspect.isclass(owner):
+        monkeypatch.setattr(owner, name, bad)
+    else:
+        orig = getattr(owner, name)
+        for ns in (knwznw, basis, algebras, affine, modules, verify):
+            if getattr(ns, name, None) is orig:
+                monkeypatch.setattr(ns, name, bad)
     ok, got = run()
     assert ok is False and detail in got, got
     monkeypatch.undo()

@@ -856,7 +856,7 @@ def test_wide_slices_reduce_fast(sl2, weights, points):
     assert len(m.slice_basis(0)) - len(span) == \
         sl2_invariant_count(weights) == 1
     for lead, row in span.items():
-        assert min(row) == lead and gcd(*row.values()) == 1
+        assert max(row) == lead and gcd(*row.values()) == 1
 
 
 def exhaustive_relation_span(module):

@@ -12,6 +12,8 @@ residue sums of products of basis forms; those formulas are kept below
 as the oracles of their monomial or single-residue versions.
 """
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -149,3 +151,30 @@ def test_triple_coefficient_matches_the_residue_of_the_product():
                             assert got == want, (points, k, r, n, p, m, s)
                             nonzero += want.num != 0
         assert nonzero
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(points=st.lists(rationals, min_size=1, max_size=4, unique=True),
+       seed=st.integers(0, 2 ** 32))
+def test_the_degree_bounds_settle_only_zeros(points, seed):
+    # `kn_pairing` settles two monomial forms as 0 by their exponent sums
+    # and minima, `_unit_chi` its third-derivative part by the exponent
+    # sums; against the jets, neither reads 0 where the residue is not
+    cfg = Config(points)
+    n = cfg.n_points
+    rng = random.Random(seed)
+
+    def monomial_form():  # c M_k
+        c = Rat(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
+        k = tuple(rng.randint(-4, 4) for _ in cfg.points)
+        return DivisorForm(cfg.points, c.den, (c.num,), k)
+
+    for _ in range(20):
+        f, g = monomial_form(), monomial_form()
+        lam = rng.randint(-1, 2)
+        assert kn_pairing(cfg, Section(lam, f), Section(1 - lam, g)) == \
+            residue_sum(cfg, f, g), (f.k, g.k)
+        a, b = ((rng.randint(-4, 4), rng.randint(1, n)) for _ in range(2))
+        e, h = unit_form(cfg, -1, *a), unit_form(cfg, -1, *b)
+        assert _unit_chi(cfg, a, b, R_ZERO) == \
+            -residue_sum(cfg, e, h, dg=3) * Rat(1, 12), (a, b)
