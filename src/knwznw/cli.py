@@ -46,12 +46,17 @@ MAX_VERMA_WIDTH = 32
 # listing with weights 393-400 at eight points takes 0.33 s).
 MAX_WEYL_WEIGHT = 400
 # Work of a request that builds slices, estimated before any slice is
-# built, in dense output entries (about 0.2-0.5 us each).  Fresh processes
-# on a 2-core x86-64 VM; README's module is weyl (1,1,1) at 0,1,-1:
+# built, in units of about 0.2-0.6 us (and, for `kz` and `module
+# --coinvariants`, 60 bytes of max RSS at most).  Fresh processes on a
+# 2-core x86-64 VM; README's module is weyl (1,1,1) at 0,1,-1:
 #   request                                       estimate     s    MB
 #   sugawara 0,1,0,2 slice -6, verma w2, N = 8  12,329,856   6.7    81
 #   sugawara -7,1,-7,2 slice 0, README's module 10,557,844   3.1   115
-#   kz (48,48), N = 2                           13,450,402   2.7   278
+#   kz (48,48), N = 2                           11,817,738   1.5   223
+#   kz (38,48), N = 2, --json-indent 4          14,837,020   2.6   836
+#   kz (1,1,0,...,0), N = 62                    14,941,008   4.3   165
+#   module --coinvariants (2,...,2,0), N = 9    14,526,054   4.7    70
+#   module --coinvariants verma w26, N = 4      13,154,400   5.1   174
 #   refused: module --action (10,10,10), N = 3  15,944,049   2.2   319
 #   refused: sugawara -7,1,0,2 slice -2, README 23,085,648   5.6   201
 MAX_WORK = 15_000_000
@@ -73,9 +78,14 @@ def _rat_str(x):
             % sys.get_int_max_str_digits()) from None
 
 
-def _matrix_json(mat):
-    """A dense matrix as rows of strings; zero entries skip `_rat_str`."""
-    return [["0" if c.num == 0 else _rat_str(c) for c in row] for row in mat]
+def _matrix_json(form, dim):
+    """The dim x dim matrix of a canonical integer form (D, {(row,
+    column): int}) as rows of strings: "0", then each nonzero entry."""
+    den, nums = form
+    rows = [["0"] * dim for _ in range(dim)]
+    for (r, c), x in nums.items():
+        rows[r][c] = _rat_str(Rat(x, den))
+    return rows
 
 
 def _poly_json(p):
@@ -226,20 +236,26 @@ def _within_work(work):
 # Work estimates of the commands that build slices, in MAX_WORK's units,
 # from counts only: dim0 degree-0 monomials, a module's slice dimensions.
 
-def _kz_work(n, dim0):
-    """N dense dim0^2 outputs, and 400 for each of N * dim0 columns: the
-    degree-0 actions on a column, its N(N+1)/2 Casimir products and
-    their sums into the N matrices."""
-    return n * dim0 * (dim0 + 400)
+def _kz_work(n, dim0, indent):
+    """N dim0^2 output entries, each 1 written compact and 2 + indent // 5
+    indented (json's Python encoder then builds a string per entry); 40 +
+    10 N for each of N * dim0 columns: the degree-0 actions on a column,
+    its N(N+1)/2 Casimir products and their sums into the N matrices; and
+    N^4 for the N^3 Sugawara triple coefficients, each summed over the N
+    points."""
+    entry = 1 if indent < 0 else 2 + indent // 5
+    return n * dim0 * (entry * dim0 + 40 + 10 * n) + n ** 4
 
 
 def _coinvariant_work(module, dim0):
-    """dim g * N relation rows per monomial, 64 each plus 2 per monomial of
-    its sl2 weight space in a weyl module (dim0 // (sum of weights + 1))."""
+    """dim g * N relation rows per monomial: 40 each in a verma module,
+    else 5 plus 1 per 5 monomials of its sl2 weight space in a weyl module
+    (dim0 // (sum of weights + 1))."""
     spec, alg = module.spec, module.alg
     fill = (dim0 // (sum(spec.weights) + 1)
             if spec.kind == "weyl" and alg.kind == "sl2" else 0)
-    return alg.dim * module.cfg.n_points * dim0 * (64 + 2 * fill)
+    row = 40 if spec.kind == "verma" else 5 + fill // 5
+    return alg.dim * module.cfg.n_points * dim0 * row
 
 
 def _audit_work(module, pairs, window):
@@ -421,7 +437,7 @@ def cmd_module(args):
     if args.action:
         payload["degree0_action"] = {
             "%s(0,%d)" % (label, p):
-                _matrix_json(module.degree_zero_action(p, i))
+                _matrix_json(module.degree_zero_action(p, i), dim0)
             for p in range(1, cfg.n_points + 1)
             for i, label in enumerate(alg.labels)}
     _emit(args, payload)
@@ -474,15 +490,12 @@ def cmd_kz(args):
         raise ConfigError("weights missing")
     weights = _config_weights(cfg, alg, weights, alg.kind == "sl2")
     level = _parse_rat(data.get("level", "1"))
-    _within_work(_kz_work(cfg.n_points, prod(w + 1 for w in weights)
-                          if alg.kind == "sl2" else 1))
+    dim0 = prod(w + 1 for w in weights) if alg.kind == "sl2" else 1
+    _within_work(_kz_work(cfg.n_points, dim0, args.json_indent))
     system = kz_matrices(cfg, alg, weights, level)
     flat = "ok"
     if cfg.n_points >= 3 and not flatness_check(system).holds:
         flat = "violated"
-    # the system releases its dense matrices, each dropped once converted
-    dense, system.matrices = system.matrices[::-1], None
-    matrices = [_matrix_json(dense.pop()) for _ in range(len(dense))]
     payload = {
         "points": [_rat_str(p) for p in cfg.points],
         "lie_algebra": alg.kind,
@@ -491,7 +504,7 @@ def cmd_kz(args):
         "kappa": None if system.kappa is None else _rat_str(system.kappa),
         "sign_convention": (None if system.sign_convention is None
                             else "%+d" % system.sign_convention),
-        "matrices": matrices,
+        "matrices": [_matrix_json(m, dim0) for m in system.matrices],
         "scalar_shifts": (None if system.scalar_shifts is None else
                           [None if s is None else _rat_str(s)
                            for s in system.scalar_shifts]),

@@ -1,9 +1,9 @@
 """Exact linear algebra over the rationals.
 
 Dense matrices as lists of rows of Rat: `zeros` builds the dense
-oracles and output grids; `rref` and `nullspace`, textbook Gaussian
-elimination, serve the tests.  Operators inside the program are held as
-their nonzero entries.
+oracles; `rref` and `nullspace`, textbook Gaussian elimination, serve
+the tests.  Operators inside the program are held as their nonzero
+entries, up to the CLI's output.
 """
 
 from ._kernel import RAT0, RAT1

@@ -32,19 +32,17 @@ the residual, which must vanish identically.
 
 Only zero modes keep the degree, so the N directions share the Casimir
 products O_qs = sum_ij D_ij X_{q,i} X_{s,j} of the degree-0 actions.
-The fit reads operators as integer forms of their nonzero entries, and
-`flatness_check` as their nonzero entries; `Rat` is built only for
-kappa, the shifts and the output (`KZSystem.matrices`,
-`classical_oracle_matrices`, a flatness counterexample).
+Every operator is a canonical integer form (D, {(row, column): int}) of
+its nonzero entries: `KZSystem.matrices`, `classical_oracle_matrices`
+and a flatness counterexample; `Rat` is built only for kappa and the
+shifts.
 """
 
 from __future__ import annotations
 
-import math
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
-from ._kernel import (RAT0, RAT1, Rat, add_scaled, canonical, form, merge,
-                      rats)
+from ._kernel import RAT0, RAT1, Rat, add_scaled, canonical, form, merge
 from .basis import GradedElement, KNIndex, kn_basis_element
 from .errors import DomainError
 from .finite_lie import (casimir_eigenvalue, entry_product, finite_irrep,
@@ -87,27 +85,23 @@ def tangent_fields(cfg):
     return fields, meta
 
 
-class KZSystem:
+class KZSystem(NamedTuple):
     """Fitted KZ data: kappa None for a degenerate fit, scalar_shifts None
-    where not scalar, sign_convention +1, -1 or None, partial always False.
-    A plain object, so a caller may drop `matrices` once it is used."""
-
-    def __init__(self, config, algebra_kind, weights, level, matrices,
-                 kappa, scalar_shifts, sign_convention, residual_zero,
-                 partial):
-        self.config = config
-        self.algebra_kind = algebra_kind
-        self.weights = weights
-        self.level = level
-        self.matrices = matrices
-        self.kappa = kappa
-        self.scalar_shifts = scalar_shifts
-        self.sign_convention = sign_convention
-        self.residual_zero = residual_zero
-        self.partial = partial
+    where not scalar, sign_convention +1, -1 or None, partial always False;
+    matrices are canonical integer forms (D, {(row, column): int})."""
+    config: object
+    algebra_kind: str
+    weights: tuple
+    level: Rat
+    matrices: list
+    kappa: Optional[Rat]
+    scalar_shifts: list
+    sign_convention: Optional[int]
+    residual_zero: bool
+    partial: bool
 
 
-def _sparse_oracle(cfg, alg, weights):
+def classical_oracle_matrices(cfg, alg, weights):
     """The matrices sum_{j != p} Omega_{pj} / (z_p - z_j) as canonical
     integer forms (D, {(row, column): int}) of their nonzero entries,
     built from the finite-dimensional Casimir tensor only.  The tensor is
@@ -125,19 +119,6 @@ def _sparse_oracle(cfg, alg, weights):
                 dens[i] = add_scaled(dens[i], accs[i], eden, entries, a,
                                      fac.den)
     return [canonical(den, acc) for den, acc in zip(dens, accs)]
-
-
-def classical_oracle_matrices(cfg, alg, weights):
-    """The Casimir oracle of `_sparse_oracle` as dense Rat matrices."""
-    dim = math.prod(finite_irrep(alg, w).dim for w in weights)
-    return [_dense(rats(*m), dim) for m in _sparse_oracle(cfg, alg, weights)]
-
-
-def _dense(entries, dim):
-    mat = [[RAT0] * dim for _ in range(dim)]
-    for (r, s), v in entries.items():
-        mat[r][s] = v
-    return mat
 
 
 def point_mover_linear_coefficient(cfg, p, q):
@@ -233,10 +214,10 @@ def kz_matrices(cfg, alg, weights, level, depth=None):
     built once, for q <= s (`_casimir_pair`), and enters A_p with
     c^p_qs + c^p_sq.  Each A_p, an integer form (D, {(row, column):
     int}), is fitted as A_p = kappa M_p + sigma_p Id against the sparse
-    Casimir oracle M_p (`_sparse_oracle`): the traceless dot and the
-    scalar test sum and compare ints over the nonzero entries.  Residuals
-    must vanish exactly.  The dense `Rat` `matrices` are filled once, for
-    output.  `partial` is always False.  The matrices have no depth;
+    Casimir oracle M_p (`classical_oracle_matrices`): the traceless dot
+    and the scalar test sum and compare ints over the nonzero entries.
+    Residuals must vanish exactly.  `matrices` holds the canonical forms
+    of the A_p.  `partial` is always False.  The matrices have no depth;
     `depth` is not read, and is accepted because the benchmark's block
     workload (`perfbench/workloads.py`) passes it by position.
     """
@@ -259,9 +240,9 @@ def kz_matrices(cfg, alg, weights, level, depth=None):
             if qs not in pairs:
                 pairs[qs] = _casimir_pair(module, basis, *qs)
             den = add_scaled(den, mat, *pairs[qs], c.num, c.den)
-        measured.append((den, mat))
+        measured.append(canonical(den, mat))
 
-    oracle = _sparse_oracle(cfg, alg, weights)
+    oracle = classical_oracle_matrices(cfg, alg, weights)
     kappa = sign = None
     den = sum((_dot(m, m, dim) for m in oracle), RAT0)
     if den.num != 0:
@@ -276,9 +257,8 @@ def kz_matrices(cfg, alg, weights, level, depth=None):
     shifts = [_scalar_part(a, m, RAT0 if kappa is None else kappa, dim)
               for a, m in zip(measured, oracle)]
     residual_zero = all(s is not None for s in shifts)
-    return KZSystem(cfg, alg.kind, tuple(weights), level,
-                    [_dense(rats(*a), dim) for a in measured], kappa, shifts,
-                    sign, residual_zero, False)
+    return KZSystem(cfg, alg.kind, tuple(weights), level, measured, kappa,
+                    shifts, sign, residual_zero, False)
 
 
 class FlatnessReport(NamedTuple):
@@ -298,7 +278,7 @@ def flatness_check(system):
     per ordered triple.  The commutator is taken on the nonzero entries
     of the three Omegas (`omega_entries`, `entry_product`).  A
     counterexample is ((p, q, r), the commutator on those factors as a
-    dense matrix).  Disjoint pairs commute by construction.  Exact;
+    canonical integer form).  Disjoint pairs commute by construction.  Exact;
     vacuous for N = 2.
     """
     cfg = system.config
@@ -329,7 +309,6 @@ def flatness_check(system):
                                              -RAT1)
                 checked += 1
                 if lhs:
-                    dim = math.prod(m.dim for m in mods)
                     return FlatnessReport(False, False, checked,
-                                          ((a, b, r), _dense(lhs, dim)))
+                                          ((a, b, r), form(lhs)))
     return FlatnessReport(True, False, checked)

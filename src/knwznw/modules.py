@@ -34,8 +34,9 @@ index).  `slice_basis`, `act`, `_act_gen`, `_act_affine_raw` and
 Sugawara's `apply_L` and audit counterexample convert to and from
 `PBWMonomial` (`encode`, `decode_form`).  The action memo (`_act_memo`,
 keyed code << _dbits | digit) holds canonical integer forms
-(D, {code: int}) of the kernel; Rat is built at the boundary and by
-`degree_zero_action`.
+(D, {code: int}) of the kernel; Rat is built at the boundary.
+`degree_zero_action` gives an operator as a canonical integer form
+(D, {(row, column): int}) of its nonzero entries, as `kz` does.
 
 Coinvariants are taken under the block algebra B: g-valued functions
 regular at infinity with poles only at the marked points.  At genus 0
@@ -51,7 +52,7 @@ from collections import defaultdict
 from math import comb, gcd, prod
 from typing import NamedTuple, Optional
 
-from ._kernel import RAT0, RAT1, Rat, add_scaled, canonical, form
+from ._kernel import RAT1, Rat, add_scaled, canonical, form
 from .algebras import _unit_gamma, _unit_product
 from .basis import Combination, Config
 from .errors import DomainError, TruncationOverflow
@@ -411,8 +412,9 @@ class InducedModule:
         return ModuleVector(out)
 
     def degree_zero_action(self, p, i):
-        """Dense matrix of x_(0,p,i) on `slice_basis(0)`, for output:
-        column c holds the image of the c-th basis monomial.
+        """x_(0,p,i) on `slice_basis(0)` as a canonical integer form
+        (D, {(row, column): int}) of its nonzero entries: column c holds
+        the image of the c-th basis monomial.
 
         x_(0,p,i) changes no degree, so only a verma module's width bound
         can push an image out of the slice.  Such images raise
@@ -421,18 +423,18 @@ class InducedModule:
         basis0 = self._slice_codes(0)
         index = {m: r for r, m in enumerate(basis0)}
         gen = mode_digit(self.cfg, self.alg, (0, p, i))
-        mat = [[RAT0] * len(basis0) for _ in basis0]
+        den, acc = 1, {}
         lost = set()
         for col, code in enumerate(basis0):
-            den, image = self._act_form(gen, code)
-            for m2, x in image.items():
-                if m2 in index:
-                    mat[index[m2]][col] = Rat(x, den)
-                else:
-                    lost.add(len(self.decode(m2).creation))
+            d, image = self._act_form(gen, code)
+            lost.update(len(self.decode(m).creation) for m in image
+                        if m not in index)
+            den = add_scaled(den, acc, d, {(index[m], col): x for m, x
+                                           in image.items() if m in index},
+                             1, 1)
         if lost:
             raise TruncationOverflow(lost_widths=lost)
-        return mat
+        return canonical(den, acc)
 
     # -- coinvariants ----------------------------------------------------
 

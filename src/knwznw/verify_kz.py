@@ -10,7 +10,9 @@ it.
 
 from __future__ import annotations
 
-from ._kernel import RAT0, Rat
+from math import prod
+
+from ._kernel import RAT0, ZERO_FORM, Rat, add_scaled, canonical
 from .finite_lie import make_algebra
 from .kz import (classical_oracle_matrices, flatness_check, kz_matrices,
                  predicted_scalar_shift, tangent_fields)
@@ -48,16 +50,16 @@ def kz_classical_agreement():
             return False, "|kappa| != 1/3"
         kappas.add(system.kappa)
         oracle = classical_oracle_matrices(cfg, sl2, weights)
+        ident = {(i, i): 1 for i in range(prod(w + 1 for w in weights))}
         for p in range(1, cfg.n_points + 1):
             shift = predicted_scalar_shift(cfg, sl2, weights, Rat(1), p)
             if system.scalar_shifts[p - 1] != shift:
                 return False, "scalar shift mismatch at p=%d" % p
-            for i, row in enumerate(oracle[p - 1]):
-                for j, om in enumerate(row):
-                    want = system.kappa * om + (shift if i == j else RAT0)
-                    if system.matrices[p - 1][i][j] != want:
-                        return False, "A_%d[%d][%d] != kappa Omega + shift" % (
-                            p, i, j)
+            kappa, want = system.kappa, {}
+            den = add_scaled(1, want, *oracle[p - 1], kappa.num, kappa.den)
+            den = add_scaled(den, want, 1, ident, shift.num, shift.den)
+            if system.matrices[p - 1] != canonical(den, want):
+                return False, "A_%d != kappa Omega + shift" % p
     if len(kappas) != 1:
         return False, "kappa not global"
     return True, ("A_p = kappa sum Omega/(z_p-z_j) + shift entry by entry, "
@@ -93,7 +95,7 @@ def kz_abelian():
                 total = total + (weights[p - 1] * weights[j - 1]
                                  / (zp - cfg.points[j - 1]))
         want = system.kappa * total + system.scalar_shifts[p - 1]
-        if system.matrices[p - 1][0][0] != want:
+        if system.matrices[p - 1] != canonical(want.den, {(0, 0): want.num}):
             return False, "abelian matrix mismatch"
     return True, "abelian system matches kappa sum l_p l_j/(z_p-z_j)+shift"
 
@@ -101,7 +103,7 @@ def kz_abelian():
 def kz_trivial():
     sl2 = make_algebra("sl2")
     system = kz_matrices(sample_config(("0", "1")), sl2, (0, 0), Rat(1))
-    zero = all(c.num == 0 for m in system.matrices for row in m for c in row)
+    zero = all(m == ZERO_FORM for m in system.matrices)
     return zero, "all matrices vanish for trivial weights"
 
 

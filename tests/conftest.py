@@ -3,6 +3,7 @@
 import math
 from math import lcm
 
+from knwznw._kernel import rats
 from knwznw.basis import DivisorForm, Section
 from knwznw.exactlinalg import zeros
 from knwznw.finite_lie import factor_op
@@ -67,6 +68,12 @@ def place(entries, nrows, ncols):
     for r, c, v in entries:
         out[r][c] = v
     return out
+
+
+def dense(form, dim):
+    """The dim x dim Rat matrix of a canonical integer form (D, {(row,
+    column): int}), for tests that read an operator entry by entry."""
+    return place(rats(*form), dim, dim)
 
 
 def entries_of(matrix):

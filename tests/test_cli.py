@@ -1,10 +1,12 @@
 """CLI: JSON output, determinism, exit codes."""
 
+import argparse
 import hashlib
 import inspect
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -17,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knwznw import cli, finite_lie, sugawara, verify
-from knwznw._kernel import Rat
+from knwznw._kernel import RAT0, ZERO_FORM, Rat, canonical, rats
 from knwznw.basis import Config
 from knwznw.cli import (MAX_BASIS_INDEX, MAX_DEPTH, MAX_JSON_INDENT,
                         MAX_VERMA_WIDTH, MAX_WEYL_WEIGHT, MAX_WINDOW_DEGREE,
@@ -256,6 +258,40 @@ def test_json_indent(capsys):
     code, out, _ = run_cli(["--json-indent", "2", "basis", "--lambda", "0",
                             "--n", "0", "--points", "0"], capsys)
     assert code == 0 and out.startswith("{\n  ")
+
+
+def dense_route_json(form, dim):
+    """The writer's former route, kept as its reference: a dense Rat
+    matrix of the form, then "0" or `_rat_str` for each entry."""
+    mat = [[RAT0] * dim for _ in range(dim)]
+    for (r, c), v in rats(*form).items():
+        mat[r][c] = v
+    return [["0" if c.num == 0 else cli._rat_str(c) for c in row]
+            for row in mat]
+
+
+def test_matrix_json_matches_the_dense_route(capsys):
+    # seeded canonical integer forms, with the zero form and 1 x 1
+    # matrices among them, written through `_emit` at every indent
+    rng = random.Random(3939)
+    cases = [(ZERO_FORM, 1), (ZERO_FORM, 4), ((1, {(0, 0): -7}), 1),
+             ((3, {(0, 0): 2}), 1)]
+    for _ in range(30):
+        dim = rng.randint(1, 6)
+        cases.append((canonical(rng.randint(1, 12), {
+            (rng.randrange(dim), rng.randrange(dim)): rng.randint(-20, 20)
+            for _ in range(rng.randint(0, dim * dim))}), dim))
+    values = [v for f, _ in cases for v in rats(*f).values()]
+    assert any(v.num < 0 for v in values) and any(v.den > 1 for v in values)
+    for form, dim in cases:
+        for indent in range(-1, MAX_JSON_INDENT + 1):
+            args = argparse.Namespace(json_indent=indent)
+            outs = []
+            for rows in (cli._matrix_json(form, dim),
+                         dense_route_json(form, dim)):
+                cli._emit(args, {"matrices": [rows], "n": dim})
+                outs.append(capsys.readouterr().out)
+            assert outs[0] == outs[1], (form, dim, indent)
 
 
 @pytest.mark.parametrize("first", [True, False])
@@ -607,13 +643,13 @@ def test_verma_work_bound(capsys, tmp_path, monkeypatch):
     # inside the width bound, the degree-0 slice of a verma module holds
     # C(width + N, N) strings, 680 at width 14 and three points; the
     # estimate counts them before the slice is built: alg.dim * N = 9
-    # relation rows of 64 per string for `--coinvariants`, and 9 dense
+    # relation rows of 40 per string for `--coinvariants`, and 9 dense
     # 680 x 680 matrices for `--action`
     cfg = _write(tmp_path, "v.json", {
         "points": ["0", "1", "-1"],
         "module": {"kind": "verma", "weights": ["1", "1", "1"],
                    "depth": 0, "width": 14}})
-    coinvariants, action = 9 * 680 * 64, 9 * 680 ** 2
+    coinvariants, action = 9 * 680 * 40, 9 * 680 ** 2
     monkeypatch.setattr(cli, "MAX_WORK", 0)
     for flags, work in ((["--coinvariants"], coinvariants),
                         (["--action"], action),
@@ -635,15 +671,18 @@ def test_verma_work_bound(capsys, tmp_path, monkeypatch):
 def test_weyl_work_bound(capsys, tmp_path, monkeypatch):
     # the degree-0 slice of a weyl module holds prod (w + 1) monomials,
     # counted from the weights: 400 for (4,9,7).  `--coinvariants` counts
-    # 9 rows per monomial of 64 plus 2 per monomial of its weight space
-    # (400 // 21); `--action` 9 dense 400 x 400 matrices; `kz` 3 of them and
-    # 400 per Sugawara image, 3 * 400 of them
+    # 9 rows per monomial of 5 plus 1 per 5 monomials of its weight space
+    # (400 // 21 = 19); `--action` 9 dense 400 x 400 matrices; `kz` 3 of
+    # them, compact, 40 + 10 * 3 per column, 3 * 400 of them, and 3^4
     cfg = _write(tmp_path, "w.json", {"points": ["0", "1", "-1"],
                                       "weights": [4, 9, 7], "depth": 0})
     monkeypatch.setattr(cli, "MAX_WORK", 0)
-    for argv, work in ((["module", "--coinvariants"], 9 * 400 * (64 + 38)),
+    for argv, work in ((["module", "--coinvariants"], 9 * 400 * (5 + 3)),
                        (["module", "--action"], 9 * 400 ** 2),
-                       (["kz"], 3 * 400 ** 2 + 400 * 3 * 400)):
+                       (["kz"], 3 * 400 ** 2 + 70 * 3 * 400 + 3 ** 4),
+                       # indented, each entry weighs 2 + indent // 5
+                       (["kz", "--json-indent", "8"],
+                        3 * 3 * 400 ** 2 + 70 * 3 * 400 + 3 ** 4)):
         _rejected(argv + ["--config", cfg], capsys,
                   "work estimate %d exceeds 0 (MAX_WORK)" % work)
     # a plain listing only counts its slices

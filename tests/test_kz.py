@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_commutator, dense_omega_matrix, is_zero_matrix
+from conftest import (dense, dense_commutator, dense_omega_matrix,
+                      is_zero_matrix)
 from knwznw import Rat, kz, sugawara, verify_kz
 from knwznw._kernel import RAT0
 from knwznw.basis import Config
@@ -68,8 +69,9 @@ def test_kz_two_point_sl2(sl2):
     assert system.residual_zero
     assert abs(system.kappa) == Rat(1, 3)
     assert system.sign_convention == -1
-    oracle = classical_oracle_matrices(cfg, sl2, (1, 1))
     dim = 4
+    oracle = [dense(m, dim) for m in classical_oracle_matrices(cfg, sl2,
+                                                               (1, 1))]
     for p in (1, 2):
         shift = system.scalar_shifts[p - 1]
         assert shift == predicted_scalar_shift(cfg, sl2, (1, 1), Rat(1), p)
@@ -77,7 +79,7 @@ def test_kz_two_point_sl2(sl2):
             for j in range(dim):
                 want = system.kappa * oracle[p - 1][i][j] \
                     + (shift if i == j else RAT0)
-                assert system.matrices[p - 1][i][j] == want
+                assert dense(system.matrices[p - 1], dim)[i][j] == want
 
 
 def test_kz_three_point_sl2(sl2):
@@ -105,7 +107,8 @@ def test_kz_matrices_read_no_depth(sl2):
 
 def test_kz_trivial_weights(sl2):
     system = kz_matrices(Config(["0", "1"]), sl2, (0, 0), Rat(1), 2)
-    assert all(c == RAT0 for m in system.matrices for row in m for c in row)
+    assert all(c == RAT0 for m in system.matrices for row in dense(m, 1)
+               for c in row)
     assert system.residual_zero
 
 
@@ -122,7 +125,7 @@ def test_kz_abelian(ab):
             if j != p:
                 total = total + weights[p - 1] * weights[j - 1] \
                     / (zp - cfg.points[j - 1])
-        assert system.matrices[p - 1][0][0] == \
+        assert dense(system.matrices[p - 1], 1)[0][0] == \
             system.kappa * total + system.scalar_shifts[p - 1]
 
 
@@ -173,7 +176,7 @@ def test_matrices_match_the_zero_mode_form(sl2):
             x = {}  # (q, i) -> {column: [(row, entry), ...]}
             for q in range(1, n + 1):
                 for i in range(sl2.dim):
-                    mat = module.degree_zero_action(q, i)
+                    mat = dense(module.degree_zero_action(q, i), dim)
                     cols = x[(q, i)] = {}
                     for r, row in enumerate(mat):
                         for c, e in enumerate(row):
@@ -195,7 +198,7 @@ def test_matrices_match_the_zero_mode_form(sl2):
                                     for k, b in entries:
                                         for r, a in left.get(k, ()):
                                             want[r][col] += coef * a * b
-                assert system.matrices[p - 1] == want
+                assert dense(system.matrices[p - 1], dim) == want
                 compared += any(e.num for row in want for e in row)
     assert compared > 30
 
@@ -285,7 +288,8 @@ def test_a_broken_casimir_fails_on_the_relation_the_oracle_names(
                   for i, j in ((p, q), (p, r), (q, r)))
     want = dense_commutator(pq, mat_add(mat_add(pr, pr), qr))
     assert not is_zero_matrix(want)
-    assert embed(lhs, mods, (p, q, r)) == want
+    local = math.prod(mods[f].dim for f in (p, q, r))
+    assert embed(dense(lhs, local), mods, (p, q, r)) == want
 
 
 def test_flatness_builds_one_local_product_for_equal_weights(sl2,
@@ -326,8 +330,8 @@ def test_oracle_builds_each_omega_once(sl2, ab, monkeypatch):
         n = cfg.n_points
         assert len(built) == n * (n - 1) // 2 == len(set(built))
         mods = [kz.finite_irrep(alg, w) for w in weights]
+        dim = math.prod(m.dim for m in mods)
         for p in range(n):
-            dim = len(got[p])
             want = [[RAT0] * dim for _ in range(dim)]
             for q in range(n):
                 if q != p:
@@ -335,7 +339,7 @@ def test_oracle_builds_each_omega_once(sl2, ab, monkeypatch):
                     fac = Rat(1) / (cfg.points[p] - cfg.points[q])
                     want = [[w + o * fac for w, o in zip(rw, ro)]
                             for rw, ro in zip(want, om)]
-            assert got[p] == want
+            assert dense(got[p], dim) == want
 
 
 def test_flatness_abelian(ab):
@@ -415,14 +419,15 @@ def test_kz_columns_are_the_degree_zero_part_of_the_full_image(sl2):
             module = induce_module(sl2, Config(points),
                                    ModuleSpec("weyl", weights, level))
             f = rescale_factor(sl2, level)
+            dim = len(module.slice_basis(0))
             for p in range(1, n + 1):
                 want = full_image_block(module, p, f)
-                assert system.matrices[p - 1] == want
+                assert dense(system.matrices[p - 1], dim) == want
                 compared += 1
                 nonzero += any(e.num for row in want for e in row)
             if n == 1:
                 assert not any(e.num for m in system.matrices
-                               for row in m for e in row)
+                               for row in dense(m, dim) for e in row)
     assert compared == 32 and nonzero > 20
 
 
@@ -475,7 +480,8 @@ def test_kz_matrices_apply_no_term_plan(sl2, monkeypatch):
     monkeypatch.setattr(kz, "_casimir_pair", counting)
     cfg = Config(points)
     system = kz_matrices(cfg, sl2, weights, level)
-    assert system.matrices == want
+    dim = len(module.slice_basis(0))
+    assert [dense(m, dim) for m in system.matrices] == want
     assert system.residual_zero and system.kappa == Rat(-1, 4)
     assert system.scalar_shifts == [
         predicted_scalar_shift(cfg, sl2, weights, level, p)
@@ -588,7 +594,7 @@ def test_the_integer_fit_on_scalar_and_empty_oracles(sl2, ab):
     # kappa stays None and each shift is the scalar part of a zero matrix
     cfg = Config(["0", "2", "5"])
     weights = (Rat(1), Rat(1, 2), Rat(-2))
-    oracle = kz._sparse_oracle(cfg, ab, weights)
+    oracle = classical_oracle_matrices(cfg, ab, weights)
     assert all(entries for _, entries in oracle)
     assert all(kz._dot(m, m, 1) == RAT0 for m in oracle)
     system = kz_matrices(cfg, ab, weights, Rat(3, 2))
@@ -596,12 +602,13 @@ def test_the_integer_fit_on_scalar_and_empty_oracles(sl2, ab):
     for p, (shift, mat) in enumerate(zip(system.scalar_shifts,
                                          system.matrices)):
         m = fractions_of(oracle[p])
-        a = {(0, 0): Fraction(mat[0][0].num, mat[0][0].den)}
+        entry = dense(mat, 1)[0][0]
+        a = {(0, 0): Fraction(entry.num, entry.den)}
         kappa = Fraction(system.kappa.num, system.kappa.den)
         assert Fraction(shift.num, shift.den) == \
             fraction_scalar_part(a, m, kappa, 1)
     trivial = kz_matrices(Config(["0", "1"]), sl2, (0, 0), Rat(1))
-    assert kz._sparse_oracle(Config(["0", "1"]), sl2, (0, 0)) == \
+    assert classical_oracle_matrices(Config(["0", "1"]), sl2, (0, 0)) == \
         [(1, {}), (1, {})]
     assert trivial.kappa is None and trivial.sign_convention is None
     assert trivial.scalar_shifts == [RAT0, RAT0] and trivial.residual_zero
