@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from ._kernel import RAT0, RAT1, Rat, merge
+from ._kernel import RAT0, RAT1, Rat, add_scaled
 from .algebras import _unit_gamma, _unit_product
 from .basis import (Combination, DivisorForm, GradedElement, Section,
                     monomial_expansion)
@@ -75,25 +75,33 @@ class AffineElement(Combination):
 
 
 def affine_bracket(cfg, alg, x, y):
-    """Bracket in the centrally extended loop algebra; t is central."""
-    loop = {}
-    central = RAT0
-    y_loop = y.loop.items()
-    for (i, n, p), ca in x.loop.items():
+    """Bracket in the centrally extended loop algebra; t is central.  The
+    loop part and the central part (key None) sum as one integer form,
+    and one Rat is built per key of the result."""
+    den, acc = 1, {}
+    y_loop = [(key, c) for key, c in y.terms.items() if key is not None]
+    for xkey, ca in x.terms.items():
+        if xkey is None:
+            continue
+        i, n, p = xkey
         for (j, m, r), cb in y_loop:
             c = ca * cb
             tbl = alg.bracket.get((i, j))
             if tbl:
-                den, prod = _unit_product(cfg, (0, 0), (n, p), (m, r))
-                merge(loop, {(k, h, s): sc * fn for (h, s), fn in prod.items()
-                             for k, sc in tbl.items()},
-                      Rat(c.num, c.den * den))
+                pden, prod = _unit_product(cfg, (0, 0), (n, p), (m, r))
+                for k, sc in tbl.items():
+                    den = add_scaled(den, acc, pden, {
+                        (k, h, s): fn for (h, s), fn in prod.items()},
+                        c.num * sc.num, c.den * sc.den)
             fij = alg.form[i][j]
             if fij.num != 0:
                 g = _unit_gamma(cfg, (n, p), (m, r))
                 if g.num != 0:
-                    central = central - c * fij * g
-    return AffineElement(loop, central)
+                    den = add_scaled(den, acc, g.den, {None: g.num},
+                                     -c.num * fij.num, c.den * fij.den)
+    central = Rat(acc.pop(None, 0), den)
+    return AffineElement({k: Rat(v, den) for k, v in acc.items() if v},
+                         central)
 
 
 def affine_decompose(a):

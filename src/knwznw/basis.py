@@ -66,9 +66,12 @@ class Config:
 
     Carries a memo table for constructed basis elements and derived
     structure constants, and one for the local series shared by all
-    sections relative to these points.  Values are immutable, so
+    sections relative to these points.  Their values are immutable, so
     concurrent lookups are benign (same key always maps to the same
-    value).
+    value).  `module_memos` holds the growing memos of the induced
+    modules over these points, one set per (algebra kind, module kind,
+    weights, level, width) shared by every handle built for that data
+    (`modules.InducedModule`); the entries they hold are immutable too.
     """
 
     genus = 0
@@ -83,6 +86,7 @@ class Config:
         self.n_points = len(pts)
         self.cache = {}
         self.series = {}
+        self.module_memos = {}
 
     def point(self, p):
         """1-based access, matching the index convention of the basis."""

@@ -46,18 +46,20 @@ MAX_VERMA_WIDTH = 32
 # listing with weights 393-400 at eight points takes 0.33 s).
 MAX_WEYL_WEIGHT = 400
 # Work of a request that builds slices, estimated before any slice is
-# built, in units of about 0.2-0.6 us (and, for `kz` and `module
-# --coinvariants`, 60 bytes of max RSS at most).  Fresh processes on a
-# 2-core x86-64 VM; README's module is weyl (1,1,1) at 0,1,-1:
+# built, in units of about 0.2-0.6 us (and, for `kz` and `module`, 60
+# bytes of max RSS at most).  Fresh processes on a 2-core x86-64 VM;
+# README's module is weyl (1,1,1) at 0,1,-1:
 #   request                                       estimate     s    MB
 #   sugawara 0,1,0,2 slice -6, verma w2, N = 8  12,329,856   6.7    81
 #   sugawara -7,1,-7,2 slice 0, README's module 10,557,844   3.1   115
-#   kz (48,48), N = 2                           11,817,738   1.5   223
-#   kz (38,48), N = 2, --json-indent 4          14,837,020   2.6   836
-#   kz (1,1,0,...,0), N = 62                    14,941,008   4.3   165
+#   kz (48,48), N = 2                           11,817,770   1.5   226
+#   kz (38,48), N = 2, --json-indent 4          14,837,052   2.6   836
+#   kz (1,1,0,...,0), N = 187                   14,789,830   5.7    71
+#   module --action (9,9,8), --json-indent 4    14,580,000   3.8   835
 #   module --coinvariants (2,...,2,0), N = 9    14,526,054   4.7    70
 #   module --coinvariants verma w26, N = 4      13,154,400   5.1   174
 #   refused: module --action (10,10,10), N = 3  15,944,049   2.2   319
+#   refused: module --action (9,9,9), indent 8  27,000,000   4.8  1303
 #   refused: sugawara -7,1,0,2 slice -2, README 23,085,648   5.6   201
 MAX_WORK = 15_000_000
 # Spaces per nesting level of `--json-indent`; output grows linearly with
@@ -236,15 +238,24 @@ def _within_work(work):
 # Work estimates of the commands that build slices, in MAX_WORK's units,
 # from counts only: dim0 degree-0 monomials, a module's slice dimensions.
 
-def _kz_work(n, dim0, indent):
-    """N dim0^2 output entries, each 1 written compact and 2 + indent // 5
-    indented (json's Python encoder then builds a string per entry); 40 +
-    10 N for each of N * dim0 columns: the degree-0 actions on a column,
-    its N(N+1)/2 Casimir products and their sums into the N matrices; and
-    N^4 for the N^3 Sugawara triple coefficients, each summed over the N
-    points."""
-    entry = 1 if indent < 0 else 2 + indent // 5
-    return n * dim0 * (entry * dim0 + 40 + 10 * n) + n ** 4
+def _entry_work(indent):
+    """One output matrix entry: 1 written compact, 2 + indent // 5
+    indented (json's Python encoder then builds a string per entry)."""
+    return 1 if indent < 0 else 2 + indent // 5
+
+
+def _kz_work(weights, dim0, indent):
+    """For N points, k of them of nonzero weight: N dim0^2 output entries
+    (`_entry_work`); 40 + 10 N for each of N * dim0 columns: the degree-0
+    actions on a column, its N(N+1)/2 Casimir products and their sums
+    into the N matrices; 2 N^3 for the ordered triples of points the
+    flatness check walks, the N^2/2 oracle products over N factors and
+    the point records of the triple coefficients; and 2 N^2 k^2 for the
+    N k^2 triple coefficients read where a Casimir product is nonzero,
+    each a residue summed over the N points."""
+    n, k = len(weights), sum(map(bool, weights))
+    return (n * dim0 * (_entry_work(indent) * dim0 + 40 + 10 * n)
+            + 2 * n ** 3 + 2 * n ** 2 * k ** 2)
 
 
 def _coinvariant_work(module, dim0):
@@ -427,7 +438,8 @@ def cmd_module(args):
         dim0 = module.slice_dimension(0)
         # `--action` prints 3N dense matrices of dim0^2 entries for sl2
         _within_work(args.coinvariants * _coinvariant_work(module, dim0)
-                     + args.action * cfg.n_points * alg.dim * dim0 ** 2)
+                     + args.action * cfg.n_points * alg.dim * dim0 ** 2
+                     * _entry_work(args.json_indent))
         if args.action and spec.kind == "verma" and alg.minus_indices:
             # f(0,p) lengthens the longest strings past the width bound
             raise TruncationOverflow(lost_widths=(spec.width + 1,))
@@ -491,7 +503,7 @@ def cmd_kz(args):
     weights = _config_weights(cfg, alg, weights, alg.kind == "sl2")
     level = _parse_rat(data.get("level", "1"))
     dim0 = prod(w + 1 for w in weights) if alg.kind == "sl2" else 1
-    _within_work(_kz_work(cfg.n_points, dim0, args.json_indent))
+    _within_work(_kz_work(weights, dim0, args.json_indent))
     system = kz_matrices(cfg, alg, weights, level)
     flat = "ok"
     if cfg.n_points >= 3 and not flatness_check(system).holds:

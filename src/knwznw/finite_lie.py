@@ -16,8 +16,8 @@ has dimension m + 1 and its entries are the ladder formulas.  Each module
 is built and validated once per (algebra kind, weight); its entries are
 immutable tuples, so every caller shares it.  `omega_entries` builds the
 Casimir tensor from the entries of the factors, and `entry_product`
-multiplies two entry lists.  The dense `factor_op` is an oracle for
-verify and the tests.
+multiplies two entry lists (`int_entry_product` on int values).  The
+dense `factor_op` is an oracle for verify and the tests.
 """
 
 from __future__ import annotations
@@ -280,20 +280,32 @@ def entry_product(a, b):
     entries.  A position may occur more than once in a or b; its values
     add, so a concatenation of entry lists stands for their sum.  Each
     operand is scaled to one denominator and the products are summed as
-    ints; Rat is built once per entry of the result."""
+    ints (`int_entry_product`); Rat is built once per entry of the
+    result."""
     if not a or not b:
         return {}
-    da = math.lcm(*(v.den for _, _, v in a))
-    db = math.lcm(*(v.den for _, _, v in b))
+    (da, a), (db, b) = int_entries(a), int_entries(b)
+    return rats(da * db, int_entry_product(a, b))
+
+
+def int_entries(entries):
+    """(D, [(row, column, int)]): an entry list over one denominator D."""
+    den = math.lcm(*(v.den for _, _, v in entries))
+    return den, [(r, c, v.num * (den // v.den)) for r, c, v in entries]
+
+
+def int_entry_product(a, b):
+    """The product a b of two entry lists with int values, as a
+    {(row, column): int} dict; sums that cancel stay as 0."""
     by_row = {}
     for r, c, v in b:
-        by_row.setdefault(r, []).append((c, v.num * (db // v.den)))
+        by_row.setdefault(r, []).append((c, v))
     out = {}
+    get = out.get
     for r, c, u in a:
-        u = u.num * (da // u.den)
         for c2, v in by_row.get(c, ()):
-            out[r, c2] = out.get((r, c2), 0) + u * v
-    return rats(da * db, out)
+            out[r, c2] = get((r, c2), 0) + u * v
+    return out
 
 
 def casimir_eigenvalue(alg, weight):

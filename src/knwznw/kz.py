@@ -31,7 +31,9 @@ coefficient function of e_{-1,p}.  The fit reports kappa, the shifts and
 the residual, which must vanish identically.
 
 Only zero modes keep the degree, so the N directions share the Casimir
-products O_qs = sum_ij D_ij X_{q,i} X_{s,j} of the degree-0 actions.
+products O_qs = sum_ij D_ij X_{q,i} X_{s,j} of the degree-0 actions,
+and A_p reads the zero-mode triple coefficients c^p_qs + c^p_sq only for
+the pairs q <= s with O_qs nonzero (none at a point of weight 0).
 Every operator is a canonical integer form (D, {(row, column): int}) of
 its nonzero entries: `KZSystem.matrices`, `classical_oracle_matrices`
 and a flatness counterexample; `Rat` is built only for kappa and the
@@ -42,14 +44,14 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from ._kernel import RAT0, RAT1, Rat, add_scaled, canonical, form, merge
+from ._kernel import RAT0, RAT1, Rat, add_scaled, canonical, form
 from .basis import GradedElement, KNIndex, kn_basis_element
 from .errors import DomainError
-from .finite_lie import (casimir_eigenvalue, entry_product, finite_irrep,
-                         make_algebra, omega_entries)
+from .finite_lie import (casimir_eigenvalue, finite_irrep, int_entries,
+                         int_entry_product, make_algebra, omega_entries)
 from .modules import ModuleSpec, induce_module, mode_digit
 from .ratfield import INFINITY
-from .sugawara import _triple_row, rescale_factor
+from .sugawara import _triple_coefficient, rescale_factor
 
 
 def tangent_fields(cfg):
@@ -190,8 +192,10 @@ def _casimir_pair(module, basis, q, s):
     for i, dual in enumerate(alg.dual_vectors):
         a = mode_digit(cfg, alg, (0, q, i))
         for j, d in enumerate(dual):
+            if not d.num:
+                continue
             b = mode_digit(cfg, alg, (0, s, j))
-            for col, mono in enumerate(basis if d.num else ()):
+            for col, mono in enumerate(basis):
                 dm, mid = act(b, mono)
                 for m2, x in mid.items():
                     d2, t2 = act(a, m2)
@@ -206,13 +210,17 @@ def kz_matrices(cfg, alg, weights, level, depth=None):
 
     Builds the induced module (weyl for sl2, fock for the abelian
     algebra) and reads -1/(level + dual Coxeter) L(-1, p) on its vacuum
-    monomials.  A term of total t moves the degree by t, so the
-    degree-zero part of an image, its coinvariant representative
-    (`coinvariant_reduce`), sums the zero-mode terms: row (0, 0) of the
-    triple table (`_triple_row`), empty for N = 1.  O_sq = O_qs, as
-    actions on different factors commute and D is symmetric, so each is
-    built once, for q <= s (`_casimir_pair`), and enters A_p with
-    c^p_qs + c^p_sq.  Each A_p, an integer form (D, {(row, column):
+    monomials; the handle reads the module memos of the configuration,
+    so degree-0 actions the coinvariants computed are not computed again.
+    A term of total t moves the degree by t, so the degree-zero part of
+    an image, its coinvariant representative (`coinvariant_reduce`),
+    sums the zero-mode terms c^p_qs = c_{(0,q),(0,s)} of L(-1, p).
+    O_sq = O_qs, as actions on different factors commute and D is
+    symmetric, so each is built once, for q <= s (`_casimir_pair`), and
+    enters A_p with c^p_qs + c^p_sq.  Those two coefficients are read
+    (`_triple_coefficient`) only where O_qs is nonzero: a point of
+    weight 0 acts by zero on degree 0, so no coefficient with q or s at
+    such a point is read.  Each A_p, an integer form (D, {(row, column):
     int}), is fitted as A_p = kappa M_p + sigma_p Id against the sparse
     Casimir oracle M_p (`classical_oracle_matrices`): the traceless dot
     and the scalar test sum and compare ints over the nonzero entries.
@@ -228,18 +236,23 @@ def kz_matrices(cfg, alg, weights, level, depth=None):
     basis = module._slice_codes(0)
     dim = len(basis)
     half = fac * Rat(1, 2)
-    pairs = {}  # (q, s) with q <= s -> O_qs, built on first read
+    pts = range(1, cfg.n_points + 1)
+    pairs = {}  # (q, s) with q <= s -> O_qs, where nonzero
+    for q in pts:
+        for s in pts[q - 1:]:
+            o = canonical(*_casimir_pair(module, basis, q, s))
+            if o[1]:
+                pairs[q, s] = o
     measured = []
-    for p in range(1, cfg.n_points + 1):
-        coefs = {}  # O_sq = O_qs, so c_sq adds to c_qs
-        for q, s, c in _triple_row(cfg, -1, p, 0, 0):
-            qs = (min(q, s), max(q, s))
-            coefs[qs] = coefs.get(qs, RAT0) + c * half
+    for p in pts:
         den, mat = 1, {}
-        for qs, c in coefs.items():
-            if qs not in pairs:
-                pairs[qs] = _casimir_pair(module, basis, *qs)
-            den = add_scaled(den, mat, *pairs[qs], c.num, c.den)
+        for (q, s), o in pairs.items():
+            c = _triple_coefficient(cfg, -1, p, 0, q, 0, s)
+            if q != s:  # O_sq = O_qs, so c_sq adds to c_qs
+                c = c + _triple_coefficient(cfg, -1, p, 0, s, 0, q)
+            if c.num:
+                c = c * half
+                den = add_scaled(den, mat, *o, c.num, c.den)
         measured.append(canonical(den, mat))
 
     oracle = classical_oracle_matrices(cfg, alg, weights)
@@ -275,11 +288,11 @@ def flatness_check(system):
     every factor but p and q, so each relation is checked on
     V_p (x) V_q (x) V_r alone, once per weight key (w_p, w_q, w_r) with
     w_p <= w_q (the relation is symmetric in p and q), and counted once
-    per ordered triple.  The commutator is taken on the nonzero entries
-    of the three Omegas (`omega_entries`, `entry_product`).  A
-    counterexample is ((p, q, r), the commutator on those factors as a
-    canonical integer form).  Disjoint pairs commute by construction.  Exact;
-    vacuous for N = 2.
+    per ordered triple.  The commutator is summed in ints on the nonzero
+    entries of the three Omegas over one denominator (`omega_entries`,
+    `int_entry_product`).  A counterexample is ((p, q, r), the
+    commutator on those factors as a canonical integer form).  Disjoint
+    pairs commute by construction.  Exact; vacuous for N = 2.
     """
     cfg = system.config
     n = cfg.n_points
@@ -304,11 +317,13 @@ def flatness_check(system):
                     mods = [finite_irrep(alg, w) for w in key]
                     pq, pr, qr = (omega_entries(alg, mods, i, j)
                                   for i, j in ((0, 1), (0, 2), (1, 2)))
-                    lhs = local[key] = merge(entry_product(pq, pr + qr),
-                                             entry_product(pr + qr, pq),
-                                             -RAT1)
+                    den, ents = int_entries(pq + pr + qr)
+                    pq, rest = ents[:len(pq)], ents[len(pq):]
+                    acc = int_entry_product(pq, rest)
+                    add_scaled(1, acc, 1, int_entry_product(rest, pq), -1, 1)
+                    lhs = local[key] = canonical(den * den, acc)
                 checked += 1
-                if lhs:
+                if lhs[1]:
                     return FlatnessReport(False, False, checked,
-                                          ((a, b, r), form(lhs)))
+                                          ((a, b, r), lhs))
     return FlatnessReport(True, False, checked)

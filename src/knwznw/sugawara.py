@@ -216,8 +216,9 @@ def _relation_plan(module, k, r, c1, top):
     l_{m,q} x_i(m, q) over e_{k,r}.A_{n,p} = sum l_{m,q} A_{m,q}, the
     cached weight-0 unit entry of the Lie derivative.  A term with m > top
     sends w past slice 0 and is dropped; at the critical level there is
-    none.  The scalar carries the level, so the plans are memoised per
-    module (`InducedModule._relation_plans`), never on the configuration."""
+    none.  The scalar carries the level, so the plans are memoised with
+    the module's other memos (`InducedModule._relation_plans`, one per
+    level), never in the configuration's cache."""
     key = (k, r, c1, top)
     plan = module._relation_plans.get(key)
     if plan is None:

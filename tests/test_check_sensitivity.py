@@ -68,7 +68,7 @@ FAULTS = {
         "num * g + w", "num + w", "coboundary mismatch"),
     # the central term of the loop bracket with its sign flipped
     "classical-affine": ("classical-affine", affine, "affine_bracket",
-                         "central = central - c", "central = central + c",
+                         "-c.num * fij.num", "c.num * fij.num",
                          "affine relation at"),
     # the loop part of the bracket one degree too high
     "affine-grading": ("affine-grading", affine, "affine_bracket",

@@ -673,21 +673,30 @@ def test_weyl_work_bound(capsys, tmp_path, monkeypatch):
     # counted from the weights: 400 for (4,9,7).  `--coinvariants` counts
     # 9 rows per monomial of 5 plus 1 per 5 monomials of its weight space
     # (400 // 21 = 19); `--action` 9 dense 400 x 400 matrices; `kz` 3 of
-    # them, compact, 40 + 10 * 3 per column, 3 * 400 of them, and 3^4
+    # them, compact, 40 + 10 * 3 per column, 3 * 400 of them, 2 * 3^3 and,
+    # with 3 points of nonzero weight, 2 * 3^2 * 3^2
     cfg = _write(tmp_path, "w.json", {"points": ["0", "1", "-1"],
                                       "weights": [4, 9, 7], "depth": 0})
     monkeypatch.setattr(cli, "MAX_WORK", 0)
+    kz_rest = 70 * 3 * 400 + 2 * 3 ** 3 + 2 * 3 ** 2 * 3 ** 2
     for argv, work in ((["module", "--coinvariants"], 9 * 400 * (5 + 3)),
                        (["module", "--action"], 9 * 400 ** 2),
-                       (["kz"], 3 * 400 ** 2 + 70 * 3 * 400 + 3 ** 4),
+                       (["kz"], 3 * 400 ** 2 + kz_rest),
                        # indented, each entry weighs 2 + indent // 5
+                       (["module", "--action", "--json-indent", "8"],
+                        3 * 9 * 400 ** 2),
                        (["kz", "--json-indent", "8"],
-                        3 * 3 * 400 ** 2 + 70 * 3 * 400 + 3 ** 4)):
+                        3 * 3 * 400 ** 2 + kz_rest)):
         _rejected(argv + ["--config", cfg], capsys,
                   "work estimate %d exceeds 0 (MAX_WORK)" % work)
     # a plain listing only counts its slices
     code, out, _ = run_cli(["module", "--config", cfg], capsys)
     assert code == 0 and json.loads(out)["slice_dimensions"]["0"] == 400
+    # a point of weight 0 adds to N only: (1,1,0,0,0) at five points
+    cfg = _write(tmp_path, "z.json", {"points": ["0", "1", "-1", "2", "3"],
+                                      "weights": [1, 1, 0, 0, 0]})
+    _rejected(["kz", "--config", cfg], capsys, "work estimate %d exceeds 0"
+              % (5 * 4 * (4 + 90) + 2 * 5 ** 3 + 2 * 5 ** 2 * 2 ** 2))
 
 
 def test_large_weyl_weights_are_refused_before_any_irrep_is_built(
@@ -748,6 +757,26 @@ def test_requests_are_decided_by_the_estimate_alone(capsys, tmp_path,
     big = _write(tmp_path, "b.json", {"points": ["0", "1", "-1"],
                                       "weights": [10, 10, 10]})
     _rejected(["module", "--action", "--config", big], capsys, "(MAX_WORK)")
+    # (9,9,9) prints 9 dense 1,000 x 1,000 matrices: 1.0 s and 176 MB
+    # compact, but 4.8 s and 1.3 GB at --json-indent 8
+    monkeypatch.setattr(InducedModule, "degree_zero_action", _reach)
+    nines = _write(tmp_path, "n.json", {"points": ["0", "1", "-1"],
+                                        "weights": [9, 9, 9]})
+    with pytest.raises(_Reached):
+        main(["module", "--action", "--config", nines])
+    _rejected(["module", "--action", "--json-indent", "8", "--config",
+               nines], capsys, "work estimate 27000000 exceeds")
+    # kz at (1,1,0,...,0): a point of weight 0 reads no triple
+    # coefficient, so 187 points pass (5.5-5.7 s) and 188 do not
+    for n, accepted in ((187, True), (188, False)):
+        many = _write(tmp_path, "m.json", {
+            "points": [str(x) for x in range(n)],
+            "weights": [1, 1] + [0] * (n - 2)})
+        if accepted:
+            with pytest.raises(_Reached):
+                main(["kz", "--config", many])
+        else:
+            _rejected(["kz", "--config", many], capsys, "(MAX_WORK)")
     # every pair k,r,m,s with k, m in -3..4 at three points: 576 pairs, 39 s
     ops = ["%d,%d" % (k, r) for k in range(-3, 5) for r in (1, 2, 3)]
     pairs = ";".join(a + "," + b for a in ops for b in ops)

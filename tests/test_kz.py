@@ -17,7 +17,8 @@ from knwznw.errors import CriticalLevelError
 from knwznw.finite_lie import make_algebra, tensor_strides
 from knwznw.kz import (classical_oracle_matrices, flatness_check, kz_matrices,
                        predicted_scalar_shift, tangent_fields)
-from knwznw.modules import ModuleSpec, induce_module
+from knwznw.modules import (InducedModule, ModuleSpec,
+                            degree_zero_coinvariant_dimension, induce_module)
 from knwznw.sugawara import (_triple_coefficient, apply_L_raw,
                               rescale_factor)
 
@@ -435,22 +436,25 @@ def test_one_scaled_zero_mode_coefficient_breaks_the_fit(sl2, monkeypatch):
     # doubling one off-diagonal c^1_{(0,q),(0,s)} adds a multiple of O_qs
     # to A_1 that the Casimir oracle does not have: the fit at N = 3 leaves a
     # residual and the registry check fails there
-    real = kz._triple_row
+    real = kz._triple_coefficient
 
-    def scaled(cfg, k, r, t, n):
-        row = real(cfg, k, r, t, n)
-        if cfg.n_points != 3 or (k, r, t, n) != (-1, 1, 0, 0):
-            return row
-        at = next(i for i, (q, s, _) in enumerate(row) if q != s)
-        q, s, c = row[at]
-        return row[:at] + ((q, s, c + c),) + row[at + 1:]
+    def first_off_diagonal(cfg):
+        pts = range(1, 4)
+        return next((q, s) for q in pts for s in pts
+                    if q != s and real(cfg, -1, 1, 0, q, 0, s).num)
+
+    def scaled(cfg, k, r, n, q, m, s):
+        c = real(cfg, k, r, n, q, m, s)
+        if cfg.n_points != 3 or (k, r, n, m) != (-1, 1, 0, 0):
+            return c
+        return c + c if (q, s) == first_off_diagonal(cfg) else c
 
     def system():
         return kz_matrices(Config(["0", "1", "-1"]), sl2, (1, 1, 1), Rat(1))
 
     assert system().residual_zero
     assert verify_kz.kz_classical_agreement()[0]
-    monkeypatch.setattr(kz, "_triple_row", scaled)
+    monkeypatch.setattr(kz, "_triple_coefficient", scaled)
     assert not system().residual_zero
     assert verify_kz.kz_classical_agreement() == (False, "fit failed at N=3")
 
@@ -507,6 +511,60 @@ def test_kz_matrices_build_no_full_image(sl2, ab, monkeypatch):
         got = kz_matrices(*case)
         assert (got.matrices, got.kappa, got.scalar_shifts) == \
             (w.matrices, w.kappa, w.scalar_shifts)
+
+
+def test_kz_reads_the_degree_zero_actions_of_the_coinvariants(sl2,
+                                                              monkeypatch):
+    # the coinvariants and the KZ system of one configuration and data
+    # read one module memo: after the coinvariant dimension (1, so the
+    # span never fills and every degree-0 action is computed), the system
+    # computes no degree-0 action, and equals that of a Config of its own
+    points, weights, level = ["0", "1", "-1"], (1, 1, 2), Rat(1)
+    want = kz_matrices(Config(points), sl2, weights, level)
+    cfg = Config(points)
+    module = induce_module(sl2, cfg, ModuleSpec("weyl", weights, level, 3))
+    assert degree_zero_coinvariant_dimension(module) == 1
+    acted = dict(module._act_memo)
+
+    def refuse(self, gen, vac):
+        raise AssertionError("a degree-0 action was computed again")
+
+    monkeypatch.setattr(InducedModule, "_vacuum_action", refuse)
+    got = kz_matrices(cfg, sl2, weights, level)
+    assert module._act_memo == acted
+    assert (got.matrices, got.kappa, got.scalar_shifts) == \
+        (want.matrices, want.kappa, want.scalar_shifts)
+
+
+def test_a_point_of_weight_zero_reads_no_triple_coefficient(sl2,
+                                                            monkeypatch):
+    # a point of weight 0 acts by zero on degree 0, so each Casimir product
+    # O_qs with q or s there is zero and no c^p_qs with q or s there is
+    # read; every direction p, that point's too, reads c^p_qs + c^p_sq of
+    # the 6 nonzero products (9 reads), and each A_p is still the degree-0
+    # block of the full image
+    points, weights, level = ["0", "1", "-1", "2"], (1, 0, 2, 1), Rat(1)
+    read = []
+    real = kz._triple_coefficient
+
+    def recording(cfg, k, r, n, q, m, s):
+        read.append((r, q, s))
+        return real(cfg, k, r, n, q, m, s)
+
+    monkeypatch.setattr(kz, "_triple_coefficient", recording)
+    system = kz_matrices(Config(points), sl2, weights, level)
+    assert all(2 not in (q, s) for _r, q, s in read)
+    assert sorted(read) == sorted(
+        (r, q, s) for r in range(1, 5) for q in (1, 3, 4) for s in (1, 3, 4))
+    module = induce_module(sl2, Config(points),
+                           ModuleSpec("weyl", weights, level))
+    f = rescale_factor(sl2, level)
+    dim = len(module.slice_basis(0))
+    assert [dense(m, dim) for m in system.matrices] == \
+        [full_image_block(module, p, f) for p in range(1, 5)]
+    assert system.residual_zero and system.scalar_shifts == [
+        predicted_scalar_shift(Config(points), sl2, weights, level, p)
+        for p in range(1, 5)]
 
 
 def fraction_dot(a, b, dim):

@@ -409,11 +409,12 @@ def test_audit_counterexample_is_the_difference_vector(sl2, cfg2,
     assert d == -1 and diff == want.scale(f * f) != ModuleVector()
 
 
-def test_multipoint_audit_reuses_memoised_images(sl2, cfg2, monkeypatch):
+def test_multipoint_audit_reuses_memoised_images(sl2, monkeypatch):
     # the multipoint-centrality module: the audit reads the images of
     # monomials that repeat across the slice basis, so the memo must hold
     # fewer images than the audit and the images it builds read monomials
-    # (`_image` calls)
+    # (`_image` calls); its own Config, so no other test fills the memo
+    cfg2 = Config(["0", "1"])
     module = induce_module(sl2, cfg2, ModuleSpec("weyl", (1, 1), Rat(1), 4))
     seen = []
     image = sugawara._image
@@ -447,14 +448,15 @@ def test_multipoint_audit_reuses_memoised_images(sl2, cfg2, monkeypatch):
     assert apply_L_raw(module, (0, 1), unit) == want
 
 
-def test_a_carried_degree_gives_the_image_of_the_summed_one(sl2, cfg2,
+def test_a_carried_degree_gives_the_image_of_the_summed_one(sl2,
                                                            monkeypatch):
     # given a monomial's degree, _L_image carries it down the current
     # relation in place of summing creation strings; both ways give one
-    # image
+    # image.  Handles on one Config share their memos, so each way gets
+    # a Config of its own
     spec = ModuleSpec("weyl", (1, 1), Rat(1), 3)
-    carried = induce_module(sl2, cfg2, spec)
-    summed = induce_module(sl2, cfg2, spec)
+    carried = induce_module(sl2, Config(["0", "1"]), spec)
+    summed = induce_module(sl2, Config(["0", "1"]), spec)
     for d in (0, -1, -2, -3):
         for code in carried._slice_codes(d):
             for k, r in ((1, 1), (-1, 2), (0, 1)):
@@ -470,14 +472,17 @@ def test_a_carried_degree_gives_the_image_of_the_summed_one(sl2, cfg2,
     monkeypatch.setattr(InducedModule, "code_degree",
                         lambda self, code: calls.append(code)
                         or degree(self, code))
+    cfg2 = Config(["0", "1"])
     module = induce_module(sl2, cfg2, spec)
     sugawara_commutator_audit(cfg2, sl2, module, [((2, 1), (1, 2))], [-3])
     assert 10 * len(calls) < sum(map(len, module._sugawara_memo.values()))
 
 
-def test_an_audit_sums_no_creation_string(sl2, cfg2, monkeypatch):
+def test_an_audit_sums_no_creation_string(sl2, monkeypatch):
     # the engine reads every degree off codes, so the audit of weyl (1,1)
-    # at 0,1 with pair (1,1),(-1,2) on slice -3 reads no monomial's degree
+    # at 0,1 with pair (1,1),(-1,2) on slice -3 reads no monomial's
+    # degree; its own Config, so the audit builds every image it reads
+    cfg2 = Config(["0", "1"])
     calls = []
     degree = PBWMonomial.degree
     monkeypatch.setattr(PBWMonomial, "degree", property(
@@ -592,10 +597,12 @@ def test_audit_matches_the_composed_rat_path(points, data):
         composed_audit(cfg, sl2, module, pair, window)
 
 
-def test_a_wrong_memo_image_makes_the_audit_non_scalar(sl2, cfg2):
+def test_a_wrong_memo_image_makes_the_audit_non_scalar(sl2):
     # one numerator of one memoised image L_hu(mono), hu a term of the
     # bracket [e_{1,1}, e_{-1,2}], moves by a whole unit: the audit sums
-    # the memo in place, so it reports that image's error
+    # the memo in place, so it reports that image's error.  Its own
+    # Config, so the wrong image reaches no other test's module
+    cfg2 = Config(["0", "1"])
     pair = ((1, 1), (-1, 2))
     module = induce_module(sl2, cfg2, ModuleSpec("weyl", (1, 1), Rat(1), 4))
     (entry,) = sugawara_commutator_audit(cfg2, sl2, module, [pair], [-1])
@@ -613,9 +620,11 @@ def test_a_wrong_memo_image_makes_the_audit_non_scalar(sl2, cfg2):
     assert not entry.is_scalar and entry.counterexample is not None
 
 
-def test_audits_leave_every_memoised_image_unchanged(sl2, cfg2):
+def test_audits_leave_every_memoised_image_unchanged(sl2):
     # the audit reads the memo's images in place; a second audit with
-    # other pairs, which reads the first one's images again, changes none
+    # other pairs, which reads the first one's images again, changes none.
+    # Its own Config, so the first audit builds the memo
+    cfg2 = Config(["0", "1"])
     module = induce_module(sl2, cfg2, ModuleSpec("weyl", (1, 1), Rat(1), 4))
     sugawara_commutator_audit(cfg2, sl2, module, [((1, 1), (-1, 2))],
                               [-1, -2])
