@@ -58,14 +58,6 @@ class AffineElement(Combination):
     def items(self):
         return sorted(self.loop.items())
 
-    def loop_part_map(self, dim):
-        """Spec view: (n, p) -> g-coefficient vector."""
-        out = {}
-        for (i, n, p), c in self.loop.items():
-            vec = out.setdefault((n, p), [RAT0] * dim)
-            vec[i] = c
-        return out
-
     def __repr__(self):
         body = " + ".join("%s*x%d(%d,%d)" % (c, i, n, p)
                           for (i, n, p), c in self.items())

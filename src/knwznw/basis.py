@@ -88,13 +88,6 @@ class Config:
         self.series = {}
         self.module_memos = {}
 
-    def point(self, p):
-        """1-based access, matching the index convention of the basis."""
-        if not 1 <= p <= self.n_points:
-            raise DomainError("point index %d out of range 1..%d"
-                              % (p, self.n_points))
-        return self.points[p - 1]
-
     def __eq__(self, other):
         return isinstance(other, Config) and self.points == other.points
 

@@ -58,9 +58,12 @@ MAX_WEYL_WEIGHT = 400
 #   module --action (9,9,8), --json-indent 4    14,580,000   3.8   835
 #   module --coinvariants (2,...,2,0), N = 9    14,526,054   4.7    70
 #   module --coinvariants verma w26, N = 4      13,154,400   5.1   174
+#   module --coinvariants (56,56,57), N = 3     14,133,150   4.5   315
+#   module --coinvariants (400,399), N = 2       8,020,000   4.5   201
 #   refused: module --action (10,10,10), N = 3  15,944,049   2.2   319
 #   refused: module --action (9,9,9), indent 8  27,000,000   4.8  1303
 #   refused: sugawara -7,1,0,2 slice -2, README 23,085,648   5.6   201
+#   refused: module --coinvariants (68,68,69)   24,995,250  10.8   528
 MAX_WORK = 15_000_000
 # Spaces per nesting level of `--json-indent`; output grows linearly with
 # it: `kz` at (1,...,1) at eight points writes 2.7 MB compact, 19.5 MB at
@@ -261,12 +264,17 @@ def _kz_work(weights, dim0, indent):
 def _coinvariant_work(module, dim0):
     """dim g * N relation rows per monomial: 40 each in a verma module,
     else 5 plus 1 per 5 monomials of its sl2 weight space in a weyl module
-    (dim0 // (sum of weights + 1))."""
-    spec, alg = module.spec, module.alg
-    fill = (dim0 // (sum(spec.weights) + 1)
-            if spec.kind == "weyl" and alg.kind == "sl2" else 0)
+    (dim0 // (sum of weights + 1)).  With an odd sl2 weight sum no
+    monomial has weight 0, so the N Cartan rows per monomial, the first
+    eliminated, fill the span alone: 25 each, if that is less."""
+    spec, alg, n = module.spec, module.alg, module.cfg.n_points
+    weyl_sl2 = spec.kind == "weyl" and alg.kind == "sl2"
+    fill = dim0 // (sum(spec.weights) + 1) if weyl_sl2 else 0
     row = 40 if spec.kind == "verma" else 5 + fill // 5
-    return alg.dim * module.cfg.n_points * dim0 * row
+    work = alg.dim * n * dim0 * row
+    if weyl_sl2 and sum(spec.weights) % 2:
+        work = min(work, n * dim0 * 25)
+    return work
 
 
 def _audit_work(module, pairs, window):
@@ -505,9 +513,7 @@ def cmd_kz(args):
     dim0 = prod(w + 1 for w in weights) if alg.kind == "sl2" else 1
     _within_work(_kz_work(weights, dim0, args.json_indent))
     system = kz_matrices(cfg, alg, weights, level)
-    flat = "ok"
-    if cfg.n_points >= 3 and not flatness_check(system).holds:
-        flat = "violated"
+    flat = "ok" if flatness_check(system).holds else "violated"
     payload = {
         "points": [_rat_str(p) for p in cfg.points],
         "lie_algebra": alg.kind,
@@ -626,6 +632,10 @@ def main(argv=None):
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
+    # argparse reads `--window=--` as an empty list, not a string
+    if [] in vars(args).values():
+        sys.stderr.write("config error: an option value may not be '--'\n")
+        return 2
     # shared flags may arrive before or after the subcommand; the
     # subparser namespace wins, absent means default
     if not hasattr(args, "config"):

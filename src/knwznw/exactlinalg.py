@@ -1,16 +1,11 @@
 """Exact linear algebra over the rationals.
 
-Dense matrices as lists of rows of Rat: `zeros` builds the dense
-oracles; `rref` and `nullspace`, textbook Gaussian elimination, serve
-the tests.  Operators inside the program are held as their nonzero
-entries, up to the CLI's output.
+Dense matrices as lists of rows of Rat: `rref` and `nullspace`,
+textbook Gaussian elimination, serve the tests.  Operators inside the
+program are held as their nonzero entries, up to the CLI's output.
 """
 
 from ._kernel import RAT0, RAT1
-
-
-def zeros(nrows, ncols):
-    return [[RAT0] * ncols for _ in range(nrows)]
 
 
 def rref(rows):

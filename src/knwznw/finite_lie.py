@@ -27,7 +27,6 @@ from typing import NamedTuple
 
 from ._kernel import RAT0, RAT1, Rat, merge, rats
 from .errors import DomainError
-from .exactlinalg import zeros
 from .ratfield import as_rat
 
 SUPPORTED_KINDS = ("sl2", "abelian1")
@@ -235,7 +234,7 @@ def factor_op(mods, p, entries):
     dim = math.prod(m.dim for m in mods)
     sp = tensor_strides(mods)[p]
     dp = mods[p].dim
-    out = zeros(dim, dim)
+    out = [[RAT0] * dim for _ in range(dim)]
     for base in range(dim):
         if (base // sp) % dp == 0:
             for r, c, v in entries:

@@ -42,6 +42,7 @@ shifts.
 
 from __future__ import annotations
 
+from itertools import permutations
 from typing import NamedTuple, Optional
 
 from ._kernel import RAT0, RAT1, Rat, add_scaled, canonical, form
@@ -123,19 +124,10 @@ def classical_oracle_matrices(cfg, alg, weights):
     return [canonical(den, acc) for den, acc in zip(dens, accs)]
 
 
-def point_mover_linear_coefficient(cfg, p, q):
-    """E_p'(z_q): the xi-linear coefficient of e_{-1,p} at P_q (q != p)."""
-    form = kn_basis_element(cfg, KNIndex(-1, -1, p)).form(cfg)
-    # the jet starts at the vanishing order; the linear coefficient is the
-    # order-1 coefficient
-    if form.order(q - 1) == 1:
-        return form.jet(cfg, q - 1, 1)[0]
-    return RAT0
-
-
 def predicted_scalar_shift(cfg, alg, weights, level, p):
     """Closed-form conformal-weight shift of the direction-p matrix."""
     fac = rescale_factor(alg, level) * Rat(1, 2)
+    mover = kn_basis_element(cfg, KNIndex(-1, -1, p)).form(cfg)
     zs = cfg.points
     zp = zs[p - 1]
     own = RAT0
@@ -144,10 +136,11 @@ def predicted_scalar_shift(cfg, alg, weights, level, p):
             own = own + RAT1 / (zp - zs[l - 1])
     total = casimir_eigenvalue(alg, weights[p - 1]) * own
     for q in range(1, cfg.n_points + 1):
-        if q == p:
-            continue
-        total = total + (point_mover_linear_coefficient(cfg, p, q)
-                         * casimir_eigenvalue(alg, weights[q - 1]))
+        # E_p'(z_q), the xi-linear coefficient of e_{-1,p} at P_q: the
+        # jet starts at the vanishing order, so it is read at order 1
+        if q != p and mover.order(q - 1) == 1:
+            total = total + (mover.jet(cfg, q - 1, 1)[0]
+                             * casimir_eigenvalue(alg, weights[q - 1]))
     return fac * total
 
 
@@ -301,29 +294,20 @@ def flatness_check(system):
     alg = make_algebra(system.algebra_kind)
     ws = system.weights
     local = {}  # weight key -> the commutator on the three factors
-    checked = 0
-    for p in range(n):
-        for q in range(n):
-            if p == q:
-                continue
-            # the relation of (p, q, r) is that of (q, p, r)
-            a, b = (q, p) if ws[q] < ws[p] else (p, q)
-            for r in range(n):
-                if r in (p, q):
-                    continue
-                key = (ws[a], ws[b], ws[r])
-                lhs = local.get(key)
-                if lhs is None:
-                    mods = [finite_irrep(alg, w) for w in key]
-                    pq, pr, qr = (omega_entries(alg, mods, i, j)
-                                  for i, j in ((0, 1), (0, 2), (1, 2)))
-                    den, ents = int_entries(pq + pr + qr)
-                    pq, rest = ents[:len(pq)], ents[len(pq):]
-                    acc = int_entry_product(pq, rest)
-                    add_scaled(1, acc, 1, int_entry_product(rest, pq), -1, 1)
-                    lhs = local[key] = canonical(den * den, acc)
-                checked += 1
-                if lhs[1]:
-                    return FlatnessReport(False, False, checked,
-                                          ((a, b, r), lhs))
-    return FlatnessReport(True, False, checked)
+    for checked, (p, q, r) in enumerate(permutations(range(n), 3), 1):
+        # the relation of (p, q, r) is that of (q, p, r)
+        a, b = (q, p) if ws[q] < ws[p] else (p, q)
+        key = (ws[a], ws[b], ws[r])
+        lhs = local.get(key)
+        if lhs is None:
+            mods = [finite_irrep(alg, w) for w in key]
+            pq, pr, qr = (omega_entries(alg, mods, i, j)
+                          for i, j in ((0, 1), (0, 2), (1, 2)))
+            den, ents = int_entries(pq + pr + qr)
+            pq, rest = ents[:len(pq)], ents[len(pq):]
+            acc = int_entry_product(pq, rest)
+            add_scaled(1, acc, 1, int_entry_product(rest, pq), -1, 1)
+            lhs = local[key] = canonical(den * den, acc)
+        if lhs[1]:
+            return FlatnessReport(False, False, checked, ((a, b, r), lhs))
+    return FlatnessReport(True, False, n * (n - 1) * (n - 2))

@@ -76,22 +76,6 @@ from .modules import ModuleVector, mode_digit
 _HALF = Rat(1, 2)
 
 
-class SugawaraIndex(NamedTuple):
-    k: int
-    r: int
-
-
-class TripleCoefficientTable(NamedTuple):
-    """Residue-pairing coefficients for one operator index (k, r)."""
-
-    k: int
-    r: int
-    entries: dict  # ((n, p), (m, s)) -> Rat
-
-    def coefficient(self, n, p, m, s):
-        return self.entries.get(((n, p), (m, s)), RAT0)
-
-
 def _triple_coefficient(cfg, k, r, n, p, m, s):
     key = ("sugw3", k, r, n, p, m, s)
     hit = cfg.cache.get(key)
@@ -177,7 +161,8 @@ def total_degree_band(cfg, k):
 
 
 def sugawara_coefficients(cfg, idx, band):
-    """Table of coefficients over a finite band of (n, m) totals.
+    """The nonzero coefficients {((n, p), (m, s)): c} of L(k, r), idx =
+    (k, r), over a finite band of (n, m) totals.
 
     band is (t_min, t_max); per total, mode indices run over a window wide
     enough for any vector with degree >= t_min - band use (callers slice
@@ -191,7 +176,7 @@ def sugawara_coefficients(cfg, idx, band):
         for n in range(t - span, span + 1):
             for p, s, c in _triple_row(cfg, k, r, t, n):
                 entries[((n, p), (t - n, s))] = c
-    return TripleCoefficientTable(k, r, entries)
+    return entries
 
 
 def _image(module, k, r, code, degree=None):
@@ -340,12 +325,6 @@ def rescale_factor(alg, level):
     return Rat(-1) / den
 
 
-def rescaled_L(module, idx, v):
-    """-1/(level + dual Coxeter) times L(k, r)."""
-    f = rescale_factor(module.alg, module.level)
-    return apply_L(module, idx, v).scale(f)
-
-
 def T_of_vectorfield(module, l, v):
     """Sugawara operator attached to a vector field.
 
@@ -357,7 +336,7 @@ def T_of_vectorfield(module, l, v):
     f = rescale_factor(module.alg, module.level)
     out = ModuleVector({})
     for (k, r), c in l.terms.items():
-        out = out + apply_L(module, SugawaraIndex(k, r), v).scale(f * c)
+        out = out + apply_L(module, (k, r), v).scale(f * c)
     return out
 
 

@@ -3,9 +3,8 @@
 import math
 from math import lcm
 
-from knwznw._kernel import rats
+from knwznw._kernel import RAT0, rats
 from knwznw.basis import DivisorForm, Section
-from knwznw.exactlinalg import zeros
 from knwznw.finite_lie import factor_op
 
 
@@ -36,7 +35,7 @@ def dense_mat_mul(a, b):
     of the sparse `entry_product`."""
     n, k = len(a), len(b)
     m = len(b[0]) if b else 0
-    out = zeros(n, m)
+    out = [[RAT0] * m for _ in range(n)]
     for i in range(n):
         ai = a[i]
         oi = out[i]
@@ -64,7 +63,7 @@ def place(entries, nrows, ncols):
     value) or of a {(row, column): value} dict."""
     if isinstance(entries, dict):
         entries = [(r, c, v) for (r, c), v in entries.items()]
-    out = zeros(nrows, ncols)
+    out = [[RAT0] * ncols for _ in range(nrows)]
     for r, c, v in entries:
         out[r][c] = v
     return out
@@ -87,7 +86,7 @@ def dense_omega_matrix(alg, mods, p, q):
     """Omega_pq = sum_i x_i^(p) u^i^(q) as dense products of factor_op
     matrices, kept as the oracle of the sparse `omega_entries`."""
     dim = math.prod(m.dim for m in mods)
-    out = zeros(dim, dim)
+    out = [[RAT0] * dim for _ in range(dim)]
     for i, dual in enumerate(alg.dual_vectors):
         m1 = factor_op(mods, p, mods[p].entries[i])
         m2 = factor_op(mods, q, [(r, s, c * v) for j, c in enumerate(dual)
@@ -103,7 +102,7 @@ def diagonal_action(mods, xvec):
     """The matrix of x = sum_i xvec_i x_i acting diagonally (Leibniz) on
     the tensor product of mods, a sum of dense factor_op matrices."""
     dim = math.prod(m.dim for m in mods)
-    out = zeros(dim, dim)
+    out = [[RAT0] * dim for _ in range(dim)]
     for p, mod in enumerate(mods):
         fp = factor_op(mods, p, [(r, s, c * v) for i, c in enumerate(xvec)
                                  for r, s, v in mod.entries[i]])

@@ -118,7 +118,7 @@ def test_block_algebra_dimension_and_expansion(cfg2, sl2):
     assert len(nullspace(rows, 3)) == 3
     for u in gens:
         if u.pole_order:
-            assert u.section.order_at(cfg2.point(u.pole_point)) \
+            assert u.section.order_at(cfg2.points[u.pole_point - 1]) \
                 == -u.pole_order
 
 
@@ -171,9 +171,3 @@ def test_degree_bookkeeping(cfg2, sl2):
                 assert -1 <= n + m <= 0
 
 
-def test_loop_part_map(sl2):
-    a = AffineElement({(E, -1, 1): Rat(2), (H, -1, 1): Rat(3),
-                       (F, 0, 2): Rat(1)})
-    lp = a.loop_part_map(sl2.dim)
-    assert lp[(-1, 1)] == [Rat(2), Rat(3), RAT0]
-    assert lp[(0, 2)] == [RAT0, RAT0, Rat(1)]

@@ -211,7 +211,7 @@ def test_normalization_leading_coefficient(cfg2):
         for n in (-2, 0, 1):
             for p in (1, 2):
                 sec = kn_basis_element(cfg2, KNIndex(lam, n, p))
-                o, cs = local_expansion(sec.value, cfg2.point(p), 1)
+                o, cs = local_expansion(sec.value, cfg2.points[p - 1], 1)
                 assert o == n - lam and cs[0] == Rat(1)
 
 

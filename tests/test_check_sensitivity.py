@@ -2,9 +2,12 @@
 
 A fault is one line of a function's or method's source rewritten
 (`mutant`) and bound in place of it, in every module that holds the
-function, or on its class.  Each check runs alone, on fresh
-configurations: it passes first and returns False under its fault, with
-the detail naming where it failed.
+function, or on its class.  Each check runs alone through the registry
+(`verify._run_registry`), on fresh configurations: it passes first and
+fails under its fault, with the detail naming where it failed; a fault
+that makes the check raise fails it through the registry's own
+`error: <Type>: ...` detail.  Every registry check has a fault here or
+is named in UNFAULTED.
 """
 
 import inspect
@@ -14,7 +17,7 @@ import textwrap
 import pytest
 
 import knwznw
-from knwznw import affine, algebras, basis, modules, verify
+from knwznw import affine, algebras, basis, kz, modules, verify, verify_kz
 
 
 def mutant(owner, name, old, new):
@@ -85,25 +88,73 @@ FAULTS = {
     # at infinity
     "subalgebra-closure": ("subalgebra-closure", basis, "at_weight",
                            "e + lam - 1", "e + lam", "minus part not closed"),
+    # a graded element realized with every term at P_1
+    "expansion-roundtrip": ("expansion-roundtrip", basis,
+                            "section_from_graded", "(ge.lam, n, p)",
+                            "(ge.lam, n, 1)", "roundtrip failed at N=2"),
+    # every slice of positive degree one dimension short
+    "homogeneous-dimension": ("homogeneous-dimension", basis,
+                              "homogeneous_dimension", "return cfg.n_points",
+                              "return cfg.n_points - (n > 0)",
+                              "dimension != N"),
+    # an element of order exactly need_pts at every point left in the strip
+    "triangular-decomposition": (
+        "triangular-decomposition", algebras, "triangular_decompose",
+        "o_pts >= need_pts", "o_pts > need_pts", "critical strips"),
+    # the expansion starts one degree above the lowest order, so A_{-j,p}
+    # is never peeled and the reconstruction raises
+    "block-algebra-negative-part": (
+        "block-algebra-negative-part", basis, "expand_in_basis",
+        "n_min = lam + min(orders)", "n_min = lam + min(orders) + 1",
+        "error: BasisConstructionError: expansion failed"),
+    # the point mover's leading coefficient expected with the wrong sign
+    "tangent-fields": ("tangent-fields", kz, "tangent_fields", "!= RAT1",
+                       "!= -RAT1", "error: DomainError: point-moving field "
+                       "not normalized at P_1"),
 }
 
-CHECKS = {name: fn for name, _suite, fn in verify.CHECKS}
+# the registry checks that no fault above plants a failure in yet
+UNFAULTED = {
+    "order-book", "jacobi", "lie-module", "leibniz", "cocycle-identities",
+    "affine-jacobi", "psi-homomorphism", "partition-of-unity",
+    "block-algebra", "admissibility", "weyl-degree-zero", "level",
+    "classical-central-charge", "multipoint-centrality", "summation-bounds",
+    "normal-ordering-equivalence", "kz-classical-agreement",
+    "translation-covariance", "kz-abelian", "kz-trivial", "kz-flatness",
+    "coinvariant-clebsch-gordan",
+}
+
+CHECKS = {name: (name, suite, fn) for name, suite, fn in verify.CHECKS}
+
+
+def run(check):
+    """(passed, detail) of one check run alone by the registry, which
+    turns an exception into a failure with detail "error: ..."."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "CHECKS", [CHECKS[check]])
+        (res,) = verify._run_registry(CHECKS[check][1], {})
+    return res.passed, res.detail
 
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_a_planted_fault_fails_the_check(fault, monkeypatch):
     check, owner, name, old, new, detail = FAULTS[fault]
-    run = CHECKS[check]
-    assert run()[0] is True
+    assert run(check)[0] is True
     bad = mutant(owner, name, old, new)
     if inspect.isclass(owner):
         monkeypatch.setattr(owner, name, bad)
     else:
         orig = getattr(owner, name)
-        for ns in (knwznw, basis, algebras, affine, modules, verify):
+        for ns in (knwznw, basis, algebras, affine, kz, modules, verify,
+                   verify_kz):
             if getattr(ns, name, None) is orig:
                 monkeypatch.setattr(ns, name, bad)
-    ok, got = run()
+    ok, got = run(check)
     assert ok is False and detail in got, got
     monkeypatch.undo()
-    assert run()[0] is True
+    assert run(check)[0] is True
+
+
+def test_every_check_has_a_fault_or_is_named_unfaulted():
+    faulted = {entry[0] for entry in FAULTS.values()}
+    assert set(CHECKS) - faulted == UNFAULTED

@@ -254,6 +254,15 @@ def test_unknown_command_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [["affine", "--window=--"],
+                                  ["module", "--config=--"],
+                                  ["verify", "--suite=--"],
+                                  ["table", "--json-indent=--"]])
+def test_a_double_dash_option_value_exits_2(capsys, argv):
+    # argparse reads `--opt=--` as an empty list, not a string
+    _rejected(argv, capsys, "an option value may not be '--'")
+
+
 def test_json_indent(capsys):
     code, out, _ = run_cli(["--json-indent", "2", "basis", "--lambda", "0",
                             "--n", "0", "--points", "0"], capsys)
@@ -787,6 +796,29 @@ def test_requests_are_decided_by_the_estimate_alone(capsys, tmp_path,
     assert perf_counter() - start < 0.5
 
 
+def test_odd_weight_sums_charge_only_the_cartan_rows(capsys, tmp_path,
+                                                      monkeypatch):
+    # with an odd sl2 weight sum no degree-0 monomial has weight 0, so the
+    # N Cartan rows per monomial fill the span: 25 each.  (1,...,1) at
+    # thirteen points (0.6 s), (3,...,3) at seven (0.65 s) and (400,399)
+    # at two (4.5 s, 201 MB) pass, decided without building a slice
+    monkeypatch.setattr(cli, "degree_zero_coinvariant_dimension", _reach)
+    monkeypatch.setattr(InducedModule, "slice_basis", _reach)
+    monkeypatch.setattr(InducedModule, "_slice_codes", _reach)
+    for weights, work in (([1] * 13, 13 * 2 ** 13 * 25),
+                          ([3] * 7, 7 * 4 ** 7 * 25),
+                          ([400, 399], 2 * 401 * 400 * 25)):
+        cfg = _write(tmp_path, "w.json", {
+            "points": [str(x) for x in range(len(weights))],
+            "weights": weights, "depth": 0})
+        argv = ["module", "--coinvariants", "--config", cfg]
+        monkeypatch.setattr(cli, "MAX_WORK", work - 1)
+        _rejected(argv, capsys, "work estimate %d exceeds" % work)
+        monkeypatch.setattr(cli, "MAX_WORK", MAX_WORK)
+        with pytest.raises(_Reached):
+            main(argv)
+
+
 JUNK = st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=3),
                  st.integers(-10 ** 30, 10 ** 30),
                  st.lists(st.integers(-1, 2), max_size=2),
@@ -802,14 +834,16 @@ PAIR = st.tuples(st.integers(-7, 7), st.integers(0, 4), st.integers(-7, 7),
 
 @st.composite
 def cli_requests(draw):
-    """argv and config of a `module`, `kz` or `sugawara` request, mostly
-    well formed; one value in five of each kind is drawn from the junk."""
+    """argv and config of a `module`, `kz`, `sugawara` or `affine`
+    request, mostly well formed; one value in five of each kind is drawn
+    from the junk."""
     def rarely(bad, good):
         junk = draw(st.sampled_from([False, False, False, False, True]))
         return draw(bad if junk else good)
 
     n = draw(st.integers(1, 4))
-    lie = rarely(st.just("x"), st.sampled_from(["sl2", "sl2", "abelian1"]))
+    lie = rarely(st.one_of(st.just("x"), JUNK),
+                 st.sampled_from(["sl2", "sl2", "abelian1"]))
     kind = rarely(st.just("x"), st.sampled_from(
         ["weyl", "fock"] if lie == "abelian1" else ["weyl", "weyl", "verma"]))
     good = (st.integers(0, 3) if kind == "weyl" else
@@ -828,11 +862,12 @@ def cli_requests(draw):
                                                  "x"]), JUNK))):
         if draw(st.sampled_from([False, False, False, False, True])):
             module[key] = draw(values)
-    data = {"points": ["0", "1", "-1", "2"][:n], "lie_algebra": lie,
+    data = {"points": rarely(JUNK, st.just(["0", "1", "-1", "2"][:n])),
+            "lie_algebra": lie,
             "weights": weights, "module": rarely(JUNK, st.just(module))}
     argv = draw(st.sampled_from([["module"], ["module", "--coinvariants"],
                                  ["module", "--action"], ["kz"],
-                                 ["sugawara"], ["sugawara"]]))
+                                 ["sugawara"], ["sugawara"], ["affine"]]))
     if argv == ["sugawara"]:
         pairs = rarely(st.text("0123456789,-;x", max_size=8),
                        st.lists(PAIR, min_size=1, max_size=3).map(
@@ -843,6 +878,18 @@ def cli_requests(draw):
                                  max_size=3).map(
                             lambda ds: ",".join(map(str, ds))))
         argv = argv + ["--pairs=" + pairs, "--slices=" + slices]
+    elif argv == ["affine"]:
+        window = rarely(st.one_of(
+            st.text("0123456789:-x ", max_size=6),
+            st.tuples(st.integers(-10 ** 6, 10 ** 6),
+                      st.integers(-10 ** 6, 10 ** 6)).map("%d:%d".__mod__)),
+            st.tuples(st.integers(-3, 1), st.integers(0, 3)).map(
+                "%d:%d".__mod__))
+        argv = argv + ["--window=" + window]
+        if draw(st.booleans()):
+            argv.append("--points=" + rarely(
+                st.text("0123456789,-/x.", max_size=8),
+                st.sampled_from(["0", "0,1", "1/2,-7/3,5"])))
     return argv, data
 
 

@@ -17,9 +17,8 @@ from knwznw import sugawara
 from knwznw.modules import (InducedModule, ModuleSpec, ModuleVector,
                             PBWMonomial, induce_module, mode_digit)
 from knwznw.ratfield import residue_at
-from knwznw.sugawara import (SugawaraIndex, T_of_vectorfield,
-                             _triple_coefficient, apply_L, apply_L_raw,
-                             rescaled_L, sugawara_coefficients,
+from knwznw.sugawara import (T_of_vectorfield, _triple_coefficient,
+                             apply_L, apply_L_raw, sugawara_coefficients,
                              sugawara_commutator_audit, total_degree_band)
 
 
@@ -55,17 +54,17 @@ def fock(ab, cfg1):
 
 
 def test_classical_coefficients(cfg1):
-    tab = sugawara_coefficients(cfg1, SugawaraIndex(0, 1), (-3, 3))
+    tab = sugawara_coefficients(cfg1, (0, 1), (-3, 3))
     for n in range(-5, 6):
         for m in range(-5, 6):
             want = Rat(1) if n + m == 0 else RAT0
-            assert tab.coefficient(n, 1, m, 1) == want
+            assert tab.get(((n, 1), (m, 1)), RAT0) == want
 
 
 def test_band_is_empty_outside_locality(cfg2):
     # totals outside [k, k+1] carry no coefficients
-    tab = sugawara_coefficients(cfg2, SugawaraIndex(1, 1), (-2, 4))
-    for ((n, p), (m, s)) in tab.entries:
+    tab = sugawara_coefficients(cfg2, (1, 1), (-2, 4))
+    for ((n, p), (m, s)) in tab:
         assert 1 <= n + m <= 2
     assert total_degree_band(cfg2, 1) == (1, 2)
 
@@ -77,8 +76,8 @@ def test_multipoint_entry_matches_direct_residue(cfg2):
     w2 = kn_basis_element(cfg2, KNIndex(1, -m, s)).value
     e = kn_basis_element(cfg2, KNIndex(-1, k, r)).value
     want = sum((residue_at(w1 * w2 * e, pt) for pt in cfg2.points), RAT0)
-    tab = sugawara_coefficients(cfg2, SugawaraIndex(k, r), (k, k + 1))
-    assert tab.coefficient(n, p, m, s) == want
+    tab = sugawara_coefficients(cfg2, (k, r), (k, k + 1))
+    assert tab[((n, p), (m, s))] == want
     assert want == Rat(-1)  # 1/(z_1 - z_2) with z = (0, 1)
 
 
@@ -117,24 +116,27 @@ def test_summation_bound_stability(fock):
 
 def test_rescale_factor(fock, sl2, cfg1, ab):
     v = ModuleVector.monomial(fock.slice_basis(-1)[0])
-    assert rescaled_L(fock, (0, 1), v) == v.scale(Rat(-1))
+    e01 = GradedElement.unit(-1, 0, 1)
+    assert T_of_vectorfield(fock, e01, v) == v.scale(Rat(-1))
     weyl = induce_module(sl2, cfg1, ModuleSpec("weyl", (0,), Rat(1), 4))
     w = ModuleVector.monomial(weyl.slice_basis(-1)[0])
-    assert rescaled_L(weyl, (0, 1), w) == \
+    assert sugawara.rescale_factor(sl2, weyl.level) == Rat(-1, 3)
+    assert T_of_vectorfield(weyl, e01, w) == \
         apply_L(weyl, (0, 1), w).scale(Rat(-1, 3))
     crit = induce_module(sl2, cfg1, ModuleSpec("weyl", (0,), Rat(-2), 2))
     with pytest.raises(CriticalLevelError):
-        rescaled_L(crit, (0, 1), crit.vacuum_vector())
+        T_of_vectorfield(crit, e01, crit.vacuum_vector())
 
 
 def test_T_of_vectorfield_collapse(fock):
     v = ModuleVector.monomial(fock.slice_basis(-2)[1])
     l = GradedElement.unit(-1, 1, 1)
-    assert T_of_vectorfield(fock, l, v) == rescaled_L(fock, (1, 1), v)
+    f = sugawara.rescale_factor(fock.alg, fock.level)
+    assert T_of_vectorfield(fock, l, v) == apply_L(fock, (1, 1), v).scale(f)
     assert T_of_vectorfield(fock, GradedElement(-1, {}), v).is_zero()
     combo = GradedElement(-1, {(1, 1): Rat(2), (-1, 1): Rat(-3)})
-    want = rescaled_L(fock, (1, 1), v).scale(Rat(2)) \
-        + rescaled_L(fock, (-1, 1), v).scale(Rat(-3))
+    want = apply_L(fock, (1, 1), v).scale(f * 2) \
+        + apply_L(fock, (-1, 1), v).scale(f * -3)
     assert T_of_vectorfield(fock, combo, v) == want
 
 
@@ -373,12 +375,11 @@ def test_normal_ordering_check_reads_both_symmetries(monkeypatch):
     real = verify.sugawara_coefficients
 
     def skewed(cfg, idx, band):
-        table = real(cfg, idx, band)
-        entries = dict(table.entries)
+        entries = dict(real(cfg, idx, band))
         # one slot order of a degree-0 pair at P_1, P_2 moves
         key = ((0, 1), (0, 2))
         entries[key] = entries.get(key, RAT0) + Rat(1)
-        return sugawara.TripleCoefficientTable(table.k, table.r, entries)
+        return entries
 
     monkeypatch.setattr(verify, "sugawara_coefficients", skewed)
     assert check() == (False, "tie rule changed the operator")
