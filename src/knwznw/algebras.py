@@ -475,10 +475,6 @@ class TriangularDecomposition(NamedTuple):
     strip: list
     minus: list
 
-    @property
-    def strip_dimension(self):
-        return len(self.strip)
-
 
 def triangular_decompose(cfg, algebra, window):
     """Order-driven triangular decomposition over a degree window."""

@@ -68,10 +68,7 @@ class Config:
     structure constants, and one for the local series shared by all
     sections relative to these points.  Their values are immutable, so
     concurrent lookups are benign (same key always maps to the same
-    value).  `module_memos` holds the growing memos of the induced
-    modules over these points, one set per (algebra kind, module kind,
-    weights, level, width) shared by every handle built for that data
-    (`modules.InducedModule`); the entries they hold are immutable too.
+    value).
     """
 
     genus = 0
@@ -86,7 +83,6 @@ class Config:
         self.n_points = len(pts)
         self.cache = {}
         self.series = {}
-        self.module_memos = {}
 
     def __eq__(self, other):
         return isinstance(other, Config) and self.points == other.points

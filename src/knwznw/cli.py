@@ -52,9 +52,9 @@ MAX_WEYL_WEIGHT = 400
 #   request                                       estimate     s    MB
 #   sugawara 0,1,0,2 slice -6, verma w2, N = 8  12,329,856   6.7    81
 #   sugawara -7,1,-7,2 slice 0, README's module 10,557,844   3.1   115
-#   kz (48,48), N = 2                           11,817,770   1.5   226
+#   kz (48,48), N = 2                           11,817,770   0.9   220
 #   kz (38,48), N = 2, --json-indent 4          14,837,052   2.6   836
-#   kz (1,1,0,...,0), N = 187                   14,789,830   5.7    71
+#   kz (1,1,0,...,0), N = 187                   14,789,830   3.0    72
 #   module --action (9,9,8), --json-indent 4    14,580,000   3.8   835
 #   module --coinvariants (2,...,2,0), N = 9    14,526,054   4.7    70
 #   module --coinvariants verma w26, N = 4      13,154,400   5.1   174
@@ -249,13 +249,13 @@ def _entry_work(indent):
 
 def _kz_work(weights, dim0, indent):
     """For N points, k of them of nonzero weight: N dim0^2 output entries
-    (`_entry_work`); 40 + 10 N for each of N * dim0 columns: the degree-0
-    actions on a column, its N(N+1)/2 Casimir products and their sums
-    into the N matrices; 2 N^3 for the ordered triples of points the
-    flatness check walks, the N^2/2 oracle products over N factors and
-    the point records of the triple coefficients; and 2 N^2 k^2 for the
-    N k^2 triple coefficients read where a Casimir product is nonzero,
-    each a residue summed over the N points."""
+    (`_entry_work`); 40 + 10 N for each of N * dim0 columns, fitted on
+    degree-0 module actions and now an upper bound on its entries in
+    the Casimir products and their sums into the N matrices; 2 N^3 for
+    the ordered triples of points the flatness check walks, the N^2/2
+    oracle products over N factors and the point records of the triple
+    coefficients; and 2 N^2 k^2 for the N k^2 triple coefficients read
+    where a Casimir product is nonzero, each a residue over N points."""
     n, k = len(weights), sum(map(bool, weights))
     return (n * dim0 * (_entry_work(indent) * dim0 + 40 + 10 * n)
             + 2 * n ** 3 + 2 * n ** 2 * k ** 2)

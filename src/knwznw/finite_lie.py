@@ -15,9 +15,10 @@ on a tensor product.  For sl2 with dominant integral weight m the module
 has dimension m + 1 and its entries are the ladder formulas.  Each module
 is built and validated once per (algebra kind, weight); its entries are
 immutable tuples, so every caller shares it.  `omega_entries` builds the
-Casimir tensor from the entries of the factors, and `entry_product`
-multiplies two entry lists (`int_entry_product` on int values).  The
-dense `factor_op` is an oracle for verify and the tests.
+Casimir tensor from the entries of the factors, `casimir_entries` the
+Casimir of one factor, and `entry_product` multiplies two entry lists
+(`int_entry_product` on int values).  The dense `factor_op` is an
+oracle for verify and the tests.
 """
 
 from __future__ import annotations
@@ -133,11 +134,7 @@ def _validate(alg):
             if v != want:
                 raise DomainError("dual basis mismatch for %s" % alg.kind)
     # adjoint Casimir sum_ij D_ij ad(x_i) ad(x_j) = 2 k_dual
-    cas = {}
-    for i, dual in enumerate(alg.dual_vectors):
-        for j, c in enumerate(dual):
-            if c.num:
-                merge(cas, entry_product(alg.ad(i), alg.ad(j)), c)
+    cas = casimir_entries(alg, [alg.ad(i) for i in range(d)])
     if cas != {(r, r): alg.k_dual * 2 for r in range(d) if alg.k_dual.num}:
         raise DomainError("adjoint Casimir is not 2k for %s" % alg.kind)
     return alg
@@ -285,6 +282,17 @@ def entry_product(a, b):
         return {}
     (da, a), (db, b) = int_entries(a), int_entries(b)
     return rats(da * db, int_entry_product(a, b))
+
+
+def casimir_entries(alg, ops):
+    """sum_ij D_ij x_i x_j for the operators ops[i] of the basis elements,
+    given by their entries, as a {(row, column): value} dict."""
+    cas = {}
+    for i, dual in enumerate(alg.dual_vectors):
+        for j, c in enumerate(dual):
+            if c.num:
+                merge(cas, entry_product(ops[i], ops[j]), c)
+    return cas
 
 
 def int_entries(entries):

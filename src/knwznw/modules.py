@@ -34,13 +34,9 @@ index).  `slice_basis`, `act`, `_act_gen`, `_act_affine_raw` and
 Sugawara's `apply_L` and audit counterexample convert to and from
 `PBWMonomial` (`encode`, `decode_form`).  The action memo (`_act_memo`,
 keyed code << _dbits | digit) holds canonical integer forms
-(D, {code: int}) of the kernel; Rat is built at the boundary.  The five
-memos (actions, brackets, slices, Sugawara images and relation plans)
-live on the configuration (`Config.module_memos`), one set per algebra
-kind, module kind, weights, level and width: these decide every entry
-and the depth decides none, so every handle built for the same data
-reads one set, and `kz` reads the degree-0 actions the coinvariants
-computed.
+(D, {code: int}) of the kernel; Rat is built at the boundary.  Each
+handle keeps its own memos (actions, brackets, slices, Sugawara images
+and relation plans).
 `degree_zero_action` gives an operator as a canonical integer form
 (D, {(row, column): int}) of its nonzero entries, as `kz` does.
 
@@ -163,17 +159,11 @@ class InducedModule:
         self._zero = MODE_BOUND * n * alg.dim + 1  # the digit of (0, 1, 0)
         self._lowering = frozenset(  # degree-0 creators, verma only
             mode_digit(cfg, alg, k) for k in self.creation_keys(0))
-        # the depth decides no entry, so handles that differ only in it
-        # share one set of memos on the configuration
-        key = (alg.kind, spec.kind, self.weights, self.level, spec.width)
-        memos = cfg.module_memos.get(key)
-        if memos is None:
-            memos = cfg.module_memos[key] = (
-                {}, {}, {},
-                defaultdict(dict),  # see sugawara._image
-                {})  # see sugawara._relation_plan
-        (self._act_memo, self._bracket_memo, self._slice_memo,
-         self._sugawara_memo, self._relation_plans) = memos
+        self._act_memo = {}
+        self._bracket_memo = {}
+        self._slice_memo = {}
+        self._sugawara_memo = defaultdict(dict)  # see sugawara._image
+        self._relation_plans = {}  # see sugawara._relation_plan
 
     # -- PBW bookkeeping -------------------------------------------------
 

@@ -40,7 +40,8 @@ from .sugawara import (_apply_plan, _term_plan, apply_L_raw,
 from .verify_kz import (coinvariant_clebsch_gordan, kz_abelian,
                         kz_classical_agreement, kz_flatness, kz_tangent_fields,
                         kz_translation_covariance, kz_trivial)
-from .verify_samples import LAMS, NRANGE, sample_config, shared_configs
+from .verify_samples import (LAMS, NRANGE, sample_config, sample_module,
+                             shared_configs)
 
 
 class CheckResult(NamedTuple):
@@ -54,13 +55,13 @@ class CheckResult(NamedTuple):
 
 def _weyl_n2():
     """sl2 Weyl module of weights (1, 1) at level 1, at 0 and 1."""
-    return induce_module(make_algebra("sl2"), sample_config(2),
+    return sample_module(make_algebra("sl2"), 2,
                          ModuleSpec("weyl", (1, 1), Rat(1)))
 
 
 def _fock_n1(level=Rat(1)):
     """Abelian Fock module at the single point 0."""
-    return induce_module(make_algebra("abelian1"), sample_config(1),
+    return sample_module(make_algebra("abelian1"), 1,
                          ModuleSpec("fock", (RAT0,), level))
 
 
@@ -94,6 +95,12 @@ def order_book(nrange=NRANGE, lams=LAMS):
                     if total != -2 * lam:
                         return False, "order sum %d != %d at %s" % (
                             total, -2 * lam, (n_pts, lam, n, p))
+                    # the prescription of the `basis` docstring
+                    want = {i: n - lam + (i != p) for i in range(1, n_pts + 1)}
+                    if (rec.orders != want or rec.order_infinity
+                            != -n_pts * (n + 1 - lam) - 2 * lam + 1):
+                        return False, "orders off KN at %s" % (
+                            (n_pts, lam, n, p),)
     return True, "order book exact; no adjustments at genus 0"
 
 
@@ -370,6 +377,8 @@ def cocycle_vanishing(window=5):
                     if cocycle_chi(cfg, GradedElement.unit(-1, n1, p1),
                                    GradedElement.unit(-1, n2, p2)).num != 0:
                         return False, "chi on %s subalgebra" % label
+    # the block pairs also at 1/2, -7/3, 5, where residues have denominators
+    for cfg in _block_premise_configs():
         blocks = block_algebra_basis(cfg, alg, 2)
         count = 0
         for u in blocks:
@@ -427,16 +436,16 @@ def subalgebra_closure():
 
 
 def triangular_strips():
-    td1 = triangular_decompose(sample_config(1), "L", (-4, 4))
-    td2 = triangular_decompose(sample_config(2), "L", (-4, 4))
-    ta2 = triangular_decompose(sample_config(2), "A", (-4, 4))
-    ok = (td1.strip == [(0, 1)] and td1.strip_dimension == 1
-          and td2.strip_dimension == 4
-          and sorted(td2.strip) == [(-1, 1), (-1, 2), (0, 1), (0, 2)]
-          and ta2.strip == [(0, 1), (0, 2)]
-          and min(n for n, _p in ta2.plus) == 1)
-    return ok, ("critical strips: N=1 dim 1; N=2 dim 4 by direct order "
-                "classification (the 3g-3+2N+2 count is not asserted)")
+    # (N, algebra, its strip); A's plus part starts at degree 1
+    for n_pts, kind, want in ((1, "L", [(0, 1)]),
+                              (2, "L", [(-1, 1), (-1, 2), (0, 1), (0, 2)]),
+                              (2, "A", [(0, 1), (0, 2)])):
+        td = triangular_decompose(sample_config(n_pts), kind, (-4, 4))
+        if td.strip != want or kind == "A" and min(
+                n for n, _p in td.plus) != 1:
+            return False, "strip %s of %s at N=%d" % (td.strip, kind, n_pts)
+    return True, ("critical strips: N=1 dim 1; N=2 dim 4 by direct order "
+                  "classification (the 3g-3+2N+2 count is not asserted)")
 
 
 # --------------------------------------------------------------- affine --
@@ -673,9 +682,8 @@ def classical_central_charge():
 
 
 def multipoint_centrality():
-    cfg = sample_config(2)
-    sl2 = make_algebra("sl2")
-    module = induce_module(sl2, cfg, ModuleSpec("weyl", (1, 1), Rat(1)))
+    module = _weyl_n2()
+    cfg, sl2 = module.cfg, module.alg
     # two audits for cost only: every slice is exact, but auditing
     # ((2,1),(-2,1)) at slice -2 as well about doubles the check's time
     audits = (

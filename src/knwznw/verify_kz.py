@@ -13,6 +13,7 @@ from __future__ import annotations
 from math import prod
 
 from ._kernel import RAT0, ZERO_FORM, Rat, add_scaled, canonical
+from .basis import GradedElement
 from .finite_lie import make_algebra
 from .kz import (classical_oracle_matrices, flatness_check, kz_matrices,
                  predicted_scalar_shift, tangent_fields)
@@ -29,9 +30,17 @@ def _elsewhere(cfg, points):
 
 def kz_tangent_fields():
     for n_pts in (1, 2, 3):
-        fields, _meta = tangent_fields(sample_config(n_pts))
+        fields, meta = tangent_fields(sample_config(n_pts))
         if len(fields) != n_pts:
             return False, "wrong field count"
+        for p, field in enumerate(fields, 1):
+            # e_{-1,p}, with the KN orders at weight -1 and degree -1: a
+            # simple zero at every other point, 3 - N at infinity
+            rec, others = meta["per_point"][p], set(range(1, n_pts + 1))
+            if (field != GradedElement.unit(-1, -1, p) or rec["zero_orders"]
+                    != dict.fromkeys(others - {p}, 1)
+                    or rec["order_at_infinity"] != 3 - n_pts):
+                return False, "field %d off e_{-1,%d} at N=%d" % (p, p, n_pts)
     return True, "point movers normalized with zeros elsewhere"
 
 

@@ -5,8 +5,9 @@ budget; test_registry_check runs every other registry check, so each
 check runs exactly once alone in this file and a failure names the check
 and its detail.  Alone, a check builds fresh configurations; each run is
 also compared with what the same check returned inside
-`run_suite("all")`, where a suite shares one Config per point set, so
-sharing is shown to change no verdict and no detail.  Run with
+`run_suite("all")`, where a suite shares one Config per point set and
+one handle per module, so sharing is shown to change no verdict and no
+detail.  Run with
 `pytest tests/test_acceptance.py -v -s` to see one PASS line per
 criterion.
 """
@@ -15,9 +16,11 @@ import time
 
 import pytest
 
-from knwznw import verify_samples
+from knwznw import Rat, verify_samples
+from knwznw.finite_lie import make_algebra
+from knwznw.modules import ModuleSpec
 from knwznw.verify import CHECKS, run_suite
-from knwznw.verify_samples import sample_config, shared_configs
+from knwznw.verify_samples import sample_config, sample_module, shared_configs
 
 FNS = {name: fn for name, _suite, fn in CHECKS}
 
@@ -144,6 +147,22 @@ def test_a_suite_shares_one_config_per_point_set(monkeypatch):
     assert all(r.passed for r in run_suite("kz"))
     # the kz checks sample seven point sets, each built once
     assert len(made) == len(set(made)) == 7
+
+
+def test_a_suite_shares_one_module_handle_per_spec():
+    # alone, every request induces a fresh module; inside a share, one
+    # handle serves each algebra, point set and spec, over the shared
+    # Config, and none outlives the share
+    sl2, spec = make_algebra("sl2"), ModuleSpec("weyl", (1, 1), Rat(1))
+    assert sample_module(sl2, 2, spec) is not sample_module(sl2, 2, spec)
+    with shared_configs():
+        module = sample_module(sl2, 2, spec)
+        assert module.cfg is sample_config(2)
+        assert sample_module(sl2, ("0", "1"), spec) is module
+        assert sample_module(sl2, 2, spec._replace(level=Rat(2))) \
+            is not module
+        assert sample_module(sl2, ("0", "2"), spec) is not module
+    assert sample_module(sl2, 2, spec) is not module
 
 
 class _ShareByN(dict):

@@ -248,10 +248,9 @@ def test_grading_report_two_points(cfg2):
 
 def test_triangular_decomposition_strips(cfg1, cfg2):
     td1 = triangular_decompose(cfg1, "L", (-4, 4))
-    assert td1.strip == [(0, 1)] and td1.strip_dimension == 1
+    assert td1.strip == [(0, 1)]
     td2 = triangular_decompose(cfg2, "L", (-4, 4))
     assert sorted(td2.strip) == [(-1, 1), (-1, 2), (0, 1), (0, 2)]
-    assert td2.strip_dimension == 4
     ta = triangular_decompose(cfg2, "A", (-4, 4))
     assert ta.strip == [(0, 1), (0, 2)]
     assert min(n for n, _p in ta.plus) == 1

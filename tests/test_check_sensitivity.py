@@ -58,6 +58,16 @@ FAULTS = {
     "cocycle-vanishing": ("cocycle-vanishing", algebras,
                           "_residue_combination", "for w, k in terms:",
                           "for w, k in terms[:-1]:", "gamma on block pair"),
+    # the residue sum of "cohomologous-connections" below: only the block
+    # pairs at 1/2, -7/3, 5 have residues with denominators
+    "cocycle-vanishing-denominators": (
+        "cocycle-vanishing", algebras, "_residue_combination", "num * g + w",
+        "num + w", "gamma on block pair"),
+    # the basis element's pole order put at P_1 whatever its point: the
+    # order sum is unchanged
+    "order-book": ("order-book", basis, "kn_basis_record",
+                   "e - 1 if i == p", "e - 1 if i == 1",
+                   "orders off KN at (2, -1, -3, 2)"),
     # chi's degree bound one too wide: at N = 1 the pairs with n + m = 0
     # have sum k_e + sum k_f = 2 and lose their (n^3 - n)/12
     "classical-virasoro-chi-bound": (
@@ -100,7 +110,8 @@ FAULTS = {
     # an element of order exactly need_pts at every point left in the strip
     "triangular-decomposition": (
         "triangular-decomposition", algebras, "triangular_decompose",
-        "o_pts >= need_pts", "o_pts > need_pts", "critical strips"),
+        "o_pts >= need_pts", "o_pts > need_pts",
+        "strip [(0, 1), (1, 1)] of L at N=1"),
     # the expansion starts one degree above the lowest order, so A_{-j,p}
     # is never peeled and the reconstruction raises
     "block-algebra-negative-part": (
@@ -111,17 +122,26 @@ FAULTS = {
     "tangent-fields": ("tangent-fields", kz, "tangent_fields", "!= RAT1",
                        "!= -RAT1", "error: DomainError: point-moving field "
                        "not normalized at P_1"),
+    # every field the first point's mover
+    "tangent-fields-mover": ("tangent-fields", kz, "tangent_fields",
+                             "GradedElement.unit(-1, -1, p)",
+                             "GradedElement.unit(-1, -1, 1)",
+                             "field 2 off e_{-1,2} at N=2"),
+    # the measured sum without the one-factor Casimir terms c^p_qq O_qq,
+    # which are scalar: the fit holds and every shift moves
+    "kz-classical-agreement": ("kz-classical-agreement", kz, "kz_matrices",
+                               "if c.num:", "if c.num and q != s:",
+                               "scalar shift mismatch at p=1"),
 }
 
 # the registry checks that no fault above plants a failure in yet
 UNFAULTED = {
-    "order-book", "jacobi", "lie-module", "leibniz", "cocycle-identities",
+    "jacobi", "lie-module", "leibniz", "cocycle-identities",
     "affine-jacobi", "psi-homomorphism", "partition-of-unity",
     "block-algebra", "admissibility", "weyl-degree-zero", "level",
     "classical-central-charge", "multipoint-centrality", "summation-bounds",
-    "normal-ordering-equivalence", "kz-classical-agreement",
-    "translation-covariance", "kz-abelian", "kz-trivial", "kz-flatness",
-    "coinvariant-clebsch-gordan",
+    "normal-ordering-equivalence", "translation-covariance", "kz-abelian",
+    "kz-trivial", "kz-flatness", "coinvariant-clebsch-gordan",
 }
 
 CHECKS = {name: (name, suite, fn) for name, suite, fn in verify.CHECKS}

@@ -17,8 +17,7 @@ from knwznw.errors import CriticalLevelError
 from knwznw.finite_lie import make_algebra, tensor_strides
 from knwznw.kz import (classical_oracle_matrices, flatness_check, kz_matrices,
                        predicted_scalar_shift, tangent_fields)
-from knwznw.modules import (InducedModule, ModuleSpec,
-                            degree_zero_coinvariant_dimension, induce_module)
+from knwznw.modules import InducedModule, ModuleSpec, induce_module
 from knwznw.sugawara import (_triple_coefficient, apply_L_raw,
                               rescale_factor)
 
@@ -403,33 +402,43 @@ def full_image_block(module, p, f):
     return mat
 
 
-def test_kz_columns_are_the_degree_zero_part_of_the_full_image(sl2):
+def test_kz_columns_are_the_degree_zero_part_of_the_full_image(sl2, ab):
     # a term of L(-1, p) of total t moves the degree by t, so each column
     # of A_p is f times the degree-0 part of the full image of a vacuum
-    # monomial, built on a module and configuration of its own; for
-    # N = 1 there is no term of total 0 and the matrices are zero
+    # monomial, built on a module and configuration of its own: a weyl
+    # module for sl2, a fock module at rational weights and levels for
+    # abelian1; for N = 1 there is no term of total 0 and the matrices
+    # are zero
     rng = random.Random(35)
     pool = ["0", "1", "-1", "2", "1/2", "-7/3", "5", "3/4"]
-    compared = nonzero = 0
-    for n in (1, 2, 3, 4):
-        for _ in range(4 if n < 4 else 2):
-            points = rng.sample(pool, n)
-            weights = tuple(rng.randint(0, 2) for _ in range(n))
-            level = Rat(rng.choice((-3, 1, 2, 3)))
-            system = kz_matrices(Config(points), sl2, weights, level)
-            module = induce_module(sl2, Config(points),
-                                   ModuleSpec("weyl", weights, level))
-            f = rescale_factor(sl2, level)
-            dim = len(module.slice_basis(0))
-            for p in range(1, n + 1):
-                want = full_image_block(module, p, f)
-                assert dense(system.matrices[p - 1], dim) == want
-                compared += 1
-                nonzero += any(e.num for row in want for e in row)
-            if n == 1:
-                assert not any(e.num for m in system.matrices
-                               for row in dense(m, dim) for e in row)
-    assert compared == 32 and nonzero > 20
+    compared = dict.fromkeys(("weyl", "fock"), 0)
+    nonzero = compared.copy()
+    for alg, kind in ((sl2, "weyl"), (ab, "fock")):
+        for n in (1, 2, 3, 4):
+            for _ in range(4 if n < 4 else 2):
+                points = rng.sample(pool, n)
+                if kind == "weyl":
+                    weights = tuple(rng.randint(0, 2) for _ in range(n))
+                    level = Rat(rng.choice((-3, 1, 2, 3)))
+                else:
+                    weights = tuple(Rat(rng.randint(-3, 3), rng.randint(1, 3))
+                                    for _ in range(n))
+                    level = Rat(rng.choice((-3, 1, 2, 3)), rng.choice((1, 2)))
+                system = kz_matrices(Config(points), alg, weights, level)
+                module = induce_module(alg, Config(points),
+                                       ModuleSpec(kind, weights, level))
+                f = rescale_factor(alg, level)
+                dim = len(module.slice_basis(0))
+                for p in range(1, n + 1):
+                    want = full_image_block(module, p, f)
+                    assert dense(system.matrices[p - 1], dim) == want
+                    compared[kind] += 1
+                    nonzero[kind] += any(e.num for row in want for e in row)
+                if n == 1:
+                    assert not any(e.num for m in system.matrices
+                                   for row in dense(m, dim) for e in row)
+    assert compared == {"weyl": 32, "fock": 32}
+    assert nonzero["weyl"] > 20 and nonzero["fock"] > 20
 
 
 def test_one_scaled_zero_mode_coefficient_breaks_the_fit(sl2, monkeypatch):
@@ -462,7 +471,7 @@ def test_one_scaled_zero_mode_coefficient_breaks_the_fit(sl2, monkeypatch):
 def test_kz_matrices_apply_no_term_plan(sl2, monkeypatch):
     # with the term plans made to raise, N = 4 still gives the degree-0
     # blocks of the full images, the exact fit and the predicted shifts,
-    # from at most N(N+1)/2 Casimir products, each built once
+    # from one Omega per pair of points, at most N(N-1)/2
     points, weights, level = ["0", "1", "-1", "2"], (1, 2, 1, 1), Rat(2)
     module = induce_module(sl2, Config(points),
                            ModuleSpec("weyl", weights, level))
@@ -475,13 +484,13 @@ def test_kz_matrices_apply_no_term_plan(sl2, monkeypatch):
     monkeypatch.setattr(sugawara, "_term_plan", refuse)
     monkeypatch.setattr(sugawara, "_apply_plan", refuse)
     built = []
-    real = kz._casimir_pair
+    real = kz.omega_entries
 
-    def counting(module, basis, q, s):
+    def counting(alg, mods, q, s):
         built.append((q, s))
-        return real(module, basis, q, s)
+        return real(alg, mods, q, s)
 
-    monkeypatch.setattr(kz, "_casimir_pair", counting)
+    monkeypatch.setattr(kz, "omega_entries", counting)
     cfg = Config(points)
     system = kz_matrices(cfg, sl2, weights, level)
     dim = len(module.slice_basis(0))
@@ -490,50 +499,33 @@ def test_kz_matrices_apply_no_term_plan(sl2, monkeypatch):
     assert system.scalar_shifts == [
         predicted_scalar_shift(cfg, sl2, weights, level, p)
         for p in range(1, 5)]
-    assert len(set(built)) == len(built) <= 10
-    assert all(q <= s for q, s in built)
+    assert len(set(built)) == len(built) <= 6
+    assert all(q < s for q, s in built)
 
 
 def test_kz_matrices_build_no_full_image(sl2, ab, monkeypatch):
     # the KZ matrices read the degree-0 block from the Casimir products
-    # alone: with the Sugawara image memo's builder made to raise, every
-    # system still comes out, and the same as with it
+    # alone: with the Sugawara image memo's builder and the module
+    # constructor made to raise, every system still comes out, and the
+    # same as with them
     cases = [(Config(["0", "1", "-1"]), sl2, (1, 1, 2), Rat(1)),
              (Config(["1/2", "-7/3"]), ab, (Rat(1), Rat(-2, 3)), Rat(1)),
              (Config(["0"]), sl2, (2,), Rat(1))]
     want = [kz_matrices(*case) for case in cases]
 
-    def refuse(*args):
-        raise AssertionError("a full Sugawara image was built")
+    def refusing(what):
+        def refuse(*args):
+            raise AssertionError(what)
+        return refuse
 
-    monkeypatch.setattr(sugawara, "_image", refuse)
+    monkeypatch.setattr(sugawara, "_image",
+                        refusing("a full Sugawara image was built"))
+    monkeypatch.setattr(InducedModule, "__init__",
+                        refusing("a module was induced"))
     for case, w in zip(cases, want):
         got = kz_matrices(*case)
         assert (got.matrices, got.kappa, got.scalar_shifts) == \
             (w.matrices, w.kappa, w.scalar_shifts)
-
-
-def test_kz_reads_the_degree_zero_actions_of_the_coinvariants(sl2,
-                                                              monkeypatch):
-    # the coinvariants and the KZ system of one configuration and data
-    # read one module memo: after the coinvariant dimension (1, so the
-    # span never fills and every degree-0 action is computed), the system
-    # computes no degree-0 action, and equals that of a Config of its own
-    points, weights, level = ["0", "1", "-1"], (1, 1, 2), Rat(1)
-    want = kz_matrices(Config(points), sl2, weights, level)
-    cfg = Config(points)
-    module = induce_module(sl2, cfg, ModuleSpec("weyl", weights, level, 3))
-    assert degree_zero_coinvariant_dimension(module) == 1
-    acted = dict(module._act_memo)
-
-    def refuse(self, gen, vac):
-        raise AssertionError("a degree-0 action was computed again")
-
-    monkeypatch.setattr(InducedModule, "_vacuum_action", refuse)
-    got = kz_matrices(cfg, sl2, weights, level)
-    assert module._act_memo == acted
-    assert (got.matrices, got.kappa, got.scalar_shifts) == \
-        (want.matrices, want.kappa, want.scalar_shifts)
 
 
 def test_a_point_of_weight_zero_reads_no_triple_coefficient(sl2,

@@ -369,46 +369,6 @@ def generator_bracket(module, a, b):
             br.central * module.level)
 
 
-MEMOS = ("_act_memo", "_bracket_memo", "_slice_memo", "_sugawara_memo",
-         "_relation_plans")
-
-
-def test_handles_for_one_module_share_the_memos_of_the_configuration(sl2,
-                                                                      ab):
-    # the depth decides no entry: handles at depths 0 and 3 (and the same
-    # weights and level written as Rat or int) read one set of memos, so
-    # what one computes the other finds; another level, width, weight,
-    # algebra or configuration keeps a set of its own
-    cfg = Config(["0", "1"])
-    shallow = induce_module(sl2, cfg, ModuleSpec("weyl", (1, 1), Rat(1), 0))
-    deep = induce_module(sl2, cfg, ModuleSpec("weyl", (Rat(1), Rat(1)), 1,
-                                              3))
-    assert all(getattr(shallow, m) is getattr(deep, m) for m in MEMOS)
-    shallow.degree_zero_action(1, 0)
-    assert deep._act_memo and deep._act_memo == shallow._act_memo
-    verma = ModuleSpec("verma", (Rat(1), Rat(1)), Rat(1), 0, 2)
-    others = [
-        induce_module(sl2, cfg, ModuleSpec("weyl", (1, 1), Rat(2), 3)),
-        induce_module(sl2, cfg, ModuleSpec("weyl", (1, 2), Rat(1), 3)),
-        induce_module(sl2, Config(["0", "1"]),
-                      ModuleSpec("weyl", (1, 1), Rat(1), 3)),
-        induce_module(ab, cfg, ModuleSpec("fock", (1, 1), Rat(1), 3)),
-        induce_module(sl2, cfg, verma),
-        induce_module(sl2, cfg, verma._replace(width=3))]
-    for other in others:
-        assert not other._act_memo
-        assert all(getattr(other, m) is not getattr(shallow, m)
-                   for m in MEMOS)
-    assert others[-2]._act_memo is not others[-1]._act_memo
-    assert cfg.module_memos.keys() == {
-        ("sl2", "weyl", (Rat(1), Rat(1)), Rat(1), None),
-        ("sl2", "weyl", (Rat(1), Rat(1)), Rat(2), None),
-        ("sl2", "weyl", (Rat(1), Rat(2)), Rat(1), None),
-        ("abelian1", "fock", (Rat(1), Rat(1)), Rat(1), None),
-        ("sl2", "verma", (Rat(1), Rat(1)), Rat(1), 2),
-        ("sl2", "verma", (Rat(1), Rat(1)), Rat(1), 3)}
-
-
 def test_bracket_forms_match_the_affine_bracket(sl2, ab):
     # the structure-constant form against the general bracket, at rational
     # points and a fractional level, so loop and central parts both show
