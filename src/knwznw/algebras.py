@@ -1,7 +1,7 @@
 """Function and vector-field algebras on the marked sphere.
 
 At genus zero every basis element is c M_k dz^lam for a constant c and a
-monomial M_k = prod_i (z - P_i)^k_i, read off its cached basis record
+monomial M_k = prod_i (z - P_i)^k_i, read off its cached form
 (`basis.kn_basis_record`, with no `Section.form` point check).  So the
 structure constants of unit pairs are short combinations of monomials:
 with K = k_a + k_b and e_j the j-th unit vector,
@@ -89,7 +89,7 @@ def _as_graded(x):
 
 
 def _unit_form(cfg, lam, a):
-    return kn_basis_record(cfg, (lam, *a)).section._form
+    return kn_basis_record(cfg, (lam, *a))._form
 
 
 def _bracket_form(cfg, e, f):

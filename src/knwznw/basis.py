@@ -31,8 +31,8 @@ expansion's degree-0 coefficients (`monomial_residue`, direct from the
 residue at infinity or at simple poles), through which the pairing of
 weights h and 1 - h that realizes the duality takes a basis pair.  The
 pairing, `section_from_graded`, `expand_in_basis` and the unit entries in
-`algebras` take a basis element's form straight off its cached record,
-with no `Section.form` point check on a record made for the same Config.
+`algebras` take a basis element's form straight off the cached Section,
+with no `Section.form` point check on one made for the same Config.
 
 Every polynomial and truncated series here, q and the jets included, is
 an integer form (den, nums): den > 0, coefficient t is nums[t] / den and
@@ -673,14 +673,9 @@ class GradedElement(Combination):
         return "GradedElement(lam=%d, %s)" % (self.lam, body or "0")
 
 
-class BasisRecord(NamedTuple):
-    section: Section
-    orders: dict          # point index (1-based) -> attained order
-    order_infinity: int   # attained order at the reference point
-
-
 def kn_basis_record(cfg, idx):
-    """Construct the basis element with its orders; memoized per Config.
+    """The basis element as a Section, one form c M_k whose exponents k
+    are its orders at the points; memoized per Config.
 
     idx is a KNIndex or any (lam, n, p) sequence.  The cache is read
     first: a KNIndex and the plain tuple of its fields are equal keys, and
@@ -692,23 +687,18 @@ def kn_basis_record(cfg, idx):
     idx = KNIndex(*idx)
     if not 1 <= idx.p <= cfg.n_points:
         raise DomainError("point index %d out of range" % idx.p)
-    key = ("basis", idx)
-
     lam, n, p = idx
     e = n - lam + 1
     k = tuple(e - 1 if i == p else e for i in range(1, cfg.n_points + 1))
     c = _leading(cfg.points, (-e,) * cfg.n_points, p - 1)
-    form = DivisorForm(cfg.points, c.den, (c.num,), k)
-    rec = BasisRecord(Section(lam, form),
-                      dict(enumerate(k, start=1)),
-                      -sum(k) - 2 * lam)
-    cfg.cache[key] = rec
-    return rec
+    sec = cfg.cache[("basis", idx)] = Section(
+        lam, DivisorForm(cfg.points, c.den, (c.num,), k))
+    return sec
 
 
 def kn_basis_element(cfg, idx):
     """The unique normalized section for (weight, degree, point index)."""
-    return kn_basis_record(cfg, idx).section
+    return kn_basis_record(cfg, idx)
 
 
 def kn_pairing(cfg, f, g):
@@ -751,7 +741,7 @@ def kn_pairing(cfg, f, g):
 def section_from_graded(cfg, ge):
     """Realize a graded element as an actual section."""
     return Section(ge.lam, linear_combination(cfg.points, [
-        (c, kn_basis_record(cfg, (ge.lam, n, p)).section._form)
+        (c, kn_basis_record(cfg, (ge.lam, n, p))._form)
         for (n, p), c in ge.terms.items()]))
 
 
@@ -800,8 +790,7 @@ def expand_in_basis(cfg, s):
                 new.append(((n, i + 1), Rat(num, den)))
         for key, c in new:
             terms[key] = c
-            found.append(
-                (c, kn_basis_record(cfg, (lam, *key)).section._form))
+            found.append((c, kn_basis_record(cfg, (lam, *key))._form))
     rest = linear_combination(cfg.points, [(RAT1, form)]
                               + [(-c, a) for c, a in found])
     if not rest.is_zero():
@@ -811,5 +800,10 @@ def expand_in_basis(cfg, s):
 
 
 def homogeneous_dimension(cfg, lam, n):
-    """Dimension of the degree-n homogeneous subspace: N at genus 0."""
-    return cfg.n_points
+    """Dimension of the weight-lam degree-n subspace: the number of
+    distinct points at which A_{n,1..N} attain their lowest order, the
+    rank of their leading terms, as elements led at distinct points are
+    independent."""
+    orders = (kn_basis_record(cfg, (lam, n, p))._form.order
+              for p in range(1, cfg.n_points + 1))
+    return len({min(range(cfg.n_points), key=order) for order in orders})

@@ -24,7 +24,7 @@ from .finite_lie import make_algebra
 from .kz import flatness_check, kz_matrices
 from .modules import (ModuleSpec, degree_zero_coinvariant_dimension,
                       induce_module)
-from .ratfield import Poly, RationalFunction
+from .ratfield import INFINITY, Poly, RationalFunction
 from .sugawara import sugawara_commutator_audit
 
 # Bounds on degree and depth requests, so that none runs unbounded: at
@@ -252,10 +252,12 @@ def _kz_work(weights, dim0, indent):
     (`_entry_work`); 40 + 10 N for each of N * dim0 columns, fitted on
     degree-0 module actions and now an upper bound on its entries in
     the Casimir products and their sums into the N matrices; 2 N^3 for
-    the ordered triples of points the flatness check walks, the N^2/2
-    oracle products over N factors and the point records of the triple
-    coefficients; and 2 N^2 k^2 for the N k^2 triple coefficients read
-    where a Casimir product is nonzero, each a residue over N points."""
+    the one-point triple coefficients c^p_pp, the residue of M_K with
+    K = 1 - 3 e_p, which `basis._monomial_form` splits into about N flat
+    monomials of about N/2 leading terms of N factors each (23,100
+    `_leading` calls at 150 points, two of them of nonzero weight); and
+    2 N^2 k^2 for the N k^2 triple coefficients read where a Casimir
+    product is nonzero, each a residue over N points."""
     n, k = len(weights), sum(map(bool, weights))
     return (n * dim0 * (_entry_work(indent) * dim0 + 40 + 10 * n)
             + 2 * n ** 3 + 2 * n ** 2 * k ** 2)
@@ -340,16 +342,16 @@ def cmd_basis(args):
     _bounded(args.lam, "--lambda", -MAX_BASIS_INDEX, MAX_BASIS_INDEX,
              "MAX_BASIS_INDEX")
     _point_index(args.p, "--p", cfg)
-    rec = kn_basis_record(cfg, KNIndex(args.lam, args.n, args.p))
-    value = rec.section.value
+    sec = kn_basis_record(cfg, KNIndex(args.lam, args.n, args.p))
+    form, value = sec.form(cfg), sec.value
     payload = {
         "lambda": args.lam,
         "n": args.n,
         "p": args.p,
         "num": _poly_json(value.num),
         "den": _poly_json(value.den),
-        "orders": {str(i): o for i, o in rec.orders.items()}
-                  | {"infinity": rec.order_infinity},
+        "orders": {str(i + 1): form.order(i) for i in range(cfg.n_points)}
+                  | {"infinity": sec.order_at(INFINITY)},
         "adjusted": False,
     }
     _emit(args, payload)

@@ -7,9 +7,8 @@ span the N-3 true moduli directions with a kernel; the raw fields are kept
 and the kernel is reported as metadata).
 
 The connection matrix in direction p is the Sugawara operator of e_{-1,p}
-on the degree-zero slice, the coinvariant representative of a vector at
-genus 0 (`modules.InducedModule.coinvariant_reduce`), so no system is
-partial.  The emitted system reads
+on the degree-zero slice, which holds the coinvariant representative of
+every vector at genus 0, so no system is partial.  The emitted system reads
 
     dPhi/dz_p = -A_p Phi .
 
@@ -243,12 +242,18 @@ def flatness_check(system):
     identity equivalent to its flatness.  Omega_pq is the identity on
     every factor but p and q, so each relation is checked on
     V_p (x) V_q (x) V_r alone, once per weight key (w_p, w_q, w_r) with
-    w_p <= w_q (the relation is symmetric in p and q), and counted once
-    per ordered triple.  The commutator is summed in ints on the nonzero
-    entries of the three Omegas over one denominator (`omega_entries`,
+    w_p <= w_q (the relation is symmetric in p and q).  Swapping a point
+    past the first three of its weight for an unused one of those three
+    keeps a triple's key and makes the triple lexicographically smaller,
+    so the first triple of each key, and so the first failure, is among
+    the ordered triples of those points, which are walked alone; a
+    success counts every ordered triple, N(N-1)(N-2).  The commutator is summed in ints on the nonzero entries
+    of the three Omegas over one denominator (`omega_entries`,
     `int_entry_product`).  A counterexample is ((p, q, r), the
-    commutator on those factors as a canonical integer form).  Disjoint
-    pairs commute by construction.  Exact; vacuous for N = 2.
+    commutator on those factors as a canonical integer form), the first
+    failing ordered triple; checked_relations is then its rank in the
+    walk.  Disjoint pairs commute by construction.  Exact; vacuous for
+    N = 2.
     """
     cfg = system.config
     n = cfg.n_points
@@ -256,8 +261,9 @@ def flatness_check(system):
         return FlatnessReport(True, True, 0)
     alg = make_algebra(system.algebra_kind)
     ws = system.weights
+    firsts = [i for i, w in enumerate(ws) if ws[:i].count(w) < 3]
     local = {}  # weight key -> the commutator on the three factors
-    for checked, (p, q, r) in enumerate(permutations(range(n), 3), 1):
+    for checked, (p, q, r) in enumerate(permutations(firsts, 3), 1):
         # the relation of (p, q, r) is that of (q, p, r)
         a, b = (q, p) if ws[q] < ws[p] else (p, q)
         key = (ws[a], ws[b], ws[r])

@@ -81,9 +81,9 @@ def _triple_coefficient(cfg, k, r, n, p, m, s):
     hit = cfg.cache.get(key)
     if hit is None:
         # each basis element is c M_k, so the product is c1 c2 ce M_K
-        w1 = kn_basis_record(cfg, (1, -n, p)).section._form
-        w2 = kn_basis_record(cfg, (1, -m, s)).section._form
-        e = kn_basis_record(cfg, (-1, k, r)).section._form
+        w1 = kn_basis_record(cfg, (1, -n, p))._form
+        w2 = kn_basis_record(cfg, (1, -m, s))._form
+        e = kn_basis_record(cfg, (-1, k, r))._form
         hit = monomial_residue(cfg, tuple(
             x + y + z for x, y, z in zip(w1.k, w2.k, e.k))) * Rat(
                 w1.nums[0] * w2.nums[0] * e.nums[0], w1.den * w2.den * e.den)
@@ -358,8 +358,11 @@ def sugawara_commutator_audit(cfg, alg, module, pairs, window):
     ratio to the zero-connection cocycle are reported.  Every image is
     exact, so any slice d <= 0 may be audited, whatever the module depth;
     an empty slice (any d > 0) has no scalar to measure: DomainError.  A
-    repeated slice is audited once.
+    repeated slice is audited once.  cfg must be the module's
+    configuration: DomainError otherwise.
     """
+    if cfg != module.cfg:
+        raise DomainError("audit at %r of a module at %r" % (cfg, module.cfg))
     window = list(dict.fromkeys(window))
     for d in window:
         if not module.slice_dimension(d):

@@ -40,11 +40,18 @@ def test_config_validation():
         Config(["0", "0"])
 
 
+def orders_of(cfg, sec):
+    """({point index: order}, order at infinity) of a section, read from
+    its form."""
+    return ({i: sec.order_at(pt) for i, pt in enumerate(cfg.points, 1)},
+            sec.order_at(INFINITY))
+
+
 def test_vector_field_e0(cfg1):
     # order constraints ord_0 = 1, ord_inf = 1 pin z d/dz
-    rec = kn_basis_record(cfg1, KNIndex(-1, 0, 1))
-    assert rec.section.value == RF(z)
-    assert rec.orders == {1: 1} and rec.order_infinity == 1
+    sec = kn_basis_record(cfg1, KNIndex(-1, 0, 1))
+    assert sec.value == RF(z)
+    assert orders_of(cfg1, sec) == ({1: 1}, 1)
 
 
 def test_record_index_may_be_a_knindex_a_tuple_or_a_list():
@@ -53,10 +60,11 @@ def test_record_index_may_be_a_knindex_a_tuple_or_a_list():
     assert kn_basis_record(cfg, (2, -1, 2)) is first
     assert kn_basis_record(cfg, KNIndex(2, -1, 2)) is first
     assert kn_basis_record(cfg, [2, -1, 2]) is first
-    fresh = kn_basis_record(Config(["0", "1"]), KNIndex(2, -1, 2))
-    assert fresh.section.value == first.section.value
-    assert (fresh.orders, fresh.order_infinity) == \
-        (first.orders, first.order_infinity)
+    assert kn_basis_element(cfg, (2, -1, 2)) is first
+    cfg2 = Config(["0", "1"])
+    fresh = kn_basis_record(cfg2, KNIndex(2, -1, 2))
+    assert fresh.value == first.value
+    assert orders_of(cfg2, fresh) == orders_of(cfg, first)
 
 
 @pytest.mark.parametrize("idx", [(0, 1, 3), [0, 1, 0], KNIndex(0, 1, -1)])
@@ -197,12 +205,12 @@ def test_order_book(n_pts):
     for lam in (-1, 0, 1, 2):
         for n in range(-3, 4):
             for p in range(1, n_pts + 1):
-                rec = kn_basis_record(cfg, KNIndex(lam, n, p))
+                orders, o_inf = orders_of(
+                    cfg, kn_basis_record(cfg, KNIndex(lam, n, p)))
                 for i in range(1, n_pts + 1):
                     want = n - lam if i == p else n - lam + 1
-                    assert rec.orders[i] == want
-                assert sum(rec.orders.values()) + rec.order_infinity \
-                    == -2 * lam
+                    assert orders[i] == want
+                assert sum(orders.values()) + o_inf == -2 * lam
 
 
 def test_normalization_leading_coefficient(cfg2):
@@ -323,12 +331,11 @@ def test_closed_form_matches_solver(points):
     for lam in range(-1, 4):
         for n in range(-5, 6):
             for p in range(1, cfg.n_points + 1):
-                rec = kn_basis_record(cfg, KNIndex(lam, n, p))
+                sec = kn_basis_record(cfg, KNIndex(lam, n, p))
                 value, orders, o_inf = _solve(cfg.points, (lam, n, p))
-                assert rec.section.value.num == value.num
-                assert rec.section.value.den == value.den
-                assert rec.orders == orders
-                assert rec.order_infinity == o_inf
+                assert sec.value.num == value.num
+                assert sec.value.den == value.den
+                assert orders_of(cfg, sec) == (orders, o_inf)
 
 
 def test_divisor_form_is_config_relative():

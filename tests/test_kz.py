@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -290,6 +291,38 @@ def test_a_broken_casimir_fails_on_the_relation_the_oracle_names(
     assert not is_zero_matrix(want)
     local = math.prod(mods[f].dim for f in (p, q, r))
     assert embed(dense(lhs, local), mods, (p, q, r)) == want
+
+
+def test_the_walk_of_first_points_matches_the_walk_of_every_triple(
+        monkeypatch):
+    # seeded weight tuples, each with Omega_pr doubled on the local
+    # products whose third factor has one drawn weight, so that some keys
+    # fail: the verdict and counterexample equal those of the walk of
+    # every ordered triple, and a failure's rank is at most its rank there
+    rng = random.Random(43)
+    real = kz.omega_entries
+    for _ in range(60):
+        n = rng.randint(3, 7)
+        weights = tuple(rng.randint(0, 2) for _ in range(n))
+        bad = rng.choice(weights)
+
+        def doubled(alg, mods, p, q, bad=bad):
+            m = real(alg, mods, p, q)
+            return ([(r, c, v + v) for r, c, v in m]
+                    if (p, q) == (0, 2) and mods[2].weight == bad else m)
+
+        system = kz.KZSystem(Config(range(n)), "sl2", weights, Rat(1), [],
+                             None, [], None, True, False)
+        monkeypatch.setattr(kz, "omega_entries", doubled)
+        got = flatness_check(system)
+        monkeypatch.setattr(kz, "permutations",
+                            lambda pts, k, n=n: permutations(range(n), k))
+        want = flatness_check(system)
+        monkeypatch.undo()
+        assert (got.holds, got.counterexample) == \
+            (want.holds, want.counterexample)
+        assert (got.checked_relations == want.checked_relations if got.holds
+                else got.checked_relations <= want.checked_relations)
 
 
 def test_flatness_builds_one_local_product_for_equal_weights(sl2,

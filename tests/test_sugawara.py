@@ -205,6 +205,21 @@ def test_audit_is_exact_below_the_depth(cfg1, ab):
         sugawara_commutator_audit(cfg1, ab, fock, [((2, 1), (-2, 1))], [1])
 
 
+def test_audit_refuses_a_configuration_not_its_modules(sl2):
+    # the brackets and chi would be read at cfg and the images at the
+    # module's points: at 0,3 this read as a non-scalar, at three points
+    # it raised an index error
+    module = induce_module(sl2, Config(["0", "1"]),
+                           ModuleSpec("weyl", (1, 1), Rat(1)))
+    for points in (["0", "3"], ["0", "1", "2"]):
+        with pytest.raises(DomainError, match="of a module at Config"):
+            sugawara_commutator_audit(Config(points), sl2, module,
+                                      [((1, 1), (-1, 2))], [0, -1])
+    (entry,) = sugawara_commutator_audit(Config(["0", "1"]), sl2, module,
+                                         [((1, 1), (-1, 2))], [0, -1])
+    assert entry.is_scalar
+
+
 def test_audit_refuses_an_empty_slice(sl2):
     # a width-0 verma module holds the vacuum alone: slices -1 and -2 are
     # empty, and an empty slice is no measured scalar 0

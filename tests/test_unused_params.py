@@ -18,9 +18,6 @@ ALLOWED = {
     ("kz.py", "kz_matrices"): (
         {"depth"}, "the benchmark (perfbench/workloads.py) passes depth "
         "by position; every image is exact, so no depth is read"),
-    ("basis.py", "homogeneous_dimension"): (
-        {"lam", "n"}, "public signature: the dimension is N at genus 0 "
-        "for every weight and degree"),
 }
 
 
