@@ -28,11 +28,12 @@ the other factors per configuration.  Residues are read off these jets;
 reconstruction.  A monomial M_k (q = 1) needs neither: it expands in
 closed form (`monomial_expansion`), and its residue sum is the sum of the
 expansion's degree-0 coefficients (`monomial_residue`, direct from the
-residue at infinity or at simple poles), through which the pairing of
-weights h and 1 - h that realizes the duality takes a basis pair.  The
-pairing, `section_from_graded`, `expand_in_basis` and the unit entries in
-`algebras` take a basis element's form straight off the cached Section,
-with no `Section.form` point check on one made for the same Config.
+residue at infinity or at poles of order at most two), through which
+the pairing of weights h and 1 - h that realizes the duality takes a
+basis pair.  The pairing, `section_from_graded`, `expand_in_basis` and
+the unit entries in `algebras` take a basis element's form straight off
+the cached Section, with no `Section.form` point check on one made for
+the same Config.
 
 Every polynomial and truncated series here, q and the jets included, is
 an integer form (den, nums): den > 0, coefficient t is nums[t] / den and
@@ -511,17 +512,31 @@ def _leading(pts, k, i):
     return Rat(num, den)
 
 
+def _double_pole_residue(pts, k, i):
+    """The residue of M_k dz at P_i when k_i = -2: the derivative at P_i
+    of M_k (z - P_i)^2, that is `_leading` times sum_{q != i} k_q /
+    (P_i - P_q), the sum taken in ints."""
+    an, ad = pts[i].num, pts[i].den
+    num, den = 0, 1
+    for q, (b, e) in enumerate(zip(pts, k)):
+        if e and q != i:  # P_i - P_q = x / y
+            x, y = an * b.den - b.num * ad, ad * b.den
+            num, den = num * x + e * y * den, den * x
+    return _leading(pts, k, i) * Rat(num, den)
+
+
 def monomial_residue(cfg, k):
     """Sum over the marked points of the residues of M_k dz; cached per k.
 
     0 when M_k has no pole at a marked point.  Else the residues of M_k dz
     over the sphere sum to 0 and M_k = z^s (1 - sum_i k_i P_i / z + ...)
     at infinity, s = sum k: so 0 for s <= -2, 1 for s = -1 and
-    -sum_i k_i P_i for s = 0.  For s > 0, the sum of `_leading` over
-    simple poles; else the sum of the degree-0 coefficients of the
-    expansion at weight 1, since A^1_{n,p} has residue sum 1 for n = 0 and
-    0 otherwise (no pole at a marked point for n > 0, no residue at
-    infinity for n < 0)."""
+    -sum_i k_i P_i for s = 0.  For s > 0 and poles of order at most two,
+    the sum of `_leading` over the simple poles and of
+    `_double_pole_residue` over the double ones; else the sum of the
+    degree-0 coefficients of the expansion at weight 1, since A^1_{n,p}
+    has residue sum 1 for n = 0 and 0 otherwise (no pole at a marked point
+    for n > 0, no residue at infinity for n < 0)."""
     lo, s = min(k), sum(k)
     if lo >= 0 or s < -1:
         return RAT0
@@ -530,11 +545,13 @@ def monomial_residue(cfg, k):
     key = ("mres", k)
     hit = cfg.cache.get(key)
     if hit is None:
+        pts = cfg.points
         if s == 0:
-            hit = -sum((a * e for a, e in zip(cfg.points, k) if e), RAT0)
-        elif lo == -1:
-            hit = sum((_leading(cfg.points, k, i) for i in range(len(k))
-                       if k[i] == -1), RAT0)
+            hit = -sum((a * e for a, e in zip(pts, k) if e), RAT0)
+        elif lo >= -2:
+            hit = sum((_leading(pts, k, i) if e == -1
+                       else _double_pole_residue(pts, k, i)
+                       for i, e in enumerate(k) if e < 0), RAT0)
         else:
             den, nums = _monomial_form(cfg, k)  # B_{e,p} dz is A_{e,p}
             hit = Rat(sum(nums.get((0, p), 0)

@@ -54,7 +54,7 @@ MAX_WEYL_WEIGHT = 400
 #   sugawara -7,1,-7,2 slice 0, README's module 10,557,844   3.1   115
 #   kz (48,48), N = 2                           11,817,770   0.9   220
 #   kz (38,48), N = 2, --json-indent 4          14,837,052   2.6   836
-#   kz (1,1,0,...,0), N = 187                   14,789,830   3.0    72
+#   kz (1,1,0,...,0), N = 557                   14,989,984   0.7    27
 #   module --action (9,9,8), --json-indent 4    14,580,000   3.8   835
 #   module --coinvariants (2,...,2,0), N = 9    14,526,054   4.7    70
 #   module --coinvariants verma w26, N = 4      13,154,400   5.1   174
@@ -251,16 +251,13 @@ def _kz_work(weights, dim0, indent):
     """For N points, k of them of nonzero weight: N dim0^2 output entries
     (`_entry_work`); 40 + 10 N for each of N * dim0 columns, fitted on
     degree-0 module actions and now an upper bound on its entries in
-    the Casimir products and their sums into the N matrices; 2 N^3 for
-    the one-point triple coefficients c^p_pp, the residue of M_K with
-    K = 1 - 3 e_p, which `basis._monomial_form` splits into about N flat
-    monomials of about N/2 leading terms of N factors each (23,100
-    `_leading` calls at 150 points, two of them of nonzero weight); and
-    2 N^2 k^2 for the N k^2 triple coefficients read where a Casimir
-    product is nonzero, each a residue over N points."""
+    the Casimir products and their sums into the N matrices; and
+    2 N^2 k^2 for the N k(k+1)/2 triple coefficients read where a
+    Casimir product is nonzero, each a residue of poles of order at most
+    two over N points, in closed form."""
     n, k = len(weights), sum(map(bool, weights))
     return (n * dim0 * (_entry_work(indent) * dim0 + 40 + 10 * n)
-            + 2 * n ** 3 + 2 * n ** 2 * k ** 2)
+            + 2 * n ** 2 * k ** 2)
 
 
 def _coinvariant_work(module, dim0):

@@ -14,9 +14,12 @@ of each basis element on a finite highest-weight module, and operators
 on a tensor product.  For sl2 with dominant integral weight m the module
 has dimension m + 1 and its entries are the ladder formulas.  Each module
 is built and validated once per (algebra kind, weight); its entries are
-immutable tuples, so every caller shares it.  `omega_entries` builds the
-Casimir tensor from the entries of the factors, `casimir_entries` the
-Casimir of one factor, and `entry_product` multiplies two entry lists
+immutable tuples, so every caller shares it.  The point-independent
+tensors on them are built once per irrep or pair of irreps, as integer
+forms over one denominator: the local Casimir two-tensor `local_omega`
+and the Casimir of one factor `local_casimir` (`casimir_entries` sums
+it).  `omega_entries` places a local Omega on two factors of a tensor
+product, and `entry_product` multiplies two entry lists
 (`int_entry_product` on int values).  The dense `factor_op` is an
 oracle for verify and the tests.
 """
@@ -26,7 +29,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from ._kernel import RAT0, RAT1, Rat, merge, rats
+from ._kernel import RAT0, RAT1, Rat, form, merge, rats
 from .errors import DomainError
 from .ratfield import as_rat
 
@@ -243,9 +246,8 @@ def omega_entries(alg, mods, p, q):
     """The nonzero entries of the Casimir two-tensor on factors p and q
     (0-based, p != q), as a list of (row, column, value).
 
-    Omega_pq = sum_i x_i^(p) u^i^(q).  Its local entries on the two
-    factors are sums of products of the entries of x_i on factor p, of
-    the dual vector u^i and of x_j on factor q; each local entry is
+    Omega_pq = sum_i x_i^(p) u^i^(q).  Its local entry (rp, rq, cp, cq)
+    on the two factors (`local_omega`, built once per pair of irreps) is
     placed at base + rp*sp + rq*sq (column base + cp*sp + cq*sq) for every
     index base of the other factors.  No dense factor_op products."""
     if p == q:
@@ -253,21 +255,52 @@ def omega_entries(alg, mods, p, q):
     strides = tensor_strides(mods)
     sp, sq = strides[p], strides[q]
     dp, dq = mods[p].dim, mods[q].dim
-    local = {}  # (row offset, column offset) -> entry
-    for i, dual in enumerate(alg.dual_vectors):
-        xp = mods[p].entries[i]
-        for j, c in enumerate(dual):
-            if c.num == 0:
-                continue
-            for rq, cq, b in mods[q].entries[j]:
-                cb = c * b
-                for rp, cp, a in xp:
-                    key = (rp * sp + rq * sq, cp * sp + cq * sq)
-                    local[key] = local.get(key, RAT0) + a * cb
+    local = rats(*local_omega(alg, mods[p], mods[q]))
     bases = [b for b in range(math.prod(m.dim for m in mods))
              if (b // sp) % dp == 0 and (b // sq) % dq == 0]
-    return [(b + ro, b + co, v) for (ro, co), v in local.items()
-            if v.num != 0 for b in bases]
+    return [(b + rp * sp + rq * sq, b + cp * sp + cq * sq, v)
+            for (rp, rq, cp, cq), v in local.items() for b in bases]
+
+
+# The point-independent tensors of the degree-0 layer, one entry per
+# (algebra, irrep) or (algebra, irrep, irrep), keyed by the identity of the
+# objects and holding them, so that a key is never reused and a module
+# with other entries gets its own tensor.
+_OMEGAS = {}
+_CASIMIRS = {}
+
+
+def local_omega(alg, mp, mq):
+    """Omega = sum_ij D_ij x_i (x) x_j on V_p (x) V_q, as an integer form
+    (D, {(rp, rq, cp, cq): int}) of its nonzero entries; built once per
+    pair of module objects."""
+    key = id(alg), id(mp), id(mq)
+    hit = _OMEGAS.get(key)
+    if hit is None:
+        local = {}
+        for i, dual in enumerate(alg.dual_vectors):
+            for j, c in enumerate(dual):
+                if c.num == 0:
+                    continue
+                for rq, cq, b in mq.entries[j]:
+                    cb = c * b
+                    for rp, cp, a in mp.entries[i]:
+                        k = (rp, rq, cp, cq)
+                        local[k] = local.get(k, RAT0) + a * cb
+        hit = _OMEGAS[key] = (alg, mp, mq, form(
+            {k: v for k, v in local.items() if v.num}))
+    return hit[3]
+
+
+def local_casimir(alg, mod):
+    """sum_ij D_ij x_i x_j on V, as an integer form (D, {(row, column):
+    int}) of its nonzero entries; built once per module object."""
+    key = id(alg), id(mod)
+    hit = _CASIMIRS.get(key)
+    if hit is None:
+        hit = _CASIMIRS[key] = (alg, mod, form(casimir_entries(
+            alg, mod.entries)))
+    return hit[2]
 
 
 def entry_product(a, b):

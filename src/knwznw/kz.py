@@ -31,11 +31,12 @@ the residual, which must vanish identically.
 Only zero modes keep the degree, and on the degree-zero slice, the
 tensor product of the irreps at the points, x_(0,q,i) acts as x_i on
 factor q.  So A_p = f/2 sum_{q <= s} (c^p_qs + c^p_sq) O_qs (c^p_qq
-alone), f the rescaling factor and c^p_qs the zero-mode triple
+alone), f the rescaling factor and c^p_qs = c^p_sq the zero-mode triple
 coefficients of L(-1, p); the N directions and the oracle share the
-Casimir products O_qs of the irreps, and no module is induced.  A point
-whose irrep acts by zero (weight 0) has no O_qs, and no c^p_qs with q or
-s there is read.
+Casimir products O_qs, placed from the local tensors that `finite_lie`
+builds once per irrep or pair of irreps, and no module is induced.  A
+point whose irrep acts by zero (weight 0) has no O_qs, and no c^p_qs
+with q or s there is read.
 Every operator is a canonical integer form (D, {(row, column): int}) of
 its nonzero entries: `KZSystem.matrices`, `classical_oracle_matrices`
 and a flatness counterexample; `Rat` is built only for kappa and the
@@ -51,8 +52,8 @@ from typing import NamedTuple, Optional
 from ._kernel import RAT0, RAT1, Rat, add_scaled, canonical, form
 from .basis import GradedElement, KNIndex, kn_basis_element
 from .errors import DomainError
-from .finite_lie import (casimir_eigenvalue, casimir_entries, finite_irrep,
-                         int_entries, int_entry_product, make_algebra,
+from .finite_lie import (casimir_eigenvalue, finite_irrep, int_entries,
+                         int_entry_product, local_casimir, make_algebra,
                          omega_entries, tensor_strides)
 from .ratfield import INFINITY
 from .sugawara import _triple_coefficient, rescale_factor
@@ -111,18 +112,19 @@ def _casimir_products(cfg, alg, weights):
     """(dim, O, M): the dimension of the product of the irreps; the
     integer forms O_qs = sum_ij D_ij x_i^(q) x_j^(s), q <= s 0-based with
     both irreps acting (Omega_qs for q < s, the Casimir of factor q for
-    q = s); and the oracle M_p = sum_{j != p} Omega_pj / (z_p - z_j)."""
+    q = s), each placed from its cached local tensor; and the oracle
+    M_p = sum_{j != p} Omega_pj / (z_p - z_j)."""
     mods = [finite_irrep(alg, w) for w in weights]
     dim, strides = prod(m.dim for m in mods), tensor_strides(mods)
     acting = [q for q, m in enumerate(mods) if any(m.entries)]
     table, n = {}, cfg.n_points
     dens, accs = [1] * n, [{} for _ in range(n)]
     for a, q in enumerate(acting):
-        local = casimir_entries(alg, mods[q].entries)
+        den, local = local_casimir(alg, mods[q])
         sq, dq = strides[q], mods[q].dim
         bases = [b for b in range(dim) if (b // sq) % dq == 0]
-        table[q, q] = form({(b + r * sq, b + c * sq): v
-                            for (r, c), v in local.items() for b in bases})
+        table[q, q] = den, {(b + r * sq, b + c * sq): v
+                            for (r, c), v in local.items() for b in bases}
         for s in acting[a + 1:]:
             omega = table[q, s] = form({(r, c): v for r, c, v
                                         in omega_entries(alg, mods, q, s)})
@@ -205,8 +207,8 @@ def kz_matrices(cfg, alg, weights, level, depth=None):
         den, mat = 1, {}
         for (q, s), o in table.items():
             c = _triple_coefficient(cfg, -1, p, 0, q + 1, 0, s + 1)
-            if q != s:  # O_sq = O_qs, so c_sq adds to c_qs
-                c = c + _triple_coefficient(cfg, -1, p, 0, s + 1, 0, q + 1)
+            if q != s:  # O_sq = O_qs and c_sq = c_qs: the duals commute
+                c = c + c
             if c.num:
                 c = c * half
                 den = add_scaled(den, mat, *o, c.num, c.den)
@@ -247,13 +249,14 @@ def flatness_check(system):
     keeps a triple's key and makes the triple lexicographically smaller,
     so the first triple of each key, and so the first failure, is among
     the ordered triples of those points, which are walked alone; a
-    success counts every ordered triple, N(N-1)(N-2).  The commutator is summed in ints on the nonzero entries
-    of the three Omegas over one denominator (`omega_entries`,
-    `int_entry_product`).  A counterexample is ((p, q, r), the
-    commutator on those factors as a canonical integer form), the first
-    failing ordered triple; checked_relations is then its rank in the
-    walk.  Disjoint pairs commute by construction.  Exact; vacuous for
-    N = 2.
+    success counts every ordered triple, N(N-1)(N-2).  The commutator is
+    summed in ints on the nonzero entries of the three Omegas, placed from
+    the cached local tensors, over one denominator (`omega_entries`,
+    `int_entry_product`); the verdict is computed on every call.  A
+    counterexample is ((p, q, r), the commutator on those factors as a
+    canonical integer form), the first failing ordered triple;
+    checked_relations is then its rank in the walk.  Disjoint pairs
+    commute by construction.  Exact; vacuous for N = 2.
     """
     cfg = system.config
     n = cfg.n_points

@@ -34,9 +34,11 @@ index).  `slice_basis`, `act`, `_act_gen`, `_act_affine_raw` and
 Sugawara's `apply_L` and audit counterexample convert to and from
 `PBWMonomial` (`encode`, `decode_form`).  The action memo (`_act_memo`,
 keyed code << _dbits | digit) holds canonical integer forms
-(D, {code: int}) of the kernel; Rat is built at the boundary.  Each
-handle keeps its own memos (actions, brackets, slices, Sugawara images
-and relation plans).
+(D, {code: int}) of the kernel; Rat is built at the boundary.  On a
+vacuum code a zero mode acts through its irrep's integer entries by
+column, built once per handle (`_vacuum_action`).  Each handle keeps its
+own memos (actions, brackets, slices, Sugawara images and relation
+plans).
 `degree_zero_action` gives an operator as a canonical integer form
 (D, {(row, column): int}) of its nonzero entries, as `kz` does.
 
@@ -54,7 +56,7 @@ from collections import defaultdict
 from math import comb, gcd, prod
 from typing import NamedTuple, Optional
 
-from ._kernel import RAT1, Rat, add_scaled, canonical, form
+from ._kernel import RAT1, ZERO_FORM, Rat, add_scaled, canonical, form
 from .algebras import _unit_gamma, _unit_product
 from .basis import Combination, Config
 from .errors import DomainError, TruncationOverflow
@@ -150,6 +152,8 @@ class InducedModule:
             self.factors = tuple(finite_irrep(alg, w) for w in spec.weights)
             self.vac_dim = prod(f.dim for f in self.factors)
             self.strides = tensor_strides(self.factors)
+            self._columns = tuple(tuple(_by_column(e) for e in f.entries)
+                                  for f in self.factors)
         self.weights = tuple(as_rat(w) for w in spec.weights)
         self._vbits = (self.vac_dim - 1).bit_length()  # the codec
         self._vmask = (1 << self._vbits) - 1
@@ -323,20 +327,24 @@ class InducedModule:
         return hit
 
     def _vacuum_action(self, gen, vac):
+        """gen on the vacuum code vac, as a canonical integer form."""
         if gen < self._zero or gen in self._lowering:  # a creator
-            return {gen << self._vbits | vac: RAT1}
+            return 1, {gen << self._vbits | vac: 1}
         p, i = divmod(gen - self._zero, self._dim)  # x_i at P_(p+1)
         if p >= self.cfg.n_points:  # a positive mode
-            return {}
+            return ZERO_FORM
         if self.spec.kind != "verma":  # degree zero, on the irreps
-            mod, sp = self.factors[p], self.strides[p]
-            jp = (vac // sp) % mod.dim
+            sp = self.strides[p]
+            jp = (vac // sp) % self.factors[p].dim
+            col = self._columns[p][i].get(jp)
+            if col is None:
+                return ZERO_FORM
             base = vac - jp * sp
-            return {base + r * sp: c for r, s, c in mod.entries[i] if s == jp}
+            return col[0], {base + r * sp: x for r, x in col[1].items()}
         w = self.weights[p]  # a verma torus acts by the weight, e by 0
         if i in self.alg.cartan_indices and w.num != 0:
-            return {vac: w}
-        return {}
+            return w.den, {vac: w.num}
+        return ZERO_FORM
 
     def _act_form(self, gen, code):
         """Exact action of a generator digit on a monomial code, as an
@@ -351,7 +359,7 @@ class InducedModule:
             return hit
         c1, rest = self._peel(code)
         if not c1:
-            res = form(self._vacuum_action(gen, code))
+            res = self._vacuum_action(gen, code)
         elif gen <= c1 and (gen < self._zero or gen in self._lowering):
             res = (1, {self._prepend(gen, code): 1})
         else:
@@ -455,6 +463,15 @@ class InducedModule:
         """
         return ModuleVector({m: c for m, c in v.terms.items()
                              if m.degree == 0})
+
+
+def _by_column(entries):
+    """{column: canonical integer form (D, {row: int})} of an operator's
+    entries (row, column, value)."""
+    cols = {}
+    for r, c, v in entries:
+        cols.setdefault(c, {})[r] = v
+    return {c: canonical(*form(col)) for c, col in cols.items()}
 
 
 def induce_module(alg, cfg, spec):

@@ -682,12 +682,12 @@ def test_weyl_work_bound(capsys, tmp_path, monkeypatch):
     # counted from the weights: 400 for (4,9,7).  `--coinvariants` counts
     # 9 rows per monomial of 5 plus 1 per 5 monomials of its weight space
     # (400 // 21 = 19); `--action` 9 dense 400 x 400 matrices; `kz` 3 of
-    # them, compact, 40 + 10 * 3 per column, 3 * 400 of them, 2 * 3^3 and,
-    # with 3 points of nonzero weight, 2 * 3^2 * 3^2
+    # them, compact, 40 + 10 * 3 per column, 3 * 400 of them, and, with 3
+    # points of nonzero weight, 2 * 3^2 * 3^2
     cfg = _write(tmp_path, "w.json", {"points": ["0", "1", "-1"],
                                       "weights": [4, 9, 7], "depth": 0})
     monkeypatch.setattr(cli, "MAX_WORK", 0)
-    kz_rest = 70 * 3 * 400 + 2 * 3 ** 3 + 2 * 3 ** 2 * 3 ** 2
+    kz_rest = 70 * 3 * 400 + 2 * 3 ** 2 * 3 ** 2
     for argv, work in ((["module", "--coinvariants"], 9 * 400 * (5 + 3)),
                        (["module", "--action"], 9 * 400 ** 2),
                        (["kz"], 3 * 400 ** 2 + kz_rest),
@@ -705,7 +705,7 @@ def test_weyl_work_bound(capsys, tmp_path, monkeypatch):
     cfg = _write(tmp_path, "z.json", {"points": ["0", "1", "-1", "2", "3"],
                                       "weights": [1, 1, 0, 0, 0]})
     _rejected(["kz", "--config", cfg], capsys, "work estimate %d exceeds 0"
-              % (5 * 4 * (4 + 90) + 2 * 5 ** 3 + 2 * 5 ** 2 * 2 ** 2))
+              % (5 * 4 * (4 + 90) + 2 * 5 ** 2 * 2 ** 2))
 
 
 def test_large_weyl_weights_are_refused_before_any_irrep_is_built(
@@ -776,8 +776,9 @@ def test_requests_are_decided_by_the_estimate_alone(capsys, tmp_path,
     _rejected(["module", "--action", "--json-indent", "8", "--config",
                nines], capsys, "work estimate 27000000 exceeds")
     # kz at (1,1,0,...,0): a point of weight 0 reads no triple
-    # coefficient, so 187 points pass (5.5-5.7 s) and 188 do not
-    for n, accepted in ((187, True), (188, False)):
+    # coefficient, and the others' residues are closed forms, so 557
+    # points pass (about 0.7 s) and 558 do not
+    for n, accepted in ((557, True), (558, False)):
         many = _write(tmp_path, "m.json", {
             "points": [str(x) for x in range(n)],
             "weights": [1, 1] + [0] * (n - 2)})

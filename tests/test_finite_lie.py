@@ -5,15 +5,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (dense_commutator, dense_mat_mul, dense_omega_matrix,
                       diagonal_action, entries_of, is_zero_matrix, place)
 from knwznw import Rat
-from knwznw._kernel import RAT0, RAT1
+from knwznw._kernel import RAT0, RAT1, rats
 from knwznw.errors import DomainError
 from knwznw.finite_lie import (FiniteModule, _abelian1, _sl2, _validate,
                                _validate_module, casimir_eigenvalue,
-                               entry_product, finite_irrep, make_algebra,
+                               entry_product, factor_op, finite_irrep,
+                               local_casimir, local_omega, make_algebra,
                                omega_entries)
 
 
@@ -222,6 +225,77 @@ def test_sparse_omega_matches_the_dense_oracle(sl2, ab):
                     assert sorted(omega_entries(alg, mods, p, q)) == [
                         (r, c, v) for r, row in enumerate(dense)
                         for c, v in enumerate(row) if v.num != 0]
+
+
+def dense_casimir(alg, mods, p):
+    """sum_ij D_ij x_i^(p) x_j^(p) as dense products of factor_op
+    matrices."""
+    dim = math.prod(m.dim for m in mods)
+    out = [[RAT0] * dim for _ in range(dim)]
+    ops = [factor_op(mods, p, e) for e in mods[p].entries]
+    for i, dual in enumerate(alg.dual_vectors):
+        for j, c in enumerate(dual):
+            if c.num:
+                prod = dense_mat_mul(ops[i], ops[j])
+                out = [[x + c * y for x, y in zip(ro, rp)]
+                       for ro, rp in zip(out, prod)]
+    return out
+
+
+def casimir_placed(alg, mods, p):
+    """The cached one-factor Casimir of factor p placed densely."""
+    return factor_op(mods, p, [(r, c, v) for (r, c), v
+                               in rats(*local_casimir(alg, mods[p])).items()])
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(("sl2", "abelian1")),
+       n=st.integers(2, 5))
+def test_cached_tensors_match_the_dense_products(data, kind, n):
+    # fresh copies of the irreps, so the first read of each tensor builds
+    # it and the second reads the table; both equal the dense products, and
+    # each one-factor Casimir is its eigenvalue times the identity
+    alg = make_algebra(kind)
+    if kind == "sl2":  # repeated and zero weights, at most 81 dimensions
+        pool = st.integers(0, 3 if n == 2 else 1 if n == 5 else 2)
+    else:
+        pool = st.sampled_from((RAT0, Rat(1), Rat(-2, 3), Rat(5, 2)))
+    weights = data.draw(st.lists(pool, min_size=n, max_size=n))
+    mods = [finite_irrep(alg, w)._replace() for w in weights]
+    for p in range(n):
+        cold = local_casimir(alg, mods[p])
+        for _read in ("cold", "cached"):
+            assert casimir_placed(alg, mods, p) == dense_casimir(alg, mods, p)
+        assert local_casimir(alg, mods[p]) is cold
+        dim = mods[p].dim
+        eig = casimir_eigenvalue(alg, weights[p])
+        assert place(rats(*cold), dim, dim) == [
+            [eig if r == c else RAT0 for c in range(dim)] for r in range(dim)]
+        for q in range(n):
+            if q != p:
+                want = dense_omega_matrix(alg, mods, p, q)
+                for _read in ("cold", "cached"):
+                    assert omega_placed(alg, mods, p, q) == want
+
+
+def test_a_module_with_one_wrong_entry_gets_its_own_tensor(sl2):
+    # a module equal to the irrep of weight 1 but for one entry of e, read
+    # after the irrep's tensors: its Omega and Casimir are its own, equal to
+    # its dense products and not to the irrep's, and the irrep's stay
+    good = finite_irrep(sl2, 1)
+    E, H, F = good.entries
+    bad = FiniteModule("sl2", good.weight, 2, (((0, 1, Rat(2)),), H, F))
+    assert E == ((0, 1, RAT1),)
+    pair, cas = local_omega(sl2, good, good), local_casimir(sl2, good)
+    for mods in ([bad, good], [good, bad], [bad, bad]):
+        assert omega_placed(sl2, mods, 0, 1) == \
+            dense_omega_matrix(sl2, mods, 0, 1)
+        assert omega_placed(sl2, mods, 0, 1) != \
+            omega_placed(sl2, [good, good], 0, 1)
+    assert casimir_placed(sl2, [bad], 0) == dense_casimir(sl2, [bad], 0)
+    assert local_casimir(sl2, bad) != cas
+    assert local_omega(sl2, good, good) is pair
+    assert local_casimir(sl2, good) is cas
 
 
 def test_entry_product_matches_the_dense_oracle():

@@ -21,8 +21,8 @@ from knwznw import Rat
 from knwznw._kernel import RAT0
 from knwznw.algebras import R_ZERO, _unit_chi, _unit_gamma
 from knwznw.basis import (Config, DivisorForm, KNIndex, Section,
-                          expand_in_basis, kn_basis_element, kn_pairing,
-                          monomial_residue, residue_sum)
+                          _monomial_form, expand_in_basis, kn_basis_element,
+                          kn_pairing, monomial_residue, residue_sum)
 from knwznw.ratfield import residue_at
 from knwznw.sugawara import _triple_coefficient
 
@@ -64,6 +64,24 @@ def test_monomial_residue_matches_the_jets_and_the_function(data, points):
         assert cfg.cache[("mres", k)] is got
     else:
         assert ("mres", k) not in cfg.cache
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(data=st.data(), points=st.lists(rationals, min_size=1, max_size=6,
+                                       unique=True))
+def test_double_pole_residues_match_the_monomial_expansion(data, points):
+    # poles of order at most two, at least one double: the closed form
+    # against the degree-0 coefficients of the split monomial expansion
+    # (N = 1 has no such K with sum K > 0; its residue sum is 0 either way)
+    cfg = Config(points)
+    n = cfg.n_points
+    k = data.draw(st.lists(st.integers(-2, 4), min_size=n, max_size=n))
+    for i in data.draw(st.sets(st.integers(0, n - 1), min_size=1)):
+        k[i] = -2
+    k = tuple(k)
+    den, nums = _monomial_form(cfg, k)
+    want = Rat(sum(nums.get((0, p), 0) for p in range(1, n + 1)), den)
+    assert monomial_residue(cfg, k) == want
 
 
 def test_monomial_residue_covers_the_corner_cases():
