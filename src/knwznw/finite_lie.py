@@ -8,28 +8,29 @@ trace form of the defining representation, so (e|f) = 1 and (h|h) = 2 and
 the dual Coxeter number is 2; the abelian algebra has (u|u) = 1 and dual
 Coxeter number 0.
 
-Every operator here is a tuple (or list) of its nonzero entries
-(row, column, value): the adjoint action `GaugeAlgebra.ad`, the action
-of each basis element on a finite highest-weight module, and operators
-on a tensor product.  For sl2 with dominant integral weight m the module
-has dimension m + 1 and its entries are the ladder formulas.  Each module
-is built and validated once per (algebra kind, weight); its entries are
-immutable tuples, so every caller shares it.  The point-independent
-tensors on them are built once per irrep or pair of irreps, as integer
-forms over one denominator: the local Casimir two-tensor `local_omega`
-and the Casimir of one factor `local_casimir` (`casimir_entries` sums
-it).  `omega_entries` places a local Omega on two factors of a tensor
-product, and `entry_product` multiplies two entry lists
-(`int_entry_product` on int values).  The dense `factor_op` is an
-oracle for verify and the tests.
+Every operator here is one canonical integer form (D, {(row, column):
+int}) of its nonzero entries: the adjoint action `GaugeAlgebra.ad`, the
+action of each basis element on a finite highest-weight module, and
+operators on a tensor product.  For sl2 with dominant integral weight m
+the module has dimension m + 1 and its entries are the ladder integers
+over D = 1.  Each module is built and validated once per (algebra kind,
+weight), and every caller shares it, so no caller mutates its forms.
+The point-independent tensors on them are built once per irrep or pair
+of irreps, summed in ints: the local Casimir two-tensor `local_omega`
+and the Casimir of one factor `local_casimir` (`casimir_form` sums it
+from products `form_product`).  `place_local` puts a local tensor on
+one or two factors of a tensor product (`omega_entries` places Omega).
+The dense `factor_op` is an oracle for verify and the tests, and the
+one place where a `Rat` entry is built.
 """
 
 from __future__ import annotations
 
 import math
+from operator import mul
 from typing import NamedTuple
 
-from ._kernel import RAT0, RAT1, Rat, form, merge, rats
+from ._kernel import RAT0, RAT1, Rat, add_scaled, canonical, form, rats
 from .errors import DomainError
 from .ratfield import as_rat
 
@@ -75,9 +76,9 @@ class GaugeAlgebra(NamedTuple):
         return out
 
     def ad(self, i):
-        """Nonzero entries (row, column, value) of ad(x_i) on the basis."""
-        return [(k, j, c) for j in range(self.dim)
-                for k, c in self.bracket.get((i, j), {}).items()]
+        """ad(x_i) on the basis, as a canonical integer form."""
+        return form({(k, j): c for j in range(self.dim)
+                     for k, c in self.bracket.get((i, j), {}).items()})
 
 
 def _sl2():
@@ -137,8 +138,9 @@ def _validate(alg):
             if v != want:
                 raise DomainError("dual basis mismatch for %s" % alg.kind)
     # adjoint Casimir sum_ij D_ij ad(x_i) ad(x_j) = 2 k_dual
-    cas = casimir_entries(alg, [alg.ad(i) for i in range(d)])
-    if cas != {(r, r): alg.k_dual * 2 for r in range(d) if alg.k_dual.num}:
+    two_k = alg.k_dual * 2
+    if casimir_form(alg, [alg.ad(i) for i in range(d)]) != canonical(
+            two_k.den, {(r, r): two_k.num for r in range(d)}):
         raise DomainError("adjoint Casimir is not 2k for %s" % alg.kind)
     return alg
 
@@ -156,12 +158,12 @@ def make_algebra(kind):
 
 
 class FiniteModule(NamedTuple):
-    """Finite-dimensional module: exact nonzero action entries per label."""
+    """Finite-dimensional module: the action of each basis element."""
 
     algebra_kind: str
     weight: Rat
     dim: int
-    entries: tuple           # entries[i] = action of basis element i
+    entries: tuple           # entries[i] = x_i, a canonical integer form
 
 
 _IRREPS = {}  # (algebra kind, weight) -> validated FiniteModule
@@ -193,12 +195,12 @@ def finite_irrep(alg, weight):
 
 def _build_irrep(alg, weight):
     if alg.kind == "abelian1":
-        return FiniteModule(alg.kind, weight, 1,
-                            (((0, 0, weight),) if weight.num else (),))
+        return FiniteModule(alg.kind, weight, 1, (
+            canonical(weight.den, {(0, 0): weight.num}),))
     m = weight
-    E = tuple((j - 1, j, Rat(j * (m - j + 1))) for j in range(1, m + 1))
-    H = tuple((j, j, Rat(m - 2 * j)) for j in range(m + 1) if m != 2 * j)
-    F = tuple((j + 1, j, RAT1) for j in range(m))
+    E = canonical(1, {(j - 1, j): j * (m - j + 1) for j in range(1, m + 1)})
+    H = canonical(1, {(j, j): m - 2 * j for j in range(m + 1)})
+    F = canonical(1, {(j + 1, j): 1 for j in range(m)})
     mod = FiniteModule(alg.kind, Rat(m), m + 1, (E, H, F))
     _validate_module(alg, mod)
     return mod
@@ -206,15 +208,15 @@ def _build_irrep(alg, weight):
 
 def _validate_module(alg, mod):
     """Check [x_i, x_j] = sum_k c_k x_k for every bracket of the algebra
-    on the module's entries (`entry_product`): no dim x dim matrix is
-    formed."""
+    on the module's forms, summed in ints (`form_product`): no dim x dim
+    matrix is formed."""
     ents = mod.entries
     for (i, j), tbl in alg.bracket.items():
-        diff = merge(entry_product(ents[i], ents[j]),
-                     entry_product(ents[j], ents[i]), -RAT1)
+        den, diff = form_product(ents[i], ents[j])
+        den = add_scaled(den, diff, *form_product(ents[j], ents[i]), -1, 1)
         for k, c in tbl.items():
-            merge(diff, {(r, s): v for r, s, v in ents[k]}, -c)
-        if diff:
+            den = add_scaled(den, diff, *ents[k], -c.num, c.den)
+        if any(diff.values()):
             raise DomainError("module entries violate the bracket relations")
 
 
@@ -227,39 +229,50 @@ def tensor_strides(mods):
     return strides
 
 
-def factor_op(mods, p, entries):
-    """Dense matrix acting on factor p (0-based) of the tensor product by
-    the operator with these entries (row, column, value); a repeated
-    position adds."""
+def factor_op(mods, p, op):
+    """Dense Rat matrix acting on factor p (0-based) of the tensor product
+    by the operator op, an integer form (D, {(row, column): int})."""
     dim = math.prod(m.dim for m in mods)
     sp = tensor_strides(mods)[p]
     dp = mods[p].dim
+    entries = rats(*op).items()
     out = [[RAT0] * dim for _ in range(dim)]
     for base in range(dim):
         if (base // sp) % dp == 0:
-            for r, c, v in entries:
-                out[base + r * sp][base + c * sp] += v
+            for (r, c), v in entries:
+                out[base + r * sp][base + c * sp] = v
     return out
 
 
-def omega_entries(alg, mods, p, q):
-    """The nonzero entries of the Casimir two-tensor on factors p and q
-    (0-based, p != q), as a list of (row, column, value).
+def place_local(mods, factors, local):
+    """The integer form local of an operator on the listed factors
+    (0-based, distinct), keyed (r_1, ..., r_k, c_1, ..., c_k) by the row
+    and column index on each, placed on the tensor product of mods: the
+    identity on every other factor.  Each key's offsets sum r_i s_i and
+    sum c_i s_i (s the strides) are taken once, and the indices base of
+    the other factors are those with a zero digit on each listed factor.
+    A canonical local form gives a canonical placed one."""
+    den, ents = local
+    strides = tensor_strides(mods)
+    st = [strides[f] for f in factors]
+    bases = range(math.prod(m.dim for m in mods))
+    for f, s in zip(factors, st):
+        d = mods[f].dim
+        bases = [b for b in bases if (b // s) % d == 0]
+    k = len(factors)
+    offsets = [(sum(map(mul, key[:k], st)), sum(map(mul, key[k:], st)), v)
+               for key, v in ents.items()]
+    return den, {(b + ro, b + co): v for ro, co, v in offsets for b in bases}
 
-    Omega_pq = sum_i x_i^(p) u^i^(q).  Its local entry (rp, rq, cp, cq)
-    on the two factors (`local_omega`, built once per pair of irreps) is
-    placed at base + rp*sp + rq*sq (column base + cp*sp + cq*sq) for every
-    index base of the other factors.  No dense factor_op products."""
+
+def omega_entries(alg, mods, p, q):
+    """The Casimir two-tensor Omega_pq = sum_i x_i^(p) u^i^(q) on factors
+    p and q (0-based, p != q) of the tensor product of mods, as a
+    canonical integer form: `local_omega`, built once per pair of irreps,
+    placed (`place_local`).  No dense factor_op products."""
     if p == q:
         raise DomainError("omega acts on two distinct factors")
-    strides = tensor_strides(mods)
-    sp, sq = strides[p], strides[q]
-    dp, dq = mods[p].dim, mods[q].dim
-    local = rats(*local_omega(alg, mods[p], mods[q]))
-    bases = [b for b in range(math.prod(m.dim for m in mods))
-             if (b // sp) % dp == 0 and (b // sq) % dq == 0]
-    return [(b + rp * sp + rq * sq, b + cp * sp + cq * sq, v)
-            for (rp, rq, cp, cq), v in local.items() for b in bases]
+    return place_local(mods, (p, q), local_omega(alg, mods[p], mods[q]))
 
 
 # The point-independent tensors of the degree-0 layer, one entry per
@@ -271,81 +284,61 @@ _CASIMIRS = {}
 
 
 def local_omega(alg, mp, mq):
-    """Omega = sum_ij D_ij x_i (x) x_j on V_p (x) V_q, as an integer form
-    (D, {(rp, rq, cp, cq): int}) of its nonzero entries; built once per
-    pair of module objects."""
+    """Omega = sum_ij D_ij x_i (x) x_j on V_p (x) V_q, as a canonical
+    integer form (D, {(rp, rq, cp, cq): int}) of its nonzero entries,
+    summed in ints; built once per pair of module objects."""
     key = id(alg), id(mp), id(mq)
     hit = _OMEGAS.get(key)
     if hit is None:
-        local = {}
+        den, local = 1, {}
         for i, dual in enumerate(alg.dual_vectors):
+            dp, ep = mp.entries[i]
             for j, c in enumerate(dual):
-                if c.num == 0:
-                    continue
-                for rq, cq, b in mq.entries[j]:
-                    cb = c * b
-                    for rp, cp, a in mp.entries[i]:
-                        k = (rp, rq, cp, cq)
-                        local[k] = local.get(k, RAT0) + a * cb
-        hit = _OMEGAS[key] = (alg, mp, mq, form(
-            {k: v for k, v in local.items() if v.num}))
+                if c.num:
+                    dq, eq = mq.entries[j]
+                    den = add_scaled(den, local, dp * dq, {
+                        (rp, rq, cp, cq): a * b for (rq, cq), b in eq.items()
+                        for (rp, cp), a in ep.items()}, c.num, c.den)
+        hit = _OMEGAS[key] = (alg, mp, mq, canonical(den, local))
     return hit[3]
 
 
 def local_casimir(alg, mod):
-    """sum_ij D_ij x_i x_j on V, as an integer form (D, {(row, column):
-    int}) of its nonzero entries; built once per module object."""
+    """sum_ij D_ij x_i x_j on V, as a canonical integer form (D, {(row,
+    column): int}) (`casimir_form`); built once per module object."""
     key = id(alg), id(mod)
     hit = _CASIMIRS.get(key)
     if hit is None:
-        hit = _CASIMIRS[key] = (alg, mod, form(casimir_entries(
-            alg, mod.entries)))
+        hit = _CASIMIRS[key] = (alg, mod, casimir_form(alg, mod.entries))
     return hit[2]
 
 
-def entry_product(a, b):
-    """The product a b of two matrices given by their nonzero entries
-    (row, column, value), as a {(row, column): value} dict of its nonzero
-    entries.  A position may occur more than once in a or b; its values
-    add, so a concatenation of entry lists stands for their sum.  Each
-    operand is scaled to one denominator and the products are summed as
-    ints (`int_entry_product`); Rat is built once per entry of the
-    result."""
-    if not a or not b:
-        return {}
-    (da, a), (db, b) = int_entries(a), int_entries(b)
-    return rats(da * db, int_entry_product(a, b))
-
-
-def casimir_entries(alg, ops):
-    """sum_ij D_ij x_i x_j for the operators ops[i] of the basis elements,
-    given by their entries, as a {(row, column): value} dict."""
-    cas = {}
+def casimir_form(alg, ops):
+    """sum_ij D_ij x_i x_j for the integer forms ops[i] of the basis
+    elements, as a canonical integer form, summed in ints."""
+    den, acc = 1, {}
     for i, dual in enumerate(alg.dual_vectors):
         for j, c in enumerate(dual):
             if c.num:
-                merge(cas, entry_product(ops[i], ops[j]), c)
-    return cas
+                den = add_scaled(den, acc, *form_product(ops[i], ops[j]),
+                                 c.num, c.den)
+    return canonical(den, acc)
 
 
-def int_entries(entries):
-    """(D, [(row, column, int)]): an entry list over one denominator D."""
-    den = math.lcm(*(v.den for _, _, v in entries))
-    return den, [(r, c, v.num * (den // v.den)) for r, c, v in entries]
-
-
-def int_entry_product(a, b):
-    """The product a b of two entry lists with int values, as a
-    {(row, column): int} dict; sums that cancel stay as 0."""
+def form_product(a, b):
+    """The product a b of two integer forms (D, {(row, column): int}), as
+    the integer form (D_a D_b, {(row, column): int}) in a fresh dict;
+    sums that cancel stay as 0 (`canonical` drops them)."""
+    (da, ea), (db, eb) = a, b
     by_row = {}
-    for r, c, v in b:
+    for (r, c), v in eb.items():
         by_row.setdefault(r, []).append((c, v))
     out = {}
     get = out.get
-    for r, c, u in a:
+    for (r, c), u in ea.items():
         for c2, v in by_row.get(c, ()):
             out[r, c2] = get((r, c2), 0) + u * v
-    return out
+    return da * db, out
 
 
 def casimir_eigenvalue(alg, weight):

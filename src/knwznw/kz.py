@@ -33,10 +33,10 @@ tensor product of the irreps at the points, x_(0,q,i) acts as x_i on
 factor q.  So A_p = f/2 sum_{q <= s} (c^p_qs + c^p_sq) O_qs (c^p_qq
 alone), f the rescaling factor and c^p_qs = c^p_sq the zero-mode triple
 coefficients of L(-1, p); the N directions and the oracle share the
-Casimir products O_qs, placed from the local tensors that `finite_lie`
-builds once per irrep or pair of irreps, and no module is induced.  A
-point whose irrep acts by zero (weight 0) has no O_qs, and no c^p_qs
-with q or s there is read.
+Casimir products O_qs, placed (`finite_lie.place_local`) from the local
+integer tensors that `finite_lie` builds once per irrep or pair of
+irreps, and no module is induced.  A point whose irrep acts by zero
+(weight 0) has no O_qs, and no c^p_qs with q or s there is read.
 Every operator is a canonical integer form (D, {(row, column): int}) of
 its nonzero entries: `KZSystem.matrices`, `classical_oracle_matrices`
 and a flatness counterexample; `Rat` is built only for kappa and the
@@ -49,12 +49,12 @@ from itertools import permutations
 from math import prod
 from typing import NamedTuple, Optional
 
-from ._kernel import RAT0, RAT1, Rat, add_scaled, canonical, form
+from ._kernel import RAT0, RAT1, Rat, add_scaled, canonical
 from .basis import GradedElement, KNIndex, kn_basis_element
 from .errors import DomainError
-from .finite_lie import (casimir_eigenvalue, finite_irrep, int_entries,
-                         int_entry_product, local_casimir, make_algebra,
-                         omega_entries, tensor_strides)
+from .finite_lie import (casimir_eigenvalue, finite_irrep, form_product,
+                         local_casimir, make_algebra, omega_entries,
+                         place_local)
 from .ratfield import INFINITY
 from .sugawara import _triple_coefficient, rescale_factor
 
@@ -115,23 +115,18 @@ def _casimir_products(cfg, alg, weights):
     q = s), each placed from its cached local tensor; and the oracle
     M_p = sum_{j != p} Omega_pj / (z_p - z_j)."""
     mods = [finite_irrep(alg, w) for w in weights]
-    dim, strides = prod(m.dim for m in mods), tensor_strides(mods)
-    acting = [q for q, m in enumerate(mods) if any(m.entries)]
+    acting = [q for q, m in enumerate(mods) if any(e[1] for e in m.entries)]
     table, n = {}, cfg.n_points
     dens, accs = [1] * n, [{} for _ in range(n)]
     for a, q in enumerate(acting):
-        den, local = local_casimir(alg, mods[q])
-        sq, dq = strides[q], mods[q].dim
-        bases = [b for b in range(dim) if (b // sq) % dq == 0]
-        table[q, q] = den, {(b + r * sq, b + c * sq): v
-                            for (r, c), v in local.items() for b in bases}
+        table[q, q] = place_local(mods, (q,), local_casimir(alg, mods[q]))
         for s in acting[a + 1:]:
-            omega = table[q, s] = form({(r, c): v for r, c, v
-                                        in omega_entries(alg, mods, q, s)})
+            omega = table[q, s] = omega_entries(alg, mods, q, s)
             fac = RAT1 / (cfg.points[q] - cfg.points[s])
             for i, x in ((q, fac.num), (s, -fac.num)):
                 dens[i] = add_scaled(dens[i], accs[i], *omega, x, fac.den)
-    return dim, table, [canonical(den, acc) for den, acc in zip(dens, accs)]
+    return (prod(m.dim for m in mods), table,
+            [canonical(den, acc) for den, acc in zip(dens, accs)])
 
 
 def classical_oracle_matrices(cfg, alg, weights):
@@ -250,9 +245,9 @@ def flatness_check(system):
     so the first triple of each key, and so the first failure, is among
     the ordered triples of those points, which are walked alone; a
     success counts every ordered triple, N(N-1)(N-2).  The commutator is
-    summed in ints on the nonzero entries of the three Omegas, placed from
-    the cached local tensors, over one denominator (`omega_entries`,
-    `int_entry_product`); the verdict is computed on every call.  A
+    summed in ints from the three Omegas, integer forms placed from the
+    cached local tensors (`omega_entries`), multiplied as they are
+    (`form_product`); the verdict is computed on every call.  A
     counterexample is ((p, q, r), the commutator on those factors as a
     canonical integer form), the first failing ordered triple;
     checked_relations is then its rank in the walk.  Disjoint pairs
@@ -275,11 +270,11 @@ def flatness_check(system):
             mods = [finite_irrep(alg, w) for w in key]
             pq, pr, qr = (omega_entries(alg, mods, i, j)
                           for i, j in ((0, 1), (0, 2), (1, 2)))
-            den, ents = int_entries(pq + pr + qr)
-            pq, rest = ents[:len(pq)], ents[len(pq):]
-            acc = int_entry_product(pq, rest)
-            add_scaled(1, acc, 1, int_entry_product(rest, pq), -1, 1)
-            lhs = local[key] = canonical(den * den, acc)
+            rest = dict(pr[1])
+            rest = add_scaled(pr[0], rest, *qr, 1, 1), rest
+            den, acc = form_product(pq, rest)
+            den = add_scaled(den, acc, *form_product(rest, pq), -1, 1)
+            lhs = local[key] = canonical(den, acc)
         if lhs[1]:
             return FlatnessReport(False, False, checked, ((a, b, r), lhs))
     return FlatnessReport(True, False, n * (n - 1) * (n - 2))

@@ -465,13 +465,13 @@ class InducedModule:
                              if m.degree == 0})
 
 
-def _by_column(entries):
+def _by_column(op):
     """{column: canonical integer form (D, {row: int})} of an operator's
-    entries (row, column, value)."""
-    cols = {}
-    for r, c, v in entries:
+    integer form (D, {(row, column): int})."""
+    den, cols = op[0], {}
+    for (r, c), v in op[1].items():
         cols.setdefault(c, {})[r] = v
-    return {c: canonical(*form(col)) for c, col in cols.items()}
+    return {c: canonical(den, col) for c, col in cols.items()}
 
 
 def induce_module(alg, cfg, spec):

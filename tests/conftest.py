@@ -3,7 +3,7 @@
 import math
 from math import lcm
 
-from knwznw._kernel import RAT0, rats
+from knwznw._kernel import RAT0, form, rats
 from knwznw.basis import DivisorForm, Section
 from knwznw.finite_lie import factor_op
 
@@ -32,7 +32,7 @@ def form_of(points, q, k):
 
 def dense_mat_mul(a, b):
     """The textbook triple loop over every entry of b, kept as the oracle
-    of the sparse `entry_product`."""
+    of the sparse `form_product`."""
     n, k = len(a), len(b)
     m = len(b[0]) if b else 0
     out = [[RAT0] * m for _ in range(n)]
@@ -75,11 +75,11 @@ def dense(form, dim):
     return place(rats(*form), dim, dim)
 
 
-def entries_of(matrix):
-    """The nonzero entries (row, column, value) of a dense matrix, in row
-    order: the inverse of `place`."""
-    return [(r, c, v) for r, row in enumerate(matrix)
-            for c, v in enumerate(row) if v.num != 0]
+def matrix_form(matrix):
+    """The canonical integer form of a dense Rat matrix: the inverse of
+    `dense`."""
+    return form({(r, c): v for r, row in enumerate(matrix)
+                 for c, v in enumerate(row) if v.num != 0})
 
 
 def dense_omega_matrix(alg, mods, p, q):
@@ -89,12 +89,13 @@ def dense_omega_matrix(alg, mods, p, q):
     out = [[RAT0] * dim for _ in range(dim)]
     for i, dual in enumerate(alg.dual_vectors):
         m1 = factor_op(mods, p, mods[p].entries[i])
-        m2 = factor_op(mods, q, [(r, s, c * v) for j, c in enumerate(dual)
-                                 for r, s, v in mods[q].entries[j]])
-        prod = dense_mat_mul(m1, m2)
-        for r in range(dim):
-            for s in range(dim):
-                out[r][s] = out[r][s] + prod[r][s]
+        for j, c in enumerate(dual):
+            if c.num:
+                prod = dense_mat_mul(m1, factor_op(mods, q,
+                                                   mods[q].entries[j]))
+                for r in range(dim):
+                    for s in range(dim):
+                        out[r][s] = out[r][s] + c * prod[r][s]
     return out
 
 
@@ -104,9 +105,10 @@ def diagonal_action(mods, xvec):
     dim = math.prod(m.dim for m in mods)
     out = [[RAT0] * dim for _ in range(dim)]
     for p, mod in enumerate(mods):
-        fp = factor_op(mods, p, [(r, s, c * v) for i, c in enumerate(xvec)
-                                 for r, s, v in mod.entries[i]])
-        for r in range(dim):
-            for s in range(dim):
-                out[r][s] += fp[r][s]
+        for i, c in enumerate(xvec):
+            if c.num:
+                fp = factor_op(mods, p, mod.entries[i])
+                for r in range(dim):
+                    for s in range(dim):
+                        out[r][s] += c * fp[r][s]
     return out

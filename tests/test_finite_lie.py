@@ -8,27 +8,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (dense_commutator, dense_mat_mul, dense_omega_matrix,
-                      diagonal_action, entries_of, is_zero_matrix, place)
+from conftest import (dense, dense_commutator, dense_mat_mul,
+                      dense_omega_matrix, diagonal_action, is_zero_matrix,
+                      matrix_form, place)
 from knwznw import Rat
-from knwznw._kernel import RAT0, RAT1, rats
+from knwznw._kernel import RAT0, RAT1, ZERO_FORM, canonical, form, rats
 from knwznw.errors import DomainError
 from knwznw.finite_lie import (FiniteModule, _abelian1, _sl2, _validate,
                                _validate_module, casimir_eigenvalue,
-                               entry_product, factor_op, finite_irrep,
+                               factor_op, finite_irrep, form_product,
                                local_casimir, local_omega, make_algebra,
-                               omega_entries)
+                               omega_entries, place_local)
 
 
 def dense_matrices(mod):
     """The action of each basis element on mod as a dense matrix."""
-    return [place(e, mod.dim, mod.dim) for e in mod.entries]
+    return [dense(e, mod.dim) for e in mod.entries]
 
 
 def omega_placed(alg, mods, p, q):
-    """Omega_pq placed densely from its nonzero entries."""
-    dim = math.prod(m.dim for m in mods)
-    return place(omega_entries(alg, mods, p, q), dim, dim)
+    """Omega_pq placed densely from its integer form."""
+    return dense(omega_entries(alg, mods, p, q),
+                 math.prod(m.dim for m in mods))
 
 
 @pytest.fixture(scope="module")
@@ -138,7 +139,7 @@ def test_corrupted_irrep_matrices_are_refused(sl2):
         mats[i][r][c] = mats[i][r][c] + Rat(rng.choice((-2, 1, 3)),
                                             rng.randint(1, 3))
         mod = FiniteModule("sl2", base.weight, base.dim,
-                           tuple(tuple(entries_of(m)) for m in mats))
+                           tuple(matrix_form(m) for m in mats))
         assert not dense_bracket_relations_hold(sl2, mats)
         with pytest.raises(DomainError, match="violate the bracket"):
             _validate_module(sl2, mod)
@@ -149,7 +150,7 @@ def test_corrupted_irrep_matrices_are_refused(sl2):
     for i, r, c in ((1, 0, 3), (0, 2, 3)):
         mats = dense_matrices(big)
         mats[i][r][c] = mats[i][r][c] + RAT1
-        ents = tuple(tuple(entries_of(m)) for m in mats)
+        ents = tuple(matrix_form(m) for m in mats)
         with pytest.raises(DomainError, match="violate the bracket"):
             _validate_module(sl2, FiniteModule("sl2", big.weight, big.dim,
                                                ents))
@@ -221,10 +222,10 @@ def test_sparse_omega_matches_the_dense_oracle(sl2, ab):
                 if p != q:
                     dense = dense_omega_matrix(alg, mods, p, q)
                     assert omega_placed(alg, mods, p, q) == dense
-                    # the entries are exactly the nonzero ones, each once
-                    assert sorted(omega_entries(alg, mods, p, q)) == [
-                        (r, c, v) for r, row in enumerate(dense)
-                        for c, v in enumerate(row) if v.num != 0]
+                    # the form holds exactly the nonzero entries, and is
+                    # canonical
+                    assert omega_entries(alg, mods, p, q) == \
+                        matrix_form(dense)
 
 
 def dense_casimir(alg, mods, p):
@@ -244,8 +245,7 @@ def dense_casimir(alg, mods, p):
 
 def casimir_placed(alg, mods, p):
     """The cached one-factor Casimir of factor p placed densely."""
-    return factor_op(mods, p, [(r, c, v) for (r, c), v
-                               in rats(*local_casimir(alg, mods[p])).items()])
+    return factor_op(mods, p, local_casimir(alg, mods[p]))
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
@@ -269,7 +269,7 @@ def test_cached_tensors_match_the_dense_products(data, kind, n):
         assert local_casimir(alg, mods[p]) is cold
         dim = mods[p].dim
         eig = casimir_eigenvalue(alg, weights[p])
-        assert place(rats(*cold), dim, dim) == [
+        assert dense(cold, dim) == [
             [eig if r == c else RAT0 for c in range(dim)] for r in range(dim)]
         for q in range(n):
             if q != p:
@@ -278,14 +278,46 @@ def test_cached_tensors_match_the_dense_products(data, kind, n):
                     assert omega_placed(alg, mods, p, q) == want
 
 
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(("sl2", "abelian1")),
+       n=st.integers(2, 5))
+def test_one_placement_matches_the_dense_factor_products(data, kind, n):
+    # a local tensor placed on one factor is factor_op's matrix, and the
+    # tensor x_i (x) x_j placed on the ordered pair (p, q) is the dense
+    # product of x_i on p and x_j on q, whichever factor comes first
+    alg = make_algebra(kind)
+    if kind == "sl2":  # repeated and zero weights, at most 81 dimensions
+        pool = st.integers(0, 3 if n == 2 else 1 if n == 5 else 2)
+    else:
+        pool = st.sampled_from((RAT0, Rat(1), Rat(-2, 3), Rat(5, 2)))
+    weights = data.draw(st.lists(pool, min_size=n, max_size=n))
+    mods = [finite_irrep(alg, w) for w in weights]
+    ops = [[factor_op(mods, p, x) for x in m.entries]
+           for p, m in enumerate(mods)]
+    for p in range(n):
+        for i, x in enumerate(mods[p].entries):
+            assert place_local(mods, (p,), x) == matrix_form(ops[p][i])
+        for q in range(n):
+            if q == p:
+                continue
+            i = data.draw(st.integers(0, alg.dim - 1))
+            j = data.draw(st.integers(0, alg.dim - 1))
+            (dx, ex), (dy, ey) = mods[p].entries[i], mods[q].entries[j]
+            local = canonical(dx * dy, {(rp, rq, cp, cq): a * b
+                                        for (rp, cp), a in ex.items()
+                                        for (rq, cq), b in ey.items()})
+            assert place_local(mods, (p, q), local) == matrix_form(
+                dense_mat_mul(ops[p][i], ops[q][j]))
+
+
 def test_a_module_with_one_wrong_entry_gets_its_own_tensor(sl2):
     # a module equal to the irrep of weight 1 but for one entry of e, read
     # after the irrep's tensors: its Omega and Casimir are its own, equal to
     # its dense products and not to the irrep's, and the irrep's stay
     good = finite_irrep(sl2, 1)
     E, H, F = good.entries
-    bad = FiniteModule("sl2", good.weight, 2, (((0, 1, Rat(2)),), H, F))
-    assert E == ((0, 1, RAT1),)
+    bad = FiniteModule("sl2", good.weight, 2, ((1, {(0, 1): 2}), H, F))
+    assert E == (1, {(0, 1): 1})
     pair, cas = local_omega(sl2, good, good), local_casimir(sl2, good)
     for mods in ([bad, good], [good, bad], [bad, bad]):
         assert omega_placed(sl2, mods, 0, 1) == \
@@ -298,7 +330,7 @@ def test_a_module_with_one_wrong_entry_gets_its_own_tensor(sl2):
     assert local_casimir(sl2, good) is cas
 
 
-def test_entry_product_matches_the_dense_oracle():
+def test_form_product_matches_the_dense_oracle():
     rng = random.Random(22)
 
     def sparse(rows, cols, density):
@@ -311,51 +343,59 @@ def test_entry_product_matches_the_dense_oracle():
         n, k, m = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 7)
         a = sparse(n, k, rng.choice((0.0, 0.15, 0.4, 1.0)))
         b = sparse(k, m, rng.random())
-        got = entry_product(entries_of(a), entries_of(b))
-        assert all(v.num != 0 for v in got.values())
-        assert place(got, n, m) == dense_mat_mul(a, b)
-        # a repeated position adds: the entries of a and of -a cancel
-        neg = [(r, c, -v) for r, c, v in entries_of(a)]
-        assert entry_product(entries_of(a) + neg, entries_of(b)) == {}
+        fa, fb = matrix_form(a), matrix_form(b)
+        got = form_product(fa, fb)
+        assert got[0] == fa[0] * fb[0]
+        assert place(rats(*got), n, m) == dense_mat_mul(a, b)
+        assert canonical(*got) == matrix_form(dense_mat_mul(a, b))
         # a product whose nonzero terms cancel: (u | -u) times b stacked
-        # over b is u b - u b = 0, with u b nonzero in most cases
+        # over b is u b - u b = 0, with u b nonzero in most cases; the
+        # sums stay as 0 until `canonical` drops them
         u = sparse(n, k, 1.0)
         c = [ru + [-x for x in ru] for ru in u]
         bb = b + b
-        zero = entry_product(entries_of(c), entries_of(bb))
-        assert zero == {} and is_zero_matrix(dense_mat_mul(c, bb))
-        cancelled += any(v.num for row in dense_mat_mul(u, b) for v in row)
+        zero = form_product(matrix_form(c), matrix_form(bb))
+        assert canonical(*zero) == ZERO_FORM
+        assert not any(zero[1].values())
+        assert is_zero_matrix(dense_mat_mul(c, bb))
+        if any(v.num for row in dense_mat_mul(u, b) for v in row):
+            cancelled += 1
+            assert zero[1]
     assert cancelled > 20
-    assert entry_product([], [(0, 0, RAT1)]) == {}
+    assert form_product(ZERO_FORM, (1, {(0, 0): 1})) == (1, {})
 
 
-def test_entry_product_matches_a_fraction_reference():
+def test_form_product_matches_a_fraction_reference():
     # the integer sums against a Fraction restatement of the product, on
-    # seeded entry lists drawn with replacement from a small grid, so
-    # positions repeat and add, with denominators up to 60 on each side
+    # seeded forms whose entries have denominators up to 60, with an inner
+    # dimension of at least 2, so that in most products several terms land
+    # on one entry
     rng = random.Random(35)
 
-    def entries(rows, cols):
-        return [(rng.randrange(rows), rng.randrange(cols),
-                 Rat(rng.randint(-12, 12), rng.randint(1, 60)))
-                for _ in range(rng.randint(0, 2 * rows * cols))]
+    def operand(rows, cols):
+        return form({(rng.randrange(rows), rng.randrange(cols)):
+                     Rat(rng.choice((-1, 1)) * rng.randint(1, 12),
+                         rng.randint(1, 60))
+                     for _ in range(rng.randint(0, 2 * rows * cols))})
 
     repeated = 0
     for _ in range(300):
-        n, k, m = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
-        a, b = entries(n, k), entries(k, m)
-        want = {}
-        for r, c, u in a:
-            for r2, c2, v in b:
+        n, k, m = rng.randint(1, 4), rng.randint(2, 4), rng.randint(1, 4)
+        a, b = operand(n, k), operand(k, m)
+        want, terms = {}, {}
+        for (r, c), u in rats(*a).items():
+            for (r2, c2), v in rats(*b).items():
                 if r2 == c:
                     want[r, c2] = want.get((r, c2), 0) + (
                         Fraction(u.num, u.den) * Fraction(v.num, v.den))
-        got = entry_product(a, b)
-        assert {rc: Fraction(v.num, v.den) for rc, v in got.items()} == {
+                    terms[r, c2] = terms.get((r, c2), 0) + 1
+        got = form_product(a, b)
+        assert got[0] == a[0] * b[0]
+        assert {rc: Fraction(v.num, v.den)
+                for rc, v in rats(*got).items()} == {
             rc: v for rc, v in want.items() if v}
-        assert all(v.num and math.gcd(v.num, v.den) == 1 and v.den > 0
-                   for v in got.values())
-        repeated += len({(r, c) for r, c, _ in a}) < len(a)
+        assert set(got[1]) == set(want)
+        repeated += any(t > 1 for t in terms.values())
     assert repeated > 150
 
 
@@ -364,12 +404,16 @@ def test_irreps_are_built_once(sl2, ab):
     assert finite_irrep(ab, Rat(1, 2)) is finite_irrep(ab, "1/2")
     assert finite_irrep(ab, 1) is finite_irrep(ab, Rat(1))
     assert finite_irrep(sl2, 1) is not finite_irrep(sl2, 2)
-    # the entries are immutable, so sharing one module is safe
-    assert all(isinstance(e, tuple) for e in finite_irrep(sl2, 2).entries)
-    # and each is nonzero, at most once per position
-    for mod in (finite_irrep(sl2, 4), finite_irrep(ab, 2),
+    # each action is a canonical integer form: its nonzero entries over
+    # the least denominator
+    for mod in (finite_irrep(sl2, 0), finite_irrep(sl2, 4),
+                finite_irrep(ab, 2), finite_irrep(ab, Rat(-5, 6)),
                 finite_irrep(ab, 0)):
-        for ents in mod.entries:
-            assert all(v.num != 0 for _r, _c, v in ents)
-            assert len({(r, c) for r, c, _v in ents}) == len(ents)
-    assert finite_irrep(ab, 0).entries == ((),)
+        for e in mod.entries:
+            assert canonical(*e) == e and all(e[1].values())
+    assert finite_irrep(sl2, 0).entries == (ZERO_FORM,) * 3
+    assert finite_irrep(ab, 0).entries == (ZERO_FORM,)
+    assert finite_irrep(ab, Rat(-5, 6)).entries == ((6, {(0, 0): -5}),)
+    assert finite_irrep(sl2, 2).entries == (
+        (1, {(0, 1): 2, (1, 2): 2}), (1, {(0, 0): 2, (2, 2): -2}),
+        (1, {(1, 0): 1, (2, 1): 1}))

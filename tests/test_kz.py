@@ -1,5 +1,6 @@
 """Formal KZ system: tangent fields, matrices, classical fit, flatness."""
 
+import copy
 import math
 import random
 from fractions import Fraction
@@ -11,14 +12,15 @@ from hypothesis import strategies as st
 
 from conftest import (dense, dense_commutator, dense_omega_matrix,
                       is_zero_matrix)
-from knwznw import Rat, kz, sugawara, verify_kz
+from knwznw import Rat, finite_lie, kz, sugawara, verify, verify_kz
 from knwznw._kernel import RAT0
 from knwznw.basis import Config
 from knwznw.errors import CriticalLevelError
 from knwznw.finite_lie import make_algebra, tensor_strides
 from knwznw.kz import (classical_oracle_matrices, flatness_check, kz_matrices,
                        predicted_scalar_shift, tangent_fields)
-from knwznw.modules import InducedModule, ModuleSpec, induce_module
+from knwznw.modules import (InducedModule, ModuleSpec,
+                            degree_zero_coinvariant_dimension, induce_module)
 from knwznw.sugawara import (_triple_coefficient, apply_L_raw,
                               rescale_factor)
 
@@ -264,6 +266,11 @@ def test_flatness_agrees_with_the_dense_oracle(sl2, points, weights):
     assert rep.checked_relations == len(triples) == n * (n - 1) * (n - 2)
 
 
+def double(op):
+    """Twice the integer form op, its numerators doubled."""
+    return op[0], {k: v + v for k, v in op[1].items()}
+
+
 @pytest.mark.parametrize("points,weights",
                          FLATNESS_CASES + [(("0", "1", "-1"), (2, 1, 1))])
 def test_a_broken_casimir_fails_on_the_relation_the_oracle_names(
@@ -275,7 +282,7 @@ def test_a_broken_casimir_fails_on_the_relation_the_oracle_names(
 
     def doubled(alg, mods, p, q):
         m = real(alg, mods, p, q)
-        return [(r, c, v + v) for r, c, v in m] if (p, q) == (0, 2) else m
+        return double(m) if (p, q) == (0, 2) else m
 
     system = kz_matrices(Config(points), sl2, weights, Rat(1))
     monkeypatch.setattr(kz, "omega_entries", doubled)
@@ -308,8 +315,8 @@ def test_the_walk_of_first_points_matches_the_walk_of_every_triple(
 
         def doubled(alg, mods, p, q, bad=bad):
             m = real(alg, mods, p, q)
-            return ([(r, c, v + v) for r, c, v in m]
-                    if (p, q) == (0, 2) and mods[2].weight == bad else m)
+            return (double(m) if (p, q) == (0, 2) and mods[2].weight == bad
+                    else m)
 
         system = kz.KZSystem(Config(range(n)), "sl2", weights, Rat(1), [],
                              None, [], None, True, False)
@@ -696,3 +703,37 @@ def test_the_integer_fit_on_scalar_and_empty_oracles(sl2, ab):
         [(1, {}), (1, {})]
     assert trivial.kappa is None and trivial.sign_convention is None
     assert trivial.scalar_shifts == [RAT0, RAT0] and trivial.residual_zero
+
+
+def test_the_shared_irreps_and_tensors_are_read_only(sl2, ab):
+    # the irreps and the cached Omegas and Casimirs are dicts every caller
+    # shares: KZ matrices, flatness, coinvariant dimensions and the kz
+    # suite, run twice, change none of them and give the same results
+    cases = [(sl2, ["0"], (2,)), (sl2, ["0", "1"], (2, 0)),
+             (sl2, ["0", "1"], (1, 1)),
+             (sl2, ["0", "1", "-1", "2"], (1, 2, 1, 0)),
+             (ab, ["1/2", "-7/3", "5"], (Rat(1, 2), Rat(-7, 3), Rat(5)))]
+
+    def work():
+        out = []
+        for alg, points, weights in cases:
+            cfg = Config(points)
+            system = kz_matrices(cfg, alg, weights, Rat(3, 2))
+            module = induce_module(alg, cfg,
+                                   ModuleSpec("weyl", weights, Rat(3, 2)))
+            out += [system.matrices, system.kappa, system.scalar_shifts,
+                    flatness_check(system),
+                    classical_oracle_matrices(cfg, alg, weights),
+                    degree_zero_coinvariant_dimension(module)]
+        return out + [verify.run_suite("kz")]
+
+    tables = finite_lie._IRREPS, finite_lie._OMEGAS, finite_lie._CASIMIRS
+    before = copy.deepcopy(tables)
+    first = work()
+    after = copy.deepcopy(tables)
+    assert work() == first
+    assert all(r.passed for r in first[-1])
+    for table, then, now in zip(tables, before, after):
+        assert len(now) > 0
+        assert {k: table[k] for k in then} == then
+        assert {k: table[k] for k in now} == now
