@@ -6,18 +6,20 @@ coefficient; the bracket is
     [x (x) f, y (x) g] = [x, y] (x) (f g) - (x|y) gamma(f, g) t,
 
 with f g expanded back into the function basis and gamma the geometric
-function cocycle.  The block algebra of g-valued functions regular at
-infinity (poles confined to the marked points) embeds with vanishing
-cocycle; projecting its degree-zero part pointwise gives the evaluation
-homomorphism onto N copies of the gauge algebra.
+function cocycle; `affine_bracket` and the module engine both read it
+from the unit entry `_unit_loop_bracket`.  The block algebra of g-valued
+functions regular at infinity (poles confined to the marked points)
+embeds with vanishing cocycle; projecting its degree-zero part
+pointwise gives the evaluation homomorphism onto N copies of the gauge
+algebra.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from ._kernel import RAT0, RAT1, Rat, add_scaled
-from .algebras import _unit_gamma, _unit_product
+from ._kernel import RAT0, RAT1, Rat, add_scaled, canonical, form, rats
+from .algebras import _bilinear_raw, _unit_gamma, _unit_product
 from .basis import (Combination, DivisorForm, GradedElement, Section,
                     monomial_expansion)
 from .errors import DomainError
@@ -66,34 +68,34 @@ class AffineElement(Combination):
         return "AffineElement(%s)" % (body or "0")
 
 
+def _unit_loop_bracket(cfg, alg, x, y):
+    """[x_i (x) A_{n,p}, x_j (x) A_{m,r}] for x = (i, n, p), y = (j, m, r)
+    as a canonical integer form: the loop part keyed by (k, h, s) and the
+    central part by None, from the cached unit product and unit gamma."""
+    (i, n, p), (j, m, r) = x, y
+    den, acc = 1, {}
+    tbl = alg.bracket.get((i, j))
+    if tbl:
+        pden, prod = _unit_product(cfg, (0, 0), (n, p), (m, r))
+        for k, c in tbl.items():
+            den = add_scaled(den, acc, pden, {
+                (k, h, s): v for (h, s), v in prod.items()}, c.num, c.den)
+    fij = alg.form[i][j]
+    if fij.num != 0:
+        g = _unit_gamma(cfg, (n, p), (m, r))
+        if g.num != 0:
+            den = add_scaled(den, acc, g.den, {None: g.num}, -fij.num,
+                             fij.den)
+    return canonical(den, acc)
+
+
 def affine_bracket(cfg, alg, x, y):
     """Bracket in the centrally extended loop algebra; t is central.  The
-    loop part and the central part (key None) sum as one integer form,
-    and one Rat is built per key of the result."""
-    den, acc = 1, {}
-    y_loop = [(key, c) for key, c in y.terms.items() if key is not None]
-    for xkey, ca in x.terms.items():
-        if xkey is None:
-            continue
-        i, n, p = xkey
-        for (j, m, r), cb in y_loop:
-            c = ca * cb
-            tbl = alg.bracket.get((i, j))
-            if tbl:
-                pden, prod = _unit_product(cfg, (0, 0), (n, p), (m, r))
-                for k, sc in tbl.items():
-                    den = add_scaled(den, acc, pden, {
-                        (k, h, s): fn for (h, s), fn in prod.items()},
-                        c.num * sc.num, c.den * sc.den)
-            fij = alg.form[i][j]
-            if fij.num != 0:
-                g = _unit_gamma(cfg, (n, p), (m, r))
-                if g.num != 0:
-                    den = add_scaled(den, acc, g.den, {None: g.num},
-                                     -c.num * fij.num, c.den * fij.den)
-    central = Rat(acc.pop(None, 0), den)
-    return AffineElement({k: Rat(v, den) for k, v in acc.items() if v},
-                         central)
+    bilinear core sums the unit entries over the ordered pairs of loop
+    terms, and one Rat is built per key of the result."""
+    return AffineElement(rats(*_bilinear_raw(
+        form(x.loop), form(y.loop),
+        lambda a, b: _unit_loop_bracket(cfg, alg, a, b), antisymmetric=True)))
 
 
 def affine_decompose(a):

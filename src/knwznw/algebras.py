@@ -21,8 +21,10 @@ the tests check the closed form against `expand_in_basis`.
 Products, brackets and Lie derivatives of combinations share one
 integer-form core, `_bilinear_raw`: it sums the scaled unit entries over
 one common denominator, into a caller's accumulator or a fresh one, and
-returns (den, {(n, p): int}).  Rat is built only at the public boundary
-(`multiply`, `vf_bracket`, `lie_derivative`), one per output key;
+returns (den, {key: int}).  The loop-algebra bracket
+`affine.affine_bracket` is the same core over its own unit entry.  Rat
+is built only at the public boundary (`multiply`, `vf_bracket`,
+`lie_derivative`, `affine_bracket`), one per output key;
 `vf_bracket_sum` exposes the core for vector fields, on integer forms in
 and one canonical integer form of a sum of brackets out, for callers
 that only add brackets and test the sum for zero.
@@ -159,7 +161,7 @@ def _unit_lie_derivative(cfg, a, lam, b):
 
 def _bilinear_raw(f, g, unit_fn, antisymmetric=False, into=None):
     """Sum of ca cb unit_fn(a, b) over the terms of integer forms f and g,
-    as an integer form (den, {(n, p): int}) that may hold zero numerators.
+    as an integer form (den, {key: int}) that may hold zero numerators.
 
     unit_fn returns a unit entry as an integer form (D, numerators).  The
     sum runs in Python ints over one common denominator (`add_scaled`),

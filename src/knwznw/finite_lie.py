@@ -11,10 +11,11 @@ Coxeter number 0.
 Every operator here is one canonical integer form (D, {(row, column):
 int}) of its nonzero entries: the adjoint action `GaugeAlgebra.ad`, the
 action of each basis element on a finite highest-weight module, and
-operators on a tensor product.  For sl2 with dominant integral weight m
-the module has dimension m + 1 and its entries are the ladder integers
-over D = 1.  Each module is built and validated once per (algebra kind,
-weight), and every caller shares it, so no caller mutates its forms.
+operators on a tensor product; the algebra itself is checked on such
+forms (`_validate`).  For sl2 with dominant integral weight m the module
+has dimension m + 1 and its entries are the ladder integers over D = 1.
+Each module is built and validated once per (algebra kind, weight), and
+every caller shares it, so no caller mutates its forms.
 The point-independent tensors on them are built once per irrep or pair
 of irreps, summed in ints: the local Casimir two-tensor `local_omega`
 and the Casimir of one factor `local_casimir` (`casimir_form` sums it
@@ -65,16 +66,6 @@ class GaugeAlgebra(NamedTuple):
                     out[k] = out[k] + a * b * c
         return out
 
-    def form_vectors(self, x, y):
-        out = RAT0
-        for i, a in enumerate(x):
-            if a.num == 0:
-                continue
-            for j, b in enumerate(y):
-                if b.num != 0:
-                    out = out + a * b * self.form[i][j]
-        return out
-
     def ad(self, i):
         """ad(x_i) on the basis, as a canonical integer form."""
         return form({(k, j): c for j in range(self.dim)
@@ -110,37 +101,29 @@ def _abelian1():
 
 
 def _validate(alg):
+    """Check the algebra on integer forms: ad is a module of the bracket
+    (Jacobi), ad(x)^T F + F ad(x) = 0 for the form F, F D^T = 1 for the
+    dual vectors D, and the adjoint Casimir is 2 k_dual."""
     d = alg.dim
-    basis = [[RAT1 if i == j else RAT0 for j in range(d)] for i in range(d)]
-    # Jacobi on all basis triples
-    for x in basis:
-        for y in basis:
-            for z in basis:
-                s = [RAT0] * d
-                for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-                    t = alg.bracket_vectors(a, alg.bracket_vectors(b, c))
-                    s = [u + v for u, v in zip(s, t)]
-                if any(u.num != 0 for u in s):
-                    raise DomainError("Jacobi identity fails for %s" % alg.kind)
-    # invariance ([x,y]|z) = (x|[y,z])
-    for x in basis:
-        for y in basis:
-            for z in basis:
-                lhs = alg.form_vectors(alg.bracket_vectors(x, y), z)
-                rhs = alg.form_vectors(x, alg.bracket_vectors(y, z))
-                if lhs != rhs:
-                    raise DomainError("form not invariant for %s" % alg.kind)
-    # dual bases: (x_i | u^j) = delta
-    for i in range(d):
-        for j in range(d):
-            v = alg.form_vectors(basis[i], alg.dual_vectors[j])
-            want = RAT1 if i == j else RAT0
-            if v != want:
-                raise DomainError("dual basis mismatch for %s" % alg.kind)
-    # adjoint Casimir sum_ij D_ij ad(x_i) ad(x_j) = 2 k_dual
-    two_k = alg.k_dual * 2
-    if casimir_form(alg, [alg.ad(i) for i in range(d)]) != canonical(
-            two_k.den, {(r, r): two_k.num for r in range(d)}):
+    ad = [alg.ad(i) for i in range(d)]
+    try:
+        _validate_module(alg, FiniteModule(alg.kind, RAT0, d, tuple(ad)))
+    except DomainError:
+        raise DomainError("Jacobi identity fails for %s" % alg.kind) from None
+    f = form({(r, c): v for r, row in enumerate(alg.form)
+              for c, v in enumerate(row) if v.num})
+    for x in ad:
+        den, acc = form_product((x[0], {(c, r): v for (r, c), v
+                                        in x[1].items()}), f)
+        add_scaled(den, acc, *form_product(f, x), 1, 1)
+        if any(acc.values()):
+            raise DomainError("form not invariant for %s" % alg.kind)
+    scalar = lambda c: canonical(c.den, {(r, r): c.num for r in range(d)})
+    dual = form({(c, r): v for r, row in enumerate(alg.dual_vectors)
+                 for c, v in enumerate(row) if v.num})
+    if canonical(*form_product(f, dual)) != scalar(RAT1):
+        raise DomainError("dual basis mismatch for %s" % alg.kind)
+    if casimir_form(alg, ad) != scalar(alg.k_dual * 2):
         raise DomainError("adjoint Casimir is not 2k for %s" % alg.kind)
     return alg
 

@@ -19,9 +19,10 @@ then g-basis index) applied to a vacuum basis vector, the named tuple
 `PBWMonomial` (creation, vacuum).  The action of any algebra element is
 computed by exact normal ordering: generators commute rightward through
 the creation string via the bracket of single generators
-(`InducedModule._bracket_form`) until they hit the vacuum.  On an
-admissible module every image is a finite exact sum, so nothing is cut
-off by degree; the depth only says which slices a caller lists.  The one
+(`InducedModule._bracket_form`, the unit entry `_unit_loop_bracket` of
+`affine` over digits) until they hit the vacuum.  On an admissible
+module every image is a finite exact sum, so nothing is cut off by
+degree; the depth only says which slices a caller lists.  The one
 truncation is a verma module's width bound, and terms beyond it raise
 TruncationOverflow with the lost string lengths.
 
@@ -57,7 +58,7 @@ from math import comb, gcd, prod
 from typing import NamedTuple, Optional
 
 from ._kernel import RAT1, ZERO_FORM, Rat, add_scaled, canonical, form
-from .algebras import _unit_gamma, _unit_product
+from .affine import _unit_loop_bracket
 from .basis import Combination, Config
 from .errors import DomainError, TruncationOverflow
 from .finite_lie import GaugeAlgebra, finite_irrep, tensor_strides
@@ -302,28 +303,21 @@ class InducedModule:
         (m, s, j), as a canonical integer form over digits; memoised in
         `_bracket_memo`.
 
-        The loop part is sum_k f_ij^k x_k (x) A_{n,p} A_{m,s}, with the
-        unit product from the cache of the configuration, and the central
-        part -(x_i|x_j) gamma(A_{n,p}, A_{m,s}) times the level, under
-        the key None."""
+        It is the unit entry `affine._unit_loop_bracket` with each loop
+        key (k, h, t) read as the digit of (h, t, k) and the central
+        part, under the key None, scaled by the level, all in ints."""
         key = a << self._dbits | b
         hit = self._bracket_memo.get(key)
         if hit is None:
             (n, p, i), (m, s, j) = self.generator(a), self.generator(b)
-            terms = {}
-            tbl = self.alg.bracket.get((i, j))
-            if tbl:
-                den, prod = _unit_product(self.cfg, (0, 0), (n, p), (m, s))
-                for (h, t), x in prod.items():
-                    for k, c in tbl.items():
-                        terms[mode_digit(self.cfg, self.alg, (h, t, k))] = \
-                            c * Rat(x, den)
-            central = self.alg.form[i][j] * self.level
-            if central.num != 0:
-                central = central * _unit_gamma(self.cfg, (n, p), (m, s))
-            if central.num != 0:
-                terms[None] = -central
-            hit = self._bracket_memo[key] = form(terms)
+            den, nums = _unit_loop_bracket(self.cfg, self.alg, (i, n, p),
+                                           (j, m, s))
+            lv = self.level
+            hit = self._bracket_memo[key] = canonical(den * lv.den, {
+                None if k is None else mode_digit(
+                    self.cfg, self.alg, (k[1], k[2], k[0])):
+                x * (lv.num if k is None else lv.den)
+                for k, x in nums.items()})
         return hit
 
     def _vacuum_action(self, gen, vac):

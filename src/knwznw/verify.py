@@ -39,7 +39,7 @@ from .sugawara import (_apply_plan, _term_plan, apply_L_raw,
                        sugawara_coefficients, sugawara_commutator_audit)
 from .verify_kz import (coinvariant_clebsch_gordan, kz_abelian,
                         kz_classical_agreement, kz_flatness, kz_tangent_fields,
-                        kz_translation_covariance, kz_trivial)
+                        kz_translation_covariance)
 from .verify_samples import (LAMS, NRANGE, sample_config, sample_module,
                              shared_configs)
 
@@ -753,7 +753,6 @@ CHECKS = [
     ("kz-classical-agreement", "kz", kz_classical_agreement),
     ("translation-covariance", "kz", kz_translation_covariance),
     ("kz-abelian", "kz", kz_abelian),
-    ("kz-trivial", "kz", kz_trivial),
     ("kz-flatness", "kz", kz_flatness),
     ("coinvariant-clebsch-gordan", "kz", coinvariant_clebsch_gordan),
 ]

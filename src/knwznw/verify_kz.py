@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from math import prod
 
-from ._kernel import RAT0, ZERO_FORM, Rat, add_scaled, canonical
+from ._kernel import RAT0, Rat, add_scaled, canonical
 from .basis import GradedElement
 from .finite_lie import make_algebra
 from .kz import (classical_oracle_matrices, flatness_check, kz_matrices,
@@ -107,13 +107,6 @@ def kz_abelian():
         if system.matrices[p - 1] != canonical(want.den, {(0, 0): want.num}):
             return False, "abelian matrix mismatch"
     return True, "abelian system matches kappa sum l_p l_j/(z_p-z_j)+shift"
-
-
-def kz_trivial():
-    sl2 = make_algebra("sl2")
-    system = kz_matrices(sample_config(("0", "1")), sl2, (0, 0), Rat(1))
-    zero = all(m == ZERO_FORM for m in system.matrices)
-    return zero, "all matrices vanish for trivial weights"
 
 
 def kz_flatness():

@@ -1069,7 +1069,7 @@ GOLDEN_CONFIGS = {
 }
 GOLDEN = [
     (["verify", "--suite", "all"], None,
-     "66642b94bd74caa03a945eb6fc71f2e4e40208f528a33b2c7a1d448f1805e3de"),
+     "08b0c69a2266c7f255e74ecdc34db5aef396dc842c2ab70dd47b866277872a64"),
     (["kz"], "kz111",
      "5c55cb9143c85d84c6b06221da6631b898101d3d2ddbb8d08440011ac6e2cce7"),
     (["module", "--coinvariants", "--action"], "weyl",

@@ -1,5 +1,6 @@
 """Gauge algebra data: structure constants, form, irreps, Casimir."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -86,14 +87,91 @@ def test_form_normalization(sl2):
 
 
 def test_dual_basis_completeness(sl2):
-    basis = [[Rat(1) if i == j else Rat(0) for j in range(3)]
-             for i in range(3)]
-    for x in basis:
-        back = [Rat(0)] * 3
-        for i, dual in enumerate(sl2.dual_vectors):
-            c = sl2.form_vectors(x, dual)
-            back[i] = back[i] + c
-        assert back == x
+    # (x_i | u^j) = delta_ij: F D^T = 1, from the form F and the rows D of
+    # the dual vectors
+    for i, row in enumerate(sl2.form):
+        for j, dual in enumerate(sl2.dual_vectors):
+            c = sum((f * u for f, u in zip(row, dual)), Rat(0))
+            assert c == (Rat(1) if i == j else Rat(0))
+
+
+def reference_validate(alg):
+    """The algebra checks on Rat coefficient vectors, as `_validate` made
+    them before it read integer forms: Jacobi on every basis triple,
+    ([x,y]|z) = (x|[y,z]), (x_i|u^j) = delta_ij and the adjoint Casimir."""
+    d = alg.dim
+    basis = [[RAT1 if i == j else RAT0 for j in range(d)] for i in range(d)]
+
+    def pair(x, y):
+        return sum((a * b * alg.form[i][j] for i, a in enumerate(x)
+                    for j, b in enumerate(y)), RAT0)
+
+    br = alg.bracket_vectors
+    for x, y, z in itertools.product(basis, repeat=3):
+        s = [RAT0] * d
+        for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+            s = [u + v for u, v in zip(s, br(a, br(b, c)))]
+        if any(u.num != 0 for u in s):
+            raise DomainError("Jacobi identity fails for %s" % alg.kind)
+    for x, y, z in itertools.product(basis, repeat=3):
+        if pair(br(x, y), z) != pair(x, br(y, z)):
+            raise DomainError("form not invariant for %s" % alg.kind)
+    for i, j in itertools.product(range(d), repeat=2):
+        if pair(basis[i], alg.dual_vectors[j]) != (RAT1 if i == j else RAT0):
+            raise DomainError("dual basis mismatch for %s" % alg.kind)
+    two = [[alg.k_dual * 2 if i == j else RAT0 for j in range(d)]
+           for i in range(d)]
+    ads = [dense(alg.ad(i), d) for i in range(d)]
+    cas = [[RAT0] * d for _ in range(d)]
+    for i, dual in enumerate(alg.dual_vectors):
+        for j, c in enumerate(dual):
+            prod = dense_mat_mul(ads[i], ads[j])
+            cas = [[u + c * v for u, v in zip(r1, r2)]
+                   for r1, r2 in zip(cas, prod)]
+    if cas != two:
+        raise DomainError("adjoint Casimir is not 2k for %s" % alg.kind)
+    return alg
+
+
+def verdict(validate, alg):
+    try:
+        validate(alg)
+    except DomainError as exc:
+        return str(exc)
+    return "ok"
+
+
+def corrupted(alg, table, key, v):
+    """alg with one entry of one table set to v: the bracket coefficient
+    c_ij^k at key (i, j, k), the entry key (r, c) of the form or the dual
+    vectors, or k_dual."""
+    if table == "k_dual":
+        return alg._replace(k_dual=v)
+    if table == "bracket":
+        i, j, k = key
+        br = {ij: dict(tbl) for ij, tbl in alg.bracket.items()}
+        tbl = br.setdefault((i, j), {})
+        tbl[k] = v
+        br[i, j] = {k2: c for k2, c in tbl.items() if c.num}
+        return alg._replace(bracket={ij: t for ij, t in br.items() if t})
+    rows = [list(row) for row in getattr(alg, table)]
+    rows[key[0]][key[1]] = v
+    return alg._replace(**{table: tuple(map(tuple, rows))})
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(("sl2", "abelian1")),
+       table=st.sampled_from(("bracket", "form", "dual_vectors", "k_dual")),
+       v=st.builds(Rat, st.integers(-3, 3), st.integers(1, 3)))
+def test_the_integer_validation_agrees_with_the_vector_reference(
+        data, kind, table, v):
+    alg = _sl2() if kind == "sl2" else _abelian1()
+    idx = st.integers(0, alg.dim - 1)
+    key = data.draw(st.tuples(*[idx] * {"bracket": 3, "k_dual": 0}.get(
+        table, 2)))
+    bad = corrupted(alg, table, key, v)
+    assert verdict(_validate, bad) == verdict(reference_validate, bad)
+    assert verdict(_validate, alg) == verdict(reference_validate, alg) == "ok"
 
 
 def test_irrep_dimensions(sl2):

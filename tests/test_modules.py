@@ -261,21 +261,6 @@ def test_admissibility(weyl11):
                         assert not weyl11._act_gen((n, p, i), mono)
 
 
-def test_a_nonzero_annihilator_fails_admissibility(monkeypatch):
-    # x_(1,2,f) acts on every vacuum monomial as the identity in place of
-    # zero: a positive mode above slice 0 no longer annihilates it
-    assert verify.admissibility()[0]
-    real = InducedModule._vacuum_action
-
-    def wrong(self, gen, vac):
-        if self.generator(gen) == (1, 2, F):
-            return 1, {vac: 1}
-        return real(self, gen, vac)
-
-    monkeypatch.setattr(InducedModule, "_vacuum_action", wrong)
-    assert verify.admissibility() == (False, "not admissible at (0, 1, 2, 2)")
-
-
 def test_a_wrong_vacuum_action_entry_fails_weyl_degree_zero(monkeypatch):
     # one entry of the degree-0 action on the vacuum codes, h(0,1) on
     # vacuum 0 (the weight, 1), moves by one

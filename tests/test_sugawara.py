@@ -529,28 +529,6 @@ def test_apply_L_raw_adds_into_a_callers_accumulator(sl2, cfg2):
     assert vec == (3, {m1: 2, m2: -5}) and module._sugawara_memo == memo
 
 
-def test_summation_bounds_fails_on_a_narrowed_window(monkeypatch):
-    # the engine's term plans lose the boundary modes of their window:
-    # every term with a mode -dv, that is n = -dv or n = t + dv; the
-    # check's direct plans of degree d - 3 keep theirs, so the images part
-    assert verify.summation_bounds()[0]
-    real = sugawara._term_plan
-
-    def narrowed(cfg, alg, k, r, dv):
-        # the digits of the generators of mode -dv
-        edge = {mode_digit(cfg, alg, (-dv, p, i))
-                for p in range(1, cfg.n_points + 1) for i in range(alg.dim)}
-        den, terms = real(cfg, alg, k, r, dv)
-        kept = ((second, tuple((first, num) for first, num in firsts
-                               if not {first, second} & edge))
-                for second, firsts in terms)
-        return den, tuple((second, firsts) for second, firsts in kept
-                          if firsts)
-
-    monkeypatch.setattr(sugawara, "_term_plan", narrowed)
-    assert verify.summation_bounds() == (False, "summation bound unstable")
-
-
 @pytest.mark.parametrize("scalar", [
     lambda module: -module.level,
     lambda module: module.level + module.alg.k_dual,
