@@ -16,17 +16,19 @@ Measured matrices decompose exactly as
 
     A_p = kappa * sum_{j != p} Omega_{pj} / (z_p - z_j) + sigma_p * Id,
 
-one global kappa with |kappa| = 1/(level + dual Coxeter), and per-point
-scalar shifts sigma_p.  The shifts are the conformal-weight part of the
-connection (a closed scalar form absorbed by rescaling the unknown); they
-obey the closed formula
+with kappa the closed form -1/(level + dual Coxeter) (the rescaling
+factor; Knizhnik-Zamolodchikov 1984) and per-point scalar shifts
+sigma_p.  The shifts are the conformal-weight part of the connection (a
+closed scalar form absorbed by rescaling the unknown); they obey the
+closed formula
 
     sigma_p = -1/(2(level+k)) [ C_p sum_{l!=p} 1/(z_p - z_l)
                                 + sum_{q != p} E_p'(z_q) C_q ]
 
 with C the Casimir eigenvalues of the local modules and E_p the
-coefficient function of e_{-1,p}.  The fit reports kappa, the shifts and
-the residual, which must vanish identically.
+coefficient function of e_{-1,p}.  The system reports kappa, the shifts
+and whether every emitted entry of A_p equals kappa times the Casimir
+oracle plus sigma_p on the diagonal, which must hold identically.
 
 Only zero modes keep the degree, and on the degree-zero slice, the
 tensor product of the irreps at the points, x_(0,q,i) acts as x_i on
@@ -93,9 +95,10 @@ def tangent_fields(cfg):
 
 
 class KZSystem(NamedTuple):
-    """Fitted KZ data: kappa None for a degenerate fit, scalar_shifts None
-    where not scalar, sign_convention +1, -1 or None, partial always False;
-    matrices are canonical integer forms (D, {(row, column): int})."""
+    """KZ data: kappa the closed form (None if the oracle is zero) and
+    sign_convention its sign, a shift None where A_p - kappa M_p is not
+    scalar, partial always False; matrices are canonical integer forms
+    (D, {(row, column): int})."""
     config: object
     algebra_kind: str
     weights: tuple
@@ -155,21 +158,6 @@ def predicted_scalar_shift(cfg, alg, weights, level, p):
     return fac * total
 
 
-def _dot(a, b, dim):
-    """Frobenius product of the traceless parts of two integer forms
-    a = (D_a, {(row, column): int}) and b, (dim sum a_ij b_ij - tr a tr b)
-    / (dim D_a D_b), summed in ints over the nonzero entries."""
-    (da, ea), (db, eb) = a, b
-    if len(eb) < len(ea):
-        ea, eb = eb, ea
-    dot = sum(x * eb[rs] for rs, x in ea.items() if rs in eb)
-    return Rat(dim * dot - _trace(ea, dim) * _trace(eb, dim), dim * da * db)
-
-
-def _trace(entries, dim):
-    return sum(entries.get((i, i), 0) for i in range(dim))
-
-
 def _scalar_part(a, m, kappa, dim):
     """s when a - kappa m = s Id, else None, for integer forms (D_a, A)
     and (D_m, M) and kappa = k_n/k_d: entry rs is e_rs/(D_a k_d D_m), and
@@ -189,8 +177,9 @@ def _scalar_part(a, m, kappa, dim):
 
 
 def kz_matrices(cfg, alg, weights, level, depth=None):
-    """Measure A_p from the Casimir products, fit kappa M_p + sigma_p Id
-    exactly; `depth` is unread (`perfbench/workloads.py` passes it)."""
+    """Measure A_p from the Casimir products and split each exactly as
+    kappa M_p + sigma_p Id, kappa = `rescale_factor(alg, level)`; `depth`
+    is unread (`perfbench/workloads.py` passes it)."""
     level = level if isinstance(level, Rat) else Rat(level)
     if len(weights) != cfg.n_points:
         raise DomainError("need one weight per marked point")
@@ -209,18 +198,9 @@ def kz_matrices(cfg, alg, weights, level, depth=None):
                 den = add_scaled(den, mat, *o, c.num, c.den)
         measured.append(canonical(den, mat))
     kappa = sign = None
-    den = sum((_dot(m, m, dim) for m in oracle), RAT0)
-    if den.num != 0:
-        num = sum((_dot(a, m, dim) for a, m in zip(measured, oracle)), RAT0)
-        kappa = num / den
-    elif any(entries for _, entries in oracle):
-        # oracle matrices are scalar (abelian): use the structural value
-        kappa = fac
-    if kappa is not None:
-        sign = 1 if kappa > 0 else -1
-    # fully degenerate (all-zero oracle): the matrices must be scalar
-    shifts = [_scalar_part(a, m, RAT0 if kappa is None else kappa, dim)
-              for a, m in zip(measured, oracle)]
+    if any(entries for _, entries in oracle):
+        kappa, sign = fac, 1 if fac > 0 else -1
+    shifts = [_scalar_part(a, m, fac, dim) for a, m in zip(measured, oracle)]
     residual_zero = all(s is not None for s in shifts)
     return KZSystem(cfg, alg.kind, tuple(weights), level, measured, kappa,
                     shifts, sign, residual_zero, False)
@@ -235,7 +215,7 @@ class FlatnessReport(NamedTuple):
 
 def flatness_check(system):
     """Infinitesimal-braid relations [Omega_pq, Omega_pr + Omega_qr] = 0
-    of the fitted classical form, for distinct p, q, r: the algebraic
+    of the classical form, for distinct p, q, r: the algebraic
     identity equivalent to its flatness.  Omega_pq is the identity on
     every factor but p and q, so each relation is checked on
     V_p (x) V_q (x) V_r alone, once per weight key (w_p, w_q, w_r) with

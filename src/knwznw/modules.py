@@ -87,6 +87,8 @@ class ModuleSpec(_ModuleSpecFields):
             raise DomainError("verma induction requires a width bound")
         if kind != "verma" and width is not None:
             raise DomainError("a width bound applies to verma modules only")
+        if width is not None and width < 0:
+            raise DomainError("width bound must be >= 0")
         return super().__new__(cls, kind, weights, level, depth, width)
 
 

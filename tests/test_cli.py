@@ -567,6 +567,23 @@ def test_a_width_on_a_weyl_or_fock_module_exits_2(capsys, tmp_path, module,
               "a width bound applies to verma modules only")
 
 
+@pytest.mark.parametrize("argv", [
+    ["module"], ["module", "--coinvariants"],
+    ["sugawara", "--pairs", "1,1,-1,1", "--slices=0"]])
+def test_a_negative_verma_width_exits_2(capsys, tmp_path, argv):
+    # `module` used to accept width -1 and list every slice as empty, and
+    # `sugawara` refused it only because slice 0 was empty; width 0 runs
+    def config(width):
+        return _write(tmp_path, "v%d.json" % width, {
+            "points": ["0", "1"],
+            "module": {"kind": "verma", "weights": ["1", "1"], "depth": 1,
+                       "width": width}})
+    _rejected(argv + ["--config", config(-1)], capsys,
+              "width bound must be >= 0")
+    code, out, err = run_cli(argv + ["--config", config(0)], capsys)
+    assert (code, err) == (0, ""), err
+
+
 def test_a_huge_width_costs_nothing(capsys, tmp_path):
     # a verma module's tails are counted in closed form, so the work
     # estimate of an audit on it costs nothing in the width either

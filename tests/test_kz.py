@@ -635,10 +635,10 @@ def integer_form_of(fracs):
 
 
 def test_integer_fit_matches_the_rational_formulas():
-    # _dot and _scalar_part on integer forms against the Fraction
-    # restatement of the formulas they replace, on seeded sparse matrices
-    # a = kappa m + s Id: exact, with an off-diagonal residual, with a
-    # diagonal entry missing from both at s != 0, and both zero
+    # _scalar_part on integer forms against the Fraction restatement of
+    # the formula it replaces, on seeded sparse matrices a = kappa m + s Id:
+    # exact, with an off-diagonal residual, with a diagonal entry missing
+    # from both at s != 0, and both zero
     rng = random.Random(3434)
     paths = dict.fromkeys(("scalar", "off-diagonal", "missing-diagonal",
                            "zero"), 0)
@@ -667,10 +667,6 @@ def test_integer_fit_matches_the_rational_formulas():
         m = {rs: v for rs, v in m.items() if v}
         ia, im = integer_form_of(a), integer_form_of(m)
         assert fractions_of(ia) == a and fractions_of(im) == m
-        for x, y in ((ia, im), (ia, ia), (im, im)):
-            got = kz._dot(x, y, dim)
-            assert Fraction(got.num, got.den) == fraction_dot(
-                fractions_of(x), fractions_of(y), dim)
         assert fraction_scalar_part(a, m, kappa, dim) == want
         got = kz._scalar_part(ia, im, Rat(kappa.numerator,
                                           kappa.denominator), dim)
@@ -679,15 +675,37 @@ def test_integer_fit_matches_the_rational_formulas():
     assert set(paths.values()) == {50}
 
 
+def reference_fit(measured, oracle, fac, dim):
+    """The least-squares fit kz_matrices once made, over Fractions:
+    (kappa, shifts, sign, residual_zero) with kappa = sum_p <A_p, M_p> /
+    sum_p <M_p, M_p> on the traceless parts, fac where the oracle is
+    scalar and not zero, None where it is zero."""
+    a_s = [fractions_of(a) for a in measured]
+    m_s = [fractions_of(m) for m in oracle]
+    den = sum(fraction_dot(m, m, dim) for m in m_s)
+    kappa = None
+    if den:
+        kappa = sum(fraction_dot(a, m, dim) for a, m in zip(a_s, m_s)) / den
+    elif any(m_s):
+        kappa = Fraction(fac.num, fac.den)
+    shifts = [fraction_scalar_part(a, m, 0 if kappa is None else kappa, dim)
+              for a, m in zip(a_s, m_s)]
+    sign = None if kappa is None else 1 if kappa > 0 else -1
+    return kappa, shifts, sign, all(x is not None for x in shifts)
+
+
+def as_fraction(r):
+    return None if r is None else Fraction(r.num, r.den)
+
+
 def test_the_integer_fit_on_scalar_and_empty_oracles(sl2, ab):
-    # the abelian oracle is scalar, its traceless part zero: kappa is the
-    # rescale factor; with trivial weights every oracle matrix is empty,
-    # kappa stays None and each shift is the scalar part of a zero matrix
+    # the abelian oracle is scalar and not zero: kappa is the rescale
+    # factor; with trivial weights every oracle matrix is empty, kappa
+    # stays None and each shift is the scalar part of a zero matrix
     cfg = Config(["0", "2", "5"])
     weights = (Rat(1), Rat(1, 2), Rat(-2))
     oracle = classical_oracle_matrices(cfg, ab, weights)
     assert all(entries for _, entries in oracle)
-    assert all(kz._dot(m, m, 1) == RAT0 for m in oracle)
     system = kz_matrices(cfg, ab, weights, Rat(3, 2))
     assert system.kappa == rescale_factor(ab, Rat(3, 2))
     for p, (shift, mat) in enumerate(zip(system.scalar_shifts,
@@ -737,3 +755,66 @@ def test_the_shared_irreps_and_tensors_are_read_only(sl2, ab):
         assert len(now) > 0
         assert {k: table[k] for k in then} == then
         assert {k: table[k] for k in now} == now
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_the_closed_form_kappa_is_the_least_squares_fit(sl2, ab, n, data):
+    # on correct matrices the fit the closed form replaced returns
+    # kappa = rescale_factor(alg, level) and the same shifts, sign and
+    # verdict, for sl2 weights 0..3 (drawn with 1 first, so that most
+    # systems act) and rational abelian weights at rational levels of
+    # either sign off the critical level
+    points = data.draw(st.lists(rationals, min_size=n, max_size=n,
+                                unique=True))
+    alg, weight = data.draw(st.sampled_from(
+        [(sl2, st.sampled_from([1, 2, 3, 0])), (ab, rationals)]))
+    weights = tuple(data.draw(st.lists(weight, min_size=n, max_size=n)))
+    level = data.draw(rationals.filter(lambda k: (k + alg.k_dual).num))
+    cfg = Config(points)
+    system = kz_matrices(cfg, alg, weights, level)
+    dim = math.prod(w + 1 for w in weights) if alg is sl2 else 1
+    kappa, shifts, sign, residual_zero = reference_fit(
+        system.matrices, classical_oracle_matrices(cfg, alg, weights),
+        rescale_factor(alg, level), dim)
+    assert as_fraction(system.kappa) == kappa
+    assert [as_fraction(x) for x in system.scalar_shifts] == shifts
+    assert (system.sign_convention, system.residual_zero) == \
+        (sign, residual_zero)
+    assert residual_zero
+
+
+@pytest.mark.parametrize("scale", [-1, 2])
+def test_a_global_sign_or_scale_of_the_zero_modes_fails_the_residual(
+        sl2, scale, monkeypatch):
+    # every zero-mode coefficient c^p_qs negated (scale -1) or doubled:
+    # each A_p is scale times the correct one, which the least-squares fit
+    # absorbed into its kappa (at -1 with sign_convention +1) with a zero
+    # residual; against the closed form the residual is nonzero at
+    # N = 2..5, and kz-classical-agreement fails
+    cases = [(["0", "1"], (1, 1)), (["0", "1", "-1"], (1, 1, 2)),
+             (["0", "1", "-1", "2"], (1, 2, 1, 0)),
+             (["0", "1", "-1", "2", "1/2"], (1, 1, 1, 1, 1))]
+    level = Rat(3, 2)
+    fac = rescale_factor(sl2, level)
+
+    def systems():
+        return [(Config(points), weights,
+                 kz_matrices(Config(points), sl2, weights, level))
+                for points, weights in cases]
+
+    assert all(system.residual_zero for _, _, system in systems())
+    assert verify_kz.kz_classical_agreement()[0]
+    real = kz._triple_coefficient
+    monkeypatch.setattr(kz, "_triple_coefficient",
+                        lambda *args: real(*args) * Rat(scale))
+    for cfg, weights, system in systems():
+        assert not system.residual_zero, cfg.n_points
+        assert system.kappa == fac
+        kappa, _, sign, residual_zero = reference_fit(
+            system.matrices, classical_oracle_matrices(cfg, sl2, weights),
+            fac, math.prod(w + 1 for w in weights))
+        assert residual_zero and kappa == scale * as_fraction(fac)
+        assert sign == (1 if scale < 0 else -1)
+    assert verify_kz.kz_classical_agreement() == (False, "fit failed at N=2")

@@ -78,6 +78,7 @@ def test_spec_validation(ab, cfg1):
     (("weyl", (1,), Rat(1), -1), "depth bound must be >= 0"),
     (("verma", (Rat(1),), Rat(1), 3), "verma induction requires a width"),
     (("fock", (RAT0,), Rat(1), 2, 3), "a width bound applies to verma"),
+    (("verma", (Rat(1),), Rat(1), 2, -1), "width bound must be >= 0"),
 ])
 def test_spec_is_checked_when_constructed(args, message):
     # the spec refuses itself, with no induce_module call
