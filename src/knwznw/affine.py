@@ -94,8 +94,15 @@ def affine_bracket(cfg, alg, x, y):
     bilinear core sums the unit entries over the ordered pairs of loop
     terms, and one Rat is built per key of the result."""
     return AffineElement(rats(*_bilinear_raw(
-        form(x.loop), form(y.loop),
+        _loop_form(x), _loop_form(y),
         lambda a, b: _unit_loop_bracket(cfg, alg, a, b), antisymmetric=True)))
+
+
+def _loop_form(a):
+    """The integer form of a's loop part, read off its terms in place
+    when it has no central part."""
+    terms = a.terms
+    return form(a.loop if None in terms else terms)
 
 
 def affine_decompose(a):

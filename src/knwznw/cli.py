@@ -50,8 +50,8 @@ MAX_WEYL_WEIGHT = 400
 # bytes of max RSS at most).  Fresh processes on a 2-core x86-64 VM;
 # README's module is weyl (1,1,1) at 0,1,-1:
 #   request                                       estimate     s    MB
-#   sugawara 0,1,0,2 slice -6, verma w2, N = 8  12,329,856   6.7    81
-#   sugawara -7,1,-7,2 slice 0, README's module 10,557,844   3.1   115
+#   sugawara 0,1,0,2 slice -6, verma w2, N = 8  12,329,856   1.1    59
+#   sugawara -7,1,-7,2 slice 0, README's module 10,557,844   0.8    66
 #   kz (48,48), N = 2                           11,817,770   0.9   220
 #   kz (38,48), N = 2, --json-indent 4          14,837,052   2.6   836
 #   kz (1,1,0,...,0), N = 557                   14,989,984   0.7    27
@@ -62,7 +62,7 @@ MAX_WEYL_WEIGHT = 400
 #   module --coinvariants (400,399), N = 2       8,020,000   4.5   201
 #   refused: module --action (10,10,10), N = 3  15,944,049   2.2   319
 #   refused: module --action (9,9,9), indent 8  27,000,000   4.8  1303
-#   refused: sugawara -7,1,0,2 slice -2, README 23,085,648   5.6   201
+#   refused: sugawara -7,1,0,2 slice -2, README 23,085,648   1.9   130
 #   refused: module --coinvariants (68,68,69)   24,995,250  10.8   528
 MAX_WORK = 15_000_000
 # Spaces per nesting level of `--json-indent`; output grows linearly with
@@ -522,9 +522,8 @@ def cmd_kz(args):
         "sign_convention": (None if system.sign_convention is None
                             else "%+d" % system.sign_convention),
         "matrices": [_matrix_json(m, dim0) for m in system.matrices],
-        "scalar_shifts": (None if system.scalar_shifts is None else
-                          [None if s is None else _rat_str(s)
-                           for s in system.scalar_shifts]),
+        "scalar_shifts": [None if s is None else _rat_str(s)
+                          for s in system.scalar_shifts],
         "residual_zero": system.residual_zero,
         "partial": system.partial,
         "flatness": flat,

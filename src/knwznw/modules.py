@@ -33,13 +33,19 @@ vacuum index in the low `_vbits` bits, then one `_dbits`-wide digit per
 creation entry, the first lowest (a degree-0 weyl code is its vacuum
 index).  `slice_basis`, `act`, `_act_gen`, `_act_affine_raw` and
 Sugawara's `apply_L` and audit counterexample convert to and from
-`PBWMonomial` (`encode`, `decode_form`).  The action memo (`_act_memo`,
-keyed code << _dbits | digit) holds canonical integer forms
-(D, {code: int}) of the kernel; Rat is built at the boundary.  On a
-vacuum code a zero mode acts through its irrep's integer entries by
-column, built once per handle (`_vacuum_action`).  Each handle keeps its
-own memos (actions, brackets, slices, Sugawara images and relation
-plans).
+`PBWMonomial` (`encode`, `decode_form`).  The module is induced, M =
+U(g_-) (x) V, so an operator acts on s (x) v through the creation string
+s, and V enters only where a zero mode reaches the vacuum.  The action
+memo (`_act_memo`, keyed string << _dbits | digit) therefore holds one
+block per generator and string: a canonical integer form
+(D, {code << _vbits | v: int}) of the kernel whose column v is the image
+of the monomial s.v, an End(V)-valued coefficient per output string
+(`_act_block`); with one vacuum vector a block is the per-code form
+itself.  `_act_form` reads a column, from a split of the block kept per
+block (`_split`); Rat is built at the boundary.  On the vacuum string a
+zero mode acts through its irrep's integer entries by column, built once
+per handle (`_vacuum_action`).  Each handle keeps its own memos
+(actions, brackets, slices, Sugawara images and relation plans).
 `degree_zero_action` gives an operator as a canonical integer form
 (D, {(row, column): int}) of its nonzero entries, as `kz` does.
 
@@ -162,11 +168,20 @@ class InducedModule:
         self._vmask = (1 << self._vbits) - 1
         self._dbits = ((2 * MODE_BOUND + 1) * n * alg.dim).bit_length()
         self._dmask = (1 << self._dbits) - 1
+        # a block key is string << _vv | vacuum of the code << _vbits | v;
+        # _diag holds the identity's v << _vbits | v, and _keys what
+        # `_create` reads: _vv, the mask of the two vacuum fields, the
+        # shift of a string to a second entry, and _dmask
+        self._vv = vv = 2 * self._vbits
+        self._diag = tuple(v << self._vbits | v for v in range(self.vac_dim))
+        self._keys = (vv, (1 << vv) - 1, self._dbits + vv, self._dmask)
         self._dim = alg.dim
         self._zero = MODE_BOUND * n * alg.dim + 1  # the digit of (0, 1, 0)
+        self._row = n * alg.dim  # digits per mode: n = (digit - _zero) // _row
         self._lowering = frozenset(  # degree-0 creators, verma only
             mode_digit(cfg, alg, k) for k in self.creation_keys(0))
-        self._act_memo = {}
+        self._act_memo = {}  # blocks, see _act_block
+        self._splits = {}  # blocks split into columns, see _split
         self._bracket_memo = {}
         self._slice_memo = {}
         self._sugawara_memo = defaultdict(dict)  # see sugawara._image
@@ -210,17 +225,10 @@ class InducedModule:
 
     def code_degree(self, code):  # the sum of its digits' modes
         deg, string = 0, code >> self._vbits
-        row = self._dim * self.cfg.n_points  # digits per mode
         while string:
-            deg += ((string & self._dmask) - self._zero) // row
+            deg += ((string & self._dmask) - self._zero) // self._row
             string >>= self._dbits
         return deg
-
-    def _peel(self, code):
-        """(c1, w) for code c1.w; c1 = 0 on a vacuum monomial."""
-        string = code >> self._vbits
-        return (string & self._dmask,
-                string >> self._dbits << self._vbits | code & self._vmask)
 
     def _prepend(self, digit, code):  # digit at most code's first
         return ((code >> self._vbits << self._dbits | digit) << self._vbits
@@ -342,39 +350,103 @@ class InducedModule:
             return w.den, {vac: w.num}
         return ZERO_FORM
 
-    def _act_form(self, gen, code):
-        """Exact action of a generator digit on a monomial code, as an
-        integer form (D, {code: int}); memoised in `_act_memo`.
+    def _act_block(self, gen, string):
+        """Exact action of a generator digit on s (x) v for one creation
+        string s and every vacuum vector v at once, as a block: one
+        canonical integer form (D, {code << _vbits | v: int}) whose
+        column v is the image of the monomial code s.v; memoised in
+        `_act_memo` under string << _dbits | gen.
 
-        The generator commutes rightward through the creation string:
+        The generator commutes rightward through the string:
         gen.(c1.rest) = c1.(gen.rest) + [gen, c1].rest, summed over one
-        widening denominator and reduced once."""
-        key = code << self._dbits | gen
+        widening denominator and reduced once.  Only the vacuum string
+        reads v (`_vacuum_action`, column by column); every other block
+        is built from blocks."""
+        key = string << self._dbits | gen
         hit = self._act_memo.get(key)
         if hit is not None:
             return hit
-        c1, rest = self._peel(code)
+        c1 = string & self._dmask
         if not c1:
-            res = self._vacuum_action(gen, code)
+            res = _stack([self._vacuum_action(gen, v)
+                          for v in range(self.vac_dim)], self._vbits)
         elif gen <= c1 and (gen < self._zero or gen in self._lowering):
-            res = (1, {self._prepend(gen, code): 1})
+            res = (1, self._identity(key))
         else:
-            act = self._act_form
-            den, acc = 1, {}
-            di, inner = act(gen, rest)
-            for m2, x in inner.items():
-                d2, t2 = act(c1, m2)
-                if t2:
-                    den = add_scaled(den, acc, d2, t2, x, di)
+            act, rest = self._act_block, string >> self._dbits
+            den, acc = self._create(c1, act(gen, rest))
             bden, bnums = self._bracket_form(gen, c1)
             for gen2, x in bnums.items():
-                # None: the central part, which leaves rest as it is
-                d2, t2 = (1, {rest: 1}) if gen2 is None else act(gen2, rest)
+                # None: the central part, which leaves rest.v as it is
+                d2, t2 = ((1, self._identity(rest)) if gen2 is None
+                          else act(gen2, rest))
                 if t2:
                     den = add_scaled(den, acc, d2, t2, x, bden)
             res = canonical(den, acc)
         self._act_memo[key] = res
         return res
+
+    def _identity(self, string):
+        """The numerators {code << _vbits | v: 1} of the identity on
+        string (x) V, a block over the integer 1."""
+        vv = self._vv
+        if not vv:
+            return {string: 1}
+        return {string << vv | d: 1 for d in self._diag}
+
+    def _create(self, c, block):
+        """The creator digit c applied to every column of a block
+        (D, {code << _vbits | v: int}), as a fresh integer form that may
+        hold zero numerators.  A code whose string is empty or starts at
+        or after c takes c in front by one integer write; c acts on the
+        others through its block on their string (`_join`)."""
+        bden, nums = block
+        acc, others = {}, None
+        vv, low, shift, dmask = self._keys
+        head = c << vv
+        for key, x in nums.items():
+            string = key >> vv
+            first = string & dmask
+            if not first or c <= first:
+                k2 = string << shift | head | key & low
+                acc[k2] = acc.get(k2, 0) + x
+                continue
+            # the others by string, then by the vacuum of the code
+            if others is None:
+                others = {}
+            vb, vmask = self._vbits, self._vmask
+            others.setdefault(string, {}).setdefault(
+                key >> vb & vmask, []).append((key & vmask, x))
+        den = bden
+        if others:
+            for string, cols in others.items():
+                den = _join(den, acc, bden, self._act_block(c, string), cols,
+                            self._vbits, self._vbits)
+        return den, acc
+
+    def _split(self, block):
+        """The columns of a block (D, {code << _vbits | v: int}): a list
+        over v of integer forms (D, {code: int}) over the block's
+        denominator.  Split once per block, kept under the block's id with
+        the block itself (so the id is not reused while it is kept)."""
+        hit = self._splits.get(id(block))
+        if hit is None:
+            hit = self._splits[id(block)] = (block, [
+                (block[0], c) for c in _columns(block[1], self._vbits,
+                                                self.vac_dim)])
+        return hit[1]
+
+    def _column_form(self, block, v):
+        """Column v of a block as a canonical integer form
+        (D, {code: int}); with one vacuum vector, the block itself."""
+        return canonical(*self._split(block)[v]) if self._vbits else block
+
+    def _act_form(self, gen, code):
+        """Exact action of a generator digit on a monomial code, as a
+        canonical integer form (D, {code: int}): a column of the block of
+        its creation string (`_act_block`)."""
+        return self._column_form(self._act_block(gen, code >> self._vbits),
+                                 code & self._vmask)
 
     def _act_gen(self, gen, mono):
         """x_(n,p,i) on a monomial, a fresh {monomial: Rat} dict."""
@@ -429,15 +501,17 @@ class InducedModule:
         basis0 = self._slice_codes(0)
         index = {m: r for r, m in enumerate(basis0)}
         gen = mode_digit(self.cfg, self.alg, (0, p, i))
+        vb, vmask = self._vbits, self._vmask
         den, acc = 1, {}
         lost = set()
-        for col, code in enumerate(basis0):
-            d, image = self._act_form(gen, code)
-            lost.update(len(self.decode(m).creation) for m in image
-                        if m not in index)
-            den = add_scaled(den, acc, d, {(index[m], col): x for m, x
-                                           in image.items() if m in index},
-                             1, 1)
+        # basis0 holds each string's vac_dim codes in a row, v ascending
+        for col0 in range(0, len(basis0), self.vac_dim):
+            d, image = self._act_block(gen, basis0[col0] >> vb)
+            lost.update(len(self.decode(k >> vb).creation) for k in image
+                        if k >> vb not in index)
+            den = add_scaled(den, acc, d, {
+                (index[k >> vb], col0 + (k & vmask)): x
+                for k, x in image.items() if k >> vb in index}, 1, 1)
         if lost:
             raise TruncationOverflow(lost_widths=lost)
         return canonical(den, acc)
@@ -459,6 +533,60 @@ class InducedModule:
         """
         return ModuleVector({m: c for m, c in v.terms.items()
                              if m.degree == 0})
+
+
+def _stack(columns, vb):
+    """The block (D, {code << vb | v: int}) whose column v is the integer
+    form columns[v] (D_v, {code: int}); with one column, that form."""
+    if not vb:
+        return columns[0]
+    den, acc = 1, {}
+    for v, (tden, terms) in enumerate(columns):
+        den = _widen(den, acc, tden)
+        f = den // tden
+        for k, x in terms.items():
+            acc[k << vb | v] = f * x
+    return canonical(den, acc)
+
+
+def _join(den, acc, e, block, cols, vb, shift):
+    """acc/den += 1/e times a block (D, {code << vb | u: int}) applied to
+    the terms cols = {u: [(v, x), ...]} of its input columns u, in place;
+    returns the new denominator.  Each term x of column u meets column u
+    of the block, and each code o there is written o << shift | v."""
+    bden, nums = block
+    e *= bden
+    den = _widen(den, acc, e)
+    f, get, vmask = den // e, acc.get, (1 << vb) - 1
+    for k, y in nums.items():
+        hits = cols.get(k & vmask)
+        if hits:
+            out, y = k >> vb << shift, f * y
+            for v, x in hits:
+                k = out | v
+                acc[k] = get(k, 0) + x * y
+    return den
+
+
+def _widen(den, acc, e):
+    """A multiple of den and e, the lcm when den is none of e: acc's
+    numerators are scaled to it in place."""
+    if den % e:
+        w = e // gcd(den, e)
+        for k in acc:
+            acc[k] *= w
+        den *= w
+    return den
+
+
+def _columns(nums, vb, n):
+    """The n columns {code: int} of block numerators
+    {code << vb | v: int}, v < n."""
+    cols = [{} for _ in range(n)]
+    vmask = (1 << vb) - 1
+    for k, x in nums.items():
+        cols[k & vmask][k >> vb] = x
+    return cols
 
 
 def _by_column(op):
@@ -520,35 +648,38 @@ def _relation_span(module):
     index = {m: c for c, m in enumerate(basis0)}
     pivots = {}  # leading column -> reduced row
     lost_widths = set()
-    alg = module.alg
+    alg, n, vb = module.alg, module.vac_dim, module._vbits
     for i in alg.cartan_indices + alg.minus_indices + alg.plus_indices:
         gens = [mode_digit(module.cfg, alg, (0, p, i))
                 for p in range(1, module.cfg.n_points + 1)]
-        for mono in basis0:
+        for col0 in range(0, len(basis0), n):
             den, acc = 1, {}
             for gen in gens:
-                den = add_scaled(den, acc, *module._act_form(gen, mono), 1, 1)
+                den = add_scaled(den, acc, *module._act_block(
+                    gen, basis0[col0] >> vb), 1, 1)
+            # the relations on basis0[col0:col0 + n], one column each;
             # add_scaled keeps every key it saw, zero or not
-            lost = {len(module.decode(m).creation) for m in acc
-                    if m not in index}
-            if lost:
-                lost_widths |= lost
-                continue
-            row = {index[m]: x for m, x in acc.items() if x}
-            while row:
-                g = gcd(*row.values())
-                row = {c: x // g for c, x in row.items()}
-                lead = max(row)
-                piv = pivots.get(lead)
-                if piv is None:
-                    pivots[lead] = row
-                    if len(pivots) == len(basis0):
-                        return pivots
-                    break
-                a, b = piv[lead], row[lead]
-                row = {c: a * row.get(c, 0) - b * piv.get(c, 0)
-                       for c in row.keys() | piv.keys()}
-                row = {c: x for c, x in row.items() if x}
+            for col in _columns(acc, vb, n):
+                lost = {len(module.decode(m).creation) for m in col
+                        if m not in index}
+                if lost:
+                    lost_widths |= lost
+                    continue
+                row = {index[m]: x for m, x in col.items() if x}
+                while row:
+                    g = gcd(*row.values())
+                    row = {c: x // g for c, x in row.items()}
+                    lead = max(row)
+                    piv = pivots.get(lead)
+                    if piv is None:
+                        pivots[lead] = row
+                        if len(pivots) == len(basis0):
+                            return pivots
+                        break
+                    a, b = piv[lead], row[lead]
+                    row = {c: a * row.get(c, 0) - b * piv.get(c, 0)
+                           for c in row.keys() | piv.keys()}
+                    row = {c: x for c, x in row.items() if x}
     if lost_widths:
         raise TruncationOverflow(lost_widths=lost_widths)
     return pivots

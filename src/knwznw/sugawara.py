@@ -22,38 +22,43 @@ application is a finite sum: for a vector of degree d only mode indices
 n in [t + d, -d] can contribute to total degree t, which the
 implementation uses as its summation bound.
 
-L(k,r) is linear, so its image of each PBW monomial is computed once per
-module and memoised (`_image`, read by `apply_L_raw`) as an integer form
-(D, {code: int}) over monomial codes (`modules`; plans hold digits).  A
-vacuum monomial has degree 0 and is summed over the term plan of degree
-0 (`_term_plan`), which writes u^i = sum_j D_ij u_j and groups the terms
-by the operator that acts first.  A monomial c1.w, with c1 = (n, p, i)
-the first entry of its creation string, follows from the image of w by
-the current relation of the global Sugawara construction (Schlichenmaier
-and Sheinman, Russian Math. Surveys 54 (1999)), [L(e), x(A)] =
--(level + h^v) x(e.A) (`_L_image`):
+L(k,r) is linear and acts on s (x) v through the creation string s, so
+its image is computed once per module and string, for every vacuum
+vector v at once, and memoised (`_image`) as a block: an integer form
+(D, {code << _vbits | v: int}) whose column v is the image of the
+monomial s.v (`modules`; plans hold digits).  On the vacuum string the
+term plan of degree 0 (`_term_plan`), which writes u^i = sum_j D_ij u_j
+and groups the terms by the operator that acts first, is applied to
+each v.  A string c1.w, with c1 = (n, p, i) its first entry, follows
+from the block of w by the current relation of the global Sugawara
+construction (Schlichenmaier and Sheinman, Russian Math. Surveys 54
+(1999)), [L(e), x(A)] = -(level + h^v) x(e.A) (`_L_image`):
 
     L(c1.w) = c1.L(w) - (level + h^v) x_i(e_{k,r}.A_{n,p}).w,
 
-with L(w) read from the image memo.  A monomial of L(w) whose string is
+with L(w) read from the image memo.  A code of L(w) whose string is
 empty or starts at or after c1 takes c1 in front by one integer write;
-c1 acts on the others (`_act_form`).  The relation's terms, over the
-cached Lie-derivative entry e_{k,r}.A_{n,p}, are memoised per module
-and (k, r, c1, degree of w) (`_relation_plan`): their scalar carries the
-level.  The degree of w is that of c1.w minus n, carried down the
-recursion; only an image whose caller gives no degree reads it off the
-code's digits, and the audit gives the degree of its slice.  The term
-plan applied directly stays the definition of L, and the oracle the
-relation is checked against: the verify check `summation-bounds`
-compares the engine's images with the wider plan of degree d - 3
-applied to each monomial, on a module with h^v != 0.
+c1 acts on the others (`InducedModule._create`), and each relation term
+adds the action block of its generator on w, once for every v.  The
+relation's terms, over the cached Lie-derivative entry e_{k,r}.A_{n,p},
+are memoised per module and (k, r, c1, degree of w) (`_relation_plan`):
+their scalar carries the level.  The degree of w is that of c1.w minus
+n, carried down the recursion; only an image whose caller gives no
+degree reads it off the string's digits, and the audit gives the degree
+of its slice.  The term plan applied directly stays the definition of
+L, and the oracle the relation is checked against: the verify check
+`summation-bounds` compares the engine's images with the wider plan of
+degree d - 3 applied to each monomial, on a module with h^v != 0.
 
 Images are integer forms, summed with the kernel's `add_scaled`.
-`apply_L_raw` hands a caller a fresh one, or adds a scaled image into
-the caller's accumulator: the commutator audit sums each identity on a
-monomial into one accumulator, reading memoised images in place, and
-takes `canonical` once.  Rat and `PBWMonomial` are built only by
-`apply_L` and for the audit's scalar and counterexample.
+`apply_L_raw` applies L to a vector over codes or to every column of a
+block, reading each code's image as a column of its string's block,
+and hands a caller a fresh form or adds into the caller's accumulator:
+the commutator audit sums each identity on a string s into one block
+over s (x) V, reading memoised images in place, takes `canonical` once
+and finds the difference scalar when it is sigma times the identity
+there.  Rat and `PBWMonomial` are built only by `apply_L` and for the
+audit's scalar and counterexample.
 
 The rescaled operators -1/(level + dual Coxeter) L(k,r) represent the
 centrally extended vector-field algebra; the audit measures the central
@@ -65,12 +70,12 @@ from __future__ import annotations
 from math import lcm
 from typing import NamedTuple
 
-from ._kernel import RAT0, Rat, add_scaled, canonical, form
+from ._kernel import RAT0, ZERO_FORM, Rat, add_scaled, canonical, form
 from .algebras import (R_ZERO, _unit_lie_derivative, cocycle_chi,
                        vf_bracket)
 from .basis import GradedElement, kn_basis_record, monomial_residue
 from .errors import CriticalLevelError, DomainError
-from .modules import ModuleVector, mode_digit
+from .modules import ModuleVector, _join, _stack, mode_digit
 
 
 _HALF = Rat(1, 2)
@@ -179,14 +184,14 @@ def sugawara_coefficients(cfg, idx, band):
     return entries
 
 
-def _image(module, k, r, code, degree=None):
-    """The memoised image of one monomial code (`_L_image`), in the image
-    memo `_sugawara_memo[(k, r)]`; never mutated.  A caller that knows
-    the monomial's degree passes it."""
+def _image(module, k, r, string, degree=None):
+    """The memoised image block of one creation string (`_L_image`), in
+    the image memo `_sugawara_memo[(k, r)]`; never mutated.  A caller
+    that knows the string's degree passes it."""
     images = module._sugawara_memo[(k, r)]
-    img = images.get(code)
+    img = images.get(string)
     if img is None:
-        img = images[code] = _L_image(module, k, r, code, degree)
+        img = images[string] = _L_image(module, k, r, string, degree)
     return img
 
 
@@ -215,39 +220,32 @@ def _relation_plan(module, k, r, c1, top):
     return plan
 
 
-def _L_image(module, k, r, code, degree):
-    """L(k, r) on one monomial code, as an integer form (D, {code: int}).
+def _L_image(module, k, r, string, degree):
+    """L(k, r) on s (x) v for one creation string s and every vacuum
+    vector v, as a block (D, {code << _vbits | v: int}) (`modules`).
 
-    A vacuum monomial is summed over the term plan of degree 0
-    (`_term_plan`).  A monomial c1.w follows from the current relation
-    L(c1.w) = c1.L(w) + [L(k, r), c1].w (`_relation_plan`), with L(w)
-    read from the image memo.  A monomial of L(w) whose string is empty
-    or starts at or after c1 takes c1 in front by one write (the shifts of
-    `_prepend`), its numerator scaled to the current denominator; c1 acts
-    on the others (`_act_form`).  The degree of w is that of c1.w minus n
-    when a caller gave it; else it is read off w's digits.
+    On the vacuum string the term plan of degree 0 (`_term_plan`) is
+    applied to each v.  A string c1.w follows from the current relation
+    L(c1.w) = c1.L(w) + [L(k, r), c1].w (`_relation_plan`), with the
+    block L(w) read from the image memo.  A code of L(w) whose string is
+    empty or starts at or after c1 takes c1 in front by one write; c1
+    acts on the others (`InducedModule._create`).  Each relation term
+    adds the action block of its generator on w, once for every v.  The
+    degree of w is that of c1.w minus n when a caller gave it; else it
+    is read off w's digits.
     """
-    c1, w = module._peel(code)
+    vb = module._vbits
+    c1 = string & module._dmask
     if not c1:
-        return _apply_plan(module, _term_plan(module.cfg, module.alg, k, r,
-                                              0), code)
-    act = module._act_form
-    dw = (module.code_degree(w) if degree is None
-          else degree - module.generator(c1)[0])
-    wden, wnums = _image(module, k, r, w, dw)
-    vb, vmask, dmask = module._vbits, module._vmask, module._dmask
-    shift, head = module._dbits + vb, c1 << vb
-    den, acc = wden, {}
-    for m2, x in wnums.items():
-        first = m2 >> vb & dmask
-        if not first or c1 <= first:
-            m3 = m2 >> vb << shift | head | m2 & vmask
-            acc[m3] = acc.get(m3, 0) + x * (den // wden)
-        else:
-            d2, t2 = act(c1, m2)
-            if t2:
-                den = add_scaled(den, acc, d2, t2, x, wden)
+        plan = _term_plan(module.cfg, module.alg, k, r, 0)
+        return _stack([_apply_plan(module, plan, v)
+                       for v in range(module.vac_dim)], vb)
+    w = string >> module._dbits
+    dw = (module.code_degree(w << vb) if degree is None
+          else degree - (c1 - module._zero) // module._row)
+    den, acc = module._create(c1, _image(module, k, r, w, dw))
     rden, rterms = _relation_plan(module, k, r, c1, -dw)
+    act = module._act_block
     for gen, num in rterms:
         d2, t2 = act(gen, w)
         if t2:
@@ -263,7 +261,7 @@ def _apply_plan(module, plan, base):
     terms, is summed with `add_scaled` into an integer form of its own
     for each first.  Then each first acts once on each monomial of its
     form, summed into one accumulator.  Actions come from `_act_form`,
-    which owns the module's action memo.
+    columns of the module's memoised action blocks.
     """
     act = module._act_form
     pden, terms = plan
@@ -287,26 +285,39 @@ def _apply_plan(module, plan, base):
     return canonical(den, acc)
 
 
-def apply_L_raw(module, idx, vec, into=None, a=1, b=1):
-    """Exact L(k, r) on an integer form vec = (D, {code: int}), as a fresh
-    canonical integer form; or, given a caller's accumulator
-    into = (den, acc), a/b L(k, r) vec added into it (acc is extended in
-    place and may hold zero numerators), returning the new (den, acc).
+def apply_L_raw(module, idx, vec, into=None, a=1, b=1, vb=0):
+    """Exact L(k, r) on every column of an integer form vec = (D,
+    {code << vb | v: int}), as a fresh canonical integer form over the
+    same keys; or, given a caller's accumulator into = (den, acc), a/b
+    L(k, r) vec added into it (acc is extended in place and may hold zero
+    numerators), returning the new (den, acc).  With vb = 0 vec is one
+    vector over codes; with the module's `_vbits` it is a block.
 
-    L(k, r) is linear, so the image of each monomial is computed once per
-    module and memoised (`_image`); the image of vec sums the cached
-    numerators scaled by vec's numerators over one denominator.  Neither
+    L(k, r) is linear, so the image of each code is a column of its
+    string's memoised block (`_image`); the image of vec sums those
+    columns scaled by vec's numerators over one denominator.  Neither
     vec nor a memoised image is mutated, so vec may be a memoised image
     itself.
     """
-    k, r = idx
-    vden, terms = vec
+    vden, nums = vec
     den, acc = into or (1, {})
-    e = b * vden
-    for code, cm in terms.items():
-        img = _image(module, k, r, code)
-        if img[1]:
-            den = add_scaled(den, acc, *img, a * cm, e)
+    images, mvb, e = module._sugawara_memo[idx], module._vbits, b * vden
+    if not mvb:  # a code is its string
+        for code, x in nums.items():
+            img = images.get(code) or _image(module, *idx, code)
+            if img[1]:
+                den = add_scaled(den, acc, *img, a * x, e)
+        return (den, acc) if into else canonical(den, acc)
+    # vec's terms by the string of their code: each string's image block
+    # is read once, its column u meeting the terms on the code string.u
+    strings, mmask, vmask = {}, module._vmask, (1 << vb) - 1
+    for key, x in nums.items():
+        code = key >> vb
+        strings.setdefault(code >> mvb, {}).setdefault(
+            code & mmask, []).append((key & vmask, a * x))
+    for string, cols in strings.items():
+        den = _join(den, acc, e, images.get(string)
+                    or _image(module, *idx, string), cols, mvb, vb)
     return (den, acc) if into else canonical(den, acc)
 
 
@@ -371,6 +382,7 @@ def sugawara_commutator_audit(cfg, alg, module, pairs, window):
     fac = rescale_factor(alg, module.level)
     f2 = fac * fac
     results = []
+    n, vb, vmask = module.vac_dim, module._vbits, module._vmask
     for (k, r), (m, s) in pairs:
         bracket = vf_bracket(cfg, GradedElement.unit(-1, k, r),
                              GradedElement.unit(-1, m, s))
@@ -381,30 +393,41 @@ def sugawara_commutator_audit(cfg, alg, module, pairs, window):
         for d in window:
             basis = module._slice_codes(d)
             sigma = None
-            for mono in basis:
-                # f2 L_kr(L_ms mono) - f2 L_ms(L_kr mono) - sum c L_hu mono,
-                # summed into one accumulator; the inner images are read
-                # from the memo in place
-                acc = (1, {})
+            for start in range(0, len(basis), n):
+                # f2 L_kr(L_ms s) - f2 L_ms(L_kr s) - sum c L_hu s on the
+                # string s of basis[start:start + n], for every v at once:
+                # the inner image blocks are read from the memo in place
+                string = basis[start] >> vb
+                den, acc = 1, {}
                 for outer, inner, fnum in (((k, r), (m, s), f2.num),
                                            ((m, s), (k, r), -f2.num)):
-                    acc = apply_L_raw(module, outer,
-                                      _image(module, *inner, mono, d), acc,
-                                      fnum, f2.den)
-                den, acc = acc
+                    den, acc = apply_L_raw(
+                        module, outer, _image(module, *inner, string, d),
+                        (den, acc), fnum, f2.den, vb)
                 for hu, c in scaled:
-                    hden, hnums = _image(module, *hu, mono, d)
+                    hden, hnums = _image(module, *hu, string, d)
                     if hnums:
                         den = add_scaled(den, acc, hden, hnums, -c.num, c.den)
                 den, diff = canonical(den, acc)
-                got = Rat(diff.get(mono, 0), den)
                 if sigma is None:
-                    sigma = got
-                if got != sigma or any(m2 != mono for m2 in diff):
-                    is_scalar = False
-                    counterexample = (d, module.decode(mono), ModuleVector(
-                        module.decode_form(den, diff)))
-                    break
+                    sigma = Rat(diff.get(basis[start] << vb, 0), den)
+                # scalar on s (x) V: sigma times the identity there
+                if (den, diff) == ((sigma.den, dict.fromkeys(
+                        module._identity(string), sigma.num))
+                        if sigma.num else ZERO_FORM):
+                    continue
+                # else the first monomial whose column is not sigma times
+                # itself: a term off the diagonal, or another one on it
+                off = {key & vmask for key in diff
+                       if key >> vb != string << vb | key & vmask}
+                v = next(v for v in range(n) if v in off or Rat(
+                    diff.get(basis[start + v] << vb | v, 0), den) != sigma)
+                is_scalar = False
+                counterexample = (d, module.decode(basis[start + v]),
+                                  ModuleVector(module.decode_form(den, {
+                                      key >> vb: x for key, x in diff.items()
+                                      if key & vmask == v})))
+                break
             per_slice[d] = sigma
             if not is_scalar:
                 break

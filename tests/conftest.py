@@ -112,3 +112,11 @@ def diagonal_action(mods, xvec):
                     for s in range(dim):
                         out[r][s] += c * fp[r][s]
     return out
+
+
+def peel(module, code):
+    """(c1, w) for the monomial code c1.w of an induced module; c1 = 0 on
+    a vacuum monomial."""
+    string = code >> module._vbits
+    return (string & module._dmask,
+            string >> module._dbits << module._vbits | code & module._vmask)

@@ -111,8 +111,9 @@ FAULTS = {
     # the central part of [x_a, x_b] acting as twice the level inside
     # the creation string, but once on the element itself
     "representation-property": (
-        "representation-property", modules.InducedModule, "_act_form",
-        "(1, {rest: 1}) if gen2 is None", "(1, {rest: 2}) if gen2 is None",
+        "representation-property", modules.InducedModule, "_act_block",
+        "(1, self._identity(rest))",
+        "(1, dict.fromkeys(self._identity(rest), 2))",
         "representation property fails on ["),
     # a monomial form read one weight too high shifts every product up:
     # two functions of degree -1 multiply into degree 0, which has a pole

@@ -126,9 +126,9 @@ def test_sugawara_repeated_slice_is_audited_once(capsys, tmp_path,
     for slices in ("-2", "-2,-2,-2", "-2,0", "-2,0,-2,0"):
         calls = []
 
-        def counting(module, k, r, mono, degree=None):
+        def counting(module, k, r, string, degree=None):
             calls.append((k, r))
-            return real(module, k, r, mono, degree)
+            return real(module, k, r, string, degree)
 
         monkeypatch.setattr(sugawara, "_image", counting)
         code, out, _ = run_cli(["sugawara", "--config", cfgfile, "--pairs",

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import section_of
+from conftest import peel, section_of
 from knwznw import Rat, verify
 from knwznw._kernel import RAT0, RAT1, ZERO_FORM, merge, rats
 from knwznw.affine import (AffineElement, _block_expansions, affine_bracket,
@@ -309,7 +309,7 @@ def test_the_codec_round_trips_and_keeps_the_tuple_order(sl2, ab, data,
     assert [module.generator(x) for x in digits] == gens
     keys = module.creation_keys(-2)
     for mono, code in zip(basis[:20], codes):
-        c1, w = module._peel(code)
+        c1, w = peel(module, code)
         assert module.code_degree(code) == mono.degree
         if mono.creation:
             assert module.generator(c1) == mono.creation[0]
@@ -453,9 +453,8 @@ def test_integer_action_matches_the_rat_recursion(sl2, ab):
                     got = module._act_gen(gen, mono)
                     assert got == want, (gen, mono)
                     compared += bool(want)
-                    key = module.encode(mono) << module._dbits | digit(
-                        module, gen)
-                    widened += module._act_memo[key][0] > 1
+                    widened += module._act_form(digit(module, gen),
+                                                module.encode(mono))[0] > 1
     assert compared > 3000 and widened > 1000
 
 
@@ -471,7 +470,9 @@ def assert_canonical(form):
 
 def test_memoised_forms_are_canonical(sl2):
     # a multipoint-centrality-sized audit, at rational points and level so
-    # that denominators other than 1 and 2 occur
+    # that denominators other than 1 and 2 occur.  The memos hold one
+    # block per creation string, and each of its vac_dim columns, the
+    # form of one monomial, is canonical as well
     for points, level in ((["0", "1"], Rat(1)), (["1/2", "-7/3"], Rat(3, 2))):
         cfg = Config(points)
         module = induce_module(sl2, cfg, ModuleSpec("weyl", (1, 1), level))
@@ -480,13 +481,16 @@ def test_memoised_forms_are_canonical(sl2):
         assert all(e.is_scalar for e in res)
         images = [img for memo in module._sugawara_memo.values()
                   for img in memo.values()]
-        for forms in (list(module._act_memo.values()), images):
-            assert len(forms) > 1000
-            zeros = 0
-            for form in forms:
-                assert_canonical(form)
-                zeros += not form[1]
-            assert zeros > 0
+        for blocks in (list(module._act_memo.values()), images):
+            columns = [module._column_form(block, v) for block in blocks
+                       for v in range(module.vac_dim)]
+            assert len(columns) > 1000
+            for forms in (blocks, columns):
+                zeros = 0
+                for form in forms:
+                    assert_canonical(form)
+                    zeros += not form[1]
+                assert zeros > 0
 
 
 def test_act_below_the_depth_is_exact(weyl11):

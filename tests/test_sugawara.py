@@ -435,9 +435,9 @@ def test_multipoint_audit_reuses_memoised_images(sl2, monkeypatch):
     seen = []
     image = sugawara._image
 
-    def counting(module, k, r, mono, degree=None):
-        seen.append(mono)
-        return image(module, k, r, mono, degree)
+    def counting(module, k, r, string, degree=None):
+        seen.append(string)
+        return image(module, k, r, string, degree)
 
     monkeypatch.setattr(sugawara, "_image", counting)
     pairs = [((1, 1), (-1, 2)), ((1, 2), (-1, 1)), ((0, 1), (0, 2))]
@@ -446,21 +446,22 @@ def test_multipoint_audit_reuses_memoised_images(sl2, monkeypatch):
     memo = module._sugawara_memo
     assert 2 * sum(map(len, memo.values())) < len(seen)
     # each image is computed from the image of its suffix, both memoised
-    # under (k, r) and the monomial's code
+    # under (k, r) and the creation string
     mono = module.slice_basis(-1)[0]
     suffix = PBWMonomial(mono.creation[1:], mono.vacuum)
-    code, images = module.encode(mono), memo[(0, 1)]
-    own, rest = images[code], images[module.encode(suffix)]
+    code, images, vb = module.encode(mono), memo[(0, 1)], module._vbits
+    own, rest = images[code >> vb], images[module.encode(suffix) >> vb]
     assert own != rest and own[1] and rest[1]
-    # the memo holds the image as an integer form (D, {code: int}); a
-    # caller gets a fresh nonzero form and may mutate it, the memo never
-    # changes
-    want = (own[0], dict(own[1]))
+    # the memo holds the image block (D, {code << _vbits | v: int}); a
+    # caller gets a fresh nonzero form of its monomial's column and may
+    # mutate it, the memo never changes
+    block = (own[0], dict(own[1]))
+    want = module._column_form(own, code & module._vmask)
     unit = (1, {code: 1})
     out = apply_L_raw(module, (0, 1), unit)
-    assert out == want
+    assert out == want and want[1]
     out[1].clear()
-    assert images[code] == want
+    assert images[code >> vb] == block
     assert apply_L_raw(module, (0, 1), unit) == want
 
 
@@ -474,10 +475,11 @@ def test_a_carried_degree_gives_the_image_of_the_summed_one(sl2,
     carried = induce_module(sl2, Config(["0", "1"]), spec)
     summed = induce_module(sl2, Config(["0", "1"]), spec)
     for d in (0, -1, -2, -3):
-        for code in carried._slice_codes(d):
+        for code in carried._slice_codes(d)[::carried.vac_dim]:
+            string = code >> carried._vbits
             for k, r in ((1, 1), (-1, 2), (0, 1)):
-                assert (sugawara._image(carried, k, r, code, d)
-                        == sugawara._image(summed, k, r, code))
+                assert (sugawara._image(carried, k, r, string, d)
+                        == sugawara._image(summed, k, r, string))
     # the relation plans are keyed by the degree of w, so a carried degree
     # off in either direction shows here
     assert carried._relation_plans.keys() == summed._relation_plans.keys()
@@ -604,12 +606,13 @@ def test_a_wrong_memo_image_makes_the_audit_non_scalar(sl2):
     memo = module._sugawara_memo
     bracket = vf_bracket(cfg2, GradedElement.unit(-1, 1, 1),
                          GradedElement.unit(-1, -1, 2))
-    hu, code = next((hu, code) for hu in bracket.terms
-                    for code in module._slice_codes(-1) if memo[hu][code][1])
-    den, nums = memo[hu][code]
+    strings = {code >> module._vbits for code in module._slice_codes(-1)}
+    hu, string = next((hu, string) for hu in bracket.terms
+                      for string in sorted(strings) if memo[hu][string][1])
+    den, nums = memo[hu][string]
     wrong = dict(nums)
     wrong[next(iter(wrong))] += den
-    memo[hu][code] = (den, wrong)
+    memo[hu][string] = (den, wrong)
     (entry,) = sugawara_commutator_audit(cfg2, sl2, module, [pair], [-1])
     assert not entry.is_scalar and entry.counterexample is not None
 
@@ -623,13 +626,14 @@ def test_audits_leave_every_memoised_image_unchanged(sl2):
     sugawara_commutator_audit(cfg2, sl2, module, [((1, 1), (-1, 2))],
                               [-1, -2])
     memo = module._sugawara_memo
-    before = {(op, code): (den, dict(nums)) for op, images in memo.items()
-              for code, (den, nums) in images.items()}
+    before = {(op, string): (den, dict(nums)) for op, images in memo.items()
+              for string, (den, nums) in images.items()}
     res = sugawara_commutator_audit(
         cfg2, sl2, module, [((-1, 2), (1, 1)), ((1, 1), (0, 2))], [-2, -1])
     assert all(e.is_scalar for e in res)
     assert sum(map(len, memo.values())) > len(before)
-    assert all(memo[op][code] == img for (op, code), img in before.items())
+    assert all(memo[op][string] == img
+               for (op, string), img in before.items())
 
 
 @pytest.mark.parametrize("kind,points,weights,width", [
@@ -642,43 +646,50 @@ def test_peeled_images_match_the_wider_term_plan(kind, points, weights,
     # string is empty or starts at or after c1 with c1 in front, and acts
     # with c1 on the others; both kinds occur, and every image the engine
     # builds on slices 0..-3 equals the term plan of degree d - 3 applied
-    # directly (the verma strings hold degree-0 keys)
+    # directly (the verma strings hold degree-0 keys).  Images and
+    # actions are blocks over creation strings: column v of a block is
+    # the form of the monomial string.v
     cfg = Config(list(points))
     sl2 = make_algebra("sl2")
     module = induce_module(sl2, cfg, ModuleSpec(kind, weights, Rat(1),
                                                 width=width))
     acted = set()
-    real = module._act_form
+    real = module._act_block
 
-    def recording(gen, mono):
-        acted.add((gen, mono))
-        return real(gen, mono)
+    def recording(gen, string):
+        acted.add((gen, string))
+        return real(gen, string)
 
-    module._act_form = recording
+    module._act_block = recording
     rng = random.Random(34)
     ops = [(k, r) for k in (-2, 0, 1) for r in range(1, cfg.n_points + 1)]
+    vb = module._vbits
     for d in (0, -1, -2, -3):
-        basis = module._slice_codes(d)
-        for code in rng.sample(basis, min(len(basis), 12)):
+        strings = sorted({code >> vb for code in module._slice_codes(d)})
+        for string in rng.sample(strings, min(len(strings), 12)):
             for k, r in ops:
-                sugawara._image(module, k, r, code, d)
-    del module._act_form
+                sugawara._image(module, k, r, string, d)
+    del module._act_block
     written = peeled = 0
     for (k, r), images in module._sugawara_memo.items():
-        for code, img in images.items():
-            mono = module.decode(code)
+        for string, img in images.items():
+            mono = module.decode(string << vb)
             plan = sugawara._term_plan(cfg, sl2, k, r, mono.degree - 3)
-            assert img == sugawara._apply_plan(module, plan, code)
+            for v in range(module.vac_dim):
+                assert module._column_form(img, v) == sugawara._apply_plan(
+                    module, plan, string << vb | v)
             if not mono.creation:
                 continue
             c1 = mono.creation[0]
             w = PBWMonomial(mono.creation[1:], mono.vacuum)
-            # acted holds (digit, code) pairs
+            # acted holds (digit, string) pairs; a key of a block is
+            # code << _vbits | v
             digit = mode_digit(cfg, sl2, c1)
-            for m2 in images[module.encode(w)][1]:
-                string = module.decode(m2).creation
-                if not string or c1 <= string[0]:
-                    written += (digit, m2) not in acted
+            for key in images[module.encode(w) >> vb][1]:
+                m2 = key >> vb
+                string2 = module.decode(m2).creation
+                if not string2 or c1 <= string2[0]:
+                    written += (digit, m2 >> vb) not in acted
                 else:
-                    peeled += (digit, m2) in acted
+                    peeled += (digit, m2 >> vb) in acted
     assert written > 100 and peeled > 100
