@@ -11,7 +11,7 @@ names the implementation and is printed in ``knwznw verify`` output.
 from ._pure import (RAT0, RAT1, ZERO_FORM, Rat, add_scaled, canonical, form,
                     merge, poly_add, poly_deriv, poly_divmod, poly_eval,
                     poly_gcd, poly_mul, poly_neg, poly_scale, poly_sub,
-                    poly_trim, rats)
+                    poly_trim, rats, widen)
 
 BACKEND = "python"
 
@@ -19,5 +19,5 @@ __all__ = [
     "BACKEND", "Rat", "RAT0", "RAT1", "poly_trim", "poly_add", "poly_neg",
     "poly_sub", "poly_scale", "poly_mul", "poly_divmod", "poly_gcd",
     "poly_deriv", "poly_eval", "ZERO_FORM", "form", "add_scaled",
-    "canonical", "rats", "merge",
+    "canonical", "rats", "merge", "widen",
 ]

@@ -306,17 +306,24 @@ def form(terms):
     return den, {k: c.num * (den // c.den) for k, c in terms.items()}
 
 
-def add_scaled(den, acc, tden, terms, a, b):
-    """acc/den += (a/b) * terms/tden over integer numerators, in place;
-    returns the new denominator.  When den is no multiple of b * tden, it
-    widens to their lcm and acc's numerators with it.  Zero numerators
-    stay until `canonical`."""
-    e = b * tden
-    if den % e:
-        w = e // _gcd(den, e)
+def widen(den, acc, e):
+    """The lcm of den and e as the denominator of acc/den: returns it, with
+    acc's numerators scaled to it in place."""
+    w = e // _gcd(den, e)
+    if w > 1:
         for k in acc:
             acc[k] *= w
-        den *= w
+    return den * w
+
+
+def add_scaled(den, acc, tden, terms, a, b):
+    """acc/den += (a/b) * terms/tden over integer numerators, in place;
+    returns the new denominator, widened to the lcm when den is no
+    multiple of b * tden (`widen`).  Zero numerators stay until
+    `canonical`."""
+    e = b * tden
+    if den % e:
+        den = widen(den, acc, e)
     f = a * (den // e)
     get = acc.get
     for k, x in terms.items():

@@ -41,11 +41,12 @@ block per generator and string: a canonical integer form
 (D, {code << _vbits | v: int}) of the kernel whose column v is the image
 of the monomial s.v, an End(V)-valued coefficient per output string
 (`_act_block`); with one vacuum vector a block is the per-code form
-itself.  `_act_form` reads a column, from a split of the block kept per
-block (`_split`); Rat is built at the boundary.  On the vacuum string a
-zero mode acts through its irrep's integer entries by column, built once
-per handle (`_vacuum_action`).  Each handle keeps its own memos
-(actions, brackets, slices, Sugawara images and relation plans).
+itself.  `_act_form` reads a column, from the block's canonical columns
+split once under its memo key; Rat is built at the boundary.  On the
+vacuum string a zero mode acts through its irrep's integer entries by
+column, built once per handle (`_vacuum_action`).  Each handle keeps its
+own memos (actions, brackets, slices, Sugawara images and relation
+plans).
 `degree_zero_action` gives an operator as a canonical integer form
 (D, {(row, column): int}) of its nonzero entries, as `kz` does.
 
@@ -63,7 +64,8 @@ from collections import defaultdict
 from math import comb, gcd, prod
 from typing import NamedTuple, Optional
 
-from ._kernel import RAT1, ZERO_FORM, Rat, add_scaled, canonical, form
+from ._kernel import (RAT1, ZERO_FORM, Rat, add_scaled, canonical, form,
+                      widen)
 from .affine import _unit_loop_bracket
 from .basis import Combination, Config
 from .errors import DomainError, TruncationOverflow
@@ -168,20 +170,13 @@ class InducedModule:
         self._vmask = (1 << self._vbits) - 1
         self._dbits = ((2 * MODE_BOUND + 1) * n * alg.dim).bit_length()
         self._dmask = (1 << self._dbits) - 1
-        # a block key is string << _vv | vacuum of the code << _vbits | v;
-        # _diag holds the identity's v << _vbits | v, and _keys what
-        # `_create` reads: _vv, the mask of the two vacuum fields, the
-        # shift of a string to a second entry, and _dmask
-        self._vv = vv = 2 * self._vbits
-        self._diag = tuple(v << self._vbits | v for v in range(self.vac_dim))
-        self._keys = (vv, (1 << vv) - 1, self._dbits + vv, self._dmask)
         self._dim = alg.dim
         self._zero = MODE_BOUND * n * alg.dim + 1  # the digit of (0, 1, 0)
         self._row = n * alg.dim  # digits per mode: n = (digit - _zero) // _row
         self._lowering = frozenset(  # degree-0 creators, verma only
             mode_digit(cfg, alg, k) for k in self.creation_keys(0))
         self._act_memo = {}  # blocks, see _act_block
-        self._splits = {}  # blocks split into columns, see _split
+        self._splits = {}  # blocks split into columns, see _act_form
         self._bracket_memo = {}
         self._slice_memo = {}
         self._sugawara_memo = defaultdict(dict)  # see sugawara._image
@@ -389,10 +384,8 @@ class InducedModule:
     def _identity(self, string):
         """The numerators {code << _vbits | v: 1} of the identity on
         string (x) V, a block over the integer 1."""
-        vv = self._vv
-        if not vv:
-            return {string: 1}
-        return {string << vv | d: 1 for d in self._diag}
+        vb = self._vbits
+        return {(string << vb | v) << vb | v: 1 for v in range(self.vac_dim)}
 
     def _create(self, c, block):
         """The creator digit c applied to every column of a block
@@ -402,51 +395,45 @@ class InducedModule:
         others through its block on their string (`_join`)."""
         bden, nums = block
         acc, others = {}, None
-        vv, low, shift, dmask = self._keys
-        head = c << vv
+        if not nums:
+            return bden, acc
+        # a key is the code's string << vv | its vacuum << _vbits | v
+        vb, dmask = self._vbits, self._dmask
+        vv = 2 * vb
+        low, shift, head = (1 << vv) - 1, self._dbits + vv, c << vv
         for key, x in nums.items():
             string = key >> vv
             first = string & dmask
-            if not first or c <= first:
-                k2 = string << shift | head | key & low
-                acc[k2] = acc.get(k2, 0) + x
+            if not first or c <= first:  # distinct keys, distinct writes
+                acc[string << shift | head | key & low] = x
                 continue
             # the others by string, then by the vacuum of the code
             if others is None:
                 others = {}
-            vb, vmask = self._vbits, self._vmask
+            vmask = self._vmask
             others.setdefault(string, {}).setdefault(
                 key >> vb & vmask, []).append((key & vmask, x))
         den = bden
         if others:
             for string, cols in others.items():
                 den = _join(den, acc, bden, self._act_block(c, string), cols,
-                            self._vbits, self._vbits)
+                            vb, vb)
         return den, acc
-
-    def _split(self, block):
-        """The columns of a block (D, {code << _vbits | v: int}): a list
-        over v of integer forms (D, {code: int}) over the block's
-        denominator.  Split once per block, kept under the block's id with
-        the block itself (so the id is not reused while it is kept)."""
-        hit = self._splits.get(id(block))
-        if hit is None:
-            hit = self._splits[id(block)] = (block, [
-                (block[0], c) for c in _columns(block[1], self._vbits,
-                                                self.vac_dim)])
-        return hit[1]
-
-    def _column_form(self, block, v):
-        """Column v of a block as a canonical integer form
-        (D, {code: int}); with one vacuum vector, the block itself."""
-        return canonical(*self._split(block)[v]) if self._vbits else block
 
     def _act_form(self, gen, code):
         """Exact action of a generator digit on a monomial code, as a
         canonical integer form (D, {code: int}): a column of the block of
-        its creation string (`_act_block`)."""
-        return self._column_form(self._act_block(gen, code >> self._vbits),
-                                 code & self._vmask)
+        its creation string (`_act_block`).  The block is split into its
+        canonical columns once, kept in `_splits` under its memo key."""
+        string = code >> self._vbits
+        key = string << self._dbits | gen
+        cols = self._splits.get(key)
+        if cols is None:
+            den, nums = self._act_block(gen, string)
+            cols = self._splits[key] = [canonical(den, col) for col in
+                                        _columns(nums, self._vbits,
+                                                 self.vac_dim)]
+        return cols[code & self._vmask]
 
     def _act_gen(self, gen, mono):
         """x_(n,p,i) on a monomial, a fresh {monomial: Rat} dict."""
@@ -536,17 +523,19 @@ class InducedModule:
 
 
 def _stack(columns, vb):
-    """The block (D, {code << vb | v: int}) whose column v is the integer
-    form columns[v] (D_v, {code: int}); with one column, that form."""
-    if not vb:
-        return columns[0]
+    """The block (D, {code << vb | v: int}) whose column v is the canonical
+    integer form columns[v] (D_v, {code: int}).  D is the lcm of the D_v,
+    and the block is canonical as it stands: a prime power that divides D
+    exactly divides some D_v exactly, and that column keeps a numerator
+    prime to it."""
     den, acc = 1, {}
     for v, (tden, terms) in enumerate(columns):
-        den = _widen(den, acc, tden)
+        if den % tden:
+            den = widen(den, acc, tden)
         f = den // tden
         for k, x in terms.items():
             acc[k << vb | v] = f * x
-    return canonical(den, acc)
+    return (den, acc) if acc else ZERO_FORM
 
 
 def _join(den, acc, e, block, cols, vb, shift):
@@ -556,7 +545,8 @@ def _join(den, acc, e, block, cols, vb, shift):
     of the block, and each code o there is written o << shift | v."""
     bden, nums = block
     e *= bden
-    den = _widen(den, acc, e)
+    if den % e:
+        den = widen(den, acc, e)
     f, get, vmask = den // e, acc.get, (1 << vb) - 1
     for k, y in nums.items():
         hits = cols.get(k & vmask)
@@ -565,17 +555,6 @@ def _join(den, acc, e, block, cols, vb, shift):
             for v, x in hits:
                 k = out | v
                 acc[k] = get(k, 0) + x * y
-    return den
-
-
-def _widen(den, acc, e):
-    """A multiple of den and e, the lcm when den is none of e: acc's
-    numerators are scaled to it in place."""
-    if den % e:
-        w = e // gcd(den, e)
-        for k in acc:
-            acc[k] *= w
-        den *= w
     return den
 
 

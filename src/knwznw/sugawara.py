@@ -208,13 +208,17 @@ def _relation_plan(module, k, r, c1, top):
     sends w past slice 0 and is dropped; at the critical level there is
     none.  The scalar carries the level, so the plans are memoised with
     the module's other memos (`InducedModule._relation_plans`, one per
-    level), never in the configuration's cache."""
-    key = (k, r, c1, top)
-    plan = module._relation_plans.get(key)
+    level, the scalar itself under None), never in the configuration's
+    cache."""
+    plans, key = module._relation_plans, (k, r, c1, top)
+    plan = plans.get(key)
     if plan is None:
-        s, (n, p, i) = _relation_scalar(module), module.generator(c1)
+        s = plans.get(None)
+        if s is None:
+            s = plans[None] = _relation_scalar(module)
+        n, p, i = module.generator(c1)
         lden, lnums = _unit_lie_derivative(module.cfg, (k, r), 0, (n, p))
-        plan = module._relation_plans[key] = (lden * s.den, tuple(
+        plan = plans[key] = (lden * s.den, tuple(
             (mode_digit(module.cfg, module.alg, (m, q, i)), s.num * x)
             for (m, q), x in lnums.items() if m <= top) if s.num else ())
     return plan
@@ -302,7 +306,11 @@ def apply_L_raw(module, idx, vec, into=None, a=1, b=1, vb=0):
     vden, nums = vec
     den, acc = into or (1, {})
     images, mvb, e = module._sugawara_memo[idx], module._vbits, b * vden
-    if not mvb:  # a code is its string
+    if not mvb:
+        # one vacuum vector: a code is its string and its image block the
+        # image itself, added directly.  The grouping below gives the same
+        # sums in about 7% more time on the audits of such modules
+        # (CPython 3.11, x86-64)
         for code, x in nums.items():
             img = images.get(code) or _image(module, *idx, code)
             if img[1]:
@@ -316,8 +324,9 @@ def apply_L_raw(module, idx, vec, into=None, a=1, b=1, vb=0):
         strings.setdefault(code >> mvb, {}).setdefault(
             code & mmask, []).append((key & vmask, a * x))
     for string, cols in strings.items():
-        den = _join(den, acc, e, images.get(string)
-                    or _image(module, *idx, string), cols, mvb, vb)
+        img = images.get(string) or _image(module, *idx, string)
+        if img[1]:
+            den = _join(den, acc, e, img, cols, mvb, vb)
     return (den, acc) if into else canonical(den, acc)
 
 

@@ -3,9 +3,10 @@
 import math
 from math import lcm
 
-from knwznw._kernel import RAT0, form, rats
+from knwznw._kernel import RAT0, canonical, form, rats
 from knwznw.basis import DivisorForm, Section
 from knwznw.finite_lie import factor_op
+from knwznw.modules import _columns
 
 
 def section_of(cfg, lam, f):
@@ -120,3 +121,10 @@ def peel(module, code):
     string = code >> module._vbits
     return (string & module._dmask,
             string >> module._dbits << module._vbits | code & module._vmask)
+
+
+def column(module, block, v):
+    """Column v of a block (D, {code << _vbits | v: int}) of an induced
+    module, as a canonical integer form (D, {code: int})."""
+    return canonical(block[0], _columns(block[1], module._vbits,
+                                        module.vac_dim)[v])

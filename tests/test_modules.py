@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import peel, section_of
+from conftest import column, peel, section_of
 from knwznw import Rat, verify
 from knwznw._kernel import RAT0, RAT1, ZERO_FORM, merge, rats
 from knwznw.affine import (AffineElement, _block_expansions, affine_bracket,
@@ -482,7 +482,7 @@ def test_memoised_forms_are_canonical(sl2):
         images = [img for memo in module._sugawara_memo.values()
                   for img in memo.values()]
         for blocks in (list(module._act_memo.values()), images):
-            columns = [module._column_form(block, v) for block in blocks
+            columns = [column(module, block, v) for block in blocks
                        for v in range(module.vac_dim)]
             assert len(columns) > 1000
             for forms in (blocks, columns):

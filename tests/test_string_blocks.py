@@ -20,7 +20,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import peel
+from conftest import column, peel
 from knwznw import Rat, sugawara
 from knwznw._kernel import RAT0, add_scaled, canonical
 from knwznw.algebras import R_ZERO, cocycle_chi, vf_bracket
@@ -232,15 +232,14 @@ def assert_columns_are_per_code(module, ops, draw_strings):
         string, gen = key >> module._dbits, key & module._dmask
         for v in range(dim):
             code = string << vb | v
-            assert module._column_form(block, v) == oracle.act(gen, code)
+            assert column(module, block, v) == oracle.act(gen, code)
             assert module._act_form(gen, code) == oracle.act(gen, code)
             columns += 1
     for (k, r), images in module._sugawara_memo.items():
         for string, block in images.items():
             for v in range(dim):
                 code = string << vb | v
-                assert module._column_form(block, v) == oracle.image(k, r,
-                                                                     code)
+                assert column(module, block, v) == oracle.image(k, r, code)
                 columns += 1
     return columns
 

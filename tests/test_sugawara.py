@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import column
 from knwznw import Rat, verify
 from knwznw.algebras import vf_bracket
 from knwznw._kernel import RAT0, form, merge, rats
@@ -456,7 +457,7 @@ def test_multipoint_audit_reuses_memoised_images(sl2, monkeypatch):
     # caller gets a fresh nonzero form of its monomial's column and may
     # mutate it, the memo never changes
     block = (own[0], dict(own[1]))
-    want = module._column_form(own, code & module._vmask)
+    want = column(module, own, code & module._vmask)
     unit = (1, {code: 1})
     out = apply_L_raw(module, (0, 1), unit)
     assert out == want and want[1]
@@ -676,7 +677,7 @@ def test_peeled_images_match_the_wider_term_plan(kind, points, weights,
             mono = module.decode(string << vb)
             plan = sugawara._term_plan(cfg, sl2, k, r, mono.degree - 3)
             for v in range(module.vac_dim):
-                assert module._column_form(img, v) == sugawara._apply_plan(
+                assert column(module, img, v) == sugawara._apply_plan(
                     module, plan, string << vb | v)
             if not mono.creation:
                 continue
