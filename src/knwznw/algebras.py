@@ -11,13 +11,15 @@ with K = k_a + k_b and e_j the j-th unit vector,
     e s' + lam e' s = c_e c_s sum_j (k_s,j + lam k_e,j) M_{K - e_j},
 
 the last being the Lie derivative of a weight-lam s along e d/dz; at
-lam = -1 it is the bracket e s' - s e' of vector fields.  The basis
-expansion of each monomial M_K dz^lam is `basis.monomial_expansion`, a
-closed form (a split recursion down to partial fractions) cached once
-per K for every weight under "mexp"; a unit entry ("prod", or "lied",
-which at lam = -1 holds the brackets) sums at most N weight-free forms
-read at weight lam once.  No unit entry is reconstructed at run time:
-the tests check the closed form against `expand_in_basis`.
+lam = -1 it is the bracket e s' - s e' of vector fields.  A unit at P_p
+is B_{e,p} = V_p^-e M_{e 1 - e_p} (`basis`), so K = E 1 + K0 with
+E = e_a + e_b, K0 = -e_p - e_r, and each entry of a point pair (p, r)
+is c Pi^E times M_K0 (products) or (e_s + lam e_e) S0 - R0 - lam P0
+(Lie derivatives at any weight) for S0 = sum_j M_{K0 - e_j},
+R0 = M_{K0 - e_r} and P0 = M_{K0 - e_p}.  Their weight-free closed forms
+(`basis._monomial_form`) are cached once per (p, r) ("ubase"); a unit
+entry ("prod", or "lied", which at lam = -1 holds the brackets) is their
+exact rescale Pi^E B_{e,s} = V_s^E B_{e+E,s} (`_rescaled`).
 Products, brackets and Lie derivatives of combinations share one
 integer-form core, `_bilinear_raw`: it sums the scaled unit entries over
 one common denominator, into a caller's accumulator or a fresh one, and
@@ -28,11 +30,11 @@ is built only at the public boundary (`multiply`, `vf_bracket`,
 `vf_bracket_sum` exposes the core for vector fields, on integer forms in
 and one canonical integer form of a sum of brackets out, for callers
 that only add brackets and test the sum for zero.
-Cocycles are residue sums.  A unit gamma entry f dg = c_f c_g sum_j
-k_g,j M_{K - e_j} sums at most N cached `basis.monomial_residue`s
-("mres", read off the monomial expansions); the connection part of chi
+Cocycles are residue sums.  A unit gamma entry f dg = c Pi^E (e_g S0 -
+R0) reads at most N coefficients of the same base forms, since B_{e,s} dz
+has residue sum 1 at e = 0 and 0 otherwise; the connection part of chi
 uses the bracket identity with one cached residue of R M_K per (R, K)
-("Rmono").  Both sums run in Python ints into one Rat.  Chi's
+("Rmono"), summed in Python ints into one Rat.  Chi's
 third-derivative part stays on local jets, except where its degree at
 infinity settles it as 0 (`_unit_chi`).  The two
 geometric cocycles are
@@ -49,13 +51,13 @@ infinity, hence the residue sums.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 from typing import NamedTuple
 
 from ._kernel import RAT0, RAT1, Rat, add_scaled, canonical, form, rats
-from .basis import (DivisorForm, GradedElement, _monomial_form, at_weight,
+from .basis import (DivisorForm, GradedElement, _monomial_form, _v_powers,
                     kn_basis_element, kn_basis_record, linear_combination,
-                    monomial_residue, residue_sum, section_from_graded)
+                    residue_sum, section_from_graded)
 from .errors import DomainError
 from .ratfield import INFINITY, RationalFunction, order_at
 
@@ -90,10 +92,6 @@ def _as_graded(x):
     return x
 
 
-def _unit_form(cfg, lam, a):
-    return kn_basis_record(cfg, (lam, *a))._form
-
-
 def _bracket_form(cfg, e, f):
     """e f' - f e' for forms e, f."""
     return linear_combination(cfg.points, ((RAT1, e * f.deriv()),
@@ -103,8 +101,8 @@ def _bracket_form(cfg, e, f):
 def _unit_pair(cfg, lam_a, a, lam_b, b):
     """(c, k_a, k_b) for A_a = c_a M_{k_a} and A_b = c_b M_{k_b}, with
     c = c_a c_b as (num, den)."""
-    fa = _unit_form(cfg, lam_a, a)
-    fb = _unit_form(cfg, lam_b, b)
+    fa = kn_basis_record(cfg, (lam_a, *a))._form
+    fb = kn_basis_record(cfg, (lam_b, *b))._form
     return (fa.nums[0] * fb.nums[0], fa.den * fb.den), fa.k, fb.k
 
 
@@ -116,16 +114,40 @@ def _lowered(ka, kb, weights):
             for j, w in enumerate(weights)]
 
 
-def _unit_entry(cfg, lam, c, terms):
-    """The basis expansion of c sum_j w_j M_{k_j} dz^lam over (w_j, k_j)
-    in terms, as a canonical integer form: the weight-free monomial forms
-    summed, then read `at_weight` lam once."""
-    cn, cd = c
-    den, acc = 1, {}
-    for w, k in terms:
-        if w:
-            den = add_scaled(den, acc, *_monomial_form(cfg, k), cn * w, cd)
-    return at_weight(canonical(den, acc), lam)
+def _unit_base(cfg, p, r):
+    """(den, {e: {s: (M_K0, S0, R0, P0)}}): the weight-free forms over the
+    B_{e,s} at K0 = -e_p - e_r, one denominator; cached per (p, r)."""
+    key = ("ubase", p, r)
+    hit = cfg.cache.get(key)
+    if hit is None:
+        k0 = tuple(-(q == p) - (q == r) for q in range(1, cfg.n_points + 1))
+        low = [_monomial_form(cfg, k0)] + [
+            _monomial_form(cfg, k0[:j] + (k0[j] - 1,) + k0[j + 1:])
+            for j in range(cfg.n_points)]
+        den, acc = lcm(*(d for d, _ in low)), {}
+        for j, (d, nums) in enumerate(low):  # M_K0, then M_{K0 - e_j}
+            for (e, s), x in nums.items():
+                x *= den // d
+                row = acc.setdefault(e, {})
+                f, y, t, u = row.get(s, (0, 0, 0, 0))
+                row[s] = (f + x * (j == 0), y + x * (j > 0), t + x * (j == r),
+                          u + x * (j == p))
+        hit = cfg.cache[key] = den, acc
+    return hit
+
+
+def _rescaled(cfg, p, ea, r, eb, lam, base, w):
+    """c_a c_b Pi^E F dz^lam over the A_{n,s}, canonical, for A_a = B_{ea,p},
+    A_b = B_{eb,r}, E = ea + eb and F the combination with weights w of a
+    `_unit_base` of (p, r), or of some of its rows."""
+    e = ea + eb
+    (ad, an), (bd, bn) = _v_powers(cfg, -ea), _v_powers(cfg, -eb)
+    vd, vn = _v_powers(cfg, e)
+    m = [an[p - 1] * bn[r - 1] * x for x in vn.values()]
+    (den, rows), (wf, ws, wt, wu) = base, w
+    return canonical(den * ad * bd * vd, {
+        (k + e + lam - 1, s): (wf * f + ws * x + wt * y + wu * z) * m[s - 1]
+        for k, row in rows.items() for s, (f, x, y, z) in row.items()})
 
 
 def _unit_product(cfg, lams, a, b):
@@ -133,10 +155,10 @@ def _unit_product(cfg, lams, a, b):
         else ("prod", (lams[1], lams[0]), b, a)
     hit = cfg.cache.get(key)
     if hit is None:
-        c, ka, kb = _unit_pair(cfg, lams[0], a, lams[1], b)
-        hit = _unit_entry(cfg, lams[0] + lams[1], c,
-                          [(1, tuple(x + y for x, y in zip(ka, kb)))])
-        cfg.cache[key] = hit
+        (n, p), (m, r) = a, b  # A_a A_b = c_a c_b Pi^E M_K0
+        hit = cfg.cache[key] = _rescaled(
+            cfg, p, n - lams[0] + 1, r, m - lams[1] + 1, sum(lams),
+            _unit_base(cfg, p, r), (1, 0, 0, 0))
     return hit
 
 
@@ -154,8 +176,11 @@ def _unit_lie_derivative(cfg, a, lam, b):
     key = ("lied", a, lam, b)
     hit = cfg.cache.get(key)
     if hit is None:
-        hit = _unit_entry(cfg, lam, *_lie_terms(cfg, a, lam, b))
-        cfg.cache[key] = hit
+        # e s' + lam e' s = c Pi^E ((e_s + lam e_e) S0 - R0 - lam P0)
+        (n, p), (m, r) = a, b
+        hit = cfg.cache[key] = _rescaled(
+            cfg, p, n + 2, r, m - lam + 1, lam, _unit_base(cfg, p, r),
+            (0, m - lam + 1 + lam * (n + 2), -1, -lam))
     return hit
 
 
@@ -260,11 +285,12 @@ def _unit_gamma(cfg, a, b):
     key = ("gammau", a, b)
     hit = cfg.cache.get(key)
     if hit is None:
-        # f dg = c sum_j k_g,j M_{K - e_j}
-        c, ka, kb = _unit_pair(cfg, 0, a, 0, b)
-        hit = _residue_combination(cfg, c, _lowered(ka, kb, kb),
-                                   monomial_residue)
-        cfg.cache[key] = hit
+        # f dg = c Pi^E (e_g S0 - R0); A^1_{n,s} has residue sum [n = 0]
+        (n, p), (m, r), e = a, b, -a[0] - b[0] - 2
+        den, rows = _unit_base(cfg, p, r)
+        d, out = _rescaled(cfg, p, n + 1, r, m + 1, 1,
+                           (den, {e: rows.get(e, {})}), (0, m + 1, -1, 0))
+        hit = cfg.cache[key] = Rat(sum(out.values()), d)
     return hit
 
 
@@ -311,7 +337,8 @@ def _unit_chi(cfg, a, b, R):
         # each point and the first part is -res(e f'''), which is 0 when
         # e f''' has degree sum k_e + sum k_f - 3 < -1 (no residue at
         # infinity, so none in all at the marked points)
-        e, f = _unit_form(cfg, -1, a), _unit_form(cfg, -1, b)
+        e = kn_basis_record(cfg, (-1, *a))._form
+        f = kn_basis_record(cfg, (-1, *b))._form
         if sum(e.k) + sum(f.k) < 2:
             hit = RAT0
         else:

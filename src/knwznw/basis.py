@@ -30,10 +30,14 @@ closed form (`monomial_expansion`), and its residue sum is the sum of the
 expansion's degree-0 coefficients (`monomial_residue`, direct from the
 residue at infinity or at poles of order at most two), through which
 the pairing of weights h and 1 - h that realizes the duality takes a
-basis pair.  The pairing, `section_from_graded`, `expand_in_basis` and
-the unit entries in `algebras` take a basis element's form straight off
-the cached Section, with no `Section.form` point check on one made for
-the same Config.
+basis pair.  The closed form is over B_{e,s} = V_s^-e M_{e 1 - e_s}
+(the constant c above is V_p^-e, e = n - h + 1), with the powers of
+V_s = prod_{q != s} (P_s - P_q) cached per c (`_v_powers`), and
+Pi = prod_i (z - P_i) shifts it exactly: Pi^c B_{e,s} = V_s^c B_{e+c,s},
+so M_{K + c 1} expands as M_K rescaled.  The pairing,
+`section_from_graded`, `expand_in_basis` and chi in `algebras` take a
+basis element's form straight off the cached Section, with no
+`Section.form` point check on one made for the same Config.
 
 Every polynomial and truncated series here, q and the jets included, is
 an integer form (den, nums): den > 0, coefficient t is nums[t] / den and
@@ -456,14 +460,9 @@ def residue_sum(cfg, f, g, df=0, dg=0):
 def monomial_expansion(cfg, k, lam):
     """The basis expansion of M_k dz^lam, M_k = prod_i (z - P_i)^k_i, as a
     canonical integer form (den, {(n, p): int}) over the A_{n,p}: the
-    weight-free `_monomial_form` of k, read `at_weight` lam."""
-    return at_weight(_monomial_form(cfg, k), lam)
-
-
-def at_weight(mform, lam):
-    """A weight-free form (den, {(e, p): int}) over the B_{e,p} as one over
-    the A_{n,p} at weight lam, where B_{e,p} dz^lam is A_{e+lam-1,p}."""
-    den, nums = mform
+    weight-free `_monomial_form` of k read at weight lam, where
+    B_{e,p} dz^lam is A_{e+lam-1,p}."""
+    den, nums = _monomial_form(cfg, k)
     return den, {(e + lam - 1, p): x for (e, p), x in nums.items()}
 
 
@@ -510,6 +509,19 @@ def _leading(pts, k, i):
                 x, y, e = y, x, -e
             num, den = num * x ** e, den * y ** e
     return Rat(num, den)
+
+
+def _v_powers(cfg, c):
+    """V_s^c for V_s = prod_{q != s} (P_s - P_q), as the integer form
+    (d, {s - 1: n_s}) with V_s^c = n_s / d: the `_leading`s of the flat
+    exponent c 1; cached per c."""
+    key = ("vpow", c)
+    hit = cfg.cache.get(key)
+    if hit is None:
+        k = (c,) * cfg.n_points
+        hit = cfg.cache[key] = form({s: _leading(cfg.points, k, s)
+                                     for s in range(cfg.n_points)})
+    return hit
 
 
 def _double_pole_residue(pts, k, i):
@@ -707,7 +719,8 @@ def kn_basis_record(cfg, idx):
     lam, n, p = idx
     e = n - lam + 1
     k = tuple(e - 1 if i == p else e for i in range(1, cfg.n_points + 1))
-    c = _leading(cfg.points, (-e,) * cfg.n_points, p - 1)
+    d, nums = _v_powers(cfg, -e)
+    c = Rat(nums[p - 1], d)
     sec = cfg.cache[("basis", idx)] = Section(
         lam, DivisorForm(cfg.points, c.den, (c.num,), k))
     return sec

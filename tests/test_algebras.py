@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import section_of
-from knwznw import Rat, algebras, verify
+from knwznw import Rat, algebras, sugawara, verify
 from knwznw._kernel import ZERO_FORM, add_scaled, form, merge, rats
 from knwznw.algebras import (ProjectiveConnection,
                              R_ZERO, coboundary_compare, cocycle_chi,
@@ -19,7 +19,8 @@ from knwznw.algebras import (ProjectiveConnection,
                              vf_bracket_sum)
 from knwznw.basis import (Config, GradedElement, KNIndex, Section,
                           expand_in_basis, kn_basis_element, kn_pairing,
-                          linear_combination, residue_sum)
+                          linear_combination, monomial_residue,
+                          residue_sum)
 from knwznw.errors import DomainError
 from knwznw.verify import _jacobi_fault
 from knwznw.ratfield import INFINITY, Poly, RationalFunction as RF
@@ -334,12 +335,15 @@ def test_the_bracket_is_cached_as_the_weight_minus_one_lie_derivative(
     assert len(cfg.cache) == size
 
 
-def _faulty_lie_terms(cfg, a, lam, b):
-    """`algebras._lie_terms` with the weights k_s,j - lam k_e,j at
-    lam = -1: the entry of e s' + s e' in place of the bracket."""
-    c, ke, ks = algebras._unit_pair(cfg, -1, a, lam, b)
-    w = 1 if lam == -1 else lam
-    return c, algebras._lowered(ke, ks, [y + w * x for x, y in zip(ke, ks)])
+def _faulty_lie_derivative(cfg, a, lam, b):
+    """`algebras._unit_lie_derivative` with the weights
+    (e_s + |lam| e_e) S0 - R0 - |lam| P0, uncached: at lam = -1 the entry
+    of e s' + s e' in place of the bracket."""
+    (n, p), (m, r) = a, b
+    return algebras._rescaled(cfg, p, n + 2, r, m - lam + 1, lam,
+                              algebras._unit_base(cfg, p, r),
+                              (0, m - lam + 1 + abs(lam) * (n + 2), -1,
+                               -abs(lam)))
 
 
 @pytest.mark.parametrize("check", [verify.lie_module,
@@ -349,7 +353,9 @@ def _faulty_lie_terms(cfg, a, lam, b):
 def test_a_wrong_bracket_entry_fails_the_checks_that_read_it(monkeypatch,
                                                              check):
     assert check()[0] is True
-    monkeypatch.setattr(algebras, "_lie_terms", _faulty_lie_terms)
+    for ns in (algebras, sugawara, verify):
+        monkeypatch.setattr(ns, "_unit_lie_derivative",
+                            _faulty_lie_derivative)
     assert check()[0] is False
 
 
@@ -748,7 +754,7 @@ def test_integer_residue_sums_match_the_fraction_loop(seed):
         c, ka, kb = algebras._unit_pair(cfg, 0, a, 0, b)
         want = _ref_residue_combination(
             c, algebras._lowered(ka, kb, kb),
-            lambda k: algebras.monomial_residue(cfg, k))
+            lambda k: monomial_residue(cfg, k))
         assert _fraction(algebras._unit_gamma(cfg, a, b)) == want, (a, b)
         want = _ref_residue_combination(
             *algebras._lie_terms(cfg, a, -1, b),

@@ -34,6 +34,9 @@ def mutant(owner, name, old, new):
     return out[name]
 
 
+LIE_WEIGHTS = "lam * (n + 2), -1, -lam)"
+ABS_LIE_WEIGHTS = "abs(lam) * (n + 2), -1, -abs(lam))"
+
 # fault -> (check, owner, function, line rewritten, its fault, detail
 # under it)
 FAULTS = {
@@ -51,19 +54,22 @@ FAULTS = {
     "rescaling-invariance": ("rescaling-invariance", basis, "kn_pairing",
                              "ff.den * gf.den", "ff.den",
                              "not scale invariant"),
-    # a monomial form read at the wrong weight shifts every product down
-    "almost-grading-locality": ("almost-grading-locality", basis,
-                                "at_weight", "e + lam - 1", "e + lam - 2",
+    # a rescaled unit entry read at the wrong weight shifts every product
+    # down
+    "almost-grading-locality": ("almost-grading-locality", algebras,
+                                "_rescaled", "e + lam - 1", "e + lam - 2",
                                 "lower shift violated"),
-    # a gamma (or chi connection) sum that drops its last term
-    "cocycle-vanishing": ("cocycle-vanishing", algebras,
-                          "_residue_combination", "for w, k in terms:",
-                          "for w, k in terms[:-1]:", "gamma on block pair"),
-    # the residue sum of "cohomologous-connections" below: only the block
-    # pairs at 1/2, -7/3, 5 have residues with denominators
+    # the base forms of a point pair without their last lowered monomial
+    # M_{K0 - e_N}, which every gamma (and Lie derivative) sums
+    "cocycle-vanishing": ("cocycle-vanishing", algebras, "_unit_base",
+                          "enumerate(low)", "enumerate(low[:-1])",
+                          "gamma on block pair"),
+    # a unit gamma without its denominator: only the block pairs at 1/2,
+    # -7/3, 5 have unit gammas with denominators
     "cocycle-vanishing-denominators": (
-        "cocycle-vanishing", algebras, "_residue_combination", "num * g + w",
-        "num + w", "gamma on block pair"),
+        "cocycle-vanishing", algebras, "_unit_gamma",
+        "Rat(sum(out.values()), d)", "Rat(sum(out.values()), 1)",
+        "gamma on block pair"),
     # the basis element's pole order put at P_1 whatever its point: the
     # order sum is unchanged
     "order-book": ("order-book", basis, "kn_basis_record",
@@ -98,16 +104,17 @@ FAULTS = {
     "psi-homomorphism": ("psi-homomorphism", affine, "_unit_loop_bracket",
                          "(k, h, s): v", "(k, h, 1): v",
                          "psi not a homomorphism"),
-    # the weights k_s,j + lam k_e,j with the sign of lam dropped: at
-    # lam = -1 the entry of e s' + s e' in place of the bracket, which
-    # the Lie derivative of a vector field and chi's cyclic sum read
-    "jacobi": ("jacobi", algebras, "_lie_terms", "y + lam * x",
-               "y + abs(lam) * x", "Jacobi fails (N=1)"),
-    "lie-module": ("lie-module", algebras, "_lie_terms", "y + lam * x",
-                   "y + abs(lam) * x", "module property fails"),
-    "cocycle-identities": ("cocycle-identities", algebras, "_lie_terms",
-                           "y + lam * x", "y + abs(lam) * x",
-                           "chi cocycle identity fails"),
+    # the weights (e_s + lam e_e) S0 - R0 - lam P0 with the sign of lam
+    # dropped: at lam = -1 the entry of e s' + s e' in place of the
+    # bracket, which the Lie derivative of a vector field and chi's cyclic
+    # sum read
+    "jacobi": ("jacobi", algebras, "_unit_lie_derivative", LIE_WEIGHTS,
+               ABS_LIE_WEIGHTS, "Jacobi fails (N=1)"),
+    "lie-module": ("lie-module", algebras, "_unit_lie_derivative",
+                   LIE_WEIGHTS, ABS_LIE_WEIGHTS, "module property fails"),
+    "cocycle-identities": ("cocycle-identities", algebras,
+                           "_unit_lie_derivative", LIE_WEIGHTS,
+                           ABS_LIE_WEIGHTS, "chi cocycle identity fails"),
     # the central part of [x_a, x_b] acting as twice the level inside
     # the creation string, but once on the element itself
     "representation-property": (
@@ -115,10 +122,10 @@ FAULTS = {
         "(1, self._identity(rest))",
         "(1, dict.fromkeys(self._identity(rest), 2))",
         "representation property fails on ["),
-    # a monomial form read one weight too high shifts every product up:
-    # two functions of degree -1 multiply into degree 0, which has a pole
-    # at infinity
-    "subalgebra-closure": ("subalgebra-closure", basis, "at_weight",
+    # a rescaled unit entry read one weight too high shifts every product
+    # up: two functions of degree -1 multiply into degree 0, which has a
+    # pole at infinity
+    "subalgebra-closure": ("subalgebra-closure", algebras, "_rescaled",
                            "e + lam - 1", "e + lam", "minus part not closed"),
     # a graded element realized with every term at P_1
     "expansion-roundtrip": ("expansion-roundtrip", basis,
