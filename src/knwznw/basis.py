@@ -492,8 +492,11 @@ def _monomial_form(cfg, k):
         hit = canonical(add_scaled(den, acc, *_monomial_form(cfg, kj),
                                    x.num, x.den), acc)
     else:
-        hit = form({(lo + 1, i + 1): _leading(pts, k, i)
-                    for i in range(len(k)) if k[i] == lo})
+        hit = {}
+        for i, e in enumerate(k):
+            if e == lo:
+                hit[lo + 1, i + 1] = _leading(pts, k, i)
+        hit = form(hit)
     cfg.cache[key] = hit
     return hit
 
@@ -561,13 +564,14 @@ def monomial_residue(cfg, k):
         if s == 0:
             hit = -sum((a * e for a, e in zip(pts, k) if e), RAT0)
         elif lo >= -2:
-            hit = sum((_leading(pts, k, i) if e == -1
-                       else _double_pole_residue(pts, k, i)
-                       for i, e in enumerate(k) if e < 0), RAT0)
+            hit = RAT0
+            for i, e in enumerate(k):
+                if e < 0:
+                    hit += (_leading(pts, k, i) if e == -1
+                            else _double_pole_residue(pts, k, i))
         else:
             den, nums = _monomial_form(cfg, k)  # B_{e,p} dz is A_{e,p}
-            hit = Rat(sum(nums.get((0, p), 0)
-                          for p in range(1, cfg.n_points + 1)), den)
+            hit = Rat(sum(x for (e, _p), x in nums.items() if e == 0), den)
         cfg.cache[key] = hit
     return hit
 
@@ -718,7 +722,7 @@ def kn_basis_record(cfg, idx):
         raise DomainError("point index %d out of range" % idx.p)
     lam, n, p = idx
     e = n - lam + 1
-    k = tuple(e - 1 if i == p else e for i in range(1, cfg.n_points + 1))
+    k = (e,) * (p - 1) + (e - 1,) + (e,) * (cfg.n_points - p)
     d, nums = _v_powers(cfg, -e)
     c = Rat(nums[p - 1], d)
     sec = cfg.cache[("basis", idx)] = Section(

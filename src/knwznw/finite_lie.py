@@ -20,7 +20,8 @@ The point-independent tensors on them are built once per irrep or pair
 of irreps, summed in ints: the local Casimir two-tensor `local_omega`
 and the Casimir of one factor `local_casimir` (`casimir_form` sums it
 from products `form_product`).  `place_local` puts a local tensor on
-one or two factors of a tensor product (`omega_entries` places Omega).
+one or two factors of a tensor product (`omega_entries` places Omega),
+and `braid_commutator` keeps the local commutator of each braid relation.
 The dense `factor_op` is an oracle for verify and the tests, and the
 one place where a `Rat` entry is built.
 """
@@ -230,12 +231,18 @@ def factor_op(mods, p, op):
 def place_local(mods, factors, local):
     """The integer form local of an operator on the listed factors
     (0-based, distinct), keyed (r_1, ..., r_k, c_1, ..., c_k) by the row
-    and column index on each, placed on the tensor product of mods: the
-    identity on every other factor.  Each key's offsets sum r_i s_i and
-    sum c_i s_i (s the strides) are taken once, and the indices base of
-    the other factors are those with a zero digit on each listed factor.
-    A canonical local form gives a canonical placed one."""
-    den, ents = local
+    and column index on each, placed on the tensor product of mods (the
+    identity on every other factor) at the offsets of `placement`.  A
+    canonical local form gives a canonical placed one."""
+    bases, offsets = placement(mods, factors, local[1])
+    return local[0], {(b + ro, b + co): v for ro, co, v in offsets
+                      for b in bases}
+
+
+def placement(mods, factors, ents):
+    """(bases, offsets) of local entries ents on the listed factors: the
+    indices base with a zero digit on each of them, ascending, and per key
+    its offsets sum r_i s_i and sum c_i s_i (s the strides) and value."""
     strides = tensor_strides(mods)
     st = [strides[f] for f in factors]
     bases = range(math.prod(m.dim for m in mods))
@@ -243,27 +250,39 @@ def place_local(mods, factors, local):
         d = mods[f].dim
         bases = [b for b in bases if (b // s) % d == 0]
     k = len(factors)
-    offsets = [(sum(map(mul, key[:k], st)), sum(map(mul, key[k:], st)), v)
-               for key, v in ents.items()]
-    return den, {(b + ro, b + co): v for ro, co, v in offsets for b in bases}
+    return bases, [(sum(map(mul, key[:k], st)), sum(map(mul, key[k:], st)),
+                    v) for key, v in ents.items()]
 
 
 def omega_entries(alg, mods, p, q):
     """The Casimir two-tensor Omega_pq = sum_i x_i^(p) u^i^(q) on factors
     p and q (0-based, p != q) of the tensor product of mods, as a
     canonical integer form: `local_omega`, built once per pair of irreps,
-    placed (`place_local`).  No dense factor_op products."""
+    placed (`place_local`).  No dense factor_op products.  On a product
+    of three irreps, where a braid relation lives, the placed form is
+    built once per (algebra, irreps, p, q) and kept, so that a relation
+    read again reads the same objects (`braid_commutator`)."""
     if p == q:
         raise DomainError("omega acts on two distinct factors")
-    return place_local(mods, (p, q), local_omega(alg, mods[p], mods[q]))
+    if len(mods) != 3:
+        return place_local(mods, (p, q), local_omega(alg, mods[p], mods[q]))
+    key = id(alg), *map(id, mods), p, q
+    hit = _TRIPLE_OMEGAS.get(key)
+    if hit is None:
+        hit = _TRIPLE_OMEGAS[key] = (alg, tuple(mods), place_local(
+            mods, (p, q), local_omega(alg, mods[p], mods[q])))
+    return hit[2]
 
 
 # The point-independent tensors of the degree-0 layer, one entry per
-# (algebra, irrep) or (algebra, irrep, irrep), keyed by the identity of the
-# objects and holding them, so that a key is never reused and a module
-# with other entries gets its own tensor.
+# (algebra, irrep), (algebra, irrep, irrep), (algebra, three irreps, p, q)
+# or, for the braid commutators `_BRAIDS`, per triple of operands, keyed
+# by the identity of the objects and holding them, so that a key is never
+# reused and a module with other entries gets its own tensor.
 _OMEGAS = {}
 _CASIMIRS = {}
+_TRIPLE_OMEGAS = {}
+_BRAIDS = {}
 
 
 def local_omega(alg, mp, mq):
@@ -294,6 +313,22 @@ def local_casimir(alg, mod):
     if hit is None:
         hit = _CASIMIRS[key] = (alg, mod, casimir_form(alg, mod.entries))
     return hit[2]
+
+
+def braid_commutator(pq, pr, qr):
+    """[Omega_pq, Omega_pr + Omega_qr] from the three Omegas placed on a
+    product of three irreps, a canonical integer form summed in ints
+    (`form_product`); built once per operand objects, in this order, so
+    a changed Omega, or one read in place of another, builds afresh."""
+    key = id(pq), id(pr), id(qr)
+    hit = _BRAIDS.get(key)
+    if hit is None:
+        rest = dict(pr[1])
+        rest = add_scaled(pr[0], rest, *qr, 1, 1), rest
+        den, acc = form_product(pq, rest)
+        den = add_scaled(den, acc, *form_product(rest, pq), -1, 1)
+        hit = _BRAIDS[key] = (pq, pr, qr, canonical(den, acc))
+    return hit[3]
 
 
 def casimir_form(alg, ops):

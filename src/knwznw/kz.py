@@ -54,7 +54,7 @@ from typing import NamedTuple, Optional
 from ._kernel import RAT0, RAT1, Rat, add_scaled, canonical
 from .basis import GradedElement, KNIndex, kn_basis_element
 from .errors import DomainError
-from .finite_lie import (casimir_eigenvalue, finite_irrep, form_product,
+from .finite_lie import (braid_commutator, casimir_eigenvalue, finite_irrep,
                          local_casimir, make_algebra, omega_entries,
                          place_local)
 from .ratfield import INFINITY
@@ -224,12 +224,12 @@ def flatness_check(system):
     keeps a triple's key and makes the triple lexicographically smaller,
     so the first triple of each key, and so the first failure, is among
     the ordered triples of those points, which are walked alone; a
-    success counts every ordered triple, N(N-1)(N-2).  The commutator is
-    summed in ints from the three Omegas, integer forms placed from the
-    cached local tensors (`omega_entries`), multiplied as they are
-    (`form_product`); the verdict is computed on every call.  A
+    success counts every ordered triple, N(N-1)(N-2).  Each call reads
+    the three Omegas on the three factors (`omega_entries`, kept per
+    triple of irreps); their commutator is kept for the process under
+    the identity of those operands (`finite_lie.braid_commutator`).  A
     counterexample is ((p, q, r), the commutator on those factors as a
-    canonical integer form), the first failing ordered triple;
+    canonical integer form, shared), the first failing ordered triple;
     checked_relations is then its rank in the walk.  Disjoint pairs
     commute by construction.  Exact; vacuous for N = 2.
     """
@@ -250,11 +250,7 @@ def flatness_check(system):
             mods = [finite_irrep(alg, w) for w in key]
             pq, pr, qr = (omega_entries(alg, mods, i, j)
                           for i, j in ((0, 1), (0, 2), (1, 2)))
-            rest = dict(pr[1])
-            rest = add_scaled(pr[0], rest, *qr, 1, 1), rest
-            den, acc = form_product(pq, rest)
-            den = add_scaled(den, acc, *form_product(rest, pq), -1, 1)
-            lhs = local[key] = canonical(den, acc)
+            lhs = local[key] = braid_commutator(pq, pr, qr)
         if lhs[1]:
             return FlatnessReport(False, False, checked, ((a, b, r), lhs))
     return FlatnessReport(True, False, n * (n - 1) * (n - 2))

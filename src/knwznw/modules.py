@@ -43,10 +43,10 @@ of the monomial s.v, an End(V)-valued coefficient per output string
 (`_act_block`); with one vacuum vector a block is the per-code form
 itself.  `_act_form` reads a column, from the block's canonical columns
 split once under its memo key; Rat is built at the boundary.  On the
-vacuum string a zero mode acts through its irrep's integer entries by
-column, built once per handle (`_vacuum_action`).  Each handle keeps its
-own memos (actions, brackets, slices, Sugawara images and relation
-plans).
+vacuum string a zero mode's irrep entries are put on its factor of V
+in one pass, at the offsets of `finite_lie.place_local`
+(`_vacuum_block`).  Each handle keeps its own memos (actions, brackets,
+slices, Sugawara images and relation plans).
 `degree_zero_action` gives an operator as a canonical integer form
 (D, {(row, column): int}) of its nonzero entries, as `kz` does.
 
@@ -69,7 +69,7 @@ from ._kernel import (RAT1, ZERO_FORM, Rat, add_scaled, canonical, form,
 from .affine import _unit_loop_bracket
 from .basis import Combination, Config
 from .errors import DomainError, TruncationOverflow
-from .finite_lie import GaugeAlgebra, finite_irrep, tensor_strides
+from .finite_lie import GaugeAlgebra, finite_irrep, placement
 from .ratfield import as_rat
 
 
@@ -162,9 +162,6 @@ class InducedModule:
         else:  # weyl, and fock: weyl over abelian1's one-dimensional irreps
             self.factors = tuple(finite_irrep(alg, w) for w in spec.weights)
             self.vac_dim = prod(f.dim for f in self.factors)
-            self.strides = tensor_strides(self.factors)
-            self._columns = tuple(tuple(_by_column(e) for e in f.entries)
-                                  for f in self.factors)
         self.weights = tuple(as_rat(w) for w in spec.weights)
         self._vbits = (self.vac_dim - 1).bit_length()  # the codec
         self._vmask = (1 << self._vbits) - 1
@@ -325,24 +322,30 @@ class InducedModule:
                 for k, x in nums.items()})
         return hit
 
-    def _vacuum_action(self, gen, vac):
-        """gen on the vacuum code vac, as a canonical integer form."""
+    def _vacuum_block(self, gen):
+        """The block of a generator digit on the vacuum string, for every
+        vacuum vector at once.  A creator writes itself in front of each
+        v, a positive mode acts by zero and a verma torus by its weight (e
+        by zero).  A degree-0 generator of weyl or fock acts by its irrep's
+        integer entries on its factor of V, placed as `place_local` places
+        them (`placement`), each (row, column) written
+        row << _vbits | column."""
         if gen < self._zero or gen in self._lowering:  # a creator
-            return 1, {gen << self._vbits | vac: 1}
+            return 1, self._identity(gen)
         p, i = divmod(gen - self._zero, self._dim)  # x_i at P_(p+1)
         if p >= self.cfg.n_points:  # a positive mode
             return ZERO_FORM
         if self.spec.kind != "verma":  # degree zero, on the irreps
-            sp = self.strides[p]
-            jp = (vac // sp) % self.factors[p].dim
-            col = self._columns[p][i].get(jp)
-            if col is None:
+            den, ents = self.factors[p].entries[i]
+            if not ents:
                 return ZERO_FORM
-            base = vac - jp * sp
-            return col[0], {base + r * sp: x for r, x in col[1].items()}
+            bases, offsets = placement(self.factors, (p,), ents)
+            vb = self._vbits
+            return den, {(b + r) << vb | b + c: x for r, c, x in offsets
+                         for b in bases}
         w = self.weights[p]  # a verma torus acts by the weight, e by 0
         if i in self.alg.cartan_indices and w.num != 0:
-            return w.den, {vac: w.num}
+            return w.den, {0: w.num}
         return ZERO_FORM
 
     def _act_block(self, gen, string):
@@ -355,16 +358,15 @@ class InducedModule:
         The generator commutes rightward through the string:
         gen.(c1.rest) = c1.(gen.rest) + [gen, c1].rest, summed over one
         widening denominator and reduced once.  Only the vacuum string
-        reads v (`_vacuum_action`, column by column); every other block
-        is built from blocks."""
+        reads v (`_vacuum_block`); every other block is built from
+        blocks."""
         key = string << self._dbits | gen
         hit = self._act_memo.get(key)
         if hit is not None:
             return hit
         c1 = string & self._dmask
         if not c1:
-            res = _stack([self._vacuum_action(gen, v)
-                          for v in range(self.vac_dim)], self._vbits)
+            res = self._vacuum_block(gen)
         elif gen <= c1 and (gen < self._zero or gen in self._lowering):
             res = (1, self._identity(key))
         else:
@@ -566,15 +568,6 @@ def _columns(nums, vb, n):
     for k, x in nums.items():
         cols[k & vmask][k >> vb] = x
     return cols
-
-
-def _by_column(op):
-    """{column: canonical integer form (D, {row: int})} of an operator's
-    integer form (D, {(row, column): int})."""
-    den, cols = op[0], {}
-    for (r, c), v in op[1].items():
-        cols.setdefault(c, {})[r] = v
-    return {c: canonical(den, col) for c, col in cols.items()}
 
 
 def induce_module(alg, cfg, spec):

@@ -3,9 +3,9 @@
 import math
 from math import lcm
 
-from knwznw._kernel import RAT0, canonical, form, rats
+from knwznw._kernel import RAT0, ZERO_FORM, canonical, form, rats
 from knwznw.basis import DivisorForm, Section
-from knwznw.finite_lie import factor_op
+from knwznw.finite_lie import factor_op, tensor_strides
 from knwznw.modules import _columns
 
 
@@ -128,3 +128,29 @@ def column(module, block, v):
     module, as a canonical integer form (D, {code: int})."""
     return canonical(block[0], _columns(block[1], module._vbits,
                                         module.vac_dim)[v])
+
+
+def vacuum_action(module, gen, vac):
+    """A generator digit on one vacuum code vac of an induced module, as a
+    canonical integer form: the per-column reference of the one-pass
+    `InducedModule._vacuum_block`.  A creator takes vac behind it, a
+    positive mode gives 0, a verma torus the weight (e gives 0), and a
+    degree-0 generator of weyl or fock reads column j_p of its irrep's
+    entries, j_p the digit of vac on factor p, onto the rows of that
+    factor by its stride."""
+    if gen < module._zero or gen in module._lowering:
+        return 1, {gen << module._vbits | vac: 1}
+    p, i = divmod(gen - module._zero, module._dim)
+    if p >= module.cfg.n_points:
+        return ZERO_FORM
+    if module.spec.kind != "verma":
+        sp = tensor_strides(module.factors)[p]
+        jp = (vac // sp) % module.factors[p].dim
+        den, ents = module.factors[p].entries[i]
+        base = vac - jp * sp
+        return canonical(den, {base + r * sp: x for (r, c), x in ents.items()
+                               if c == jp})
+    w = module.weights[p]
+    if i in module.alg.cartan_indices and w.num != 0:
+        return w.den, {vac: w.num}
+    return ZERO_FORM

@@ -17,8 +17,8 @@ import textwrap
 import pytest
 
 import knwznw
-from knwznw import (affine, algebras, basis, kz, modules, sugawara, verify,
-                    verify_kz)
+from knwznw import (affine, algebras, basis, finite_lie, kz, modules,
+                    sugawara, verify, verify_kz)
 
 
 def mutant(owner, name, old, new):
@@ -73,7 +73,8 @@ FAULTS = {
     # the basis element's pole order put at P_1 whatever its point: the
     # order sum is unchanged
     "order-book": ("order-book", basis, "kn_basis_record",
-                   "e - 1 if i == p", "e - 1 if i == 1",
+                   "(e,) * (p - 1) + (e - 1,) + (e,) * (cfg.n_points - p)",
+                   "(e - 1,) + (e,) * (cfg.n_points - 1)",
                    "orders off KN at (2, -1, -3, 2)"),
     # chi's degree bound one too wide: at N = 1 the pairs with n + m = 0
     # have sum k_e + sum k_f = 2 and lose their (n^3 - n)/12
@@ -178,17 +179,18 @@ FAULTS = {
         "coinvariant-clebsch-gordan", modules, "_relation_span",
         "range(1, module.cfg.n_points + 1)", "range(1, module.cfg.n_points)",
         "(1, 1, 1) at 0,1,-1: 2 (Clebsch-Gordan 0)"),
-    # an irrep's column read onto the first factor without its stride:
-    # at weights (1, 1) x_(0,1,i) lands on the rows of factor 2
-    "weyl-degree-zero": ("weyl-degree-zero", modules.InducedModule,
-                         "_vacuum_action", "base + r * sp", "base + r",
+    # an irrep's rows placed on the first factor without its stride (the
+    # module's vacuum blocks take the offsets of `place_local`): at
+    # weights (1, 1) x_(0,1,i) lands on the rows of factor 2
+    "weyl-degree-zero": ("weyl-degree-zero", finite_lie, "placement",
+                         "sum(map(mul, key[:k], st))", "sum(key[:k])",
                          "degree-0 action mismatch"),
-    # every positive mode acts on a vacuum monomial as the identity in
+    # every positive mode acts on the vacuum string as the identity in
     # place of zero
     "admissibility": ("admissibility", modules.InducedModule,
-                      "_vacuum_action",
+                      "_vacuum_block",
                       "# a positive mode\n        return ZERO_FORM",
-                      "# a positive mode\n        return 1, {vac: 1}",
+                      "# a positive mode\n        return 1, self._identity(0)",
                       "not admissible at (0, 1, 1, 0)"),
     # the engine's term plans lose the boundary modes of their window,
     # every term with a mode -dv; the check's plans of degree d - 3 lose

@@ -1,8 +1,10 @@
 """Formal KZ system: tangent fields, matrices, classical fit, flatness."""
 
 import copy
+import inspect
 import math
 import random
+import textwrap
 from fractions import Fraction
 from itertools import permutations
 
@@ -330,6 +332,67 @@ def test_the_walk_of_first_points_matches_the_walk_of_every_triple(
             (want.holds, want.counterexample)
         assert (got.checked_relations == want.checked_relations if got.holds
                 else got.checked_relations <= want.checked_relations)
+
+
+def flatness_read_twice():
+    """`flatness_check` with the registry's `kz-flatness` fault: Omega_pr
+    read in place of Omega_qr."""
+    fn = kz.flatness_check
+    src = textwrap.dedent(inspect.getsource(fn))
+    old = "((0, 1), (0, 2), (1, 2))"
+    assert src.count(old) == 1
+    out = {}
+    exec(compile(src.replace(old, "((0, 1), (0, 2), (0, 2))"),
+                 inspect.getsourcefile(fn), "exec"), vars(kz), out)
+    return out["flatness_check"]
+
+
+@pytest.mark.parametrize("weights", [(1, 1, 2), (2, 2, 2), (1, 2, 1, 1)])
+def test_a_warm_commutator_cache_still_sees_a_changed_omega(
+        sl2, weights, monkeypatch):
+    # the local commutators are kept for the whole process, yet after a
+    # passing check on the same weights a doubled Omega_pr, and the
+    # `kz-flatness` fault that reads Omega_pr twice, each fail the check,
+    # and the sound check passes again after each
+    system = kz_matrices(Config(range(len(weights))), sl2, weights, Rat(1))
+    assert flatness_check(system).holds
+    real = kz.omega_entries
+
+    def doubled(alg, mods, p, q):
+        m = real(alg, mods, p, q)
+        return double(m) if (p, q) == (0, 2) else m
+
+    monkeypatch.setattr(kz, "omega_entries", doubled)
+    assert not flatness_check(system).holds
+    monkeypatch.undo()
+    assert flatness_check(system).holds
+    assert not flatness_read_twice()(system).holds
+    assert flatness_check(system).holds
+
+
+def test_a_repeated_weight_key_multiplies_nothing(sl2, monkeypatch):
+    # a weight key checked once in the process, here those of (2, 1, 2),
+    # is read from the commutator cache at other points, levels and
+    # orders: no form_product call, no new cache entry; a new key builds
+    first = kz_matrices(Config(["0", "1", "-1"]), sl2, (2, 1, 2), Rat(1))
+    again = kz_matrices(Config(["1/2", "-7/3", "5"]), sl2, (1, 2, 2), Rat(2))
+    other = kz_matrices(Config(["0", "1", "-1"]), sl2, (3, 1, 3), Rat(1))
+    monkeypatch.setattr(finite_lie, "_BRAIDS", {})
+    assert flatness_check(first).holds
+    calls = []
+    real = finite_lie.form_product
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(finite_lie, "form_product", counting)
+    size = len(finite_lie._BRAIDS)
+    for system in (first, again, first):
+        assert flatness_check(system).holds
+    assert calls == [] and len(finite_lie._BRAIDS) == size
+    assert flatness_check(other).holds
+    assert calls and len(finite_lie._BRAIDS) > size
 
 
 def test_flatness_builds_one_local_product_for_equal_weights(sl2,
@@ -724,9 +787,10 @@ def test_the_integer_fit_on_scalar_and_empty_oracles(sl2, ab):
 
 
 def test_the_shared_irreps_and_tensors_are_read_only(sl2, ab):
-    # the irreps and the cached Omegas and Casimirs are dicts every caller
-    # shares: KZ matrices, flatness, coinvariant dimensions and the kz
-    # suite, run twice, change none of them and give the same results
+    # the irreps, the cached Omegas (local and on three factors), Casimirs
+    # and braid commutators are dicts every caller shares: KZ matrices,
+    # flatness, coinvariant dimensions and the kz suite, run twice, change
+    # none of them and give the same results
     cases = [(sl2, ["0"], (2,)), (sl2, ["0", "1"], (2, 0)),
              (sl2, ["0", "1"], (1, 1)),
              (sl2, ["0", "1", "-1", "2"], (1, 2, 1, 0)),
@@ -745,7 +809,8 @@ def test_the_shared_irreps_and_tensors_are_read_only(sl2, ab):
                     degree_zero_coinvariant_dimension(module)]
         return out + [verify.run_suite("kz")]
 
-    tables = finite_lie._IRREPS, finite_lie._OMEGAS, finite_lie._CASIMIRS
+    tables = (finite_lie._IRREPS, finite_lie._OMEGAS, finite_lie._CASIMIRS,
+              finite_lie._TRIPLE_OMEGAS, finite_lie._BRAIDS)
     before = copy.deepcopy(tables)
     first = work()
     after = copy.deepcopy(tables)

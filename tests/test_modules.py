@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import column, peel, section_of
+from conftest import column, peel, section_of, vacuum_action
 from knwznw import Rat, verify
 from knwznw._kernel import RAT0, RAT1, ZERO_FORM, merge, rats
 from knwznw.affine import (AffineElement, _block_expansions, affine_bracket,
@@ -263,23 +263,23 @@ def test_admissibility(weyl11):
 
 
 def test_a_wrong_vacuum_action_entry_fails_weyl_degree_zero(monkeypatch):
-    # one entry of the degree-0 action on the vacuum codes, h(0,1) on
+    # one entry of the degree-0 action on the vacuum string, h(0,1) on
     # vacuum 0 (the weight, 1), moves by one
     assert verify.weyl_degree_zero()[0]
-    real = InducedModule._vacuum_action
+    real = InducedModule._vacuum_block
     moved = []
 
-    def wrong(self, gen, vac):
-        out = real(self, gen, vac)
-        if self.generator(gen) == (0, 1, H) and vac == 0:
-            assert out == (1, {0: 1})
-            moved.append(vac)
-            return 1, {0: 2}
-        return out
+    def wrong(self, gen):
+        den, nums = real(self, gen)
+        if self.generator(gen) == (0, 1, H):
+            assert den == 1 and nums[0] == 1  # key 0 << _vbits | 0
+            moved.append(gen)
+            return den, {**nums, 0: 2}
+        return den, nums
 
-    monkeypatch.setattr(InducedModule, "_vacuum_action", wrong)
+    monkeypatch.setattr(InducedModule, "_vacuum_block", wrong)
     assert verify.weyl_degree_zero() == (False, "degree-0 action mismatch")
-    assert moved == [0]
+    assert len(moved) == 1
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -386,11 +386,11 @@ def digit(module, gen):
     return mode_digit(module.cfg, module.alg, gen)
 
 
-def vacuum_action(module, gen, vac):
-    """`InducedModule._vacuum_action` of a generator (n, p, i) through the
-    codec, its integer form read as {monomial: Rat}."""
+def rat_vacuum_action(module, gen, vac):
+    """The per-column reference `vacuum_action` of a generator (n, p, i)
+    through the codec, its integer form read as {monomial: Rat}."""
     return {module.decode(c): v for c, v
-            in rats(*module._vacuum_action(digit(module, gen), vac)).items()}
+            in rats(*vacuum_action(module, digit(module, gen), vac)).items()}
 
 
 def is_creation(module, gen):
@@ -412,7 +412,7 @@ def rat_act_gen(module, gen, mono, memo):
         return hit
     creation = mono.creation
     if not creation:
-        res = vacuum_action(module, gen, mono.vacuum)
+        res = rat_vacuum_action(module, gen, mono.vacuum)
     elif is_creation(module, gen) and gen <= creation[0]:
         res = {PBWMonomial((gen,) + creation, mono.vacuum): RAT1}
     else:
@@ -635,7 +635,7 @@ class _Reduction:
         creation = mono.creation
         if not creation:
             acc = {}
-            for m2, c in vacuum_action(module, gen, mono.vacuum).items():
+            for m2, c in rat_vacuum_action(module, gen, mono.vacuum).items():
                 merge(acc, self.row(m2), c)
             res = acc or _ZERO_ROW
         elif is_creation(module, gen) and gen <= creation[0]:

@@ -20,13 +20,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import column, peel
+from conftest import column, peel, vacuum_action
 from knwznw import Rat, sugawara
 from knwznw._kernel import RAT0, add_scaled, canonical
 from knwznw.algebras import R_ZERO, cocycle_chi, vf_bracket
 from knwznw.basis import Config, GradedElement
 from knwznw.finite_lie import make_algebra
-from knwznw.modules import ModuleSpec, ModuleVector, induce_module
+from knwznw.modules import (ModuleSpec, ModuleVector, induce_module,
+                            mode_digit)
 from knwznw.sugawara import AuditEntry, sugawara_commutator_audit
 
 
@@ -47,7 +48,7 @@ class PerCode:
         m = self.module
         c1, rest = peel(m, code)
         if not c1:
-            res = m._vacuum_action(gen, code)
+            res = vacuum_action(m, gen, code)
         elif gen <= c1 and (gen < m._zero or gen in m._lowering):
             res = (1, {m._prepend(gen, code): 1})
         else:
@@ -258,6 +259,38 @@ def test_every_block_column_is_the_per_code_form(kind, data):
         data.draw(st.lists(st.sampled_from(strings), min_size=1,
                            max_size=max(1, 12 // dim), unique=True))))
     assert columns >= 2 * dim
+
+
+@pytest.mark.parametrize("kind", ["weyl", "fock", "verma"])
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_the_placed_vacuum_block_is_the_per_column_action(kind, data):
+    # the block of every generator of modes -2..2 on the vacuum string,
+    # built in one pass: creators (with a verma module's degree-0
+    # lowering ones), degree-0 generators through the irreps or the verma
+    # weights, and positive modes; it is canonical, it is what the action
+    # memo holds, and each column v is the per-column action on vacuum v
+    module = fresh(data.draw(modules((kind,))))
+    alg, n = module.alg, module.cfg.n_points
+    seen = {"create": 0, "zero": 0, "positive": 0}
+    for mode in range(-2, 3):
+        for p in range(1, n + 1):
+            for i in range(alg.dim):
+                gen = mode_digit(module.cfg, alg, (mode, p, i))
+                block = module._vacuum_block(gen)
+                assert canonical(*block) == block
+                assert module._act_block(gen, 0) == block
+                for v in range(module.vac_dim):
+                    assert column(module, block, v) == vacuum_action(
+                        module, gen, v)
+                kind_of = ("create" if gen < module._zero
+                           or gen in module._lowering else
+                           "positive" if mode > 0 else "zero")
+                seen[kind_of] += bool(block[1])
+    assert seen["create"] == 2 * n * alg.dim + (
+        n * len(alg.minus_indices) if kind == "verma" else 0)
+    assert seen["positive"] == 0
+    assert bool(seen["zero"]) == any(w.num for w in module.weights)
 
 
 def test_the_largest_vacuum_space_is_the_per_code_form():
