@@ -58,8 +58,8 @@ MAX_WEYL_WEIGHT = 400
 #   module --action (9,9,8), --json-indent 4    14,580,000   3.8   835
 #   module --coinvariants (2,...,2,0), N = 9    14,526,054   4.7    70
 #   module --coinvariants verma w26, N = 4      13,154,400   5.1   174
-#   module --coinvariants (56,56,57), N = 3     14,133,150   4.5   315
-#   module --coinvariants (400,399), N = 2       8,020,000   4.5   201
+#   module --coinvariants (56,56,57), N = 3     14,133,150   1.2   189
+#   module --coinvariants (400,399), N = 2       8,020,000   1.0   134
 #   refused: module --action (10,10,10), N = 3  15,944,049   2.2   319
 #   refused: module --action (9,9,9), indent 8  27,000,000   4.8  1303
 #   refused: sugawara -7,1,0,2 slice -2, README 23,085,648   1.9   130

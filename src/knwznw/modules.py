@@ -31,22 +31,24 @@ dim g + i + 1, ordered as the tuples are (`mode_digit`; |n| > B =
 MODE_BOUND raises DomainError), and a monomial is an int code: the
 vacuum index in the low `_vbits` bits, then one `_dbits`-wide digit per
 creation entry, the first lowest (a degree-0 weyl code is its vacuum
-index).  `slice_basis`, `act`, `_act_gen`, `_act_affine_raw` and
-Sugawara's `apply_L` and audit counterexample convert to and from
-`PBWMonomial` (`encode`, `decode_form`).  The module is induced, M =
-U(g_-) (x) V, so an operator acts on s (x) v through the creation string
-s, and V enters only where a zero mode reaches the vacuum.  The action
-memo (`_act_memo`, keyed string << _dbits | digit) therefore holds one
-block per generator and string: a canonical integer form
-(D, {code << _vbits | v: int}) of the kernel whose column v is the image
-of the monomial s.v, an End(V)-valued coefficient per output string
-(`_act_block`); with one vacuum vector a block is the per-code form
-itself.  `_act_form` reads a column, from the block's canonical columns
-split once under its memo key; Rat is built at the boundary.  On the
-vacuum string a zero mode's irrep entries are put on its factor of V
-in one pass, at the offsets of `finite_lie.place_local`
-(`_vacuum_block`).  Each handle keeps its own memos (actions, brackets,
-slices, Sugawara images and relation plans).
+index).  `slice_basis`, `act`, `_act_affine_raw` and Sugawara's
+`apply_L` and audit counterexample convert to and from `PBWMonomial`
+(`encode`, `decode_form`).  The module is induced, M = U(g_-) (x) V, so
+an operator acts on s (x) v through the creation string s, and V enters
+only where a zero mode reaches the vacuum.  So the engine's one unit of
+work is a block: a canonical integer form (D, {code << _vbits | v: int})
+of the kernel whose column v is the image of the monomial s.v, an
+End(V)-valued coefficient per output string.  The action memo
+(`_act_memo`, keyed string << _dbits | digit) holds one block per
+generator and string (`_act_block`).  An operator on a vector or a
+block groups its terms by creation string (`_by_string`) and meets each
+string's block once (`_join`), whatever dim V; Rat is built at the
+boundary.  On the vacuum string a zero mode's irrep entries are put on
+its factor of V in one pass, at the offsets of `finite_lie.place_local`
+(`_vacuum_block`).  The slice memo holds creation strings
+(`_slice_strings`); codes are made only where a caller lists monomials.
+Each handle keeps its own memos (actions, brackets, slices, Sugawara
+images and relation plans).
 `degree_zero_action` gives an operator as a canonical integer form
 (D, {(row, column): int}) of its nonzero entries, as `kz` does.
 
@@ -173,7 +175,6 @@ class InducedModule:
         self._lowering = frozenset(  # degree-0 creators, verma only
             mode_digit(cfg, alg, k) for k in self.creation_keys(0))
         self._act_memo = {}  # blocks, see _act_block
-        self._splits = {}  # blocks split into columns, see _act_form
         self._bracket_memo = {}
         self._slice_memo = {}
         self._sugawara_memo = defaultdict(dict)  # see sugawara._image
@@ -227,13 +228,18 @@ class InducedModule:
                 | code & self._vmask)
 
     def slice_basis(self, d):
-        """Exact basis of the degree-d slice (d <= 0), as monomials."""
-        return [self.decode(c) for c in self._slice_codes(d)]
+        """Exact basis of the degree-d slice (d <= 0), as monomials: each
+        creation string of `_slice_strings(d)` applied to every vacuum
+        vector in turn."""
+        vb = self._vbits
+        return [self.decode(s << vb | v) for s in self._slice_strings(d)
+                for v in range(self.vac_dim)]
 
-    def _slice_codes(self, d):
-        """The codes of `slice_basis(d)`, memoised: sorted strings of total
-        degree d, at most `width` long.  Degree-zero keys (verma) come last
-        in `keys`, so they extend a string only once d is reached."""
+    def _slice_strings(self, d):
+        """The creation strings of the degree-d slice, memoised: sorted
+        strings of total degree d, at most `width` long.  Degree-zero
+        keys (verma) come last in `keys`, so they extend a string only
+        once d is reached."""
         hit = self._slice_memo.get(d) if d <= 0 else []
         if hit is not None:
             return hit
@@ -256,9 +262,8 @@ class InducedModule:
                     string | digits[idx] << db * length)
 
         rec(0, d, 0, 0)
-        hit = self._slice_memo[d] = [s << self._vbits | v for s in out
-                                     for v in range(self.vac_dim)]
-        return hit
+        self._slice_memo[d] = out
+        return out
 
     def slice_dimension(self, d):
         """Dimension of the degree-d slice, counted without building it.
@@ -422,43 +427,35 @@ class InducedModule:
                             vb, vb)
         return den, acc
 
-    def _act_form(self, gen, code):
-        """Exact action of a generator digit on a monomial code, as a
-        canonical integer form (D, {code: int}): a column of the block of
-        its creation string (`_act_block`).  The block is split into its
-        canonical columns once, kept in `_splits` under its memo key."""
-        string = code >> self._vbits
-        key = string << self._dbits | gen
-        cols = self._splits.get(key)
-        if cols is None:
-            den, nums = self._act_block(gen, string)
-            cols = self._splits[key] = [canonical(den, col) for col in
-                                        _columns(nums, self._vbits,
-                                                 self.vac_dim)]
-        return cols[code & self._vmask]
-
-    def _act_gen(self, gen, mono):
-        """x_(n,p,i) on a monomial, a fresh {monomial: Rat} dict."""
-        return self.decode_form(*self._act_form(
-            mode_digit(self.cfg, self.alg, gen), self.encode(mono)))
+    def _by_string(self, nums, vb, a=1):
+        """The nonzero terms of an integer form {code << vb | v: int},
+        scaled by a, by the creation string of their code: {string: {u:
+        [(v, a x), ...]}}, u the code's vacuum index (the cols of `_join`);
+        vb is 0 for a vector over codes and `_vbits` for a block."""
+        out, mvb, umask = {}, self._vbits, self._vmask
+        vmask = (1 << vb) - 1
+        for key, x in nums.items():
+            if x:
+                code = key >> vb
+                out.setdefault(code >> mvb, {}).setdefault(
+                    code & umask, []).append((key & vmask, a * x))
+        return out
 
     def _act_affine_form(self, a, vden, vnums):
         """Exact action of an affine element on the integer form
         (vden, {code: int}) of a vector, as a fresh integer form that may
-        hold zero numerators; no width check."""
-        den, acc = 1, {}
-        loop = [(mode_digit(self.cfg, self.alg, (n, p, i)), c)
-                for (i, n, p), c in a.loop.items()]
+        hold zero numerators; no width check.  Each loop term acts on
+        the vector's terms of each creation string through that
+        string's block (`_join`)."""
+        den, acc, vb = 1, {}, self._vbits
         central = a.central * self.level
-        for code, x in vnums.items():
-            if central.num != 0:
-                den = add_scaled(den, acc, 1, {code: 1}, central.num * x,
-                                 central.den * vden)
-            for gen, c in loop:
-                d2, t2 = self._act_form(gen, code)
-                if t2:
-                    den = add_scaled(den, acc, d2, t2, c.num * x,
-                                     c.den * vden)
+        if central.num != 0:
+            den = add_scaled(den, acc, vden, vnums, central.num, central.den)
+        for (i, n, p), c in a.loop.items():
+            gen = mode_digit(self.cfg, self.alg, (n, p, i))
+            for string, cols in self._by_string(vnums, 0, c.num).items():
+                den = _join(den, acc, c.den * vden,
+                            self._act_block(gen, string), cols, vb, 0)
         return den, acc
 
     def _act_affine_raw(self, a, terms):
@@ -487,20 +484,20 @@ class InducedModule:
         can push an image out of the slice.  Such images raise
         TruncationOverflow with the lengths of their strings past it.
         """
-        basis0 = self._slice_codes(0)
-        index = {m: r for r, m in enumerate(basis0)}
+        vb, vmask, n = self._vbits, self._vmask, self.vac_dim
+        vv = 2 * vb  # a key of a block is s << vv | u << _vbits | v
+        # the monomial s.v is basis monomial index[s] + v
+        index = {s: j * n for j, s in enumerate(self._slice_strings(0))}
         gen = mode_digit(self.cfg, self.alg, (0, p, i))
-        vb, vmask = self._vbits, self._vmask
         den, acc = 1, {}
         lost = set()
-        # basis0 holds each string's vac_dim codes in a row, v ascending
-        for col0 in range(0, len(basis0), self.vac_dim):
-            d, image = self._act_block(gen, basis0[col0] >> vb)
+        for string, col in index.items():
+            d, image = self._act_block(gen, string)
             lost.update(len(self.decode(k >> vb).creation) for k in image
-                        if k >> vb not in index)
+                        if k >> vv not in index)
             den = add_scaled(den, acc, d, {
-                (index[k >> vb], col0 + (k & vmask)): x
-                for k, x in image.items() if k >> vb in index}, 1, 1)
+                (index[k >> vv] + (k >> vb & vmask), col + (k & vmask)): x
+                for k, x in image.items() if k >> vv in index}, 1, 1)
         if lost:
             raise TruncationOverflow(lost_widths=lost)
         return canonical(den, acc)
@@ -522,22 +519,6 @@ class InducedModule:
         """
         return ModuleVector({m: c for m, c in v.terms.items()
                              if m.degree == 0})
-
-
-def _stack(columns, vb):
-    """The block (D, {code << vb | v: int}) whose column v is the canonical
-    integer form columns[v] (D_v, {code: int}).  D is the lcm of the D_v,
-    and the block is canonical as it stands: a prime power that divides D
-    exactly divides some D_v exactly, and that column keeps a numerator
-    prime to it."""
-    den, acc = 1, {}
-    for v, (tden, terms) in enumerate(columns):
-        if den % tden:
-            den = widen(den, acc, tden)
-        f = den // tden
-        for k, x in terms.items():
-            acc[k << vb | v] = f * x
-    return (den, acc) if acc else ZERO_FORM
 
 
 def _join(den, acc, e, block, cols, vb, shift):
@@ -593,7 +574,7 @@ def degree_zero_coinvariant_dimension(module):
     So B . M is the negative-degree part plus (x (x) 1) . M_0.  No
     fusion-rule dimension is claimed.
     """
-    return len(module._slice_codes(0)) - len(_relation_span(module))
+    return module.slice_dimension(0) - len(_relation_span(module))
 
 
 def _relation_span(module):
@@ -616,28 +597,30 @@ def _relation_span(module):
     cannot shrink a full span, but a span that stays short raises
     TruncationOverflow, because the dimension would then be inflated.
     """
-    basis0 = module._slice_codes(0)
-    index = {m: c for c, m in enumerate(basis0)}
+    alg, n = module.alg, module.vac_dim
+    vb, vmask = module._vbits, module._vmask
+    # the monomial s.v is basis monomial index[s] + v
+    index = {s: j * n for j, s in enumerate(module._slice_strings(0))}
     pivots = {}  # leading column -> reduced row
     lost_widths = set()
-    alg, n, vb = module.alg, module.vac_dim, module._vbits
     for i in alg.cartan_indices + alg.minus_indices + alg.plus_indices:
         gens = [mode_digit(module.cfg, alg, (0, p, i))
                 for p in range(1, module.cfg.n_points + 1)]
-        for col0 in range(0, len(basis0), n):
+        for string in index:
             den, acc = 1, {}
             for gen in gens:
-                den = add_scaled(den, acc, *module._act_block(
-                    gen, basis0[col0] >> vb), 1, 1)
-            # the relations on basis0[col0:col0 + n], one column each;
+                den = add_scaled(den, acc, *module._act_block(gen, string),
+                                 1, 1)
+            # the relations on string (x) V, one column each;
             # add_scaled keeps every key it saw, zero or not
             for col in _columns(acc, vb, n):
                 lost = {len(module.decode(m).creation) for m in col
-                        if m not in index}
+                        if m >> vb not in index}
                 if lost:
                     lost_widths |= lost
                     continue
-                row = {index[m]: x for m, x in col.items() if x}
+                row = {index[m >> vb] + (m & vmask): x
+                       for m, x in col.items() if x}
                 while row:
                     g = gcd(*row.values())
                     row = {c: x // g for c, x in row.items()}
@@ -645,7 +628,7 @@ def _relation_span(module):
                     piv = pivots.get(lead)
                     if piv is None:
                         pivots[lead] = row
-                        if len(pivots) == len(basis0):
+                        if len(pivots) == n * len(index):
                             return pivots
                         break
                     a, b = piv[lead], row[lead]

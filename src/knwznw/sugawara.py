@@ -29,8 +29,8 @@ vector v at once, and memoised (`_image`) as a block: an integer form
 monomial s.v (`modules`; plans hold digits).  On the vacuum string the
 term plan of degree 0 (`_term_plan`), which writes u^i = sum_j D_ij u_j
 and groups the terms by the operator that acts first, is applied to
-each v.  A string c1.w, with c1 = (n, p, i) its first entry, follows
-from the block of w by the current relation of the global Sugawara
+every v at once.  A string c1.w, with c1 = (n, p, i) its first entry,
+follows from the block of w by the current relation of the global Sugawara
 construction (Schlichenmaier and Sheinman, Russian Math. Surveys 54
 (1999)), [L(e), x(A)] = -(level + h^v) x(e.A) (`_L_image`):
 
@@ -52,8 +52,9 @@ degree d - 3 applied to each monomial, on a module with h^v != 0.
 
 Images are integer forms, summed with the kernel's `add_scaled`.
 `apply_L_raw` applies L to a vector over codes or to every column of a
-block, reading each code's image as a column of its string's block,
-and hands a caller a fresh form or adds into the caller's accumulator:
+block on one path: its terms grouped by string meet each string's image
+block once (`modules._join`).  It hands a caller a fresh form or adds
+into the caller's accumulator:
 the commutator audit sums each identity on a string s into one block
 over s (x) V, reading memoised images in place, takes `canonical` once
 and finds the difference scalar when it is sigma times the identity
@@ -75,7 +76,7 @@ from .algebras import (R_ZERO, _unit_lie_derivative, cocycle_chi,
                        vf_bracket)
 from .basis import GradedElement, kn_basis_record, monomial_residue
 from .errors import CriticalLevelError, DomainError
-from .modules import ModuleVector, _join, _stack, mode_digit
+from .modules import ModuleVector, _join, mode_digit
 
 
 _HALF = Rat(1, 2)
@@ -229,23 +230,21 @@ def _L_image(module, k, r, string, degree):
     vector v, as a block (D, {code << _vbits | v: int}) (`modules`).
 
     On the vacuum string the term plan of degree 0 (`_term_plan`) is
-    applied to each v.  A string c1.w follows from the current relation
-    L(c1.w) = c1.L(w) + [L(k, r), c1].w (`_relation_plan`), with the
-    block L(w) read from the image memo.  A code of L(w) whose string is
-    empty or starts at or after c1 takes c1 in front by one write; c1
-    acts on the others (`InducedModule._create`).  Each relation term
-    adds the action block of its generator on w, once for every v.  The
-    degree of w is that of c1.w minus n when a caller gave it; else it
-    is read off w's digits.
+    applied directly (`_apply_plan`).  A string c1.w follows from the
+    current relation L(c1.w) = c1.L(w) + [L(k, r), c1].w
+    (`_relation_plan`), with the block L(w) read from the image memo.  A
+    code of L(w) whose string is empty or starts at or after c1 takes c1
+    in front by one write; c1 acts on the others
+    (`InducedModule._create`).  Each relation term adds the action block
+    of its generator on w, once for every v.  The degree of w is that of
+    c1.w minus n when a caller gave it; else it is read off w's digits.
     """
-    vb = module._vbits
     c1 = string & module._dmask
     if not c1:
         plan = _term_plan(module.cfg, module.alg, k, r, 0)
-        return _stack([_apply_plan(module, plan, v)
-                       for v in range(module.vac_dim)], vb)
+        return _apply_plan(module, plan, string)
     w = string >> module._dbits
-    dw = (module.code_degree(w << vb) if degree is None
+    dw = (module.code_degree(w << module._vbits) if degree is None
           else degree - (c1 - module._zero) // module._row)
     den, acc = module._create(c1, _image(module, k, r, w, dw))
     rden, rterms = _relation_plan(module, k, r, c1, -dw)
@@ -257,21 +256,21 @@ def _L_image(module, k, r, string, degree):
     return canonical(den, acc)
 
 
-def _apply_plan(module, plan, base):
-    """A plan (den, ((second, ((first, num), ...)), ...)) applied to the
-    monomial code base, as a canonical integer form.
+def _apply_plan(module, plan, string):
+    """A plan (den, ((second, ((first, num), ...)), ...)) applied to s (x)
+    v for the creation string s and every vacuum vector v, as a canonical
+    block (D, {code << _vbits | v: int}).
 
-    Each second acts once on base; its image, scaled by each of its
-    terms, is summed with `add_scaled` into an integer form of its own
-    for each first.  Then each first acts once on each monomial of its
-    form, summed into one accumulator.  Actions come from `_act_form`,
-    columns of the module's memoised action blocks.
+    Each second acts once on the string, as its action block; that
+    block, scaled by each of its terms, is summed with `add_scaled` into
+    a block of its own for each first.  Then each first acts once on
+    each string of its block (`_join`), summed into one accumulator.
     """
-    act = module._act_form
+    act, vb = module._act_block, module._vbits
     pden, terms = plan
-    args = {}  # first -> [den, {code: int}]
+    args = {}  # first -> [den, {code << _vbits | v: int}]
     for second, firsts in terms:
-        dm, mid = act(second, base)
+        dm, mid = act(second, string)
         if not mid:
             continue
         for first, num in firsts:
@@ -281,11 +280,8 @@ def _apply_plan(module, plan, base):
             arg[0] = add_scaled(arg[0], arg[1], dm, mid, num, pden)
     den, acc = 1, {}
     for first, (aden, arg) in args.items():
-        for m2, x in arg.items():
-            if x:
-                d2, t2 = act(first, m2)
-                if t2:
-                    den = add_scaled(den, acc, d2, t2, x, aden)
+        for s, cols in module._by_string(arg, vb).items():
+            den = _join(den, acc, aden, act(first, s), cols, vb, vb)
     return canonical(den, acc)
 
 
@@ -297,33 +293,17 @@ def apply_L_raw(module, idx, vec, into=None, a=1, b=1, vb=0):
     numerators), returning the new (den, acc).  With vb = 0 vec is one
     vector over codes; with the module's `_vbits` it is a block.
 
-    L(k, r) is linear, so the image of each code is a column of its
-    string's memoised block (`_image`); the image of vec sums those
-    columns scaled by vec's numerators over one denominator.  Neither
-    vec nor a memoised image is mutated, so vec may be a memoised image
-    itself.
+    L(k, r) is linear and acts on s (x) v through the string s, so vec's
+    terms are grouped by the string of their code
+    (`InducedModule._by_string`), and each string's memoised image block
+    (`_image`) is read once, its column u meeting the terms on the code
+    s.u (`_join`).  Neither vec nor a memoised image is mutated, so vec
+    may be a memoised image itself.
     """
     vden, nums = vec
     den, acc = into or (1, {})
     images, mvb, e = module._sugawara_memo[idx], module._vbits, b * vden
-    if not mvb:
-        # one vacuum vector: a code is its string and its image block the
-        # image itself, added directly.  The grouping below gives the same
-        # sums in about 7% more time on the audits of such modules
-        # (CPython 3.11, x86-64)
-        for code, x in nums.items():
-            img = images.get(code) or _image(module, *idx, code)
-            if img[1]:
-                den = add_scaled(den, acc, *img, a * x, e)
-        return (den, acc) if into else canonical(den, acc)
-    # vec's terms by the string of their code: each string's image block
-    # is read once, its column u meeting the terms on the code string.u
-    strings, mmask, vmask = {}, module._vmask, (1 << vb) - 1
-    for key, x in nums.items():
-        code = key >> vb
-        strings.setdefault(code >> mvb, {}).setdefault(
-            code & mmask, []).append((key & vmask, a * x))
-    for string, cols in strings.items():
+    for string, cols in module._by_string(nums, vb, a).items():
         img = images.get(string) or _image(module, *idx, string)
         if img[1]:
             den = _join(den, acc, e, img, cols, mvb, vb)
@@ -400,13 +380,12 @@ def sugawara_commutator_audit(cfg, alg, module, pairs, window):
         is_scalar = True
         counterexample = None
         for d in window:
-            basis = module._slice_codes(d)
             sigma = None
-            for start in range(0, len(basis), n):
+            for string in module._slice_strings(d):
                 # f2 L_kr(L_ms s) - f2 L_ms(L_kr s) - sum c L_hu s on the
-                # string s of basis[start:start + n], for every v at once:
-                # the inner image blocks are read from the memo in place
-                string = basis[start] >> vb
+                # string s, for every v at once: the inner image blocks
+                # are read from the memo in place
+                first = string << vb  # the code s.0
                 den, acc = 1, {}
                 for outer, inner, fnum in (((k, r), (m, s), f2.num),
                                            ((m, s), (k, r), -f2.num)):
@@ -419,7 +398,7 @@ def sugawara_commutator_audit(cfg, alg, module, pairs, window):
                         den = add_scaled(den, acc, hden, hnums, -c.num, c.den)
                 den, diff = canonical(den, acc)
                 if sigma is None:
-                    sigma = Rat(diff.get(basis[start] << vb, 0), den)
+                    sigma = Rat(diff.get(first << vb, 0), den)
                 # scalar on s (x) V: sigma times the identity there
                 if (den, diff) == ((sigma.den, dict.fromkeys(
                         module._identity(string), sigma.num))
@@ -430,9 +409,9 @@ def sugawara_commutator_audit(cfg, alg, module, pairs, window):
                 off = {key & vmask for key in diff
                        if key >> vb != string << vb | key & vmask}
                 v = next(v for v in range(n) if v in off or Rat(
-                    diff.get(basis[start + v] << vb | v, 0), den) != sigma)
+                    diff.get((first | v) << vb | v, 0), den) != sigma)
                 is_scalar = False
-                counterexample = (d, module.decode(basis[start + v]),
+                counterexample = (d, module.decode(first | v),
                                   ModuleVector(module.decode_form(den, {
                                       key >> vb: x for key, x in diff.items()
                                       if key & vmask == v})))

@@ -562,16 +562,16 @@ def representation_property():
     for module, n_pts, gdim, base_slice in ((weyl, 2, 3, -1),
                                             (fock, 1, 1, -1),
                                             (fock, 1, 1, -2)):
+        basis = module.slice_basis(base_slice)
         for _ in range(25):
             a, b = (_loop(rng, 2, gdim, -1, 1, n_pts, 2) for _ in range(2))
-            mono = rng.choice(module._slice_codes(base_slice))
-            act, v = module._act_affine_form, (1, {mono: 1})
+            mono = rng.choice(basis)
+            act, v = module._act_affine_form, (1, {module.encode(mono): 1})
             # [a,b] v + b a v = a b v, on integer forms over codes
             den, acc = act(affine_bracket(module.cfg, module.alg, a, b), *v)
             den = add_scaled(den, acc, *act(b, *act(a, *v)), 1, 1)
             if canonical(den, acc) != canonical(*act(a, *act(b, *v))):
-                return False, "representation property fails on %r" % (
-                    module.decode(mono),)
+                return False, "representation property fails on %r" % (mono,)
     return True, ("act([a,b]) = [act a, act b] on 75 random triples "
                   "(Fock also on slice -2)")
 
@@ -583,9 +583,9 @@ def admissibility():
             gens = {(n, p, i): mode_digit(cfg, alg, (n, p, i))
                     for n in range(1 - d, 5 - d) for i in range(alg.dim)
                     for p in range(1, cfg.n_points + 1)}
-            for code in module._slice_codes(d):
+            for string in module._slice_strings(d):
                 for gen, digit in gens.items():
-                    if any(module._act_form(digit, code)[1].values()):
+                    if module._act_block(digit, string)[1]:
                         return False, "not admissible at %s" % ((d, *gen),)
     return True, "positive modes annihilate above the slice degree"
 
@@ -683,19 +683,21 @@ def multipoint_centrality():
 
 
 def summation_bounds():
-    # the engine's image, computed from the current relation and the image
-    # memo, against the term plan of degree d - 3 applied to the monomial
-    # directly: modes n in [t + d - 3, -d + 3], three past the summation
-    # bound on each side.  The weyl module has h^v != 0 and a nonzero
-    # mode-0 action, so the relation's terms and the vacuum plans' edges
-    # both reach its images
+    # the engine's image blocks, computed from the current relation and the
+    # image memo, against the term plan of degree d - 3 applied directly:
+    # modes n in [t + d - 3, -d + 3], three past the summation bound on
+    # each side, on the strings of each slice's first four monomials.  The
+    # weyl module has h^v != 0 and a nonzero mode-0 action, so the
+    # relation's terms and the vacuum plans' edges both reach its images
     for module in (_fock_n1(), _weyl_n2()):
+        vb = module._vbits
         for d in (0, -2, -3):
-            for mono in module._slice_codes(d)[:4]:
+            for string in module._slice_strings(d)[:-(-4 // module.vac_dim)]:
+                unit = (1, module._identity(string))
                 for k in (-1, 0, 2):
                     plan = _term_plan(module.cfg, module.alg, k, 1, d - 3)
-                    if (apply_L_raw(module, (k, 1), (1, {mono: 1}))
-                            != _apply_plan(module, plan, mono)):
+                    if (apply_L_raw(module, (k, 1), unit, vb=vb)
+                            != _apply_plan(module, plan, string)):
                         return False, "summation bound unstable"
     return True, "enlarging mode bounds by 3 changes nothing"
 

@@ -6,7 +6,7 @@ from math import lcm
 from knwznw._kernel import RAT0, ZERO_FORM, canonical, form, rats
 from knwznw.basis import DivisorForm, Section
 from knwznw.finite_lie import factor_op, tensor_strides
-from knwznw.modules import _columns
+from knwznw.modules import _columns, mode_digit
 
 
 def section_of(cfg, lam, f):
@@ -128,6 +128,16 @@ def column(module, block, v):
     module, as a canonical integer form (D, {code: int})."""
     return canonical(block[0], _columns(block[1], module._vbits,
                                         module.vac_dim)[v])
+
+
+def act_gen(module, gen, mono):
+    """x_(n,p,i) on a monomial of an induced module, a fresh {monomial:
+    Rat} dict: the column of its vacuum vector in the action block of
+    its creation string (`InducedModule._act_block`)."""
+    code = module.encode(mono)
+    block = module._act_block(mode_digit(module.cfg, module.alg, gen),
+                              code >> module._vbits)
+    return module.decode_form(*column(module, block, code & module._vmask))
 
 
 def vacuum_action(module, gen, vac):

@@ -819,10 +819,10 @@ def test_odd_weight_sums_charge_only_the_cartan_rows(capsys, tmp_path,
     # with an odd sl2 weight sum no degree-0 monomial has weight 0, so the
     # N Cartan rows per monomial fill the span: 25 each.  (1,...,1) at
     # thirteen points (0.6 s), (3,...,3) at seven (0.65 s) and (400,399)
-    # at two (4.5 s, 201 MB) pass, decided without building a slice
+    # at two (1.0 s, 134 MB) pass, decided without building a slice
     monkeypatch.setattr(cli, "degree_zero_coinvariant_dimension", _reach)
     monkeypatch.setattr(InducedModule, "slice_basis", _reach)
-    monkeypatch.setattr(InducedModule, "_slice_codes", _reach)
+    monkeypatch.setattr(InducedModule, "_slice_strings", _reach)
     for weights, work in (([1] * 13, 13 * 2 ** 13 * 25),
                           ([3] * 7, 7 * 4 ** 7 * 25),
                           ([400, 399], 2 * 401 * 400 * 25)):

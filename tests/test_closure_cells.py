@@ -10,12 +10,13 @@ their locals, and their misses are written as loops.
 
 import pytest
 
-from knwznw import basis
+from knwznw import basis, modules, sugawara
 from knwznw.modules import InducedModule
 
 
 @pytest.mark.parametrize("fn", [
     basis.kn_basis_record, basis.monomial_residue, basis._monomial_form,
-    InducedModule._act_block], ids=lambda fn: fn.__name__)
+    InducedModule._act_block, InducedModule._by_string, modules._join,
+    sugawara.apply_L_raw, sugawara._apply_plan], ids=lambda fn: fn.__name__)
 def test_a_cache_hit_path_makes_no_cells(fn):
     assert fn.__code__.co_cellvars == ()

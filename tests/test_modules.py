@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import column, peel, section_of, vacuum_action
+from conftest import act_gen, column, peel, section_of, vacuum_action
 from knwznw import Rat, verify
 from knwznw._kernel import RAT0, RAT1, ZERO_FORM, merge, rats
 from knwznw.affine import (AffineElement, _block_expansions, affine_bracket,
@@ -259,7 +259,7 @@ def test_admissibility(weyl11):
             for n in range(n0, n0 + 4):
                 for p in (1, 2):
                     for i in range(3):
-                        assert not weyl11._act_gen((n, p, i), mono)
+                        assert not act_gen(weyl11, (n, p, i), mono)
 
 
 def test_a_wrong_vacuum_action_entry_fails_weyl_degree_zero(monkeypatch):
@@ -298,7 +298,9 @@ def test_the_codec_round_trips_and_keeps_the_tuple_order(sl2, ab, data,
     module = induce_module(alg, cfg, ModuleSpec(kind, weights, Rat(1),
                                                 width=width))
     assume(module.slice_dimension(d) <= 1500)
-    basis, codes = module.slice_basis(d), module._slice_codes(d)
+    basis, vb = module.slice_basis(d), module._vbits
+    codes = [s << vb | v for s in module._slice_strings(d)
+             for v in range(module.vac_dim)]
     assert len(basis) == len(set(codes)) == module.slice_dimension(d)
     assert [module.encode(m) for m in basis] == codes
     assert [module.decode(c) for c in codes] == basis
@@ -337,7 +339,7 @@ def test_degree_zero_matches_finite_module(weyl11):
         for i in range(3):
             got = [[RAT0] * 4 for _ in range(4)]
             for col, mono in enumerate(basis0):
-                for m2, c in weyl11._act_gen((0, p, i), mono).items():
+                for m2, c in act_gen(weyl11, (0, p, i), mono).items():
                     got[index[m2]][col] = c
             want = factor_op(weyl11.factors, p - 1,
                              weyl11.factors[p - 1].entries[i])
@@ -404,7 +406,7 @@ def is_creation(module, gen):
 def rat_act_gen(module, gen, mono, memo):
     """The action of one generator on a monomial by the normal-ordering
     recursion summed in Rat, kept as an oracle for the integer forms of
-    `InducedModule._act_form`: gen.(c1.rest) = c1.(gen.rest) +
+    `InducedModule._act_block`: gen.(c1.rest) = c1.(gen.rest) +
     [gen, c1].rest, memoised in `memo`."""
     key = (gen, mono)
     hit = memo.get(key)
@@ -450,11 +452,10 @@ def test_integer_action_matches_the_rat_recursion(sl2, ab):
             for mono in module.slice_basis(d):
                 for gen in gens:
                     want = rat_act_gen(module, gen, mono, memo)
-                    got = module._act_gen(gen, mono)
+                    got = act_gen(module, gen, mono)
                     assert got == want, (gen, mono)
                     compared += bool(want)
-                    widened += module._act_form(digit(module, gen),
-                                                module.encode(mono))[0] > 1
+                    widened += any(c.den > 1 for c in got.values())
     assert compared > 3000 and widened > 1000
 
 
@@ -590,7 +591,7 @@ class _Reduction:
     is rewritten through the block generator
     x (x) (z - P_p)^n = x_(n,p,i) + sum c2 x_(n2,p2,i), all n2 > n, so
     row(m) = -sum c2 act_row(x_(n2,p2,i), rest).  `act_row(g, m)` is the
-    row of g.m; it follows the normal ordering of `InducedModule._act_gen`
+    row of g.m; it follows the normal ordering of `conftest.act_gen`
     without building the dict g.m itself.  Total degree rises strictly
     with each rewrite, so the recursion ends.
     """
@@ -644,7 +645,7 @@ class _Reduction:
             rest = PBWMonomial(creation[1:], mono.vacuum)
             c1 = creation[0]
             acc = {}
-            for m2, c in module._act_gen(gen, rest).items():
+            for m2, c in act_gen(module, gen, rest).items():
                 r = self.act_row(c1, m2)
                 if r:
                     merge(acc, r, c)
@@ -708,7 +709,7 @@ def pass_batch_reduce(module, v, pole_bound):
             rest = PBWMonomial(m.creation[1:], m.vacuum)
             i = m.creation[0][2]
             for n2, p2, c2 in rules[leader(m)]:
-                merge(terms, module._act_gen((n2, p2, i), rest), -c * c2)
+                merge(terms, act_gen(module, (n2, p2, i), rest), -c * c2)
 
 
 def oracle_modules():
